@@ -244,6 +244,7 @@ def _write_trace(model_path: str, records):
                         "pass": r.pass_name,
                         "epoch": r.epoch,
                         "validation_predictive_ll": r.validation_score,
+                        "train_loss": r.train_loss,
                         "seconds": round(r.seconds, 3),
                     }
                 )

@@ -89,8 +89,10 @@ class EmbeddingTable:
         t.size, t.k = rho.shape
         t.rho = np.ascontiguousarray(rho, dtype=np.float64)
         t.alpha = np.ascontiguousarray(alpha, dtype=np.float64)
-        t.rho_acc = np.full(rho.shape, ADAGRAD_FLOOR)
-        t.alpha_acc = np.full(rho.shape, ADAGRAD_FLOOR)
+        # a table built from stored vectors is never trained: its accumulators
+        # are a read-only view of the floor and take no memory
+        t.rho_acc = np.broadcast_to(ADAGRAD_FLOOR, rho.shape)
+        t.alpha_acc = np.broadcast_to(ADAGRAD_FLOOR, rho.shape)
         return t
 
     @property

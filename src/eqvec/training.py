@@ -7,6 +7,10 @@ the validation predictive log-likelihood.  Single-threaded enumeration is
 document order, positions left to right, negatives drawn immediately
 after each positive from a seeded stream, so a (seed, config, corpus)
 triple fully determines the fitted parameters.
+
+Each pass is compiled once per fit into flat arrays (``passes``).  An
+epoch then draws negatives one block of positions at a time and takes one
+serial SGD step per position on a stacked copy of the pass's tables.
 """
 
 import logging
@@ -16,10 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evaluation
-from .corpus import EQ_TAG, GAP, CorpusData, equation_id, heldout_positions, is_equation, is_word
-from .model import EmbeddingTable, Model, ModelConfig, adagrad_rows, sigmoid
+from .corpus import CorpusData
+from .model import LOG_EPS, EmbeddingTable, Model, ModelConfig
+from .passes import PASS_CLASSES, PassPlan, _ptr, _ranges, compile_pass
 
 log = logging.getLogger(__name__)
+
+# Positions per block of negatives and per-step index arrays.
+_BLOCK = 128
 
 
 class TrainingDiverged(RuntimeError):
@@ -49,236 +57,265 @@ class NegativeSampler:
     """Draws negative target ids, rejecting the positive target.
 
     Unigram sampling uses the raw frequency distribution (power 1.0);
-    uniform sampling is the configurable alternative.
+    without frequencies every id has equal weight (uniform sampling).  Both
+    map one uniform double per draw through the cumulative distribution.
     """
 
     def __init__(self, rng: np.random.Generator, n: int, freqs=None):
         self.rng = rng
         self.n = n
         self.cum = None
-        if freqs is not None and n > 0:
-            w = np.asarray(freqs, dtype=np.float64)
-            total = w.sum()
-            if total > 0:
-                self.cum = np.cumsum(w / total)
-                self.cum[-1] = 1.0
+        if n > 1:
+            w = np.ones(n) if freqs is None else np.asarray(freqs, dtype=np.float64)
+            if w.sum() <= 0:
+                w = np.ones(n)
+            self.cum = np.cumsum(w / w.sum())
+            self.cum[-1] = 1.0
 
     def draw(self, size: int, exclude: int) -> np.ndarray:
-        if self.n <= 1:
+        if self.cum is None:
             return np.empty(0, dtype=np.int64)
         out = np.empty(size, dtype=np.int64)
         have = 0
         while have < size:
-            need = size - have
-            if self.cum is None:
-                ids = self.rng.integers(0, self.n, size=need)
-            else:
-                ids = np.searchsorted(self.cum, self.rng.random(need), side="right")
+            ids = np.searchsorted(self.cum, self.rng.random(size - have), side="right")
             ids = ids[ids != exclude]
             out[have : have + len(ids)] = ids
             have += len(ids)
         return out
 
 
-def _position_update(target_table, tid, negatives, sum_specs, grad_specs, lr, update_target):
-    """One SGD step for a positive observation and its sampled zeros.
+def draw_negatives(samplers, which, exclude, size: int) -> np.ndarray:
+    """Negatives for consecutive positions, drawn as one block.
 
-    ``sum_specs``/``grad_specs`` are (table, ids, weights) triples: the
-    first builds the shared context sum, the second selects which context
-    rows actually receive gradient (frozen tables are read-only inputs).
-    Gradients of the positive and its negatives are accumulated and applied
-    as a single Adagrad step per touched row.
+    Row i holds exactly what ``samplers[which[i]].draw(size, exclude[i])``
+    returns when called for each position in order, and every generator is
+    left where those calls leave it; samplers that share a generator share
+    its stream in position order.  Rows whose sampler has nothing to draw
+    from are -1.
     """
-    k = target_table.k
-    s = np.zeros(k)
-    for tbl, ids, w in sum_specs:
-        if len(ids) == 0:
-            continue
-        rows = tbl.alpha[ids]
-        s += rows.sum(axis=0) if w is None else (rows * w[:, None]).sum(axis=0)
-
-    tgt = np.empty(1 + len(negatives), dtype=np.int64)
-    tgt[0] = tid
-    tgt[1:] = negatives
-    r = target_table.rho[tgt]
-    b = sigmoid(r @ s)
-    err = b.copy()
-    err[0] -= 1.0
-
-    loss = -np.log(max(b[0], 1e-12))
-    if len(b) > 1:
-        loss -= np.sum(np.log(np.maximum(1.0 - b[1:], 1e-12)))
-
-    if update_target:
-        adagrad_rows(target_table.rho, target_table.rho_acc, tgt, err[:, None] * s[None, :], lr)
-    g_alpha = err @ r
-    for tbl, ids, w in grad_specs:
-        if len(ids) == 0:
-            continue
-        g = np.tile(g_alpha, (len(ids), 1))
-        if w is not None:
-            g *= w[:, None]
-        adagrad_rows(tbl.alpha, tbl.alpha_acc, np.asarray(ids, dtype=np.int64), g, lr)
-    return float(loss)
-
-
-def _word_ids_in_window(codes: np.ndarray, p: int, half: int) -> np.ndarray:
-    lo, hi = max(0, p - half), min(len(codes), p + half + 1)
-    win = np.concatenate((codes[lo:p], codes[p + 1 : hi]))
-    return win[win < EQ_TAG].astype(np.int64)
-
-
-def _eq_ids_in_window(codes: np.ndarray, p: int, half: int) -> np.ndarray:
-    lo, hi = max(0, p - half), min(len(codes), p + half + 1)
-    win = np.concatenate((codes[lo:p], codes[p + 1 : hi]))
-    win = win[(win != GAP) & (win >= EQ_TAG)]
-    return (win & ~EQ_TAG).astype(np.int64)
-
-
-def _exclusion_masks(data: CorpusData):
-    excl = heldout_positions(data.heldout_valid + data.heldout_test)
-    masks = []
-    for stream in data.streams:
-        m = np.zeros(len(stream.codes), dtype=bool)
-        for p in excl.get(stream.doc_id, ()):
-            m[p] = True
-        masks.append(m)
-    return masks
-
-
-# --- per-epoch enumeration ------------------------------------------------------
-
-
-def _word_epoch(data, masks, word_t, cfg, sampler):
-    """Pass over word targets only; equation items are treated as gaps."""
-    half = cfg.word_window // 2
-    total = 0.0
-    for stream, mask in zip(data.streams, masks):
-        codes = stream.codes
-        for p in np.flatnonzero((codes < EQ_TAG) & ~mask):
-            p = int(p)
-            ctx = _word_ids_in_window(codes, p, half)
-            if ctx.size == 0:
-                continue
-            tid = int(codes[p])
-            negs = sampler.draw(cfg.n_negatives, tid)
-            total += _position_update(
-                word_t, tid, negs, [(word_t, ctx, None)], [(word_t, ctx, None)],
-                cfg.learning_rate, True,
+    which = np.asarray(which)
+    exclude = np.asarray(exclude, dtype=np.int64)
+    out = np.full((len(which), size), -1, dtype=np.int64)
+    streams: dict[int, list[int]] = {}
+    for i, s in enumerate(samplers):
+        if s.cum is not None:
+            streams.setdefault(id(s.rng), []).append(i)
+    for members in streams.values():
+        sel = np.flatnonzero(np.isin(which, members))
+        if sel.size:
+            out[sel] = _draw_stream(
+                samplers[members[0]].rng,
+                [samplers[m].cum for m in members],
+                np.searchsorted(members, which[sel]),
+                exclude[sel],
+                size,
             )
-    return total
+    return out
 
 
-def _equation_epoch(data, masks, word_t, eq_t, cfg, word_sampler, eq_sampler):
-    """Pass over equation vectors with all word vectors held fixed.
+def _draw_stream(rng, cums, which, exclude, size):
+    """``draw_negatives`` for samplers sharing one generator.
 
-    Two pair families: (equation target, surrounding words) trains rho_e;
-    (word target, context containing in-window equations) trains the
-    alpha_e of those equations, the word side being frozen.
+    The stream of doubles is mapped through every sampler's distribution
+    once.  Positions take ``size`` doubles each until one of them draws its
+    own exclusion; that position then takes as many more doubles as it
+    rejected, round after round like ``NegativeSampler.draw``, and the
+    positions after it restart from where it stopped.  Nothing is drawn
+    beyond what the sequential calls consume.
     """
-    half_w = cfg.word_window // 2
-    half_e = cfg.eq_window // 2
-    half_m = cfg.eq_context_window // 2
+    n = len(which)
+    out = np.empty((n, size), dtype=np.int64)
+    ids = np.empty((len(cums), 0), dtype=np.int64)
+
+    def draw_up_to(length):
+        nonlocal ids
+        if ids.shape[1] < length:
+            u = rng.random(length - ids.shape[1])
+            ids = np.concatenate((ids, [np.searchsorted(c, u, side="right") for c in cums]), axis=1)
+
+    used = 0
+    i = 0
+    while i < n:
+        m = n - i
+        draw_up_to(used + m * size)
+        block = ids[which[i:, None], used + np.arange(m * size).reshape(m, size)]
+        bad = block == exclude[i:, None]
+        hit = bad.any(axis=1)
+        j = int(hit.argmax()) if hit.any() else m
+        out[i : i + j] = block[:j]
+        used += j * size
+        if j == m:
+            break
+        p = i + j
+        kept = block[j][~bad[j]]
+        got = kept.size
+        out[p, :got] = kept
+        used += size
+        while got < size:
+            need = size - got
+            draw_up_to(used + need)
+            more = ids[which[p], used : used + need]
+            more = more[more != exclude[p]]
+            out[p, got : got + more.size] = more
+            got += more.size
+            used += need
+        i = p + 1
+    return out
+
+
+# --- the SGD step ---------------------------------------------------------------
+
+
+def _distinct(key):
+    """Sort order of ``key`` (stable) and, in that order, which entries open
+    a run of equal keys."""
+    order = np.argsort(key, kind="stable")
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[order][1:] != key[order][:-1]
+    return order, first
+
+
+def _stack(tables) -> np.ndarray:
+    """(2, rows, k): the parameters, every table's rho rows then every
+    table's alpha rows, over their Adagrad accumulators in the same layout."""
+    rows = [t.rho for t in tables] + [t.alpha for t in tables]
+    accs = [t.rho_acc for t in tables] + [t.alpha_acc for t in tables]
+    stacked = np.empty((2, sum(len(r) for r in rows), tables[0].k))
+    np.concatenate(rows, out=stacked[0])
+    np.concatenate(accs, out=stacked[1])
+    return stacked
+
+
+def _unstack(stacked, tables, trainable):
+    """Write the trainable tables back; frozen ones are never written."""
+    n = sum(t.size for t in tables)
+    o = 0
+    for t, tr in zip(tables, trainable):
+        if tr:
+            t.rho[...] = stacked[0, o : o + t.size]
+            t.alpha[...] = stacked[0, n + o : n + o + t.size]
+            t.rho_acc[...] = stacked[1, o : o + t.size]
+            t.alpha_acc[...] = stacked[1, n + o : n + o + t.size]
+        o += t.size
+
+
+def sgd_block(stacked, plan: PassPlan, lo: int, hi: int, negatives, lr: float) -> np.ndarray:
+    """Serial SGD steps for positions ``lo:hi``; returns their losses.
+
+    ``negatives`` holds each position's class-local negative ids (-1 for
+    none).  Each step is one positive and its sampled zeros sharing one
+    context sum: b = sigmoid(rho_t . s), err = b - y, and one Adagrad step
+    (acc += g^2; cell -= lr g / sqrt(acc)) over the touched trainable rows
+    with g = (sum of err over a target row's occurrences) * s for target
+    rows and (summed context weight) * (err . rho) for context rows.  Losses
+    are clamped at 1e-12 like the pair loss.
+    """
+    m = hi - lo
+    k = stacked.shape[2]
+    n_rows = stacked.shape[1]
+    cls = plan.cls[lo:hi]
+    base = plan.offsets[cls]
+    valid = np.concatenate((np.ones((m, 1), dtype=bool), negatives >= 0), axis=1)
+    nt = valid.sum(axis=1)
+    trows = np.concatenate(((plan.target[lo:hi] + base)[:, None], negatives + base[:, None]), axis=1)[valid]
+    tptr = _ptr(nt)
+    cptr = plan.ctx_ptr[lo : hi + 1].astype(np.int64)
+    ctx = plan.ctx_rows[cptr[0] : cptr[-1]].astype(np.int64)
+    weights = np.ones(len(ctx)) if plan.ctx_w is None else plan.ctx_w[cptr[0] : cptr[-1]]
+    nc = np.diff(cptr)
+    cptr -= cptr[0]
+    gptr = _ptr(nt + nc)
+    gidx = np.empty(int(gptr[-1]), dtype=np.int64)
+    gidx[_ranges(gptr[:-1], nt)] = trows
+    gidx[_ranges(gptr[:-1] + nt, nc)] = ctx
+    # weights negated so the context sum comes out negated, ready for exp
+    wneg = -weights
+
+    # a target row drawn more than once gets one update with summed errors
+    pos = np.repeat(np.arange(m), nt)
+    order, first = _distinct(pos * n_rows + trows)
+    n_groups = np.bincount(pos[order][first], minlength=m)
+    local = np.empty(len(pos), dtype=np.int64)
+    local[order] = np.cumsum(first) - 1 - _ptr(n_groups)[pos[order]]
+    update_target = np.asarray(plan.trainable, dtype=bool)[cls]
+    nu = n_groups * update_target
+    # trainable context rows, one per distinct row of a position, weights summed
+    trainable_rows = np.repeat(np.asarray(plan.trainable, dtype=bool), plan.sizes)
+    learn = trainable_rows[ctx - n_rows // 2]
+    cpos = np.repeat(np.arange(m), nc)[learn]
+    corder, cfirst = _distinct(cpos * n_rows + ctx[learn])
+    grad_coef = np.bincount(np.cumsum(cfirst) - 1, weights[learn][corder], minlength=int(cfirst.sum()))
+    ng = np.bincount(cpos[corder][cfirst], minlength=m)
+    n_upd = nu + ng
+    uptr = _ptr(n_upd)
+    urows = np.empty(int(uptr[-1]), dtype=np.int64)
+    urows[_ranges(uptr[:-1], nu)] = trows[order][first][np.repeat(update_target, n_groups)]
+    urows[_ranges(uptr[:-1] + nu, ng)] = ctx[learn][corder][cfirst]
+    # per position a (2, n_upd) coefficient block: row 0 multiplies the
+    # negated context sum (filled each step), row 1 the context gradient
+    coef = np.zeros(2 * int(uptr[-1]))
+    coef[_ranges(2 * uptr[:-1] + n_upd + nu, ng)] = grad_coef
+    # per position an (nu, nt) grouping of its targets, -1 to undo the negation
+    hptr = _ptr(nu * nt)
+    group = np.zeros(int(hptr[-1]))
+    at = update_target[pos]
+    slot = np.arange(len(pos)) - tptr[pos]
+    group[(hptr[pos] + local * nt[pos] + slot)[at]] = -1.0
+
+    params = stacked[0]
+    err = np.empty(int(tptr[-1]))
+    b0 = np.empty(m)
+    vec = np.empty((2, k))
+    take, dot, exp, divide, sqrt = params.take, np.dot, np.exp, np.divide, np.sqrt
+    steps = zip(
+        gptr[:-1].tolist(), gptr[1:].tolist(), nt.tolist(), tptr[:-1].tolist(),
+        cptr[:-1].tolist(), cptr[1:].tolist(), uptr[:-1].tolist(), uptr[1:].tolist(),
+        nu.tolist(), hptr[:-1].tolist(),
+    )
+    for i, (g0, g1, t, e0, c0, c1, u0, u1, nui, h0) in enumerate(steps):
+        x = take(gidx[g0:g1], axis=0)
+        r = x[:t]
+        dot(wneg[c0:c1], x[t:], out=vec[0])
+        e = err[e0 : e0 + t]
+        exp(r @ vec[0], out=e)
+        e += 1.0
+        divide(1.0, e, out=e)
+        b0[i] = e[0]
+        e[0] -= 1.0
+        dot(e, r, out=vec[1])
+        w = coef[2 * u0 : 2 * u1].reshape(2, u1 - u0)
+        if nui:
+            dot(group[h0 : h0 + nui * t].reshape(nui, t), e, out=w[0, :nui])
+        g = dot(w.T, vec)
+        rows = urows[u0:u1]
+        z = stacked.take(rows, axis=1)
+        g2 = g * g
+        z[1] += g2
+        sqrt(z[1], out=g2)
+        g *= lr
+        g /= g2
+        z[0] -= g
+        stacked[:, rows] = z
+
+    neg = np.ones(len(err), dtype=bool)
+    neg[tptr[:-1]] = False
+    neg_loss = np.bincount(pos[neg], np.log(np.maximum(1.0 - err[neg], LOG_EPS)), minlength=m)
+    return -np.log(np.maximum(b0, LOG_EPS)) - neg_loss
+
+
+def _run_epoch(plans, tables, trainable, samplers, config: ModelConfig) -> float:
+    """One epoch over a compiled pass; returns the summed training loss."""
+    stacked = _stack(tables)
     total = 0.0
-    for stream, mask in zip(data.streams, masks):
-        codes = stream.codes
-        for p in np.flatnonzero(codes != GAP):
-            p = int(p)
-            c = int(codes[p])
-            if c & int(EQ_TAG):
-                gid = c & ~int(EQ_TAG)
-                ctx = _word_ids_in_window(codes, p, half_m)
-                if ctx.size == 0:
-                    continue
-                negs = eq_sampler.draw(cfg.n_negatives, gid)
-                total += _position_update(
-                    eq_t, gid, negs, [(word_t, ctx, None)], [],
-                    cfg.learning_rate, True,
-                )
-            elif not mask[p]:
-                eqs = _eq_ids_in_window(codes, p, half_e)
-                if eqs.size == 0:
-                    continue
-                wctx = _word_ids_in_window(codes, p, half_w)
-                tid = int(codes[p])
-                negs = word_sampler.draw(cfg.n_negatives, tid)
-                total += _position_update(
-                    word_t, tid, negs,
-                    [(word_t, wctx, None), (eq_t, eqs, None)],
-                    [(eq_t, eqs, None)],
-                    cfg.learning_rate, False,
-                )
-    return total
-
-
-def _unit_context(data, eqs, mean: bool):
-    """Concatenated unit ids (and weights under the mean variant) for the
-    equations appearing in a word's enlarged window."""
-    ids, weights = [], []
-    for g in eqs:
-        seq = data.eq_units.get(int(g))
-        if seq is None:
-            continue
-        seq = seq[seq >= 0]
-        if seq.size == 0:
-            continue
-        ids.append(seq)
-        if mean:
-            weights.append(np.full(seq.size, 1.0 / seq.size))
-    if not ids:
-        return np.empty(0, dtype=np.int64), None
-    cat = np.concatenate(ids)
-    return cat, (np.concatenate(weights) if mean else None)
-
-
-def _unit_epoch(data, masks, word_t, unit_t, cfg, word_sampler, unit_sampler, update_words=False):
-    """Pass over unit vectors: skip-gram pairs inside each equation's unit
-    sentence, plus word targets whose enlarged window holds equations (the
-    equations contribute every unit's feature vector to the context)."""
-    half_w = cfg.word_window // 2
-    half_e = cfg.eq_window // 2
-    half_u = cfg.unit_window // 2
-    total = 0.0
-    for stream, mask in zip(data.streams, masks):
-        codes = stream.codes
-        for p in np.flatnonzero(codes != GAP):
-            p = int(p)
-            c = int(codes[p])
-            if c & int(EQ_TAG):
-                seq = data.eq_units.get(c & ~int(EQ_TAG))
-                if seq is None:
-                    continue
-                units = seq[seq >= 0]
-                for j in range(units.size):
-                    lo, hi = max(0, j - half_u), min(units.size, j + half_u + 1)
-                    ctx = np.concatenate((units[lo:j], units[j + 1 : hi]))
-                    if ctx.size == 0:
-                        continue
-                    uid = int(units[j])
-                    negs = unit_sampler.draw(cfg.n_negatives, uid)
-                    total += _position_update(
-                        unit_t, uid, negs, [(unit_t, ctx, None)], [(unit_t, ctx, None)],
-                        cfg.learning_rate, True,
-                    )
-            elif not mask[p]:
-                eqs = _eq_ids_in_window(codes, p, half_e)
-                uctx, uw = _unit_context(data, eqs, cfg.unit_context_mean)
-                if uctx.size == 0 and not update_words:
-                    continue
-                wctx = _word_ids_in_window(codes, p, half_w)
-                if uctx.size == 0 and wctx.size == 0:
-                    continue
-                tid = int(codes[p])
-                negs = word_sampler.draw(cfg.n_negatives, tid)
-                grad_specs = [(unit_t, uctx, uw)]
-                if update_words:
-                    grad_specs.insert(0, (word_t, wctx, None))
-                total += _position_update(
-                    word_t, tid, negs,
-                    [(word_t, wctx, None), (unit_t, uctx, uw)],
-                    grad_specs,
-                    cfg.learning_rate, update_words,
-                )
+    with np.errstate(over="ignore"):
+        for plan in plans:
+            for lo in range(0, len(plan), _BLOCK):
+                hi = min(lo + _BLOCK, len(plan))
+                negs = draw_negatives(samplers, plan.cls[lo:hi], plan.target[lo:hi], config.n_negatives)
+                for loss in sgd_block(stacked, plan, lo, hi, negs, config.learning_rate).tolist():
+                    total += loss
+    _unstack(stacked, tables, trainable)
     return total
 
 
@@ -328,8 +365,9 @@ def train_model(data: CorpusData, config: ModelConfig, mode: str):
     n_units = len(data.unit_vocab) if data.unit_vocab is not None else 0
     unit_t = EmbeddingTable(n_units, config.k, rngs[2], config.scale) if mode == "unit" else None
 
-    masks = _exclusion_masks(data)
-    word_freqs = data.word_vocab.freqs if config.negative_sampling == "unigram" else None
+    unigram = config.negative_sampling == "unigram"
+    word_freqs = data.word_vocab.freqs if unigram else None
+    unit_freqs = data.unit_vocab.freqs if (unigram and data.unit_vocab is not None) else None
     records: list[EpochRecord] = []
 
     def scoring_model(view_mode):
@@ -338,11 +376,20 @@ def train_model(data: CorpusData, config: ModelConfig, mode: str):
             eq_units=data.eq_units, n_equations=data.n_equations,
         )
 
-    def run(pass_name, epoch_fn, trainables, view):
+    def run(pass_name, tables, samplers, view):
+        trainable = PASS_CLASSES[pass_name][1]
+        plans = []
+
+        def epoch():
+            if not plans:  # compiled inside the first epoch, which it belongs to
+                plans.extend(compile_pass(data, config, pass_name))
+            return _run_epoch(plans, tables, trainable, samplers, config)
+
+        trainables = [t for t, tr in zip(tables, trainable) if tr]
         try:
             _run_pass(
                 pass_name,
-                epoch_fn,
+                epoch,
                 lambda: evaluation.mean_predictive_ll(data.heldout_valid, scoring_model(view)),
                 trainables,
                 config.max_epochs,
@@ -354,53 +401,23 @@ def train_model(data: CorpusData, config: ModelConfig, mode: str):
             raise
 
     if mode == "unit" and config.unit_joint:
-        word_sampler = NegativeSampler(rngs[3], n_words, word_freqs)
-        unit_freqs = (
-            data.unit_vocab.freqs
-            if (config.negative_sampling == "unigram" and data.unit_vocab is not None)
-            else None
-        )
-        unit_sampler = NegativeSampler(rngs[5], n_units, unit_freqs)
-        run(
-            "joint",
-            lambda: _unit_epoch(data, masks, word_t, unit_t, config, word_sampler, unit_sampler, update_words=True),
-            [word_t, unit_t],
-            "unit",
-        )
+        samplers = [NegativeSampler(rngs[3], n_words, word_freqs), NegativeSampler(rngs[5], n_units, unit_freqs)]
+        run("joint", [word_t, unit_t], samplers, "unit")
         return scoring_model("unit"), records
 
-    word_sampler = NegativeSampler(rngs[3], n_words, word_freqs)
-    run(
-        "word",
-        lambda: _word_epoch(data, masks, word_t, config, word_sampler),
-        [word_t],
-        "word",
-    )
+    run("word", [word_t], [NegativeSampler(rngs[3], n_words, word_freqs)], "word")
     if mode == "word":
         return scoring_model("word"), records
 
     word_t.freeze()
     if mode == "equation":
-        eq_freqs = data.registry.occurrence_counts() if config.negative_sampling == "unigram" else None
-        pass2_word_sampler = NegativeSampler(rngs[4], n_words, word_freqs)
-        eq_sampler = NegativeSampler(rngs[4], data.n_equations, eq_freqs)
+        eq_freqs = data.registry.occurrence_counts() if unigram else None
         # both samplers share one generator so the negative stream follows
         # enumeration order exactly
-        run(
-            "equation",
-            lambda: _equation_epoch(data, masks, word_t, eq_t, config, pass2_word_sampler, eq_sampler),
-            [eq_t],
-            "equation",
-        )
+        samplers = [NegativeSampler(rngs[4], n_words, word_freqs), NegativeSampler(rngs[4], data.n_equations, eq_freqs)]
+        run("equation", [word_t, eq_t], samplers, "equation")
         return scoring_model("equation"), records
 
-    unit_freqs = data.unit_vocab.freqs if (config.negative_sampling == "unigram" and data.unit_vocab is not None) else None
-    pass2_word_sampler = NegativeSampler(rngs[5], n_words, word_freqs)
-    unit_sampler = NegativeSampler(rngs[5], n_units, unit_freqs)
-    run(
-        "unit",
-        lambda: _unit_epoch(data, masks, word_t, unit_t, config, pass2_word_sampler, unit_sampler),
-        [unit_t],
-        "unit",
-    )
+    samplers = [NegativeSampler(rngs[5], n_words, word_freqs), NegativeSampler(rngs[5], n_units, unit_freqs)]
+    run("unit", [word_t, unit_t], samplers, "unit")
     return scoring_model("unit"), records

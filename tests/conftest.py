@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
-from eqvec.corpus import IngestParams, ingest_corpus
+from eqvec.corpus import CorpusData, EquationRegistry, IngestParams, Vocabulary, ingest_corpus
 from eqvec.model import ModelConfig
 from eqvec.synthetic import planted_corpus
+from eqvec.passes import PASS_CLASSES
 from eqvec.training import train_model
 
 # One experiment configuration for every planted-corpus check: identical
@@ -36,3 +38,28 @@ def trained(planted):
         return cache[key]
 
     return get
+
+
+def corpus_from_streams(streams, n_words: int, n_equations: int = 0) -> CorpusData:
+    """A corpus around hand-made token streams: no held-out items, no units."""
+    vocab = Vocabulary(kind="word", forms=[f"w{i:04d}" for i in range(n_words)],
+                       freqs=np.ones(n_words, dtype=np.int64))
+    registry = EquationRegistry()
+    for g in range(n_equations):
+        registry.add(f"x_{{{g}}}", streams[0].doc_id)
+    return CorpusData(vocab, registry, list(streams), None, {}, [], [], IngestParams(), {})
+
+
+def plan_positions(plans, pass_name: str):
+    """A compiled pass decoded to (target class, target id, [(class, id), ...])
+    per position, in enumeration order."""
+    classes = PASS_CLASSES[pass_name][0]
+    out = []
+    for plan in plans:
+        offsets = plan.offsets
+        for i in range(len(plan)):
+            rows = plan.ctx_rows[plan.ctx_ptr[i] : plan.ctx_ptr[i + 1]] - offsets[-1]
+            cls = np.searchsorted(offsets, rows, side="right") - 1
+            ctx = [(classes[c], int(r - offsets[c])) for c, r in zip(cls, rows)]
+            out.append((classes[plan.cls[i]], int(plan.target[i]), ctx))
+    return out

@@ -1,6 +1,7 @@
 """Command-line pipeline: exit codes, artifacts, determinism."""
 
 import json
+import math
 import os
 
 import pytest
@@ -122,7 +123,8 @@ def test_train_eval_query_inspect_pipeline(tiny_corpus, tmp_path, capsys):
     assert os.path.exists(model + ".trace.jsonl")
     with open(model + ".trace.jsonl") as f:
         rows = [json.loads(l) for l in f]
-    assert all({"pass", "epoch", "validation_predictive_ll", "seconds"} <= set(r) for r in rows)
+    assert all({"pass", "epoch", "validation_predictive_ll", "train_loss", "seconds"} <= set(r) for r in rows)
+    assert all(math.isfinite(r["train_loss"]) and r["train_loss"] > 0 for r in rows)
 
     code, out, _ = run(["inspect", model], capsys)
     assert code == 0

@@ -1,0 +1,222 @@
+"""The compiled trainer against its oracles.
+
+* the per-position reference trainer (``reference_training``): same epochs,
+  scores, losses and tables, to rounding;
+* the pair API (``pair_loss_and_grads`` + ``adagrad_step``), which the
+  gradient suite finite-differences: one compiled step equals it;
+* ``NegativeSampler.draw``: block draws return the sequential stream.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eqvec import passes
+from eqvec.model import EmbeddingTable, SparseGrads, Tables, TrainingPair, adagrad_step, pair_loss_and_grads
+from eqvec.passes import assemble_plan
+from eqvec.training import NegativeSampler, _stack, _unstack, draw_negatives, sgd_block, train_model
+
+from .conftest import plan_positions
+from .reference_training import reference_train_model
+from .test_training import CFG, make_corpus
+
+EQUIVALENCE_CONFIGS = {
+    "word": ("word", {}),
+    "equation": ("equation", {}),
+    "unit-joint": ("unit", {}),
+    "unit-two-pass": ("unit", {"unit_joint": False}),
+    "unit-mean": ("unit", {"unit_context_mean": True}),
+}
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return make_corpus()
+
+
+@pytest.mark.parametrize("name", list(EQUIVALENCE_CONFIGS))
+def test_matches_reference_trainer(corpus, name):
+    mode, overrides = EQUIVALENCE_CONFIGS[name]
+    cfg = CFG.with_overrides(max_epochs=20, **overrides)
+    got, got_records = train_model(corpus, cfg, mode)
+    want, want_records = reference_train_model(corpus, cfg, mode)
+
+    def epochs(records):
+        return [(r.pass_name, r.epoch) for r in records]
+
+    assert epochs(got_records) == epochs(want_records)
+    for g, w in zip(got_records, want_records):
+        assert abs(g.validation_score - w.validation_score) <= 1e-9
+        assert abs(g.train_loss - w.train_loss) <= 1e-9
+    for cls in ("word", "eq", "unit"):
+        a, b = getattr(got, cls), getattr(want, cls)
+        assert (a is None) == (b is None)
+        if a is not None:
+            for m in ("rho", "alpha", "rho_acc", "alpha_acc"):
+                np.testing.assert_allclose(getattr(a, m), getattr(b, m), rtol=0, atol=1e-10, err_msg=f"{cls}.{m}")
+    assert got.word.frozen == want.word.frozen
+
+
+@pytest.mark.parametrize("pass_name", list(passes.PASS_CLASSES))
+def test_plan_independent_of_compile_chunking(corpus, monkeypatch, pass_name):
+    cfg = CFG.with_overrides(unit_context_mean=True)
+
+    def compiled(tokens):
+        monkeypatch.setattr(passes, "_COMPILE_TOKENS", tokens)
+        plans = passes.compile_pass(corpus, cfg, pass_name)
+        weights = [p.ctx_w if p.ctx_w is not None else np.ones(len(p.ctx_rows)) for p in plans]
+        return len(plans), plan_positions(plans, pass_name), np.concatenate(weights)
+
+    n_one, one, w_one = compiled(10**9)
+    n_many, many, w_many = compiled(1)
+    assert n_one == 1 and n_many == len(corpus.streams)
+    assert one == many and len(one) > 0
+    assert np.array_equal(w_one, w_many)
+
+
+# --- one compiled step against the pair API -----------------------------------
+
+
+@st.composite
+def steps(draw):
+    k = draw(st.integers(2, 6))
+    n_words = draw(st.integers(3, 7))
+    n_units = draw(st.integers(2, 6))
+    target = draw(st.integers(0, n_words - 1))
+    others = [w for w in range(n_words) if w != target]
+    negs = draw(st.lists(st.sampled_from(others), min_size=1, max_size=6))
+    negs.append(negs[0])  # a duplicate negative
+    words = draw(st.lists(st.integers(0, n_words - 1), min_size=0, max_size=4))
+    # mean-variant unit context: each equation's units weighted 1/len; one
+    # unit appears in two equations, so its row gets two weights
+    eqs = draw(st.lists(st.lists(st.integers(0, n_units - 1), min_size=1, max_size=4), min_size=1, max_size=3))
+    eqs.append([eqs[0][0]] + draw(st.lists(st.integers(0, n_units - 1), max_size=2)))
+    units = [(u, 1.0 / len(e)) for e in eqs for u in e]
+    seed = draw(st.integers(0, 2**32 - 1))
+    lr = draw(st.sampled_from([0.05, 0.1, 0.5]))
+    return k, n_words, n_units, target, negs, words, units, seed, lr
+
+
+def _tables(k, n_words, n_units, seed):
+    rng = np.random.default_rng(seed)
+    word, unit = EmbeddingTable(n_words, k, rng, 0.6), EmbeddingTable(n_units, k, rng, 0.6)
+    for t in (word, unit):  # accumulators away from the floor
+        t.rho_acc += rng.uniform(0, 0.3, t.rho_acc.shape)
+        t.alpha_acc += rng.uniform(0, 0.3, t.alpha_acc.shape)
+    return word, unit
+
+
+def _pair_api_step(word, unit, target, negs, ctx, words_trainable, lr):
+    """Loss and updated tables from pair_loss_and_grads over the positive and
+    its negatives, then one adagrad_step over the trainable classes.
+
+    A weighted context entry enters the pair API as its own row holding
+    ``w * alpha``; its gradient maps back to ``alpha`` times ``w``."""
+    def weighted_view(table, cls):
+        rows = [w * table.alpha[i] for c, i, w in ctx if c == cls]
+        n = max(table.size, len(rows))
+        rho, alpha = np.zeros((n, table.k)), np.zeros((n, table.k))
+        rho[: table.size] = table.rho
+        alpha[: len(rows)] = np.reshape(rows, (-1, table.k))
+        return EmbeddingTable.from_arrays(rho, alpha)
+
+    view = Tables(weighted_view(word, "word"), unit=weighted_view(unit, "unit"))
+    view_ctx, back = [], {}
+    for c, i, w in ctx:
+        key = (c, sum(1 for cc, _ in view_ctx if cc == c))
+        view_ctx.append(key)
+        back[key] = (c, i, w)
+
+    total, grads = 0.0, SparseGrads()
+    for tid, label in [(target, 1)] + [(n, 0) for n in negs]:
+        loss, g = pair_loss_and_grads(TrainingPair(("word", tid), view_ctx, label), "unit", view)
+        total += loss
+        if words_trainable:
+            for key, v in g.rho.items():
+                grads.add_rho(key, v)
+        for key, v in g.alpha.items():
+            c, i, w = back[key]
+            if c == "unit" or words_trainable:
+                grads.add_alpha((c, i), w * v)
+    adagrad_step(Tables(word, unit=unit), grads, lr)
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps())
+def test_compiled_step_equals_pair_api(case):
+    k, n_words, n_units, target, negs, words, units, seed, lr = case
+    ctx = [("word", i, 1.0) for i in words] + [("unit", u, w) for u, w in units]
+    for words_trainable in (False, True):  # a frozen context table, then a trained one
+        got_word, got_unit = _tables(k, n_words, n_units, seed)
+        want_word, want_unit = _tables(k, n_words, n_units, seed)
+
+        plan = assemble_plan(
+            (n_words, n_units), (words_trainable, True),
+            key=[0], cls=[0], target=[target], ctx_len=[len(ctx)],
+            ctx_cls=[0 if c == "word" else 1 for c, _, _ in ctx],
+            ctx_id=[i for _, i, _ in ctx], ctx_w=[w for _, _, w in ctx],
+        )
+        assert len(plan) == 1
+        stacked = _stack([got_word, got_unit])
+        loss = sgd_block(stacked, plan, 0, 1, np.array([negs]), lr)
+        _unstack(stacked, [got_word, got_unit], plan.trainable)
+
+        want_loss = _pair_api_step(want_word, want_unit, target, negs, ctx, words_trainable, lr)
+        assert abs(loss[0] - want_loss) <= 1e-12
+        for got, want in ((got_word, want_word), (got_unit, want_unit)):
+            for m in ("rho", "alpha", "rho_acc", "alpha_acc"):
+                np.testing.assert_allclose(getattr(got, m), getattr(want, m), rtol=0, atol=1e-12)
+
+
+# --- block negatives against the sequential sampler ---------------------------
+
+
+@st.composite
+def negative_streams(draw):
+    def freqs():
+        n = draw(st.integers(1, 8))
+        f = draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))
+        if draw(st.booleans()):  # one dominant id: rejections are frequent
+            f[draw(st.integers(0, n - 1))] = 100
+        return f
+
+    sampler_freqs = [freqs(), freqs()]
+    n_pos = draw(st.integers(1, 80))
+    which = draw(st.lists(st.integers(0, 1), min_size=n_pos, max_size=n_pos))
+    exclude = [draw(st.integers(0, len(sampler_freqs[w]) - 1)) for w in which]
+    blocks = draw(st.lists(st.integers(1, 40), min_size=1, max_size=8))
+    size = draw(st.integers(1, 12))
+    shared = draw(st.booleans())
+    seed = draw(st.integers(0, 2**32 - 1))
+    return sampler_freqs, which, exclude, blocks, size, shared, seed
+
+
+def _samplers(sampler_freqs, shared, seed):
+    rngs = [np.random.Generator(np.random.PCG64(seed))]
+    rngs.append(rngs[0] if shared else np.random.Generator(np.random.PCG64(seed + 1)))
+    return [NegativeSampler(r, len(f), f) for r, f in zip(rngs, sampler_freqs)], rngs
+
+
+@settings(max_examples=200, deadline=None)
+@given(negative_streams())
+def test_block_draws_reproduce_sequential_stream(case):
+    sampler_freqs, which, exclude, blocks, size, shared, seed = case
+    seq, seq_rngs = _samplers(sampler_freqs, shared, seed)
+    want = [seq[w].draw(size, x) for w, x in zip(which, exclude)]
+
+    blk, blk_rngs = _samplers(sampler_freqs, shared, seed)
+    got, lo, b = [], 0, 0
+    while lo < len(which):
+        hi = min(len(which), lo + blocks[b % len(blocks)])
+        got.extend(draw_negatives(blk, which[lo:hi], exclude[lo:hi], size))
+        lo, b = hi, b + 1
+
+    for g, w, x in zip(got, want, exclude):
+        assert np.array_equal(g[g >= 0], w)
+        assert (g != x).all()
+    for a, b in zip(seq_rngs, blk_rngs):
+        assert a.bit_generator.state == b.bit_generator.state
+    # the next sequential draw continues the same stream
+    assert np.array_equal(seq[0].draw(size, exclude[0]), blk[0].draw(size, exclude[0]))

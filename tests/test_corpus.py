@@ -145,16 +145,25 @@ def test_unknown_placeholder_is_error():
 def test_window_classes_word_vs_equation_context():
     # a word two positions from an equation: the equation is outside the
     # word window but inside the word-equation window
-    from eqvec.training import _eq_ids_in_window, _word_ids_in_window
+    from eqvec.model import ModelConfig
+    from eqvec.passes import compile_pass
+
+    from .conftest import corpus_from_streams, plan_positions
 
     vocab = _mini_vocab()
     streams = build_token_streams(
         [("d", ["model", "layer", "⟦eq:0⟧"])], vocab, {"d": {0: 7}}
     )
-    codes = streams[0].codes
-    words_near = _word_ids_in_window(codes, 0, 4 // 2)
-    eqs_near_small = _eq_ids_in_window(codes, 0, 4 // 2)
-    eqs_near_large = _eq_ids_in_window(codes, 0, 16 // 2)
+    data = corpus_from_streams(streams, len(vocab), n_equations=8)
+
+    def context_of_model(eq_window, pass_name):
+        cfg = ModelConfig(word_window=4, eq_window=eq_window)
+        plan = plan_positions(compile_pass(data, cfg, pass_name), pass_name)
+        return next(ctx for cls, t, ctx in plan if (cls, t) == ("word", vocab.id_of("model")))
+
+    words_near = [i for c, i in context_of_model(4, "word") if c == "word"]
+    eqs_near_small = [i for c, i in context_of_model(4, "equation") if c == "eq"]
+    eqs_near_large = [i for c, i in context_of_model(16, "equation") if c == "eq"]
     assert list(words_near) == [vocab.id_of("layer")]
     assert list(eqs_near_small) == [7]  # distance 2 is inside a size-4 window
     assert list(eqs_near_large) == [7]

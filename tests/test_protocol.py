@@ -13,10 +13,12 @@ from eqvec.corpus import (
     heldout_positions,
     ingest_corpus,
 )
-from eqvec.model import EmbeddingTable, Tables, TrainingPair, pair_loss_and_grads
+from eqvec.model import EmbeddingTable, ModelConfig, Tables, TrainingPair, pair_loss_and_grads
 from eqvec.synthetic import planted_corpus
 from eqvec.tex import RawDocument
-from eqvec.training import _exclusion_masks, _word_ids_in_window
+from eqvec.passes import _exclusion_masks, compile_pass
+
+from .conftest import corpus_from_streams, plan_positions
 
 
 def test_heldout_targets_never_training_targets():
@@ -64,8 +66,10 @@ def test_document_boundary_truncates_equation_context():
     eq_pos_head = int(np.flatnonzero(head.codes >= EQ_TAG)[0])
     eq_pos_tail = int(np.flatnonzero((tail.codes != GAP) & (tail.codes >= EQ_TAG))[0])
     assert eq_pos_head == 0
-    following = _word_ids_in_window(head.codes, eq_pos_head, 8 // 2)
-    preceding = _word_ids_in_window(tail.codes, eq_pos_tail, 8 // 2)
+    plan = plan_positions(compile_pass(data, ModelConfig(eq_context_window=8), "equation"), "equation")
+    context = {t: [i for _, i in ctx] for cls, t, ctx in plan if cls == "eq"}
+    following = context[int(head.codes[eq_pos_head]) & ~int(EQ_TAG)]
+    preceding = context[int(tail.codes[eq_pos_tail]) & ~int(EQ_TAG)]
     assert 1 <= len(following) <= 4  # one-sided, truncated at the boundary
     assert 1 <= len(preceding) <= 4
     # the one-sided context contains exactly the words physically present
@@ -86,16 +90,20 @@ def test_pair_loss_clamped_at_saturation():
 
 def test_gap_positions_never_in_contexts():
     codes = np.array([GAP, 3, GAP, encode_equation(1), 2, GAP], dtype=np.uint32)
-    stream = TokenStream("d", codes)
-    for p in range(len(codes)):
-        ids = _word_ids_in_window(codes, p, 2)
-        assert all(i in (2, 3) for i in ids)
+    data = corpus_from_streams([TokenStream("d", codes)], n_words=4, n_equations=2)
+    cfg = ModelConfig(word_window=4, eq_window=4, eq_context_window=4)
+    seen = set()
+    for pass_name in ("word", "equation", "joint"):
+        for _, _, ctx in plan_positions(compile_pass(data, cfg, pass_name), pass_name):
+            ids = [i for cls, i in ctx if cls == "word"]
+            assert all(i in (2, 3) for i in ids)
+            seen.update(ids)
+    assert seen == {2, 3}  # the equation's context saw both words across the gaps
 
 
 def test_tiny_training_run_fits_time_budget():
     pc = planted_corpus(n_docs=24, seed=5)
     data = ingest_corpus(pc.documents, IngestParams(seed=5))
-    from eqvec.model import ModelConfig
     from eqvec.training import train_model
 
     t0 = time.perf_counter()

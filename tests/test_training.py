@@ -198,6 +198,31 @@ def test_unigram_sampler_tracks_frequencies():
     assert counts[3] == 0
 
 
+def test_uniform_sampling_fits_and_repeats(tmp_path):
+    from eqvec.modelfile import save_model
+
+    data = make_corpus()
+    cfg = CFG.with_overrides(negative_sampling="uniform")
+    for mode in ("word", "equation", "unit"):
+        saved = []
+        for run in ("a", "b"):
+            model, records = train_model(data, cfg, mode)
+            assert all(np.isfinite(r.validation_score) for r in records)
+            path = save_model(model, str(tmp_path / f"{mode}-{run}.eqv"))
+            with open(path, "rb") as f:
+                saved.append(f.read())
+        assert saved[0] == saved[1], mode
+
+
+def test_uniform_sampler_is_flat_and_excludes_target():
+    s = NegativeSampler(np.random.Generator(np.random.PCG64(0)), 5, None)
+    counts = np.bincount(s.draw(5000, exclude=2), minlength=5)
+    assert counts[2] == 0
+    mean = 5000 / 4
+    for i in (0, 1, 3, 4):
+        assert abs(counts[i] - mean) <= 0.2 * mean
+
+
 def test_divergence_aborts_with_last_good_snapshot():
     data = make_corpus()
     # a catastumbling learning rate produces non-finite scores quickly
