@@ -12,7 +12,6 @@ from .corpus import (
     IngestParams,
     Vocabulary,
     build_heldout,
-    build_token_streams,
     build_word_vocabulary,
     ingest_corpus,
     load_stopwords,
@@ -24,21 +23,7 @@ from .evaluation import (
     predictive_log_likelihood,
     pseudo_log_likelihood,
 )
-from .model import (
-    EmbeddingTable,
-    Model,
-    ModelConfig,
-    TrainingPair,
-    adagrad_step,
-    bernoulli_param_equation,
-    bernoulli_param_unit,
-    bernoulli_param_word,
-    bernoulli_param_word_units,
-    equation_vector_from_units,
-    pair_loss_and_grads,
-    sigmoid,
-    word_context_sum,
-)
+from .model import EmbeddingTable, Model, ModelConfig, equation_vector_from_units, sigmoid
 from .retrieval import Ranking, equations_for_words, nearest_equations, nearest_words
 from .slt import (
     MathNode,

@@ -195,11 +195,7 @@ def load_bundle(path: str) -> CorpusData:
 
 
 def _expect(got, want, path):
-    if isinstance(got, bytes):
-        ok = got == want
-    else:
-        ok = got == want
-    if not ok:
+    if got != want:
         raise BundleFormatError(f"bad file header in bundle {path}: {got!r}")
 
 

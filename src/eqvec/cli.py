@@ -12,13 +12,14 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass, field, fields
 
 from . import bundle as bundle_io
 from . import corpus as corpus_mod
 from . import evaluation, modelfile, retrieval
 from .corpus import IngestParams
-from .model import ModelConfig
+from .model import MODES, ModelConfig
 from .tex import RawDocument
 from .training import TrainingDiverged, train_model
 
@@ -36,100 +37,80 @@ class UsageError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Every pipeline knob with its default; only corpus_dir has none."""
+    """The keys only the CLI has, beside the two library configs.
+
+    Every field of ``ModelConfig`` and ``IngestParams`` is a config key too;
+    ``seed`` and ``n_negatives`` belong to both and set both.
+    """
 
     corpus_dir: str | None = None
     bundle_dir: str = "bundle"
     model_path: str = "model.eqv"
     report_path: str = "eval_report.tsv"
-    mode: str = "equation"  # word | equation | unit
-    seed: int = 0
-    # model / optimizer
-    k: int = 25
-    word_window: int = 4
-    eq_window: int = 16
-    eq_context_window: int = 16
-    unit_window: int = 4
-    n_negatives: int = 10
-    learning_rate: float = 0.1
-    max_epochs: int = 20
-    init_scale: float = 0.0  # 0 means the dimension-scaled default
-    negative_sampling: str = "unigram"
-    unit_joint: bool = True
-    unit_context_mean: bool = False
-    pseudo_likelihood: str = "bernoulli"
-    word2eq_vectors: str = "rho"
-    # ingestion
-    min_tf: int = 10
-    min_len: int = 4
-    top_stop: int = 25
-    abbrev_top: int = 50
-    unit_min_count: int = 1
-    symbol_window: int = 1
-    heldout_per_equation: int = 2
-    heldout_window: int = 4
-    singleton_sample: int = 0
-    workers: int = 1
-    # evaluation grid
-    eval_modes: str = "word,equation,unit"
-    eval_dims: str = "25"
+    mode: str = "equation"
+    # evaluation grid, comma-separated
+    eval_modes: str = ",".join(MODES)
+    eval_dims: str = str(ModelConfig.k)
     eval_word_windows: str = "4,8,16"
     eval_eq_windows: str = "8,16"
+    model: ModelConfig = field(default_factory=ModelConfig)
+    ingest: IngestParams = field(default_factory=IngestParams)
 
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            k=self.k,
-            word_window=self.word_window,
-            eq_window=self.eq_window,
-            eq_context_window=self.eq_context_window,
-            unit_window=self.unit_window,
-            n_negatives=self.n_negatives,
-            learning_rate=self.learning_rate,
-            max_epochs=self.max_epochs,
-            init_scale=self.init_scale or None,
-            seed=self.seed,
-            negative_sampling=self.negative_sampling,
-            unit_joint=self.unit_joint,
-            unit_context_mean=self.unit_context_mean,
-            pseudo_likelihood=self.pseudo_likelihood,
-            word2eq_vectors=self.word2eq_vectors,
-        ).validate()
-
-    def ingest_params(self) -> IngestParams:
-        return IngestParams(
-            min_tf=self.min_tf,
-            min_len=self.min_len,
-            top_stop=self.top_stop,
-            abbrev_top=self.abbrev_top,
-            unit_min_count=self.unit_min_count,
-            symbol_window=self.symbol_window,
-            heldout_per_equation=self.heldout_per_equation,
-            heldout_window=self.heldout_window,
-            n_negatives=self.n_negatives,
-            singleton_sample=self.singleton_sample,
-            seed=self.seed,
-            workers=self.workers,
+    def eval_grid(self) -> tuple[list, tuple, tuple, tuple]:
+        """(modes, dims, word windows, equation windows) of the eval grid."""
+        modes = _split(self.eval_modes)
+        for m in modes:
+            if m not in MODES:
+                raise UsageError(f"eval_modes: unknown mode {m!r}")
+        return (
+            modes,
+            _int_list("eval_dims", self.eval_dims),
+            _int_list("eval_word_windows", self.eval_word_windows),
+            _int_list("eval_eq_windows", self.eval_eq_windows),
         )
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_KEY_TYPES = {
+    f.name: f.type
+    for cls in (RunConfig, ModelConfig, IngestParams)
+    for f in fields(cls)
+    if f.name not in ("model", "ingest")
+}
+# keys that a dedicated flag also sets, each flag's argparse dest named after its key
+_FLAG_KEYS = ("corpus_dir", "bundle_dir", "model_path", "report_path", "mode", "seed", "workers")
+
+
+def _split(value: str) -> list[str]:
+    return [v.strip() for v in value.split(",") if v.strip()]
+
+
+def _int_list(key: str, value: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in _split(value))
+    except ValueError:
+        raise UsageError(f"{key}: expected comma-separated integers, got {value!r}") from None
 
 
 def _coerce(key: str, value: str):
-    t = _FIELD_TYPES.get(key)
+    t = _KEY_TYPES.get(key)
     if t is None:
         raise UsageError(f"unknown config key {key!r}")
-    if t in ("int", int):
-        return int(value)
-    if t in ("float", float):
-        return float(value)
-    if t in ("bool", bool):
+    t = next((a for a in typing.get_args(t) if a is not type(None)), t)  # X | None -> X
+    if t is bool:
         if value.lower() in ("1", "true", "yes", "on"):
             return True
         if value.lower() in ("0", "false", "no", "off"):
             return False
         raise UsageError(f"bad boolean for {key}: {value!r}")
-    return value
+    try:
+        return t(value)
+    except ValueError:
+        raise UsageError(f"bad {t.__name__} for {key}: {value!r}") from None
+
+
+def _pick(cls, values: dict) -> dict:
+    names = {f.name for f in fields(cls)}
+    return {k: v for k, v in values.items() if k in names}
 
 
 def parse_config_file(path: str) -> dict:
@@ -157,21 +138,28 @@ def build_config(args) -> RunConfig:
             raise UsageError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         values[key.strip()] = _coerce(key.strip(), value.strip())
-    for key in ("corpus_dir", "bundle_dir", "model_path", "report_path", "mode", "seed", "workers"):
-        v = getattr(args, _ARG_ALIASES.get(key, key), None)
+    for key in _FLAG_KEYS:
+        v = getattr(args, key, None)
         if v is not None:
             values[key] = v
     if getattr(args, "parallel", False):
         values["workers"] = os.cpu_count() or 1
-    return dataclasses.replace(RunConfig(), **values)
-
-
-_ARG_ALIASES = {
-    "corpus_dir": "corpus",
-    "bundle_dir": "bundle",
-    "model_path": "model",
-    "report_path": "report",
-}
+    # the CLI spells ModelConfig's dimension-scaled default (None) as 0
+    if values.get("init_scale") == 0:
+        values["init_scale"] = None
+    cfg = RunConfig(
+        **_pick(RunConfig, values),
+        model=ModelConfig(**_pick(ModelConfig, values)),
+        ingest=IngestParams(**_pick(IngestParams, values)),
+    )
+    try:
+        cfg.model.validate()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    if cfg.mode not in MODES:
+        raise UsageError(f"unknown mode {cfg.mode!r}")
+    cfg.eval_grid()
+    return cfg
 
 
 # --- commands -------------------------------------------------------------------
@@ -198,7 +186,7 @@ def cmd_ingest(args) -> int:
     if not docs:
         print("error: no readable .tex documents", file=sys.stderr)
         return EXIT_RUNTIME
-    data = corpus_mod.ingest_corpus(docs, cfg.ingest_params())
+    data = corpus_mod.ingest_corpus(docs, cfg.ingest)
     bundle_io.save_bundle(data, cfg.bundle_dir)
     print("documents\twords\tequations\tunits")
     s = data.stats
@@ -212,7 +200,7 @@ def cmd_train(args) -> int:
         print(f"error: bundle not found: {cfg.bundle_dir}", file=sys.stderr)
         return EXIT_USAGE
     data = bundle_io.load_bundle(cfg.bundle_dir)
-    mconfig = cfg.model_config()
+    mconfig = cfg.model
     t0 = time.perf_counter()
     try:
         model, records = train_model(data, mconfig, cfg.mode)
@@ -258,11 +246,8 @@ def cmd_eval(args) -> int:
         print(f"error: bundle not found: {cfg.bundle_dir}", file=sys.stderr)
         return EXIT_USAGE
     data = bundle_io.load_bundle(cfg.bundle_dir)
-    modes = [m.strip() for m in cfg.eval_modes.split(",") if m.strip()]
-    dims = [int(d) for d in cfg.eval_dims.split(",") if d.strip()]
-    wws = tuple(int(w) for w in cfg.eval_word_windows.split(",") if w.strip())
-    ews = tuple(int(e) for e in cfg.eval_eq_windows.split(",") if e.strip())
-    base = cfg.model_config()
+    modes, dims, wws, ews = cfg.eval_grid()
+    base = cfg.model
     lines = [
         "# eqvec-eval 1\tconfig="
         + json.dumps(dataclasses.asdict(base), sort_keys=True)
@@ -332,23 +317,23 @@ def make_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     pi = sub.add_parser("ingest", help="build a corpus bundle from .tex articles")
-    pi.add_argument("--corpus", help="directory of .tex files, one article each")
-    pi.add_argument("--bundle", help="output bundle directory")
+    pi.add_argument("--corpus", dest="corpus_dir", metavar="CORPUS", help="directory of .tex files, one article each")
+    pi.add_argument("--bundle", dest="bundle_dir", metavar="BUNDLE", help="output bundle directory")
     pi.add_argument("--workers", type=int, default=None)
     pi.add_argument("--parallel", action="store_true", help="use all cores for ingestion")
     _add_common(pi)
     pi.set_defaults(fn=cmd_ingest)
 
     pt = sub.add_parser("train", help="fit a model on a corpus bundle")
-    pt.add_argument("--bundle", help="bundle directory")
-    pt.add_argument("--model", help="output model path")
-    pt.add_argument("--mode", choices=("word", "equation", "unit"), default=None)
+    pt.add_argument("--bundle", dest="bundle_dir", metavar="BUNDLE", help="bundle directory")
+    pt.add_argument("--model", dest="model_path", metavar="MODEL", help="output model path")
+    pt.add_argument("--mode", choices=MODES, default=None)
     _add_common(pt)
     pt.set_defaults(fn=cmd_train)
 
     pe = sub.add_parser("eval", help="grid-train and report held-out scores")
-    pe.add_argument("--bundle", help="bundle directory")
-    pe.add_argument("--report", help="output TSV path")
+    pe.add_argument("--bundle", dest="bundle_dir", metavar="BUNDLE", help="bundle directory")
+    pe.add_argument("--report", dest="report_path", metavar="REPORT", help="output TSV path")
     _add_common(pe)
     pe.set_defaults(fn=cmd_eval)
 
@@ -368,8 +353,8 @@ def make_parser() -> argparse.ArgumentParser:
             qp.set_defaults(vectors=None)
         qp.add_argument("-k", type=int, default=5)
         qp.add_argument("--metric", choices=("cosine", "euclidean"), default=None)
-        qp.add_argument("--model", help="model path")
-        qp.add_argument("--bundle", help="bundle directory")
+        qp.add_argument("--model", dest="model_path", metavar="MODEL", help="model path")
+        qp.add_argument("--bundle", dest="bundle_dir", metavar="BUNDLE", help="bundle directory")
         _add_common(qp)
         qp.set_defaults(fn=cmd_query)
 

@@ -24,21 +24,12 @@ GAP = np.uint32(0xFFFFFFFF)
 EQ_TAG = np.uint32(0x80000000)
 
 
-def encode_word(word_id: int) -> int:
-    return int(word_id)
-
-
 def encode_equation(eq_id: int) -> int:
     return int(eq_id) | int(EQ_TAG)
 
 
 def is_word(code) -> bool:
     return int(code) < int(EQ_TAG)
-
-
-def is_equation(code) -> bool:
-    c = int(code)
-    return c != int(GAP) and bool(c & int(EQ_TAG))
 
 
 def equation_id(code) -> int:

@@ -52,6 +52,8 @@ class ModelConfig:
             raise ValueError("eq_window must be >= word_window")
         if self.n_negatives < 1 or self.learning_rate <= 0 or self.max_epochs < 1:
             raise ValueError("bad optimizer settings")
+        if self.init_scale is not None and not self.init_scale > 0:
+            raise ValueError(f"init_scale must be positive or None, got {self.init_scale}")
         if self.negative_sampling not in ("unigram", "uniform"):
             raise ValueError(f"unknown negative_sampling {self.negative_sampling!r}")
         if self.pseudo_likelihood not in ("bernoulli", "softmax"):
@@ -102,10 +104,6 @@ class EmbeddingTable:
     def freeze(self):
         for m in (self.rho, self.alpha, self.rho_acc, self.alpha_acc):
             m.flags.writeable = False
-
-    def thaw(self):
-        for m in (self.rho, self.alpha, self.rho_acc, self.alpha_acc):
-            m.flags.writeable = True
 
     def snapshot(self) -> tuple:
         return (self.rho.copy(), self.alpha.copy(), self.rho_acc.copy(), self.alpha_acc.copy())

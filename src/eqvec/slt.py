@@ -46,13 +46,6 @@ class SltTuple(NamedTuple):
     relation: str
 
 
-@dataclass
-class SltTupleSequence:
-    eq_id: int
-    tuples: list[SltTuple]
-    units: np.ndarray | None = None  # vocabulary ids, UNIT_GAP where dropped
-
-
 # Command classification tables.  Names are stored without the backslash.
 GREEK = (
     "alpha beta gamma delta epsilon varepsilon zeta eta theta vartheta iota "

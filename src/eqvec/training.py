@@ -21,7 +21,7 @@ import numpy as np
 
 from . import evaluation
 from .corpus import CorpusData
-from .model import LOG_EPS, EmbeddingTable, Model, ModelConfig
+from .model import LOG_EPS, MODES, EmbeddingTable, Model, ModelConfig
 from .passes import PASS_CLASSES, PassPlan, _ptr, _ranges, compile_pass
 
 log = logging.getLogger(__name__)
@@ -354,7 +354,7 @@ def train_model(data: CorpusData, config: ModelConfig, mode: str):
     across modes on corpora where the extra passes have nothing to train.
     """
     config.validate()
-    if mode not in ("word", "equation", "unit"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     seeds = np.random.SeedSequence(config.seed).spawn(6)
     rngs = [np.random.Generator(np.random.PCG64(s)) for s in seeds]

@@ -3,10 +3,14 @@
 import json
 import math
 import os
+from dataclasses import fields
 
 import pytest
 
-from eqvec.cli import main
+from eqvec import cli
+from eqvec.cli import RunConfig, build_config, main, make_parser
+from eqvec.corpus import IngestParams
+from eqvec.model import ModelConfig
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +40,13 @@ ING = ["--set", "min_tf=2", "--set", "top_stop=0", "--set", "heldout_per_equatio
        "--set", "n_negatives=3"]
 TRN = ["--set", "k=6", "--set", "eq_window=4", "--set", "eq_context_window=4",
        "--set", "max_epochs=3", "--set", "n_negatives=3"]
+
+
+@pytest.fixture(scope="module")
+def tiny_bundle(tiny_corpus, tmp_path_factory):
+    bundle = str(tmp_path_factory.mktemp("tiny") / "bundle")
+    assert main(["ingest", "--corpus", tiny_corpus, "--bundle", bundle] + ING) == 0
+    return bundle
 
 
 def run(argv, capsys):
@@ -211,10 +222,61 @@ def test_config_file_and_cli_precedence(tiny_corpus, tmp_path, capsys):
     assert manifest["params"]["min_tf"] == 2
 
 
-def test_unknown_config_key_exits_2(tiny_corpus, tmp_path, capsys):
-    code, _, err = run(
-        ["ingest", "--corpus", tiny_corpus, "--bundle", str(tmp_path / "b"),
-         "--set", "no_such_key=1"], capsys
-    )
+@pytest.mark.parametrize(
+    "command, setting, message",
+    [
+        ("ingest", "no_such_key=1", "unknown config key"),
+        ("ingest", "min_tf=abc", "min_tf"),
+        ("train", "word_window=3", "word_window"),
+        ("train", "mode=wrod", "wrod"),
+        ("train", "init_scale=-1", "init_scale"),
+        ("eval", "eval_dims=x", "eval_dims"),
+        ("eval", "eval_modes=wrod", "eval_modes"),
+    ],
+    ids=["unknown_key", "min_tf", "word_window", "mode", "init_scale", "eval_dims", "eval_modes"],
+)
+def test_unknown_config_key_exits_2(command, setting, message, tiny_corpus, tiny_bundle,
+                                    tmp_path, capsys):
+    argv = {
+        "ingest": ["--corpus", tiny_corpus, "--bundle", str(tmp_path / "b")],
+        "train": ["--bundle", tiny_bundle, "--model", str(tmp_path / "m.eqv")],
+        "eval": ["--bundle", tiny_bundle, "--report", str(tmp_path / "r.tsv")],
+    }[command]
+    code, _, err = run([command, "--set", setting] + argv, capsys)
     assert code == 2
-    assert "unknown config key" in err
+    assert message in err
+    assert not os.listdir(tmp_path)  # nothing written
+
+
+# one non-default value for every ModelConfig and IngestParams field
+NON_DEFAULT = dict(
+    k=7, word_window=6, eq_window=18, eq_context_window=8, unit_window=2, n_negatives=3,
+    learning_rate=0.05, max_epochs=4, init_scale=0.25, seed=9, negative_sampling="uniform",
+    unit_joint=False, unit_context_mean=True, pseudo_likelihood="softmax",
+    word2eq_vectors="alpha", min_tf=3, min_len=2, top_stop=5, abbrev_top=7, unit_min_count=2,
+    symbol_window=2, heldout_per_equation=1, heldout_window=6, singleton_sample=4, workers=2,
+)
+CLI_ONLY = {"corpus_dir", "bundle_dir", "model_path", "report_path", "mode",
+            "eval_modes", "eval_dims", "eval_word_windows", "eval_eq_windows"}
+
+
+def test_every_dataclass_field_is_a_config_key():
+    library = {f.name for cls in (ModelConfig, IngestParams) for f in fields(cls)}
+    assert set(NON_DEFAULT) == library
+    assert set(cli._KEY_TYPES) == library | CLI_ONLY
+    assert len(cli._KEY_TYPES) == 34
+    assert not library & {f.name for f in fields(RunConfig)}
+
+    argv = ["train"]
+    for key, value in NON_DEFAULT.items():
+        argv += ["--set", f"{key}={value}"]
+    cfg = build_config(make_parser().parse_args(argv))
+    for cls, section in ((ModelConfig, cfg.model), (IngestParams, cfg.ingest)):
+        for f in fields(cls):
+            value = getattr(section, f.name)
+            assert value == NON_DEFAULT[f.name] != f.default, f.name
+    assert cfg.model.seed == cfg.ingest.seed == 9
+    assert cfg.model.n_negatives == cfg.ingest.n_negatives == 3
+
+    cfg = build_config(make_parser().parse_args(["train", "--set", "init_scale=0"]))
+    assert cfg.model.init_scale is None  # 0 spells the dimension-scaled default

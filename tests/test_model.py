@@ -440,4 +440,8 @@ def test_model_config_validation():
         ModelConfig(word_window=8, eq_window=4).validate()
     with pytest.raises(ValueError):
         ModelConfig(k=0).validate()
+    for scale in (0.0, -1.0, float("nan")):  # zero tables never move
+        with pytest.raises(ValueError, match="init_scale"):
+            ModelConfig(init_scale=scale).validate()
+    assert ModelConfig(init_scale=0.3).validate().scale == 0.3
     assert ModelConfig().validate().scale == 0.5 / 25
