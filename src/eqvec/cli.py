@@ -62,12 +62,15 @@ class RunConfig:
         for m in modes:
             if m not in MODES:
                 raise UsageError(f"eval_modes: unknown mode {m!r}")
-        return (
-            modes,
-            _int_list("eval_dims", self.eval_dims),
-            _int_list("eval_word_windows", self.eval_word_windows),
-            _int_list("eval_eq_windows", self.eval_eq_windows),
-        )
+        dims = _int_list("eval_dims", self.eval_dims)
+        windows = []
+        for key in ("eval_word_windows", "eval_eq_windows"):
+            values = _int_list(key, getattr(self, key))
+            bad = [v for v in values if v <= 0 or v % 2]
+            if bad:
+                raise UsageError(f"{key}: windows must be positive even integers, got {bad}")
+            windows.append(values)
+        return (modes, dims, *windows)
 
 
 _KEY_TYPES = {
@@ -154,6 +157,7 @@ def build_config(args) -> RunConfig:
     )
     try:
         cfg.model.validate()
+        cfg.ingest.validate()
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if cfg.mode not in MODES:

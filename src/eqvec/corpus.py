@@ -8,7 +8,7 @@ so parallel and serial ingestion produce identical corpora.
 import logging
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 
 import numpy as np
@@ -91,9 +91,7 @@ def build_word_vocabulary(
     """
     counts: Counter[str] = Counter()
     for toks in token_lists:
-        for t in toks:
-            if not tex.is_placeholder(t):
-                counts[t] += 1
+        counts.update(toks)
     if not counts:
         raise CorpusError("empty corpus")
     dropped = set(stopwords) | set(extra_stop)
@@ -173,26 +171,30 @@ class TokenStream:
 
 
 def build_token_streams(doc_tokens, word_vocab: Vocabulary, doc_maps) -> list[TokenStream]:
-    """Map token lists to streams of word/equation/gap codes.
+    """Map prepared documents to streams of word/equation/gap codes.
 
-    Every in-vocabulary word becomes its id, placeholders become tagged
-    equation ids, everything else a gap that holds its position but never
-    enters a context window.
+    ``doc_tokens`` holds ``(doc_id, pieces, slots)``: the word lists of a
+    document's prose pieces and, between consecutive pieces, the
+    document-local id of the equation in that slot.  Every in-vocabulary
+    word becomes its id, every other word a gap that holds its position
+    but never enters a context window.  A slot becomes its tagged global
+    equation id, or a gap when ``doc_maps`` maps it to None (an equation
+    dropped by singleton sampling); a slot naming no equation of its
+    document is an error.
     """
+    lookup = word_vocab.index.get
+    gap = int(GAP)
     streams = []
-    for doc_id, tokens in doc_tokens:
+    for doc_id, pieces, slots in doc_tokens:
         mapping = doc_maps.get(doc_id, {})
-        codes = np.empty(len(tokens), dtype=np.uint32)
-        for i, t in enumerate(tokens):
-            if tex.is_placeholder(t):
-                local = tex.placeholder_id(t)
-                if local not in mapping:
-                    raise CorpusError(f"{doc_id}: unknown equation placeholder {local}")
-                codes[i] = encode_equation(mapping[local])
-            else:
-                wid = word_vocab.index.get(t)
-                codes[i] = GAP if wid is None else wid
-        streams.append(TokenStream(doc_id, codes))
+        codes = [lookup(w, gap) for w in pieces[0]]
+        for local, words in zip(slots, pieces[1:], strict=True):
+            if local not in mapping:
+                raise CorpusError(f"{doc_id}: equation slot {local} names no equation of the document")
+            gid = mapping[local]
+            codes.append(gap if gid is None else encode_equation(gid))
+            codes += [lookup(w, gap) for w in words]
+        streams.append(TokenStream(doc_id, np.array(codes, dtype=np.uint32)))
     return streams
 
 
@@ -307,6 +309,12 @@ def heldout_positions(items) -> dict[str, set[int]]:
 # --- ingestion ----------------------------------------------------------------
 
 
+# IngestParams fields that must be at least 1; every other count is >= 0.
+_AT_LEAST_ONE = frozenset(
+    {"workers", "heldout_per_equation", "heldout_window", "n_negatives", "symbol_window"}
+)
+
+
 @dataclass
 class IngestParams:
     min_tf: int = 10
@@ -321,6 +329,14 @@ class IngestParams:
     singleton_sample: int = 0  # 0 keeps every singleton
     seed: int = 0
     workers: int = 1
+
+    def validate(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            low = 1 if f.name in _AT_LEAST_ONE else 0
+            if v < low:
+                raise ValueError(f"{f.name} must be >= {low}, got {v}")
+        return self
 
 
 @dataclass
@@ -347,12 +363,15 @@ class CorpusData:
 
 
 def _prepare_document(doc: RawDocument):
-    prose, records, skipped = tex._extract(doc)
-    return doc.doc_id, tex.tokenize_words(prose), records, skipped
+    """``(doc_id, pieces, slots, records, skipped)``: the word list of each
+    prose piece and the local equation id of each slot between them."""
+    pieces, records, skipped, slots = tex._extract(doc)
+    return doc.doc_id, [tex.tokenize_words(p) for p in pieces], slots, records, skipped
 
 
 def ingest_corpus(docs: list[RawDocument], params: IngestParams, stopwords=None) -> CorpusData:
     """Run the full corpus pipeline over parsed documents."""
+    params.validate()
     ids = [d.doc_id for d in docs]
     if len(set(ids)) != len(ids):
         raise CorpusError("duplicate doc_id in corpus")
@@ -365,14 +384,13 @@ def ingest_corpus(docs: list[RawDocument], params: IngestParams, stopwords=None)
     else:
         prepared = [_prepare_document(d) for d in docs]
     prepared.sort(key=lambda r: r[0])
-    regions_skipped = sum(r[3] for r in prepared)
+    regions_skipped = sum(r[4] for r in prepared)
 
-    registry, doc_maps = build_equation_registry([(d, r) for d, _, r, _ in prepared])
+    registry, doc_maps = build_equation_registry([(d, r) for d, _, _, r, _ in prepared])
     dropped_eqs = _sample_singletons(registry, params)
 
-    doc_tokens = [(d, toks) for d, toks, _, _ in prepared]
     word_vocab = build_word_vocabulary(
-        (toks for _, toks in doc_tokens),
+        (words for _, pieces, _, _, _ in prepared for words in pieces),
         stopwords,
         min_tf=params.min_tf,
         min_len=params.min_len,
@@ -381,7 +399,9 @@ def ingest_corpus(docs: list[RawDocument], params: IngestParams, stopwords=None)
     )
     if dropped_eqs:
         doc_maps, registry = _compact_registry(registry, doc_maps, dropped_eqs)
-    streams = _streams_with_gap_placeholders(doc_tokens, word_vocab, doc_maps)
+    streams = build_token_streams(
+        [(d, pieces, slots) for d, pieces, slots, _, _ in prepared], word_vocab, doc_maps
+    )
 
     sequences = {
         r.eq_id: slt.tokenize_equation(r.latex, symbol_window=params.symbol_window)
@@ -422,24 +442,6 @@ def ingest_corpus(docs: list[RawDocument], params: IngestParams, stopwords=None)
     )
 
 
-def _streams_with_gap_placeholders(doc_tokens, word_vocab, doc_maps):
-    """Like build_token_streams but placeholders absent from the doc map
-    (equations dropped by singleton sampling) become gaps."""
-    streams = []
-    for doc_id, tokens in doc_tokens:
-        mapping = doc_maps.get(doc_id, {})
-        codes = np.empty(len(tokens), dtype=np.uint32)
-        for i, t in enumerate(tokens):
-            if tex.is_placeholder(t):
-                gid = mapping.get(tex.placeholder_id(t))
-                codes[i] = GAP if gid is None else encode_equation(gid)
-            else:
-                wid = word_vocab.index.get(t)
-                codes[i] = GAP if wid is None else wid
-        streams.append(TokenStream(doc_id, codes))
-    return streams
-
-
 def _sample_singletons(registry: EquationRegistry, params: IngestParams) -> set[int]:
     """Optionally keep only a random subset of singleton equations."""
     if params.singleton_sample <= 0:
@@ -456,7 +458,8 @@ def _sample_singletons(registry: EquationRegistry, params: IngestParams) -> set[
 
 
 def _compact_registry(registry, doc_maps, dropped: set[int]):
-    """Renumber equation ids densely after dropping sampled-out singletons."""
+    """Renumber equation ids densely after dropping sampled-out singletons;
+    a dropped equation's local ids map to None."""
     remap: dict[int, int] = {}
     new = EquationRegistry()
     for rec in registry.records:
@@ -464,7 +467,7 @@ def _compact_registry(registry, doc_maps, dropped: set[int]):
             continue
         remap[rec.eq_id] = new.add(rec.latex, rec.doc_id, rec.occurrence_count)
     new_maps = {
-        d: {loc: remap[g] for loc, g in m.items() if g in remap}
+        d: {loc: remap.get(g) for loc, g in m.items()}
         for d, m in doc_maps.items()
     }
     return new_maps, new

@@ -52,6 +52,8 @@ class ModelConfig:
             raise ValueError("eq_window must be >= word_window")
         if self.n_negatives < 1 or self.learning_rate <= 0 or self.max_epochs < 1:
             raise ValueError("bad optimizer settings")
+        if not np.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.init_scale is not None and not self.init_scale > 0:
             raise ValueError(f"init_scale must be positive or None, got {self.init_scale}")
         if self.negative_sampling not in ("unigram", "uniform"):

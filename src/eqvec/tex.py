@@ -1,9 +1,10 @@
 """LaTeX article handling: pull display math out of prose, tokenize what remains.
 
-A document is reduced to a stream of lowercase word tokens plus one
-placeholder token per display-math region.  Placeholders carry a
-document-local equation id; the corpus layer later maps those to global
-equation ids after deduplication.
+A document is reduced to the prose pieces between its display-math
+regions plus, for each region, a slot holding a document-local equation
+id; the corpus layer later maps those to global equation ids after
+deduplication.  Slots are carried beside the prose, never written into
+it, so no text a document contains can pose as an equation.
 """
 
 import logging
@@ -11,11 +12,6 @@ import re
 from dataclasses import dataclass
 
 log = logging.getLogger(__name__)
-
-# Placeholder markers survive word tokenization because they use bracket
-# characters that never occur in real LaTeX prose.
-PLACEHOLDER_FMT = "\u27e6eq:{}\u27e7"
-PLACEHOLDER_RE = re.compile(r"\u27e6eq:(\d+)\u27e7")
 
 # Display-math environments recognized by the extractor.  Each row of a
 # multi-line environment becomes its own equation.
@@ -25,8 +21,8 @@ MULTILINE_ENVS = frozenset({"align", "align*", "eqnarray"})
 _ENV_BEGIN = re.compile(
     r"\\begin\{(" + "|".join(re.escape(e) for e in DISPLAY_ENVS) + r")\}"
 )
-_DOLLAR_PAIR = re.compile(r"\$\$(.*?)\$\$", re.DOTALL)
-_BRACKET_PAIR = re.compile(r"\\\[(.*?)\\\]", re.DOTALL)
+# Any region opener; the group names the environment of a ``\begin``.
+_OPENER = re.compile(_ENV_BEGIN.pattern + r"|\$\$|\\\[")
 
 _COMMENT = re.compile(r"(?<!\\)%[^\n]*")
 _LABEL = re.compile(r"\\label\{[^{}]*\}")
@@ -86,24 +82,35 @@ def _split_rows(content: str) -> list[str]:
 
 
 def extract_display_equations(doc: RawDocument):
-    """Replace every display-math region with a placeholder marker.
+    """Split a document at its display-math regions.
 
-    Returns ``(prose, records)`` where identical normalized regions within
-    the document share one record (occurrence_count incremented) and each
-    region position holds a placeholder referencing that record's local id.
+    Returns ``(pieces, slots, records)``: the prose pieces between regions
+    (one more piece than slots), the document-local equation id of each
+    region in order, and one record per distinct normalized region
+    (identical regions share a record, occurrence_count incremented).
     Unbalanced regions are skipped with a warning; the document survives.
     """
-    prose, records, skipped = _extract(doc)
-    return prose, records
+    pieces, records, skipped, slots = _extract(doc)
+    return pieces, slots, records
 
 
 def _extract(doc: RawDocument):
+    """``(pieces, records, skipped, slots)`` in one forward scan.
+
+    Each opener's closer is found with a forward ``str.find``.  A closer
+    that is absent after one position is absent after every later one, so
+    a failed search is remembered and never repeated: every character is
+    scanned a bounded number of times.
+    """
     text = strip_comments(doc.source_text)
-    out: list[str] = []
+    pieces: list[str] = []
+    slots: list[int] = []
+    held: list[str] = []  # prose segments of the piece being built
     records: list[EquationRecord] = []
     by_latex: dict[str, int] = {}
+    unclosed: set[str] = set()
     skipped = 0
-    pos = 0
+    pos = cut = 0  # scan position; start of prose not yet held
 
     def register(raw: str) -> None:
         nonlocal skipped
@@ -118,49 +125,40 @@ def _extract(doc: RawDocument):
             by_latex[norm] = local
             records.append(EquationRecord(local, doc.doc_id, norm, 0))
         records[local].occurrence_count += 1
-        out.append(" " + PLACEHOLDER_FMT.format(local) + " ")
+        pieces.append("".join(held))
+        held.clear()
+        slots.append(local)
 
-    while pos < len(text):
-        matches = [
-            m
-            for m in (
-                _ENV_BEGIN.search(text, pos),
-                _DOLLAR_PAIR.search(text, pos),
-                _BRACKET_PAIR.search(text, pos),
-            )
-            if m is not None
-        ]
-        if not matches:
-            out.append(text[pos:])
-            break
-        m = min(matches, key=lambda m: m.start())
-        out.append(text[pos : m.start()])
-        if m.re is _ENV_BEGIN:
-            env = m.group(1)
-            end = re.compile(r"\\end\{" + re.escape(env) + r"\}").search(text, m.end())
-            if end is None:
+    while (m := _OPENER.search(text, pos)) is not None:
+        env = m.group(1)
+        closer = f"\\end{{{env}}}" if env else "$$" if m[0] == "$$" else "\\]"
+        end = -1 if closer in unclosed else text.find(closer, m.end())
+        if end < 0:
+            unclosed.add(closer)
+            pos = m.end()
+            if env is not None:  # the opener is dropped; $$ and \[ stay prose
                 skipped += 1
                 log.warning("%s: unbalanced \\begin{%s} skipped", doc.doc_id, env)
-                pos = m.end()
-                continue
-            body = text[m.end() : end.start()]
-            if env in MULTILINE_ENVS:
-                for row in _split_rows(body):
-                    if row.strip():
-                        register(row)
-            else:
-                register(body)
-            pos = end.end()
+                held.append(text[cut : m.start()])
+                cut = pos
+            continue
+        held.append(text[cut : m.start()])
+        body = text[m.end() : end]
+        pos = cut = end + len(closer)
+        if env in MULTILINE_ENVS:
+            for row in _split_rows(body):
+                if row.strip():
+                    register(row)
         else:
-            register(m.group(1))
-            pos = m.end()
+            register(body)
+    held.append(text[cut:])
+    pieces.append("".join(held))
 
-    prose = "".join(out)
-    if "$$" in prose:
+    if any("$$" in p for p in pieces):
         skipped += 1
         log.warning("%s: unbalanced $$ delimiter left in prose", doc.doc_id)
-        prose = prose.replace("$$", " ")
-    return prose, records, skipped
+        pieces = [p.replace("$$", " ") for p in pieces]
+    return pieces, records, skipped, slots
 
 
 # --- word tokenization -----------------------------------------------------
@@ -178,34 +176,14 @@ _COMMAND = re.compile(r"\\[a-zA-Z]+\*?|\\[^a-zA-Z]")
 _WORD = re.compile(r"[a-z]+(?:-[a-z]+)*")
 
 
-def is_placeholder(token: str) -> bool:
-    return PLACEHOLDER_RE.fullmatch(token) is not None
-
-
-def placeholder_id(token: str) -> int:
-    m = PLACEHOLDER_RE.fullmatch(token)
-    if m is None:
-        raise ValueError(f"not an equation placeholder: {token!r}")
-    return int(m.group(1))
-
-
 def tokenize_words(prose_text: str) -> list[str]:
     """Lowercase alphabetic tokens in document order.
 
     Hyphenated words stay whole ("p-value"); numerals and punctuation are
-    dropped; inline math and LaTeX commands are removed; equation
-    placeholders pass through untouched.
+    dropped; inline math and LaTeX commands are removed.
     """
-    tokens: list[str] = []
-    parts = PLACEHOLDER_RE.split(prose_text)
-    # re.split with one capture group alternates text and captured ids
-    for i, part in enumerate(parts):
-        if i % 2 == 1:
-            tokens.append(PLACEHOLDER_FMT.format(int(part)))
-            continue
-        t = _INLINE_MATH.sub(" ", part)
-        t = _DROP_WITH_ARG.sub(" ", t)
-        t = _BEGIN_END.sub(" ", t)
-        t = _COMMAND.sub(" ", t)
-        tokens.extend(_WORD.findall(t.lower()))
-    return tokens
+    t = _INLINE_MATH.sub(" ", prose_text)
+    t = _DROP_WITH_ARG.sub(" ", t)
+    t = _BEGIN_END.sub(" ", t)
+    t = _COMMAND.sub(" ", t)
+    return _WORD.findall(t.lower())

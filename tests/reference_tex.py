@@ -1,0 +1,149 @@
+"""Reference extractor: the original rescanning extractor with in-band
+placeholders, kept as a test oracle.
+
+After every match it re-runs three regex searches from the current
+position, so hostile input (runs of unclosed ``\\[``) costs quadratic
+time, and each region is written into the prose as a ``⟦eq:N⟧`` marker
+that word tokenization passes through.  On input without literal marker
+text, ``eqvec.tex._extract`` followed by per-piece tokenization must give
+the same records, skipped count and word/slot sequence, which the
+differential tests check.
+"""
+
+import logging
+import re
+
+from eqvec.tex import (
+    _BEGIN_END,
+    _COMMAND,
+    _DROP_WITH_ARG,
+    _ENV_BEGIN,
+    _INLINE_MATH,
+    _WORD,
+    MULTILINE_ENVS,
+    EquationRecord,
+    RawDocument,
+    _split_rows,
+    normalize_equation,
+    strip_comments,
+)
+
+log = logging.getLogger(__name__)
+
+# Placeholder markers survive word tokenization because they use bracket
+# characters that never occur in real LaTeX prose.
+PLACEHOLDER_FMT = "\u27e6eq:{}\u27e7"
+PLACEHOLDER_RE = re.compile(r"\u27e6eq:(\d+)\u27e7")
+
+_DOLLAR_PAIR = re.compile(r"\$\$(.*?)\$\$", re.DOTALL)
+_BRACKET_PAIR = re.compile(r"\\\[(.*?)\\\]", re.DOTALL)
+
+
+def _extract(doc: RawDocument):
+    text = strip_comments(doc.source_text)
+    out: list[str] = []
+    records: list[EquationRecord] = []
+    by_latex: dict[str, int] = {}
+    skipped = 0
+    pos = 0
+
+    def register(raw: str) -> None:
+        nonlocal skipped
+        norm = normalize_equation(raw)
+        if not norm:
+            skipped += 1
+            log.warning("%s: empty display-math region skipped", doc.doc_id)
+            return
+        local = by_latex.get(norm)
+        if local is None:
+            local = len(records)
+            by_latex[norm] = local
+            records.append(EquationRecord(local, doc.doc_id, norm, 0))
+        records[local].occurrence_count += 1
+        out.append(" " + PLACEHOLDER_FMT.format(local) + " ")
+
+    while pos < len(text):
+        matches = [
+            m
+            for m in (
+                _ENV_BEGIN.search(text, pos),
+                _DOLLAR_PAIR.search(text, pos),
+                _BRACKET_PAIR.search(text, pos),
+            )
+            if m is not None
+        ]
+        if not matches:
+            out.append(text[pos:])
+            break
+        m = min(matches, key=lambda m: m.start())
+        out.append(text[pos : m.start()])
+        if m.re is _ENV_BEGIN:
+            env = m.group(1)
+            end = re.compile(r"\\end\{" + re.escape(env) + r"\}").search(text, m.end())
+            if end is None:
+                skipped += 1
+                log.warning("%s: unbalanced \\begin{%s} skipped", doc.doc_id, env)
+                pos = m.end()
+                continue
+            body = text[m.end() : end.start()]
+            if env in MULTILINE_ENVS:
+                for row in _split_rows(body):
+                    if row.strip():
+                        register(row)
+            else:
+                register(body)
+            pos = end.end()
+        else:
+            register(m.group(1))
+            pos = m.end()
+
+    prose = "".join(out)
+    if "$$" in prose:
+        skipped += 1
+        log.warning("%s: unbalanced $$ delimiter left in prose", doc.doc_id)
+        prose = prose.replace("$$", " ")
+    return prose, records, skipped
+
+
+def is_placeholder(token: str) -> bool:
+    return PLACEHOLDER_RE.fullmatch(token) is not None
+
+
+def placeholder_id(token: str) -> int:
+    m = PLACEHOLDER_RE.fullmatch(token)
+    if m is None:
+        raise ValueError(f"not an equation placeholder: {token!r}")
+    return int(m.group(1))
+
+
+def tokenize_words(prose_text: str) -> list[str]:
+    """Lowercase alphabetic tokens in document order.
+
+    Hyphenated words stay whole ("p-value"); numerals and punctuation are
+    dropped; inline math and LaTeX commands are removed; equation
+    placeholders pass through untouched.
+    """
+    tokens: list[str] = []
+    parts = PLACEHOLDER_RE.split(prose_text)
+    # re.split with one capture group alternates text and captured ids
+    for i, part in enumerate(parts):
+        if i % 2 == 1:
+            tokens.append(PLACEHOLDER_FMT.format(int(part)))
+            continue
+        t = _INLINE_MATH.sub(" ", part)
+        t = _DROP_WITH_ARG.sub(" ", t)
+        t = _BEGIN_END.sub(" ", t)
+        t = _COMMAND.sub(" ", t)
+        tokens.extend(_WORD.findall(t.lower()))
+    return tokens
+
+
+def reference_sequence(doc: RawDocument):
+    """``(sequence, records, skipped)`` where ``sequence`` holds ``("w", word)``
+    and ``("eq", local id)`` items in document order."""
+    prose, records, skipped = _extract(doc)
+    sequence = [
+        ("eq", placeholder_id(t)) if is_placeholder(t) else ("w", t)
+        for t in tokenize_words(prose)
+    ]
+    return sequence, records, skipped

@@ -232,8 +232,14 @@ def test_config_file_and_cli_precedence(tiny_corpus, tmp_path, capsys):
         ("train", "init_scale=-1", "init_scale"),
         ("eval", "eval_dims=x", "eval_dims"),
         ("eval", "eval_modes=wrod", "eval_modes"),
+        ("ingest", "heldout_window=-3", "heldout_window"),
+        ("ingest", "workers=0", "workers"),
+        ("train", "learning_rate=nan", "learning_rate"),
+        ("eval", "eval_word_windows=3", "eval_word_windows"),
+        ("eval", "eval_eq_windows=0", "eval_eq_windows"),
     ],
-    ids=["unknown_key", "min_tf", "word_window", "mode", "init_scale", "eval_dims", "eval_modes"],
+    ids=["unknown_key", "min_tf", "word_window", "mode", "init_scale", "eval_dims", "eval_modes",
+         "heldout_window", "workers", "learning_rate", "eval_word_windows", "eval_eq_windows"],
 )
 def test_unknown_config_key_exits_2(command, setting, message, tiny_corpus, tiny_bundle,
                                     tmp_path, capsys):

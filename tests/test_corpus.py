@@ -122,7 +122,7 @@ def test_stream_mapping():
     vocab = _mini_vocab()
     doc_maps = {"d": {7: 3}}
     streams = build_token_streams(
-        [("d", ["the", "model", "⟦eq:7⟧"])], vocab, doc_maps
+        [("d", [["the", "model"], []], [7])], vocab, doc_maps
     )
     codes = streams[0].codes
     assert codes[0] == GAP  # out-of-vocabulary word
@@ -132,14 +132,24 @@ def test_stream_mapping():
 
 def test_all_gap_document():
     vocab = _mini_vocab()
-    streams = build_token_streams([("d", ["zz", "qq"])], vocab, {})
+    streams = build_token_streams([("d", [["zz", "qq"]], [])], vocab, {})
     assert (streams[0].codes == GAP).all()
+
+
+def test_dropped_equation_slot_is_gap():
+    # _compact_registry maps the local ids of sampled-out equations to None
+    vocab = _mini_vocab()
+    streams = build_token_streams(
+        [("d", [["model"], [], ["layer"]], [0, 1])], vocab, {"d": {0: None, 1: 4}}
+    )
+    assert list(streams[0].codes) == [vocab.id_of("model"), GAP, encode_equation(4),
+                                      vocab.id_of("layer")]
 
 
 def test_unknown_placeholder_is_error():
     vocab = _mini_vocab()
-    with pytest.raises(CorpusError, match="placeholder"):
-        build_token_streams([("d", ["⟦eq:9⟧"])], vocab, {"d": {}})
+    with pytest.raises(CorpusError, match="equation slot 9"):
+        build_token_streams([("d", [[], []], [9])], vocab, {"d": {}})
 
 
 def test_window_classes_word_vs_equation_context():
@@ -152,7 +162,7 @@ def test_window_classes_word_vs_equation_context():
 
     vocab = _mini_vocab()
     streams = build_token_streams(
-        [("d", ["model", "layer", "⟦eq:0⟧"])], vocab, {"d": {0: 7}}
+        [("d", [["model", "layer"], []], [0])], vocab, {"d": {0: 7}}
     )
     data = corpus_from_streams(streams, len(vocab), n_equations=8)
 
@@ -287,6 +297,41 @@ def test_ingest_parallel_merge_matches_serial():
         assert s.doc_id == p.doc_id
         assert np.array_equal(s.codes, p.codes)
     assert serial.heldout_valid == parallel.heldout_valid
+
+
+@pytest.mark.parametrize("marker", ["\u27e6eq:0\u27e7", "\u27e6eq:9\u27e7"])
+def test_literal_placeholder_text_is_prose(marker):
+    # text that looks like an equation slot stays prose: no slot, no error,
+    # no extra occurrence
+    clean = ingest_corpus(_tiny_docs(), _tiny_params())
+    docs = [RawDocument(d.doc_id, d.source_text.replace("found", f"found {marker}")
+                        .replace("appear", f"{marker} appear")) for d in _tiny_docs()]
+    assert all(marker in d.source_text for d in docs)
+    data = ingest_corpus(docs, _tiny_params())
+    assert [(r.latex, r.occurrence_count) for r in data.registry.records] == [
+        (r.latex, r.occurrence_count) for r in clean.registry.records
+    ]
+    for s, c in zip(data.streams, clean.streams):
+        eq_codes = s.codes[(s.codes != GAP) & (s.codes >= corpus.EQ_TAG)]
+        assert list(eq_codes) == list(c.codes[(c.codes != GAP) & (c.codes >= corpus.EQ_TAG)])
+        assert len(s.codes) == len(c.codes) + 1  # the marker's "eq" is one word
+    _, pieces, slots, _, _ = corpus._prepare_document(docs[0])
+    assert slots == [0]
+    assert pieces[1][:3] == ["found", "eq", "in"]
+
+
+def test_ingest_params_validation():
+    for name in ("workers", "heldout_per_equation", "heldout_window", "n_negatives",
+                 "symbol_window"):
+        with pytest.raises(ValueError, match=name):
+            IngestParams(**{name: 0}).validate()
+    for name in ("min_tf", "min_len", "top_stop", "abbrev_top", "unit_min_count",
+                 "singleton_sample", "seed"):
+        with pytest.raises(ValueError, match=name):
+            IngestParams(**{name: -1}).validate()
+        IngestParams(**{name: 0}).validate()
+    with pytest.raises(ValueError, match="heldout_window"):
+        ingest_corpus(_tiny_docs(), _tiny_params(heldout_window=-3))
 
 
 def test_duplicate_doc_ids_rejected():

@@ -443,5 +443,8 @@ def test_model_config_validation():
     for scale in (0.0, -1.0, float("nan")):  # zero tables never move
         with pytest.raises(ValueError, match="init_scale"):
             ModelConfig(init_scale=scale).validate()
+    for rate in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="learning_rate"):
+            ModelConfig(learning_rate=rate).validate()
     assert ModelConfig(init_scale=0.3).validate().scale == 0.3
     assert ModelConfig().validate().scale == 0.5 / 25

@@ -1,35 +1,41 @@
 """Display-math extraction and word tokenization."""
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eqvec import tex
-from eqvec.tex import RawDocument, extract_display_equations, tokenize_words
+from eqvec.corpus import _prepare_document
+from eqvec.tex import RawDocument, _extract, extract_display_equations, tokenize_words
+
+from .reference_tex import reference_sequence
 
 
 def test_single_equation_environment():
     doc = RawDocument("d", r"before \begin{equation}x+y\end{equation} after")
-    prose, records = extract_display_equations(doc)
+    pieces, slots, records = extract_display_equations(doc)
     assert len(records) == 1
     assert records[0].latex == "x+y"
     assert records[0].occurrence_count == 1
-    assert tex.PLACEHOLDER_RE.search(prose)
-    assert "x+y" not in prose
+    assert slots == [0]
+    assert "x+y" not in "".join(pieces)
 
 
 def test_no_display_math_is_identity():
     doc = RawDocument("d", "just words here")
-    prose, records = extract_display_equations(doc)
-    assert records == []
-    assert prose == "just words here"
+    pieces, slots, records = extract_display_equations(doc)
+    assert records == [] and slots == []
+    assert pieces == ["just words here"]
 
 
 def test_duplicate_regions_share_record():
     doc = RawDocument("d", "a $$x^2$$ b $$ x^2 $$ c")
-    prose, records = extract_display_equations(doc)
+    pieces, slots, records = extract_display_equations(doc)
     assert len(records) == 1
     assert records[0].occurrence_count == 2
-    assert len(tex.PLACEHOLDER_RE.findall(prose)) == 2
+    assert slots == [0, 0]
 
 
 def test_corpus_level_dedup_matches_string_count_oracle():
@@ -43,7 +49,7 @@ def test_corpus_level_dedup_matches_string_count_oracle():
     per_doc = []
     oracle: dict[str, int] = {}
     for d in docs:
-        _, recs = extract_display_equations(d)
+        _, _, recs = extract_display_equations(d)
         per_doc.append((d.doc_id, recs))
         for r in recs:
             oracle[r.latex] = oracle.get(r.latex, 0) + r.occurrence_count
@@ -57,52 +63,52 @@ def test_corpus_level_dedup_matches_string_count_oracle():
 
 def test_multiline_align_splits_rows():
     doc = RawDocument("d", "p \\begin{align}u &= v \\\\ w &= z\\end{align} q")
-    prose, records = extract_display_equations(doc)
+    pieces, slots, records = extract_display_equations(doc)
     assert [r.latex for r in records] == ["u &= v", "w &= z"]
-    assert len(tex.PLACEHOLDER_RE.findall(prose)) == 2
+    assert slots == [0, 1]
 
 
 def test_row_split_ignores_braced_backslashes():
     doc = RawDocument("d", r"\begin{align}a = \frac{1}{2} \\ b = c\end{align}")
-    _, records = extract_display_equations(doc)
+    _, _, records = extract_display_equations(doc)
     assert len(records) == 2
     assert records[0].latex == r"a = \frac{1}{2}"
 
 
 def test_unbalanced_environment_is_skipped_not_fatal():
     doc = RawDocument("d", r"start \begin{equation} x + y and more prose")
-    prose, records = extract_display_equations(doc)
+    pieces, _, records = extract_display_equations(doc)
     assert records == []
-    assert "prose" in prose
+    assert "prose" in pieces[-1]
 
 
 def test_label_stripped_and_whitespace_collapsed():
     doc = RawDocument(
         "d", "\\begin{equation}\n x +\n y \\label{eq:foo}\n\\end{equation}"
     )
-    _, records = extract_display_equations(doc)
+    _, _, records = extract_display_equations(doc)
     assert records[0].latex == "x + y"
 
 
 def test_comments_do_not_hide_math():
     doc = RawDocument("d", "text % $$hidden$$\n$$real$$")
-    _, records = extract_display_equations(doc)
+    _, _, records = extract_display_equations(doc)
     assert [r.latex for r in records] == ["real"]
 
 
 def test_round_trip_region_positions():
-    # placeholders reconstruct the display-math region sequence
+    # slots reconstruct the display-math region sequence
     body = "A $$x$$ B \\begin{equation}y\\end{equation} C $$x$$ D"
     doc = RawDocument("d", body)
-    prose, records = extract_display_equations(doc)
-    found = [int(m.group(1)) for m in tex.PLACEHOLDER_RE.finditer(prose)]
+    pieces, found, records = extract_display_equations(doc)
     assert found == [0, 1, 0]
+    assert [p.strip() for p in pieces] == ["A", "B", "C", "D"]
     assert sum(r.occurrence_count for r in records) == 3
 
 
 def test_bracket_display_math():
     doc = RawDocument("d", r"p \[ a = b \] q")
-    _, records = extract_display_equations(doc)
+    _, _, records = extract_display_equations(doc)
     assert records[0].latex == "a = b"
 
 
@@ -145,12 +151,11 @@ def test_tokenize_grammar_against_character_oracle():
 
 
 def test_placeholders_pass_through():
+    # the equation slot sits between the words around it, out of band
     doc = RawDocument("d", "alpha $$x$$ beta")
-    prose, _ = extract_display_equations(doc)
-    toks = tokenize_words(prose)
-    assert toks[0] == "alpha" and toks[-1] == "beta"
-    assert tex.is_placeholder(toks[1])
-    assert tex.placeholder_id(toks[1]) == 0
+    _, pieces, slots, _, _ = _prepare_document(doc)
+    assert pieces == [["alpha"], ["beta"]]
+    assert slots == [0]
 
 
 def test_inline_math_and_commands_dropped():
@@ -165,3 +170,68 @@ def test_document_validation():
         RawDocument("", "text")
     with pytest.raises(ValueError):
         RawDocument("d", "")
+
+
+# --- against the rescanning extractor ------------------------------------------
+
+# Delimiter-heavy pieces.  Literal ``⟦eq:N⟧`` text is left out: the reference
+# turns it into an equation slot, the extractor keeps it as prose.
+_PIECES = [
+    "$$", "$", "\\[", "\\]", "\\begin{equation}", "\\end{equation}", "\\begin{align}",
+    "\\end{align}", "\\\\", "%", "{", "}", "\\label{a}", "a", "b", "xy", "model", " ", "\n",
+]
+
+
+def _sequence(pieces, slots):
+    """Words and equation slots of a prepared document, in document order."""
+    seq = [("w", w) for w in pieces[0]]
+    for local, words in zip(slots, pieces[1:], strict=True):
+        seq.append(("eq", local))
+        seq.extend(("w", w) for w in words)
+    return seq
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), min_size=1, max_size=40))
+def test_extract_matches_rescanning_reference(parts):
+    doc = RawDocument("d", "".join(parts))
+    expected, ref_records, ref_skipped = reference_sequence(doc)
+    _, pieces, slots, records, skipped = _prepare_document(doc)
+    assert records == ref_records  # latex, local ids and occurrence counts
+    assert skipped == ref_skipped
+    assert _sequence(pieces, slots) == expected
+
+
+# --- linear time on hostile input ------------------------------------------------
+
+
+def _best_seconds(text: str, ceiling: float, repeat: int = 5) -> float:
+    """Fastest of ``repeat`` extractions; stops early once one exceeds ``ceiling``."""
+    doc = RawDocument("d", text)
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        _extract(doc)
+        best = min(best, time.perf_counter() - t0)
+        if best > ceiling:
+            break
+    return best
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n: " ".join(f"\\[ x_{{{i}}} + y" for i in range(n)),
+        lambda n: " ".join(f"$$x_{{{i}}}$$ w" for i in range(n)) + " \\[ tail",
+    ],
+    ids=["unclosed_brackets", "equations_then_unclosed_bracket"],
+)
+def test_extract_time_is_linear(make):
+    # the rescanning extractor takes about 0.7 s at n = 2000 and 11 s at
+    # n = 8000 on a 2-core machine; a linear one takes milliseconds
+    n, ceiling = 2000, 0.25
+    small = _best_seconds(make(n), ceiling)
+    assert small < ceiling
+    large = _best_seconds(make(4 * n), ceiling)
+    assert large < ceiling
+    assert large < 8 * small
