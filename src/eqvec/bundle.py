@@ -12,6 +12,12 @@ Layout (every file opens with a one-line format/version header):
     heldout.test.tsv
 
 Bundles are written to a temp directory and renamed into place.
+
+Each file has one reader.  ``load_bundle`` runs all of them;
+``load_query_files`` runs only those a similarity query needs (manifest,
+vocab.tsv, equations.tsv, eq_units.bin).  A file that ends inside a line
+or record, fails to parse, or disagrees with a count the manifest records
+raises ``BundleFormatError``.
 """
 
 import json
@@ -20,6 +26,7 @@ import shutil
 import struct
 import tempfile
 from dataclasses import asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,63 +139,53 @@ def _write_heldout(path: str, items):
 
 
 # --- loading -------------------------------------------------------------------
+# One reader per file.  Every reader turns a file that is cut short or does
+# not parse into a BundleFormatError.
+
+
+class QueryFiles(NamedTuple):
+    """The bundle files a similarity query reads."""
+
+    manifest: dict
+    word_vocab: Vocabulary
+    registry: EquationRegistry
+    eq_units: dict[int, np.ndarray]
+
+
+def load_query_files(path: str) -> QueryFiles:
+    """The manifest, word vocabulary, equation registry and ``eq_units`` of a
+    bundle: what ``eqvec query`` reads, without the streams, units and
+    held-out files it never uses."""
+    manifest = _read_manifest(path)
+    stats = manifest["stats"]
+    word_vocab = _read_vocab(os.path.join(path, "vocab.tsv"), _H_VOCAB, "word", stats.get("words"))
+    word_vocab.stop_forms = tuple(manifest.get("word_stop_forms", ()))
+    registry = _read_equations(os.path.join(path, "equations.tsv"), stats.get("equations"))
+    eq_units = _read_eq_units(os.path.join(path, "eq_units.bin"), len(registry))
+    return QueryFiles(manifest, word_vocab, registry, eq_units)
 
 
 def load_bundle(path: str) -> CorpusData:
-    with open(os.path.join(path, "manifest.json")) as f:
-        manifest = json.load(f)
-    if manifest.get("format") != "eqvec-bundle" or manifest.get("version") != BUNDLE_VERSION:
-        raise BundleFormatError(f"not a version-{BUNDLE_VERSION} bundle: {path}")
-    params = IngestParams(**manifest["params"])
-
-    word_vocab = _read_vocab(os.path.join(path, "vocab.tsv"), _H_VOCAB, "word")
-    word_vocab.stop_forms = tuple(manifest.get("word_stop_forms", ()))
-
-    registry = EquationRegistry()
-    with open(os.path.join(path, "equations.tsv")) as f:
-        _expect(f.readline().rstrip("\n"), _H_EQS, path)
-        for line in f:
-            eq_id, count, latex = line.rstrip("\n").split("\t", 2)
-            rec = EquationRecord(int(eq_id), "", latex, int(count))
-            if rec.eq_id != len(registry.records):
-                raise BundleFormatError("equation ids not dense")
-            registry.records.append(rec)
-            registry._by_latex[latex] = rec.eq_id
-
+    """Every file of a bundle: the corpus as training and evaluation need it."""
+    query = load_query_files(path)
+    manifest = query.manifest
+    try:
+        params = IngestParams(**manifest["params"])
+    except TypeError as exc:  # a key IngestParams does not have, or one missing
+        raise BundleFormatError(f"manifest of bundle {path}: {exc}") from None
     unit_vocab = None
     if manifest.get("has_units", True):
-        unit_vocab = _read_vocab(os.path.join(path, "units.tsv"), _H_UNITS, "unit")
-
-    streams = []
-    with open(os.path.join(path, "streams.bin"), "rb") as f:
-        _expect(f.readline(), _H_STREAMS, path)
-        (n_docs,) = struct.unpack("<I", f.read(4))
-        for _ in range(n_docs):
-            (dlen,) = struct.unpack("<H", f.read(2))
-            doc_id = f.read(dlen).decode("utf-8")
-            (n,) = struct.unpack("<I", f.read(4))
-            codes = np.frombuffer(f.read(4 * n), dtype="<u4").astype(np.uint32)
-            streams.append(TokenStream(doc_id, codes))
-
-    eq_units = {}
-    with open(os.path.join(path, "eq_units.bin"), "rb") as f:
-        _expect(f.readline(), _H_EQUNITS, path)
-        (n_eqs,) = struct.unpack("<I", f.read(4))
-        for _ in range(n_eqs):
-            eq_id, n = struct.unpack("<II", f.read(8))
-            ids = np.frombuffer(f.read(4 * n), dtype="<i4").astype(np.int64)
-            eq_units[eq_id] = ids
-
-    valid = _read_heldout(os.path.join(path, "heldout.valid.tsv"), "validation")
-    test = _read_heldout(os.path.join(path, "heldout.test.tsv"), "test")
+        unit_vocab = _read_vocab(
+            os.path.join(path, "units.tsv"), _H_UNITS, "unit", manifest["stats"].get("units")
+        )
     return CorpusData(
-        word_vocab=word_vocab,
-        registry=registry,
-        streams=streams,
+        word_vocab=query.word_vocab,
+        registry=query.registry,
+        streams=_read_streams(os.path.join(path, "streams.bin")),
         unit_vocab=unit_vocab,
-        eq_units=eq_units,
-        heldout_valid=valid,
-        heldout_test=test,
+        eq_units=query.eq_units,
+        heldout_valid=_read_heldout(os.path.join(path, "heldout.valid.tsv"), "validation"),
+        heldout_test=_read_heldout(os.path.join(path, "heldout.test.tsv"), "test"),
         params=params,
         stats=manifest["stats"],
     )
@@ -199,26 +196,128 @@ def _expect(got, want, path):
         raise BundleFormatError(f"bad file header in bundle {path}: {got!r}")
 
 
-def _read_vocab(path: str, header: str, kind: str) -> Vocabulary:
-    forms, freqs = [], []
-    with open(path) as f:
-        _expect(f.readline().rstrip("\n"), header, path)
-        for line in f:
-            form, idx, freq = line.rstrip("\n").split("\t")
-            if int(idx) != len(forms):
-                raise BundleFormatError(f"{path}: ids not dense")
-            forms.append(form)
-            freqs.append(int(freq))
-    return Vocabulary(kind=kind, forms=forms, freqs=np.array(freqs, dtype=np.int64))
+def _read_manifest(path: str) -> dict:
+    try:
+        with open(os.path.join(path, "manifest.json")) as f:
+            manifest = json.load(f)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise BundleFormatError(f"corrupt manifest in bundle {path}: {exc}") from None
+    if (
+        not isinstance(manifest, dict)
+        or manifest.get("format") != "eqvec-bundle"
+        or manifest.get("version") != BUNDLE_VERSION
+    ):
+        raise BundleFormatError(f"not a version-{BUNDLE_VERSION} bundle: {path}")
+    if not isinstance(manifest.get("params"), dict) or not isinstance(manifest.get("stats"), dict):
+        raise BundleFormatError(f"manifest of bundle {path} lacks params or stats")
+    return manifest
+
+
+def _read_rows(path: str, header: str, n_fields: int, count: int | None = None) -> list[list[str]]:
+    """The rows of a text file after its header, each split into ``n_fields``
+    fields (the last keeps any further tabs).  The writer ends every line
+    with a newline, so a last line without one marks a file cut short;
+    ``count``, when given, is the row count the manifest recorded."""
+    try:
+        with open(path) as f:
+            lines = f.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise BundleFormatError(f"corrupt bundle file {path}: {exc}") from None
+    _expect(lines[0], header, path)
+    if lines[-1]:
+        raise BundleFormatError(f"truncated bundle file: {path}")
+    rows = [line.split("\t", n_fields - 1) for line in lines[1:-1]]
+    if any(len(r) != n_fields for r in rows):
+        raise BundleFormatError(f"malformed row in bundle file {path}")
+    if count is not None and len(rows) != count:
+        raise BundleFormatError(f"{path} has {len(rows)} rows, the manifest records {count}")
+    return rows
+
+
+def _read_vocab(path: str, header: str, kind: str, count: int | None = None) -> Vocabulary:
+    rows = _read_rows(path, header, 3, count)
+    try:
+        ids = [int(r[1]) for r in rows]
+        freqs = np.array([int(r[2]) for r in rows], dtype=np.int64)
+    except (ValueError, OverflowError):
+        raise BundleFormatError(f"{path}: bad id or frequency") from None
+    if ids != list(range(len(rows))):
+        raise BundleFormatError(f"{path}: ids not dense")
+    return Vocabulary(kind=kind, forms=[r[0] for r in rows], freqs=freqs)
+
+
+def _read_equations(path: str, count: int | None = None) -> EquationRegistry:
+    registry = EquationRegistry()
+    for eq_id, occurrences, latex in _read_rows(path, _H_EQS, 3, count):
+        try:
+            rec = EquationRecord(int(eq_id), "", latex, int(occurrences))
+        except ValueError:
+            raise BundleFormatError(f"{path}: bad equation id or count") from None
+        if rec.eq_id != len(registry.records):
+            raise BundleFormatError("equation ids not dense")
+        registry.records.append(rec)
+        registry._by_latex[latex] = rec.eq_id
+    return registry
+
+
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_U32_PAIR = struct.Struct("<II")
+
+
+def _read_binary(path: str, header: bytes) -> bytes:
+    with open(path, "rb") as f:
+        raw = f.read()
+    _expect(raw[: len(header)], header, path)
+    return raw
+
+
+def _read_streams(path: str) -> list[TokenStream]:
+    raw = _read_binary(path, _H_STREAMS)
+    streams = []
+    try:
+        (n_docs,) = _U32.unpack_from(raw, len(_H_STREAMS))
+        pos = len(_H_STREAMS) + 4
+        for _ in range(n_docs):
+            (dlen,) = _U16.unpack_from(raw, pos)
+            doc_id = raw[pos + 2 : pos + 2 + dlen].decode("utf-8")
+            (n,) = _U32.unpack_from(raw, pos + 2 + dlen)
+            pos += 6 + dlen
+            codes = np.frombuffer(raw, dtype="<u4", count=n, offset=pos).astype(np.uint32)
+            pos += 4 * n
+            streams.append(TokenStream(doc_id, codes))
+    except (struct.error, ValueError) as exc:  # a read past the end, or a bad doc id
+        raise BundleFormatError(f"truncated or corrupt bundle file {path}: {exc}") from None
+    if pos != len(raw):
+        raise BundleFormatError(f"trailing bytes in bundle file: {path}")
+    return streams
+
+
+def _read_eq_units(path: str, n_equations: int) -> dict[int, np.ndarray]:
+    raw = _read_binary(path, _H_EQUNITS)
+    eq_units = {}
+    try:
+        (n_eqs,) = _U32.unpack_from(raw, len(_H_EQUNITS))
+        pos = len(_H_EQUNITS) + 4
+        for _ in range(n_eqs):
+            eq_id, n = _U32_PAIR.unpack_from(raw, pos)
+            pos += 8
+            eq_units[eq_id] = np.frombuffer(raw, dtype="<i4", count=n, offset=pos).astype(np.int64)
+            pos += 4 * n
+    except (struct.error, ValueError) as exc:  # a read past the end
+        raise BundleFormatError(f"truncated bundle file {path}: {exc}") from None
+    if pos != len(raw):
+        raise BundleFormatError(f"trailing bytes in bundle file: {path}")
+    if eq_units and max(eq_units) >= n_equations:
+        raise BundleFormatError(f"{path}: equation id {max(eq_units)} beyond the registry")
+    return eq_units
 
 
 def _read_heldout(path: str, split: str):
     items = []
-    with open(path) as f:
-        _expect(f.readline().rstrip("\n"), _H_HELDOUT, path)
-        for line in f:
-            target, eq_id, doc_id, position, ctx, negs = line.rstrip("\n").split("\t")
-            context = []
+    for target, eq_id, doc_id, position, ctx, negs in _read_rows(path, _H_HELDOUT, 6):
+        context = []
+        try:
             for tok in ctx.split(","):
                 if not tok:
                     continue
@@ -236,4 +335,6 @@ def _read_heldout(path: str, split: str):
                     eq_id=int(eq_id),
                 )
             )
+        except ValueError:
+            raise BundleFormatError(f"{path}: malformed held-out item") from None
     return items

@@ -15,6 +15,8 @@ import time
 import typing
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from . import bundle as bundle_io
 from . import corpus as corpus_mod
 from . import evaluation, modelfile, retrieval
@@ -277,8 +279,13 @@ def cmd_eval(args) -> int:
 
 def cmd_query(args) -> int:
     cfg = build_config(args)
-    data = bundle_io.load_bundle(cfg.bundle_dir)
+    if args.k < 1:
+        raise UsageError(f"-k must be at least 1, got {args.k}")
+    data = bundle_io.load_query_files(cfg.bundle_dir)
     model = modelfile.load_model(cfg.model_path, eq_units=data.eq_units)
+    _check_model_fits(model, data)
+    if args.query_kind != "word2eq" and not 0 <= args.id < len(data.registry):
+        raise UsageError(f"unknown equation id {args.id} (the bundle has {len(data.registry)})")
     k = args.k
     if args.query_kind == "eq2eq":
         ranking = retrieval.nearest_equations(
@@ -299,6 +306,24 @@ def cmd_query(args) -> int:
     for rank, (idx, score) in enumerate(ranking.hits, 1):
         print(f"{rank}\t{idx}\t{score:.6f}\t{surface(idx)}")
     return EXIT_OK
+
+
+def _check_model_fits(model, data: bundle_io.QueryFiles):
+    """Refuse a model whose sizes cannot belong to the bundle."""
+    if model.word.size != len(data.word_vocab):
+        raise modelfile.ModelFileError(
+            f"model has {model.word.size} words, the bundle {len(data.word_vocab)}"
+        )
+    if model.n_equations != len(data.registry):
+        raise modelfile.ModelFileError(
+            f"model has {model.n_equations} equations, the bundle {len(data.registry)}"
+        )
+    if model.mode == "unit" and data.eq_units:
+        top = int(np.concatenate(list(data.eq_units.values())).max(initial=-1))
+        if top >= model.unit.size:
+            raise modelfile.ModelFileError(
+                f"bundle equations use unit id {top}, the model has {model.unit.size} units"
+            )
 
 
 def cmd_inspect(args) -> int:

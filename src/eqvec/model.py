@@ -336,27 +336,54 @@ def adagrad_step(tables: Tables, grads: SparseGrads, learning_rate: float):
 # --- derived equation vectors (unit mode) -------------------------------------
 
 
-def _compensated_mean(rows: np.ndarray) -> np.ndarray:
-    """Neumaier-compensated column means; exact enough to match fsum."""
-    total = np.zeros(rows.shape[1])
-    comp = np.zeros(rows.shape[1])
-    for r in rows:
-        t = total + r
-        big = np.abs(total) >= np.abs(r)
-        comp += np.where(big, (total - t) + r, (r - t) + total)
-        total = t
-    return (total + comp) / rows.shape[0]
+def unit_means(groups, rows: np.ndarray) -> np.ndarray:
+    """Neumaier-compensated mean of ``rows[g]`` for every id array ``g`` in
+    ``groups``, in one pass; ids below 0 are gaps and are skipped.
+
+    Step j adds the j-th unit of every group that still has one.  Groups are
+    ranked by length, so the active groups of a step are a prefix, and a
+    step gathers only their rows: no group is padded, and memory beyond
+    the unit ids is O(groups) rows.  Each group adds its units in order
+    with the same element-wise operations as a per-group loop, so its mean
+    is bitwise the one it gets alone.  A group without units gives a NaN
+    row.
+    """
+    out = np.full((len(groups), rows.shape[1]), np.nan)
+    if not groups:
+        return out
+    flat = np.concatenate(groups).astype(np.int64, copy=False)
+    keep = flat >= 0
+    flat = flat[keep]
+    owner = np.repeat(np.arange(len(groups)), [len(g) for g in groups])[keep]
+    lengths = np.bincount(owner, minlength=len(groups))
+    order = np.argsort(-lengths, kind="stable")
+    starts = (np.cumsum(lengths) - lengths)[order]
+    lengths = lengths[order]
+    # active[j]: how many groups have a j-th unit, the first ones in `order`
+    active = np.searchsorted(-lengths, -np.arange(lengths[0]), side="left")
+    total = np.zeros(out.shape)
+    comp = np.zeros(out.shape)
+    for j, n in enumerate(active.tolist()):
+        r = rows[flat[starts[:n] + j]]
+        tot = total[:n]
+        t = tot + r
+        big = np.abs(tot) >= np.abs(r)
+        comp[:n] += np.where(big, (tot - t) + r, (r - t) + tot)
+        total[:n] = t
+    filled = lengths > 0
+    out[order[filled]] = (total[filled] + comp[filled]) / lengths[filled, None]
+    return out
 
 
 def equation_vector_from_units(unit_ids, unit_table: EmbeddingTable):
     """Equation-level (alpha, rho) as the arithmetic mean of unit vectors."""
-    ids = np.asarray([u for u in np.asarray(unit_ids).ravel() if u >= 0], dtype=np.int64)
+    ids = np.asarray(unit_ids, dtype=np.int64).ravel()
+    ids = ids[ids >= 0]
     if ids.size == 0:
         raise ValueError("untokenizable equation: no units")
-    return (
-        _compensated_mean(unit_table.alpha[ids]),
-        _compensated_mean(unit_table.rho[ids]),
-    )
+    rows = np.hstack([unit_table.alpha[ids], unit_table.rho[ids]])
+    mean = unit_means([np.arange(ids.size)], rows)[0]
+    return mean[: unit_table.k], mean[unit_table.k :]
 
 
 # --- fitted model container ---------------------------------------------------
@@ -428,13 +455,15 @@ class Model:
 
     def _derive(self):
         if self._derived is None:
-            alphas = np.full((self.n_equations, self.word.k), np.nan)
-            rhos = np.full((self.n_equations, self.word.k), np.nan)
-            for eq_id, ids in self.eq_units.items():
-                ids = ids[ids >= 0]
-                if ids.size:
-                    a, r = equation_vector_from_units(ids, self.unit)
-                    alphas[eq_id], rhos[eq_id] = a, r
+            k = self.word.k
+            alphas = np.full((self.n_equations, k), np.nan)
+            rhos = np.full((self.n_equations, k), np.nan)
+            if self.eq_units:
+                eq_ids = list(self.eq_units)
+                means = unit_means(
+                    list(self.eq_units.values()), np.hstack([self.unit.alpha, self.unit.rho])
+                )
+                alphas[eq_ids], rhos[eq_ids] = means[:, :k], means[:, k:]
             self._derived = {"alpha": alphas, "rho": rhos}
         return self._derived
 
@@ -459,5 +488,8 @@ class Model:
             ids = self.eq_units.get(eq_id)
             if ids is None:
                 raise IndexError(f"equation id {eq_id} out of range")
+            if self._derived is not None and (ids >= 0).any():
+                # the batched pass gave every equation bitwise its one-group mean
+                return self._derived["alpha"][eq_id].copy(), self._derived["rho"][eq_id].copy()
             return equation_vector_from_units(ids, self.unit)
         raise ValueError("word-only model has no equation vectors")

@@ -162,15 +162,22 @@ def _extract(doc: RawDocument):
 
 
 # --- word tokenization -----------------------------------------------------
+# No pass rescans the text from an unclosed opener.  Where the scan is in
+# Python, a closer is found with ``str.find`` and a failed search is
+# remembered: a closer absent after one position is absent after every
+# later one.
 
-_INLINE_MATH = re.compile(r"\$[^$]*\$|\\\(.*?\\\)", re.DOTALL)
-# Commands whose braced argument is reference noise, not prose.
-_DROP_WITH_ARG = re.compile(
+_INLINE_OPEN = re.compile(r"\$|\\\(")
+# Commands whose braced argument is reference noise, not prose: the name,
+# then an optional [...] argument, then one or more {...} groups without
+# nested braces.
+_REFERENCE = re.compile(
     r"\\(?:cite[pt]?\*?|ref|eqref|pageref|autoref|cref|Cref|label|url|href"
     r"|input|include|includegraphics|bibliography|bibliographystyle"
     r"|usepackage|documentclass|pagestyle|thispagestyle)"
-    r"(?:\[[^\]]*\])?(?:\{[^{}]*\})+"
+    r"(?=[\[{])"
 )
+_BRACE = re.compile(r"[{}]")
 _BEGIN_END = re.compile(r"\\(?:begin|end)\{[^}]*\}")
 _COMMAND = re.compile(r"\\[a-zA-Z]+\*?|\\[^a-zA-Z]")
 _WORD = re.compile(r"[a-z]+(?:-[a-z]+)*")
@@ -180,10 +187,85 @@ def tokenize_words(prose_text: str) -> list[str]:
     """Lowercase alphabetic tokens in document order.
 
     Hyphenated words stay whole ("p-value"); numerals and punctuation are
-    dropped; inline math and LaTeX commands are removed.
+    dropped; inline math and LaTeX commands are removed.  Time is linear
+    in the length of the text, unclosed delimiters included.
     """
-    t = _INLINE_MATH.sub(" ", prose_text)
-    t = _DROP_WITH_ARG.sub(" ", t)
-    t = _BEGIN_END.sub(" ", t)
+    t = _drop_inline_math(prose_text)
+    t = _drop_references(t)
+    # A \begin{..} or \end{..} match ends at a "}", so none lies past the
+    # last one, and before it every opener finds its "}": the regex never
+    # rescans.
+    cut = t.rfind("}") + 1
+    t = _BEGIN_END.sub(" ", t[:cut]) + t[cut:]
     t = _COMMAND.sub(" ", t)
     return _WORD.findall(t.lower())
+
+
+def _drop_inline_math(text: str) -> str:
+    """Replace each ``$...$`` and ``\\(...\\)`` span with a space; an opener
+    with no closer after it stays in the text."""
+    m = _INLINE_OPEN.search(text)
+    if m is None:
+        return text
+    kept: list[str] = []
+    unclosed: set[str] = set()
+    cut = 0
+    while m is not None:
+        closer = "$" if m[0] == "$" else "\\)"
+        end = -1 if closer in unclosed else text.find(closer, m.end())
+        if end < 0:
+            unclosed.add(closer)
+            m = _INLINE_OPEN.search(text, m.end())
+            continue
+        kept.append(text[cut : m.start()])
+        cut = end + len(closer)
+        m = _INLINE_OPEN.search(text, cut)
+    kept.append(text[cut:])
+    return " ".join(kept)
+
+
+def _drop_references(text: str) -> str:
+    """Replace each reference command with its arguments by a space.
+
+    Several commands can share the ``]`` that ends their ``[...]``
+    argument; what follows that ``]`` decides all of them, so the next
+    ``]`` and a ``]`` not followed by a brace group are remembered.
+    """
+    m = _REFERENCE.search(text)
+    if m is None:
+        return text
+    kept: list[str] = []
+    cut = 0
+    bracket = -1  # the first "]" after the last searched position; len(text) if none
+    dead = -1  # a "]" that no brace group follows
+    while m is not None:
+        end = m.end()
+        if text[end] == "[":
+            if bracket <= end:
+                bracket = text.find("]", end + 1)
+                bracket = len(text) if bracket < 0 else bracket
+            end = -1 if bracket in (len(text), dead) else _brace_groups(text, bracket + 1)
+            if end < 0:
+                dead = bracket
+        else:
+            end = _brace_groups(text, end)
+        if end < 0:
+            m = _REFERENCE.search(text, m.end())
+            continue
+        kept.append(text[cut : m.start()])
+        cut = end
+        m = _REFERENCE.search(text, cut)
+    kept.append(text[cut:])
+    return " ".join(kept)
+
+
+def _brace_groups(text: str, pos: int) -> int:
+    """End of the run of ``{...}`` groups without nested braces that starts
+    at ``pos``, or -1 when none does."""
+    end = -1
+    while text.startswith("{", pos):
+        m = _BRACE.search(text, pos + 1)
+        if m is None or m[0] == "{":
+            break
+        pos = end = m.end()
+    return end

@@ -1,5 +1,6 @@
-"""Reference extractor: the original rescanning extractor with in-band
-placeholders, kept as a test oracle.
+"""Reference extractor and word tokenizer: the original rescanning
+extractor with in-band placeholders and the regex word tokenizer, kept as
+test oracles.
 
 After every match it re-runs three regex searches from the current
 position, so hostile input (runs of unclosed ``\\[``) costs quadratic
@@ -7,7 +8,10 @@ time, and each region is written into the prose as a ``⟦eq:N⟧`` marker
 that word tokenization passes through.  On input without literal marker
 text, ``eqvec.tex._extract`` followed by per-piece tokenization must give
 the same records, skipped count and word/slot sequence, which the
-differential tests check.
+differential tests check.  The regex tokenizer rescans to the end of the
+text from every unclosed ``\\(``, every ``\\begin{`` without a ``}`` and
+every ``\\cite[`` without a ``]``; ``eqvec.tex.tokenize_words`` must give
+the same tokens.
 """
 
 import logging
@@ -16,9 +20,7 @@ import re
 from eqvec.tex import (
     _BEGIN_END,
     _COMMAND,
-    _DROP_WITH_ARG,
     _ENV_BEGIN,
-    _INLINE_MATH,
     _WORD,
     MULTILINE_ENVS,
     EquationRecord,
@@ -34,6 +36,15 @@ log = logging.getLogger(__name__)
 # characters that never occur in real LaTeX prose.
 PLACEHOLDER_FMT = "\u27e6eq:{}\u27e7"
 PLACEHOLDER_RE = re.compile(r"\u27e6eq:(\d+)\u27e7")
+
+_INLINE_MATH = re.compile(r"\$[^$]*\$|\\\(.*?\\\)", re.DOTALL)
+# Commands whose braced argument is reference noise, not prose.
+_DROP_WITH_ARG = re.compile(
+    r"\\(?:cite[pt]?\*?|ref|eqref|pageref|autoref|cref|Cref|label|url|href"
+    r"|input|include|includegraphics|bibliography|bibliographystyle"
+    r"|usepackage|documentclass|pagestyle|thispagestyle)"
+    r"(?:\[[^\]]*\])?(?:\{[^{}]*\})+"
+)
 
 _DOLLAR_PAIR = re.compile(r"\$\$(.*?)\$\$", re.DOTALL)
 _BRACKET_PAIR = re.compile(r"\\\[(.*?)\\\]", re.DOTALL)
@@ -116,25 +127,26 @@ def placeholder_id(token: str) -> int:
     return int(m.group(1))
 
 
-def tokenize_words(prose_text: str) -> list[str]:
-    """Lowercase alphabetic tokens in document order.
+def reference_tokenize_words(prose_text: str) -> list[str]:
+    """Lowercase alphabetic tokens in document order, by regex substitution."""
+    t = _INLINE_MATH.sub(" ", prose_text)
+    t = _DROP_WITH_ARG.sub(" ", t)
+    t = _BEGIN_END.sub(" ", t)
+    t = _COMMAND.sub(" ", t)
+    return _WORD.findall(t.lower())
 
-    Hyphenated words stay whole ("p-value"); numerals and punctuation are
-    dropped; inline math and LaTeX commands are removed; equation
-    placeholders pass through untouched.
-    """
+
+def tokenize_words(prose_text: str) -> list[str]:
+    """``reference_tokenize_words`` with equation placeholders passed through
+    untouched."""
     tokens: list[str] = []
     parts = PLACEHOLDER_RE.split(prose_text)
     # re.split with one capture group alternates text and captured ids
     for i, part in enumerate(parts):
         if i % 2 == 1:
             tokens.append(PLACEHOLDER_FMT.format(int(part)))
-            continue
-        t = _INLINE_MATH.sub(" ", part)
-        t = _DROP_WITH_ARG.sub(" ", t)
-        t = _BEGIN_END.sub(" ", t)
-        t = _COMMAND.sub(" ", t)
-        tokens.extend(_WORD.findall(t.lower()))
+        else:
+            tokens.extend(reference_tokenize_words(part))
     return tokens
 
 

@@ -3,14 +3,19 @@
 import json
 import math
 import os
+import shutil
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
-from eqvec import cli
+from eqvec import cli, retrieval
+from eqvec.bundle import load_bundle
 from eqvec.cli import RunConfig, build_config, main, make_parser
 from eqvec.corpus import IngestParams
-from eqvec.model import ModelConfig
+from eqvec.model import EmbeddingTable, Model, ModelConfig
+from eqvec.modelfile import load_model, save_model
+from eqvec.synthetic import planted_corpus, write_corpus
 
 
 @pytest.fixture(scope="module")
@@ -83,8 +88,6 @@ def test_ingest_no_documents_exits_1(tmp_path, capsys):
 
 
 def test_word2eq_three_word_query_returns_five_rows(tmp_path, capsys):
-    from eqvec.synthetic import planted_corpus, write_corpus
-
     corpus_dir = str(tmp_path / "corpus")
     write_corpus(planted_corpus(n_docs=24, seed=3), corpus_dir)
     bundle = str(tmp_path / "bundle")
@@ -286,3 +289,132 @@ def test_every_dataclass_field_is_a_config_key():
 
     cfg = build_config(make_parser().parse_args(["train", "--set", "init_scale=0"]))
     assert cfg.model.init_scale is None  # 0 spells the dimension-scaled default
+
+
+# --- queries on planted-corpus bundles ----------------------------------------------
+
+
+def _planted_bundle(root, n_docs: int) -> str:
+    corpus, bundle = str(root / f"corpus{n_docs}"), str(root / f"bundle{n_docs}")
+    write_corpus(planted_corpus(n_docs=n_docs, seed=3), corpus)
+    assert main(["ingest", "--corpus", corpus, "--bundle", bundle, "--set", "min_tf=4"]) == 0
+    return bundle
+
+
+@pytest.fixture(scope="module")
+def planted_models(tmp_path_factory):
+    """A 24-doc planted bundle, an equation and a unit model trained on it,
+    and a 40-doc bundle from the same generator."""
+    root = tmp_path_factory.mktemp("planted")
+    bundle = _planted_bundle(root, 24)
+    models = {}
+    for mode in ("equation", "unit"):
+        models[mode] = str(root / f"{mode}.eqv")
+        assert main(["train", "--bundle", bundle, "--model", models[mode], "--mode", mode,
+                     "--set", "k=8", "--set", "max_epochs=2"]) == 0
+    return bundle, models, _planted_bundle(root, 40)
+
+
+@pytest.mark.parametrize("family", ["eq2eq", "eq2word", "word2eq"])
+def test_unit_model_query_prints_library_ranking(family, planted_models, capsys):
+    bundle, models, _ = planted_models
+    data = load_bundle(bundle)
+    model = load_model(models["unit"], eq_units=data.eq_units)
+    eq_id = next(e for e in range(data.n_equations)
+                 if np.isfinite(model.equation_matrix("alpha")[e]).all())
+    latex = lambda i: data.registry.records[i].latex
+    if family == "eq2eq":
+        args, ranking, surface = ["--id", str(eq_id)], retrieval.nearest_equations(model, eq_id, 5), latex
+    elif family == "eq2word":
+        args, ranking = ["--id", str(eq_id)], retrieval.nearest_words(model, eq_id, 5)
+        surface = lambda i: data.word_vocab.forms[i]
+    else:
+        args, surface = ["--words", "matrix,eigenvalue"], latex
+        ranking = retrieval.equations_for_words(model, data.word_vocab, ["matrix", "eigenvalue"], 5)
+    want = ["rank\tid\tscore\tsurface"] + [
+        f"{rank}\t{i}\t{score:.6f}\t{surface(i)}" for rank, (i, score) in enumerate(ranking.hits, 1)
+    ]
+    code, out, _ = run(["query", family, *args, "-k", "5", "--model", models["unit"],
+                        "--bundle", bundle], capsys)
+    assert code == 0
+    assert len(ranking.hits) == 5
+    assert out.splitlines() == want
+
+
+@pytest.mark.parametrize(
+    "family, args, message",
+    [
+        ("eq2eq", ["--id", "999"], "unknown equation id 999"),
+        ("eq2word", ["--id", "-1"], "unknown equation id -1"),
+        ("eq2eq", ["--id", "0", "-k", "-2"], "-k must be at least 1"),
+        ("word2eq", ["--words", "matrix", "-k", "0"], "-k must be at least 1"),
+    ],
+    ids=["eq2eq_id_999", "eq2word_id_-1", "k_-2", "k_0"],
+)
+def test_bad_query_argument_exits_2(family, args, message, planted_models, capsys):
+    bundle, models, _ = planted_models
+    code, out, err = run(["query", family, *args, "--model", models["unit"], "--bundle", bundle], capsys)
+    assert code == 2
+    assert out == ""
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["equation", "unit"])
+def test_model_from_another_bundle_exits_3(mode, planted_models, capsys):
+    _, models, other_bundle = planted_models
+    code, out, err = run(["query", "eq2eq", "--id", "0", "--model", models[mode],
+                          "--bundle", other_bundle], capsys)
+    assert code == 3
+    assert out == ""
+    assert "model has" in err
+
+
+def test_model_with_too_few_units_exits_3(planted_models, tmp_path, capsys):
+    bundle, models, _ = planted_models
+    data = load_bundle(bundle)
+    full = load_model(models["unit"], eq_units=data.eq_units)
+    unit = EmbeddingTable.from_arrays(full.unit.rho[:-1], full.unit.alpha[:-1])
+    short = Model("unit", full.config, full.word, unit=unit, n_equations=full.n_equations)
+    path = save_model(short, str(tmp_path / "short.eqv"))
+    code, out, err = run(["query", "eq2eq", "--id", "0", "--model", path, "--bundle", bundle], capsys)
+    assert code == 3
+    assert out == ""
+    assert f"unit id {full.unit.size - 1}" in err
+
+
+def _cut_in_half(path):
+    with open(path, "rb") as f:
+        raw = f.read()
+    with open(path, "wb") as f:
+        f.write(raw[: len(raw) // 2])
+
+
+def _drop_last_line(path):
+    with open(path) as f:
+        lines = f.readlines()
+    with open(path, "w") as f:
+        f.writelines(lines[:-1])
+
+
+@pytest.mark.parametrize(
+    "name, damage",
+    [
+        ("manifest.json", _cut_in_half),
+        ("vocab.tsv", _cut_in_half),
+        ("vocab.tsv", _drop_last_line),
+        ("equations.tsv", _cut_in_half),
+        ("equations.tsv", _drop_last_line),
+        ("eq_units.bin", _cut_in_half),
+    ],
+    ids=["manifest", "vocab", "vocab_last_line", "equations", "equations_last_line", "eq_units"],
+)
+def test_truncated_query_file_exits_3(name, damage, planted_models, tmp_path, capsys):
+    bundle, models, _ = planted_models
+    copy = str(tmp_path / "bundle")
+    shutil.copytree(bundle, copy)
+    damage(os.path.join(copy, name))
+    code, out, err = run(["query", "eq2eq", "--id", "0", "--model", models["unit"],
+                          "--bundle", copy], capsys)
+    assert code == 3
+    assert out == ""
+    assert "Traceback" not in err

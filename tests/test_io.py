@@ -1,5 +1,6 @@
 """On-disk formats: corpus bundle and model file round trips, checksums."""
 
+import json
 import os
 
 import numpy as np
@@ -89,6 +90,18 @@ def test_bundle_files_have_headers(tmp_path):
             assert f.readline().startswith(b"# eqvec-")
 
 
+def test_bundle_unknown_manifest_param_rejected(tmp_path):
+    path = save_bundle(tiny_corpus_data(), str(tmp_path / "bundle"))
+    manifest_path = os.path.join(path, "manifest.json")
+    with open(manifest_path) as f:
+        manifest = json.load(f)
+    manifest["params"]["no_such_param"] = 1
+    with open(manifest_path, "w") as f:
+        json.dump(manifest, f)
+    with pytest.raises(BundleFormatError, match="no_such_param"):
+        load_bundle(path)
+
+
 def test_bundle_bad_header_rejected(tmp_path):
     data = tiny_corpus_data()
     path = save_bundle(data, str(tmp_path / "bundle"))
@@ -96,6 +109,21 @@ def test_bundle_bad_header_rejected(tmp_path):
     content = open(vocab).read()
     with open(vocab, "w") as f:
         f.write("# wrong 9\n" + content.split("\n", 1)[1])
+    with pytest.raises(BundleFormatError):
+        load_bundle(path)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["manifest.json", "vocab.tsv", "equations.tsv", "units.tsv", "streams.bin", "eq_units.bin",
+     "heldout.valid.tsv", "heldout.test.tsv"],
+)
+def test_truncated_bundle_file_rejected(name, tmp_path):
+    path = save_bundle(tiny_corpus_data(), str(tmp_path / "bundle"))
+    with open(os.path.join(path, name), "rb") as f:
+        raw = f.read()
+    with open(os.path.join(path, name), "wb") as f:
+        f.write(raw[: len(raw) // 2])
     with pytest.raises(BundleFormatError):
         load_bundle(path)
 

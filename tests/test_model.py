@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eqvec.model import (
     ADAGRAD_FLOOR,
@@ -22,8 +24,12 @@ from eqvec.model import (
     equation_vector_from_units,
     pair_loss_and_grads,
     sigmoid,
+    unit_means,
     word_context_sum,
 )
+
+from .conftest import RETRIEVAL_SEED
+from .reference_model import _compensated_mean, reference_equation_matrices
 
 
 def make_tables(rng, k=5, n_words=12, n_eqs=6, n_units=9, scale=0.3):
@@ -393,6 +399,11 @@ def test_equation_vector_empty_errors():
     t = EmbeddingTable(3, 2, rng, 0.5)
     with pytest.raises(ValueError, match="untokenizable"):
         equation_vector_from_units([], t)
+    model = Model("unit", ModelConfig(k=2), t, unit=t, n_equations=2,
+                  eq_units={0: np.array([0, 2]), 1: np.array([-1, -1])})
+    assert np.isnan(model.equation_matrix("alpha")[1]).all()
+    with pytest.raises(ValueError, match="untokenizable"):
+        model.equation_vectors(1)  # after the derivation too
 
 
 def test_equation_vector_matches_fsum_oracle():
@@ -404,6 +415,45 @@ def test_equation_vector_matches_fsum_oracle():
         for d in range(8):
             want = math.fsum(float(t.alpha[i, d]) for i in ids) / len(ids)
             assert abs(alpha[d] - want) <= 2 * np.spacing(abs(want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    groups=st.lists(st.lists(st.integers(-1, 11), max_size=8), max_size=12),
+    long_len=st.integers(0, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(groups=[[-1, -1], [], [2, 2, 5], [0]], long_len=40, seed=1)
+def test_unit_means_bitwise_equal_per_equation_oracle(groups, long_len, seed):
+    # gaps (-1), all-gap and empty groups (NaN rows), duplicate ids, and one
+    # long group among short ones; magnitudes span 16 decades so the
+    # compensation terms matter
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(12, 5)) * 10.0 ** rng.integers(-8, 8, size=(12, 5))
+    groups = [np.array(g, dtype=np.int64) for g in groups]
+    groups.insert(int(rng.integers(len(groups) + 1)), rng.integers(-1, 12, size=long_len))
+    got = unit_means(groups, rows)
+    assert got.shape == (len(groups), 5)
+    for g, row in zip(groups, got):
+        ids = g[g >= 0]
+        want = _compensated_mean(rows[ids]) if ids.size else np.full(5, np.nan)
+        assert row.tobytes() == want.tobytes()
+
+
+def test_derived_equation_matrices_bitwise_equal_oracle(trained):
+    model = trained("unit", RETRIEVAL_SEED)
+    alphas, rhos = reference_equation_matrices(model.eq_units, model.unit, model.n_equations)
+    assert np.isnan(alphas).any(axis=1).sum() < model.n_equations
+    assert model.equation_matrix("alpha").tobytes() == alphas.tobytes()
+    assert model.equation_matrix("rho").tobytes() == rhos.tobytes()
+    for eq_id in range(model.n_equations):
+        if np.isfinite(alphas[eq_id]).all():
+            for alpha, rho in (
+                equation_vector_from_units(model.eq_units[eq_id], model.unit),  # one group
+                model.equation_vectors(eq_id),  # read from the derived matrices
+            ):
+                assert alpha.tobytes() == alphas[eq_id].tobytes()
+                assert rho.tobytes() == rhos[eq_id].tobytes()
 
 
 # --- model container -------------------------------------------------------------------

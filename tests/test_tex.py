@@ -4,13 +4,13 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqvec.corpus import _prepare_document
 from eqvec.tex import RawDocument, _extract, extract_display_equations, tokenize_words
 
-from .reference_tex import reference_sequence
+from .reference_tex import reference_sequence, reference_tokenize_words
 
 
 def test_single_equation_environment():
@@ -233,5 +233,60 @@ def test_extract_time_is_linear(make):
     small = _best_seconds(make(n), ceiling)
     assert small < ceiling
     large = _best_seconds(make(4 * n), ceiling)
+    assert large < ceiling
+    assert large < 8 * small
+
+
+# --- word tokenizer against the regex tokenizer --------------------------------
+
+# Openers, closers and whole command heads, so that short lists reach the
+# remembered-bracket and brace-group branches.
+_PROSE = [
+    "\\(", "\\)", "$", "\\cite", "\\cite[", "\\citep", "\\ref{", "\\include",
+    "\\includegraphics", "\\begin{", "\\end", "\\", "[", "]", "]{", "{", "}", "*", "a",
+    "bc", "p-value", "7", " ", "\n",
+]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(_PROSE), max_size=30))
+@example(["\\ref{", "a", "}", "bc", "}"])  # a run of groups ends at the first non-brace
+@example(["{", "}", "\\cite[", "a"])  # no "]" anywhere after the command
+@example(["\\cite[", "a", "\\cite[", "bc", "]{", "a"])  # a shared "]" with no group after it
+@example(["\\cite[", "\\ref{", "a", "}", "]{", "bc", "}", "a"])  # a command inside [...]
+@example(["\\(", "a", "\\(", "bc", "\\)", "$", "a", "\\begin{", "a"])
+def test_tokenize_words_matches_regex_reference(parts):
+    text = "".join(parts)
+    assert tokenize_words(text) == reference_tokenize_words(text)
+
+
+def _best_tokenize_seconds(text: str, ceiling: float, repeat: int = 5) -> float:
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        tokenize_words(text)
+        best = min(best, time.perf_counter() - t0)
+        if best > ceiling:
+            break
+    return best
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n: " ".join(f"\\( x_{i} word" for i in range(n)),
+        lambda n: " ".join(f"\\cite[ p{i} word" for i in range(n)),
+        lambda n: " ".join(f"\\cite[ p{i} word" for i in range(n)) + " ]{" + " word" * n,
+        lambda n: " ".join(f"\\begin{{ x{i} word" for i in range(n)),
+    ],
+    ids=["unclosed_parens", "cite_without_bracket", "cite_shared_bracket", "unclosed_begin"],
+)
+def test_tokenize_time_is_linear(make):
+    # the regex tokenizer takes about 0.25 s (parens) and 0.05 s (the others)
+    # at n = 2000, and 16 times that at n = 8000, on a 2-core machine
+    n, ceiling = 2000, 0.25
+    small = _best_tokenize_seconds(make(n), ceiling)
+    assert small < ceiling
+    large = _best_tokenize_seconds(make(4 * n), ceiling)
     assert large < ceiling
     assert large < 8 * small
