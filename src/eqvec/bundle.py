@@ -16,8 +16,8 @@ Bundles are written to a temp directory and renamed into place.
 Each file has one reader.  ``load_bundle`` runs all of them;
 ``load_query_files`` runs only those a similarity query needs (manifest,
 vocab.tsv, equations.tsv, eq_units.bin).  A file that ends inside a line
-or record, fails to parse, or disagrees with a count the manifest records
-raises ``BundleFormatError``.
+or record, fails to parse, disagrees with a count the manifest records or
+holds an id out of range raises ``BundleFormatError``.
 """
 
 import json
@@ -31,6 +31,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import (
+    EQ_TAG,
+    GAP,
     CorpusData,
     EquationRegistry,
     HeldOutItem,
@@ -178,17 +180,28 @@ def load_bundle(path: str) -> CorpusData:
         unit_vocab = _read_vocab(
             os.path.join(path, "units.tsv"), _H_UNITS, "unit", manifest["stats"].get("units")
         )
+    unit_ids = np.concatenate([np.empty(0, dtype=np.int64), *query.eq_units.values()])
+    _check_ids(os.path.join(path, "eq_units.bin"), "unit", unit_ids[unit_ids != -1], len(unit_vocab or ()))
+    sizes = (len(query.word_vocab), len(query.registry))
     return CorpusData(
         word_vocab=query.word_vocab,
         registry=query.registry,
-        streams=_read_streams(os.path.join(path, "streams.bin")),
+        streams=_read_streams(os.path.join(path, "streams.bin"), *sizes),
         unit_vocab=unit_vocab,
         eq_units=query.eq_units,
-        heldout_valid=_read_heldout(os.path.join(path, "heldout.valid.tsv"), "validation"),
-        heldout_test=_read_heldout(os.path.join(path, "heldout.test.tsv"), "test"),
+        heldout_valid=_read_heldout(os.path.join(path, "heldout.valid.tsv"), "validation", *sizes),
+        heldout_test=_read_heldout(os.path.join(path, "heldout.test.tsv"), "test", *sizes),
         params=params,
         stats=manifest["stats"],
     )
+
+
+def _check_ids(path: str, kind: str, ids, n: int):
+    """Every id in ``ids`` must name one of the ``n`` objects of its kind."""
+    ids = np.asarray(ids)  # Python ints past int64 make an object array
+    bad = ids[(ids < 0) | (ids >= n)]
+    if bad.size:
+        raise BundleFormatError(f"{path}: {kind} id {bad[0]} out of range (the bundle has {n})")
 
 
 def _expect(got, want, path):
@@ -272,7 +285,7 @@ def _read_binary(path: str, header: bytes) -> bytes:
     return raw
 
 
-def _read_streams(path: str) -> list[TokenStream]:
+def _read_streams(path: str, n_words: int, n_equations: int) -> list[TokenStream]:
     raw = _read_binary(path, _H_STREAMS)
     streams = []
     try:
@@ -290,6 +303,12 @@ def _read_streams(path: str) -> list[TokenStream]:
         raise BundleFormatError(f"truncated or corrupt bundle file {path}: {exc}") from None
     if pos != len(raw):
         raise BundleFormatError(f"trailing bytes in bundle file: {path}")
+    for lo in range(0, len(streams), 256):  # in blocks, so the masks stay small next to the corpus
+        codes = np.concatenate([np.empty(0, dtype=np.uint32)] + [s.codes for s in streams[lo : lo + 256]])
+        eq = (codes >= EQ_TAG) & (codes < EQ_TAG + n_equations)
+        bad = codes[(codes >= n_words) & ~eq & (codes != GAP)]  # not a word, an equation or a gap
+        if bad.size:
+            raise BundleFormatError(f"{path}: code {bad[0]:#x} out of range (no word, equation or gap)")
     return streams
 
 
@@ -313,7 +332,7 @@ def _read_eq_units(path: str, n_equations: int) -> dict[int, np.ndarray]:
     return eq_units
 
 
-def _read_heldout(path: str, split: str):
+def _read_heldout(path: str, split: str, n_words: int, n_equations: int):
     items = []
     for target, eq_id, doc_id, position, ctx, negs in _read_rows(path, _H_HELDOUT, 6):
         context = []
@@ -337,4 +356,7 @@ def _read_heldout(path: str, split: str):
             )
         except ValueError:
             raise BundleFormatError(f"{path}: malformed held-out item") from None
+    ids = {cls: [i for it in items for c, i in it.context if c == cls] for cls in ("word", "eq")}
+    _check_ids(path, "word", [i for it in items for i in (it.target, *it.negatives)] + ids["word"], n_words)
+    _check_ids(path, "equation", [it.eq_id for it in items] + ids["eq"], n_equations)
     return items

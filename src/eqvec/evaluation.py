@@ -13,7 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import LOG_EPS, Model, ModelConfig, sigmoid
+from .model import LOG_EPS, Model, ModelConfig, ranked_steps, sigmoid
+from .passes import _ptr, expand_units, unit_lists
 
 log = logging.getLogger(__name__)
 
@@ -30,24 +31,88 @@ class EvalReport:
     config: dict
 
 
-def _context_sum(model: Model, item):
-    """Sum of context feature vectors, or None when an id is unusable."""
-    s = np.zeros(model.word.k)
-    try:
-        for cls, idx in item.context:
-            v = model.context_vector(cls, idx)
-            if v is not None:
-                s = s + v
-    except (IndexError, ValueError):
-        return None
-    return s
+class HeldOutLayout(NamedTuple):
+    """Held-out contexts in a ``PassPlan``'s layout: item i sums ``w[e] *
+    alpha[rows[e]]`` for e in ``ptr[i]:ptr[i+1]``, left to right (``w`` None:
+    all 1), and ranks words ``cand[cand_ptr[i]:cand_ptr[i+1]]``, target first.
+    ``ok`` is False for an item with an id the model lacks; it has no entries."""
+
+    alpha: np.ndarray
+    ptr: np.ndarray
+    rows: np.ndarray
+    w: np.ndarray | None
+    cand_ptr: np.ndarray
+    cand: np.ndarray
+    ok: np.ndarray
 
 
-def _candidate_scores(model: Model, item, s):
-    cand = np.array([item.target] + list(item.negatives), dtype=np.int64)
-    if cand.min() < 0 or cand.max() >= model.word.size:
-        return None
-    return model.word.rho[cand] @ s
+def compile_heldout(items, model: Model) -> HeldOutLayout:
+    """Lay out held-out contexts as the training passes see them: a word adds
+    its alpha row; an equation its row in an equation model, its units
+    (``passes.expand_units``) in a unit model, and nothing in a word model,
+    which never looks its id up."""
+    n_words, n_eqs, mode = model.word.size, model.n_equations, model.mode
+    owner = np.repeat(np.arange(len(items)), [len(it.context) for it in items])
+    kind = np.array([c for it in items for c, _ in it.context], dtype=str)
+    ids = np.array([i for it in items for _, i in it.context], dtype=np.int64)
+    is_eq = kind == "eq"
+    known = (ids >= 0) & (ids < np.where(is_eq, n_eqs, np.where(kind == "word", n_words, 0))) | is_eq & (mode == "word")
+    if mode == "unit":
+        known &= ~is_eq | np.array([i in model.eq_units for i in ids.tolist()], dtype=bool)
+    cand_ptr = _ptr([1 + len(it.negatives) for it in items])
+    cand = np.array([c for it in items for c in (it.target, *it.negatives)], dtype=np.int64)
+    ok = np.bincount(owner, ~known, minlength=len(items)) == 0
+    ok[np.repeat(np.arange(len(items)), np.diff(cand_ptr))[(cand < 0) | (cand >= n_words)]] = False
+    # one id space, words then equations, each id mapped to its alpha rows
+    eq_ptr, eq_rows = unit_lists(model.eq_units, n_eqs) if mode == "unit" else (np.arange(n_eqs + 1), np.arange(n_eqs))
+    objects = (np.concatenate((np.arange(n_words), n_words + eq_ptr)),
+               np.concatenate((np.arange(n_words), n_words + eq_rows)))
+    take = np.flatnonzero(ok[owner] & ((kind == "word") | is_eq & (mode != "word")))
+    n_per, rows, w = expand_units(objects, ids[take] + n_words * is_eq[take],
+                                  mode == "unit" and model.config.unit_context_mean)
+    ptr = _ptr(np.bincount(owner[take], n_per, minlength=len(items)).astype(np.int64))
+    alpha = np.concatenate([t.alpha for t in (model.word, model.unit if mode == "unit" else model.eq) if t])
+    return HeldOutLayout(alpha, ptr, rows, None if (w == 1.0).all() else w, cand_ptr, cand, ok)
+
+
+def _score_blocks(items, model: Model):
+    """Candidate scores rho_c . s of the items the model can score, one matrix
+    per candidate count, target first.  Step j of the context sums adds the
+    j-th entry of every item that still has one, so each sum runs left to
+    right, with the additions a loop over that item alone would make."""
+    lay = compile_heldout(items, model)
+    order, active = ranked_steps(np.diff(lay.ptr))
+    s = np.zeros((len(items), lay.alpha.shape[1]))
+    for j, n in enumerate(active):
+        at = lay.ptr[order[:n]] + j
+        v = lay.alpha[lay.rows[at]]
+        s[order[:n]] += v if lay.w is None else lay.w[at, None] * v
+    n_cand = np.diff(lay.cand_ptr)
+    for c in sorted(set(n_cand[lay.ok].tolist())):  # np.unique would import numpy.ma
+        every = np.flatnonzero(lay.ok & (n_cand == c))
+        for idx in np.split(every, np.arange(32, len(every), 32)):  # 32 items a block: few rho rows at once
+            cand = lay.cand[lay.cand_ptr[idx, None] + np.arange(c)]
+            yield np.matmul(model.word.rho[cand], s[idx, :, None])[:, :, 0]
+
+
+def _softmax(z):
+    ex = np.exp(z - z.max(axis=1, keepdims=True))
+    return ex / ex.sum(axis=1, keepdims=True)
+
+
+def _predictive(z, model: Model) -> list:
+    return np.log(np.maximum(_softmax(z)[:, 0], _TINY)).tolist()
+
+
+def _pseudo(z, model: Model) -> list:
+    p = np.clip(_softmax(z) if model.config.pseudo_likelihood == "softmax" else sigmoid(z), LOG_EPS, 1.0 - LOG_EPS)
+    n = z.shape[1] - 1
+    return [math.log(r[0]) + (math.fsum(math.log1p(-x) for x in r[1:]) / n if n else 0.0) for r in p.tolist()]
+
+
+def _scores(items, model: Model, score) -> list:
+    """``score`` of each scorable item, by candidate count, then in order."""
+    return [v for z in _score_blocks(items, model) for v in score(z, model)]
 
 
 def predictive_log_likelihood(item, model: Model):
@@ -57,15 +122,7 @@ def predictive_log_likelihood(item, model: Model):
     equally this is exactly log(1 / (n_negatives + 1)).  Returns None when
     the item references ids the model does not know (caller counts skips).
     """
-    s = _context_sum(model, item)
-    if s is None:
-        return None
-    z = _candidate_scores(model, item, s)
-    if z is None:
-        return None
-    ex = np.exp(z - z.max())
-    p = ex[0] / ex.sum()
-    return float(np.log(max(p, _TINY)))
+    return (_scores([item], model, _predictive) or [None])[0]
 
 
 def pseudo_log_likelihood(item, model: Model):
@@ -75,50 +132,28 @@ def pseudo_log_likelihood(item, model: Model):
     softmax reading is available via ``config.pseudo_likelihood``.
     Probabilities are clamped to [1e-12, 1 - 1e-12].
     """
-    s = _context_sum(model, item)
-    if s is None:
-        return None
-    z = _candidate_scores(model, item, s)
-    if z is None:
-        return None
-    if model.config.pseudo_likelihood == "softmax":
-        ex = np.exp(z - z.max())
-        p = ex / ex.sum()
-    else:
-        p = sigmoid(z)
-    p = np.clip(p, LOG_EPS, 1.0 - LOG_EPS)
-    value = math.log(p[0])
-    if len(p) > 1:
-        value += math.fsum(math.log1p(-pj) for pj in p[1:]) / (len(p) - 1)
-    return value
+    return (_scores([item], model, _pseudo) or [None])[0]
 
 
 def mean_predictive_ll(items, model: Model) -> float:
     """Mean over scored items; 0.0 when nothing is scorable (degenerate
     corpora with no held-out items still need a finite epoch trace)."""
-    scores = [v for v in (predictive_log_likelihood(it, model) for it in items) if v is not None]
-    if not scores:
-        return 0.0
-    return math.fsum(scores) / len(scores)
+    scores = _scores(items, model, _predictive)
+    return math.fsum(scores) / len(scores) if scores else 0.0
 
 
 def evaluate_split(items, model: Model, split: str) -> EvalReport:
-    pred, pseudo, skipped = [], [], 0
-    for item in items:
-        a = predictive_log_likelihood(item, model)
-        b = pseudo_log_likelihood(item, model)
-        if a is None or b is None:
-            skipped += 1
-            continue
-        pred.append(a)
-        pseudo.append(b)
+    pred, pseudo = [], []
+    for z in _score_blocks(items, model):
+        pred += _predictive(z, model)
+        pseudo += _pseudo(z, model)
     n = len(pred)
     return EvalReport(
         split=split,
         mean_predictive_ll=math.fsum(pred) / n if n else float("nan"),
         mean_pseudo_ll=math.fsum(pseudo) / n if n else float("nan"),
         n_items=n,
-        n_skipped=skipped,
+        n_skipped=len(items) - n,
         config=vars(model.config).copy(),
     )
 

@@ -1,4 +1,4 @@
-"""Bernoulli embedding parameterizations, gradients and the Adagrad update.
+"""Bernoulli embedding tables, model configuration and the fitted model.
 
 Every object class (words, equations, equation units) carries two dense
 matrices: interaction vectors ``rho`` used when the object is the
@@ -8,8 +8,7 @@ sigma(rho_target . sum of context alphas); negative-sampled zeros share
 the positive's context with label 0.
 """
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -135,202 +134,11 @@ def sigmoid(x):
     return float(out) if out.ndim == 0 else out
 
 
-# --- context sums and Bernoulli parameters -----------------------------------
-
-
-class Tables:
-    """Per-class table lookup used by the parameterization functions."""
-
-    def __init__(self, word: EmbeddingTable, eq: EmbeddingTable | None = None, unit: EmbeddingTable | None = None):
-        self.word = word
-        self.eq = eq
-        self.unit = unit
-
-    def get(self, cls: str) -> EmbeddingTable:
-        t = getattr(self, cls, None)
-        if t is None:
-            raise ValueError(f"no table for class {cls!r}")
-        return t
-
-
-def _alpha_rows(tables: Tables, items: Iterable[tuple[str, int]]) -> np.ndarray:
-    rows = []
-    for cls, idx in items:
-        table = tables.get(cls)
-        if not 0 <= idx < table.size:
-            raise IndexError(f"{cls} id {idx} out of range [0, {table.size})")
-        rows.append(table.alpha[idx])
-    return np.array(rows)
-
-
-def context_sum(tables: Tables, items) -> np.ndarray:
-    rows = _alpha_rows(tables, items)
-    if rows.size == 0:
-        return np.zeros(tables.word.k)
-    return rows.sum(axis=0)
-
-
-def word_context_sum(context, word_table: EmbeddingTable, eq_table: EmbeddingTable | None) -> np.ndarray:
-    """Sum of feature vectors over a word's context: window words plus any
-    equations from the enlarged word-equation window."""
-    return context_sum(Tables(word_table, eq=eq_table), context)
-
-
-def bernoulli_param_word(target: int, context, tables: Tables) -> float:
-    """sigma(rho_w[target] . sum of context alphas); context may mix words
-    and equations."""
-    for cls, _ in context:
-        if cls not in ("word", "eq"):
-            raise ValueError(f"word context cannot contain class {cls!r}")
-    s = context_sum(tables, context)
-    return float(sigmoid(tables.word.rho[target] @ s))
-
-
-def bernoulli_param_equation(target_eq: int, context, tables: Tables) -> float:
-    """sigma(rho_e[target] . sum of context word alphas); words only."""
-    for cls, _ in context:
-        if cls != "word":
-            raise ValueError("equation contexts contain words only")
-    s = context_sum(tables, context)
-    if tables.eq is None:
-        raise ValueError("no equation table")
-    return float(sigmoid(tables.eq.rho[target_eq] @ s))
-
-
-def bernoulli_param_unit(target_unit: int, context, tables: Tables) -> float:
-    """sigma(rho_u[target] . sum of window unit alphas)."""
-    for cls, _ in context:
-        if cls != "unit":
-            raise ValueError("unit contexts contain units only")
-    s = context_sum(tables, context)
-    if tables.unit is None:
-        raise ValueError("no unit table")
-    return float(sigmoid(tables.unit.rho[target_unit] @ s))
-
-
-def bernoulli_param_word_units(
-    target: int, word_ids, unit_sequences, tables: Tables
-) -> float:
-    """Word parameter with every in-window equation contributing all of its
-    unit feature vectors (the double sum over equations and their units)."""
-    items = [("word", int(w)) for w in word_ids]
-    for seq in unit_sequences:
-        items.extend(("unit", int(u)) for u in seq)
-    s = context_sum(tables, items)
-    return float(sigmoid(tables.word.rho[target] @ s))
-
-
-# --- pairs, loss, gradients ---------------------------------------------------
-
-
-@dataclass
-class TrainingPair:
-    target: tuple[str, int]
-    context: list[tuple[str, int]]
-    label: int
-
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise ValueError("label must be 0 or 1")
-        if not self.context:
-            raise ValueError("context must be non-empty")
-
-
-_ALLOWED_CTX = {
-    ("word", "word"): {"word"},
-    ("equation", "word"): {"word", "eq"},
-    ("equation", "eq"): {"word"},
-    ("unit", "word"): {"word", "unit"},
-    ("unit", "unit"): {"unit"},
-}
-
-
-@dataclass
-class SparseGrads:
-    """Gradients keyed by (class, id); duplicate context items accumulate."""
-
-    rho: dict[tuple[str, int], np.ndarray] = field(default_factory=dict)
-    alpha: dict[tuple[str, int], np.ndarray] = field(default_factory=dict)
-
-    def add_rho(self, key, g):
-        if key in self.rho:
-            self.rho[key] = self.rho[key] + g
-        else:
-            self.rho[key] = g
-
-    def add_alpha(self, key, g):
-        if key in self.alpha:
-            self.alpha[key] = self.alpha[key] + g
-        else:
-            self.alpha[key] = g
-
-
-def pair_loss_and_grads(pair: TrainingPair, mode: str, tables: Tables):
-    """Negative-sampling loss and its sparse analytic gradients.
-
-    loss = -(y log b + (1-y) log(1-b)) with b the mode-appropriate
-    Bernoulli parameter; d loss / d rho_target = (b - y) * context_sum and
-    d loss / d alpha_j = (b - y) * rho_target for every context item j.
-    """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    tcls, tid = pair.target
-    allowed = _ALLOWED_CTX.get((mode, tcls))
-    if allowed is None:
-        raise ValueError(f"mode {mode!r} cannot train {tcls!r} targets")
-    for cls, _ in pair.context:
-        if cls not in allowed:
-            raise ValueError(f"{tcls} target in mode {mode!r} cannot see {cls!r} context")
-
-    target_table = tables.get(tcls)
-    s = context_sum(tables, pair.context)
-    rho_t = target_table.rho[tid]
-    b = float(sigmoid(rho_t @ s))
-    y = pair.label
-    loss = -(y * np.log(max(b, LOG_EPS)) + (1 - y) * np.log(max(1.0 - b, LOG_EPS)))
-
-    err = b - y
-    grads = SparseGrads()
-    grads.add_rho((tcls, tid), err * s)
-    g_alpha = err * rho_t
-    for key in pair.context:
-        grads.add_alpha(key, g_alpha)
-    return float(loss), grads
-
-
-def adagrad_rows(matrix: np.ndarray, acc: np.ndarray, rows: np.ndarray, grads: np.ndarray, lr: float):
-    """One Adagrad step on selected rows: acc += g^2; cell -= lr*g/sqrt(acc).
-
-    Duplicate row indices are combined (their gradients summed) before the
-    single update so fancy indexing cannot drop contributions.
-    """
-    rows = np.asarray(rows)
-    if len(rows) > 1:
-        uniq, inv = np.unique(rows, return_inverse=True)
-        if len(uniq) != len(rows):
-            combined = np.zeros((len(uniq), matrix.shape[1]))
-            np.add.at(combined, inv, grads)
-            rows, grads = uniq, combined
-    if not matrix.flags.writeable:
-        raise FrozenTableError("attempted update of a frozen table")
-    acc[rows] += grads * grads
-    matrix[rows] -= lr * grads / np.sqrt(acc[rows])
-
-
-def adagrad_step(tables: Tables, grads: SparseGrads, learning_rate: float):
-    """Apply one SparseGrads bundle to the tables."""
-    by_cls: dict[tuple[str, str], tuple[list, list]] = {}
-    for (cls, idx), g in grads.rho.items():
-        by_cls.setdefault((cls, "rho"), ([], []))[0].append(idx)
-        by_cls[(cls, "rho")][1].append(g)
-    for (cls, idx), g in grads.alpha.items():
-        by_cls.setdefault((cls, "alpha"), ([], []))[0].append(idx)
-        by_cls[(cls, "alpha")][1].append(g)
-    for (cls, which), (rows, gs) in by_cls.items():
-        table = tables.get(cls)
-        mat = table.rho if which == "rho" else table.alpha
-        acc = table.rho_acc if which == "rho" else table.alpha_acc
-        adagrad_rows(mat, acc, np.array(rows), np.array(gs), learning_rate)
+def ranked_steps(lengths: np.ndarray):
+    """Groups ranked by length, longest first (stable), and for every step
+    j how many groups have a j-th entry: the first ones of that ranking."""
+    order = np.argsort(-lengths, kind="stable")
+    return order, np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)), side="left").tolist()
 
 
 # --- derived equation vectors (unit mode) -------------------------------------
@@ -356,14 +164,12 @@ def unit_means(groups, rows: np.ndarray) -> np.ndarray:
     flat = flat[keep]
     owner = np.repeat(np.arange(len(groups)), [len(g) for g in groups])[keep]
     lengths = np.bincount(owner, minlength=len(groups))
-    order = np.argsort(-lengths, kind="stable")
+    order, active = ranked_steps(lengths)
     starts = (np.cumsum(lengths) - lengths)[order]
     lengths = lengths[order]
-    # active[j]: how many groups have a j-th unit, the first ones in `order`
-    active = np.searchsorted(-lengths, -np.arange(lengths[0]), side="left")
     total = np.zeros(out.shape)
     comp = np.zeros(out.shape)
-    for j, n in enumerate(active.tolist()):
+    for j, n in enumerate(active):
         r = rows[flat[starts[:n] + j]]
         tot = total[:n]
         t = tot + r
@@ -411,47 +217,10 @@ class Model:
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
         self.config = config
-        self.tables = Tables(word, eq=eq, unit=unit)
+        self.word, self.eq, self.unit = word, eq, unit
         self.eq_units = eq_units or {}
         self.n_equations = eq.size if eq is not None else n_equations
         self._derived: dict[str, np.ndarray] | None = None
-
-    @property
-    def word(self) -> EmbeddingTable:
-        return self.tables.word
-
-    @property
-    def eq(self) -> EmbeddingTable | None:
-        return self.tables.eq
-
-    @property
-    def unit(self) -> EmbeddingTable | None:
-        return self.tables.unit
-
-    def context_vector(self, cls: str, idx: int) -> np.ndarray | None:
-        """Feature-vector contribution of one context item, or None when the
-        model has no representation for it (it then contributes nothing)."""
-        k = self.word.k
-        if cls == "word":
-            if not 0 <= idx < self.word.size:
-                raise IndexError(f"word id {idx} out of range")
-            return self.word.alpha[idx]
-        if cls != "eq":
-            raise ValueError(f"unexpected context class {cls!r}")
-        if self.mode == "word":
-            return None
-        if self.mode == "equation":
-            if self.eq is None or not 0 <= idx < self.eq.size:
-                raise IndexError(f"equation id {idx} out of range")
-            return self.eq.alpha[idx]
-        ids = self.eq_units.get(idx)
-        if ids is None:
-            raise IndexError(f"equation id {idx} out of range")
-        ids = ids[ids >= 0]
-        if ids.size == 0:
-            return None
-        rows = self.unit.alpha[ids]
-        return rows.mean(axis=0) if self.config.unit_context_mean else rows.sum(axis=0)
 
     def _derive(self):
         if self._derived is None:

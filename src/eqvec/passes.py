@@ -129,18 +129,24 @@ def _window(seq, pos, half):
     return seq[pos[:, None] + off]
 
 
-def _unit_lists(data: CorpusData):
+def unit_lists(eq_units: dict, n_equations: int):
     """Each equation's units with dropped slots removed, as (ptr, flat)."""
-    lens = np.zeros(data.n_equations, dtype=np.int64)
-    chunks = []
-    for g in range(data.n_equations):
-        seq = data.eq_units.get(g)
-        if seq is not None:
-            seq = seq[seq >= 0]
-            lens[g] = seq.size
-            chunks.append(seq)
-    flat = np.concatenate(chunks).astype(np.int64) if chunks else np.empty(0, dtype=np.int64)
-    return _ptr(lens), flat
+    eqs = sorted(g for g in eq_units if 0 <= g < n_equations)
+    flat = np.concatenate([np.empty(0, dtype=np.int64)] + [eq_units[g] for g in eqs]).astype(np.int64)
+    keep = flat >= 0
+    owner = np.repeat(np.array(eqs, dtype=np.int64), [len(eq_units[g]) for g in eqs])[keep]
+    return _ptr(np.bincount(owner, minlength=n_equations)), flat[keep]
+
+
+def expand_units(units, eq_ids, mean: bool):
+    """The context entries ``eq_ids`` stand for under a (ptr, flat) map such
+    as ``unit_lists``': each id's units in order, weighted 1, or 1/n when
+    ``mean`` (``unit_context_mean``).  Returns (entries per id, unit ids,
+    weights)."""
+    ptr, flat = units
+    n_per = np.diff(ptr)[eq_ids]
+    ids = flat[_ranges(ptr[eq_ids], n_per)]
+    return n_per, ids, np.repeat(1.0 / np.maximum(n_per, 1), n_per) if mean else np.ones(len(ids))
 
 
 def _context(cls: int, win, hit):
@@ -171,7 +177,7 @@ def compile_pass(data: CorpusData, config: ModelConfig, pass_name: str) -> list[
     classes, trainable = PASS_CLASSES[pass_name]
     n_units = len(data.unit_vocab) if data.unit_vocab is not None else 0
     sizes = [{"word": data.n_words, "eq": data.n_equations, "unit": n_units}[c] for c in classes]
-    units = _unit_lists(data)
+    units = unit_lists(data.eq_units, data.n_equations)
     masks = _exclusion_masks(data)
     plans, lo, tokens = [], 0, 0
     for hi, stream in enumerate(data.streams, 1):
@@ -194,8 +200,6 @@ def _compile_streams(streams, masks, units, sizes, trainable, config, pass_name)
     held = _padded(masks, pad, False, bool)
     eq_pos = np.flatnonzero((codes != GAP) & (codes >= EQ_TAG))
     eq_ids = (codes[eq_pos] & ~EQ_TAG).astype(np.int64)
-    units_ptr, units = units
-    unit_len = np.diff(units_ptr)
 
     words = np.flatnonzero((codes < EQ_TAG) & ~held)
     win = _window(codes, words, half_w)
@@ -204,15 +208,9 @@ def _compile_streams(streams, masks, units, sizes, trainable, config, pass_name)
         win = _window(codes, words, half_e)
         eqs = _context(1, win & ~EQ_TAG, (win != GAP) & (win >= EQ_TAG))
         if pass_name != "equation":
-            n_per = unit_len[eqs[2]]
+            n_per, ids, w = expand_units(units, eqs[2], config.unit_context_mean)
             per_row = np.bincount(np.repeat(np.arange(len(words)), eqs[0]), n_per, minlength=len(words))
-            mean = config.unit_context_mean
-            eqs = (
-                per_row.astype(np.int64),
-                np.ones(int(n_per.sum()), dtype=np.int64),
-                units[_ranges(units_ptr[eqs[2]], n_per)],
-                np.repeat(1.0 / np.maximum(n_per, 1), n_per) if mean else np.ones(int(n_per.sum())),
-            )
+            eqs = (per_row.astype(np.int64), np.ones(len(ids), dtype=np.int64), ids, w)
         ctx = _cat_rows(ctx, eqs)
     # (stream position, index inside the equation, class, target, context)
     parts = [(words, np.zeros(len(words), dtype=np.int64), 0, codes[words].astype(np.int64), ctx)]
@@ -221,11 +219,11 @@ def _compile_streams(streams, masks, units, sizes, trainable, config, pass_name)
         parts.append((eq_pos, np.zeros(len(eq_pos), dtype=np.int64), 1, eq_ids, _context(0, win, win < EQ_TAG)))
     elif pass_name in ("unit", "joint"):
         # the unit sentences of all equation occurrences, gap-padded like streams
-        n_per = unit_len[eq_ids]
+        n_per, seq, _ = expand_units(units, eq_ids, False)
         starts = half_u * np.arange(1, len(eq_ids) + 1) + _ptr(n_per)[:-1]
         slots = _ranges(starts, n_per)
-        sent = np.full(int(n_per.sum()) + half_u * (len(eq_ids) + 1), -1, dtype=np.int64)
-        sent[slots] = units[_ranges(units_ptr[eq_ids], n_per)]
+        sent = np.full(len(seq) + half_u * (len(eq_ids) + 1), -1, dtype=np.int64)
+        sent[slots] = seq
         win = _window(sent, slots, half_u)
         parts.append((np.repeat(eq_pos, n_per), slots - np.repeat(starts, n_per), 1, sent[slots],
                       _context(1, win, win >= 0)))

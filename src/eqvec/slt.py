@@ -16,6 +16,10 @@ RELATIONS = ("n", "a", "u", "o", "w")
 
 UNIT_GAP = -1  # sequence slot for a unit dropped by the frequency threshold
 
+# Nested chains and commands an equation may open.  Every recursion of the parser
+# passes one, so parsing and tuple emission stay far below the recursion limit.
+MAX_DEPTH = 100
+
 
 class MathParseError(ValueError):
     def __init__(self, message: str, offset: int):
@@ -174,11 +178,25 @@ def _lex(latex: str) -> list[_Tok]:
     return toks
 
 
+def _nested(method):
+    """``method`` one nesting level deeper; past ``MAX_DEPTH`` it raises."""
+    def counted(self, *args, **kwargs):
+        if self.depth == MAX_DEPTH:
+            raise MathParseError(f"nested deeper than {MAX_DEPTH}", (self.peek() or self.toks[-1]).offset)
+        self.depth += 1
+        try:
+            return method(self, *args, **kwargs)
+        finally:
+            self.depth -= 1
+    return counted
+
+
 class _Parser:
     def __init__(self, toks: list[_Tok], lenient: bool):
         self.toks = toks
         self.i = 0
         self.lenient = lenient
+        self.depth = 0
 
     def error(self, msg: str, offset: int):
         raise MathParseError(msg, offset)
@@ -186,6 +204,7 @@ class _Parser:
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
 
+    @_nested
     def chain(self, in_group: bool) -> list[MathNode]:
         nodes: list[MathNode] = []
         while True:
@@ -257,6 +276,7 @@ class _Parser:
             return self.command(tok)
         self.error(f"unexpected token {tok.text!r}", tok.offset)
 
+    @_nested
     def command(self, tok: _Tok):
         name = tok.text
         self.i += 1
@@ -336,12 +356,17 @@ def parse_math(latex: str, lenient: bool = False) -> MathNode:
     Superscripts land in ``above``, subscripts in ``under``, fraction
     numerators in ``over`` and denominators in ``under`` of the fraction
     node, radical and braced-group contents in ``within``.  Strict mode
-    raises :class:`MathParseError` with a byte offset on unbalanced braces
-    or unknown commands; lenient mode recovers, turning unknown commands
-    into opaque symbols.
+    raises :class:`MathParseError` with a byte offset on unbalanced braces,
+    unknown commands or nesting deeper than :data:`MAX_DEPTH`; lenient mode
+    recovers, turning unknown commands into opaque symbols, and gives an
+    empty tree (no units) where it cannot.
     """
-    parser = _Parser(_lex(latex), lenient)
-    top = parser.chain(in_group=False)
+    try:
+        top = _Parser(_lex(latex), lenient).chain(in_group=False)
+    except MathParseError:
+        if not lenient:
+            raise
+        top = []
     return MathNode("group", "", within=top)
 
 

@@ -10,10 +10,12 @@ losses and fitted tables (to rounding), which the equivalence tests check.
 import numpy as np
 
 from eqvec.corpus import EQ_TAG, GAP
-from eqvec.model import EmbeddingTable, Model, adagrad_rows, sigmoid
+from eqvec.model import EmbeddingTable, Model, sigmoid
 from eqvec import evaluation
 from eqvec.passes import _exclusion_masks
 from eqvec.training import EpochRecord, NegativeSampler, _run_pass
+
+from .reference_model import adagrad_rows
 
 
 def _position_update(target_table, tid, negatives, sum_specs, grad_specs, lr, update_target):

@@ -20,20 +20,13 @@ from eqvec.evaluation import (
     predictive_log_likelihood,
     pseudo_log_likelihood,
 )
-from eqvec.model import (
-    EmbeddingTable,
-    Model,
-    ModelConfig,
-    Tables,
-    TrainingPair,
-    equation_vector_from_units,
-    pair_loss_and_grads,
-)
+from eqvec.model import EmbeddingTable, Model, ModelConfig, equation_vector_from_units
 from eqvec.slt import tokenize_equation, unit_string
 from eqvec.synthetic import planted_corpus, write_corpus
 from eqvec.training import train_model
 
 from .conftest import ACCEPT_KW, ORDERING_SEEDS, RETRIEVAL_SEED
+from .reference_model import Tables, TrainingPair, pair_loss_and_grads
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "slt_golden.tsv")
 

@@ -418,3 +418,42 @@ def test_truncated_query_file_exits_3(name, damage, planted_models, tmp_path, ca
     assert code == 3
     assert out == ""
     assert "Traceback" not in err
+
+
+def test_flipped_stream_code_exits_3(tiny_bundle, tmp_path, capsys):
+    copy = str(tmp_path / "bundle")
+    shutil.copytree(tiny_bundle, copy)
+    path = os.path.join(copy, "streams.bin")
+    with open(path, "rb") as f:
+        raw = bytearray(f.read())
+    header = raw.index(b"\n") + 1
+    doc_id_len = int.from_bytes(raw[header + 4 : header + 6], "little")
+    first_code = header + 4 + 2 + doc_id_len + 4
+    assert int.from_bytes(raw[first_code : first_code + 4], "little") < 2**22  # a word id
+    raw[first_code + 2] ^= 0x40  # bit 22 of the first code
+    with open(path, "wb") as f:
+        f.write(raw)
+    model = str(tmp_path / "m.eqv")
+    code, out, err = run(["train", "--bundle", copy, "--model", model, "--set", "max_epochs=1"], capsys)
+    assert code == 3
+    assert "out of range" in err and "Traceback" not in err
+    assert not os.path.exists(model)
+
+
+def test_deeply_nested_equation_ingests(tiny_corpus, tiny_bundle, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(tiny_corpus, corpus)
+    deep = "{" * 3000 + "x" + "}" * 3000
+    (corpus / "deep.tex").write_text(f"Deep words modeling always.\n\\[ {deep} \\]\nbelieving words everywhere.")
+    bundle = str(tmp_path / "bundle")
+    code, _, err = run(["ingest", "--corpus", str(corpus), "--bundle", bundle] + ING, capsys)
+    assert code == 0 and "Traceback" not in err
+
+    def units_by_latex(path):
+        data = load_bundle(path)
+        return {r.latex: [data.unit_vocab.forms[u] for u in data.eq_units[r.eq_id] if u >= 0]
+                for r in data.registry.records}
+
+    before, after = units_by_latex(tiny_bundle), units_by_latex(bundle)
+    assert after.pop(deep) == []  # untokenizable: no units
+    assert after == before

@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqvec import passes
-from eqvec.model import EmbeddingTable, SparseGrads, Tables, TrainingPair, adagrad_step, pair_loss_and_grads
+from eqvec.model import EmbeddingTable
 from eqvec.passes import assemble_plan
 from eqvec.training import NegativeSampler, _stack, _unstack, draw_negatives, sgd_block, train_model
 
 from .conftest import plan_positions
+from .reference_model import SparseGrads, Tables, TrainingPair, adagrad_step, pair_loss_and_grads
 from .reference_training import reference_train_model
 from .test_training import CFG, make_corpus
 

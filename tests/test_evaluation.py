@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eqvec import evaluation
 from eqvec.corpus import HeldOutItem
 from eqvec.evaluation import (
     StopDecision,
@@ -13,7 +16,9 @@ from eqvec.evaluation import (
     predictive_log_likelihood,
     pseudo_log_likelihood,
 )
-from eqvec.model import EmbeddingTable, Model, ModelConfig
+from eqvec.model import MODES, EmbeddingTable, Model, ModelConfig
+
+from .reference_model import reference_predictive_ll, reference_pseudo_ll
 
 
 def item(target, ctx_words, eq_id, negatives):
@@ -174,6 +179,91 @@ def test_report_mean_is_order_independent():
     rev = evaluate_split(list(reversed(items)), model, "validation")
     assert fwd.mean_pseudo_ll == rev.mean_pseudo_ll
     assert fwd.mean_predictive_ll == rev.mean_predictive_ll
+
+
+# --- batched scorer against the per-item oracle -----------------------------------
+
+
+def _ids(n: int):
+    """Mostly ids below ``n``; now and then -1 or ``n``, which no model knows."""
+    return st.integers(0, 19).flatmap(lambda r: st.sampled_from([-1, n]) if r == 0 else st.integers(0, n - 1))
+
+
+@st.composite
+def scoring_cases(draw):
+    """A small model of any mode and held-out items with ragged contexts and
+    negatives, unknown ids, foreign context classes and untokenizable
+    equations."""
+    mode = draw(st.sampled_from(MODES))
+    k, n_words, n_eqs, n_units = (draw(st.integers(1, hi)) for hi in (4, 6, 4, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # feature vectors over five decades, so that the order of a sum shows
+    spread = lambda n: rng.uniform(-2, 2, (n, k)) * 10.0 ** rng.integers(-3, 2, (n, k))
+    table = lambda n: EmbeddingTable.from_arrays(rng.uniform(-1, 1, (n, k)), spread(n))
+    cfg = ModelConfig(
+        k=k,
+        unit_context_mean=draw(st.booleans()),
+        pseudo_likelihood=draw(st.sampled_from(["bernoulli", "softmax"])),
+    )
+    if mode == "word":
+        model = Model("word", cfg, table(n_words), n_equations=n_eqs)
+    elif mode == "equation":
+        model = Model("equation", cfg, table(n_words), eq=table(n_eqs))
+    else:
+        units = st.lists(st.integers(-1, n_units - 1), max_size=5)  # -1 is a dropped unit
+        eq_units = {g: np.array(draw(units), dtype=np.int64) for g in range(n_eqs) if draw(_ids(2)) != 2}
+        model = Model("unit", cfg, table(n_words), unit=table(n_units), eq_units=eq_units, n_equations=n_eqs)
+    entry = st.one_of(
+        st.tuples(st.just("word"), _ids(n_words)),
+        st.tuples(st.just("word"), _ids(n_words)),
+        st.tuples(st.just("eq"), _ids(n_eqs)),
+        st.tuples(st.sampled_from(["word", "eq", "unit"]), st.integers(-1, 6)),
+    )
+    item = st.builds(
+        HeldOutItem, target=_ids(n_words), context=st.lists(entry, max_size=8),
+        negatives=st.lists(_ids(n_words), max_size=4), split=st.just("validation"),
+        doc_id=st.just("d"), position=st.just(0), eq_id=st.just(0),
+    )
+    return model, draw(st.lists(item, max_size=8))
+
+
+def _same(got, want, exact):
+    if want is None or got is None:
+        return got is want
+    return got == want if exact else got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=400, deadline=None)
+@given(scoring_cases())
+def test_batched_scorer_matches_per_item_oracle(case):
+    model, items = case
+    # the oracle sums a unit-mode equation's units before adding them to the
+    # context sum; the layout adds them one by one, which rounds differently
+    exact = model.mode != "unit"
+    pred = [reference_predictive_ll(it, model) for it in items]
+    pseudo = [reference_pseudo_ll(it, model) for it in items]
+    # the batched scores come by candidate count, then in item order
+    by_count = sorted(range(len(items)), key=lambda i: len(items[i].negatives))
+    for score, want in ((evaluation._predictive, pred), (evaluation._pseudo, pseudo)):
+        want = [want[i] for i in by_count if want[i] is not None]
+        batched = evaluation._scores(items, model, score)
+        assert len(batched) == len(want) and all(_same(g, w, exact) for g, w in zip(batched, want))
+    assert all(_same(predictive_log_likelihood(it, model), w, exact) for it, w in zip(items, pred))
+    assert all(_same(pseudo_log_likelihood(it, model), w, exact) for it, w in zip(items, pseudo))
+
+    report = evaluate_split(items, model, "validation")
+    scored = [(a, b) for a, b in zip(pred, pseudo) if a is not None]
+    assert all((a is None) == (b is None) for a, b in zip(pred, pseudo))
+    assert report.n_items == len(scored)
+    assert report.n_skipped == len(items) - len(scored)
+    if scored:
+        n = len(scored)
+        assert _same(report.mean_predictive_ll, math.fsum(a for a, _ in scored) / n, exact)
+        assert _same(report.mean_pseudo_ll, math.fsum(b for _, b in scored) / n, exact)
+        assert _same(evaluation.mean_predictive_ll(items, model), report.mean_predictive_ll, True)
+    else:
+        assert math.isnan(report.mean_predictive_ll) and math.isnan(report.mean_pseudo_ll)
+        assert evaluation.mean_predictive_ll(items, model) == 0.0
 
 
 # --- early stopping ------------------------------------------------------------

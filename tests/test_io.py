@@ -2,13 +2,14 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from eqvec import bundle as bundle_io
 from eqvec.bundle import BundleFormatError, load_bundle, save_bundle
-from eqvec.corpus import IngestParams, ingest_corpus
+from eqvec.corpus import EQ_TAG, GAP, IngestParams, ingest_corpus
 from eqvec.model import ADAGRAD_FLOOR, EmbeddingTable, Model, ModelConfig
 from eqvec.modelfile import (
     ChecksumError,
@@ -125,6 +126,57 @@ def test_truncated_bundle_file_rejected(name, tmp_path):
     with open(os.path.join(path, name), "wb") as f:
         f.write(raw[: len(raw) // 2])
     with pytest.raises(BundleFormatError):
+        load_bundle(path)
+
+
+def _word_position(codes):
+    return int(np.flatnonzero(codes < EQ_TAG)[0])
+
+
+def _break_stream_word(data):
+    codes = data.streams[0].codes
+    codes[_word_position(codes)] |= np.uint32(1 << 22)  # one flipped bit
+
+
+def _break_stream_equation(data):
+    data.streams[0].codes[_word_position(data.streams[0].codes)] = EQ_TAG | np.uint32(len(data.registry))
+
+
+def _break_heldout(split, **changes):
+    def damage(data):
+        items = getattr(data, split)
+        items[0] = replace(items[0], **{k: v(items[0], data) for k, v in changes.items()})
+    return damage
+
+
+def _break_eq_units(data):
+    data.eq_units[0] = np.append(data.eq_units[0], len(data.unit_vocab))
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _break_stream_word,
+        _break_stream_equation,
+        _break_heldout("heldout_valid", target=lambda it, d: len(d.word_vocab)),
+        _break_heldout("heldout_valid", target=lambda it, d: 2**70),
+        _break_heldout("heldout_test", negatives=lambda it, d: it.negatives[:-1] + [-1]),
+        _break_heldout("heldout_test", context=lambda it, d: [("word", len(d.word_vocab))] + it.context),
+        _break_heldout("heldout_valid", context=lambda it, d: it.context[:-1] + [("eq", len(d.registry))]),
+        _break_heldout("heldout_test", eq_id=lambda it, d: -1),
+        _break_eq_units,
+    ],
+    ids=["stream_word", "stream_equation", "heldout_target", "heldout_huge_target", "heldout_negative",
+         "heldout_context_word", "heldout_context_equation", "heldout_eq_id", "eq_units"],
+)
+def test_bundle_id_out_of_range_rejected(damage, tmp_path):
+    data = tiny_corpus_data()
+    assert data.heldout_valid and data.heldout_test
+    data.streams[-1].codes[-1] = GAP
+    load_bundle(save_bundle(data, str(tmp_path / "good")))  # gaps and every real id load
+    damage(data)
+    path = save_bundle(data, str(tmp_path / "bad"))
+    with pytest.raises(BundleFormatError, match="out of range"):
         load_bundle(path)
 
 

@@ -1,35 +1,43 @@
 """Parameterizations, gradients, Adagrad, derived equation vectors."""
 
+import ast
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import eqvec
+from eqvec.corpus import HeldOutItem
+from eqvec.evaluation import compile_heldout
 from eqvec.model import (
     ADAGRAD_FLOOR,
     EmbeddingTable,
     FrozenTableError,
     Model,
     ModelConfig,
+    equation_vector_from_units,
+    sigmoid,
+    unit_means,
+)
+
+from .conftest import RETRIEVAL_SEED
+from .reference_model import (
     Tables,
     TrainingPair,
+    _compensated_mean,
     adagrad_rows,
     adagrad_step,
     bernoulli_param_equation,
     bernoulli_param_unit,
     bernoulli_param_word,
     bernoulli_param_word_units,
-    equation_vector_from_units,
     pair_loss_and_grads,
-    sigmoid,
-    unit_means,
+    reference_equation_matrices,
     word_context_sum,
 )
-
-from .conftest import RETRIEVAL_SEED
-from .reference_model import _compensated_mean, reference_equation_matrices
 
 
 def make_tables(rng, k=5, n_words=12, n_eqs=6, n_units=9, scale=0.3):
@@ -459,6 +467,17 @@ def test_derived_equation_matrices_bitwise_equal_oracle(trained):
 # --- model container -------------------------------------------------------------------
 
 
+def _compiled_context(model, context):
+    """The alpha rows and weights a held-out item with ``context`` sums,
+    read from the compiled layout."""
+    item = HeldOutItem(target=0, context=context, negatives=[], split="validation",
+                       doc_id="d", position=0, eq_id=0)
+    lay = compile_heldout([item], model)
+    assert lay.ok[0]
+    rows = lay.alpha[lay.rows[lay.ptr[0] : lay.ptr[1]]]
+    return rows, (np.ones(len(rows)) if lay.w is None else lay.w)[:, None]
+
+
 def test_model_context_vector_modes():
     rng = np.random.default_rng(13)
     k = 4
@@ -469,18 +488,54 @@ def test_model_context_vector_modes():
     cfg = ModelConfig(k=k)
 
     word_only = Model("word", cfg, word, n_equations=3)
-    assert word_only.context_vector("eq", 1) is None
+    assert len(_compiled_context(word_only, [("eq", 1)])[0]) == 0
 
     eqm = Model("equation", cfg, word, eq=eq)
-    assert np.array_equal(eqm.context_vector("eq", 1), eq.alpha[1])
+    rows, w = _compiled_context(eqm, [("eq", 1)])
+    assert np.array_equal(rows, [eq.alpha[1]]) and (w == 1.0).all()
 
     um = Model("unit", cfg, word, unit=unit, eq_units=eq_units, n_equations=3)
-    assert np.array_equal(um.context_vector("eq", 0), unit.alpha[[1, 2]].sum(axis=0))
-    assert um.context_vector("eq", 1) is None  # untokenizable
+    rows, w = _compiled_context(um, [("eq", 0)])
+    assert np.array_equal((w * rows).sum(axis=0), unit.alpha[[1, 2]].sum(axis=0))
+    assert len(_compiled_context(um, [("eq", 1)])[0]) == 0  # untokenizable
 
     mean_cfg = ModelConfig(k=k, unit_context_mean=True)
     um2 = Model("unit", mean_cfg, word, unit=unit, eq_units=eq_units, n_equations=3)
-    assert np.allclose(um2.context_vector("eq", 0), unit.alpha[[1, 2]].mean(axis=0))
+    rows, w = _compiled_context(um2, [("eq", 0)])
+    assert np.allclose((w * rows).sum(axis=0), unit.alpha[[1, 2]].mean(axis=0))
+
+
+# Names of the pair API and of the per-item scorer, which live on only as
+# oracles in tests/reference_model.py.
+_ORACLE_NAMES = {
+    "Tables", "TrainingPair", "SparseGrads", "pair_loss_and_grads", "adagrad_step",
+    "adagrad_rows", "context_sum", "context_vector",
+}
+
+
+def test_src_has_one_context_definition():
+    """No module of the package defines, imports or calls a second context
+    sum: the compiled layout is the only one."""
+    root = os.path.dirname(eqvec.__file__)
+    found = []
+    for name in sorted(os.listdir(root)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(root, name)) as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [n for a in node.names for n in (a.name.split(".")[-1], a.asname)]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [(name, n) for n in names if n in _ORACLE_NAMES]
+    assert found == []
 
 
 def test_model_config_validation():

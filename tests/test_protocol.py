@@ -13,12 +13,13 @@ from eqvec.corpus import (
     heldout_positions,
     ingest_corpus,
 )
-from eqvec.model import EmbeddingTable, ModelConfig, Tables, TrainingPair, pair_loss_and_grads
+from eqvec.model import EmbeddingTable, ModelConfig
 from eqvec.synthetic import planted_corpus
 from eqvec.tex import RawDocument
 from eqvec.passes import _exclusion_masks, compile_pass
 
 from .conftest import corpus_from_streams, plan_positions
+from .reference_model import Tables, TrainingPair, pair_loss_and_grads
 
 
 def test_heldout_targets_never_training_targets():

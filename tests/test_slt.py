@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqvec import slt
 from eqvec.slt import (
@@ -249,3 +251,48 @@ def test_relations_confined_to_alphabet():
     for line in lines:
         for t in tokenize_equation(line.split("\t")[0]):
             assert t.relation in slt.RELATIONS
+
+
+# --- deep nesting ----------------------------------------------------------------
+
+_DEEP = {
+    "braces": "{" * 3000 + "x" + "}" * 3000,
+    "fractions": "\\frac{" * 1500 + "x",
+    "superscripts": "x" + "^{x" * 2000,
+    "unclosed_braces": "{" * 4000,
+    "wrappers": "\\hat" * 3000 + "x",
+    "root_indices": "\\sqrt[" * 2000 + "x",
+}
+
+
+@pytest.mark.parametrize("latex", list(_DEEP.values()), ids=list(_DEEP))
+def test_deep_nesting_is_untokenizable_not_fatal(latex):
+    with pytest.raises(MathParseError, match="nested deeper"):
+        parse_math(latex)
+    assert parse_math(latex, lenient=True).within == []
+    assert tokenize_equation(latex) == []
+
+
+def test_nesting_up_to_the_cap_parses():
+    depth = slt.MAX_DEPTH - 1  # the top-level chain is one level
+    latex = "{" * depth + "x" + "}" * depth
+    assert len(tokenize_equation(latex, lenient=False)) == depth
+    with pytest.raises(MathParseError, match="nested deeper"):
+        parse_math("{" + latex + "}")
+
+
+_MATH = ["{", "}", "^", "_", "'", "\\frac", "\\sqrt", "\\hat", "\\mathbf", "[", "]",
+         "\\left(", "\\right)", "x", "y", " "]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_MATH), max_size=20), st.integers(1, 2 * slt.MAX_DEPTH))
+def test_lenient_parse_never_raises(parts, repeat):
+    latex = "".join(parts) * repeat
+    assert isinstance(parse_math(latex, lenient=True), MathNode)
+    assert isinstance(tokenize_equation(latex), list)
+    try:
+        tokenize_equation(latex, lenient=False)
+    except MathParseError:
+        pass  # strict mode rejects, but never with another error
+
