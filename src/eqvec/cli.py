@@ -7,6 +7,7 @@ precedence CLI > file > defaults.  Exit codes: 0 ok, 1 runtime failure,
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -19,11 +20,13 @@ import numpy as np
 
 from . import bundle as bundle_io
 from . import corpus as corpus_mod
-from . import evaluation, modelfile, retrieval
+from . import modelfile, retrieval
 from .corpus import IngestParams
 from .model import MODES, ModelConfig
-from .tex import RawDocument
-from .training import TrainingDiverged, train_model
+
+# A query runs only bundle, modelfile, model and retrieval: each other command
+# imports the modules it alone uses, and calls through them so the names stay
+# patchable.
 
 log = logging.getLogger(__name__)
 
@@ -172,6 +175,8 @@ def build_config(args) -> RunConfig:
 
 
 def cmd_ingest(args) -> int:
+    from . import tex
+
     cfg = build_config(args)
     if not cfg.corpus_dir:
         raise UsageError("ingest requires --corpus")
@@ -186,7 +191,7 @@ def cmd_ingest(args) -> int:
         try:
             with open(path, encoding="utf-8", errors="replace") as f:
                 text = f.read()
-            docs.append(RawDocument(name[: -len(".tex")], text))
+            docs.append(tex.RawDocument(name[: -len(".tex")], text))
         except (OSError, ValueError) as exc:
             print(f"warning: skipping {path}: {exc}", file=sys.stderr)
     if not docs:
@@ -201,6 +206,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import training
+
     cfg = build_config(args)
     if not os.path.isdir(cfg.bundle_dir):
         print(f"error: bundle not found: {cfg.bundle_dir}", file=sys.stderr)
@@ -209,8 +216,8 @@ def cmd_train(args) -> int:
     mconfig = cfg.model
     t0 = time.perf_counter()
     try:
-        model, records = train_model(data, mconfig, cfg.mode)
-    except TrainingDiverged as exc:
+        model, records = training.train_model(data, mconfig, cfg.mode)
+    except training.TrainingDiverged as exc:
         print(f"error: {exc}; retaining last good snapshot", file=sys.stderr)
         if exc.model is not None:
             modelfile.save_model(exc.model, cfg.model_path)
@@ -247,6 +254,8 @@ def _write_trace(model_path: str, records):
 
 
 def cmd_eval(args) -> int:
+    from . import evaluation
+
     cfg = build_config(args)
     if not os.path.isdir(cfg.bundle_dir):
         print(f"error: bundle not found: {cfg.bundle_dir}", file=sys.stderr)
@@ -341,7 +350,9 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=None)
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The whole command tree, built once per process: parsing never changes it."""
     p = argparse.ArgumentParser(prog="eqvec", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -7,7 +7,6 @@ so parallel and serial ingestion produce identical corpora.
 
 import logging
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from importlib import resources
 
@@ -379,6 +378,8 @@ def ingest_corpus(docs: list[RawDocument], params: IngestParams, stopwords=None)
         stopwords = load_stopwords()
 
     if params.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # all of multiprocessing: import on use
+
         with ProcessPoolExecutor(max_workers=params.workers) as pool:
             prepared = list(pool.map(_prepare_document, docs, chunksize=8))
     else:

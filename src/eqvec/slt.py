@@ -221,28 +221,32 @@ class _Parser:
                     self.error("unmatched closing brace", tok.offset)
                 self.i += 1
                 continue
-            if tok.kind in ("sup", "sub"):
-                self.i += 1
-                arg = self.argument(tok)
-                base = nodes[-1] if nodes and nodes[-1].symbol else None
-                slot = "above" if tok.kind == "sup" else "under"
-                if base is None or getattr(base, slot):
-                    base = MathNode("carrier", "")
-                    nodes.append(base)
-                getattr(base, slot).extend(arg)
-                continue
-            if tok.kind == "prime":
-                self.i += 1
-                if nodes:
-                    nodes[-1].above.append(MathNode("symbol", "prime"))
-                else:
-                    nodes.append(MathNode("symbol", "prime"))
-                continue
-            node_or_list = self.unit(tok)
-            if isinstance(node_or_list, list):
-                nodes.extend(node_or_list)
-            elif node_or_list is not None:
-                nodes.append(node_or_list)
+            self.step(tok, nodes)
+
+    def step(self, tok: _Tok, nodes: list[MathNode]):
+        """Parse the construct at ``tok`` onto ``nodes``; a script or prime attaches
+        to the last node."""
+        if tok.kind in ("sup", "sub"):
+            self.i += 1
+            arg = self.argument(tok)
+            base = nodes[-1] if nodes and nodes[-1].symbol else None
+            slot = "above" if tok.kind == "sup" else "under"
+            if base is None or getattr(base, slot):
+                base = MathNode("carrier", "")
+                nodes.append(base)
+            getattr(base, slot).extend(arg)
+        elif tok.kind == "prime":
+            self.i += 1
+            if nodes:
+                nodes[-1].above.append(MathNode("symbol", "prime"))
+            else:
+                nodes.append(MathNode("symbol", "prime"))
+        else:
+            got = self.unit(tok)
+            if isinstance(got, list):
+                nodes.extend(got)
+            elif got is not None:
+                nodes.append(got)
 
     def argument(self, script_tok: _Tok) -> list[MathNode]:
         """One script/command argument: a braced chain or a single unit."""
@@ -328,11 +332,7 @@ class _Parser:
             if tok.kind == "char" and tok.text == "]":
                 self.i += 1
                 return nodes
-            got = self.unit(tok)
-            if isinstance(got, list):
-                nodes.extend(got)
-            elif got is not None:
-                nodes.append(got)
+            self.step(tok, nodes)
 
     def _skip_braced(self):
         tok = self.peek()

@@ -4,11 +4,14 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import eqvec
 from eqvec import cli, retrieval
 from eqvec.bundle import load_bundle
 from eqvec.cli import RunConfig, build_config, main, make_parser
@@ -457,3 +460,61 @@ def test_deeply_nested_equation_ingests(tiny_corpus, tiny_bundle, tmp_path, caps
     before, after = units_by_latex(tiny_bundle), units_by_latex(bundle)
     assert after.pop(deep) == []  # untokenizable: no units
     assert after == before
+
+
+# --- one parser per process, and a query imports only the query path ---------------------
+
+SRC = os.path.dirname(os.path.dirname(eqvec.__file__))
+
+
+def fresh(argv, *flags):
+    """``python [flags] -m eqvec argv`` in a new interpreter: (exit code, stdout, stderr)."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, *flags, "-m", "eqvec", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_reused_parser_leaks_no_state(planted_models, monkeypatch, capsys):
+    bundle, models, _ = planted_models
+    files = ["--model", models["unit"], "--bundle", bundle]
+    calls = [
+        ["query", "eq2eq", "--id", "3", "--set", "seed=3", *files],
+        ["query", "word2eq", "--words", "matrix,eigenvalue", *files],
+        ["train", "--mode", "bogus"],
+        ["query", "eq2word", "--id", "3", *files],
+        ["query", "eq2eq", "--id", "3", *files],  # the first call's subparser again
+    ]
+    seen = []
+
+    def recording(args):
+        cfg = build_config(args)
+        seen.append((args.set, cfg.model.seed))
+        return cfg
+
+    monkeypatch.setattr(cli, "build_config", recording)
+    assert make_parser() is make_parser()
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == fresh(argv), argv
+    default = ModelConfig().seed
+    assert default != 3
+    assert seen == [(["seed=3"], 3)] + [(None, default)] * 3
+
+
+def test_query_imports_only_the_query_path(planted_models, capsys):
+    bundle, models, _ = planted_models
+    argv = ["query", "eq2eq", "--id", "3", "--model", models["unit"], "--bundle", bundle]
+    code, out, err = fresh(argv, "-X", "importtime")
+    assert code == 0
+    loaded = {line.rsplit("|", 1)[1].strip() for line in err.splitlines()
+              if line.startswith("import time:")}
+    assert {"eqvec.cli", "eqvec.bundle", "eqvec.modelfile", "eqvec.retrieval"} <= loaded
+    unused = {"eqvec.training", "eqvec.passes", "eqvec.evaluation", "concurrent.futures.process"}
+    assert not loaded & unused
+    assert main(argv) == 0
+    assert out == capsys.readouterr().out

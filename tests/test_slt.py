@@ -1,6 +1,8 @@
 """Math layout-tree parser and tuple emission."""
 
+import gc
 import os
+import time
 
 import numpy as np
 import pytest
@@ -253,6 +255,16 @@ def test_relations_confined_to_alphabet():
             assert t.relation in slt.RELATIONS
 
 
+@pytest.mark.parametrize("lenient", [False, True], ids=["strict", "lenient"])
+def test_root_index_takes_scripts_and_primes(lenient):
+    assert tuples_of("\\sqrt[n^2]{x}", lenient=lenient) == [
+        ("sqrt", "n", "a"), ("n", "2", "a"), ("sqrt", "x", "w")]
+    assert tuples_of("\\sqrt[x']{y}", lenient=lenient) == [
+        ("sqrt", "x", "a"), ("x", "prime", "a"), ("sqrt", "y", "w")]
+    assert tuples_of("\\sqrt[a_i]{b} + c", lenient=lenient) == [
+        ("sqrt", "a", "a"), ("a", "i", "u"), ("sqrt", "b", "w"), ("sqrt", "+", "n"), ("+", "c", "n")]
+
+
 # --- deep nesting ----------------------------------------------------------------
 
 _DEEP = {
@@ -296,3 +308,29 @@ def test_lenient_parse_never_raises(parts, repeat):
     except MathParseError:
         pass  # strict mode rejects, but never with another error
 
+
+
+def _best_seconds(latex: str, repeats: int = 5) -> float:
+    """Best-of-``repeats`` time of one tokenization, with the collector off so
+    a full collection over the caller's heap does not land in one run only."""
+    best = float("inf")
+    for _ in range(repeats):
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            tokenize_equation(latex)
+            best = min(best, time.perf_counter() - start)
+        finally:
+            gc.enable()
+    return best
+
+
+_SCALING = {
+    "flat": lambda n: "x + " * (50 * n),
+    "deep_groups": lambda n: ("{" * 90 + "x" + "}" * 90 + " + ") * n,  # under MAX_DEPTH
+}
+
+
+@pytest.mark.parametrize("make", list(_SCALING.values()), ids=list(_SCALING))
+def test_tokenize_time_is_linear(make):
+    assert _best_seconds(make(40)) < 8 * _best_seconds(make(10))
