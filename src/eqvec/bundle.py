@@ -16,8 +16,9 @@ Bundles are written to a temp directory and renamed into place.
 Each file has one reader.  ``load_bundle`` runs all of them;
 ``load_query_files`` runs only those a similarity query needs (manifest,
 vocab.tsv, equations.tsv, eq_units.bin).  A file that ends inside a line
-or record, fails to parse, disagrees with a count the manifest records or
-holds an id out of range raises ``BundleFormatError``.
+or record, fails to parse, disagrees with a count the manifest records,
+holds an id out of range or a frequency or occurrence count below 1 raises
+``BundleFormatError``.
 """
 
 import json
@@ -256,6 +257,8 @@ def _read_vocab(path: str, header: str, kind: str, count: int | None = None) -> 
         raise BundleFormatError(f"{path}: bad id or frequency") from None
     if ids != list(range(len(rows))):
         raise BundleFormatError(f"{path}: ids not dense")
+    if (freqs < 1).any():
+        raise BundleFormatError(f"{path}: frequency {freqs.min()} below 1")
     return Vocabulary(kind=kind, forms=[r[0] for r in rows], freqs=freqs)
 
 
@@ -266,6 +269,8 @@ def _read_equations(path: str, count: int | None = None) -> EquationRegistry:
             rec = EquationRecord(int(eq_id), "", latex, int(occurrences))
         except ValueError:
             raise BundleFormatError(f"{path}: bad equation id or count") from None
+        if rec.occurrence_count < 1:
+            raise BundleFormatError(f"{path}: occurrence count {rec.occurrence_count} below 1")
         if rec.eq_id != len(registry.records):
             raise BundleFormatError("equation ids not dense")
         registry.records.append(rec)

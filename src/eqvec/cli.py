@@ -247,6 +247,7 @@ def _write_trace(model_path: str, records):
                         "validation_predictive_ll": r.validation_score,
                         "train_loss": r.train_loss,
                         "seconds": round(r.seconds, 3),
+                        "score_seconds": round(r.score_seconds, 3),
                     }
                 )
                 + "\n"

@@ -12,7 +12,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import slt, tex
+from . import tex
 from .tex import EquationRecord, RawDocument
 
 log = logging.getLogger(__name__)
@@ -370,6 +370,8 @@ def _prepare_document(doc: RawDocument):
 
 def ingest_corpus(docs: list[RawDocument], params: IngestParams, stopwords=None) -> CorpusData:
     """Run the full corpus pipeline over parsed documents."""
+    from . import slt  # ingest only: keeps the layout-tree tokenizer off the query path
+
     params.validate()
     ids = [d.doc_id for d in docs]
     if len(set(ids)) != len(ids):

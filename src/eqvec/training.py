@@ -8,9 +8,9 @@ document order, positions left to right, negatives drawn immediately
 after each positive from a seeded stream, so a (seed, config, corpus)
 triple fully determines the fitted parameters.
 
-Each pass is compiled once per fit into flat arrays (``passes``).  An
-epoch then draws negatives one block of positions at a time and takes one
-serial SGD step per position on a stacked copy of the pass's tables.
+Each pass is compiled once per fit into plans of flat arrays (``passes``).
+An epoch then draws each plan's negatives at once and takes one serial SGD
+step per position on a stacked copy of the pass's tables.
 """
 
 import logging
@@ -25,9 +25,6 @@ from .model import LOG_EPS, MODES, EmbeddingTable, Model, ModelConfig
 from .passes import PASS_CLASSES, PassPlan, _ptr, _ranges, compile_pass
 
 log = logging.getLogger(__name__)
-
-# Positions per block of negatives and per-step index arrays.
-_BLOCK = 128
 
 
 class TrainingDiverged(RuntimeError):
@@ -46,11 +43,15 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class EpochRecord:
+    """One epoch of a pass.  ``seconds`` covers the whole epoch, of which
+    ``score_seconds`` went to scoring the validation split."""
+
     pass_name: str
     epoch: int
     validation_score: float
     seconds: float
     train_loss: float
+    score_seconds: float
 
 
 class NegativeSampler:
@@ -59,22 +60,28 @@ class NegativeSampler:
     Unigram sampling uses the raw frequency distribution (power 1.0);
     without frequencies every id has equal weight (uniform sampling).  Both
     map one uniform double per draw through the cumulative distribution.
+    ``sole`` is the id holding all the weight, if one does, else -1.
     """
 
     def __init__(self, rng: np.random.Generator, n: int, freqs=None):
         self.rng = rng
         self.n = n
         self.cum = None
+        self.sole = -1
         if n > 1:
             w = np.ones(n) if freqs is None else np.asarray(freqs, dtype=np.float64)
             if w.sum() <= 0:
                 w = np.ones(n)
             self.cum = np.cumsum(w / w.sum())
             self.cum[-1] = 1.0
+            steps = np.flatnonzero(np.diff(self.cum, prepend=0.0))
+            if len(steps) == 1:
+                self.sole = int(steps[0])
 
     def draw(self, size: int, exclude: int) -> np.ndarray:
         if self.cum is None:
             return np.empty(0, dtype=np.int64)
+        _check_exclusion([self.sole], [exclude])
         out = np.empty(size, dtype=np.int64)
         have = 0
         while have < size:
@@ -83,6 +90,12 @@ class NegativeSampler:
             out[have : have + len(ids)] = ids
             have += len(ids)
         return out
+
+
+def _check_exclusion(sole, exclude):
+    hit = np.flatnonzero(np.asarray(sole) == np.asarray(exclude))
+    if hit.size:
+        raise ValueError(f"cannot draw negatives excluding id {exclude[hit[0]]}: it holds all the sampling weight")
 
 
 def draw_negatives(samplers, which, exclude, size: int) -> np.ndarray:
@@ -105,63 +118,49 @@ def draw_negatives(samplers, which, exclude, size: int) -> np.ndarray:
         sel = np.flatnonzero(np.isin(which, members))
         if sel.size:
             out[sel] = _draw_stream(
-                samplers[members[0]].rng,
-                [samplers[m].cum for m in members],
-                np.searchsorted(members, which[sel]),
-                exclude[sel],
-                size,
+                [samplers[m] for m in members], np.searchsorted(members, which[sel]), exclude[sel], size
             )
     return out
 
 
-def _draw_stream(rng, cums, which, exclude, size):
+def _draw_stream(samplers, which, exclude, size):
     """``draw_negatives`` for samplers sharing one generator.
 
-    The stream of doubles is mapped through every sampler's distribution
-    once.  Positions take ``size`` doubles each until one of them draws its
-    own exclusion; that position then takes as many more doubles as it
-    rejected, round after round like ``NegativeSampler.draw``, and the
-    positions after it restart from where it stopped.  Nothing is drawn
-    beyond what the sequential calls consume.
+    A pool of doubles is drawn and mapped through every sampler's
+    distribution once.  Positions then take ``size`` ids each from where
+    the previous one stopped; a position that drew its own exclusion takes
+    the next accepted ids one by one instead, which is what the rounds of
+    ``NegativeSampler.draw`` amount to.  A pool that runs out is drawn again
+    twice as large from the same state, and the generator finally advances
+    by exactly the doubles the positions consumed.
     """
-    n = len(which)
-    out = np.empty((n, size), dtype=np.int64)
-    ids = np.empty((len(cums), 0), dtype=np.int64)
-
-    def draw_up_to(length):
-        nonlocal ids
-        if ids.shape[1] < length:
-            u = rng.random(length - ids.shape[1])
-            ids = np.concatenate((ids, [np.searchsorted(c, u, side="right") for c in cums]), axis=1)
-
-    used = 0
-    i = 0
-    while i < n:
-        m = n - i
-        draw_up_to(used + m * size)
-        block = ids[which[i:, None], used + np.arange(m * size).reshape(m, size)]
-        bad = block == exclude[i:, None]
-        hit = bad.any(axis=1)
-        j = int(hit.argmax()) if hit.any() else m
-        out[i : i + j] = block[:j]
-        used += j * size
-        if j == m:
-            break
-        p = i + j
-        kept = block[j][~bad[j]]
-        got = kept.size
-        out[p, :got] = kept
-        used += size
-        while got < size:
-            need = size - got
-            draw_up_to(used + need)
-            more = ids[which[p], used : used + need]
-            more = more[more != exclude[p]]
-            out[p, got : got + more.size] = more
-            got += more.size
-            used += need
-        i = p + 1
-    return out
+    _check_exclusion(np.array([s.sole for s in samplers])[which], exclude)
+    rng = samplers[0].rng
+    state = rng.bit_generator.state
+    positions = list(zip(which.tolist(), exclude.tolist()))
+    pool = len(positions) * size * 9 // 8 + 64  # slack for rejected draws
+    while True:
+        u = rng.random(pool)
+        ids = [np.searchsorted(s.cum, u, side="right").tolist() for s in samplers]
+        rng.bit_generator.state = state
+        out, used = [], 0
+        for w, x in positions:
+            seq = ids[w]
+            row = seq[used : used + size]
+            used += size
+            if x in row:
+                row = [v for v in row if v != x]
+                while len(row) < size and used < pool:
+                    if seq[used] != x:
+                        row.append(seq[used])
+                    used += 1
+            if used > pool or len(row) < size:
+                break
+            out += row
+        else:
+            rng.random(used)
+            return np.array(out, dtype=np.int64).reshape(len(positions), size)
+        pool *= 2
 
 
 # --- the SGD step ---------------------------------------------------------------
@@ -267,6 +266,7 @@ def sgd_block(stacked, plan: PassPlan, lo: int, hi: int, negatives, lr: float) -
     err = np.empty(int(tptr[-1]))
     b0 = np.empty(m)
     vec = np.empty((2, k))
+    v0, v1 = vec
     take, dot, exp, divide, sqrt = params.take, np.dot, np.exp, np.divide, np.sqrt
     steps = zip(
         gptr[:-1].tolist(), gptr[1:].tolist(), nt.tolist(), tptr[:-1].tolist(),
@@ -276,14 +276,14 @@ def sgd_block(stacked, plan: PassPlan, lo: int, hi: int, negatives, lr: float) -
     for i, (g0, g1, t, e0, c0, c1, u0, u1, nui, h0) in enumerate(steps):
         x = take(gidx[g0:g1], axis=0)
         r = x[:t]
-        dot(wneg[c0:c1], x[t:], out=vec[0])
+        dot(wneg[c0:c1], x[t:], out=v0)
         e = err[e0 : e0 + t]
-        exp(r @ vec[0], out=e)
+        exp(r @ v0, out=e)
         e += 1.0
         divide(1.0, e, out=e)
         b0[i] = e[0]
         e[0] -= 1.0
-        dot(e, r, out=vec[1])
+        dot(e, r, out=v1)
         w = coef[2 * u0 : 2 * u1].reshape(2, u1 - u0)
         if nui:
             dot(group[h0 : h0 + nui * t].reshape(nui, t), e, out=w[0, :nui])
@@ -310,11 +310,9 @@ def _run_epoch(plans, tables, trainable, samplers, config: ModelConfig) -> float
     total = 0.0
     with np.errstate(over="ignore"):
         for plan in plans:
-            for lo in range(0, len(plan), _BLOCK):
-                hi = min(lo + _BLOCK, len(plan))
-                negs = draw_negatives(samplers, plan.cls[lo:hi], plan.target[lo:hi], config.n_negatives)
-                for loss in sgd_block(stacked, plan, lo, hi, negs, config.learning_rate).tolist():
-                    total += loss
+            negs = draw_negatives(samplers, plan.cls, plan.target, config.n_negatives)
+            for loss in sgd_block(stacked, plan, 0, len(plan), negs, config.learning_rate).tolist():
+                total += loss
     _unstack(stacked, tables, trainable)
     return total
 
@@ -328,9 +326,11 @@ def _run_pass(pass_name, epoch_fn, score_fn, trainables, max_epochs, records):
     for epoch in range(1, max_epochs + 1):
         t0 = time.perf_counter()
         loss = epoch_fn()
+        t1 = time.perf_counter()
         score = score_fn()
+        t2 = time.perf_counter()
         trace.append(score)
-        records.append(EpochRecord(pass_name, epoch, score, time.perf_counter() - t0, loss))
+        records.append(EpochRecord(pass_name, epoch, score, t2 - t0, loss, t2 - t1))
         if not np.isfinite(score):
             for t, snap in zip(trainables, snapshots):
                 t.restore(snap)

@@ -443,6 +443,41 @@ def test_flipped_stream_code_exits_3(tiny_bundle, tmp_path, capsys):
     assert not os.path.exists(model)
 
 
+def _set_counts(path, count):
+    """Rewrite the frequency or occurrence column of a bundle table; ``count``
+    maps (row index, old value) to the new value."""
+    with open(path) as f:
+        header, *rows = f.read().splitlines()
+    cols = [r.split("\t") for r in rows]
+    col = 2 if path.endswith(("vocab.tsv", "units.tsv")) else 1
+    for i, c in enumerate(cols):
+        c[col] = str(count(i, int(c[col])))
+    with open(path, "w") as f:
+        f.write("\n".join([header] + ["\t".join(c) for c in cols]) + "\n")
+
+
+@pytest.mark.parametrize(
+    "name,count",
+    [
+        ("vocab.tsv", lambda i, n: n if i == 0 else 0),  # all sampling weight on one word
+        ("vocab.tsv", lambda i, n: -n if i == 1 else n),
+        ("units.tsv", lambda i, n: 0 if i == 0 else n),
+        ("equations.tsv", lambda i, n: 0 if i == 0 else n),
+    ],
+    ids=["vocab_one_nonzero", "vocab_negative", "units_zero", "equations_zero"],
+)
+def test_count_below_one_exits_3(name, count, tiny_bundle, tmp_path):
+    copy = str(tmp_path / "bundle")
+    shutil.copytree(tiny_bundle, copy)
+    _set_counts(os.path.join(copy, name), count)
+    model = str(tmp_path / "m.eqv")
+    code, out, err = fresh(["train", "--bundle", copy, "--model", model, "--mode", "unit",
+                            "--set", "max_epochs=1"], timeout=60)
+    assert code == 3
+    assert "below 1" in err and "Traceback" not in err
+    assert not os.path.exists(model)
+
+
 def test_deeply_nested_equation_ingests(tiny_corpus, tiny_bundle, tmp_path, capsys):
     corpus = tmp_path / "corpus"
     shutil.copytree(tiny_corpus, corpus)
@@ -467,11 +502,11 @@ def test_deeply_nested_equation_ingests(tiny_corpus, tiny_bundle, tmp_path, caps
 SRC = os.path.dirname(os.path.dirname(eqvec.__file__))
 
 
-def fresh(argv, *flags):
+def fresh(argv, *flags, timeout=300):
     """``python [flags] -m eqvec argv`` in a new interpreter: (exit code, stdout, stderr)."""
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run([sys.executable, *flags, "-m", "eqvec", *argv], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=timeout)
     return done.returncode, done.stdout, done.stderr
 
 
@@ -514,7 +549,8 @@ def test_query_imports_only_the_query_path(planted_models, capsys):
     loaded = {line.rsplit("|", 1)[1].strip() for line in err.splitlines()
               if line.startswith("import time:")}
     assert {"eqvec.cli", "eqvec.bundle", "eqvec.modelfile", "eqvec.retrieval"} <= loaded
-    unused = {"eqvec.training", "eqvec.passes", "eqvec.evaluation", "concurrent.futures.process"}
+    unused = {"eqvec.training", "eqvec.passes", "eqvec.evaluation", "eqvec.slt",
+              "concurrent.futures.process"}
     assert not loaded & unused
     assert main(argv) == 0
     assert out == capsys.readouterr().out

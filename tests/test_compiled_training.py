@@ -76,6 +76,23 @@ def test_plan_independent_of_compile_chunking(corpus, monkeypatch, pass_name):
     assert np.array_equal(w_one, w_many)
 
 
+@pytest.mark.parametrize("name", ["word", "equation", "unit-joint", "unit-two-pass"])
+def test_fit_independent_of_compile_chunking(corpus, monkeypatch, name):
+    # negatives are drawn once per plan, so plan boundaries must not show
+    mode, overrides = EQUIVALENCE_CONFIGS[name]
+    cfg = CFG.with_overrides(**overrides)
+
+    def fitted(tokens):
+        monkeypatch.setattr(passes, "_COMPILE_TOKENS", tokens)
+        model, records = train_model(corpus, cfg, mode)
+        tables = [getattr(getattr(model, c), m).tobytes() for c in ("word", "eq", "unit")
+                  if getattr(model, c) is not None for m in ("rho", "alpha", "rho_acc", "alpha_acc")]
+        return tables, [(r.pass_name, r.epoch, r.validation_score, r.train_loss) for r in records]
+
+    one, many = fitted(10**9), fitted(1)
+    assert one == many
+
+
 # --- one compiled step against the pair API -----------------------------------
 
 
@@ -176,6 +193,9 @@ def test_compiled_step_equals_pair_api(case):
 
 @st.composite
 def negative_streams(draw):
+    """Plan-sized runs of positions over two samplers.  In the dominant case
+    every position of sampler 0 excludes the id holding 90% of its weight,
+    so the positions consume many times the draws a first pool holds."""
     def freqs():
         n = draw(st.integers(1, 8))
         f = draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))
@@ -184,10 +204,14 @@ def negative_streams(draw):
         return f
 
     sampler_freqs = [freqs(), freqs()]
-    n_pos = draw(st.integers(1, 80))
-    which = draw(st.lists(st.integers(0, 1), min_size=n_pos, max_size=n_pos))
-    exclude = [draw(st.integers(0, len(sampler_freqs[w]) - 1)) for w in which]
-    blocks = draw(st.lists(st.integers(1, 40), min_size=1, max_size=8))
+    dominant = draw(st.booleans())
+    if dominant:
+        sampler_freqs[0] = [1, 9]
+    n_pos = draw(st.integers(1, 1500))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    which = rng.integers(0, 2, n_pos).tolist()
+    exclude = [1 if dominant and w == 0 else int(rng.integers(len(sampler_freqs[w]))) for w in which]
+    blocks = draw(st.lists(st.integers(1, 1500), min_size=1, max_size=4))
     size = draw(st.integers(1, 12))
     shared = draw(st.booleans())
     seed = draw(st.integers(0, 2**32 - 1))
@@ -221,3 +245,41 @@ def test_block_draws_reproduce_sequential_stream(case):
         assert a.bit_generator.state == b.bit_generator.state
     # the next sequential draw continues the same stream
     assert np.array_equal(seq[0].draw(size, exclude[0]), blk[0].draw(size, exclude[0]))
+
+
+class _CountingRng:
+    """A generator that records the size of every ``random`` call."""
+
+    def __init__(self, seed):
+        self.rng = np.random.Generator(np.random.PCG64(seed))
+        self.bit_generator = self.rng.bit_generator
+        self.calls = []
+
+    def random(self, n):
+        self.calls.append(n)
+        return self.rng.random(n)
+
+
+def test_block_draw_retries_an_exhausted_pool():
+    # every position excludes the id holding 99% of the weight, so the first
+    # pool runs dry and is drawn again, larger, from the same state
+    n_pos, size = 300, 5
+    seq = NegativeSampler(np.random.Generator(np.random.PCG64(5)), 2, [1, 99])
+    want = [seq.draw(size, 1) for _ in range(n_pos)]
+    rng = _CountingRng(5)
+    got = draw_negatives([NegativeSampler(rng, 2, [1, 99])], [0] * n_pos, [1] * n_pos, size)
+    assert len(rng.calls) > 3 and rng.calls[1] == 2 * rng.calls[0]
+    assert np.array_equal(got, want)
+    assert rng.bit_generator.state == seq.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("freqs", [[0, 5, 0], [10**20, 1]], ids=["one_nonzero", "one_swamps_the_rest"])
+def test_draw_excluding_all_the_weight_raises(freqs):
+    sampler = NegativeSampler(np.random.Generator(np.random.PCG64(0)), len(freqs), freqs)
+    sole = int(np.argmax(freqs))
+    assert sampler.sole == sole
+    with pytest.raises(ValueError, match="all the sampling weight"):
+        sampler.draw(3, sole)
+    with pytest.raises(ValueError, match="all the sampling weight"):
+        draw_negatives([sampler], [0, 0], [1 - sole, sole], 3)
+    assert len(sampler.draw(3, 1 - sole)) == 3  # excluding anything else still draws

@@ -103,6 +103,8 @@ def test_epoch_cap_respected():
     data = make_corpus()
     _, records = train_model(data, CFG, "word")
     assert max(r.epoch for r in records) <= CFG.max_epochs
+    # validation scoring is timed inside the epoch
+    assert all(0 <= r.score_seconds <= r.seconds for r in records)
 
 
 def test_trace_stops_at_first_non_improvement():
