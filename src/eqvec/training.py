@@ -9,8 +9,9 @@ after each positive from a seeded stream, so a (seed, config, corpus)
 triple fully determines the fitted parameters.
 
 Each pass is compiled once per fit into plans of flat arrays (``passes``).
-An epoch then draws each plan's negatives at once and takes one serial SGD
-step per position on a stacked copy of the pass's tables.
+An epoch then draws a plan's negatives at once, a slice of positions at a
+time, and takes one serial SGD step per position on a stacked copy of the
+pass's tables.
 """
 
 import logging
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import evaluation
+from . import evaluation, passes
 from .corpus import CorpusData
 from .model import LOG_EPS, MODES, EmbeddingTable, Model, ModelConfig
 from .passes import PASS_CLASSES, PassPlan, _ptr, _ranges, compile_pass
@@ -60,28 +61,26 @@ class NegativeSampler:
     Unigram sampling uses the raw frequency distribution (power 1.0);
     without frequencies every id has equal weight (uniform sampling).  Both
     map one uniform double per draw through the cumulative distribution.
-    ``sole`` is the id holding all the weight, if one does, else -1.
+    ``accept[i]`` is the chance that a draw is not id i.
     """
 
     def __init__(self, rng: np.random.Generator, n: int, freqs=None):
         self.rng = rng
         self.n = n
         self.cum = None
-        self.sole = -1
         if n > 1:
             w = np.ones(n) if freqs is None else np.asarray(freqs, dtype=np.float64)
             if w.sum() <= 0:
                 w = np.ones(n)
             self.cum = np.cumsum(w / w.sum())
             self.cum[-1] = 1.0
-            steps = np.flatnonzero(np.diff(self.cum, prepend=0.0))
-            if len(steps) == 1:
-                self.sole = int(steps[0])
+            self.accept = 1.0 - np.diff(self.cum, prepend=0.0)
 
     def draw(self, size: int, exclude: int) -> np.ndarray:
         if self.cum is None:
             return np.empty(0, dtype=np.int64)
-        _check_exclusion([self.sole], [exclude])
+        if 0 <= exclude < self.n:
+            _expected_draws(size, self.accept[[exclude]], [exclude])
         out = np.empty(size, dtype=np.int64)
         have = 0
         while have < size:
@@ -92,10 +91,19 @@ class NegativeSampler:
         return out
 
 
-def _check_exclusion(sole, exclude):
-    hit = np.flatnonzero(np.asarray(sole) == np.asarray(exclude))
+_POOL = 1 << 16  # doubles one scan is expected to map, at most about
+
+
+def _expected_draws(size: int, accept, exclude) -> np.ndarray:
+    """Doubles each position is expected to consume for ``size`` negatives;
+    ValueError where that exceeds ``_POOL`` (or the id holds all the weight)."""
+    with np.errstate(divide="ignore"):
+        need = size / np.asarray(accept)
+    hit = np.flatnonzero(need > _POOL)
     if hit.size:
-        raise ValueError(f"cannot draw negatives excluding id {exclude[hit[0]]}: it holds all the sampling weight")
+        raise ValueError(f"cannot draw negatives excluding id {exclude[hit[0]]}: "
+                         "it holds all or nearly all the sampling weight")
+    return need
 
 
 def draw_negatives(samplers, which, exclude, size: int) -> np.ndarray:
@@ -124,21 +132,33 @@ def draw_negatives(samplers, which, exclude, size: int) -> np.ndarray:
 
 
 def _draw_stream(samplers, which, exclude, size):
-    """``draw_negatives`` for samplers sharing one generator.
+    """``draw_negatives`` for samplers sharing one generator: consecutive
+    groups of positions, each expected to need at most about ``_POOL``
+    doubles, are scanned in turn."""
+    offsets = _ptr([s.n for s in samplers])[which]
+    need = _expected_draws(size, np.concatenate([s.accept for s in samplers])[offsets + exclude], exclude)
+    cuts = np.flatnonzero(np.diff((np.cumsum(need) - need) // _POOL)) + 1
+    return np.concatenate([
+        _scan(samplers, list(zip(which[g].tolist(), exclude[g].tolist())), size, need[g].sum())
+        for g in np.split(np.arange(len(which)), cuts)
+    ])
 
-    A pool of doubles is drawn and mapped through every sampler's
-    distribution once.  Positions then take ``size`` ids each from where
-    the previous one stopped; a position that drew its own exclusion takes
-    the next accepted ids one by one instead, which is what the rounds of
+
+def _scan(samplers, positions, size, need):
+    """Negatives for ``positions`` (sampler, exclusion) by one linear scan.
+
+    A pool of doubles, the expected ``need`` plus four of its square roots,
+    is drawn and mapped through every sampler's distribution once.
+    Positions then take ``size`` ids each from where the previous one
+    stopped; a position that drew its own exclusion takes the next accepted
+    ids one by one instead, which is what the rounds of
     ``NegativeSampler.draw`` amount to.  A pool that runs out is drawn again
     twice as large from the same state, and the generator finally advances
     by exactly the doubles the positions consumed.
     """
-    _check_exclusion(np.array([s.sole for s in samplers])[which], exclude)
     rng = samplers[0].rng
     state = rng.bit_generator.state
-    positions = list(zip(which.tolist(), exclude.tolist()))
-    pool = len(positions) * size * 9 // 8 + 64  # slack for rejected draws
+    pool = int(need + 4 * need**0.5) + 1
     while True:
         u = rng.random(pool)
         ids = [np.searchsorted(s.cum, u, side="right").tolist() for s in samplers]
@@ -305,14 +325,21 @@ def sgd_block(stacked, plan: PassPlan, lo: int, hi: int, negatives, lr: float) -
 
 
 def _run_epoch(plans, tables, trainable, samplers, config: ModelConfig) -> float:
-    """One epoch over a compiled pass; returns the summed training loss."""
+    """One epoch over a compiled pass; returns the summed training loss.
+
+    A plan runs in slices of at most ``passes._COMPILE_TOKENS`` positions:
+    a long document compiles into one plan, and a slice bounds the memory
+    its negative draw and step set-up take."""
     stacked = _stack(tables)
     total = 0.0
+    n = passes._COMPILE_TOKENS
     with np.errstate(over="ignore"):
         for plan in plans:
-            negs = draw_negatives(samplers, plan.cls, plan.target, config.n_negatives)
-            for loss in sgd_block(stacked, plan, 0, len(plan), negs, config.learning_rate).tolist():
-                total += loss
+            for lo in range(0, len(plan), n):
+                hi = min(lo + n, len(plan))
+                negs = draw_negatives(samplers, plan.cls[lo:hi], plan.target[lo:hi], config.n_negatives)
+                for loss in sgd_block(stacked, plan, lo, hi, negs, config.learning_rate).tolist():
+                    total += loss
     _unstack(stacked, tables, trainable)
     return total
 

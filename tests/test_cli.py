@@ -478,6 +478,20 @@ def test_count_below_one_exits_3(name, count, tiny_bundle, tmp_path):
     assert not os.path.exists(model)
 
 
+def test_count_swamping_the_rest_exits_1(tiny_bundle, tmp_path):
+    # every count is valid, but one word holds all but ~1e-15 of the weight:
+    # drawing negatives that exclude it is refused instead of never ending
+    copy = str(tmp_path / "bundle")
+    shutil.copytree(tiny_bundle, copy)
+    _set_counts(os.path.join(copy, "vocab.tsv"), lambda i, n: 10**17 if i == 1 else n)
+    model = str(tmp_path / "m.eqv")
+    code, out, err = fresh(["train", "--bundle", copy, "--model", model, "--mode", "word",
+                            "--set", "max_epochs=1"], timeout=60)
+    assert code == 1
+    assert "nearly all the sampling weight" in err and "Traceback" not in err
+    assert not os.path.exists(model)
+
+
 def test_deeply_nested_equation_ingests(tiny_corpus, tiny_bundle, tmp_path, capsys):
     corpus = tmp_path / "corpus"
     shutil.copytree(tiny_corpus, corpus)

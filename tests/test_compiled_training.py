@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from eqvec import passes
 from eqvec.model import EmbeddingTable
 from eqvec.passes import assemble_plan
-from eqvec.training import NegativeSampler, _stack, _unstack, draw_negatives, sgd_block, train_model
+from eqvec.training import _POOL, NegativeSampler, _stack, _unstack, draw_negatives, sgd_block, train_model
 
 from .conftest import plan_positions
 from .reference_model import SparseGrads, Tables, TrainingPair, adagrad_step, pair_loss_and_grads
@@ -195,7 +195,8 @@ def test_compiled_step_equals_pair_api(case):
 def negative_streams(draw):
     """Plan-sized runs of positions over two samplers.  In the dominant case
     every position of sampler 0 excludes the id holding 90% of its weight,
-    so the positions consume many times the draws a first pool holds."""
+    so it consumes ten times the doubles of a free draw and long runs are
+    scanned in several pool-sized groups."""
     def freqs():
         n = draw(st.integers(1, 8))
         f = draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))
@@ -260,26 +261,43 @@ class _CountingRng:
         return self.rng.random(n)
 
 
-def test_block_draw_retries_an_exhausted_pool():
-    # every position excludes the id holding 99% of the weight, so the first
-    # pool runs dry and is drawn again, larger, from the same state
-    n_pos, size = 300, 5
-    seq = NegativeSampler(np.random.Generator(np.random.PCG64(5)), 2, [1, 99])
+@pytest.mark.parametrize(
+    "n_pos, size, seed, scans",
+    [
+        (3, 2, 0, lambda calls: len(calls) == 2),  # one pool, then the advance
+        # the positions consume more than the first pool holds, so it is
+        # drawn again, twice as large, from the same state
+        (3, 2, 1, lambda calls: len(calls) == 3 and calls[1] == 2 * calls[0]),
+        # 150,000 expected doubles are scanned in several pool-sized groups
+        (300, 5, 5, lambda calls: len(calls) >= 6 and calls[0] < 2 * _POOL),
+    ],
+    ids=["one_pool", "retried_pool", "pool_sized_groups"],
+)
+def test_block_draw_pools(n_pos, size, seed, scans):
+    # every position excludes the id holding 99% of the weight
+    seq = NegativeSampler(np.random.Generator(np.random.PCG64(seed)), 2, [1, 99])
     want = [seq.draw(size, 1) for _ in range(n_pos)]
-    rng = _CountingRng(5)
+    rng = _CountingRng(seed)
     got = draw_negatives([NegativeSampler(rng, 2, [1, 99])], [0] * n_pos, [1] * n_pos, size)
-    assert len(rng.calls) > 3 and rng.calls[1] == 2 * rng.calls[0]
+    assert scans(rng.calls)
     assert np.array_equal(got, want)
     assert rng.bit_generator.state == seq.rng.bit_generator.state
 
 
-@pytest.mark.parametrize("freqs", [[0, 5, 0], [10**20, 1]], ids=["one_nonzero", "one_swamps_the_rest"])
+@pytest.mark.parametrize(
+    "freqs",
+    [[0, 5, 0], [10**20, 1], [1, 1, 10**17], [1, 10**6]],
+    ids=["one_nonzero", "one_swamps_the_rest", "swamping_id_last", "all_but_a_millionth"],
+)
 def test_draw_excluding_all_the_weight_raises(freqs):
+    # refused before any double is drawn, so no pool grows
     sampler = NegativeSampler(np.random.Generator(np.random.PCG64(0)), len(freqs), freqs)
-    sole = int(np.argmax(freqs))
-    assert sampler.sole == sole
+    state = sampler.rng.bit_generator.state
+    big = int(np.argmax(freqs))
+    other = (big + 1) % len(freqs)
     with pytest.raises(ValueError, match="all the sampling weight"):
-        sampler.draw(3, sole)
+        sampler.draw(3, big)
     with pytest.raises(ValueError, match="all the sampling weight"):
-        draw_negatives([sampler], [0, 0], [1 - sole, sole], 3)
-    assert len(sampler.draw(3, 1 - sole)) == 3  # excluding anything else still draws
+        draw_negatives([sampler], [0, 0], [other, big], 3)
+    assert sampler.rng.bit_generator.state == state
+    assert len(sampler.draw(3, other)) == 3  # excluding anything else still draws
