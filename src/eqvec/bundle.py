@@ -50,6 +50,8 @@ _H_UNITS = "# eqvec-units 1"
 _H_STREAMS = b"# eqvec-streams 1\n"
 _H_EQUNITS = b"# eqvec-equnits 1\n"
 _H_HELDOUT = "# eqvec-heldout 1"
+# the tag of each class in a held-out context entry, "w:12" or "e:3"
+_CONTEXT_TAGS = {"word": "w", "eq": "e"}
 
 
 class BundleFormatError(ValueError):
@@ -134,9 +136,7 @@ def _write_heldout(path: str, items):
     with open(path, "w") as f:
         f.write(_H_HELDOUT + "\n")
         for it in items:
-            ctx = ",".join(
-                ("w:" if cls == "word" else "e:") + str(i) for cls, i in it.context
-            )
+            ctx = ",".join(f"{_CONTEXT_TAGS[cls]}:{i}" for cls, i in it.context)
             negs = ",".join(str(n) for n in it.negatives)
             f.write(f"{it.target}\t{it.eq_id}\t{it.doc_id}\t{it.position}\t{ctx}\t{negs}\n")
 
@@ -338,6 +338,7 @@ def _read_eq_units(path: str, n_equations: int) -> dict[int, np.ndarray]:
 
 
 def _read_heldout(path: str, split: str, n_words: int, n_equations: int):
+    classes = {tag: cls for cls, tag in _CONTEXT_TAGS.items()}
     items = []
     for target, eq_id, doc_id, position, ctx, negs in _read_rows(path, _H_HELDOUT, 6):
         context = []
@@ -345,8 +346,10 @@ def _read_heldout(path: str, split: str, n_words: int, n_equations: int):
             for tok in ctx.split(","):
                 if not tok:
                     continue
-                cls, i = tok.split(":")
-                context.append(("word" if cls == "w" else "eq", int(i)))
+                tag, i = tok.split(":")
+                if tag not in classes:
+                    raise ValueError(f"unknown context class {tag!r}")
+                context.append((classes[tag], int(i)))
             negatives = [int(x) for x in negs.split(",") if x]
             items.append(
                 HeldOutItem(
@@ -359,8 +362,8 @@ def _read_heldout(path: str, split: str, n_words: int, n_equations: int):
                     eq_id=int(eq_id),
                 )
             )
-        except ValueError:
-            raise BundleFormatError(f"{path}: malformed held-out item") from None
+        except ValueError as exc:
+            raise BundleFormatError(f"{path}: malformed held-out item: {exc}") from None
     ids = {cls: [i for it in items for c, i in it.context if c == cls] for cls in ("word", "eq")}
     _check_ids(path, "word", [i for it in items for i in (it.target, *it.negatives)] + ids["word"], n_words)
     _check_ids(path, "equation", [it.eq_id for it in items] + ids["eq"], n_equations)

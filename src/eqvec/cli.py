@@ -60,6 +60,8 @@ class RunConfig:
     eval_eq_windows: str = "8,16"
     model: ModelConfig = field(default_factory=ModelConfig)
     ingest: IngestParams = field(default_factory=IngestParams)
+    # the keys a config file, --set or a flag gave (``build_config`` sets it)
+    given: typing.ClassVar[frozenset] = frozenset()
 
     def eval_grid(self) -> tuple[list, tuple, tuple, tuple]:
         """(modes, dims, word windows, equation windows) of the eval grid."""
@@ -85,7 +87,9 @@ _KEY_TYPES = {
     if f.name not in ("model", "ingest")
 }
 # keys that a dedicated flag also sets, each flag's argparse dest named after its key
-_FLAG_KEYS = ("corpus_dir", "bundle_dir", "model_path", "report_path", "mode", "seed", "workers")
+_FLAG_KEYS = (
+    "corpus_dir", "bundle_dir", "model_path", "report_path", "mode", "seed", "workers", "word2eq_vectors",
+)
 
 
 def _split(value: str) -> list[str]:
@@ -160,6 +164,7 @@ def build_config(args) -> RunConfig:
         model=ModelConfig(**_pick(ModelConfig, values)),
         ingest=IngestParams(**_pick(IngestParams, values)),
     )
+    cfg.given = frozenset(values)
     try:
         cfg.model.validate()
         cfg.ingest.validate()
@@ -219,9 +224,8 @@ def cmd_train(args) -> int:
         model, records = training.train_model(data, mconfig, cfg.mode)
     except training.TrainingDiverged as exc:
         print(f"error: {exc}; retaining last good snapshot", file=sys.stderr)
-        if exc.model is not None:
-            modelfile.save_model(exc.model, cfg.model_path)
-            _write_trace(cfg.model_path, exc.records)
+        modelfile.save_model(exc.model, cfg.model_path)
+        _write_trace(cfg.model_path, exc.records)
         return EXIT_RUNTIME
     modelfile.save_model(model, cfg.model_path)
     _write_trace(cfg.model_path, records)
@@ -307,9 +311,11 @@ def cmd_query(args) -> int:
         surface = lambda i: data.word_vocab.forms[i]
     else:
         words = [w.strip() for w in args.words.split(",") if w.strip()]
+        # the model's own choice unless this run names one
+        vectors = cfg.model.word2eq_vectors if "word2eq_vectors" in cfg.given else None
         ranking = retrieval.equations_for_words(
             model, data.word_vocab, words, k,
-            metric=args.metric or "cosine", vectors=args.vectors,
+            metric=args.metric or "cosine", vectors=vectors,
         )
         surface = lambda i: data.registry.records[i].latex
     print("rank\tid\tscore\tsurface")
@@ -388,10 +394,10 @@ def make_parser() -> argparse.ArgumentParser:
         qp = qsub.add_parser(kind, help=help_text)
         if kind == "word2eq":
             qp.add_argument("--words", required=True, help="comma-separated query words")
-            qp.add_argument("--vectors", choices=("rho", "alpha"), default=None)
+            qp.add_argument("--vectors", dest="word2eq_vectors", choices=("rho", "alpha"), default=None,
+                            help="word2eq_vectors: the equation vectors to rank")
         else:
             qp.add_argument("--id", type=int, required=True, help="equation id")
-            qp.set_defaults(vectors=None)
         qp.add_argument("-k", type=int, default=5)
         qp.add_argument("--metric", choices=("cosine", "euclidean"), default=None)
         qp.add_argument("--model", dest="model_path", metavar="MODEL", help="model path")

@@ -16,7 +16,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .model import EmbeddingTable, Model, ModelConfig
+from .model import MODES, EmbeddingTable, Model, ModelConfig
 
 MAGIC = b"EQVMODEL"
 FORMAT_VERSION = 1
@@ -92,9 +92,7 @@ def read_header(path: str) -> dict:
     """Parse and return the JSON header after verifying the checksum."""
     with open(path, "rb") as f:
         raw = f.read()
-    header = _parse_and_verify(raw, path)
-    header.pop("_hlen", None)
-    return header
+    return _parse_and_verify(raw, path)[0]
 
 
 def load_model(path: str, eq_units=None) -> Model:
@@ -102,11 +100,11 @@ def load_model(path: str, eq_units=None) -> Model:
     bundle to derive per-equation vectors."""
     with open(path, "rb") as f:
         raw = f.read()
-    header = _parse_and_verify(raw, path)
-    config = ModelConfig(**header["config"]).validate()
+    header, hlen = _parse_and_verify(raw, path)
+    config = ModelConfig(**header["config"])
     mode = header["mode"]
 
-    offset = len(MAGIC) + 8 + header["_hlen"]
+    offset = len(MAGIC) + 8 + hlen
     matrices = []
     n_tables = 1 if mode == "word" else 2
     for _ in range(2 * n_tables):
@@ -140,7 +138,8 @@ def load_model(path: str, eq_units=None) -> Model:
     )
 
 
-def _parse_and_verify(raw: bytes, path: str) -> dict:
+def _parse_and_verify(raw: bytes, path: str) -> tuple[dict, int]:
+    """The checked header and its length in bytes."""
     if len(raw) < len(MAGIC) + 12 or raw[: len(MAGIC)] != MAGIC:
         raise ModelFileError(f"not a model file: {path}")
     (version,) = struct.unpack_from("<I", raw, len(MAGIC))
@@ -157,8 +156,28 @@ def _parse_and_verify(raw: bytes, path: str) -> dict:
         header = json.loads(raw[start : start + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFileError(f"corrupt model header: {exc}") from exc
-    header["_hlen"] = hlen
-    return header
+    _check_header(header)
+    return header, hlen
+
+
+_HEADER_KEYS = {"format_version", "mode", "k", "seed", "vocab_sizes", "eq_vector_source", "config"}
+_HEADER_INTS = ("format_version", "k", "seed", "n_equations")  # n_equations may be absent
+
+
+def _check_header(header):
+    """ModelFileError unless the header has every key readers use, integer
+    counts, a known mode and a config ``ModelConfig`` accepts."""
+    if not isinstance(header, dict) or not header.keys() >= _HEADER_KEYS:
+        raise ModelFileError("corrupt model header: not an object with keys " + ", ".join(sorted(_HEADER_KEYS)))
+    if header["mode"] not in MODES:
+        raise ModelFileError(f"corrupt model header: unknown mode {header['mode']!r}")
+    bad = [key for key in _HEADER_INTS if type(header.get(key, 0)) is not int]
+    if bad or not isinstance(header["vocab_sizes"], dict):
+        raise ModelFileError(f"corrupt model header: {(bad or ['vocab_sizes'])[0]} has the wrong type")
+    try:
+        ModelConfig(**header["config"]).validate()
+    except (TypeError, ValueError) as exc:
+        raise ModelFileError(f"corrupt model header: bad config: {exc}") from None
 
 
 def format_header(header: dict) -> str:

@@ -8,6 +8,7 @@ equation's position.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,15 +30,30 @@ def _exclusion_masks(data: CorpusData):
     return masks
 
 
-# Table classes of each pass, in stacked order, and which of them train.
-# A class's rho rows update where it is the target, its alpha rows where it
-# is context; frozen classes are read only.
+class PassSpec(NamedTuple):
+    """A pass's table classes in stacked order, which of them train, the
+    child seed of each class's negative stream (one seed, one stream) and
+    the model view that scores it.  A trained class's rho rows update where
+    it is the target, its alpha rows where it is context."""
+
+    classes: tuple
+    trainable: tuple
+    seeds: tuple
+    view: str
+
+
 PASS_CLASSES = {
-    "word": (("word",), (True,)),
-    "equation": (("word", "eq"), (False, True)),
-    "unit": (("word", "unit"), (False, True)),
-    "joint": (("word", "unit"), (True, True)),
+    "word": PassSpec(("word",), (True,), (3,), "word"),
+    "equation": PassSpec(("word", "eq"), (False, True), (4, 4), "equation"),
+    "unit": PassSpec(("word", "unit"), (False, True), (5, 5), "unit"),
+    "joint": PassSpec(("word", "unit"), (True, True), (3, 5), "unit"),
 }
+
+
+def class_sizes(data: CorpusData) -> dict:
+    """Rows of each table class."""
+    n_units = len(data.unit_vocab) if data.unit_vocab is not None else 0
+    return {"word": data.n_words, "eq": data.n_equations, "unit": n_units}
 
 
 @dataclass
@@ -174,9 +190,8 @@ def compile_pass(data: CorpusData, config: ModelConfig, pass_name: str) -> list[
     time into consecutive plans, so the window matrices stay small and the
     plans are never copied into one.
     """
-    classes, trainable = PASS_CLASSES[pass_name]
-    n_units = len(data.unit_vocab) if data.unit_vocab is not None else 0
-    sizes = [{"word": data.n_words, "eq": data.n_equations, "unit": n_units}[c] for c in classes]
+    spec = PASS_CLASSES[pass_name]
+    sizes = [class_sizes(data)[c] for c in spec.classes]
     units = unit_lists(data.eq_units, data.n_equations)
     masks = _exclusion_masks(data)
     plans, lo, tokens = [], 0, 0
@@ -184,7 +199,7 @@ def compile_pass(data: CorpusData, config: ModelConfig, pass_name: str) -> list[
         tokens += len(stream.codes)
         if tokens >= _COMPILE_TOKENS or hi == len(data.streams):
             codes = [s.codes for s in data.streams[lo:hi]]
-            plans.append(_compile_streams(codes, masks[lo:hi], units, sizes, trainable, config, pass_name))
+            plans.append(_compile_streams(codes, masks[lo:hi], units, sizes, spec.trainable, config, pass_name))
             lo, tokens = hi, 0
     return plans
 

@@ -1,9 +1,10 @@
 """Training loops: negative-sampling SGD with Adagrad over token streams.
 
-Three modes share one discipline.  Words are always fitted first with
-equations ignored; the second pass then fits equation vectors (or unit
-vectors) while every word vector stays frozen.  Each pass early-stops on
-the validation predictive log-likelihood.  Single-threaded enumeration is
+Three modes share one discipline, declared per pass in
+``passes.PASS_CLASSES``.  Words are always fitted first with equations
+ignored; the second pass then fits equation vectors (or unit vectors)
+while every word vector stays frozen.  Each pass early-stops on the
+validation predictive log-likelihood.  Single-threaded enumeration is
 document order, positions left to right, negatives drawn immediately
 after each positive from a seeded stream, so a (seed, config, corpus)
 triple fully determines the fitted parameters.
@@ -14,7 +15,6 @@ time, and takes one serial SGD step per position on a stacked copy of the
 pass's tables.
 """
 
-import logging
 import time
 from dataclasses import dataclass
 
@@ -25,8 +25,6 @@ from .corpus import CorpusData
 from .model import LOG_EPS, MODES, EmbeddingTable, Model, ModelConfig
 from .passes import PASS_CLASSES, PassPlan, _ptr, _ranges, compile_pass
 
-log = logging.getLogger(__name__)
-
 
 class TrainingDiverged(RuntimeError):
     """Raised when the validation score goes non-finite.
@@ -34,12 +32,12 @@ class TrainingDiverged(RuntimeError):
     The trainer rolls tables back to the last good epoch before raising and
     attaches that snapshot as ``model`` so callers can retain it."""
 
-    def __init__(self, pass_name: str, epoch: int):
+    def __init__(self, pass_name: str, epoch: int, model: Model, records: list):
         super().__init__(f"validation score became non-finite in {pass_name} pass, epoch {epoch}")
         self.pass_name = pass_name
         self.epoch = epoch
-        self.model = None
-        self.records = []
+        self.model = model
+        self.records = records
 
 
 @dataclass
@@ -344,107 +342,74 @@ def _run_epoch(plans, tables, trainable, samplers, config: ModelConfig) -> float
     return total
 
 
-# --- pass driver with early stopping --------------------------------------------
-
-
-def _run_pass(pass_name, epoch_fn, score_fn, trainables, max_epochs, records):
-    snapshots = [t.snapshot() for t in trainables]
-    trace: list[float] = []
-    for epoch in range(1, max_epochs + 1):
-        t0 = time.perf_counter()
-        loss = epoch_fn()
-        t1 = time.perf_counter()
-        score = score_fn()
-        t2 = time.perf_counter()
-        trace.append(score)
-        records.append(EpochRecord(pass_name, epoch, score, t2 - t0, loss, t2 - t1))
-        if not np.isfinite(score):
-            for t, snap in zip(trainables, snapshots):
-                t.restore(snap)
-            raise TrainingDiverged(pass_name, epoch)
-        decision = evaluation.early_stopping_controller(trace, max_epochs)
-        if decision.stop and decision.best_epoch < epoch:
-            for t, snap in zip(trainables, snapshots):
-                t.restore(snap)
-            break
-        snapshots = [t.snapshot() for t in trainables]
-        if decision.stop:
-            break
-    return trace
+# --- the fit: one early-stopped loop per pass ------------------------------------
 
 
 def train_model(data: CorpusData, config: ModelConfig, mode: str):
     """Fit a model of the requested mode; returns (model, epoch records).
 
-    Table initialization and each pass's negative stream use independent
-    child seeds of ``config.seed``, so the fitted word table is bit-identical
-    across modes on corpora where the extra passes have nothing to train.
+    Runs the word pass and then the mode's own pass, or only the joint pass
+    of a ``unit_joint`` model.  Each pass stops at the first epoch whose
+    validation score fails to improve and keeps its predecessor.  Tables
+    and negative streams use independent child seeds of ``config.seed``, so
+    the fitted word table is bit-identical across modes on corpora where
+    the extra passes have nothing to train.
     """
     config.validate()
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    seeds = np.random.SeedSequence(config.seed).spawn(6)
-    rngs = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
-
-    n_words = data.n_words
-    word_t = EmbeddingTable(n_words, config.k, rngs[0], config.scale)
-    eq_t = EmbeddingTable(data.n_equations, config.k, rngs[1], config.scale) if mode == "equation" else None
-    n_units = len(data.unit_vocab) if data.unit_vocab is not None else 0
-    unit_t = EmbeddingTable(n_units, config.k, rngs[2], config.scale) if mode == "unit" else None
-
-    unigram = config.negative_sampling == "unigram"
-    word_freqs = data.word_vocab.freqs if unigram else None
-    unit_freqs = data.unit_vocab.freqs if (unigram and data.unit_vocab is not None) else None
-    records: list[EpochRecord] = []
-
-    def scoring_model(view_mode):
-        return Model(
-            view_mode, config, word_t, eq=eq_t, unit=unit_t,
-            eq_units=data.eq_units, n_equations=data.n_equations,
-        )
-
-    def run(pass_name, tables, samplers, view):
-        trainable = PASS_CLASSES[pass_name][1]
-        plans = []
-
-        def epoch():
-            if not plans:  # compiled inside the first epoch, which it belongs to
-                plans.extend(compile_pass(data, config, pass_name))
-            return _run_epoch(plans, tables, trainable, samplers, config)
-
-        trainables = [t for t, tr in zip(tables, trainable) if tr]
-        try:
-            _run_pass(
-                pass_name,
-                epoch,
-                lambda: evaluation.mean_predictive_ll(data.heldout_valid, scoring_model(view)),
-                trainables,
-                config.max_epochs,
-                records,
-            )
-        except TrainingDiverged as exc:
-            exc.model = scoring_model(view)
-            exc.records = records
-            raise
-
+    rngs = [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(config.seed).spawn(6)]
     if mode == "unit" and config.unit_joint:
-        samplers = [NegativeSampler(rngs[3], n_words, word_freqs), NegativeSampler(rngs[5], n_units, unit_freqs)]
-        run("joint", [word_t, unit_t], samplers, "unit")
-        return scoring_model("unit"), records
+        pass_names = ["joint"]
+    else:
+        pass_names = ["word"] if mode == "word" else ["word", mode]
+    used = {c for p in pass_names for c in PASS_CLASSES[p].classes}
+    sizes = passes.class_sizes(data)
+    # the word, equation and unit tables start from child seeds 0, 1 and 2
+    tables = {c: EmbeddingTable(n, config.k, rngs[i], config.scale)
+              for i, (c, n) in enumerate(sizes.items()) if c in used}
 
-    run("word", [word_t], [NegativeSampler(rngs[3], n_words, word_freqs)], "word")
-    if mode == "word":
-        return scoring_model("word"), records
+    def freqs(cls):
+        if config.negative_sampling != "unigram":
+            return None
+        if cls == "eq":
+            return data.registry.occurrence_counts()
+        vocab = data.word_vocab if cls == "word" else data.unit_vocab
+        return vocab.freqs if vocab is not None else None
 
-    word_t.freeze()
-    if mode == "equation":
-        eq_freqs = data.registry.occurrence_counts() if unigram else None
-        # both samplers share one generator so the negative stream follows
-        # enumeration order exactly
-        samplers = [NegativeSampler(rngs[4], n_words, word_freqs), NegativeSampler(rngs[4], data.n_equations, eq_freqs)]
-        run("equation", [word_t, eq_t], samplers, "equation")
-        return scoring_model("equation"), records
+    def view(name):
+        return Model(name, config, tables["word"], eq=tables.get("eq"), unit=tables.get("unit"),
+                     eq_units=data.eq_units, n_equations=data.n_equations)
 
-    samplers = [NegativeSampler(rngs[5], n_words, word_freqs), NegativeSampler(rngs[5], n_units, unit_freqs)]
-    run("unit", [word_t, unit_t], samplers, "unit")
-    return scoring_model("unit"), records
+    records: list[EpochRecord] = []
+    for name in pass_names:
+        spec = PASS_CLASSES[name]
+        pass_tables = [tables[c] for c in spec.classes]
+        trainables = [t for t, tr in zip(pass_tables, spec.trainable) if tr]
+        for t, tr in zip(pass_tables, spec.trainable):
+            if not tr:
+                t.freeze()
+        samplers = [NegativeSampler(rngs[s], sizes[c], freqs(c)) for c, s in zip(spec.classes, spec.seeds)]
+        snapshots = [t.snapshot() for t in trainables]
+        plans, trace = None, []
+        for epoch in range(1, config.max_epochs + 1):
+            t0 = time.perf_counter()
+            if plans is None:  # compiled inside the first epoch, which it belongs to
+                plans = compile_pass(data, config, name)
+            loss = _run_epoch(plans, pass_tables, spec.trainable, samplers, config)
+            t1 = time.perf_counter()
+            score = evaluation.mean_predictive_ll(data.heldout_valid, view(spec.view))
+            t2 = time.perf_counter()
+            trace.append(score)
+            records.append(EpochRecord(name, epoch, score, t2 - t0, loss, t2 - t1))
+            diverged = not np.isfinite(score)
+            decision = evaluation.early_stopping_controller(trace, config.max_epochs)
+            if diverged or (decision.stop and decision.best_epoch < epoch):
+                for t, snap in zip(trainables, snapshots):
+                    t.restore(snap)
+            if diverged:
+                raise TrainingDiverged(name, epoch, view(spec.view), records)
+            if decision.stop:
+                break
+            snapshots = [t.snapshot() for t in trainables]
+    return view(mode), records

@@ -7,13 +7,15 @@ It is slow and plain on purpose: the compiled trainer in
 losses and fitted tables (to rounding), which the equivalence tests check.
 """
 
+import time
+
 import numpy as np
 
 from eqvec.corpus import EQ_TAG, GAP
 from eqvec.model import EmbeddingTable, Model, sigmoid
 from eqvec import evaluation
 from eqvec.passes import _exclusion_masks
-from eqvec.training import EpochRecord, NegativeSampler, _run_pass
+from eqvec.training import EpochRecord, NegativeSampler
 
 from .reference_model import adagrad_rows
 
@@ -212,6 +214,31 @@ def _unit_epoch(data, masks, word_t, unit_t, cfg, word_sampler, unit_sampler, up
 # --- train_model on the loops above -----------------------------------------------
 
 
+def _stopping_loop(pass_name, epoch_fn, score_fn, trainables, max_epochs, records):
+    """Epochs until the validation score first fails to improve (ties
+    included), rolled back to the predecessor, or until ``max_epochs``.
+
+    Written out here rather than taken from ``eqvec.training`` so the
+    oracle does not share the driver it checks."""
+    snapshots = [t.snapshot() for t in trainables]
+    trace = []
+    for epoch in range(1, max_epochs + 1):
+        t0 = time.perf_counter()
+        loss = epoch_fn()
+        t1 = time.perf_counter()
+        score = score_fn()
+        t2 = time.perf_counter()
+        records.append(EpochRecord(pass_name, epoch, score, t2 - t0, loss, t2 - t1))
+        if not np.isfinite(score):
+            raise FloatingPointError(f"validation score became non-finite in {pass_name} pass, epoch {epoch}")
+        if trace and score <= trace[-1]:
+            for t, snap in zip(trainables, snapshots):
+                t.restore(snap)
+            return
+        trace.append(score)
+        snapshots = [t.snapshot() for t in trainables]
+
+
 def reference_train_model(data, config, mode):
     """``train_model`` on the per-position loops above: same seeds, samplers,
     passes and early stopping; returns (model, epoch records)."""
@@ -238,7 +265,7 @@ def reference_train_model(data, config, mode):
         )
 
     def run(pass_name, epoch_fn, trainables, view):
-        _run_pass(
+        _stopping_loop(
             pass_name,
             epoch_fn,
             lambda: evaluation.mean_predictive_ll(data.heldout_valid, scoring_model(view)),

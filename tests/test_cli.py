@@ -1,11 +1,14 @@
 """Command-line pipeline: exit codes, artifacts, determinism."""
 
+import dataclasses
 import json
 import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
+import zlib
 from dataclasses import fields
 
 import numpy as np
@@ -383,6 +386,80 @@ def test_model_with_too_few_units_exits_3(planted_models, tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert f"unit id {full.unit.size - 1}" in err
+
+
+def _rewrite_header(src, dest, change):
+    """Copy a model file with ``change`` applied to its JSON header and the
+    checksum recomputed, so only the header is wrong."""
+    with open(src, "rb") as f:
+        raw = f.read()
+    (hlen,) = struct.unpack_from("<I", raw, 12)
+    hjson = json.dumps(change(json.loads(raw[16 : 16 + hlen]))).encode()
+    blob = raw[:12] + struct.pack("<I", len(hjson)) + hjson + raw[16 + hlen : -4]
+    with open(dest, "wb") as f:
+        f.write(blob + struct.pack("<I", zlib.crc32(blob)))
+
+
+@pytest.mark.parametrize("command", ["query", "inspect"])
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda h: {**h, "config": {**h["config"], "no_such_key": 1}},
+        lambda h: {k: v for k, v in h.items() if k != "mode"},
+        lambda h: {**h, "config": {**h["config"], "k": str(h["config"]["k"])}},
+        lambda h: {**h, "k": str(h["k"])},
+        lambda h: [h],
+        lambda h: {**h, "mode": "sentence"},
+        lambda h: {**h, "config": {**h["config"], "learning_rate": -1.0}},
+    ],
+    ids=["unknown_config_key", "missing_mode", "config_k_string", "k_string", "json_list",
+         "unknown_mode", "bad_config_value"],
+)
+def test_bad_model_header_exits_3(change, command, planted_models, tmp_path, capsys):
+    bundle, models, _ = planted_models
+    path = str(tmp_path / "bad.eqv")
+    _rewrite_header(models["unit"], str(tmp_path / "same.eqv"), lambda h: h)
+    assert run(["inspect", str(tmp_path / "same.eqv")], capsys)[0] == 0  # the rewrite alone is fine
+    _rewrite_header(models["unit"], path, change)
+    argv = {"query": ["query", "eq2eq", "--id", "0", "--model", path, "--bundle", bundle],
+            "inspect": ["inspect", path]}[command]
+    code, out, err = run(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: corrupt model header") and err.count("\n") == 1
+
+
+def test_word2eq_vectors_three_spellings(planted_models, tmp_path, capsys):
+    bundle, models, _ = planted_models
+    conf = tmp_path / "alpha.conf"
+    conf.write_text("word2eq_vectors = alpha\n")
+    # the same tables with alpha stored as the model's own choice
+    stored = load_model(models["unit"])
+    stored.config = dataclasses.replace(stored.config, word2eq_vectors="alpha")
+    alpha_model = save_model(stored, str(tmp_path / "alpha.eqv"))
+
+    def query(model, *extra):
+        code, out, err = run(["query", "word2eq", "--words", "matrix,eigenvalue,probability", "-k", "8",
+                              "--model", model, "--bundle", bundle, *extra], capsys)
+        assert code == 0, err
+        return out
+
+    plain = query(models["unit"])
+    spelled = [query(models["unit"], "--config", str(conf)),
+               query(models["unit"], "--set", "word2eq_vectors=alpha"),
+               query(models["unit"], "--vectors", "alpha")]
+    assert spelled[0] == spelled[1] == spelled[2] == query(alpha_model) != plain
+    # without a setting the model's stored choice holds; a setting overrides it
+    assert plain == query(models["unit"], "--set", "word2eq_vectors=rho") == query(alpha_model, "--vectors", "rho")
+    data = load_bundle(bundle)
+    ranking = retrieval.equations_for_words(
+        load_model(models["unit"], eq_units=data.eq_units), data.word_vocab,
+        ["matrix", "eigenvalue", "probability"], 8,
+    )
+    assert plain.splitlines()[1:] == [
+        f"{rank}\t{i}\t{score:.6f}\t{data.registry.records[i].latex}"
+        for rank, (i, score) in enumerate(ranking.hits, 1)
+    ]
 
 
 def _cut_in_half(path):

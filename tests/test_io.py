@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -126,6 +127,19 @@ def test_truncated_bundle_file_rejected(name, tmp_path):
     with open(os.path.join(path, name), "wb") as f:
         f.write(raw[: len(raw) // 2])
     with pytest.raises(BundleFormatError):
+        load_bundle(path)
+
+
+@pytest.mark.parametrize("tag", ["w", "e"])
+def test_heldout_unknown_context_class_rejected(tag, tmp_path):
+    path = save_bundle(tiny_corpus_data(), str(tmp_path / "bundle"))
+    heldout = os.path.join(path, "heldout.valid.tsv")
+    with open(heldout) as f:
+        text, n = re.subn(rf"(?<=[\t,]){tag}:", "q:", f.read(), count=1)
+    assert n == 1
+    with open(heldout, "w") as f:
+        f.write(text)
+    with pytest.raises(BundleFormatError, match="unknown context class 'q'"):
         load_bundle(path)
 
 

@@ -1,10 +1,15 @@
 """Training protocol: frozen passes, mode reduction, determinism, stopping."""
 
+import json
+
 import numpy as np
 import pytest
 
+from eqvec import cli, evaluation
+from eqvec.bundle import save_bundle
 from eqvec.corpus import IngestParams, ingest_corpus
 from eqvec.model import ModelConfig
+from eqvec.modelfile import load_model
 from eqvec.tex import RawDocument
 from eqvec.training import NegativeSampler, TrainingDiverged, train_model
 
@@ -225,13 +230,68 @@ def test_uniform_sampler_is_flat_and_excludes_target():
         assert abs(counts[i] - mean) <= 0.2 * mean
 
 
-def test_divergence_aborts_with_last_good_snapshot():
+def _scripted_scores(monkeypatch, scores):
+    """Validation scores taken in turn from ``scores`` instead of computed."""
+    it = iter(scores)
+    monkeypatch.setattr(evaluation, "mean_predictive_ll", lambda items, model: next(it))
+
+
+# (mode, scores up to a non-finite one, the same without the epochs the
+# last good snapshot does not include)
+DIVERGING = [
+    ("word", [-3.0, -2.5, float("nan")], [-3.0, -2.5]),
+    ("equation", [-3.0, -2.5, -2.6, -2.0, -1.5, float("nan")], [-3.0, -2.5, -2.0, -1.5]),
+]
+
+
+def test_divergence_aborts_with_last_good_snapshot(monkeypatch):
     data = make_corpus()
-    # a catastumbling learning rate produces non-finite scores quickly
-    wild = CFG.with_overrides(learning_rate=1e9, max_epochs=6)
-    try:
-        train_model(data, wild, "word")
-    except TrainingDiverged as exc:
+    for mode, scores, good in DIVERGING:
+        # the last good epoch is the second of each pass: a fit capped there
+        # on the same scores ends with exactly that snapshot
+        _scripted_scores(monkeypatch, good)
+        want, _ = train_model(data, CFG.with_overrides(max_epochs=2), mode)
+        _scripted_scores(monkeypatch, scores)
+        with pytest.raises(TrainingDiverged) as info:
+            train_model(data, CFG.with_overrides(max_epochs=6), mode)
+        exc = info.value
         assert exc.model is not None
         assert np.isfinite(exc.model.word.rho).all()
-    # divergence is not guaranteed at every scale; no assert if it converged
+        assert (exc.pass_name, exc.epoch) == (mode, 3)
+        last = exc.records[-1]
+        assert (last.pass_name, last.epoch) == (mode, 3) and np.isnan(last.validation_score)
+        assert len(exc.records) == len(scores)
+        for name in ("word", "eq"):
+            got, ref = getattr(exc.model, name), getattr(want, name)
+            if ref is None:
+                continue
+            for attr in ("rho", "alpha", "rho_acc", "alpha_acc"):
+                assert getattr(got, attr).tobytes() == getattr(ref, attr).tobytes(), (mode, name, attr)
+
+
+def test_cli_train_divergence_exits_1_and_keeps_snapshot(monkeypatch, tmp_path, capsys):
+    data = make_corpus()
+    bundle = save_bundle(data, str(tmp_path / "bundle"))
+    path = str(tmp_path / "model.eqv")
+    _, scores, good = DIVERGING[1]
+    _scripted_scores(monkeypatch, scores)
+    argv = ["train", "--bundle", bundle, "--model", path, "--mode", "equation", "--seed", "13",
+            "--set", "k=8", "--set", "eq_window=8", "--set", "eq_context_window=8",
+            "--set", "unit_window=2", "--set", "n_negatives=4", "--set", "learning_rate=0.05",
+            "--set", "max_epochs=6"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "non-finite in equation pass, epoch 3" in err and "Traceback" not in err
+    _scripted_scores(monkeypatch, good)
+    want, _ = train_model(data, CFG.with_overrides(max_epochs=2), "equation")
+    got = load_model(path, eq_units=data.eq_units)
+    assert got.mode == "equation"
+    for name in ("word", "eq"):
+        for attr in ("rho", "alpha"):
+            saved = getattr(getattr(want, name), attr).astype(np.float32).astype(np.float64)
+            assert np.array_equal(getattr(getattr(got, name), attr), saved), (name, attr)
+    with open(path + ".trace.jsonl") as f:
+        trace = [json.loads(line) for line in f]
+    assert [(r["pass"], r["epoch"]) for r in trace] == [("word", 1), ("word", 2), ("word", 3),
+                                                        ("equation", 1), ("equation", 2), ("equation", 3)]
+    assert np.isnan(trace[-1]["validation_predictive_ll"])
