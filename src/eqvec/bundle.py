@@ -59,8 +59,13 @@ class BundleFormatError(ValueError):
 
 
 def save_bundle(data: CorpusData, path: str) -> str:
-    """Write the bundle atomically: temp dir next to the target, then rename."""
+    """Write the bundle atomically: temp dir next to the target, then rename.
+
+    An existing target is replaced only if it is an empty directory or a
+    bundle; anything else raises ``FileExistsError`` before any write."""
     path = os.path.abspath(path)
+    if os.path.lexists(path) and not _replaceable(path):
+        raise FileExistsError(f"refusing to replace {path}: not an empty directory or an eqvec bundle")
     parent = os.path.dirname(path) or "."
     os.makedirs(parent, exist_ok=True)
     tmp = tempfile.mkdtemp(prefix=".bundle-", dir=parent)
@@ -73,6 +78,18 @@ def save_bundle(data: CorpusData, path: str) -> str:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
     return path
+
+
+def _replaceable(path: str) -> bool:
+    if os.path.islink(path) or not os.path.isdir(path):
+        return False
+    if not os.listdir(path):
+        return True
+    try:
+        with open(os.path.join(path, "manifest.json"), "rb") as f:
+            return json.load(f).get("format") == "eqvec-bundle"
+    except (OSError, ValueError, AttributeError):
+        return False
 
 
 def _write_files(data: CorpusData, root: str):

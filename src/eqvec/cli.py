@@ -419,7 +419,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing path, or a path of the wrong kind
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (modelfile.ModelFileError, bundle_io.BundleFormatError) as exc:

@@ -3,8 +3,10 @@
 Layout: 8-byte magic, uint32 format version, length-prefixed JSON header
 (mode, dimension, vocabulary sizes, config echo, seed), then row-major
 little-endian float32 matrices in a fixed order (word rho, word alpha,
-then either equation rho/alpha or unit rho/alpha), and a trailing CRC32
-of everything before it.
+then either equation rho/alpha or unit rho/alpha), each after its uint32
+rows and columns, and a trailing CRC32 of everything before it.  A
+matrix must be present in full with the header's vocabulary size and
+``k`` as its shape, or loading raises ``ModelFileError``.
 """
 
 import json
@@ -20,6 +22,8 @@ from .model import MODES, EmbeddingTable, Model, ModelConfig
 
 MAGIC = b"EQVMODEL"
 FORMAT_VERSION = 1
+# the tables a model file stores, in order, each as its rho then its alpha
+_CLASSES = {"word": ("word",), "equation": ("word", "eq"), "unit": ("word", "unit")}
 
 
 class ModelFileError(ValueError):
@@ -60,9 +64,9 @@ def save_model(model: Model, path: str) -> str:
     blob += struct.pack("<I", FORMAT_VERSION)
     blob += struct.pack("<I", len(hjson))
     blob += hjson
-    for table in _tables_in_order(model):
-        blob += _matrix_bytes(table.rho)
-        blob += _matrix_bytes(table.alpha)
+    for cls in _CLASSES[model.mode]:
+        blob += _matrix_bytes(getattr(model, cls).rho)
+        blob += _matrix_bytes(getattr(model, cls).alpha)
     blob += struct.pack("<I", zlib.crc32(bytes(blob)))
 
     path = os.path.abspath(path)
@@ -77,15 +81,6 @@ def save_model(model: Model, path: str) -> str:
             os.unlink(tmp)
         raise
     return path
-
-
-def _tables_in_order(model: Model):
-    tables = [model.word]
-    if model.mode == "equation":
-        tables.append(model.eq)
-    elif model.mode == "unit":
-        tables.append(model.unit)
-    return tables
 
 
 def read_header(path: str) -> dict:
@@ -105,37 +100,30 @@ def load_model(path: str, eq_units=None) -> Model:
     mode = header["mode"]
 
     offset = len(MAGIC) + 8 + hlen
-    matrices = []
-    n_tables = 1 if mode == "word" else 2
-    for _ in range(2 * n_tables):
-        rows, cols = struct.unpack_from("<II", raw, offset)
-        offset += 8
-        size = rows * cols * 4
-        if offset + size > len(raw) - 4:
-            raise ModelFileError(f"truncated model file: {path}")
-        m = np.frombuffer(raw, dtype="<f4", count=rows * cols, offset=offset)
-        matrices.append(m.reshape(rows, cols).astype(np.float64))
-        offset += size
-    if offset != len(raw) - 4:
+    end = len(raw) - 4
+    tables = {}
+    for cls in _CLASSES[mode]:
+        want = (header["vocab_sizes"].get(cls), header["k"])
+        matrices = []
+        for _ in range(2):
+            if offset + 8 > end:
+                raise ModelFileError(f"truncated model file: {path}")
+            rows, cols = struct.unpack_from("<II", raw, offset)
+            if (rows, cols) != want:
+                raise ModelFileError(f"model file {path}: a {cls} matrix is {rows}x{cols}, "
+                                     f"the header says {want[0]}x{want[1]}")
+            start, offset = offset + 8, offset + 8 + 4 * rows * cols
+            if offset > end:
+                raise ModelFileError(f"truncated model file: {path}")
+            m = np.frombuffer(raw, dtype="<f4", count=rows * cols, offset=start)
+            matrices.append(m.reshape(rows, cols).astype(np.float64))
+        tables[cls] = EmbeddingTable.from_arrays(*matrices)
+    if offset != end:
         raise ModelFileError(f"trailing bytes in model file: {path}")
-
-    word = EmbeddingTable.from_arrays(matrices[0], matrices[1])
-    eq = unit = None
-    if mode == "equation":
-        eq = EmbeddingTable.from_arrays(matrices[2], matrices[3])
-    elif mode == "unit":
-        unit = EmbeddingTable.from_arrays(matrices[2], matrices[3])
-        if eq_units is None:
-            eq_units = {}
-    return Model(
-        mode,
-        config,
-        word,
-        eq=eq,
-        unit=unit,
-        eq_units=eq_units,
-        n_equations=header.get("n_equations", 0),
-    )
+    if mode == "unit" and eq_units is None:
+        eq_units = {}
+    return Model(mode, config, tables["word"], eq=tables.get("eq"), unit=tables.get("unit"),
+                 eq_units=eq_units, n_equations=header.get("n_equations", 0))
 
 
 def _parse_and_verify(raw: bytes, path: str) -> tuple[dict, int]:

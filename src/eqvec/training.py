@@ -9,10 +9,10 @@ document order, positions left to right, negatives drawn immediately
 after each positive from a seeded stream, so a (seed, config, corpus)
 triple fully determines the fitted parameters.
 
-Each pass is compiled once per fit into plans of flat arrays (``passes``).
-An epoch then draws a plan's negatives at once, a slice of positions at a
-time, and takes one serial SGD step per position on a stacked copy of the
-pass's tables.
+Each pass is compiled once per fit into plans of flat arrays (``passes``)
+and stacks its tables into one array, of which the tables are views.  An
+epoch then draws a plan's negatives by one scan, a slice of positions at a
+time, and takes one serial SGD step per position on the stacked array.
 """
 
 import time
@@ -89,7 +89,7 @@ class NegativeSampler:
         return out
 
 
-_POOL = 1 << 16  # doubles one scan is expected to map, at most about
+_POOL = 1 << 16  # doubles one chunk of a scan draws and maps, at most
 
 
 def _expected_draws(size: int, accept, exclude) -> np.ndarray:
@@ -130,55 +130,48 @@ def draw_negatives(samplers, which, exclude, size: int) -> np.ndarray:
 
 
 def _draw_stream(samplers, which, exclude, size):
-    """``draw_negatives`` for samplers sharing one generator: consecutive
-    groups of positions, each expected to need at most about ``_POOL``
-    doubles, are scanned in turn."""
+    """``draw_negatives`` for samplers sharing one generator, by one scan.
+
+    Each position takes ``size`` ids from the cursor; one that drew its own
+    exclusion drops it and takes the next ids one by one, as the rounds of
+    ``NegativeSampler.draw`` do.  Doubles are drawn and mapped through every
+    sampler a chunk at a time (the expected need of the positions left plus
+    four of its square roots, at most ``_POOL``), and the generator ends
+    just past the doubles used."""
     offsets = _ptr([s.n for s in samplers])[which]
     need = _expected_draws(size, np.concatenate([s.accept for s in samplers])[offsets + exclude], exclude)
-    cuts = np.flatnonzero(np.diff((np.cumsum(need) - need) // _POOL)) + 1
-    return np.concatenate([
-        _scan(samplers, list(zip(which[g].tolist(), exclude[g].tolist())), size, need[g].sum())
-        for g in np.split(np.arange(len(which)), cuts)
-    ])
-
-
-def _scan(samplers, positions, size, need):
-    """Negatives for ``positions`` (sampler, exclusion) by one linear scan.
-
-    A pool of doubles, the expected ``need`` plus four of its square roots,
-    is drawn and mapped through every sampler's distribution once.
-    Positions then take ``size`` ids each from where the previous one
-    stopped; a position that drew its own exclusion takes the next accepted
-    ids one by one instead, which is what the rounds of
-    ``NegativeSampler.draw`` amount to.  A pool that runs out is drawn again
-    twice as large from the same state, and the generator finally advances
-    by exactly the doubles the positions consumed.
-    """
+    rest = np.cumsum(need[::-1])[::-1].tolist()
     rng = samplers[0].rng
-    state = rng.bit_generator.state
-    pool = int(need + 4 * need**0.5) + 1
-    while True:
-        u = rng.random(pool)
-        ids = [np.searchsorted(s.cum, u, side="right").tolist() for s in samplers]
-        rng.bit_generator.state = state
-        out, used = [], 0
-        for w, x in positions:
-            seq = ids[w]
-            row = seq[used : used + size]
-            used += size
-            if x in row:
-                row = [v for v in row if v != x]
-                while len(row) < size and used < pool:
-                    if seq[used] != x:
-                        row.append(seq[used])
-                    used += 1
-            if used > pool or len(row) < size:
-                break
-            out += row
-        else:
-            rng.random(used)
-            return np.array(out, dtype=np.int64).reshape(len(positions), size)
-        pool *= 2
+    ids, used, end, kept, state = [[] for _ in samplers], 0, 0, 0, None
+
+    def more(i):  # the next chunk, after the ids of this one not yet taken
+        nonlocal ids, used, end, kept, state
+        state = rng.bit_generator.state
+        u = rng.random(min(int(rest[i] + 4 * rest[i] ** 0.5) + 1, _POOL))
+        ids = [seq[used:] + np.searchsorted(s.cum, u, side="right").tolist() for s, seq in zip(samplers, ids)]
+        kept, used, end = end - used, 0, end - used + len(u)
+
+    more(0)
+    out = []
+    for i, (w, x) in enumerate(zip(which.tolist(), exclude.tolist())):
+        if used + size > end:
+            more(i)
+        seq = ids[w]
+        row = seq[used : used + size]
+        used += size
+        if x in row:
+            row = [v for v in row if v != x]
+            while len(row) < size:
+                if used == end:
+                    more(i)
+                    seq = ids[w]
+                if seq[used] != x:
+                    row.append(seq[used])
+                used += 1
+        out += row
+    rng.bit_generator.state = state
+    rng.random(used - kept)
+    return np.array(out, dtype=np.int64).reshape(len(which), size)
 
 
 # --- the SGD step ---------------------------------------------------------------
@@ -193,28 +186,24 @@ def _distinct(key):
     return order, first
 
 
-def _stack(tables) -> np.ndarray:
+def _stack(tables, trainable) -> np.ndarray:
     """(2, rows, k): the parameters, every table's rho rows then every
-    table's alpha rows, over their Adagrad accumulators in the same layout."""
-    rows = [t.rho for t in tables] + [t.alpha for t in tables]
-    accs = [t.rho_acc for t in tables] + [t.alpha_acc for t in tables]
-    stacked = np.empty((2, sum(len(r) for r in rows), tables[0].k))
-    np.concatenate(rows, out=stacked[0])
-    np.concatenate(accs, out=stacked[1])
-    return stacked
-
-
-def _unstack(stacked, tables, trainable):
-    """Write the trainable tables back; frozen ones are never written."""
+    table's alpha rows, over their Adagrad accumulators in the same layout.
+    Each table's matrices become views of it, read-only where the table is
+    not ``trainable``, so steps on the stacked array train the tables."""
     n = sum(t.size for t in tables)
+    stacked = np.empty((2, 2 * n, tables[0].k))
     o = 0
     for t, tr in zip(tables, trainable):
-        if tr:
-            t.rho[...] = stacked[0, o : o + t.size]
-            t.alpha[...] = stacked[0, n + o : n + o + t.size]
-            t.rho_acc[...] = stacked[1, o : o + t.size]
-            t.alpha_acc[...] = stacked[1, n + o : n + o + t.size]
+        rho, alpha = slice(o, o + t.size), slice(n + o, n + o + t.size)
+        views = stacked[0, rho], stacked[1, rho], stacked[0, alpha], stacked[1, alpha]
+        for v, m in zip(views, (t.rho, t.rho_acc, t.alpha, t.alpha_acc)):
+            v[...] = m
+        t.rho, t.rho_acc, t.alpha, t.alpha_acc = views
+        if not tr:
+            t.freeze()
         o += t.size
+    return stacked
 
 
 def sgd_block(stacked, plan: PassPlan, lo: int, hi: int, negatives, lr: float) -> np.ndarray:
@@ -322,13 +311,12 @@ def sgd_block(stacked, plan: PassPlan, lo: int, hi: int, negatives, lr: float) -
     return -np.log(np.maximum(b0, LOG_EPS)) - neg_loss
 
 
-def _run_epoch(plans, tables, trainable, samplers, config: ModelConfig) -> float:
-    """One epoch over a compiled pass; returns the summed training loss.
+def _run_epoch(plans, stacked, samplers, config: ModelConfig) -> float:
+    """One epoch of a pass on its stacked tables; returns the summed loss.
 
     A plan runs in slices of at most ``passes._COMPILE_TOKENS`` positions:
     a long document compiles into one plan, and a slice bounds the memory
     its negative draw and step set-up take."""
-    stacked = _stack(tables)
     total = 0.0
     n = passes._COMPILE_TOKENS
     with np.errstate(over="ignore"):
@@ -338,7 +326,6 @@ def _run_epoch(plans, tables, trainable, samplers, config: ModelConfig) -> float
                 negs = draw_negatives(samplers, plan.cls[lo:hi], plan.target[lo:hi], config.n_negatives)
                 for loss in sgd_block(stacked, plan, lo, hi, negs, config.learning_rate).tolist():
                     total += loss
-    _unstack(stacked, tables, trainable)
     return total
 
 
@@ -386,9 +373,7 @@ def train_model(data: CorpusData, config: ModelConfig, mode: str):
         spec = PASS_CLASSES[name]
         pass_tables = [tables[c] for c in spec.classes]
         trainables = [t for t, tr in zip(pass_tables, spec.trainable) if tr]
-        for t, tr in zip(pass_tables, spec.trainable):
-            if not tr:
-                t.freeze()
+        stacked = _stack(pass_tables, spec.trainable)
         samplers = [NegativeSampler(rngs[s], sizes[c], freqs(c)) for c, s in zip(spec.classes, spec.seeds)]
         snapshots = [t.snapshot() for t in trainables]
         plans, trace = None, []
@@ -396,7 +381,7 @@ def train_model(data: CorpusData, config: ModelConfig, mode: str):
             t0 = time.perf_counter()
             if plans is None:  # compiled inside the first epoch, which it belongs to
                 plans = compile_pass(data, config, name)
-            loss = _run_epoch(plans, pass_tables, spec.trainable, samplers, config)
+            loss = _run_epoch(plans, stacked, samplers, config)
             t1 = time.perf_counter()
             score = evaluation.mean_predictive_ll(data.heldout_valid, view(spec.view))
             t2 = time.perf_counter()

@@ -20,7 +20,7 @@ from eqvec.bundle import load_bundle
 from eqvec.cli import RunConfig, build_config, main, make_parser
 from eqvec.corpus import IngestParams
 from eqvec.model import EmbeddingTable, Model, ModelConfig
-from eqvec.modelfile import load_model, save_model
+from eqvec.modelfile import ModelFileError, load_model, save_model
 from eqvec.synthetic import planted_corpus, write_corpus
 
 
@@ -388,14 +388,15 @@ def test_model_with_too_few_units_exits_3(planted_models, tmp_path, capsys):
     assert f"unit id {full.unit.size - 1}" in err
 
 
-def _rewrite_header(src, dest, change):
-    """Copy a model file with ``change`` applied to its JSON header and the
-    checksum recomputed, so only the header is wrong."""
+def _rewrite_header(src, dest, change, records=lambda r: r):
+    """Copy a model file with ``change`` applied to its JSON header,
+    ``records`` to the matrix records after it, and the checksum
+    recomputed, so only what they change is wrong."""
     with open(src, "rb") as f:
         raw = f.read()
     (hlen,) = struct.unpack_from("<I", raw, 12)
     hjson = json.dumps(change(json.loads(raw[16 : 16 + hlen]))).encode()
-    blob = raw[:12] + struct.pack("<I", len(hjson)) + hjson + raw[16 + hlen : -4]
+    blob = raw[:12] + struct.pack("<I", len(hjson)) + hjson + records(raw[16 + hlen : -4])
     with open(dest, "wb") as f:
         f.write(blob + struct.pack("<I", zlib.crc32(blob)))
 
@@ -427,6 +428,93 @@ def test_bad_model_header_exits_3(change, command, planted_models, tmp_path, cap
     assert code == 3
     assert out == ""
     assert err.startswith("error: corrupt model header") and err.count("\n") == 1
+
+
+def _swap_shape(index):
+    """Swap the rows and columns of matrix record ``index`` (word rho, word
+    alpha, unit rho, unit alpha); the data is left as it is."""
+    def change(records):
+        o = 0
+        for _ in range(index):
+            rows, cols = struct.unpack_from("<II", records, o)
+            o += 8 + 4 * rows * cols
+        rows, cols = struct.unpack_from("<II", records, o)
+        assert rows != cols
+        return records[:o] + struct.pack("<II", cols, rows) + records[o + 8 :]
+    return change
+
+
+@pytest.mark.parametrize(
+    "change, records, message",
+    [
+        (None, lambda r: b"", "truncated model file"),
+        (None, lambda r: r[:3], "truncated model file"),
+        (None, _swap_shape(1), "a word matrix is 8x"),
+        (None, _swap_shape(3), "a unit matrix is 8x"),
+        (lambda h: {**h, "k": 7}, None, "x8, the header says"),
+    ],
+    ids=["cut_after_header", "cut_in_first_shape", "word_alpha_swapped", "unit_alpha_swapped", "header_k_7"],
+)
+def test_model_records_checked_against_header(change, records, message, planted_models, tmp_path, capsys):
+    bundle, models, _ = planted_models
+    path = str(tmp_path / "bad.eqv")
+    _rewrite_header(models["unit"], path, change or (lambda h: h), records or (lambda r: r))
+    with pytest.raises(ModelFileError, match=message):
+        load_model(path)
+    for family, args in (("eq2eq", ["--id", "0"]), ("eq2word", ["--id", "0"]), ("word2eq", ["--words", "matrix"])):
+        code, out, err = run(["query", family, *args, "--model", path, "--bundle", bundle], capsys)
+        assert code == 3
+        assert out == ""
+        assert message in err and err.count("\n") == 1 and "Traceback" not in err
+
+
+def _paths_of_the_wrong_kind(tmp_path, bundle, models, corpus):
+    a_file = str(tmp_path / "a_file")
+    open(a_file, "w").close()
+    a_dir = str(tmp_path / "a_dir")
+    os.mkdir(a_dir)
+    word = ["--mode", "word", "--set", "k=4", "--set", "max_epochs=1"]
+    grid = ["--set", "eval_modes=word", "--set", "eval_dims=4", "--set", "eval_word_windows=2",
+            "--set", "max_epochs=1"]
+    return {
+        "query_model_dir": ["query", "eq2eq", "--id", "0", "--model", a_dir, "--bundle", bundle],
+        "query_bundle_file": ["query", "eq2eq", "--id", "0", "--model", models["unit"], "--bundle", a_file],
+        "inspect_dir": ["inspect", a_dir],
+        "train_model_dir": ["train", "--bundle", bundle, "--model", a_dir, *word],
+        "ingest_bundle_file": ["ingest", "--corpus", corpus, "--bundle", a_file],
+        "eval_report_dir": ["eval", "--bundle", bundle, "--report", a_dir, *grid],
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["query_model_dir", "query_bundle_file", "inspect_dir", "train_model_dir", "ingest_bundle_file",
+     "eval_report_dir"],
+)
+def test_path_of_the_wrong_kind_exits_2(case, planted_models, tiny_corpus, tmp_path, capsys):
+    bundle, models, _ = planted_models
+    argv = _paths_of_the_wrong_kind(tmp_path, bundle, models, tiny_corpus)[case]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_ingest_leaves_a_directory_that_is_not_a_bundle(tmp_path, capsys):
+    docs = tmp_path / "docs"
+    write_corpus(planted_corpus(n_docs=10, seed=3), str(docs))
+    (docs / "notes.txt").write_text("not a bundle\n")
+    (docs / "sub").mkdir()
+    (docs / "sub" / "kept.tex").write_text("x")
+
+    def tree():
+        return sorted((os.path.relpath(d, tmp_path), sorted(fs), sorted(ds)) for d, ds, fs in os.walk(tmp_path))
+
+    before = tree()
+    code, out, err = run(["ingest", "--corpus", str(docs), "--bundle", str(docs)], capsys)
+    assert code == 2
+    assert "not an empty directory or an eqvec bundle" in err
+    assert tree() == before
+    assert len([n for n in os.listdir(docs) if n.endswith(".tex")]) == 10
 
 
 def test_word2eq_vectors_three_spellings(planted_models, tmp_path, capsys):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from eqvec import passes
 from eqvec.model import EmbeddingTable
 from eqvec.passes import assemble_plan
-from eqvec.training import _POOL, NegativeSampler, _stack, _unstack, draw_negatives, sgd_block, train_model
+from eqvec.training import _POOL, NegativeSampler, _stack, draw_negatives, sgd_block, train_model
 
 from .conftest import plan_positions
 from .reference_model import SparseGrads, Tables, TrainingPair, adagrad_step, pair_loss_and_grads
@@ -177,9 +177,8 @@ def test_compiled_step_equals_pair_api(case):
             ctx_id=[i for _, i, _ in ctx], ctx_w=[w for _, _, w in ctx],
         )
         assert len(plan) == 1
-        stacked = _stack([got_word, got_unit])
+        stacked = _stack([got_word, got_unit], plan.trainable)
         loss = sgd_block(stacked, plan, 0, 1, np.array([negs]), lr)
-        _unstack(stacked, [got_word, got_unit], plan.trainable)
 
         want_loss = _pair_api_step(want_word, want_unit, target, negs, ctx, words_trainable, lr)
         assert abs(loss[0] - want_loss) <= 1e-12
@@ -196,7 +195,7 @@ def negative_streams(draw):
     """Plan-sized runs of positions over two samplers.  In the dominant case
     every position of sampler 0 excludes the id holding 90% of its weight,
     so it consumes ten times the doubles of a free draw and long runs are
-    scanned in several pool-sized groups."""
+    drawn in several chunks."""
     def freqs():
         n = draw(st.integers(1, 8))
         f = draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))
@@ -264,22 +263,25 @@ class _CountingRng:
 @pytest.mark.parametrize(
     "n_pos, size, seed, scans",
     [
-        (3, 2, 0, lambda calls: len(calls) == 2),  # one pool, then the advance
-        # the positions consume more than the first pool holds, so it is
-        # drawn again, twice as large, from the same state
-        (3, 2, 1, lambda calls: len(calls) == 3 and calls[1] == 2 * calls[0]),
-        # 150,000 expected doubles are scanned in several pool-sized groups
-        (300, 5, 5, lambda calls: len(calls) >= 6 and calls[0] < 2 * _POOL),
+        (3, 2, 0, lambda calls: len(calls) == 2),  # one chunk, then the advance
+        # the positions consume more than the first chunk holds, so a second
+        # chunk continues the stream where the first ended
+        (3, 2, 1, lambda calls: len(calls) == 3),
+        # 150,000 expected doubles come in chunks of at most _POOL
+        (300, 5, 5, lambda calls: len(calls) >= 4),
     ],
     ids=["one_pool", "retried_pool", "pool_sized_groups"],
 )
 def test_block_draw_pools(n_pos, size, seed, scans):
     # every position excludes the id holding 99% of the weight
-    seq = NegativeSampler(np.random.Generator(np.random.PCG64(seed)), 2, [1, 99])
+    seq = NegativeSampler(_CountingRng(seed), 2, [1, 99])
     want = [seq.draw(size, 1) for _ in range(n_pos)]
     rng = _CountingRng(seed)
     got = draw_negatives([NegativeSampler(rng, 2, [1, 99])], [0] * n_pos, [1] * n_pos, size)
     assert scans(rng.calls)
+    assert max(rng.calls) <= _POOL
+    # every chunk but the last is used up, and the advance is the last one's used part
+    assert sum(rng.calls[:-2]) + rng.calls[-1] == sum(seq.rng.calls)
     assert np.array_equal(got, want)
     assert rng.bit_generator.state == seq.rng.bit_generator.state
 
@@ -290,7 +292,7 @@ def test_block_draw_pools(n_pos, size, seed, scans):
     ids=["one_nonzero", "one_swamps_the_rest", "swamping_id_last", "all_but_a_millionth"],
 )
 def test_draw_excluding_all_the_weight_raises(freqs):
-    # refused before any double is drawn, so no pool grows
+    # refused before any double is drawn
     sampler = NegativeSampler(np.random.Generator(np.random.PCG64(0)), len(freqs), freqs)
     state = sampler.rng.bit_generator.state
     big = int(np.argmax(freqs))

@@ -81,6 +81,25 @@ def test_bundle_overwrite_replaces(tmp_path):
     assert load_bundle(path).stats == data.stats
 
 
+def test_bundle_replaces_only_an_empty_directory_or_a_bundle(tmp_path):
+    data = tiny_corpus_data()
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert load_bundle(save_bundle(data, str(empty))).stats == data.stats
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / "manifest.json").write_text('{"format": "something-else"}')
+    (other / "notes.txt").write_text("keep me")
+    a_file = tmp_path / "a_file"
+    a_file.write_text("keep me too")
+    for target in (other, a_file):
+        with pytest.raises(FileExistsError, match="not an empty directory or an eqvec bundle"):
+            save_bundle(data, str(target))
+    assert sorted(os.listdir(other)) == ["manifest.json", "notes.txt"]
+    assert a_file.read_text() == "keep me too"
+    assert not [n for n in os.listdir(tmp_path) if n.startswith(".bundle-")]
+
+
 def test_bundle_files_have_headers(tmp_path):
     data = tiny_corpus_data()
     path = save_bundle(data, str(tmp_path / "bundle"))
