@@ -7,6 +7,7 @@ precedence CLI > file > defaults.  Exit codes: 0 ok, 1 runtime failure,
 
 import argparse
 import dataclasses
+import errno
 import functools
 import json
 import logging
@@ -210,6 +211,13 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
+def _check_output(path: str):
+    """Raise, before any fitting, the error that writing to a directory at
+    ``path`` would raise only after it."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+
+
 def cmd_train(args) -> int:
     from . import training
 
@@ -217,6 +225,7 @@ def cmd_train(args) -> int:
     if not os.path.isdir(cfg.bundle_dir):
         print(f"error: bundle not found: {cfg.bundle_dir}", file=sys.stderr)
         return EXIT_USAGE
+    _check_output(cfg.model_path)
     data = bundle_io.load_bundle(cfg.bundle_dir)
     mconfig = cfg.model
     t0 = time.perf_counter()
@@ -265,6 +274,7 @@ def cmd_eval(args) -> int:
     if not os.path.isdir(cfg.bundle_dir):
         print(f"error: bundle not found: {cfg.bundle_dir}", file=sys.stderr)
         return EXIT_USAGE
+    _check_output(cfg.report_path)
     data = bundle_io.load_bundle(cfg.bundle_dir)
     modes, dims, wws, ews = cfg.eval_grid()
     base = cfg.model

@@ -216,6 +216,15 @@ def sgd_block(stacked, plan: PassPlan, lo: int, hi: int, negatives, lr: float) -
     with g = (sum of err over a target row's occurrences) * s for target
     rows and (summed context weight) * (err . rho) for context rows.  Losses
     are clamped at 1e-12 like the pair loss.
+
+    A step holds -s and -err; every sign flip is exact, so the bits are
+    those of the formulas above.  Each position has a (2, rows it updates)
+    coefficient block whose row 0 multiplies -s and row 1 -(err . rho).  A
+    direct position (its target trains, no target row drawn twice) writes
+    its scores straight into row 0; one whose target rows repeat sums them
+    into row 0 through its grouping block; one with a frozen target keeps
+    them in a tail after the blocks.  Adagrad gathers and scatters each
+    touched row of the parameters and of the accumulators as one item.
     """
     m = hi - lo
     k = stacked.shape[2]
@@ -238,13 +247,18 @@ def sgd_block(stacked, plan: PassPlan, lo: int, hi: int, negatives, lr: float) -
     # weights negated so the context sum comes out negated, ready for exp
     wneg = -weights
 
-    # a target row drawn more than once gets one update with summed errors
+    # a target row drawn more than once gets one update with summed errors;
+    # a direct position's target rows keep their slot order
     pos = np.repeat(np.arange(m), nt)
+    slot = np.arange(len(pos)) - tptr[pos]
     order, first = _distinct(pos * n_rows + trows)
     n_groups = np.bincount(pos[order][first], minlength=m)
     local = np.empty(len(pos), dtype=np.int64)
     local[order] = np.cumsum(first) - 1 - _ptr(n_groups)[pos[order]]
     update_target = np.asarray(plan.trainable, dtype=bool)[cls]
+    direct = update_target & (n_groups == nt)
+    repeat = update_target & ~direct
+    local[direct[pos]] = slot[direct[pos]]
     nu = n_groups * update_target
     # trainable context rows, one per distinct row of a position, weights summed
     trainable_rows = np.repeat(np.asarray(plan.trainable, dtype=bool), plan.sizes)
@@ -255,60 +269,66 @@ def sgd_block(stacked, plan: PassPlan, lo: int, hi: int, negatives, lr: float) -
     ng = np.bincount(cpos[corder][cfirst], minlength=m)
     n_upd = nu + ng
     uptr = _ptr(n_upd)
-    urows = np.empty(int(uptr[-1]), dtype=np.int64)
-    urows[_ranges(uptr[:-1], nu)] = trows[order][first][np.repeat(update_target, n_groups)]
-    urows[_ranges(uptr[:-1] + nu, ng)] = ctx[learn][corder][cfirst]
-    # per position a (2, n_upd) coefficient block: row 0 multiplies the
-    # negated context sum (filled each step), row 1 the context gradient
-    coef = np.zeros(2 * int(uptr[-1]))
-    coef[_ranges(2 * uptr[:-1] + n_upd + nu, ng)] = grad_coef
-    # per position an (nu, nt) grouping of its targets, -1 to undo the negation
-    hptr = _ptr(nu * nt)
-    group = np.zeros(int(hptr[-1]))
+    n_u = int(uptr[-1])
+    urows = np.empty(n_u, dtype=np.int64)
     at = update_target[pos]
-    slot = np.arange(len(pos)) - tptr[pos]
-    group[(hptr[pos] + local * nt[pos] + slot)[at]] = -1.0
+    urows[(uptr[pos] + local)[at]] = trows[at]
+    urows[_ranges(uptr[:-1] + nu, ng)] = ctx[learn][corder][cfirst]
+    # per repeating position an (nu, nt) grouping of its targets
+    hptr = _ptr(nu * nt * repeat)
+    group = np.zeros(int(hptr[-1]))
+    group[(hptr[pos] + local * nt[pos] + slot)[repeat[pos]]] = 1.0
+    # per position a (2, n_upd) coefficient block, row 1 negated once here,
+    # then the tail: where each position's errors live is eptr
+    tail = _ptr(nt * ~direct)
+    eptr = np.where(direct, 2 * uptr[:-1], 2 * n_u + tail[:-1])
+    coef = np.zeros(2 * n_u + int(tail[-1]))
+    coef[_ranges(2 * uptr[:-1] + n_upd + nu, ng)] = -grad_coef
 
-    params = stacked[0]
-    err = np.empty(int(tptr[-1]))
+    item = np.dtype((np.void, 8 * k))  # one row of k doubles
+    pv, av = stacked[0].view(item)[:, 0], stacked[1].view(item)[:, 0]
+    f8 = np.dtype(np.float64)
     b0 = np.empty(m)
     vec = np.empty((2, k))
     v0, v1 = vec
-    take, dot, exp, divide, sqrt = params.take, np.dot, np.exp, np.divide, np.sqrt
+    take, exp, add, multiply, divide, subtract, sqrt = (
+        stacked[0].take, np.exp, np.add, np.multiply, np.divide, np.subtract, np.sqrt)
     steps = zip(
-        gptr[:-1].tolist(), gptr[1:].tolist(), nt.tolist(), tptr[:-1].tolist(),
+        gptr[:-1].tolist(), gptr[1:].tolist(), nt.tolist(), eptr.tolist(),
         cptr[:-1].tolist(), cptr[1:].tolist(), uptr[:-1].tolist(), uptr[1:].tolist(),
-        nu.tolist(), hptr[:-1].tolist(),
+        (nu * repeat).tolist(), hptr[:-1].tolist(),
     )
     for i, (g0, g1, t, e0, c0, c1, u0, u1, nui, h0) in enumerate(steps):
-        x = take(gidx[g0:g1], axis=0)
+        x = take(gidx[g0:g1], 0)
         r = x[:t]
-        dot(wneg[c0:c1], x[t:], out=v0)
-        e = err[e0 : e0 + t]
-        exp(r @ v0, out=e)
-        e += 1.0
-        divide(1.0, e, out=e)
+        wneg[c0:c1].dot(x[t:], v0)
+        e = coef[e0 : e0 + t]
+        r.dot(v0, e)
+        exp(e, e)
+        add(e, 1.0, e)
+        divide(-1.0, e, e)
         b0[i] = e[0]
-        e[0] -= 1.0
-        dot(e, r, out=v1)
+        e[0] += 1.0
+        e.dot(r, v1)
         w = coef[2 * u0 : 2 * u1].reshape(2, u1 - u0)
         if nui:
-            dot(group[h0 : h0 + nui * t].reshape(nui, t), e, out=w[0, :nui])
-        g = dot(w.T, vec)
+            group[h0 : h0 + nui * t].reshape(nui, t).dot(e, w[0, :nui])
+        g = w.T.dot(vec).ravel()
         rows = urows[u0:u1]
-        z = stacked.take(rows, axis=1)
-        g2 = g * g
-        z[1] += g2
-        sqrt(z[1], out=g2)
-        g *= lr
-        g /= g2
-        z[0] -= g
-        stacked[:, rows] = z
+        zp, za = pv.take(rows), av.take(rows)
+        p, a = zp.view(f8), za.view(f8)
+        g2 = multiply(g, g)
+        add(a, g2, a)
+        sqrt(a, g2)
+        multiply(g, lr, g)
+        divide(g, g2, g)
+        subtract(p, g, p)
+        pv[rows] = zp
+        av[rows] = za
 
-    neg = np.ones(len(err), dtype=bool)
-    neg[tptr[:-1]] = False
-    neg_loss = np.bincount(pos[neg], np.log(np.maximum(1.0 - err[neg], LOG_EPS)), minlength=m)
-    return -np.log(np.maximum(b0, LOG_EPS)) - neg_loss
+    err = coef[_ranges(eptr + 1, nt - 1)]
+    neg_loss = np.bincount(np.repeat(np.arange(m), nt - 1), np.log(np.maximum(1.0 + err, LOG_EPS)), minlength=m)
+    return -np.log(np.maximum(-b0, LOG_EPS)) - neg_loss
 
 
 def _run_epoch(plans, stacked, samplers, config: ModelConfig) -> float:
@@ -316,9 +336,12 @@ def _run_epoch(plans, stacked, samplers, config: ModelConfig) -> float:
 
     A plan runs in slices of at most ``passes._COMPILE_TOKENS`` positions:
     a long document compiles into one plan, and a slice bounds the memory
-    its negative draw and step set-up take."""
+    its negative draw and step set-up take.  A position whose target rows
+    repeat sets up a grouping block of up to (1 + n_negatives)^2 doubles,
+    so above ten negatives slices shrink to keep positions x n_negatives
+    bounded."""
     total = 0.0
-    n = passes._COMPILE_TOKENS
+    n = max(1, passes._COMPILE_TOKENS * 10 // max(10, config.n_negatives))
     with np.errstate(over="ignore"):
         for plan in plans:
             for lo in range(0, len(plan), n):

@@ -5,6 +5,10 @@ Every position runs its own context sum, sigmoid and Adagrad step through
 It is slow and plain on purpose: the compiled trainer in
 ``eqvec.training`` must reproduce its epoch counts, validation scores,
 losses and fitted tables (to rounding), which the equivalence tests check.
+
+``sgd_block`` at the end is the compiled kernel as it stood before its
+step loop was rewritten for fewer numpy calls.  The rewrite changed no
+arithmetic, so the current kernel must match it bit for bit.
 """
 
 import time
@@ -12,10 +16,10 @@ import time
 import numpy as np
 
 from eqvec.corpus import EQ_TAG, GAP
-from eqvec.model import EmbeddingTable, Model, sigmoid
+from eqvec.model import LOG_EPS, EmbeddingTable, Model, sigmoid
 from eqvec import evaluation
-from eqvec.passes import _exclusion_masks
-from eqvec.training import EpochRecord, NegativeSampler
+from eqvec.passes import PassPlan, _exclusion_masks, _ptr, _ranges
+from eqvec.training import EpochRecord, NegativeSampler, _distinct
 
 from .reference_model import adagrad_rows
 
@@ -312,3 +316,111 @@ def reference_train_model(data, config, mode):
         "unit",
     )
     return scoring_model("unit"), records
+
+
+# --- the block kernel before the step rewrite ----------------------------------
+
+
+def sgd_block(stacked, plan: PassPlan, lo: int, hi: int, negatives, lr: float) -> np.ndarray:
+    """Serial SGD steps for positions ``lo:hi``; returns their losses.
+
+    ``negatives`` holds each position's class-local negative ids (-1 for
+    none).  Each step is one positive and its sampled zeros sharing one
+    context sum: b = sigmoid(rho_t . s), err = b - y, and one Adagrad step
+    (acc += g^2; cell -= lr g / sqrt(acc)) over the touched trainable rows
+    with g = (sum of err over a target row's occurrences) * s for target
+    rows and (summed context weight) * (err . rho) for context rows.  Losses
+    are clamped at 1e-12 like the pair loss.
+    """
+    m = hi - lo
+    k = stacked.shape[2]
+    n_rows = stacked.shape[1]
+    cls = plan.cls[lo:hi]
+    base = plan.offsets[cls]
+    valid = np.concatenate((np.ones((m, 1), dtype=bool), negatives >= 0), axis=1)
+    nt = valid.sum(axis=1)
+    trows = np.concatenate(((plan.target[lo:hi] + base)[:, None], negatives + base[:, None]), axis=1)[valid]
+    tptr = _ptr(nt)
+    cptr = plan.ctx_ptr[lo : hi + 1].astype(np.int64)
+    ctx = plan.ctx_rows[cptr[0] : cptr[-1]].astype(np.int64)
+    weights = np.ones(len(ctx)) if plan.ctx_w is None else plan.ctx_w[cptr[0] : cptr[-1]]
+    nc = np.diff(cptr)
+    cptr -= cptr[0]
+    gptr = _ptr(nt + nc)
+    gidx = np.empty(int(gptr[-1]), dtype=np.int64)
+    gidx[_ranges(gptr[:-1], nt)] = trows
+    gidx[_ranges(gptr[:-1] + nt, nc)] = ctx
+    # weights negated so the context sum comes out negated, ready for exp
+    wneg = -weights
+
+    # a target row drawn more than once gets one update with summed errors
+    pos = np.repeat(np.arange(m), nt)
+    order, first = _distinct(pos * n_rows + trows)
+    n_groups = np.bincount(pos[order][first], minlength=m)
+    local = np.empty(len(pos), dtype=np.int64)
+    local[order] = np.cumsum(first) - 1 - _ptr(n_groups)[pos[order]]
+    update_target = np.asarray(plan.trainable, dtype=bool)[cls]
+    nu = n_groups * update_target
+    # trainable context rows, one per distinct row of a position, weights summed
+    trainable_rows = np.repeat(np.asarray(plan.trainable, dtype=bool), plan.sizes)
+    learn = trainable_rows[ctx - n_rows // 2]
+    cpos = np.repeat(np.arange(m), nc)[learn]
+    corder, cfirst = _distinct(cpos * n_rows + ctx[learn])
+    grad_coef = np.bincount(np.cumsum(cfirst) - 1, weights[learn][corder], minlength=int(cfirst.sum()))
+    ng = np.bincount(cpos[corder][cfirst], minlength=m)
+    n_upd = nu + ng
+    uptr = _ptr(n_upd)
+    urows = np.empty(int(uptr[-1]), dtype=np.int64)
+    urows[_ranges(uptr[:-1], nu)] = trows[order][first][np.repeat(update_target, n_groups)]
+    urows[_ranges(uptr[:-1] + nu, ng)] = ctx[learn][corder][cfirst]
+    # per position a (2, n_upd) coefficient block: row 0 multiplies the
+    # negated context sum (filled each step), row 1 the context gradient
+    coef = np.zeros(2 * int(uptr[-1]))
+    coef[_ranges(2 * uptr[:-1] + n_upd + nu, ng)] = grad_coef
+    # per position an (nu, nt) grouping of its targets, -1 to undo the negation
+    hptr = _ptr(nu * nt)
+    group = np.zeros(int(hptr[-1]))
+    at = update_target[pos]
+    slot = np.arange(len(pos)) - tptr[pos]
+    group[(hptr[pos] + local * nt[pos] + slot)[at]] = -1.0
+
+    params = stacked[0]
+    err = np.empty(int(tptr[-1]))
+    b0 = np.empty(m)
+    vec = np.empty((2, k))
+    v0, v1 = vec
+    take, dot, exp, divide, sqrt = params.take, np.dot, np.exp, np.divide, np.sqrt
+    steps = zip(
+        gptr[:-1].tolist(), gptr[1:].tolist(), nt.tolist(), tptr[:-1].tolist(),
+        cptr[:-1].tolist(), cptr[1:].tolist(), uptr[:-1].tolist(), uptr[1:].tolist(),
+        nu.tolist(), hptr[:-1].tolist(),
+    )
+    for i, (g0, g1, t, e0, c0, c1, u0, u1, nui, h0) in enumerate(steps):
+        x = take(gidx[g0:g1], axis=0)
+        r = x[:t]
+        dot(wneg[c0:c1], x[t:], out=v0)
+        e = err[e0 : e0 + t]
+        exp(r @ v0, out=e)
+        e += 1.0
+        divide(1.0, e, out=e)
+        b0[i] = e[0]
+        e[0] -= 1.0
+        dot(e, r, out=v1)
+        w = coef[2 * u0 : 2 * u1].reshape(2, u1 - u0)
+        if nui:
+            dot(group[h0 : h0 + nui * t].reshape(nui, t), e, out=w[0, :nui])
+        g = dot(w.T, vec)
+        rows = urows[u0:u1]
+        z = stacked.take(rows, axis=1)
+        g2 = g * g
+        z[1] += g2
+        sqrt(z[1], out=g2)
+        g *= lr
+        g /= g2
+        z[0] -= g
+        stacked[:, rows] = z
+
+    neg = np.ones(len(err), dtype=bool)
+    neg[tptr[:-1]] = False
+    neg_loss = np.bincount(pos[neg], np.log(np.maximum(1.0 - err[neg], LOG_EPS)), minlength=m)
+    return -np.log(np.maximum(b0, LOG_EPS)) - neg_loss

@@ -491,10 +491,20 @@ def _paths_of_the_wrong_kind(tmp_path, bundle, models, corpus):
     ["query_model_dir", "query_bundle_file", "inspect_dir", "train_model_dir", "ingest_bundle_file",
      "eval_report_dir"],
 )
-def test_path_of_the_wrong_kind_exits_2(case, planted_models, tiny_corpus, tmp_path, capsys):
+def test_path_of_the_wrong_kind_exits_2(case, planted_models, tiny_corpus, tmp_path, capsys, monkeypatch):
+    from eqvec import training
+
+    fits = []
+
+    def no_fit(*args, **kwargs):  # eval records a failed grid row and goes on
+        fits.append(args)
+        raise AssertionError("fitted before the output path was checked")
+
+    monkeypatch.setattr(training, "train_model", no_fit)
     bundle, models, _ = planted_models
     argv = _paths_of_the_wrong_kind(tmp_path, bundle, models, tiny_corpus)[case]
     code, out, err = run(argv, capsys)
+    assert fits == []
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 

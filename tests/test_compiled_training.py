@@ -4,12 +4,14 @@
   scores, losses and tables, to rounding;
 * the pair API (``pair_loss_and_grads`` + ``adagrad_step``), which the
   gradient suite finite-differences: one compiled step equals it;
-* ``NegativeSampler.draw``: block draws return the sequential stream.
+* ``NegativeSampler.draw``: block draws return the sequential stream;
+* the kernel before its step rewrite (``reference_training.sgd_block``):
+  bit for bit.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eqvec import passes
@@ -20,6 +22,7 @@ from eqvec.training import _POOL, NegativeSampler, _stack, draw_negatives, sgd_b
 from .conftest import plan_positions
 from .reference_model import SparseGrads, Tables, TrainingPair, adagrad_step, pair_loss_and_grads
 from .reference_training import reference_train_model
+from .reference_training import sgd_block as reference_sgd_block
 from .test_training import CFG, make_corpus
 
 EQUIVALENCE_CONFIGS = {
@@ -185,6 +188,53 @@ def test_compiled_step_equals_pair_api(case):
         for got, want in ((got_word, want_word), (got_unit, want_unit)):
             for m in ("rho", "alpha", "rho_acc", "alpha_acc"):
                 np.testing.assert_allclose(getattr(got, m), getattr(want, m), rtol=0, atol=1e-12)
+
+
+# --- the kernel against the kernel before its step rewrite ----------------------
+
+
+@st.composite
+def blocks(draw):
+    """A plan of up to 80 positions over two classes and a slice of it with
+    its negatives.  Small classes make target rows repeat, large ones keep
+    them distinct, an untrained class freezes its targets, contexts may be
+    weighted, and some positions draw no negatives (a row of -1)."""
+    sizes = (draw(st.integers(1, 10)), draw(st.integers(1, 60)))
+    trainable = draw(st.sampled_from([(True, True), (False, True), (True, False)]))
+    n_neg = draw(st.integers(0, 8))
+    m = draw(st.integers(1, 80))
+    weighted = draw(st.booleans())
+    k = draw(st.integers(1, 6))
+    scale = draw(st.sampled_from([0.1, 1.0, 4.0]))
+    lr = draw(st.sampled_from([0.05, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cls = rng.integers(0, 2, m)
+    target = rng.integers(0, np.take(sizes, cls))
+    ctx_len = rng.integers(1, 7, m)
+    ctx_cls = rng.integers(0, 2, ctx_len.sum())
+    ctx_id = rng.integers(0, np.take(sizes, ctx_cls))
+    ctx_w = rng.choice([1.0, 1 / 2, 1 / 3, 0.7], len(ctx_cls)) if weighted else np.ones(len(ctx_cls))
+    plan = assemble_plan(sizes, trainable, np.arange(m), cls, target, ctx_len, ctx_cls, ctx_id, ctx_w)
+    assume(len(plan) > 0)
+    lo = draw(st.integers(0, len(plan) - 1))
+    hi = draw(st.integers(lo + 1, len(plan)))
+    negs = rng.integers(0, np.take(sizes, plan.cls[lo:hi])[:, None], (hi - lo, n_neg))
+    negs[rng.random(hi - lo) < 0.2] = -1
+    n = sum(sizes)
+    stacked = np.stack((scale * rng.standard_normal((2 * n, k)), rng.uniform(0.01, 2.0, (2 * n, k))))
+    return stacked, plan, lo, hi, negs, lr
+
+
+@settings(max_examples=200, deadline=None)
+@given(blocks())
+def test_kernel_matches_kernel_before_step_rewrite(case):
+    stacked, plan, lo, hi, negs, lr = case
+    got, want = stacked.copy(), stacked.copy()
+    with np.errstate(over="ignore"):
+        got_loss = sgd_block(got, plan, lo, hi, negs, lr)
+        want_loss = reference_sgd_block(want, plan, lo, hi, negs, lr)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got_loss, want_loss)
 
 
 # --- block negatives against the sequential sampler ---------------------------

@@ -1,0 +1,32 @@
+"""``tools/digests.py``: the byte-identity command is itself deterministic."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+_TOOL = Path(__file__).resolve().parents[1] / "tools" / "digests.py"
+_spec = importlib.util.spec_from_file_location("digests", _TOOL)
+digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(digests)
+
+
+def test_two_runs_agree_and_compare_lists_a_change(tmp_path, capsys):
+    runs = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        runs.append(digests.digests(str(tmp_path / name), n_docs=40, max_epochs=1))
+    a, b = runs
+    assert a == b
+    configs = [f"{c}/seed{s}" for c in digests.CONFIGS for s in digests.MODEL_SEEDS]
+    assert {f"model/{c}" for c in configs} <= a.keys()
+    assert {f"trace/{c}" for c in configs} <= a.keys()
+    assert "eval/seed4" in a and any(k.startswith("query/") for k in a)
+    assert len(set(a[f"model/{c}"] for c in configs)) == len(configs)
+
+    files = []
+    for name, d in (("a", a), ("b", {**b, "model/word/seed4": "0" * 64})):
+        files.append(str(tmp_path / f"{name}.json"))
+        Path(files[-1]).write_text(json.dumps(d))
+    assert digests.main(["--compare", files[0], files[0]]) == 0
+    assert digests.main(["--compare", *files]) == 1
+    assert "differs\tmodel/word/seed4\n" in capsys.readouterr().out

@@ -1,5 +1,6 @@
 """Display-math extraction and word tokenization."""
 
+import gc
 import time
 
 import numpy as np
@@ -206,13 +207,19 @@ def test_extract_matches_rescanning_reference(parts):
 
 
 def _best_seconds(text: str, ceiling: float, repeat: int = 5) -> float:
-    """Fastest of ``repeat`` extractions; stops early once one exceeds ``ceiling``."""
+    """Fastest of ``repeat`` extractions; stops early once one exceeds ``ceiling``.
+    The collector is off during each, so a full collection over the caller's
+    heap does not land in one run only."""
     doc = RawDocument("d", text)
     best = float("inf")
     for _ in range(repeat):
-        t0 = time.perf_counter()
-        _extract(doc)
-        best = min(best, time.perf_counter() - t0)
+        gc.disable()
+        try:
+            t0 = time.perf_counter()
+            _extract(doc)
+            best = min(best, time.perf_counter() - t0)
+        finally:
+            gc.enable()
         if best > ceiling:
             break
     return best
