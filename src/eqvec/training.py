@@ -331,17 +331,24 @@ def sgd_block(stacked, plan: PassPlan, lo: int, hi: int, negatives, lr: float) -
     return -np.log(np.maximum(-b0, LOG_EPS)) - neg_loss
 
 
+# Negatives per position at which a slice holds all ``_COMPILE_TOKENS``
+# positions: ModelConfig's default, the setting the slice size was tuned at.
+_SLICE_NEGATIVES = ModelConfig.n_negatives
+
+
 def _run_epoch(plans, stacked, samplers, config: ModelConfig) -> float:
     """One epoch of a pass on its stacked tables; returns the summed loss.
 
     A plan runs in slices of at most ``passes._COMPILE_TOKENS`` positions:
     a long document compiles into one plan, and a slice bounds the memory
-    its negative draw and step set-up take.  A position whose target rows
-    repeat sets up a grouping block of up to (1 + n_negatives)^2 doubles,
-    so above ten negatives slices shrink to keep positions x n_negatives
-    bounded."""
+    its negative draw and step set-up take.  Above ``_SLICE_NEGATIVES``
+    negatives a slice holds proportionally fewer positions, which keeps
+    positions x n_negatives, and so its negatives and per-position set-up,
+    at most what the default takes.  It does not bound the grouping block
+    of a position whose target rows repeat: that holds up to
+    (1 + n_negatives)^2 doubles whatever the slice size."""
     total = 0.0
-    n = max(1, passes._COMPILE_TOKENS * 10 // max(10, config.n_negatives))
+    n = max(1, passes._COMPILE_TOKENS * _SLICE_NEGATIVES // max(_SLICE_NEGATIVES, config.n_negatives))
     with np.errstate(over="ignore"):
         for plan in plans:
             for lo in range(0, len(plan), n):

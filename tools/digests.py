@@ -13,7 +13,7 @@ Builds the planted corpus bundle and runs the CLI on it in-process:
 Fits use the acceptance configuration (k=25, windows 4/16/2, learning rate
 0.05).  Run it in two checkouts and compare the outputs::
 
-    python3 tools/digests.py --out a.json          # 200 docs, about a minute
+    python3 tools/digests.py --out a.json          # 200 docs, about 35 s
     python3 tools/digests.py --compare a.json b.json
 
 ``--compare`` prints each digest that differs or exists on one side only
@@ -113,8 +113,6 @@ def compare(a: dict, b: dict) -> list:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--out", help="write the digests to this JSON file (default: stdout)")
-    p.add_argument("--docs", type=int, default=200, help="planted corpus size")
-    p.add_argument("--max-epochs", type=int, default=None, help="cap every fit at this many epochs")
     p.add_argument("--compare", nargs=2, metavar=("A", "B"), help="list the digests that differ")
     args = p.parse_args(argv)
     if args.compare:
@@ -125,7 +123,7 @@ def main(argv=None) -> int:
         print(f"{len(diff)} of {len(a.keys() | b.keys())} digests differ")
         return 1 if diff else 0
     with tempfile.TemporaryDirectory() as workdir:
-        text = json.dumps(digests(workdir, args.docs, args.max_epochs), indent=1, sort_keys=True) + "\n"
+        text = json.dumps(digests(workdir), indent=1, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:
