@@ -22,7 +22,7 @@ def main() -> None:
 
     print("\nmost frequent vocabulary entries:")
     for form in data.word_vocab.forms[:8]:
-        i = data.word_vocab.id_of(form)
+        i = data.word_vocab.index[form]
         print(f"  {form:16s} id={i:<4d} tf={int(data.word_vocab.freqs[i])}")
 
     print("\ncorpus frequency stop list (dropped on top of fixed stopwords):")

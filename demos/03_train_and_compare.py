@@ -9,6 +9,7 @@ uses the pseudo log-likelihood over the held-out test split.
 """
 
 import time
+from dataclasses import replace
 
 from eqvec import evaluate_split, ingest_corpus, train_model
 from eqvec.corpus import IngestParams
@@ -42,7 +43,7 @@ def main() -> None:
         )
 
     print("\nper-epoch validation trace drives early stopping:")
-    model, records = train_model(data, config.with_overrides(seed=4), "equation")
+    model, records = train_model(data, replace(config, seed=4), "equation")
     for r in records:
         print(f"  {r.pass_name:9s} epoch {r.epoch:2d}  predictive LL {r.validation_score:.4f}")
 

@@ -24,12 +24,13 @@ _EXPORTS = {
         "predictive_log_likelihood pseudo_log_likelihood"
     ),
     "model": "EmbeddingTable Model ModelConfig equation_vector_from_units sigmoid",
+    "records": "RawDocument",
     "retrieval": "Ranking equations_for_words nearest_equations nearest_words",
     "slt": (
         "MathNode MathParseError SltTuple build_unit_vocabulary parse_math "
         "slt_tuples tokenize_equation"
     ),
-    "tex": "RawDocument extract_display_equations tokenize_words",
+    "tex": "extract_display_equations tokenize_words",
     "training": "TrainingDiverged train_model",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

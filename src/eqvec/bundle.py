@@ -41,7 +41,7 @@ from .corpus import (
     TokenStream,
     Vocabulary,
 )
-from .tex import EquationRecord
+from .records import EquationRecord
 
 BUNDLE_VERSION = 1
 _H_VOCAB = "# eqvec-vocab 1"

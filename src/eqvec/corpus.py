@@ -12,8 +12,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import tex
-from .tex import EquationRecord, RawDocument
+from .records import EquationRecord, RawDocument
 
 log = logging.getLogger(__name__)
 
@@ -29,10 +28,6 @@ def encode_equation(eq_id: int) -> int:
 
 def is_word(code) -> bool:
     return int(code) < int(EQ_TAG)
-
-
-def equation_id(code) -> int:
-    return int(code) & ~int(EQ_TAG)
 
 
 class CorpusError(ValueError):
@@ -60,9 +55,6 @@ class Vocabulary:
 
     def __contains__(self, form: str) -> bool:
         return form in self.index
-
-    def id_of(self, form: str) -> int:
-        return self.index[form]
 
 
 def load_stopwords() -> frozenset[str]:
@@ -127,9 +119,6 @@ class EquationRegistry:
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def id_for_latex(self, latex: str) -> int | None:
-        return self._by_latex.get(tex.normalize_equation(latex))
 
     def add(self, latex: str, doc_id: str, count: int = 1) -> int:
         eq_id = self._by_latex.get(latex)
@@ -237,31 +226,18 @@ def build_heldout(
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     half = context_window // 2
-    pools: dict[int, list[tuple[int, int]]] = {}
-    seen: dict[int, set] = {}
-    for si, stream in enumerate(streams):
-        codes = stream.codes
-        for p in np.flatnonzero((codes != GAP) & (codes >= EQ_TAG)):
-            gid = equation_id(codes[p])
-            pool = pools.setdefault(gid, [])
-            taken = seen.setdefault(gid, set())
-            for q in _window_word_positions(codes, int(p), half):
-                if (si, q) not in taken:
-                    taken.add((si, q))
-                    pool.append((si, q))
-
     valid: list[HeldOutItem] = []
     test: list[HeldOutItem] = []
     skipped = 0
     need = 2 * per_equation
-    for gid in sorted(pools):
-        pool = pools[gid]
-        if len(pool) < need:
+    gids, bounds, cand_stream, cand_pos = _candidate_pools(streams, half)
+    for gid, lo, hi in zip(gids, bounds, bounds[1:]):
+        if hi - lo < need:
             skipped += 1
             continue
-        chosen = rng.choice(len(pool), size=need, replace=False)
+        chosen = rng.choice(hi - lo, size=need, replace=False)
         for rank, ci in enumerate(chosen):
-            si, p = pool[int(ci)]
+            si, p = cand_stream[lo + ci], cand_pos[lo + ci]
             codes = streams[si].codes
             target = int(codes[p])
             nearby = [
@@ -285,6 +261,42 @@ def build_heldout(
             )
             (valid if rank < per_equation else test).append(item)
     return valid, test, skipped
+
+
+def _candidate_pools(streams: list[TokenStream], half: int):
+    """Every equation's held-out candidates: the word positions within
+    ``half`` of one of its occurrences, in its own document.
+
+    Returns ``(gids, bounds, stream, position)``: equation ``gids[i]``
+    (ascending; every equation the streams hold) owns candidates
+    ``bounds[i]:bounds[i + 1]`` of the ``stream``/``position`` lists, a
+    position near several occurrences once.  Read occurrence by occurrence
+    in corpus order, each window in position order, a window adds only
+    positions past the end of the window before it, so first-seen order is
+    ascending corpus position: the order of the sorted keys.
+    """
+    if not streams:
+        return [], [0], [], []
+    lengths = np.array([len(s.codes) for s in streams], dtype=np.int64)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    codes = np.concatenate([s.codes for s in streams])
+    at = np.flatnonzero(codes >= EQ_TAG)
+    at = at[codes[at] != GAP]
+    doc = np.searchsorted(ends, at, side="right")
+    steps = np.r_[-half:0, 1 : half + 1]
+    near = at[:, None] + steps
+    inside = (near >= starts[doc, None]) & (near < ends[doc, None])
+    inside &= codes[np.where(inside, near, 0)] < EQ_TAG
+    at_gid = (codes[at] & ~EQ_TAG).astype(np.int64)
+    rows, cols = np.nonzero(inside)
+    # one key per (equation, corpus position): sorted keys group by equation
+    key = np.unique(at_gid[rows] * len(codes) + near[rows, cols])
+    cand_gid, cand = np.divmod(key, len(codes))
+    gids = np.unique(at_gid)
+    bounds = np.append(np.searchsorted(cand_gid, gids), len(cand_gid))
+    cand_doc = np.searchsorted(ends, cand, side="right")
+    return gids.tolist(), bounds.tolist(), cand_doc.tolist(), (cand - starts[cand_doc]).tolist()
 
 
 def _draw_excluding(rng, n: int, size: int, exclude: int) -> list[int]:
@@ -364,6 +376,8 @@ class CorpusData:
 def _prepare_document(doc: RawDocument):
     """``(doc_id, pieces, slots, records, skipped)``: the word list of each
     prose piece and the local equation id of each slot between them."""
+    from . import tex  # ingest only: keeps the LaTeX scanner off the query path
+
     pieces, records, skipped, slots = tex._extract(doc)
     return doc.doc_id, [tex.tokenize_words(p) for p in pieces], slots, records, skipped
 

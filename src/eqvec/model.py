@@ -8,7 +8,7 @@ sigma(rho_target . sum of context alphas); negative-sampled zeros share
 the positive's context with label 0.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,9 +66,6 @@ class ModelConfig:
     @property
     def scale(self) -> float:
         return 0.5 / self.k if self.init_scale is None else self.init_scale
-
-    def with_overrides(self, **kw) -> "ModelConfig":
-        return replace(self, **kw).validate()
 
 
 class FrozenTableError(RuntimeError):

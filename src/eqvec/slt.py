@@ -425,29 +425,6 @@ def unit_string(t: SltTuple) -> str:
     return f"({esc(t.from_symbol)},{esc(t.to_symbol)},{t.relation})"
 
 
-def parse_unit_string(s: str) -> SltTuple:
-    if len(s) < 6 or s[0] != "(" or s[-1] != ")":
-        raise ValueError(f"malformed unit string: {s!r}")
-    body = s[1:-1]
-    fields, buf, i = [], [], 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\" and i + 1 < len(body):
-            buf.append(body[i + 1])
-            i += 2
-        elif ch == ",":
-            fields.append("".join(buf))
-            buf = []
-            i += 1
-        else:
-            buf.append(ch)
-            i += 1
-    fields.append("".join(buf))
-    if len(fields) != 3 or fields[2] not in RELATIONS:
-        raise ValueError(f"malformed unit string: {s!r}")
-    return SltTuple(*fields)
-
-
 def build_unit_vocabulary(sequences: dict[int, list[SltTuple]], min_count: int = 1):
     """Frequency-filtered unit vocabulary over all tokenized equations.
 

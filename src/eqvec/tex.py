@@ -9,7 +9,8 @@ it, so no text a document contains can pose as an equation.
 
 import logging
 import re
-from dataclasses import dataclass
+
+from .records import EquationRecord, RawDocument
 
 log = logging.getLogger(__name__)
 
@@ -24,29 +25,11 @@ _ENV_BEGIN = re.compile(
 # Any region opener; the group names the environment of a ``\begin``.
 _OPENER = re.compile(_ENV_BEGIN.pattern + r"|\$\$|\\\[")
 
-_COMMENT = re.compile(r"(?<!\\)%[^\n]*")
+# The look-behind follows the literal "%", so the search jumps from one "%"
+# to the next instead of trying the pattern at every character.
+_COMMENT = re.compile(r"%(?<!\\%)[^\n]*")
 _LABEL = re.compile(r"\\label\{[^{}]*\}")
 _WS_RUN = re.compile(r"\s+")
-
-
-@dataclass(frozen=True)
-class RawDocument:
-    doc_id: str
-    source_text: str
-
-    def __post_init__(self):
-        if not self.doc_id:
-            raise ValueError("doc_id must be non-empty")
-        if not self.source_text:
-            raise ValueError(f"document {self.doc_id!r} has empty source text")
-
-
-@dataclass
-class EquationRecord:
-    eq_id: int
-    doc_id: str
-    latex: str
-    occurrence_count: int
 
 
 def strip_comments(text: str) -> str:
@@ -181,14 +164,20 @@ _BRACE = re.compile(r"[{}]")
 _BEGIN_END = re.compile(r"\\(?:begin|end)\{[^}]*\}")
 _COMMAND = re.compile(r"\\[a-zA-Z]+\*?|\\[^a-zA-Z]")
 _WORD = re.compile(r"[a-z]+(?:-[a-z]+)*")
+# Every byte but a-z and "-" becomes a space.  After ``.lower()`` and an
+# ASCII encode that writes "?" for each other code point, the words of
+# ``_WORD`` are the space-separated runs without "-".
+_SEPARATE = bytes(b if 97 <= b <= 122 or b == 45 else 32 for b in range(256))
 
 
 def tokenize_words(prose_text: str) -> list[str]:
     """Lowercase alphabetic tokens in document order.
 
-    Hyphenated words stay whole ("p-value"); numerals and punctuation are
-    dropped; inline math and LaTeX commands are removed.  Time is linear
-    in the length of the text, unclosed delimiters included.
+    A word is a run of ASCII letters after lowercasing; every other
+    character, accented letters included, separates words.  Hyphenated
+    words stay whole ("p-value"); numerals and punctuation are dropped;
+    inline math and LaTeX commands are removed.  Time is linear in the
+    length of the text, unclosed delimiters included.
     """
     t = _drop_inline_math(prose_text)
     t = _drop_references(t)
@@ -198,7 +187,10 @@ def tokenize_words(prose_text: str) -> list[str]:
     cut = t.rfind("}") + 1
     t = _BEGIN_END.sub(" ", t[:cut]) + t[cut:]
     t = _COMMAND.sub(" ", t)
-    return _WORD.findall(t.lower())
+    t = t.lower().encode("ascii", "replace").translate(_SEPARATE).decode()
+    if "-" not in t:
+        return t.split()
+    return [w for run in t.split() for w in (_WORD.findall(run) if "-" in run else (run,))]
 
 
 def _drop_inline_math(text: str) -> str:

@@ -54,7 +54,7 @@ class EpochRecord:
 
 
 class NegativeSampler:
-    """Draws negative target ids, rejecting the positive target.
+    """The distribution ``draw_negatives`` draws negative target ids from.
 
     Unigram sampling uses the raw frequency distribution (power 1.0);
     without frequencies every id has equal weight (uniform sampling).  Both
@@ -73,20 +73,6 @@ class NegativeSampler:
             self.cum = np.cumsum(w / w.sum())
             self.cum[-1] = 1.0
             self.accept = 1.0 - np.diff(self.cum, prepend=0.0)
-
-    def draw(self, size: int, exclude: int) -> np.ndarray:
-        if self.cum is None:
-            return np.empty(0, dtype=np.int64)
-        if 0 <= exclude < self.n:
-            _expected_draws(size, self.accept[[exclude]], [exclude])
-        out = np.empty(size, dtype=np.int64)
-        have = 0
-        while have < size:
-            ids = np.searchsorted(self.cum, self.rng.random(size - have), side="right")
-            ids = ids[ids != exclude]
-            out[have : have + len(ids)] = ids
-            have += len(ids)
-        return out
 
 
 _POOL = 1 << 16  # doubles one chunk of a scan draws and maps, at most
@@ -107,9 +93,11 @@ def _expected_draws(size: int, accept, exclude) -> np.ndarray:
 def draw_negatives(samplers, which, exclude, size: int) -> np.ndarray:
     """Negatives for consecutive positions, drawn as one block.
 
-    Row i holds exactly what ``samplers[which[i]].draw(size, exclude[i])``
-    returns when called for each position in order, and every generator is
-    left where those calls leave it; samplers that share a generator share
+    Row i holds exactly what a sequential draw for each position in order
+    gives: ``size`` doubles from the generator mapped through the cumulative
+    distribution of ``samplers[which[i]]``, ``exclude[i]`` dropped, and the
+    shortfall drawn the same way until the row is full.  Every generator is
+    left where those draws leave it; samplers that share a generator share
     its stream in position order.  Rows whose sampler has nothing to draw
     from are -1.
     """
@@ -134,7 +122,7 @@ def _draw_stream(samplers, which, exclude, size):
 
     Each position takes ``size`` ids from the cursor; one that drew its own
     exclusion drops it and takes the next ids one by one, as the rounds of
-    ``NegativeSampler.draw`` do.  Doubles are drawn and mapped through every
+    the sequential draw do.  Doubles are drawn and mapped through every
     sampler a chunk at a time (the expected need of the positions left plus
     four of its square roots, at most ``_POOL``), and the generator ends
     just past the doubles used."""

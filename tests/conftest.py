@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,10 @@ def trained(planted):
         return cache[key]
 
     return get
+
+
+def with_overrides(cfg: ModelConfig, **kw) -> ModelConfig:
+    return replace(cfg, **kw).validate()
 
 
 def corpus_from_streams(streams, n_words: int, n_equations: int = 0) -> CorpusData:

@@ -11,7 +11,8 @@ the same records, skipped count and word/slot sequence, which the
 differential tests check.  The regex tokenizer rescans to the end of the
 text from every unclosed ``\\(``, every ``\\begin{`` without a ``}`` and
 every ``\\cite[`` without a ``]``; ``eqvec.tex.tokenize_words`` must give
-the same tokens.
+the same tokens.  The comment stripper is the look-behind-first regex;
+``eqvec.tex.strip_comments`` must drop the same spans.
 """
 
 import logging
@@ -27,7 +28,6 @@ from eqvec.tex import (
     RawDocument,
     _split_rows,
     normalize_equation,
-    strip_comments,
 )
 
 log = logging.getLogger(__name__)
@@ -46,8 +46,17 @@ _DROP_WITH_ARG = re.compile(
     r"(?:\[[^\]]*\])?(?:\{[^{}]*\})+"
 )
 
+# The comment pattern as first written: the look-behind leads, so a search
+# tries the pattern at every character.
+_COMMENT = re.compile(r"(?<!\\)%[^\n]*")
+
 _DOLLAR_PAIR = re.compile(r"\$\$(.*?)\$\$", re.DOTALL)
 _BRACKET_PAIR = re.compile(r"\\\[(.*?)\\\]", re.DOTALL)
+
+
+def strip_comments(text: str) -> str:
+    """Drop unescaped %-comments, keeping line structure intact."""
+    return _COMMENT.sub("", text)
 
 
 def _extract(doc: RawDocument):

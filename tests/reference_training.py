@@ -6,6 +6,9 @@ It is slow and plain on purpose: the compiled trainer in
 ``eqvec.training`` must reproduce its epoch counts, validation scores,
 losses and fitted tables (to rounding), which the equivalence tests check.
 
+``NegativeSampler`` adds the sequential per-position draw, the oracle for
+the block draws of ``eqvec.training.draw_negatives``.
+
 ``sgd_block`` at the end is the compiled kernel as it stood before its
 step loop was rewritten for fewer numpy calls.  The rewrite changed no
 arithmetic, so the current kernel must match it bit for bit.
@@ -15,13 +18,31 @@ import time
 
 import numpy as np
 
+from eqvec import evaluation, training
 from eqvec.corpus import EQ_TAG, GAP
 from eqvec.model import LOG_EPS, EmbeddingTable, Model, sigmoid
-from eqvec import evaluation
 from eqvec.passes import PassPlan, _exclusion_masks, _ptr, _ranges
-from eqvec.training import EpochRecord, NegativeSampler, _distinct
+from eqvec.training import EpochRecord, _distinct, _expected_draws
 
 from .reference_model import adagrad_rows
+
+
+class NegativeSampler(training.NegativeSampler):
+    """``eqvec.training.NegativeSampler`` with a draw per position."""
+
+    def draw(self, size: int, exclude: int) -> np.ndarray:
+        if self.cum is None:
+            return np.empty(0, dtype=np.int64)
+        if 0 <= exclude < self.n:
+            _expected_draws(size, self.accept[[exclude]], [exclude])
+        out = np.empty(size, dtype=np.int64)
+        have = 0
+        while have < size:
+            ids = np.searchsorted(self.cum, self.rng.random(size - have), side="right")
+            ids = ids[ids != exclude]
+            out[have : have + len(ids)] = ids
+            have += len(ids)
+        return out
 
 
 def _position_update(target_table, tid, negatives, sum_specs, grad_specs, lr, update_target):

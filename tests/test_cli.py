@@ -468,21 +468,24 @@ def test_model_records_checked_against_header(change, records, message, planted_
         assert message in err and err.count("\n") == 1 and "Traceback" not in err
 
 
+# An eval grid of one quick row.
+_ONE_ROW_GRID = ["--set", "eval_modes=word", "--set", "eval_dims=4", "--set", "eval_word_windows=2",
+                 "--set", "max_epochs=1"]
+
+
 def _paths_of_the_wrong_kind(tmp_path, bundle, models, corpus):
     a_file = str(tmp_path / "a_file")
     open(a_file, "w").close()
     a_dir = str(tmp_path / "a_dir")
     os.mkdir(a_dir)
     word = ["--mode", "word", "--set", "k=4", "--set", "max_epochs=1"]
-    grid = ["--set", "eval_modes=word", "--set", "eval_dims=4", "--set", "eval_word_windows=2",
-            "--set", "max_epochs=1"]
     return {
         "query_model_dir": ["query", "eq2eq", "--id", "0", "--model", a_dir, "--bundle", bundle],
         "query_bundle_file": ["query", "eq2eq", "--id", "0", "--model", models["unit"], "--bundle", a_file],
         "inspect_dir": ["inspect", a_dir],
         "train_model_dir": ["train", "--bundle", bundle, "--model", a_dir, *word],
         "ingest_bundle_file": ["ingest", "--corpus", corpus, "--bundle", a_file],
-        "eval_report_dir": ["eval", "--bundle", bundle, "--report", a_dir, *grid],
+        "eval_report_dir": ["eval", "--bundle", bundle, "--report", a_dir, *_ONE_ROW_GRID],
     }
 
 
@@ -507,6 +510,25 @@ def test_path_of_the_wrong_kind_exits_2(case, planted_models, tiny_corpus, tmp_p
     assert fits == []
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_eval_report_into_a_missing_directory(planted_models, tmp_path, capsys, monkeypatch):
+    # the directory exists before the first fit, as for ``train --model``
+    from eqvec import training
+
+    report = tmp_path / "missing" / "deeper" / "r.tsv"
+    fit, made = training.train_model, []
+
+    def checking_fit(*args, **kwargs):
+        made.append(report.parent.is_dir())
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(training, "train_model", checking_fit)
+    bundle, _, _ = planted_models
+    code, out, err = run(["eval", "--bundle", bundle, "--report", str(report), *_ONE_ROW_GRID], capsys)
+    assert code == 0, err
+    assert made and all(made)
+    assert report.read_text() == out
 
 
 def test_ingest_leaves_a_directory_that_is_not_a_bundle(tmp_path, capsys):
@@ -738,7 +760,7 @@ def test_query_imports_only_the_query_path(planted_models, capsys):
     loaded = {line.rsplit("|", 1)[1].strip() for line in err.splitlines()
               if line.startswith("import time:")}
     assert {"eqvec.cli", "eqvec.bundle", "eqvec.modelfile", "eqvec.retrieval"} <= loaded
-    unused = {"eqvec.training", "eqvec.passes", "eqvec.evaluation", "eqvec.slt",
+    unused = {"eqvec.training", "eqvec.passes", "eqvec.evaluation", "eqvec.slt", "eqvec.tex",
               "concurrent.futures.process"}
     assert not loaded & unused
     assert main(argv) == 0

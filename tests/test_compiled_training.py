@@ -4,7 +4,8 @@
   scores, losses and tables, to rounding;
 * the pair API (``pair_loss_and_grads`` + ``adagrad_step``), which the
   gradient suite finite-differences: one compiled step equals it;
-* ``NegativeSampler.draw``: block draws return the sequential stream;
+* the sequential draw (``reference_training.NegativeSampler.draw``): block
+  draws return its stream;
 * the kernel before its step rewrite (``reference_training.sgd_block``):
   bit for bit.
 """
@@ -17,11 +18,11 @@ from hypothesis import strategies as st
 from eqvec import passes
 from eqvec.model import EmbeddingTable
 from eqvec.passes import assemble_plan
-from eqvec.training import _POOL, NegativeSampler, _stack, draw_negatives, sgd_block, train_model
+from eqvec.training import _POOL, _stack, draw_negatives, sgd_block, train_model
 
-from .conftest import plan_positions
+from .conftest import plan_positions, with_overrides
 from .reference_model import SparseGrads, Tables, TrainingPair, adagrad_step, pair_loss_and_grads
-from .reference_training import reference_train_model
+from .reference_training import NegativeSampler, reference_train_model
 from .reference_training import sgd_block as reference_sgd_block
 from .test_training import CFG, make_corpus
 
@@ -42,7 +43,7 @@ def corpus():
 @pytest.mark.parametrize("name", list(EQUIVALENCE_CONFIGS))
 def test_matches_reference_trainer(corpus, name):
     mode, overrides = EQUIVALENCE_CONFIGS[name]
-    cfg = CFG.with_overrides(max_epochs=20, **overrides)
+    cfg = with_overrides(CFG, max_epochs=20, **overrides)
     got, got_records = train_model(corpus, cfg, mode)
     want, want_records = reference_train_model(corpus, cfg, mode)
 
@@ -64,7 +65,7 @@ def test_matches_reference_trainer(corpus, name):
 
 @pytest.mark.parametrize("pass_name", list(passes.PASS_CLASSES))
 def test_plan_independent_of_compile_chunking(corpus, monkeypatch, pass_name):
-    cfg = CFG.with_overrides(unit_context_mean=True)
+    cfg = with_overrides(CFG, unit_context_mean=True)
 
     def compiled(tokens):
         monkeypatch.setattr(passes, "_COMPILE_TOKENS", tokens)
@@ -83,7 +84,7 @@ def test_plan_independent_of_compile_chunking(corpus, monkeypatch, pass_name):
 def test_fit_independent_of_compile_chunking(corpus, monkeypatch, name):
     # negatives are drawn once per plan, so plan boundaries must not show
     mode, overrides = EQUIVALENCE_CONFIGS[name]
-    cfg = CFG.with_overrides(**overrides)
+    cfg = with_overrides(CFG, **overrides)
 
     def fitted(tokens):
         monkeypatch.setattr(passes, "_COMPILE_TOKENS", tokens)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eqvec import corpus
 from eqvec.corpus import (
@@ -17,6 +19,8 @@ from eqvec.corpus import (
     load_stopwords,
 )
 from eqvec.tex import RawDocument
+
+from .reference_corpus import build_heldout as reference_build_heldout
 
 STOPS = frozenset({"the", "of", "a", "and"})
 
@@ -126,7 +130,7 @@ def test_stream_mapping():
     )
     codes = streams[0].codes
     assert codes[0] == GAP  # out-of-vocabulary word
-    assert codes[1] == vocab.id_of("model")
+    assert codes[1] == vocab.index["model"]
     assert codes[2] == encode_equation(3)
 
 
@@ -142,8 +146,8 @@ def test_dropped_equation_slot_is_gap():
     streams = build_token_streams(
         [("d", [["model"], [], ["layer"]], [0, 1])], vocab, {"d": {0: None, 1: 4}}
     )
-    assert list(streams[0].codes) == [vocab.id_of("model"), GAP, encode_equation(4),
-                                      vocab.id_of("layer")]
+    assert list(streams[0].codes) == [vocab.index["model"], GAP, encode_equation(4),
+                                      vocab.index["layer"]]
 
 
 def test_unknown_placeholder_is_error():
@@ -169,12 +173,12 @@ def test_window_classes_word_vs_equation_context():
     def context_of_model(eq_window, pass_name):
         cfg = ModelConfig(word_window=4, eq_window=eq_window)
         plan = plan_positions(compile_pass(data, cfg, pass_name), pass_name)
-        return next(ctx for cls, t, ctx in plan if (cls, t) == ("word", vocab.id_of("model")))
+        return next(ctx for cls, t, ctx in plan if (cls, t) == ("word", vocab.index["model"]))
 
     words_near = [i for c, i in context_of_model(4, "word") if c == "word"]
     eqs_near_small = [i for c, i in context_of_model(4, "equation") if c == "eq"]
     eqs_near_large = [i for c, i in context_of_model(16, "equation") if c == "eq"]
-    assert list(words_near) == [vocab.id_of("layer")]
+    assert list(words_near) == [vocab.index["layer"]]
     assert list(eqs_near_small) == [7]  # distance 2 is inside a size-4 window
     assert list(eqs_near_large) == [7]
 
@@ -251,6 +255,27 @@ def test_heldout_arithmetic():
     )
     assert skipped == 0
     assert len(valid) == 2 * 10 and len(test) == 2 * 10
+
+
+# Word ids, gaps and a few equations, so that one equation often recurs
+# within a window and sits at document edges.
+_CODES = st.one_of(st.integers(0, 4), st.just(int(GAP)), st.integers(0, 3).map(encode_equation))
+_EQ = encode_equation
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.lists(_CODES, max_size=24), max_size=5),
+    st.integers(1, 3),
+    st.integers(1, 9),
+    st.integers(0, 2**32 - 1),
+)
+@example([[_EQ(0), 1, 2, _EQ(0), 3, 4], [], [0, 1, 2], [4, _EQ(1)], [_EQ(1), 2, 3, 4, 0]], 1, 4, 0)
+@example([[_EQ(0), int(GAP), _EQ(0)], [1, 2, 3, 4, 0, 1]], 1, 8, 1)
+def test_heldout_matches_loop_reference(stream_codes, per_equation, window, seed):
+    streams = [TokenStream(f"d{i}", np.array(c, dtype=np.uint32)) for i, c in enumerate(stream_codes)]
+    kw = dict(n_words=5, per_equation=per_equation, context_window=window, n_negatives=3, seed=seed)
+    assert build_heldout(streams, **kw) == reference_build_heldout(streams, **kw)
 
 
 # --- ingest orchestration ------------------------------------------------------

@@ -21,6 +21,7 @@ def test_two_runs_agree_and_compare_lists_a_change(tmp_path, capsys):
     assert {f"model/{c}" for c in configs} <= a.keys()
     assert {f"trace/{c}" for c in configs} <= a.keys()
     assert "eval/seed4" in a and any(k.startswith("query/") for k in a)
+    assert a["bundle/planted/streams.bin"] != a["bundle/commented/streams.bin"]
     assert len(set(a[f"model/{c}"] for c in configs)) == len(configs)
 
     files = []

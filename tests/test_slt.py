@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from eqvec import slt
 from eqvec.slt import (
+    RELATIONS,
     MathNode,
     MathParseError,
     SltTuple,
     build_unit_vocabulary,
     parse_math,
-    parse_unit_string,
     slt_tuples,
     tokenize_equation,
     unit_string,
@@ -200,6 +200,30 @@ def test_golden_fixture_bit_exact():
 # --- canonical strings and unit vocabulary -------------------------------------
 
 
+def parse_unit_string(s: str) -> SltTuple:
+    """The inverse of ``unit_string``, for round-trip checks."""
+    if len(s) < 6 or s[0] != "(" or s[-1] != ")":
+        raise ValueError(f"malformed unit string: {s!r}")
+    body = s[1:-1]
+    fields, buf, i = [], [], 0
+    while i < len(body):
+        ch = body[i]
+        if ch == "\\" and i + 1 < len(body):
+            buf.append(body[i + 1])
+            i += 2
+        elif ch == ",":
+            fields.append("".join(buf))
+            buf = []
+            i += 1
+        else:
+            buf.append(ch)
+            i += 1
+    fields.append("".join(buf))
+    if len(fields) != 3 or fields[2] not in RELATIONS:
+        raise ValueError(f"malformed unit string: {s!r}")
+    return SltTuple(*fields)
+
+
 def test_unit_string_round_trip():
     cases = [
         SltTuple("x", "2", "a"),
@@ -228,7 +252,7 @@ def test_build_unit_vocabulary_counts():
     vocab, ids = build_unit_vocabulary({0: seq_a, 1: seq_b})
     assert vocab.kind == "unit"
     shared = unit_string(SltTuple("x", "2", "a"))
-    assert vocab.freqs[vocab.id_of(shared)] == 2
+    assert vocab.freqs[vocab.index[shared]] == 2
     assert len(ids[0]) == len(seq_a)
     assert (ids[0] >= 0).all()  # min_count=1 drops nothing
 
@@ -239,7 +263,7 @@ def test_unit_vocabulary_min_count_gaps():
     vocab, ids = build_unit_vocabulary({0: seq_a, 1: seq_b}, min_count=2)
     assert (ids[0] == slt.UNIT_GAP).any()
     for form in vocab.forms:
-        assert vocab.freqs[vocab.id_of(form)] >= 2
+        assert vocab.freqs[vocab.index[form]] >= 2
 
 
 def test_empty_equation_set_errors():
@@ -310,19 +334,22 @@ def test_lenient_parse_never_raises(parts, repeat):
 
 
 
-def _best_seconds(latex: str, repeats: int = 5) -> float:
-    """Best-of-``repeats`` time of one tokenization, with the collector off so
-    a full collection over the caller's heap does not land in one run only."""
-    best = float("inf")
+def _best_seconds(small: str, large: str, repeats: int = 5) -> tuple[float, float]:
+    """Best-of-``repeats`` times of tokenizing ``small`` and ``large``, taken
+    in turn so that a slow stretch of the host lands on both.  The collector
+    is off during each call, so a full collection over the caller's heap
+    does not land in one run only."""
+    best = [float("inf"), float("inf")]
     for _ in range(repeats):
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            tokenize_equation(latex)
-            best = min(best, time.perf_counter() - start)
-        finally:
-            gc.enable()
-    return best
+        for i, latex in enumerate((small, large)):
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                tokenize_equation(latex)
+                best[i] = min(best[i], time.perf_counter() - start)
+            finally:
+                gc.enable()
+    return best[0], best[1]
 
 
 _SCALING = {
@@ -333,4 +360,5 @@ _SCALING = {
 
 @pytest.mark.parametrize("make", list(_SCALING.values()), ids=list(_SCALING))
 def test_tokenize_time_is_linear(make):
-    assert _best_seconds(make(40)) < 8 * _best_seconds(make(10))
+    small, large = _best_seconds(make(10), make(40))
+    assert large < 8 * small

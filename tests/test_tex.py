@@ -9,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqvec.corpus import _prepare_document
-from eqvec.tex import RawDocument, _extract, extract_display_equations, tokenize_words
+from eqvec.tex import RawDocument, _extract, extract_display_equations, strip_comments, tokenize_words
 
 from .reference_tex import reference_sequence, reference_tokenize_words
+from .reference_tex import strip_comments as reference_strip_comments
 
 
 def test_single_equation_environment():
@@ -89,6 +90,15 @@ def test_label_stripped_and_whitespace_collapsed():
     )
     _, _, records = extract_display_equations(doc)
     assert records[0].latex == "x + y"
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(["%", "\\", "\\%", "%%", "a", "\n", " ", "\u00e9"]), max_size=30))
+@example(["\\", "\\", "%", "a", "\n", "a"])  # an escaped backslash before "%"
+@example(["%", "\\%", "a", "\n", "\\%", "a"])
+def test_strip_comments_matches_lookbehind_reference(parts):
+    text = "".join(parts)
+    assert strip_comments(text) == reference_strip_comments(text)
 
 
 def test_comments_do_not_hide_math():
@@ -206,23 +216,25 @@ def test_extract_matches_rescanning_reference(parts):
 # --- linear time on hostile input ------------------------------------------------
 
 
-def _best_seconds(text: str, ceiling: float, repeat: int = 5) -> float:
-    """Fastest of ``repeat`` extractions; stops early once one exceeds ``ceiling``.
-    The collector is off during each, so a full collection over the caller's
-    heap does not land in one run only."""
-    doc = RawDocument("d", text)
-    best = float("inf")
+def _best_seconds(run, small, large, ceiling: float, repeat: int = 5) -> tuple[float, float]:
+    """Fastest of ``repeat`` calls of ``run(small)`` and of ``run(large)``,
+    taken in turn so that a slow stretch of the host lands on both sizes;
+    stops early once either exceeds ``ceiling``.  The collector is off
+    during each call, so a full collection over the caller's heap does not
+    land in one run only."""
+    best = [float("inf"), float("inf")]
     for _ in range(repeat):
-        gc.disable()
-        try:
-            t0 = time.perf_counter()
-            _extract(doc)
-            best = min(best, time.perf_counter() - t0)
-        finally:
-            gc.enable()
-        if best > ceiling:
+        for i, arg in enumerate((small, large)):
+            gc.disable()
+            try:
+                t0 = time.perf_counter()
+                run(arg)
+                best[i] = min(best[i], time.perf_counter() - t0)
+            finally:
+                gc.enable()
+        if max(best) > ceiling:
             break
-    return best
+    return best[0], best[1]
 
 
 @pytest.mark.parametrize(
@@ -237,9 +249,8 @@ def test_extract_time_is_linear(make):
     # the rescanning extractor takes about 0.7 s at n = 2000 and 11 s at
     # n = 8000 on a 2-core machine; a linear one takes milliseconds
     n, ceiling = 2000, 0.25
-    small = _best_seconds(make(n), ceiling)
+    small, large = _best_seconds(_extract, RawDocument("d", make(n)), RawDocument("d", make(4 * n)), ceiling)
     assert small < ceiling
-    large = _best_seconds(make(4 * n), ceiling)
     assert large < ceiling
     assert large < 8 * small
 
@@ -251,7 +262,7 @@ def test_extract_time_is_linear(make):
 _PROSE = [
     "\\(", "\\)", "$", "\\cite", "\\cite[", "\\citep", "\\ref{", "\\include",
     "\\includegraphics", "\\begin{", "\\end", "\\", "[", "]", "]{", "{", "}", "*", "a",
-    "bc", "p-value", "7", " ", "\n",
+    "bc", "p-value", "7", " ", "\n", "-", "--", "a-", "-b", "Word", "\u212a", "\u0130", "\u00e9",
 ]
 
 
@@ -262,20 +273,10 @@ _PROSE = [
 @example(["\\cite[", "a", "\\cite[", "bc", "]{", "a"])  # a shared "]" with no group after it
 @example(["\\cite[", "\\ref{", "a", "}", "]{", "bc", "}", "a"])  # a command inside [...]
 @example(["\\(", "a", "\\(", "bc", "\\)", "$", "a", "\\begin{", "a"])
+@example(["Word", "-", "\u212a", "a-", "-b", "\u0130", "--", "\u00e9", "bc", "p-value", "-"])
 def test_tokenize_words_matches_regex_reference(parts):
     text = "".join(parts)
     assert tokenize_words(text) == reference_tokenize_words(text)
-
-
-def _best_tokenize_seconds(text: str, ceiling: float, repeat: int = 5) -> float:
-    best = float("inf")
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        tokenize_words(text)
-        best = min(best, time.perf_counter() - t0)
-        if best > ceiling:
-            break
-    return best
 
 
 @pytest.mark.parametrize(
@@ -292,8 +293,7 @@ def test_tokenize_time_is_linear(make):
     # the regex tokenizer takes about 0.25 s (parens) and 0.05 s (the others)
     # at n = 2000, and 16 times that at n = 8000, on a 2-core machine
     n, ceiling = 2000, 0.25
-    small = _best_tokenize_seconds(make(n), ceiling)
+    small, large = _best_seconds(tokenize_words, make(n), make(4 * n), ceiling)
     assert small < ceiling
-    large = _best_tokenize_seconds(make(4 * n), ceiling)
     assert large < ceiling
     assert large < 8 * small

@@ -10,8 +10,11 @@ from eqvec.bundle import save_bundle
 from eqvec.corpus import IngestParams, ingest_corpus
 from eqvec.model import ModelConfig
 from eqvec.modelfile import load_model
-from eqvec.tex import RawDocument
-from eqvec.training import NegativeSampler, TrainingDiverged, train_model
+from eqvec.tex import RawDocument, normalize_equation
+from eqvec.training import TrainingDiverged, train_model
+
+from .conftest import with_overrides
+from .reference_training import NegativeSampler
 
 
 def make_corpus(n_docs=24, with_equations=True, seed=3):
@@ -64,7 +67,7 @@ def test_word_table_frozen_through_equation_pass():
 def test_word_table_frozen_through_unit_pass():
     # the two-pass unit protocol freezes words, like the equation pass
     data = make_corpus()
-    model, _ = train_model(data, CFG.with_overrides(unit_joint=False), "unit")
+    model, _ = train_model(data, with_overrides(CFG, unit_joint=False), "unit")
     word_only, _ = train_model(data, CFG, "word")
     assert model.word.checksum() == word_only.word.checksum()
 
@@ -100,7 +103,7 @@ def test_determinism_same_seed_same_bytes():
 def test_different_seed_different_bytes():
     data = make_corpus()
     a, _ = train_model(data, CFG, "equation")
-    b, _ = train_model(data, CFG.with_overrides(seed=14), "equation")
+    b, _ = train_model(data, with_overrides(CFG, seed=14), "equation")
     assert a.word.rho.tobytes() != b.word.rho.tobytes()
 
 
@@ -114,7 +117,7 @@ def test_epoch_cap_respected():
 
 def test_trace_stops_at_first_non_improvement():
     data = make_corpus()
-    _, records = train_model(data, CFG.with_overrides(max_epochs=20), "word")
+    _, records = train_model(data, with_overrides(CFG, max_epochs=20), "word")
     trace = [r.validation_score for r in records if r.pass_name == "word"]
     for i in range(1, len(trace) - 1):
         assert trace[i] > trace[i - 1]  # improved everywhere except possibly the last
@@ -151,7 +154,7 @@ def test_untouched_equation_keeps_initialization():
         heldout_per_equation=1, heldout_window=4, n_negatives=4, seed=9,
     )
     data = ingest_corpus(docs, params)
-    iso_id = data.registry.id_for_latex("w_{9} + q_{9}")
+    iso_id = data.registry._by_latex.get(normalize_equation("w_{9} + q_{9}"))
     assert iso_id is not None
     model, _ = train_model(data, CFG, "equation")
     # the feature vector is only reachable through context membership, so it
@@ -171,7 +174,7 @@ def test_singleton_equation_gets_nonzero_vector():
 def test_two_pass_unit_word_pass_identical_to_word_mode():
     data = make_corpus()
     a, _ = train_model(data, CFG, "word")
-    b, _ = train_model(data, CFG.with_overrides(unit_joint=False), "unit")
+    b, _ = train_model(data, with_overrides(CFG, unit_joint=False), "unit")
     assert a.word.rho.tobytes() == b.word.rho.tobytes()
 
 
@@ -209,7 +212,7 @@ def test_uniform_sampling_fits_and_repeats(tmp_path):
     from eqvec.modelfile import save_model
 
     data = make_corpus()
-    cfg = CFG.with_overrides(negative_sampling="uniform")
+    cfg = with_overrides(CFG, negative_sampling="uniform")
     for mode in ("word", "equation", "unit"):
         saved = []
         for run in ("a", "b"):
@@ -250,10 +253,10 @@ def test_divergence_aborts_with_last_good_snapshot(monkeypatch):
         # the last good epoch is the second of each pass: a fit capped there
         # on the same scores ends with exactly that snapshot
         _scripted_scores(monkeypatch, good)
-        want, _ = train_model(data, CFG.with_overrides(max_epochs=2), mode)
+        want, _ = train_model(data, with_overrides(CFG, max_epochs=2), mode)
         _scripted_scores(monkeypatch, scores)
         with pytest.raises(TrainingDiverged) as info:
-            train_model(data, CFG.with_overrides(max_epochs=6), mode)
+            train_model(data, with_overrides(CFG, max_epochs=6), mode)
         exc = info.value
         assert exc.model is not None
         assert np.isfinite(exc.model.word.rho).all()
@@ -283,7 +286,7 @@ def test_cli_train_divergence_exits_1_and_keeps_snapshot(monkeypatch, tmp_path, 
     err = capsys.readouterr().err
     assert "non-finite in equation pass, epoch 3" in err and "Traceback" not in err
     _scripted_scores(monkeypatch, good)
-    want, _ = train_model(data, CFG.with_overrides(max_epochs=2), "equation")
+    want, _ = train_model(data, with_overrides(CFG, max_epochs=2), "equation")
     got = load_model(path, eq_units=data.eq_units)
     assert got.mode == "equation"
     for name in ("word", "eq"):

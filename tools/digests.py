@@ -2,6 +2,9 @@
 
 Builds the planted corpus bundle and runs the CLI on it in-process:
 
+* every file of the bundle, and of a bundle of the same corpus with
+  ``%`` comments, ``\\%`` escapes and hyphenated words written into its
+  prose (``commented_corpus``), which the planted corpus has none of;
 * ``eqvec train`` in five configurations (word, equation, unit-joint, unit
   two-pass, ``unit_context_mean``) at model seeds 4 and 1: the model file,
   and its ``.trace.jsonl`` with the two timing fields masked;
@@ -37,6 +40,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from eqvec import bundle, cli  # noqa: E402
 from eqvec.corpus import IngestParams, ingest_corpus  # noqa: E402
 from eqvec.synthetic import planted_corpus  # noqa: E402
+from eqvec.tex import RawDocument  # noqa: E402
 
 CORPUS_SEED, INGEST_SEED = 7, 11
 MODEL_SEEDS = (4, 1)
@@ -68,17 +72,54 @@ def _sets(values: dict) -> list:
     return [a for key, v in values.items() for a in ("--set", f"{key}={v}")]
 
 
+# Written into every third prose line, in turn: a comment line before it
+# (hiding a display equation), an escaped "%" with hyphen runs after it, and
+# a trailing comment.  The hyphenated words take turns, so that each is
+# frequent enough for the vocabulary and none is a corpus stop word.
+_COMMENT_LINE = "% draft-note: the well-known bound $$q_{{{}}} = 0$$ stays hidden\n"
+_ESCAPES = " Up to 5\\% of {} cases -- pages 3--5, non- linear -x y-."
+_TRAILING = " % a trailing-comment \\% with an escape"
+_HYPHENATED = ("closed-form", "mean-field", "well-posed", "low-rank", "non-convex", "data-driven",
+               "real-valued", "self-adjoint")
+
+
+def commented_corpus(docs):
+    """``docs`` with comments, ``\\%`` escapes and hyphenated words written
+    into their prose lines (those ending in ".")."""
+    out = []
+    for d, doc in enumerate(docs):
+        lines, j = [], 0
+        for line in doc.source_text.split("\n"):
+            if line.endswith("."):
+                if j % 3 == 0:
+                    line = _COMMENT_LINE.format(j) + line
+                elif j % 3 == 1:
+                    line += _ESCAPES.format(_HYPHENATED[(d + j // 3) % len(_HYPHENATED)])
+                else:
+                    line += _TRAILING
+                j += 1
+            lines.append(line)
+        out.append(RawDocument(doc.doc_id, "\n".join(lines)))
+    return out
+
+
+def _bundle_digests(data, bundle_dir: str, name: str) -> dict:
+    bundle.save_bundle(data, bundle_dir)
+    return {f"bundle/{name}/{f}": _sha(Path(bundle_dir, f).read_bytes()) for f in sorted(os.listdir(bundle_dir))}
+
+
 def digests(workdir: str, n_docs: int = 200, max_epochs: int | None = None) -> dict:
     """Every named digest of one run in ``workdir``; ``max_epochs`` caps
     every fit, the eval grid's included."""
     docs = planted_corpus(n_docs=n_docs, seed=CORPUS_SEED).documents
+    commented = ingest_corpus(commented_corpus(docs), IngestParams(seed=INGEST_SEED))
+    out = _bundle_digests(commented, os.path.join(workdir, "commented"), "commented")
     data = ingest_corpus(docs, IngestParams(seed=INGEST_SEED))
     bundle_dir = os.path.join(workdir, "bundle")
-    bundle.save_bundle(data, bundle_dir)
+    out.update(_bundle_digests(data, bundle_dir, "planted"))
     cap = {} if max_epochs is None else {"max_epochs": max_epochs}
     ids = [i for i in QUERY_IDS if i < data.n_equations]
     words = ",".join(data.word_vocab.forms[:3])
-    out = {}
     for name, (mode, extra) in CONFIGS.items():
         for seed in MODEL_SEEDS:
             key = f"{name}/seed{seed}"
