@@ -201,14 +201,16 @@ def load_bundle(path: str) -> CorpusData:
     unit_ids = np.concatenate([np.empty(0, dtype=np.int64), *query.eq_units.values()])
     _check_ids(os.path.join(path, "eq_units.bin"), "unit", unit_ids[unit_ids != -1], len(unit_vocab or ()))
     sizes = (len(query.word_vocab), len(query.registry))
+    streams = _read_streams(os.path.join(path, "streams.bin"), *sizes)
+    codes = {s.doc_id: s.codes for s in streams}
     return CorpusData(
         word_vocab=query.word_vocab,
         registry=query.registry,
-        streams=_read_streams(os.path.join(path, "streams.bin"), *sizes),
+        streams=streams,
         unit_vocab=unit_vocab,
         eq_units=query.eq_units,
-        heldout_valid=_read_heldout(os.path.join(path, "heldout.valid.tsv"), "validation", *sizes),
-        heldout_test=_read_heldout(os.path.join(path, "heldout.test.tsv"), "test", *sizes),
+        heldout_valid=_read_heldout(os.path.join(path, "heldout.valid.tsv"), "validation", codes, *sizes),
+        heldout_test=_read_heldout(os.path.join(path, "heldout.test.tsv"), "test", codes, *sizes),
         params=params,
         stats=manifest["stats"],
     )
@@ -354,7 +356,10 @@ def _read_eq_units(path: str, n_equations: int) -> dict[int, np.ndarray]:
     return eq_units
 
 
-def _read_heldout(path: str, split: str, n_words: int, n_equations: int):
+def _read_heldout(path: str, split: str, codes: dict, n_words: int, n_equations: int):
+    """The held-out items of one split.  Each must name a word of its own
+    stream: ``codes`` (a document's codes by doc id) holds its target at its
+    position, which is the token training then leaves out."""
     classes = {tag: cls for cls, tag in _CONTEXT_TAGS.items()}
     items = []
     for target, eq_id, doc_id, position, ctx, negs in _read_rows(path, _H_HELDOUT, 6):
@@ -384,4 +389,9 @@ def _read_heldout(path: str, split: str, n_words: int, n_equations: int):
     ids = {cls: [i for it in items for c, i in it.context if c == cls] for cls in ("word", "eq")}
     _check_ids(path, "word", [i for it in items for i in (it.target, *it.negatives)] + ids["word"], n_words)
     _check_ids(path, "equation", [it.eq_id for it in items] + ids["eq"], n_equations)
+    for it in items:
+        doc = codes.get(it.doc_id, ())
+        if not 0 <= it.position < len(doc) or doc[it.position] != it.target:
+            raise BundleFormatError(f"{path}: held-out item out of range: document {it.doc_id!r} "
+                                    f"has no word {it.target} at position {it.position}")
     return items

@@ -71,6 +71,9 @@ class RunConfig:
             if m not in MODES:
                 raise UsageError(f"eval_modes: unknown mode {m!r}")
         dims = _int_list("eval_dims", self.eval_dims)
+        bad = [d for d in dims if d <= 0]
+        if bad:
+            raise UsageError(f"eval_dims: dimensions must be positive, got {bad}")
         windows = []
         for key in ("eval_word_windows", "eval_eq_windows"):
             values = _int_list(key, getattr(self, key))
@@ -410,7 +413,7 @@ def make_parser() -> argparse.ArgumentParser:
         else:
             qp.add_argument("--id", type=int, required=True, help="equation id")
         qp.add_argument("-k", type=int, default=5)
-        qp.add_argument("--metric", choices=("cosine", "euclidean"), default=None)
+        qp.add_argument("--metric", choices=retrieval.METRICS, default=None)
         qp.add_argument("--model", dest="model_path", metavar="MODEL", help="model path")
         qp.add_argument("--bundle", dest="bundle_dir", metavar="BUNDLE", help="bundle directory")
         _add_common(qp)

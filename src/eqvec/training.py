@@ -165,13 +165,20 @@ def _draw_stream(samplers, which, exclude, size):
 # --- the SGD step ---------------------------------------------------------------
 
 
-def _distinct(key):
-    """Sort order of ``key`` (stable) and, in that order, which entries open
-    a run of equal keys."""
+def _merged(pos, rows, weights, m: int, n_rows: int):
+    """Each position's distinct ``rows`` in order of first occurrence, their
+    ``weights`` summed in occurrence order, and how many distinct rows each
+    of the ``m`` positions has.  ``pos`` (nondecreasing) names each entry's
+    position; rows are below ``n_rows``."""
+    key = pos * n_rows + rows
     order = np.argsort(key, kind="stable")
-    first = np.ones(len(key), dtype=bool)
-    first[1:] = key[order][1:] != key[order][:-1]
-    return order, first
+    opens = np.ones(len(key), dtype=bool)
+    opens[1:] = key[order][1:] != key[order][:-1]
+    run = np.empty(len(key), dtype=np.int64)
+    run[order] = np.cumsum(opens) - 1
+    first = np.zeros(len(key), dtype=bool)
+    first[order[opens]] = True
+    return rows[first], np.bincount(run, weights)[run[first]], np.bincount(pos[first], minlength=m)
 
 
 def _stack(tables, trainable) -> np.ndarray:
@@ -201,18 +208,19 @@ def sgd_block(stacked, plan: PassPlan, lo: int, hi: int, negatives, lr: float) -
     none).  Each step is one positive and its sampled zeros sharing one
     context sum: b = sigmoid(rho_t . s), err = b - y, and one Adagrad step
     (acc += g^2; cell -= lr g / sqrt(acc)) over the touched trainable rows
-    with g = (sum of err over a target row's occurrences) * s for target
-    rows and (summed context weight) * (err . rho) for context rows.  Losses
-    are clamped at 1e-12 like the pair loss.
+    with g = (sum of err over a target row's draws) * s for target rows and
+    (summed context weight) * (err . rho) for context rows.  Losses are
+    clamped at 1e-12 like the pair loss.
 
-    A step holds -s and -err; every sign flip is exact, so the bits are
-    those of the formulas above.  Each position has a (2, rows it updates)
-    coefficient block whose row 0 multiplies -s and row 1 -(err . rho).  A
-    direct position (its target trains, no target row drawn twice) writes
-    its scores straight into row 0; one whose target rows repeat sums them
-    into row 0 through its grouping block; one with a frozen target keeps
-    them in a tail after the blocks.  Adagrad gathers and scatters each
-    touched row of the parameters and of the accumulators as one item.
+    A row drawn d times for one position adds d identical terms (same row,
+    same context sum, same label), so a step scores each distinct target
+    row once, the target first, and multiplies its error by d.  A step
+    holds -s and -err; every sign flip is exact.  Each position has a
+    (2, rows it updates) coefficient block whose row 0 multiplies -s and
+    row 1 -(err . rho).  A position whose target trains writes its errors
+    straight into row 0; one with a frozen target keeps them in a tail
+    after the blocks.  Adagrad gathers and scatters each touched row of the
+    parameters and of the accumulators as one item.
     """
     m = hi - lo
     k = stacked.shape[2]
@@ -220,8 +228,9 @@ def sgd_block(stacked, plan: PassPlan, lo: int, hi: int, negatives, lr: float) -
     cls = plan.cls[lo:hi]
     base = plan.offsets[cls]
     valid = np.concatenate((np.ones((m, 1), dtype=bool), negatives >= 0), axis=1)
-    nt = valid.sum(axis=1)
-    trows = np.concatenate(((plan.target[lo:hi] + base)[:, None], negatives + base[:, None]), axis=1)[valid]
+    n_drawn = valid.sum(axis=1)
+    drawn = np.concatenate(((plan.target[lo:hi] + base)[:, None], negatives + base[:, None]), axis=1)[valid]
+    trows, draws, nt = _merged(np.repeat(np.arange(m), n_drawn), drawn, np.ones(len(drawn)), m, n_rows)
     tptr = _ptr(nt)
     cptr = plan.ctx_ptr[lo : hi + 1].astype(np.int64)
     ctx = plan.ctx_rows[cptr[0] : cptr[-1]].astype(np.int64)
@@ -235,43 +244,26 @@ def sgd_block(stacked, plan: PassPlan, lo: int, hi: int, negatives, lr: float) -
     # weights negated so the context sum comes out negated, ready for exp
     wneg = -weights
 
-    # a target row drawn more than once gets one update with summed errors;
-    # a direct position's target rows keep their slot order
-    pos = np.repeat(np.arange(m), nt)
-    slot = np.arange(len(pos)) - tptr[pos]
-    order, first = _distinct(pos * n_rows + trows)
-    n_groups = np.bincount(pos[order][first], minlength=m)
-    local = np.empty(len(pos), dtype=np.int64)
-    local[order] = np.cumsum(first) - 1 - _ptr(n_groups)[pos[order]]
-    update_target = np.asarray(plan.trainable, dtype=bool)[cls]
-    direct = update_target & (n_groups == nt)
-    repeat = update_target & ~direct
-    local[direct[pos]] = slot[direct[pos]]
-    nu = n_groups * update_target
     # trainable context rows, one per distinct row of a position, weights summed
     trainable_rows = np.repeat(np.asarray(plan.trainable, dtype=bool), plan.sizes)
     learn = trainable_rows[ctx - n_rows // 2]
-    cpos = np.repeat(np.arange(m), nc)[learn]
-    corder, cfirst = _distinct(cpos * n_rows + ctx[learn])
-    grad_coef = np.bincount(np.cumsum(cfirst) - 1, weights[learn][corder], minlength=int(cfirst.sum()))
-    ng = np.bincount(cpos[corder][cfirst], minlength=m)
+    crows, grad_coef, ng = _merged(np.repeat(np.arange(m), nc)[learn], ctx[learn], weights[learn], m, n_rows)
+    update_target = np.asarray(plan.trainable, dtype=bool)[cls]
+    nu = nt * update_target
     n_upd = nu + ng
     uptr = _ptr(n_upd)
     n_u = int(uptr[-1])
     urows = np.empty(n_u, dtype=np.int64)
-    at = update_target[pos]
-    urows[(uptr[pos] + local)[at]] = trows[at]
-    urows[_ranges(uptr[:-1] + nu, ng)] = ctx[learn][corder][cfirst]
-    # per repeating position an (nu, nt) grouping of its targets
-    hptr = _ptr(nu * nt * repeat)
-    group = np.zeros(int(hptr[-1]))
-    group[(hptr[pos] + local * nt[pos] + slot)[repeat[pos]]] = 1.0
+    urows[_ranges(uptr[:-1], nu)] = trows[np.repeat(update_target, nt)]
+    urows[_ranges(uptr[:-1] + nu, ng)] = crows
     # per position a (2, n_upd) coefficient block, row 1 negated once here,
     # then the tail: where each position's errors live is eptr
-    tail = _ptr(nt * ~direct)
-    eptr = np.where(direct, 2 * uptr[:-1], 2 * n_u + tail[:-1])
+    tail = _ptr(nt * ~update_target)
+    eptr = np.where(update_target, 2 * uptr[:-1], 2 * n_u + tail[:-1])
     coef = np.zeros(2 * n_u + int(tail[-1]))
     coef[_ranges(2 * uptr[:-1] + n_upd + nu, ng)] = -grad_coef
+    # where a position's draw counts start, -1 where no row was drawn twice
+    dptr = np.where(nt < n_drawn, tptr[:-1], -1)
 
     item = np.dtype((np.void, 8 * k))  # one row of k doubles
     pv, av = stacked[0].view(item)[:, 0], stacked[1].view(item)[:, 0]
@@ -283,10 +275,9 @@ def sgd_block(stacked, plan: PassPlan, lo: int, hi: int, negatives, lr: float) -
         stacked[0].take, np.exp, np.add, np.multiply, np.divide, np.subtract, np.sqrt)
     steps = zip(
         gptr[:-1].tolist(), gptr[1:].tolist(), nt.tolist(), eptr.tolist(),
-        cptr[:-1].tolist(), cptr[1:].tolist(), uptr[:-1].tolist(), uptr[1:].tolist(),
-        (nu * repeat).tolist(), hptr[:-1].tolist(),
+        cptr[:-1].tolist(), cptr[1:].tolist(), uptr[:-1].tolist(), uptr[1:].tolist(), dptr.tolist(),
     )
-    for i, (g0, g1, t, e0, c0, c1, u0, u1, nui, h0) in enumerate(steps):
+    for i, (g0, g1, t, e0, c0, c1, u0, u1, d0) in enumerate(steps):
         x = take(gidx[g0:g1], 0)
         r = x[:t]
         wneg[c0:c1].dot(x[t:], v0)
@@ -296,12 +287,11 @@ def sgd_block(stacked, plan: PassPlan, lo: int, hi: int, negatives, lr: float) -
         add(e, 1.0, e)
         divide(-1.0, e, e)
         b0[i] = e[0]
+        if d0 >= 0:  # before the target's +1, so a negative equal to it stays exact
+            multiply(e, draws[d0 : d0 + t], e)
         e[0] += 1.0
         e.dot(r, v1)
-        w = coef[2 * u0 : 2 * u1].reshape(2, u1 - u0)
-        if nui:
-            group[h0 : h0 + nui * t].reshape(nui, t).dot(e, w[0, :nui])
-        g = w.T.dot(vec).ravel()
+        g = coef[2 * u0 : 2 * u1].reshape(2, u1 - u0).T.dot(vec).ravel()
         rows = urows[u0:u1]
         zp, za = pv.take(rows), av.take(rows)
         p, a = zp.view(f8), za.view(f8)
@@ -314,8 +304,12 @@ def sgd_block(stacked, plan: PassPlan, lo: int, hi: int, negatives, lr: float) -
         pv[rows] = zp
         av[rows] = za
 
-    err = coef[_ranges(eptr + 1, nt - 1)]
-    neg_loss = np.bincount(np.repeat(np.arange(m), nt - 1), np.log(np.maximum(1.0 + err, LOG_EPS)), minlength=m)
+    # each draw of a negative adds log(1 - b): its row's error holds -d b;
+    # each further draw of the target adds log(1 - b_target) = log(1 + b0)
+    d = draws[_ranges(tptr[:-1] + 1, nt - 1)]
+    neg = d * np.log(np.maximum(1.0 + coef[_ranges(eptr + 1, nt - 1)] / d, LOG_EPS))
+    neg_loss = np.bincount(np.repeat(np.arange(m), nt - 1), neg, minlength=m)
+    neg_loss = neg_loss + (draws[tptr[:-1]] - 1.0) * np.log(np.maximum(1.0 + b0, LOG_EPS))
     return -np.log(np.maximum(-b0, LOG_EPS)) - neg_loss
 
 
@@ -332,9 +326,7 @@ def _run_epoch(plans, stacked, samplers, config: ModelConfig) -> float:
     its negative draw and step set-up take.  Above ``_SLICE_NEGATIVES``
     negatives a slice holds proportionally fewer positions, which keeps
     positions x n_negatives, and so its negatives and per-position set-up,
-    at most what the default takes.  It does not bound the grouping block
-    of a position whose target rows repeat: that holds up to
-    (1 + n_negatives)^2 doubles whatever the slice size."""
+    at most what the default takes."""
     total = 0.0
     n = max(1, passes._COMPILE_TOKENS * _SLICE_NEGATIVES // max(_SLICE_NEGATIVES, config.n_negatives))
     with np.errstate(over="ignore"):

@@ -10,8 +10,11 @@ losses and fitted tables (to rounding), which the equivalence tests check.
 the block draws of ``eqvec.training.draw_negatives``.
 
 ``sgd_block`` at the end is the compiled kernel as it stood before its
-step loop was rewritten for fewer numpy calls.  The rewrite changed no
-arithmetic, so the current kernel must match it bit for bit.
+step loop was rewritten for fewer numpy calls, with ``_distinct``, which
+only it uses.  It scores every drawn slot and sums a repeated row's errors
+through a per-position grouping block; the current kernel scores each
+distinct row once and weights its error by its draw count, so the two
+agree to rounding.
 """
 
 import time
@@ -22,7 +25,7 @@ from eqvec import evaluation, training
 from eqvec.corpus import EQ_TAG, GAP
 from eqvec.model import LOG_EPS, EmbeddingTable, Model, sigmoid
 from eqvec.passes import PassPlan, _exclusion_masks, _ptr, _ranges
-from eqvec.training import EpochRecord, _distinct, _expected_draws
+from eqvec.training import EpochRecord, _expected_draws
 
 from .reference_model import adagrad_rows
 
@@ -340,6 +343,15 @@ def reference_train_model(data, config, mode):
 
 
 # --- the block kernel before the step rewrite ----------------------------------
+
+
+def _distinct(key):
+    """Sort order of ``key`` (stable) and, in that order, which entries open
+    a run of equal keys."""
+    order = np.argsort(key, kind="stable")
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[order][1:] != key[order][:-1]
+    return order, first
 
 
 def sgd_block(stacked, plan: PassPlan, lo: int, hi: int, negatives, lr: float) -> np.ndarray:

@@ -246,9 +246,10 @@ def test_config_file_and_cli_precedence(tiny_corpus, tmp_path, capsys):
         ("train", "learning_rate=nan", "learning_rate"),
         ("eval", "eval_word_windows=3", "eval_word_windows"),
         ("eval", "eval_eq_windows=0", "eval_eq_windows"),
+        ("eval", "eval_dims=0", "eval_dims"),
     ],
     ids=["unknown_key", "min_tf", "word_window", "mode", "init_scale", "eval_dims", "eval_modes",
-         "heldout_window", "workers", "learning_rate", "eval_word_windows", "eval_eq_windows"],
+         "heldout_window", "workers", "learning_rate", "eval_word_windows", "eval_eq_windows", "eval_dims_zero"],
 )
 def test_unknown_config_key_exits_2(command, setting, message, tiny_corpus, tiny_bundle,
                                     tmp_path, capsys):

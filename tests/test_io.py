@@ -182,6 +182,15 @@ def _break_heldout(split, **changes):
     return damage
 
 
+def _stream_of(item, data):
+    return next(s for s in data.streams if s.doc_id == item.doc_id)
+
+
+def _other_word(item, data):
+    codes = _stream_of(item, data).codes
+    return next(p for p, c in enumerate(codes.tolist()) if c < len(data.word_vocab) and c != item.target)
+
+
 def _break_eq_units(data):
     data.eq_units[0] = np.append(data.eq_units[0], len(data.unit_vocab))
 
@@ -197,15 +206,20 @@ def _break_eq_units(data):
         _break_heldout("heldout_test", context=lambda it, d: [("word", len(d.word_vocab))] + it.context),
         _break_heldout("heldout_valid", context=lambda it, d: it.context[:-1] + [("eq", len(d.registry))]),
         _break_heldout("heldout_test", eq_id=lambda it, d: -1),
+        _break_heldout("heldout_valid", position=lambda it, d: len(_stream_of(it, d).codes)),
+        _break_heldout("heldout_test", position=lambda it, d: -3),
+        _break_heldout("heldout_valid", doc_id=lambda it, d: it.doc_id + "-unknown"),
+        _break_heldout("heldout_test", position=lambda it, d: _other_word(it, d)),
         _break_eq_units,
     ],
     ids=["stream_word", "stream_equation", "heldout_target", "heldout_huge_target", "heldout_negative",
-         "heldout_context_word", "heldout_context_equation", "heldout_eq_id", "eq_units"],
+         "heldout_context_word", "heldout_context_equation", "heldout_eq_id", "heldout_position_past_end",
+         "heldout_negative_position", "heldout_unknown_doc", "heldout_position_of_other_word", "eq_units"],
 )
 def test_bundle_id_out_of_range_rejected(damage, tmp_path):
     data = tiny_corpus_data()
     assert data.heldout_valid and data.heldout_test
-    data.streams[-1].codes[-1] = GAP
+    data.streams[-1].codes = np.append(data.streams[-1].codes, GAP)  # after every held-out position
     load_bundle(save_bundle(data, str(tmp_path / "good")))  # gaps and every real id load
     damage(data)
     path = save_bundle(data, str(tmp_path / "bad"))
