@@ -17,8 +17,13 @@ Each file has one reader.  ``load_bundle`` runs all of them;
 ``load_query_files`` runs only those a similarity query needs (manifest,
 vocab.tsv, equations.tsv, eq_units.bin).  A file that ends inside a line
 or record, fails to parse, disagrees with a count the manifest records,
-holds an id out of range or a frequency or occurrence count below 1 raises
-``BundleFormatError``.
+holds an id out of range, two records for one equation, or a frequency or
+occurrence count below 1 raises ``BundleFormatError``.
+
+The binary files are each read as one array: a document's codes and an
+equation's unit ids are views of it, so the numpy calls a reader makes do
+not grow with the number of records.  Text files are split and checked
+whole-file.
 """
 
 import json
@@ -27,6 +32,7 @@ import shutil
 import struct
 import tempfile
 from dataclasses import asdict
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -170,6 +176,7 @@ class QueryFiles(NamedTuple):
     word_vocab: Vocabulary
     registry: EquationRegistry
     eq_units: dict[int, np.ndarray]
+    unit_ids: np.ndarray  # every unit id of eq_units.bin, gaps included; eq_units' values are views of it
 
 
 def load_query_files(path: str) -> QueryFiles:
@@ -181,8 +188,8 @@ def load_query_files(path: str) -> QueryFiles:
     word_vocab = _read_vocab(os.path.join(path, "vocab.tsv"), _H_VOCAB, "word", stats.get("words"))
     word_vocab.stop_forms = tuple(manifest.get("word_stop_forms", ()))
     registry = _read_equations(os.path.join(path, "equations.tsv"), stats.get("equations"))
-    eq_units = _read_eq_units(os.path.join(path, "eq_units.bin"), len(registry))
-    return QueryFiles(manifest, word_vocab, registry, eq_units)
+    eq_units, unit_ids = _read_eq_units(os.path.join(path, "eq_units.bin"), len(registry))
+    return QueryFiles(manifest, word_vocab, registry, eq_units, unit_ids)
 
 
 def load_bundle(path: str) -> CorpusData:
@@ -198,7 +205,7 @@ def load_bundle(path: str) -> CorpusData:
         unit_vocab = _read_vocab(
             os.path.join(path, "units.tsv"), _H_UNITS, "unit", manifest["stats"].get("units")
         )
-    unit_ids = np.concatenate([np.empty(0, dtype=np.int64), *query.eq_units.values()])
+    unit_ids = query.unit_ids
     _check_ids(os.path.join(path, "eq_units.bin"), "unit", unit_ids[unit_ids != -1], len(unit_vocab or ()))
     sizes = (len(query.word_vocab), len(query.registry))
     streams = _read_streams(os.path.join(path, "streams.bin"), *sizes)
@@ -246,60 +253,66 @@ def _read_manifest(path: str) -> dict:
     return manifest
 
 
-def _read_rows(path: str, header: str, n_fields: int, count: int | None = None) -> list[list[str]]:
-    """The rows of a text file after its header, each split into ``n_fields``
-    fields (the last keeps any further tabs).  The writer ends every line
-    with a newline, so a last line without one marks a file cut short;
-    ``count``, when given, is the row count the manifest recorded."""
+def _read_columns(path: str, header: str, n_fields: int, count: int | None = None) -> list[list[str]]:
+    """The rows of a text file after its header, each of ``n_fields``
+    tab-separated fields, as ``n_fields`` columns.  The writer puts no tab
+    inside a field, so a row with another number of tabs is malformed.
+    It ends every line with a newline, so a last line without one marks a
+    file cut short; ``count``, when given, is the row count the manifest
+    recorded."""
     try:
         with open(path) as f:
-            lines = f.read().split("\n")
+            text = f.read()
     except UnicodeDecodeError as exc:
         raise BundleFormatError(f"corrupt bundle file {path}: {exc}") from None
+    lines = text.split("\n")
     _expect(lines[0], header, path)
     if lines[-1]:
         raise BundleFormatError(f"truncated bundle file: {path}")
-    rows = [line.split("\t", n_fields - 1) for line in lines[1:-1]]
-    if any(len(r) != n_fields for r in rows):
+    lines = lines[1:-1]
+    if not set(map(str.count, lines, repeat("\t"))) <= {n_fields - 1}:
         raise BundleFormatError(f"malformed row in bundle file {path}")
-    if count is not None and len(rows) != count:
-        raise BundleFormatError(f"{path} has {len(rows)} rows, the manifest records {count}")
-    return rows
+    if count is not None and len(lines) != count:
+        raise BundleFormatError(f"{path} has {len(lines)} rows, the manifest records {count}")
+    fields = text[len(header) + 1 : -1].replace("\n", "\t").split("\t") if lines else []
+    return [fields[i::n_fields] for i in range(n_fields)]
 
 
 def _read_vocab(path: str, header: str, kind: str, count: int | None = None) -> Vocabulary:
-    rows = _read_rows(path, header, 3, count)
+    forms, ids, freqs = _read_columns(path, header, 3, count)
     try:
-        ids = [int(r[1]) for r in rows]
-        freqs = np.array([int(r[2]) for r in rows], dtype=np.int64)
+        ids = list(map(int, ids))
+        freqs = np.array(list(map(int, freqs)), dtype=np.int64)
     except (ValueError, OverflowError):
         raise BundleFormatError(f"{path}: bad id or frequency") from None
-    if ids != list(range(len(rows))):
+    if ids != list(range(len(ids))):
         raise BundleFormatError(f"{path}: ids not dense")
     if (freqs < 1).any():
         raise BundleFormatError(f"{path}: frequency {freqs.min()} below 1")
-    return Vocabulary(kind=kind, forms=[r[0] for r in rows], freqs=freqs)
+    return Vocabulary(kind=kind, forms=forms, freqs=freqs)
 
 
 def _read_equations(path: str, count: int | None = None) -> EquationRegistry:
-    registry = EquationRegistry()
-    for eq_id, occurrences, latex in _read_rows(path, _H_EQS, 3, count):
-        try:
-            rec = EquationRecord(int(eq_id), "", latex, int(occurrences))
-        except ValueError:
-            raise BundleFormatError(f"{path}: bad equation id or count") from None
-        if rec.occurrence_count < 1:
-            raise BundleFormatError(f"{path}: occurrence count {rec.occurrence_count} below 1")
-        if rec.eq_id != len(registry.records):
-            raise BundleFormatError("equation ids not dense")
-        registry.records.append(rec)
-        registry._by_latex[latex] = rec.eq_id
-    return registry
+    eq_ids, counts, latex = _read_columns(path, _H_EQS, 3, count)
+    try:
+        eq_ids = list(map(int, eq_ids))
+        counts = list(map(int, counts))
+    except ValueError:
+        raise BundleFormatError(f"{path}: bad equation id or count") from None
+    if counts and min(counts) < 1:
+        raise BundleFormatError(f"{path}: occurrence count {min(counts)} below 1")
+    if eq_ids != list(range(len(eq_ids))):
+        raise BundleFormatError("equation ids not dense")
+    return EquationRegistry(
+        records=list(map(EquationRecord, eq_ids, repeat(""), latex, counts)),
+        _by_latex=dict(zip(latex, eq_ids)),
+    )
 
 
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
-_U32_PAIR = struct.Struct("<II")
+_U32_MAX = 0xFFFFFFFF  # masks an int32 read back to the uint32 the writer wrote
+_CHECK_BLOCK = 1 << 16  # stream codes range-checked at a time
 
 
 def _read_binary(path: str, header: bytes) -> bytes:
@@ -310,50 +323,79 @@ def _read_binary(path: str, header: bytes) -> bytes:
 
 
 def _read_streams(path: str, n_words: int, n_equations: int) -> list[TokenStream]:
+    """Each document's codes are a view of one array: the record headers are
+    walked with ``struct``, the payloads joined into one byte string and
+    read with one ``frombuffer`` and one ``astype``."""
     raw = _read_binary(path, _H_STREAMS)
-    streams = []
+    at = memoryview(raw)
+    doc_ids, sizes, payloads = [], [], []
     try:
         (n_docs,) = _U32.unpack_from(raw, len(_H_STREAMS))
         pos = len(_H_STREAMS) + 4
         for _ in range(n_docs):
             (dlen,) = _U16.unpack_from(raw, pos)
-            doc_id = raw[pos + 2 : pos + 2 + dlen].decode("utf-8")
+            doc_ids.append(raw[pos + 2 : pos + 2 + dlen].decode("utf-8"))
             (n,) = _U32.unpack_from(raw, pos + 2 + dlen)
             pos += 6 + dlen
-            codes = np.frombuffer(raw, dtype="<u4", count=n, offset=pos).astype(np.uint32)
+            sizes.append(n)
+            payloads.append(at[pos : pos + 4 * n])
             pos += 4 * n
-            streams.append(TokenStream(doc_id, codes))
     except (struct.error, ValueError) as exc:  # a read past the end, or a bad doc id
         raise BundleFormatError(f"truncated or corrupt bundle file {path}: {exc}") from None
+    if pos > len(raw):
+        raise BundleFormatError(f"truncated or corrupt bundle file {path}: the last stream runs past the end")
     if pos != len(raw):
         raise BundleFormatError(f"trailing bytes in bundle file: {path}")
-    for lo in range(0, len(streams), 256):  # in blocks, so the masks stay small next to the corpus
-        codes = np.concatenate([np.empty(0, dtype=np.uint32)] + [s.codes for s in streams[lo : lo + 256]])
-        eq = (codes >= EQ_TAG) & (codes < EQ_TAG + n_equations)
-        bad = codes[(codes >= n_words) & ~eq & (codes != GAP)]  # not a word, an equation or a gap
+    codes = np.frombuffer(b"".join(payloads), dtype="<u4").astype(np.uint32)
+    for lo in range(0, len(codes), _CHECK_BLOCK):  # in blocks, so the masks stay small next to the corpus
+        block = codes[lo : lo + _CHECK_BLOCK]
+        eq = (block >= EQ_TAG) & (block < EQ_TAG + n_equations)
+        bad = block[(block >= n_words) & ~eq & (block != GAP)]  # not a word, an equation or a gap
         if bad.size:
             raise BundleFormatError(f"{path}: code {bad[0]:#x} out of range (no word, equation or gap)")
-    return streams
+    return [TokenStream(d, codes[e - n : e]) for d, n, e in zip(doc_ids, sizes, accumulate(sizes))]
 
 
-def _read_eq_units(path: str, n_equations: int) -> dict[int, np.ndarray]:
+def _read_eq_units(path: str, n_equations: int) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    """``eq_units`` and the unit-id array its values are views of: every
+    unit id of the file in file order, gaps included.
+
+    The body is read as one int64 array.  Only the walk from one
+    ``(eq_id, n)`` record header to the next runs per equation; the ids,
+    sizes and unit ids are then taken out with array operations."""
     raw = _read_binary(path, _H_EQUNITS)
-    eq_units = {}
+    body = len(raw) - len(_H_EQUNITS)
+    words = np.frombuffer(raw, dtype="<i4", count=body // 4, offset=len(_H_EQUNITS)).astype(np.int64)
+    at, heads, pos = memoryview(words), [], 1
     try:
-        (n_eqs,) = _U32.unpack_from(raw, len(_H_EQUNITS))
-        pos = len(_H_EQUNITS) + 4
-        for _ in range(n_eqs):
-            eq_id, n = _U32_PAIR.unpack_from(raw, pos)
-            pos += 8
-            eq_units[eq_id] = np.frombuffer(raw, dtype="<i4", count=n, offset=pos).astype(np.int64)
-            pos += 4 * n
-    except (struct.error, ValueError) as exc:  # a read past the end
-        raise BundleFormatError(f"truncated bundle file {path}: {exc}") from None
-    if pos != len(raw):
+        for _ in range(at[0] & _U32_MAX):
+            heads.append(pos)
+            pos += 2 + (at[pos + 1] & _U32_MAX)
+    except IndexError:  # a read past the end
+        raise BundleFormatError(f"truncated bundle file {path}: a record header past the end") from None
+    if pos > len(words):
+        raise BundleFormatError(f"truncated bundle file {path}: the last record runs past the end")
+    if pos != len(words) or body % 4:
         raise BundleFormatError(f"trailing bytes in bundle file: {path}")
-    if eq_units and max(eq_units) >= n_equations:
-        raise BundleFormatError(f"{path}: equation id {max(eq_units)} beyond the registry")
-    return eq_units
+    heads = np.array(heads, dtype=np.int64)
+    ids, sizes = words[heads] & _U32_MAX, words[heads + 1] & _U32_MAX
+    if ids.max(initial=-1) >= n_equations:
+        raise BundleFormatError(f"{path}: equation id {ids.max()} beyond the registry")
+    is_unit = np.ones(len(words), dtype=bool)
+    is_unit[0] = False  # the record count
+    is_unit[heads] = False
+    is_unit[heads + 1] = False
+    units = words[is_unit]
+    if units.min(initial=-1) < -1:
+        raise BundleFormatError(f"{path}: unit id {units[units < -1][0]} out of range (gaps are -1)")
+    ends = np.cumsum(sizes)
+    ids = ids.tolist()
+    eq_units = {g: units[a:b] for g, a, b in zip(ids, (ends - sizes).tolist(), ends.tolist())}
+    if len(eq_units) != len(ids):
+        seen = set()
+        repeated = next(g for g in ids if g in seen or seen.add(g))
+        raise BundleFormatError(f"{path}: equation id {repeated} has more than one record")
+    return eq_units, units
 
 
 def _read_heldout(path: str, split: str, codes: dict, n_words: int, n_equations: int):
@@ -362,7 +404,7 @@ def _read_heldout(path: str, split: str, codes: dict, n_words: int, n_equations:
     position, which is the token training then leaves out."""
     classes = {tag: cls for cls, tag in _CONTEXT_TAGS.items()}
     items = []
-    for target, eq_id, doc_id, position, ctx, negs in _read_rows(path, _H_HELDOUT, 6):
+    for target, eq_id, doc_id, position, ctx, negs in zip(*_read_columns(path, _H_HELDOUT, 6)):
         context = []
         try:
             for tok in ctx.split(","):

@@ -17,8 +17,6 @@ import time
 import typing
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 from . import bundle as bundle_io
 from . import corpus as corpus_mod
 from . import modelfile, retrieval
@@ -65,7 +63,8 @@ class RunConfig:
     given: typing.ClassVar[frozenset] = frozenset()
 
     def eval_grid(self) -> tuple[list, tuple, tuple, tuple]:
-        """(modes, dims, word windows, equation windows) of the eval grid."""
+        """(modes, dims, word windows, equation windows) of the eval grid:
+        each list non-empty and without a repeated value."""
         modes = _split(self.eval_modes)
         for m in modes:
             if m not in MODES:
@@ -81,7 +80,14 @@ class RunConfig:
             if bad:
                 raise UsageError(f"{key}: windows must be positive even integers, got {bad}")
             windows.append(values)
-        return (modes, dims, *windows)
+        grid = (modes, dims, *windows)
+        for key, values in zip(("eval_modes", "eval_dims", "eval_word_windows", "eval_eq_windows"), grid):
+            if not values:
+                raise UsageError(f"{key}: the list is empty")
+            if len(set(values)) < len(values):
+                repeated = next(v for i, v in enumerate(values) if v in values[:i])
+                raise UsageError(f"{key}: {repeated!r} is given more than once")
+        return grid
 
 
 _KEY_TYPES = {
@@ -348,8 +354,8 @@ def _check_model_fits(model, data: bundle_io.QueryFiles):
         raise modelfile.ModelFileError(
             f"model has {model.n_equations} equations, the bundle {len(data.registry)}"
         )
-    if model.mode == "unit" and data.eq_units:
-        top = int(np.concatenate(list(data.eq_units.values())).max(initial=-1))
+    if model.mode == "unit":
+        top = int(data.unit_ids.max(initial=-1))
         if top >= model.unit.size:
             raise modelfile.ModelFileError(
                 f"bundle equations use unit id {top}, the model has {model.unit.size} units"

@@ -140,19 +140,37 @@ def ranked_steps(lengths: np.ndarray):
 
 # --- derived equation vectors (unit mode) -------------------------------------
 
+_MEAN_BLOCK = 256  # groups ``unit_means`` sums at a time, so that a step's arrays stay in cache
+
+
+def _rounding_error(tot, r, t, e):
+    """Into ``e``, the exact rounding error of ``t = tot + r`` (Knuth's
+    TwoSum, without a branch); overwrites ``r``.
+
+    Neumaier's branch on the larger magnitude finds the same exact error,
+    so a compensated sum that adds these agrees with his bit for bit on
+    finite sums.  (Where the error vanishes the two may differ in the sign
+    of zero, which leaves a compensation started at +0.0 unchanged.)"""
+    np.subtract(t, tot, out=e)  # the part of r that reached t
+    r -= e  # its rounding error
+    np.subtract(t, e, out=e)  # the part of tot that reached t
+    np.subtract(tot, e, out=e)  # its rounding error
+    e += r
+
 
 def unit_means(groups, rows: np.ndarray) -> np.ndarray:
     """Neumaier-compensated mean of ``rows[g]`` for every id array ``g`` in
-    ``groups``, in one pass; ids below 0 are gaps and are skipped.
+    ``groups``; ids below 0 are gaps and are skipped.
 
-    Step j adds the j-th unit of every group that still has one.  Groups are
-    ranked by length, so the active groups of a step are a prefix, and a
-    step gathers only their rows: no group is padded, and memory beyond
-    the unit ids is O(groups) rows.  Each group adds its units in order
-    with the same element-wise operations as a per-group loop, so its mean
-    is bitwise the one it gets alone.  A group without units gives a NaN
-    row.
+    Groups are ranked by length and summed ``_MEAN_BLOCK`` at a time.  Step
+    j adds the j-th unit of every group of the block that still has one;
+    those groups are a prefix of the block, so a step gathers only their
+    rows: no group is padded, and beyond the unit ids the work arrays hold
+    ``_MEAN_BLOCK`` rows.  Each group adds its units in order with the same
+    element-wise operations as a per-group loop, so its mean is bitwise
+    the one it gets alone.  A group without units gives a NaN row.
     """
+    rows = np.asarray(rows, dtype=np.float64)
     out = np.full((len(groups), rows.shape[1]), np.nan)
     if not groups:
         return out
@@ -162,31 +180,49 @@ def unit_means(groups, rows: np.ndarray) -> np.ndarray:
     owner = np.repeat(np.arange(len(groups)), [len(g) for g in groups])[keep]
     lengths = np.bincount(owner, minlength=len(groups))
     order, active = ranked_steps(lengths)
+    if not active:
+        return out
     starts = (np.cumsum(lengths) - lengths)[order]
-    lengths = lengths[order]
-    total = np.zeros(out.shape)
-    comp = np.zeros(out.shape)
-    for j, n in enumerate(active):
-        r = rows[flat[starts[:n] + j]]
-        tot = total[:n]
-        t = tot + r
-        big = np.abs(tot) >= np.abs(r)
-        comp[:n] += np.where(big, (tot - t) + r, (r - t) + tot)
-        total[:n] = t
-    filled = lengths > 0
-    out[order[filled]] = (total[filled] + comp[filled]) / lengths[filled, None]
+    shape = (min(_MEAN_BLOCK, active[0]), rows.shape[1])
+    total, comp, r, t, e = (np.empty(shape) for _ in range(5))
+    for lo in range(0, active[0], _MEAN_BLOCK):
+        total.fill(0.0)
+        comp.fill(0.0)
+        for j, n in enumerate(active):
+            n = min(n - lo, _MEAN_BLOCK)
+            if n <= 0:
+                break
+            tot, rn, tn, en = total[:n], r[:n], t[:n], e[:n]
+            rows.take(flat.take(starts[lo : lo + n] + j), axis=0, out=rn)
+            np.add(tot, rn, out=tn)
+            _rounding_error(tot, rn, tn, en)
+            comp[:n] += en
+            tot[...] = tn
+        ranked = order[lo : min(lo + _MEAN_BLOCK, active[0])]
+        m = len(ranked)
+        out[ranked] = (total[:m] + comp[:m]) / lengths[ranked, None]
     return out
 
 
 def equation_vector_from_units(unit_ids, unit_table: EmbeddingTable):
-    """Equation-level (alpha, rho) as the arithmetic mean of unit vectors."""
+    """Equation-level (alpha, rho) as the arithmetic mean of unit vectors:
+    bitwise the row ``unit_means`` gives the equation.
+
+    With one group, the running totals are one ``add.accumulate`` down the
+    units (it adds in order, as the steps of ``unit_means`` do), and so are
+    the compensations."""
     ids = np.asarray(unit_ids, dtype=np.int64).ravel()
     ids = ids[ids >= 0]
     if ids.size == 0:
         raise ValueError("untokenizable equation: no units")
-    rows = np.hstack([unit_table.alpha[ids], unit_table.rho[ids]])
-    mean = unit_means([np.arange(ids.size)], rows)[0]
-    return mean[: unit_table.k], mean[unit_table.k :]
+    k = unit_table.k
+    p = np.zeros((ids.size + 1, 2 * k))  # row 0 is the zero each total starts from
+    p[1:, :k], p[1:, k:] = unit_table.alpha[ids], unit_table.rho[ids]
+    totals = np.add.accumulate(p, axis=0)
+    errors = np.zeros_like(p)
+    _rounding_error(totals[:-1], p[1:], totals[1:], errors[1:])
+    mean = (totals[-1] + np.add.accumulate(errors, axis=0)[-1]) / ids.size
+    return mean[:k], mean[k:]
 
 
 # --- fitted model container ---------------------------------------------------

@@ -247,9 +247,19 @@ def test_config_file_and_cli_precedence(tiny_corpus, tmp_path, capsys):
         ("eval", "eval_word_windows=3", "eval_word_windows"),
         ("eval", "eval_eq_windows=0", "eval_eq_windows"),
         ("eval", "eval_dims=0", "eval_dims"),
+        ("eval", "eval_dims=8,08", "eval_dims: 8 is given more than once"),
+        ("eval", "eval_modes=word, unit,word", "eval_modes: 'word' is given more than once"),
+        ("eval", "eval_word_windows=4,8,4", "eval_word_windows: 4 is given more than once"),
+        ("eval", "eval_eq_windows=8,8", "eval_eq_windows: 8 is given more than once"),
+        ("eval", "eval_dims=", "eval_dims: the list is empty"),
+        ("eval", "eval_modes=,", "eval_modes: the list is empty"),
+        ("eval", "eval_word_windows=", "eval_word_windows: the list is empty"),
+        ("train", "eval_eq_windows=", "eval_eq_windows: the list is empty"),
     ],
     ids=["unknown_key", "min_tf", "word_window", "mode", "init_scale", "eval_dims", "eval_modes",
-         "heldout_window", "workers", "learning_rate", "eval_word_windows", "eval_eq_windows", "eval_dims_zero"],
+         "heldout_window", "workers", "learning_rate", "eval_word_windows", "eval_eq_windows", "eval_dims_zero",
+         "eval_dims_repeated", "eval_modes_repeated", "eval_word_windows_repeated", "eval_eq_windows_repeated",
+         "eval_dims_empty", "eval_modes_empty", "eval_word_windows_empty", "eval_eq_windows_empty"],
 )
 def test_unknown_config_key_exits_2(command, setting, message, tiny_corpus, tiny_bundle,
                                     tmp_path, capsys):
@@ -619,6 +629,48 @@ def test_truncated_query_file_exits_3(name, damage, planted_models, tmp_path, ca
     assert code == 3
     assert out == ""
     assert "Traceback" not in err
+
+
+def _set_first_unit(value):
+    def damage(path):
+        with open(path, "rb") as f:
+            raw = f.read()
+        record = raw.index(b"\n") + 1 + 4  # equation 0
+        eq_id, n_units = struct.unpack_from("<II", raw, record)
+        assert eq_id == 0 and n_units > 0
+        with open(path, "r+b") as f:
+            f.seek(record + 8)
+            f.write(struct.pack("<i", value))
+    return damage
+
+
+def _repeat_first_id(path):
+    with open(path, "rb") as f:
+        raw = f.read()
+    first = raw.index(b"\n") + 1 + 4
+    second = first + 8 + 4 * struct.unpack_from("<I", raw, first + 4)[0]
+    with open(path, "r+b") as f:
+        f.seek(second)
+        f.write(struct.pack("<I", 0))
+
+
+@pytest.mark.parametrize("family", ["eq2eq", "eq2word", "word2eq"])
+@pytest.mark.parametrize(
+    "damage, message",
+    [(_set_first_unit(-5), "unit id -5 out of range"), (_repeat_first_id, "equation id 0 has more than one record")],
+    ids=["unit_id_-5", "repeated_equation_id"],
+)
+def test_bad_eq_units_record_exits_3(damage, message, family, planted_models, tmp_path, capsys):
+    bundle, models, _ = planted_models
+    copy = str(tmp_path / "bundle")
+    shutil.copytree(bundle, copy)
+    damage(os.path.join(copy, "eq_units.bin"))
+    args = ["--words", "matrix"] if family == "word2eq" else ["--id", "0"]
+    for mode in ("unit", "equation"):
+        code, out, err = run(["query", family, *args, "--model", models[mode], "--bundle", copy], capsys)
+        assert code == 3
+        assert out == ""
+        assert message in err and len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_flipped_stream_code_exits_3(tiny_bundle, tmp_path, capsys):

@@ -3,14 +3,18 @@
 import json
 import os
 import re
+import struct
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eqvec import bundle as bundle_io
 from eqvec.bundle import BundleFormatError, load_bundle, save_bundle
-from eqvec.corpus import EQ_TAG, GAP, IngestParams, ingest_corpus
+from eqvec.corpus import EQ_TAG, GAP, IngestParams, TokenStream, ingest_corpus
 from eqvec.model import ADAGRAD_FLOOR, EmbeddingTable, Model, ModelConfig
 from eqvec.modelfile import (
     ChecksumError,
@@ -21,6 +25,9 @@ from eqvec.modelfile import (
     save_model,
 )
 from eqvec.tex import RawDocument
+
+from . import reference_bundle
+from .conftest import corpus_from_streams
 
 
 def tiny_corpus_data():
@@ -149,6 +156,21 @@ def test_truncated_bundle_file_rejected(name, tmp_path):
         load_bundle(path)
 
 
+@pytest.mark.parametrize("name", ["vocab.tsv", "equations.tsv", "units.tsv", "heldout.valid.tsv"])
+@pytest.mark.parametrize("change", [lambda row: row.replace("\t", "", 1), lambda row: row.replace("\t", "\t\t", 1)],
+                         ids=["tab_missing", "tab_extra"])
+def test_row_with_another_number_of_tabs_rejected(name, change, tmp_path):
+    # the writer puts no tab inside a field, so a row whose tabs do not
+    # separate exactly the file's fields is corrupt
+    path = save_bundle(tiny_corpus_data(), str(tmp_path / "bundle"))
+    with open(os.path.join(path, name)) as f:
+        header, first, *rest = f.read().split("\n")
+    with open(os.path.join(path, name), "w") as f:
+        f.write("\n".join([header, change(first), *rest]))
+    with pytest.raises(BundleFormatError, match="malformed row"):
+        load_bundle(path)
+
+
 @pytest.mark.parametrize("tag", ["w", "e"])
 def test_heldout_unknown_context_class_rejected(tag, tmp_path):
     path = save_bundle(tiny_corpus_data(), str(tmp_path / "bundle"))
@@ -225,6 +247,107 @@ def test_bundle_id_out_of_range_rejected(damage, tmp_path):
     path = save_bundle(data, str(tmp_path / "bad"))
     with pytest.raises(BundleFormatError, match="out of range"):
         load_bundle(path)
+
+
+def test_unit_id_below_the_gap_marker_rejected(tmp_path):
+    data = tiny_corpus_data()
+    data.eq_units[0] = np.append(data.eq_units[0], [-1, -5])
+    path = save_bundle(data, str(tmp_path / "bundle"))
+    with pytest.raises(BundleFormatError, match="unit id -5 out of range"):
+        load_bundle(path)
+    with pytest.raises(BundleFormatError, match="unit id -5 out of range"):
+        bundle_io.load_query_files(path)
+
+
+def test_repeated_equation_id_rejected(tmp_path):
+    path = save_bundle(tiny_corpus_data(), str(tmp_path / "bundle"))
+    eq_units = os.path.join(path, "eq_units.bin")
+    with open(eq_units, "rb") as f:
+        raw = bytearray(f.read())
+    first = raw.index(b"\n") + 1 + 4  # after the header line and the record count
+    struct.pack_into("<I", raw, first + 8 + 4 * struct.unpack_from("<I", raw, first + 4)[0], 0)  # second id
+    with open(eq_units, "wb") as f:
+        f.write(raw)
+    for load in (load_bundle, bundle_io.load_query_files):
+        with pytest.raises(BundleFormatError, match="equation id 0 has more than one record"):
+            load(path)
+
+
+# --- one-array binary readers against the record-at-a-time oracle ----------------
+
+_N_WORDS, _N_EQS, _N_UNITS = 6, 5, 7
+_code = st.one_of(
+    st.integers(0, _N_WORDS - 1),
+    st.integers(0, _N_EQS - 1).map(lambda g: int(EQ_TAG) | g),
+    st.just(int(GAP)),
+)
+_streams = st.lists(
+    st.tuples(st.text(min_size=1, max_size=6), st.lists(_code, max_size=12)), max_size=6
+)
+_eq_units = st.dictionaries(
+    st.integers(0, _N_EQS - 1), st.lists(st.integers(-1, _N_UNITS - 1), max_size=9), max_size=_N_EQS
+)
+
+
+def _binary_files(root, streams, eq_units) -> tuple[str, str]:
+    """``streams.bin`` and ``eq_units.bin`` as ``save_bundle`` writes them."""
+    data = corpus_from_streams([TokenStream("d", np.zeros(0, dtype=np.uint32))], _N_WORDS, _N_EQS)
+    data.streams = [TokenStream(d, np.array(c, dtype=np.uint32)) for d, c in streams]
+    data.eq_units = {g: np.array(ids, dtype=np.int64) for g, ids in eq_units.items()}
+    path = save_bundle(data, os.path.join(root, "bundle"))
+    return os.path.join(path, "streams.bin"), os.path.join(path, "eq_units.bin")
+
+
+@settings(max_examples=150, deadline=None)
+@given(streams=_streams, eq_units=_eq_units)
+@example(streams=[], eq_units={})
+@example(streams=[("d", []), ("é", [int(GAP), 0])], eq_units={0: [], 1: [-1, -1], 4: [6, -1, 0]})
+def test_binary_readers_match_record_at_a_time_reference(streams, eq_units):
+    with tempfile.TemporaryDirectory() as root:
+        streams_bin, eq_units_bin = _binary_files(root, streams, eq_units)
+        got = bundle_io._read_streams(streams_bin, _N_WORDS, _N_EQS)
+        want = reference_bundle._read_streams(streams_bin, _N_WORDS, _N_EQS)
+        assert [s.doc_id for s in got] == [s.doc_id for s in want]
+        for g, w in zip(got, want):
+            assert g.codes.dtype == w.codes.dtype and np.array_equal(g.codes, w.codes)
+        got, unit_ids = bundle_io._read_eq_units(eq_units_bin, _N_EQS)
+        want = reference_bundle._read_eq_units(eq_units_bin, _N_EQS)
+    assert list(got) == list(want)
+    for g in want:
+        assert got[g].dtype == want[g].dtype and np.array_equal(got[g], want[g])
+    assert unit_ids.dtype == np.int64
+    assert np.array_equal(unit_ids, np.concatenate([np.empty(0, dtype=np.int64), *want.values()]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(streams=_streams, eq_units=_eq_units, extra=st.binary(min_size=1, max_size=1))
+def test_every_cut_or_one_byte_extension_is_a_format_error(streams, eq_units, extra):
+    with tempfile.TemporaryDirectory() as root:
+        streams_bin, eq_units_bin = _binary_files(root, streams, eq_units)
+        for path, read in (
+            (streams_bin, lambda: bundle_io._read_streams(streams_bin, _N_WORDS, _N_EQS)),
+            (eq_units_bin, lambda: bundle_io._read_eq_units(eq_units_bin, _N_EQS)),
+        ):
+            with open(path, "rb") as f:
+                raw = f.read()
+            for damaged in [raw[:cut] for cut in range(len(raw))] + [raw + extra, raw + b"\0", raw + b"\xff"]:
+                with open(path, "wb") as f:
+                    f.write(damaged)
+                with pytest.raises(BundleFormatError):
+                    read()
+
+
+def test_binary_readers_make_one_frombuffer_call_per_file(tmp_path, monkeypatch):
+    streams = [(f"doc{i}", [i % _N_WORDS, int(GAP)]) for i in range(500)]
+    big = {g: [g % _N_UNITS, -1][: g % 3] for g in range(5000)}
+    streams_bin, eq_units_bin = _binary_files(str(tmp_path), streams, {})
+    _, big_bin = _binary_files(str(tmp_path / "big"), [], big)
+    real, calls = np.frombuffer, []
+    monkeypatch.setattr(np, "frombuffer", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    assert len(bundle_io._read_eq_units(big_bin, 5000)[0]) == 5000
+    assert len(calls) == 1
+    assert len(bundle_io._read_streams(streams_bin, _N_WORDS, _N_EQS)) == 500
+    assert len(calls) == 2
 
 
 # --- model file ------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import ast
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eqvec
+from eqvec import model as model_mod
 from eqvec.corpus import HeldOutItem
 from eqvec.evaluation import compile_heldout
 from eqvec.model import (
@@ -430,22 +432,45 @@ def test_equation_vector_matches_fsum_oracle():
     groups=st.lists(st.lists(st.integers(-1, 11), max_size=8), max_size=12),
     long_len=st.integers(0, 60),
     seed=st.integers(0, 2**32 - 1),
+    block=st.sampled_from([1, 2, 3, 5, 256]),
 )
-@example(groups=[[-1, -1], [], [2, 2, 5], [0]], long_len=40, seed=1)
-def test_unit_means_bitwise_equal_per_equation_oracle(groups, long_len, seed):
+@example(groups=[[-1, -1], [], [2, 2, 5], [0]], long_len=40, seed=1, block=256)
+@example(groups=[[-1, -1], [], [2, 2, 5], [0], [3]], long_len=40, seed=1, block=2)
+def test_unit_means_bitwise_equal_per_equation_oracle(groups, long_len, seed, block):
     # gaps (-1), all-gap and empty groups (NaN rows), duplicate ids, and one
     # long group among short ones; magnitudes span 16 decades so the
-    # compensation terms matter
+    # compensation terms matter; small blocks split the groups
     rng = np.random.default_rng(seed)
     rows = rng.normal(size=(12, 5)) * 10.0 ** rng.integers(-8, 8, size=(12, 5))
     groups = [np.array(g, dtype=np.int64) for g in groups]
     groups.insert(int(rng.integers(len(groups) + 1)), rng.integers(-1, 12, size=long_len))
-    got = unit_means(groups, rows)
+    with mock.patch.object(model_mod, "_MEAN_BLOCK", block):
+        got = unit_means(groups, rows)
     assert got.shape == (len(groups), 5)
     for g, row in zip(groups, got):
         ids = g[g >= 0]
         want = _compensated_mean(rows[ids]) if ids.size else np.full(5, np.nan)
         assert row.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(ids=st.lists(st.integers(-1, 11), max_size=40), seed=st.integers(0, 2**32 - 1))
+@example(ids=[-1, 3, 3, -1, 0], seed=1)
+def test_one_equation_vector_bitwise_equal_unit_means(ids, seed):
+    # the one-group path must give the row the batched pass gives, and the
+    # per-equation Neumaier oracle's mean
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(12, 6)) * 10.0 ** rng.integers(-8, 8, size=(12, 6))
+    table = EmbeddingTable.from_arrays(rho=rows[:, 3:], alpha=rows[:, :3])
+    ids = np.array(ids, dtype=np.int64)
+    if not (ids >= 0).any():
+        with pytest.raises(ValueError, match="no units"):
+            equation_vector_from_units(ids, table)
+        return
+    alpha, rho = equation_vector_from_units(ids, table)
+    batched = unit_means([np.array([0, 1]), ids], rows)[1]
+    want = _compensated_mean(rows[ids[ids >= 0]])
+    assert np.hstack([alpha, rho]).tobytes() == batched.tobytes() == want.tobytes()
 
 
 def test_derived_equation_matrices_bitwise_equal_oracle(trained):
