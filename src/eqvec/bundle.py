@@ -7,7 +7,8 @@ Layout (every file opens with a one-line format/version header):
     equations.tsv        eq_id, occurrence_count, latex
     units.tsv            unit string, id, frequency
     streams.bin          length-prefixed uint32 code sequences per document
-    eq_units.bin         eq_id -> unit id list (int32, -1 marks gaps)
+    eq_units.bin         one record per equation, in id order: eq_id, n, then
+                         its n unit ids (int32, -1 marks gaps)
     heldout.valid.tsv    held-out items, one per row
     heldout.test.tsv
 
@@ -17,13 +18,14 @@ Each file has one reader.  ``load_bundle`` runs all of them;
 ``load_query_files`` runs only those a similarity query needs (manifest,
 vocab.tsv, equations.tsv, eq_units.bin).  A file that ends inside a line
 or record, fails to parse, disagrees with a count the manifest records,
-holds an id out of range, two records for one equation, or a frequency or
-occurrence count below 1 raises ``BundleFormatError``.
+holds an id out of range, a form or LaTeX string twice, a frequency or
+occurrence count below 1, or other than one record per equation in id order
+raises ``BundleFormatError``, and the CLI exits 3.
 
-The binary files are each read as one array: a document's codes and an
-equation's unit ids are views of it, so the numpy calls a reader makes do
-not grow with the number of records.  Text files are split and checked
-whole-file.
+The binary files are each read as one array: a document's codes, and an
+equation's unit ids in ``EquationUnits``, are views of it, so the numpy
+calls a reader makes do not grow with the number of records.  Text files
+are split and checked whole-file.
 """
 
 import json
@@ -42,6 +44,7 @@ from .corpus import (
     GAP,
     CorpusData,
     EquationRegistry,
+    EquationUnits,
     HeldOutItem,
     IngestParams,
     TokenStream,
@@ -139,10 +142,9 @@ def _write_files(data: CorpusData, root: str):
     with open(os.path.join(root, "eq_units.bin"), "wb") as f:
         f.write(_H_EQUNITS)
         f.write(struct.pack("<I", len(data.eq_units)))
-        for eq_id in sorted(data.eq_units):
-            ids = np.asarray(data.eq_units[eq_id], dtype="<i4")
+        for eq_id, ids in data.eq_units.items():
             f.write(struct.pack("<II", eq_id, len(ids)))
-            f.write(ids.tobytes())
+            f.write(ids.astype("<i4").tobytes())
 
     _write_heldout(os.path.join(root, "heldout.valid.tsv"), data.heldout_valid)
     _write_heldout(os.path.join(root, "heldout.test.tsv"), data.heldout_test)
@@ -175,8 +177,7 @@ class QueryFiles(NamedTuple):
     manifest: dict
     word_vocab: Vocabulary
     registry: EquationRegistry
-    eq_units: dict[int, np.ndarray]
-    unit_ids: np.ndarray  # every unit id of eq_units.bin, gaps included; eq_units' values are views of it
+    eq_units: EquationUnits
 
 
 def load_query_files(path: str) -> QueryFiles:
@@ -188,8 +189,8 @@ def load_query_files(path: str) -> QueryFiles:
     word_vocab = _read_vocab(os.path.join(path, "vocab.tsv"), _H_VOCAB, "word", stats.get("words"))
     word_vocab.stop_forms = tuple(manifest.get("word_stop_forms", ()))
     registry = _read_equations(os.path.join(path, "equations.tsv"), stats.get("equations"))
-    eq_units, unit_ids = _read_eq_units(os.path.join(path, "eq_units.bin"), len(registry))
-    return QueryFiles(manifest, word_vocab, registry, eq_units, unit_ids)
+    eq_units = _read_eq_units(os.path.join(path, "eq_units.bin"), len(registry))
+    return QueryFiles(manifest, word_vocab, registry, eq_units)
 
 
 def load_bundle(path: str) -> CorpusData:
@@ -205,8 +206,8 @@ def load_bundle(path: str) -> CorpusData:
         unit_vocab = _read_vocab(
             os.path.join(path, "units.tsv"), _H_UNITS, "unit", manifest["stats"].get("units")
         )
-    unit_ids = query.unit_ids
-    _check_ids(os.path.join(path, "eq_units.bin"), "unit", unit_ids[unit_ids != -1], len(unit_vocab or ()))
+    units = query.eq_units.without_gaps()[1]
+    _check_ids(os.path.join(path, "eq_units.bin"), "unit", units, len(unit_vocab or ()))
     sizes = (len(query.word_vocab), len(query.registry))
     streams = _read_streams(os.path.join(path, "streams.bin"), *sizes)
     codes = {s.doc_id: s.codes for s in streams}
@@ -289,7 +290,9 @@ def _read_vocab(path: str, header: str, kind: str, count: int | None = None) -> 
         raise BundleFormatError(f"{path}: ids not dense")
     if (freqs < 1).any():
         raise BundleFormatError(f"{path}: frequency {freqs.min()} below 1")
-    return Vocabulary(kind=kind, forms=forms, freqs=freqs)
+    vocab = Vocabulary(kind=kind, forms=forms, freqs=freqs)
+    _check_unique(path, "form", forms, vocab.index)
+    return vocab
 
 
 def _read_equations(path: str, count: int | None = None) -> EquationRegistry:
@@ -303,10 +306,19 @@ def _read_equations(path: str, count: int | None = None) -> EquationRegistry:
         raise BundleFormatError(f"{path}: occurrence count {min(counts)} below 1")
     if eq_ids != list(range(len(eq_ids))):
         raise BundleFormatError("equation ids not dense")
-    return EquationRegistry(
+    registry = EquationRegistry(
         records=list(map(EquationRecord, eq_ids, repeat(""), latex, counts)),
         _by_latex=dict(zip(latex, eq_ids)),
     )
+    _check_unique(path, "LaTeX", latex, registry._by_latex)
+    return registry
+
+
+def _check_unique(path: str, what: str, rows: list[str], index: dict[str, int]):
+    """``index`` maps each of ``rows`` to the last row that holds it."""
+    if len(index) != len(rows):
+        repeated = next(r for i, r in enumerate(rows) if index[r] != i)
+        raise BundleFormatError(f"{path}: {what} {repeated!r} is in more than one row")
 
 
 _U16 = struct.Struct("<H")
@@ -356,13 +368,10 @@ def _read_streams(path: str, n_words: int, n_equations: int) -> list[TokenStream
     return [TokenStream(d, codes[e - n : e]) for d, n, e in zip(doc_ids, sizes, accumulate(sizes))]
 
 
-def _read_eq_units(path: str, n_equations: int) -> tuple[dict[int, np.ndarray], np.ndarray]:
-    """``eq_units`` and the unit-id array its values are views of: every
-    unit id of the file in file order, gaps included.
-
-    The body is read as one int64 array.  Only the walk from one
-    ``(eq_id, n)`` record header to the next runs per equation; the ids,
-    sizes and unit ids are then taken out with array operations."""
+def _read_eq_units(path: str, n_equations: int) -> EquationUnits:
+    """The equation -> units table.  The body is read as one array; only
+    the walk from one ``(eq_id, n)`` record header to the next runs per
+    equation.  The records must be one per equation, in id order."""
     raw = _read_binary(path, _H_EQUNITS)
     body = len(raw) - len(_H_EQUNITS)
     words = np.frombuffer(raw, dtype="<i4", count=body // 4, offset=len(_H_EQUNITS)).astype(np.int64)
@@ -381,21 +390,18 @@ def _read_eq_units(path: str, n_equations: int) -> tuple[dict[int, np.ndarray], 
     ids, sizes = words[heads] & _U32_MAX, words[heads + 1] & _U32_MAX
     if ids.max(initial=-1) >= n_equations:
         raise BundleFormatError(f"{path}: equation id {ids.max()} beyond the registry")
-    is_unit = np.ones(len(words), dtype=bool)
-    is_unit[0] = False  # the record count
-    is_unit[heads] = False
-    is_unit[heads + 1] = False
-    units = words[is_unit]
+    units = np.delete(words, np.concatenate(([0], heads, heads + 1)))  # the record count and headers
     if units.min(initial=-1) < -1:
         raise BundleFormatError(f"{path}: unit id {units[units < -1][0]} out of range (gaps are -1)")
-    ends = np.cumsum(sizes)
-    ids = ids.tolist()
-    eq_units = {g: units[a:b] for g, a, b in zip(ids, (ends - sizes).tolist(), ends.tolist())}
-    if len(eq_units) != len(ids):
-        seen = set()
-        repeated = next(g for g in ids if g in seen or seen.add(g))
-        raise BundleFormatError(f"{path}: equation id {repeated} has more than one record")
-    return eq_units, units
+    records = np.bincount(ids, minlength=n_equations)
+    if (records > 1).any():
+        raise BundleFormatError(f"{path}: equation id {records.argmax()} has more than one record")
+    if len(ids) < n_equations:
+        raise BundleFormatError(f"{path}: equation {records.argmin()} has no record")
+    moved = np.flatnonzero(ids != np.arange(n_equations))
+    if moved.size:
+        raise BundleFormatError(f"{path}: record {moved[0]} is equation {ids[moved[0]]}, out of id order")
+    return EquationUnits(np.concatenate(([0], np.cumsum(sizes))), units)
 
 
 def _read_heldout(path: str, split: str, codes: dict, n_words: int, n_equations: int):

@@ -355,7 +355,7 @@ def _check_model_fits(model, data: bundle_io.QueryFiles):
             f"model has {model.n_equations} equations, the bundle {len(data.registry)}"
         )
     if model.mode == "unit":
-        top = int(data.unit_ids.max(initial=-1))
+        top = int(data.eq_units.ids.max(initial=-1))
         if top >= model.unit.size:
             raise modelfile.ModelFileError(
                 f"bundle equations use unit id {top}, the model has {model.unit.size} units"

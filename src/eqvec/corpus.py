@@ -7,6 +7,7 @@ so parallel and serial ingestion produce identical corpora.
 
 import logging
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from importlib import resources
 
@@ -156,6 +157,32 @@ def build_equation_registry(doc_records: list[tuple[str, list[EquationRecord]]])
 class TokenStream:
     doc_id: str
     codes: np.ndarray  # uint32, see module head for the encoding
+
+
+class EquationUnits(Mapping):
+    """Every equation's unit ids, gaps (-1) included: equation g's are
+    ``ids[ptr[g]:ptr[g + 1]]``.  A read-only mapping from every equation id
+    0..n-1 to a view of ``ids``; any other key raises ``KeyError``."""
+
+    def __init__(self, ptr, ids):
+        self.ptr = np.asarray(ptr, dtype=np.int64)
+        self.ids = np.asarray(ids, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.ptr) - 1
+
+    def __iter__(self):
+        return iter(range(len(self)))
+
+    def __getitem__(self, eq_id) -> np.ndarray:
+        if not isinstance(eq_id, (int, np.integer)) or not 0 <= eq_id < len(self):
+            raise KeyError(eq_id)
+        return self.ids[self.ptr[eq_id] : self.ptr[eq_id + 1]]
+
+    def without_gaps(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(ptr, ids)`` of the same rows with the gaps dropped."""
+        keep = self.ids >= 0
+        return np.concatenate(([0], np.cumsum(keep)))[self.ptr], self.ids[keep]
 
 
 def build_token_streams(doc_tokens, word_vocab: Vocabulary, doc_maps) -> list[TokenStream]:
@@ -358,7 +385,7 @@ class CorpusData:
     registry: EquationRegistry
     streams: list[TokenStream]
     unit_vocab: Vocabulary | None
-    eq_units: dict[int, np.ndarray]
+    eq_units: EquationUnits
     heldout_valid: list[HeldOutItem]
     heldout_test: list[HeldOutItem]
     params: IngestParams
@@ -424,11 +451,9 @@ def ingest_corpus(docs: list[RawDocument], params: IngestParams, stopwords=None)
         r.eq_id: slt.tokenize_equation(r.latex, symbol_window=params.symbol_window)
         for r in registry.records
     }
-    unit_vocab, eq_units = (None, {})
+    unit_vocab, eq_units = None, EquationUnits([0], [])
     if sequences:
-        unit_vocab, eq_units = slt.build_unit_vocabulary(
-            sequences, min_count=params.unit_min_count
-        )
+        unit_vocab, eq_units = slt.build_unit_vocabulary(sequences, min_count=params.unit_min_count)
 
     heldout_valid, heldout_test, heldout_skipped = build_heldout(
         streams,

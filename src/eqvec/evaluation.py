@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import LOG_EPS, Model, ModelConfig, ranked_steps, sigmoid
-from .passes import _ptr, expand_units, unit_lists
+from .passes import _ptr, expand_units
 
 log = logging.getLogger(__name__)
 
@@ -57,14 +57,12 @@ def compile_heldout(items, model: Model) -> HeldOutLayout:
     ids = np.array([i for it in items for _, i in it.context], dtype=np.int64)
     is_eq = kind == "eq"
     known = (ids >= 0) & (ids < np.where(is_eq, n_eqs, np.where(kind == "word", n_words, 0))) | is_eq & (mode == "word")
-    if mode == "unit":
-        known &= ~is_eq | np.array([i in model.eq_units for i in ids.tolist()], dtype=bool)
     cand_ptr = _ptr([1 + len(it.negatives) for it in items])
     cand = np.array([c for it in items for c in (it.target, *it.negatives)], dtype=np.int64)
     ok = np.bincount(owner, ~known, minlength=len(items)) == 0
     ok[np.repeat(np.arange(len(items)), np.diff(cand_ptr))[(cand < 0) | (cand >= n_words)]] = False
     # one id space, words then equations, each id mapped to its alpha rows
-    eq_ptr, eq_rows = unit_lists(model.eq_units, n_eqs) if mode == "unit" else (np.arange(n_eqs + 1), np.arange(n_eqs))
+    eq_ptr, eq_rows = model.eq_units.without_gaps() if mode == "unit" else (np.arange(n_eqs + 1), np.arange(n_eqs))
     objects = (np.concatenate((np.arange(n_words), n_words + eq_ptr)),
                np.concatenate((np.arange(n_words), n_words + eq_rows)))
     take = np.flatnonzero(ok[owner] & ((kind == "word") | is_eq & (mode != "word")))

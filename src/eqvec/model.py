@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import EquationUnits
+
 ADAGRAD_FLOOR = 1e-8
 LOG_EPS = 1e-12
 
@@ -159,8 +161,9 @@ def _rounding_error(tot, r, t, e):
 
 
 def unit_means(groups, rows: np.ndarray) -> np.ndarray:
-    """Neumaier-compensated mean of ``rows[g]`` for every id array ``g`` in
-    ``groups``; ids below 0 are gaps and are skipped.
+    """Neumaier-compensated mean of ``rows[ids[ptr[g]:ptr[g + 1]]]`` for
+    every group g of ``groups = (ptr, ids)``, ids without gaps such as
+    ``EquationUnits.without_gaps()`` gives.
 
     Groups are ranked by length and summed ``_MEAN_BLOCK`` at a time.  Step
     j adds the j-th unit of every group of the block that still has one;
@@ -170,19 +173,14 @@ def unit_means(groups, rows: np.ndarray) -> np.ndarray:
     element-wise operations as a per-group loop, so its mean is bitwise
     the one it gets alone.  A group without units gives a NaN row.
     """
+    ptr, flat = groups
+    lengths = np.diff(ptr)
     rows = np.asarray(rows, dtype=np.float64)
-    out = np.full((len(groups), rows.shape[1]), np.nan)
-    if not groups:
-        return out
-    flat = np.concatenate(groups).astype(np.int64, copy=False)
-    keep = flat >= 0
-    flat = flat[keep]
-    owner = np.repeat(np.arange(len(groups)), [len(g) for g in groups])[keep]
-    lengths = np.bincount(owner, minlength=len(groups))
+    out = np.full((len(lengths), rows.shape[1]), np.nan)
     order, active = ranked_steps(lengths)
     if not active:
         return out
-    starts = (np.cumsum(lengths) - lengths)[order]
+    starts = ptr[order]
     shape = (min(_MEAN_BLOCK, active[0]), rows.shape[1])
     total, comp, r, t, e = (np.empty(shape) for _ in range(5))
     for lo in range(0, active[0], _MEAN_BLOCK):
@@ -204,14 +202,14 @@ def unit_means(groups, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def equation_vector_from_units(unit_ids, unit_table: EmbeddingTable):
+def equation_vector_from_units(units, unit_table: EmbeddingTable):
     """Equation-level (alpha, rho) as the arithmetic mean of unit vectors:
     bitwise the row ``unit_means`` gives the equation.
 
     With one group, the running totals are one ``add.accumulate`` down the
     units (it adds in order, as the steps of ``unit_means`` do), and so are
     the compensations."""
-    ids = np.asarray(unit_ids, dtype=np.int64).ravel()
+    ids = np.asarray(units, dtype=np.int64).ravel()
     ids = ids[ids >= 0]
     if ids.size == 0:
         raise ValueError("untokenizable equation: no units")
@@ -232,8 +230,8 @@ class Model:
     """A fitted embedding model: tables plus enough structure to score and query.
 
     For unit-trained models, per-equation vectors are derived by averaging
-    unit vectors; ``eq_units`` must then map equation ids to unit-id arrays
-    (gaps < 0 are ignored).
+    unit vectors over ``eq_units``, the corpus's ``EquationUnits`` table
+    (gaps are ignored); without one, every equation has no units.
     """
 
     def __init__(
@@ -243,7 +241,7 @@ class Model:
         word: EmbeddingTable,
         eq: EmbeddingTable | None = None,
         unit: EmbeddingTable | None = None,
-        eq_units: dict[int, np.ndarray] | None = None,
+        eq_units: EquationUnits | None = None,
         n_equations: int = 0,
     ):
         if mode not in MODES:
@@ -251,22 +249,15 @@ class Model:
         self.mode = mode
         self.config = config
         self.word, self.eq, self.unit = word, eq, unit
-        self.eq_units = eq_units or {}
         self.n_equations = eq.size if eq is not None else n_equations
+        self.eq_units = EquationUnits(np.zeros(self.n_equations + 1), []) if eq_units is None else eq_units
         self._derived: dict[str, np.ndarray] | None = None
 
     def _derive(self):
         if self._derived is None:
             k = self.word.k
-            alphas = np.full((self.n_equations, k), np.nan)
-            rhos = np.full((self.n_equations, k), np.nan)
-            if self.eq_units:
-                eq_ids = list(self.eq_units)
-                means = unit_means(
-                    list(self.eq_units.values()), np.hstack([self.unit.alpha, self.unit.rho])
-                )
-                alphas[eq_ids], rhos[eq_ids] = means[:, :k], means[:, k:]
-            self._derived = {"alpha": alphas, "rho": rhos}
+            means = unit_means(self.eq_units.without_gaps(), np.hstack([self.unit.alpha, self.unit.rho]))
+            self._derived = {"alpha": means[:, :k], "rho": means[:, k:]}
         return self._derived
 
     def equation_matrix(self, which: str) -> np.ndarray:
@@ -287,9 +278,7 @@ class Model:
         if self.mode == "equation":
             return self.eq.alpha[eq_id].copy(), self.eq.rho[eq_id].copy()
         if self.mode == "unit":
-            ids = self.eq_units.get(eq_id)
-            if ids is None:
-                raise IndexError(f"equation id {eq_id} out of range")
+            ids = self.eq_units[eq_id]
             if self._derived is not None and (ids >= 0).any():
                 # the batched pass gave every equation bitwise its one-group mean
                 return self._derived["alpha"][eq_id].copy(), self._derived["rho"][eq_id].copy()

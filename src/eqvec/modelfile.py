@@ -120,8 +120,6 @@ def load_model(path: str, eq_units=None) -> Model:
         tables[cls] = EmbeddingTable.from_arrays(*matrices)
     if offset != end:
         raise ModelFileError(f"trailing bytes in model file: {path}")
-    if mode == "unit" and eq_units is None:
-        eq_units = {}
     return Model(mode, config, tables["word"], eq=tables.get("eq"), unit=tables.get("unit"),
                  eq_units=eq_units, n_equations=header.get("n_equations", 0))
 

@@ -145,18 +145,9 @@ def _window(seq, pos, half):
     return seq[pos[:, None] + off]
 
 
-def unit_lists(eq_units: dict, n_equations: int):
-    """Each equation's units with dropped slots removed, as (ptr, flat)."""
-    eqs = sorted(g for g in eq_units if 0 <= g < n_equations)
-    flat = np.concatenate([np.empty(0, dtype=np.int64)] + [eq_units[g] for g in eqs]).astype(np.int64)
-    keep = flat >= 0
-    owner = np.repeat(np.array(eqs, dtype=np.int64), [len(eq_units[g]) for g in eqs])[keep]
-    return _ptr(np.bincount(owner, minlength=n_equations)), flat[keep]
-
-
 def expand_units(units, eq_ids, mean: bool):
     """The context entries ``eq_ids`` stand for under a (ptr, flat) map such
-    as ``unit_lists``': each id's units in order, weighted 1, or 1/n when
+    as ``EquationUnits.without_gaps()``: each id's units in order, weighted 1, or 1/n when
     ``mean`` (``unit_context_mean``).  Returns (entries per id, unit ids,
     weights)."""
     ptr, flat = units
@@ -192,7 +183,7 @@ def compile_pass(data: CorpusData, config: ModelConfig, pass_name: str) -> list[
     """
     spec = PASS_CLASSES[pass_name]
     sizes = [class_sizes(data)[c] for c in spec.classes]
-    units = unit_lists(data.eq_units, data.n_equations)
+    units = data.eq_units.without_gaps()
     masks = _exclusion_masks(data)
     plans, lo, tokens = [], 0, 0
     for hi, stream in enumerate(data.streams, 1):

@@ -7,6 +7,7 @@ each tuple is one equation *unit*, the atomic "word" of an equation.
 """
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -428,21 +429,17 @@ def unit_string(t: SltTuple) -> str:
 def build_unit_vocabulary(sequences: dict[int, list[SltTuple]], min_count: int = 1):
     """Frequency-filtered unit vocabulary over all tokenized equations.
 
-    Returns ``(vocab, id_sequences)`` where each equation's tuple list is
-    re-emitted as an int array of vocabulary ids, with units below
-    ``min_count`` replaced by :data:`UNIT_GAP`.
+    ``sequences`` maps every equation id 0..n-1 to its tuple list.  Returns
+    ``(vocab, eq_units)``: the tuple lists re-emitted as vocabulary ids in
+    one ``EquationUnits`` table, with units below ``min_count`` replaced by
+    :data:`UNIT_GAP`.
     """
-    from .corpus import Vocabulary  # local import: corpus also imports slt
+    from .corpus import EquationUnits, Vocabulary  # local import: corpus also imports slt
 
     if not sequences:
         raise ValueError("empty equation set")
-    counts: dict[str, int] = {}
-    per_eq_strings: dict[int, list[str]] = {}
-    for eq_id in sorted(sequences):
-        strs = [unit_string(t) for t in sequences[eq_id]]
-        per_eq_strings[eq_id] = strs
-        for s in strs:
-            counts[s] = counts.get(s, 0) + 1
+    rows = [[unit_string(t) for t in sequences[eq_id]] for eq_id in range(len(sequences))]
+    counts = Counter(s for strs in rows for s in strs)
     kept = sorted(
         (f for f, c in counts.items() if c >= min_count),
         key=lambda f: (-counts[f], f),
@@ -452,10 +449,5 @@ def build_unit_vocabulary(sequences: dict[int, list[SltTuple]], min_count: int =
         forms=kept,
         freqs=np.array([counts[f] for f in kept], dtype=np.int64),
     )
-    id_sequences = {
-        eq_id: np.array(
-            [vocab.index.get(s, UNIT_GAP) for s in strs], dtype=np.int64
-        )
-        for eq_id, strs in per_eq_strings.items()
-    }
-    return vocab, id_sequences
+    ptr = np.concatenate(([0], np.cumsum([len(strs) for strs in rows])))
+    return vocab, EquationUnits(ptr, [vocab.index.get(s, UNIT_GAP) for strs in rows for s in strs])

@@ -1,9 +1,10 @@
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from eqvec.corpus import CorpusData, EquationRegistry, IngestParams, Vocabulary, ingest_corpus
+from eqvec.corpus import CorpusData, EquationRegistry, EquationUnits, IngestParams, Vocabulary, ingest_corpus
 from eqvec.model import ModelConfig
 from eqvec.synthetic import planted_corpus
 from eqvec.passes import PASS_CLASSES
@@ -46,6 +47,30 @@ def with_overrides(cfg: ModelConfig, **kw) -> ModelConfig:
     return replace(cfg, **kw).validate()
 
 
+def equation_units(rows) -> EquationUnits:
+    """The equation -> units table whose row g holds the unit ids ``rows[g]``."""
+    return EquationUnits(np.cumsum([0] + [len(r) for r in rows]), [u for r in rows for u in r])
+
+
+def rewrite_eq_units(path: str, change):
+    """Rewrite an ``eq_units.bin`` with its list of records (each the bytes
+    of ``(eq_id, n)`` and n unit ids) passed through ``change``; the record
+    count follows the new list."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    pos = raw.index(b"\n") + 1
+    header, records = raw[:pos], []
+    (count,) = struct.unpack_from("<I", raw, pos)
+    pos += 4
+    for _ in range(count):
+        end = pos + 8 + 4 * struct.unpack_from("<I", raw, pos + 4)[0]
+        records.append(raw[pos:end])
+        pos = end
+    records = change(records)
+    with open(path, "wb") as f:
+        f.write(header + struct.pack("<I", len(records)) + b"".join(records))
+
+
 def corpus_from_streams(streams, n_words: int, n_equations: int = 0) -> CorpusData:
     """A corpus around hand-made token streams: no held-out items, no units."""
     vocab = Vocabulary(kind="word", forms=[f"w{i:04d}" for i in range(n_words)],
@@ -53,7 +78,8 @@ def corpus_from_streams(streams, n_words: int, n_equations: int = 0) -> CorpusDa
     registry = EquationRegistry()
     for g in range(n_equations):
         registry.add(f"x_{{{g}}}", streams[0].doc_id)
-    return CorpusData(vocab, registry, list(streams), None, {}, [], [], IngestParams(), {})
+    return CorpusData(vocab, registry, list(streams), None, equation_units([[]] * n_equations), [], [],
+                      IngestParams(), {})
 
 
 def plan_positions(plans, pass_name: str):

@@ -15,6 +15,10 @@ only it uses.  It scores every drawn slot and sums a repeated row's errors
 through a per-position grouping block; the current kernel scores each
 distinct row once and weights its error by its draw count, so the two
 agree to rounding.
+
+``unit_lists`` is the equation -> units expansion as it stood while
+``eq_units`` was a dict of arrays: the oracle for
+``eqvec.corpus.EquationUnits.without_gaps``.
 """
 
 import time
@@ -457,3 +461,12 @@ def sgd_block(stacked, plan: PassPlan, lo: int, hi: int, negatives, lr: float) -
     neg[tptr[:-1]] = False
     neg_loss = np.bincount(pos[neg], np.log(np.maximum(1.0 - err[neg], LOG_EPS)), minlength=m)
     return -np.log(np.maximum(b0, LOG_EPS)) - neg_loss
+
+
+def unit_lists(eq_units: dict, n_equations: int):
+    """Each equation's units with dropped slots removed, as (ptr, flat)."""
+    eqs = sorted(g for g in eq_units if 0 <= g < n_equations)
+    flat = np.concatenate([np.empty(0, dtype=np.int64)] + [eq_units[g] for g in eqs]).astype(np.int64)
+    keep = flat >= 0
+    owner = np.repeat(np.array(eqs, dtype=np.int64), [len(eq_units[g]) for g in eqs])[keep]
+    return _ptr(np.bincount(owner, minlength=n_equations)), flat[keep]

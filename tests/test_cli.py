@@ -23,6 +23,8 @@ from eqvec.model import EmbeddingTable, Model, ModelConfig
 from eqvec.modelfile import ModelFileError, load_model, save_model
 from eqvec.synthetic import planted_corpus, write_corpus
 
+from .conftest import rewrite_eq_units
+
 
 @pytest.fixture(scope="module")
 def tiny_corpus(tmp_path_factory):
@@ -654,11 +656,21 @@ def _repeat_first_id(path):
         f.write(struct.pack("<I", 0))
 
 
+def _drop_second_record(path):
+    rewrite_eq_units(path, lambda records: records[:1] + records[2:])
+
+
+def _swap_first_records(path):
+    rewrite_eq_units(path, lambda records: [records[1], records[0], *records[2:]])
+
+
 @pytest.mark.parametrize("family", ["eq2eq", "eq2word", "word2eq"])
 @pytest.mark.parametrize(
     "damage, message",
-    [(_set_first_unit(-5), "unit id -5 out of range"), (_repeat_first_id, "equation id 0 has more than one record")],
-    ids=["unit_id_-5", "repeated_equation_id"],
+    [(_set_first_unit(-5), "unit id -5 out of range"), (_repeat_first_id, "equation id 0 has more than one record"),
+     (_drop_second_record, "equation 1 has no record"),
+     (_swap_first_records, "record 0 is equation 1, out of id order")],
+    ids=["unit_id_-5", "repeated_equation_id", "missing_record", "records_out_of_order"],
 )
 def test_bad_eq_units_record_exits_3(damage, message, family, planted_models, tmp_path, capsys):
     bundle, models, _ = planted_models
@@ -671,6 +683,25 @@ def test_bad_eq_units_record_exits_3(damage, message, family, planted_models, tm
         assert code == 3
         assert out == ""
         assert message in err and len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_repeated_vocabulary_form_exits_3(planted_models, tmp_path, capsys):
+    # two ids for one form: a word query would read one of them silently
+    bundle, models, _ = planted_models
+    copy = str(tmp_path / "bundle")
+    shutil.copytree(bundle, copy)
+    path = os.path.join(copy, "vocab.tsv")
+    with open(path) as f:
+        header, first, second, *rest = f.read().split("\n")
+    form = first.split("\t")[0]
+    with open(path, "w") as f:
+        f.write("\n".join([header, first, "\t".join([form, *second.split("\t")[1:]]), *rest]))
+    for mode in ("unit", "equation"):
+        code, out, err = run(["query", "word2eq", "--words", form, "--model", models[mode], "--bundle", copy], capsys)
+        assert code == 3
+        assert out == ""
+        assert f"form {form!r} is in more than one row" in err and len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
 
 def test_flipped_stream_code_exits_3(tiny_bundle, tmp_path, capsys):

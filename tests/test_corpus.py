@@ -20,6 +20,7 @@ from eqvec.corpus import (
 )
 from eqvec.tex import RawDocument
 
+from .conftest import equation_units
 from .reference_corpus import build_heldout as reference_build_heldout
 
 STOPS = frozenset({"the", "of", "a", "and"})
@@ -309,6 +310,25 @@ def test_ingest_end_to_end_tiny():
     by_latex = {r.latex: r.occurrence_count for r in data.registry.records}
     assert by_latex == {"x + y": 2, "z^2": 1}
     assert data.unit_vocab is not None and len(data.unit_vocab) > 0
+
+
+def test_equation_units_is_a_read_only_mapping_over_every_equation_id():
+    table = equation_units([[3, -1], [], [-1], [0, 1, 2]])
+    assert len(table) == 4 and list(table) == list(table.keys()) == [0, 1, 2, 3]
+    assert np.array_equal(table[0], [3, -1]) and np.array_equal(table[np.int64(3)], [0, 1, 2])
+    for g, row in table.items():  # every row is a view of the one id array
+        assert row.base is table.ids and row.dtype == np.int64
+    for key in (-1, 4, 2**70, "0", 1.0, None):
+        with pytest.raises(KeyError):
+            table[key]
+        assert key not in table and table.get(key) is None
+    with pytest.raises(TypeError):
+        table[0] = np.array([1])
+    # ``keys()`` compares as a set of ids, as the bench's corpus comparison reads it
+    assert table.keys() == equation_units([[]] * 4).keys() == {0, 1, 2, 3}
+    assert table.keys() != equation_units([[]] * 3).keys()
+    ptr, ids = table.without_gaps()
+    assert ptr.tolist() == [0, 1, 1, 1, 4] and ids.tolist() == [3, 0, 1, 2]
 
 
 def test_ingest_parallel_merge_matches_serial():

@@ -18,6 +18,7 @@ from eqvec.evaluation import (
 )
 from eqvec.model import MODES, EmbeddingTable, Model, ModelConfig
 
+from .conftest import equation_units
 from .reference_model import reference_predictive_ll, reference_pseudo_ll
 
 
@@ -211,7 +212,8 @@ def scoring_cases(draw):
         model = Model("equation", cfg, table(n_words), eq=table(n_eqs))
     else:
         units = st.lists(st.integers(-1, n_units - 1), max_size=5)  # -1 is a dropped unit
-        eq_units = {g: np.array(draw(units), dtype=np.int64) for g in range(n_eqs) if draw(_ids(2)) != 2}
+        # now and then an equation with no units at all
+        eq_units = equation_units([draw(units) if draw(_ids(2)) != 2 else [] for _ in range(n_eqs)])
         model = Model("unit", cfg, table(n_words), unit=table(n_units), eq_units=eq_units, n_equations=n_eqs)
     entry = st.one_of(
         st.tuples(st.just("word"), _ids(n_words)),

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from eqvec import bundle as bundle_io
 from eqvec.bundle import BundleFormatError, load_bundle, save_bundle
 from eqvec.corpus import EQ_TAG, GAP, IngestParams, TokenStream, ingest_corpus
-from eqvec.model import ADAGRAD_FLOOR, EmbeddingTable, Model, ModelConfig
+from eqvec.model import ADAGRAD_FLOOR, EmbeddingTable, Model, ModelConfig, unit_means
 from eqvec.modelfile import (
     ChecksumError,
     ModelFileError,
@@ -27,7 +27,9 @@ from eqvec.modelfile import (
 from eqvec.tex import RawDocument
 
 from . import reference_bundle
-from .conftest import corpus_from_streams
+from .conftest import corpus_from_streams, equation_units, rewrite_eq_units
+from .reference_model import _compensated_mean
+from .reference_training import unit_lists
 
 
 def tiny_corpus_data():
@@ -213,8 +215,13 @@ def _other_word(item, data):
     return next(p for p, c in enumerate(codes.tolist()) if c < len(data.word_vocab) and c != item.target)
 
 
+def _append_to_first_row(data, *units):
+    rows = list(data.eq_units.values())
+    data.eq_units = equation_units([np.append(rows[0], units), *rows[1:]])
+
+
 def _break_eq_units(data):
-    data.eq_units[0] = np.append(data.eq_units[0], len(data.unit_vocab))
+    _append_to_first_row(data, len(data.unit_vocab))
 
 
 @pytest.mark.parametrize(
@@ -251,7 +258,7 @@ def test_bundle_id_out_of_range_rejected(damage, tmp_path):
 
 def test_unit_id_below_the_gap_marker_rejected(tmp_path):
     data = tiny_corpus_data()
-    data.eq_units[0] = np.append(data.eq_units[0], [-1, -5])
+    _append_to_first_row(data, -1, -5)
     path = save_bundle(data, str(tmp_path / "bundle"))
     with pytest.raises(BundleFormatError, match="unit id -5 out of range"):
         load_bundle(path)
@@ -273,6 +280,40 @@ def test_repeated_equation_id_rejected(tmp_path):
             load(path)
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [(lambda r: r[:1] + r[2:], "equation 1 has no record"),
+     (lambda r: [r[1], r[0], *r[2:]], "record 0 is equation 1, out of id order")],
+    ids=["missing_record", "records_out_of_order"],
+)
+def test_missing_or_reordered_equation_record_rejected(change, message, tmp_path):
+    # save_bundle writes one record per equation, in id order; any other
+    # file would leave an equation without its units, or with another's
+    path = save_bundle(tiny_corpus_data(), str(tmp_path / "bundle"))
+    rewrite_eq_units(os.path.join(path, "eq_units.bin"), change)
+    for load in (load_bundle, bundle_io.load_query_files):
+        with pytest.raises(BundleFormatError, match=message):
+            load(path)
+
+
+@pytest.mark.parametrize("name, column, what", [("vocab.tsv", 0, "form"), ("units.tsv", 0, "form"),
+                                                ("equations.tsv", 2, "LaTeX")])
+def test_repeated_form_or_latex_rejected(name, column, what, tmp_path):
+    # the writer never repeats one (vocabulary forms are Counter keys, the
+    # registry deduplicates LaTeX); a repeat would make two ids for one form
+    path = save_bundle(tiny_corpus_data(), str(tmp_path / "bundle"))
+    with open(os.path.join(path, name)) as f:
+        header, first, second, *rest = f.read().split("\n")
+    repeated, fields = first.split("\t")[column], second.split("\t")
+    fields[column] = repeated
+    with open(os.path.join(path, name), "w") as f:
+        f.write("\n".join([header, first, "\t".join(fields), *rest]))
+    loads = [load_bundle] if name == "units.tsv" else [load_bundle, bundle_io.load_query_files]
+    for load in loads:
+        with pytest.raises(BundleFormatError, match=re.escape(f"{what} {repeated!r} is in more than one row")):
+            load(path)
+
+
 # --- one-array binary readers against the record-at-a-time oracle ----------------
 
 _N_WORDS, _N_EQS, _N_UNITS = 6, 5, 7
@@ -284,24 +325,23 @@ _code = st.one_of(
 _streams = st.lists(
     st.tuples(st.text(min_size=1, max_size=6), st.lists(_code, max_size=12)), max_size=6
 )
-_eq_units = st.dictionaries(
-    st.integers(0, _N_EQS - 1), st.lists(st.integers(-1, _N_UNITS - 1), max_size=9), max_size=_N_EQS
-)
+# every equation's units: rows empty, all gaps, or with gaps anywhere
+_eq_units = st.lists(st.lists(st.integers(-1, _N_UNITS - 1), max_size=9), max_size=_N_EQS)
 
 
 def _binary_files(root, streams, eq_units) -> tuple[str, str]:
     """``streams.bin`` and ``eq_units.bin`` as ``save_bundle`` writes them."""
     data = corpus_from_streams([TokenStream("d", np.zeros(0, dtype=np.uint32))], _N_WORDS, _N_EQS)
     data.streams = [TokenStream(d, np.array(c, dtype=np.uint32)) for d, c in streams]
-    data.eq_units = {g: np.array(ids, dtype=np.int64) for g, ids in eq_units.items()}
+    data.eq_units = equation_units(eq_units)
     path = save_bundle(data, os.path.join(root, "bundle"))
     return os.path.join(path, "streams.bin"), os.path.join(path, "eq_units.bin")
 
 
 @settings(max_examples=150, deadline=None)
 @given(streams=_streams, eq_units=_eq_units)
-@example(streams=[], eq_units={})
-@example(streams=[("d", []), ("é", [int(GAP), 0])], eq_units={0: [], 1: [-1, -1], 4: [6, -1, 0]})
+@example(streams=[], eq_units=[])
+@example(streams=[("d", []), ("é", [int(GAP), 0])], eq_units=[[], [-1, -1], [], [], [6, -1, 0]])
 def test_binary_readers_match_record_at_a_time_reference(streams, eq_units):
     with tempfile.TemporaryDirectory() as root:
         streams_bin, eq_units_bin = _binary_files(root, streams, eq_units)
@@ -310,13 +350,41 @@ def test_binary_readers_match_record_at_a_time_reference(streams, eq_units):
         assert [s.doc_id for s in got] == [s.doc_id for s in want]
         for g, w in zip(got, want):
             assert g.codes.dtype == w.codes.dtype and np.array_equal(g.codes, w.codes)
-        got, unit_ids = bundle_io._read_eq_units(eq_units_bin, _N_EQS)
-        want = reference_bundle._read_eq_units(eq_units_bin, _N_EQS)
+        got = bundle_io._read_eq_units(eq_units_bin, len(eq_units))
+        want = reference_bundle._read_eq_units(eq_units_bin, len(eq_units))
     assert list(got) == list(want)
     for g in want:
         assert got[g].dtype == want[g].dtype and np.array_equal(got[g], want[g])
-    assert unit_ids.dtype == np.int64
-    assert np.array_equal(unit_ids, np.concatenate([np.empty(0, dtype=np.int64), *want.values()]))
+        assert got[g].base is got.ids
+    assert got.ids.dtype == np.int64
+    assert np.array_equal(got.ids, np.concatenate([np.empty(0, dtype=np.int64), *want.values()]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(eq_units=_eq_units, seed=st.integers(0, 2**32 - 1))
+@example(eq_units=[[], [-1, -1], [3, -1, 0, -1], [-1], [6]], seed=1)
+def test_equation_units_table_matches_oracles(eq_units, seed):
+    # a saved and loaded table equals the record-at-a-time reader's dict,
+    # its gap-free rows the dict-walking ``unit_lists`` oracle, and the unit
+    # means over them the per-equation compensated loop, bit for bit
+    with tempfile.TemporaryDirectory() as root:
+        _, eq_units_bin = _binary_files(root, [], eq_units)
+        table = bundle_io._read_eq_units(eq_units_bin, len(eq_units))
+        want = reference_bundle._read_eq_units(eq_units_bin, len(eq_units))
+    assert list(table) == list(want) == list(range(len(eq_units)))
+    assert all(np.array_equal(table[g], ids) for g, ids in want.items())
+    ptr, ids = table.without_gaps()
+    want_ptr, want_ids = unit_lists(want, len(eq_units))
+    assert ptr.dtype == want_ptr.dtype and np.array_equal(ptr, want_ptr)
+    assert ids.dtype == want_ids.dtype and np.array_equal(ids, want_ids)
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(_N_UNITS, 4)) * 10.0 ** rng.integers(-8, 8, size=(_N_UNITS, 4))
+    means = unit_means((ptr, ids), rows)
+    assert means.shape == (len(eq_units), 4)
+    for g, units in want.items():
+        units = units[units >= 0]
+        expected = _compensated_mean(rows[units]) if units.size else np.full(4, np.nan)
+        assert means[g].tobytes() == expected.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -326,7 +394,7 @@ def test_every_cut_or_one_byte_extension_is_a_format_error(streams, eq_units, ex
         streams_bin, eq_units_bin = _binary_files(root, streams, eq_units)
         for path, read in (
             (streams_bin, lambda: bundle_io._read_streams(streams_bin, _N_WORDS, _N_EQS)),
-            (eq_units_bin, lambda: bundle_io._read_eq_units(eq_units_bin, _N_EQS)),
+            (eq_units_bin, lambda: bundle_io._read_eq_units(eq_units_bin, len(eq_units))),
         ):
             with open(path, "rb") as f:
                 raw = f.read()
@@ -339,12 +407,12 @@ def test_every_cut_or_one_byte_extension_is_a_format_error(streams, eq_units, ex
 
 def test_binary_readers_make_one_frombuffer_call_per_file(tmp_path, monkeypatch):
     streams = [(f"doc{i}", [i % _N_WORDS, int(GAP)]) for i in range(500)]
-    big = {g: [g % _N_UNITS, -1][: g % 3] for g in range(5000)}
-    streams_bin, eq_units_bin = _binary_files(str(tmp_path), streams, {})
+    big = [[g % _N_UNITS, -1][: g % 3] for g in range(5000)]
+    streams_bin, eq_units_bin = _binary_files(str(tmp_path), streams, [])
     _, big_bin = _binary_files(str(tmp_path / "big"), [], big)
     real, calls = np.frombuffer, []
     monkeypatch.setattr(np, "frombuffer", lambda *a, **kw: calls.append(a) or real(*a, **kw))
-    assert len(bundle_io._read_eq_units(big_bin, 5000)[0]) == 5000
+    assert len(bundle_io._read_eq_units(big_bin, 5000)) == 5000
     assert len(calls) == 1
     assert len(bundle_io._read_streams(streams_bin, _N_WORDS, _N_EQS)) == 500
     assert len(calls) == 2
@@ -362,8 +430,7 @@ def fitted_model(mode="equation", k=4, seed=0):
     if mode == "equation":
         return Model("equation", cfg, word, eq=EmbeddingTable(3, k, rng, 0.5))
     unit = EmbeddingTable(5, k, rng, 0.5)
-    eq_units = {0: np.array([0, 2]), 1: np.array([1]), 2: np.array([3, 4, 1])}
-    return Model("unit", cfg, word, unit=unit, eq_units=eq_units, n_equations=3)
+    return Model("unit", cfg, word, unit=unit, eq_units=equation_units([[0, 2], [1], [3, 4, 1]]), n_equations=3)
 
 
 @pytest.mark.parametrize("mode", ["word", "equation", "unit"])

@@ -25,7 +25,7 @@ from eqvec.model import (
     unit_means,
 )
 
-from .conftest import RETRIEVAL_SEED
+from .conftest import RETRIEVAL_SEED, equation_units
 from .reference_model import (
     Tables,
     TrainingPair,
@@ -410,7 +410,7 @@ def test_equation_vector_empty_errors():
     with pytest.raises(ValueError, match="untokenizable"):
         equation_vector_from_units([], t)
     model = Model("unit", ModelConfig(k=2), t, unit=t, n_equations=2,
-                  eq_units={0: np.array([0, 2]), 1: np.array([-1, -1])})
+                  eq_units=equation_units([[0, 2], [-1, -1]]))
     assert np.isnan(model.equation_matrix("alpha")[1]).all()
     with pytest.raises(ValueError, match="untokenizable"):
         model.equation_vectors(1)  # after the derivation too
@@ -445,7 +445,7 @@ def test_unit_means_bitwise_equal_per_equation_oracle(groups, long_len, seed, bl
     groups = [np.array(g, dtype=np.int64) for g in groups]
     groups.insert(int(rng.integers(len(groups) + 1)), rng.integers(-1, 12, size=long_len))
     with mock.patch.object(model_mod, "_MEAN_BLOCK", block):
-        got = unit_means(groups, rows)
+        got = unit_means(equation_units(groups).without_gaps(), rows)
     assert got.shape == (len(groups), 5)
     for g, row in zip(groups, got):
         ids = g[g >= 0]
@@ -468,7 +468,7 @@ def test_one_equation_vector_bitwise_equal_unit_means(ids, seed):
             equation_vector_from_units(ids, table)
         return
     alpha, rho = equation_vector_from_units(ids, table)
-    batched = unit_means([np.array([0, 1]), ids], rows)[1]
+    batched = unit_means(equation_units([[0, 1], ids]).without_gaps(), rows)[1]
     want = _compensated_mean(rows[ids[ids >= 0]])
     assert np.hstack([alpha, rho]).tobytes() == batched.tobytes() == want.tobytes()
 
@@ -509,7 +509,7 @@ def test_model_context_vector_modes():
     word = EmbeddingTable(5, k, rng, 0.5)
     eq = EmbeddingTable(3, k, rng, 0.5)
     unit = EmbeddingTable(6, k, rng, 0.5)
-    eq_units = {0: np.array([1, 2]), 1: np.array([], dtype=np.int64), 2: np.array([0])}
+    eq_units = equation_units([[1, 2], [], [0]])
     cfg = ModelConfig(k=k)
 
     word_only = Model("word", cfg, word, n_equations=3)
