@@ -35,12 +35,14 @@ def main() -> None:
     singles = sum(1 for r in data.registry.records if r.occurrence_count == 1)
     print(f"\nsingletons: {singles} of {len(data.registry)} equations")
 
-    item = data.heldout_valid[0]
-    words = [data.word_vocab.forms[i] for cls, i in item.context if cls == "word"]
-    print("\none held-out item:")
-    print(f"  target    {data.word_vocab.forms[item.target]!r}")
-    print(f"  context   {words} + equation {item.eq_id}")
-    print(f"  negatives {item.negatives[:5]}...")
+    held = data.heldout_valid  # one column per field; item 0 is the first row
+    ctx = slice(held.ctx_ptr[0], held.ctx_ptr[1])
+    words = [data.word_vocab.forms[i] for i in held.ctx_id[ctx][~held.ctx_eq[ctx]]]
+    target, *negatives = held.cand[held.cand_ptr[0] : held.cand_ptr[1]].tolist()
+    print(f"\none held-out item (of {len(held)} in the validation split):")
+    print(f"  target    {data.word_vocab.forms[target]!r}")
+    print(f"  context   {words} + equation {held.eq_id[0]}")
+    print(f"  negatives {negatives[:5]}...")
 
 
 if __name__ == "__main__":

@@ -19,10 +19,7 @@ _EXPORTS = {
         "CorpusData IngestParams Vocabulary build_heldout build_word_vocabulary "
         "ingest_corpus load_stopwords"
     ),
-    "evaluation": (
-        "early_stopping_controller evaluate_split grid_select "
-        "predictive_log_likelihood pseudo_log_likelihood"
-    ),
+    "evaluation": "early_stopping_controller evaluate_split grid_select",
     "model": "EmbeddingTable Model ModelConfig equation_vector_from_units sigmoid",
     "records": "RawDocument",
     "retrieval": "Ranking equations_for_words nearest_equations nearest_words",

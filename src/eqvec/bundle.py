@@ -29,6 +29,7 @@ are split and checked whole-file.
 """
 
 import json
+import operator
 import os
 import shutil
 import struct
@@ -45,7 +46,7 @@ from .corpus import (
     CorpusData,
     EquationRegistry,
     EquationUnits,
-    HeldOutItem,
+    HeldOut,
     IngestParams,
     TokenStream,
     Vocabulary,
@@ -59,8 +60,6 @@ _H_UNITS = "# eqvec-units 1"
 _H_STREAMS = b"# eqvec-streams 1\n"
 _H_EQUNITS = b"# eqvec-equnits 1\n"
 _H_HELDOUT = "# eqvec-heldout 1"
-# the tag of each class in a held-out context entry, "w:12" or "e:3"
-_CONTEXT_TAGS = {"word": "w", "eq": "e"}
 
 
 class BundleFormatError(ValueError):
@@ -146,8 +145,9 @@ def _write_files(data: CorpusData, root: str):
             f.write(struct.pack("<II", eq_id, len(ids)))
             f.write(ids.astype("<i4").tobytes())
 
-    _write_heldout(os.path.join(root, "heldout.valid.tsv"), data.heldout_valid)
-    _write_heldout(os.path.join(root, "heldout.test.tsv"), data.heldout_test)
+    doc_ids = np.array([s.doc_id for s in data.streams], dtype=object)
+    _write_heldout(os.path.join(root, "heldout.valid.tsv"), data.heldout_valid, doc_ids)
+    _write_heldout(os.path.join(root, "heldout.test.tsv"), data.heldout_test, doc_ids)
 
 
 def _write_vocab(path: str, header: str, vocab: Vocabulary):
@@ -157,13 +157,27 @@ def _write_vocab(path: str, header: str, vocab: Vocabulary):
             f.write(f"{form}\t{i}\t{int(vocab.freqs[i])}\n")
 
 
-def _write_heldout(path: str, items):
+def _write_heldout(path: str, held: HeldOut, doc_ids: np.ndarray):
+    """One row per item: target, equation id, document id, position, then the
+    context entries ("w:12" or "e:3") and the negatives, comma-separated.
+    One format string holds every row, so one ``%`` writes them all."""
+    n_ctx, n_neg = np.diff(held.ctx_ptr), np.diff(held.cand_ptr) - 1
+    width = 4 + 2 * n_ctx + n_neg  # a row's values; a context entry has two, its tag and its id
+    start = np.cumsum(width) - width
+    values = np.empty(width.sum(), dtype=object)
+    values[start + 1], values[start + 2], values[start + 3] = held.eq_id, doc_ids[held.stream], held.position
+    at = np.repeat(start + 4 - 2 * held.ctx_ptr[:-1], n_ctx) + 2 * np.arange(len(held.ctx_id))
+    values[at], values[at + 1] = np.where(held.ctx_eq, "e", "w"), held.ctx_id
+    # candidate j > 0 of a row is its negative j, after the context; candidate 0, the target, goes first
+    at = np.repeat(start + 3 + 2 * n_ctx - held.cand_ptr[:-1], n_neg + 1) + np.arange(len(held.cand))
+    at[held.cand_ptr[:-1]] = start
+    values[at] = held.cand
+    counts = list(zip(n_ctx.tolist(), n_neg.tolist()))
+    row = {c: "%d\t%d\t%s\t%d\t" + ",".join(["%s:%d"] * c[0]) + "\t" + ",".join(["%d"] * c[1]) + "\n"
+           for c in set(counts)}
     with open(path, "w") as f:
         f.write(_H_HELDOUT + "\n")
-        for it in items:
-            ctx = ",".join(f"{_CONTEXT_TAGS[cls]}:{i}" for cls, i in it.context)
-            negs = ",".join(str(n) for n in it.negatives)
-            f.write(f"{it.target}\t{it.eq_id}\t{it.doc_id}\t{it.position}\t{ctx}\t{negs}\n")
+        f.write("".join(map(row.__getitem__, counts)) % tuple(values.tolist()))
 
 
 # --- loading -------------------------------------------------------------------
@@ -209,16 +223,15 @@ def load_bundle(path: str) -> CorpusData:
     units = query.eq_units.without_gaps()[1]
     _check_ids(os.path.join(path, "eq_units.bin"), "unit", units, len(unit_vocab or ()))
     sizes = (len(query.word_vocab), len(query.registry))
-    streams = _read_streams(os.path.join(path, "streams.bin"), *sizes)
-    codes = {s.doc_id: s.codes for s in streams}
+    streams, codes = _read_streams(os.path.join(path, "streams.bin"), *sizes)
     return CorpusData(
         word_vocab=query.word_vocab,
         registry=query.registry,
         streams=streams,
         unit_vocab=unit_vocab,
         eq_units=query.eq_units,
-        heldout_valid=_read_heldout(os.path.join(path, "heldout.valid.tsv"), "validation", codes, *sizes),
-        heldout_test=_read_heldout(os.path.join(path, "heldout.test.tsv"), "test", codes, *sizes),
+        heldout_valid=_read_heldout(os.path.join(path, "heldout.valid.tsv"), "validation", streams, codes, *sizes),
+        heldout_test=_read_heldout(os.path.join(path, "heldout.test.tsv"), "test", streams, codes, *sizes),
         params=params,
         stats=manifest["stats"],
     )
@@ -334,10 +347,10 @@ def _read_binary(path: str, header: bytes) -> bytes:
     return raw
 
 
-def _read_streams(path: str, n_words: int, n_equations: int) -> list[TokenStream]:
-    """Each document's codes are a view of one array: the record headers are
-    walked with ``struct``, the payloads joined into one byte string and
-    read with one ``frombuffer`` and one ``astype``."""
+def _read_streams(path: str, n_words: int, n_equations: int) -> tuple[list[TokenStream], np.ndarray]:
+    """The streams, and the one array their codes are views of: the record
+    headers are walked with ``struct``, the payloads joined into one byte
+    string and read with one ``frombuffer`` and one ``astype``."""
     raw = _read_binary(path, _H_STREAMS)
     at = memoryview(raw)
     doc_ids, sizes, payloads = [], [], []
@@ -365,7 +378,7 @@ def _read_streams(path: str, n_words: int, n_equations: int) -> list[TokenStream
         bad = block[(block >= n_words) & ~eq & (block != GAP)]  # not a word, an equation or a gap
         if bad.size:
             raise BundleFormatError(f"{path}: code {bad[0]:#x} out of range (no word, equation or gap)")
-    return [TokenStream(d, codes[e - n : e]) for d, n, e in zip(doc_ids, sizes, accumulate(sizes))]
+    return [TokenStream(d, codes[e - n : e]) for d, n, e in zip(doc_ids, sizes, accumulate(sizes))], codes
 
 
 def _read_eq_units(path: str, n_equations: int) -> EquationUnits:
@@ -404,42 +417,53 @@ def _read_eq_units(path: str, n_equations: int) -> EquationUnits:
     return EquationUnits(np.concatenate(([0], np.cumsum(sizes))), units)
 
 
-def _read_heldout(path: str, split: str, codes: dict, n_words: int, n_equations: int):
-    """The held-out items of one split.  Each must name a word of its own
-    stream: ``codes`` (a document's codes by doc id) holds its target at its
+def _read_heldout(path: str, split: str, streams: list[TokenStream], codes: np.ndarray,
+                  n_words: int, n_equations: int) -> HeldOut:
+    """The held-out set of one split, parsed and checked column by column.
+    Each item must name a word of its own stream: its document's codes (a
+    view of ``codes``, the streams' one array) hold its target at its
     position, which is the token training then leaves out."""
-    classes = {tag: cls for cls, tag in _CONTEXT_TAGS.items()}
-    items = []
-    for target, eq_id, doc_id, position, ctx, negs in zip(*_read_columns(path, _H_HELDOUT, 6)):
-        context = []
-        try:
-            for tok in ctx.split(","):
-                if not tok:
-                    continue
-                tag, i = tok.split(":")
-                if tag not in classes:
-                    raise ValueError(f"unknown context class {tag!r}")
-                context.append((classes[tag], int(i)))
-            negatives = [int(x) for x in negs.split(",") if x]
-            items.append(
-                HeldOutItem(
-                    target=int(target),
-                    context=context,
-                    negatives=negatives,
-                    split=split,
-                    doc_id=doc_id,
-                    position=int(position),
-                    eq_id=int(eq_id),
-                )
-            )
-        except ValueError as exc:
-            raise BundleFormatError(f"{path}: malformed held-out item: {exc}") from None
-    ids = {cls: [i for it in items for c, i in it.context if c == cls] for cls in ("word", "eq")}
-    _check_ids(path, "word", [i for it in items for i in (it.target, *it.negatives)] + ids["word"], n_words)
-    _check_ids(path, "equation", [it.eq_id for it in items] + ids["eq"], n_equations)
-    for it in items:
-        doc = codes.get(it.doc_id, ())
-        if not 0 <= it.position < len(doc) or doc[it.position] != it.target:
-            raise BundleFormatError(f"{path}: held-out item out of range: document {it.doc_id!r} "
-                                    f"has no word {it.target} at position {it.position}")
-    return items
+    target, eq_id, doc_id, position, ctx, negs = _read_columns(path, _H_HELDOUT, 6)
+    target, eq_id, position = (_ints(path, what, col) for what, col in
+                               (("target", target), ("equation id", eq_id), ("position", position)))
+    neg = _ints(path, "negatives", _entries(negs))
+    entries = _entries(ctx)
+    tag_id = ":".join(entries).split(":") if entries else []
+    if len(tag_id) != 2 * len(entries) or not all(map(operator.contains, entries, repeat(":"))):
+        raise BundleFormatError(f"{path}: malformed held-out context: an entry is not one tag:id pair")
+    tags, ctx_id = tag_id[0::2], _ints(path, "context", tag_id[1::2])
+    unknown = set(tags) - {"w", "e"}  # word, equation
+    if unknown:
+        raise BundleFormatError(f"{path}: malformed held-out item: unknown context class {min(unknown)!r}")
+    ctx_eq = np.array(tags, dtype=str) == "e"
+    # a list of n entries holds n - 1 commas, an empty one none
+    ctx_ptr, neg_ptr = (np.cumsum([0, *map(str.count, col, repeat(","))]) + np.cumsum([0, *map(bool, col)])
+                        for col in (ctx, negs))
+    cand = np.insert(neg, neg_ptr[:-1], target)
+    _check_ids(path, "word", np.concatenate((cand, ctx_id[~ctx_eq])), n_words)
+    _check_ids(path, "equation", np.concatenate((eq_id, ctx_id[ctx_eq])), n_equations)
+    index = {s.doc_id: i for i, s in enumerate(streams)}
+    stream = np.fromiter(map(index.get, doc_id, repeat(-1)), np.int64, len(doc_id))
+    lengths = np.array([len(s.codes) for s in streams] + [0], dtype=np.int64)  # stream -1 (no such doc) is empty
+    ok = (position >= 0) & (position < lengths[stream])
+    ok[ok] = codes[(np.cumsum(lengths) - lengths)[stream[ok]] + position[ok]] == target[ok]
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise BundleFormatError(f"{path}: held-out item out of range: document {doc_id[i]!r} "
+                                f"has no word {target[i]} at position {position[i]}")
+    return HeldOut(split, stream, position, eq_id, ctx_ptr, ctx_eq, ctx_id, neg_ptr + np.arange(len(neg_ptr)), cand)
+
+
+def _entries(rows: list[str]) -> list[str]:
+    """The entries of comma-separated lists, row after row; an empty row has none."""
+    text = ",".join(filter(None, rows))
+    return text.split(",") if text else []
+
+
+def _ints(path: str, what: str, fields: list[str]) -> np.ndarray:
+    try:
+        return np.array(fields, dtype=np.int64)
+    except ValueError as exc:  # an empty entry, or not an integer
+        raise BundleFormatError(f"{path}: malformed held-out {what}: {exc}") from None
+    except OverflowError:  # more digits than an int64 holds
+        raise BundleFormatError(f"{path}: held-out {what} out of range") from None

@@ -27,10 +27,6 @@ def encode_equation(eq_id: int) -> int:
     return int(eq_id) | int(EQ_TAG)
 
 
-def is_word(code) -> bool:
-    return int(code) < int(EQ_TAG)
-
-
 class CorpusError(ValueError):
     pass
 
@@ -216,20 +212,31 @@ def build_token_streams(doc_tokens, word_vocab: Vocabulary, doc_maps) -> list[To
 # --- held-out sets ------------------------------------------------------------
 
 
-@dataclass
-class HeldOutItem:
-    target: int  # word id
-    context: list[tuple[str, int]]  # ("word"|"eq", id); exactly one eq entry
-    negatives: list[int]  # word ids
-    split: str  # "validation" | "test"
-    doc_id: str
-    position: int
-    eq_id: int
+class HeldOut:
+    """One split's held-out items as columns.
 
+    Item i is the word at ``position[i]`` of stream ``stream[i]`` (an index
+    into the corpus's streams), sampled near equation ``eq_id[i]``.  Its
+    context entries are ``ctx_id[ctx_ptr[i]:ctx_ptr[i + 1]]``, each an
+    equation id where ``ctx_eq`` is set and a word id elsewhere, and it
+    ranks the word ids ``cand[cand_ptr[i]:cand_ptr[i + 1]]``: its target,
+    then its negatives.  ``==`` compares the split and every column.
+    """
 
-def _window_word_positions(codes: np.ndarray, p: int, half: int):
-    lo, hi = max(0, p - half), min(len(codes), p + half + 1)
-    return [q for q in range(lo, hi) if q != p and is_word(codes[q])]
+    COLUMNS = ("stream", "position", "eq_id", "ctx_ptr", "ctx_eq", "ctx_id", "cand_ptr", "cand")
+
+    def __init__(self, split: str, stream=(), position=(), eq_id=(), ctx_ptr=(0,), ctx_eq=(), ctx_id=(),
+                 cand_ptr=(0,), cand=()):
+        self.split = split  # "validation" | "test"
+        for name, column in zip(self.COLUMNS, (stream, position, eq_id, ctx_ptr, ctx_eq, ctx_id, cand_ptr, cand)):
+            setattr(self, name, np.asarray(column, dtype=bool if name == "ctx_eq" else np.int64))
+
+    def __len__(self) -> int:
+        return len(self.cand_ptr) - 1
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, HeldOut) and self.split == other.split and all(
+            np.array_equal(getattr(self, c), getattr(other, c)) for c in self.COLUMNS)
 
 
 def build_heldout(
@@ -244,70 +251,70 @@ def build_heldout(
 
     For each equation, ``per_equation`` in-window word positions go to each
     split.  An item's context is the nearest ``context_window - 1``
-    in-vocabulary words around the target plus the equation itself;
-    negatives are drawn uniformly over the word vocabulary excluding the
-    target.  Equations with fewer than ``2 * per_equation`` candidate
-    positions are skipped and counted.
+    in-vocabulary words around the target, in position order, plus the
+    equation itself; negatives are drawn uniformly over the word vocabulary
+    excluding the target.  Equations with fewer than ``2 * per_equation``
+    candidate positions are skipped and counted.
 
-    Returns ``(validation, test, n_skipped)``.
+    Returns ``(validation, test, n_skipped)``, the splits as ``HeldOut``.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     half = context_window // 2
-    valid: list[HeldOutItem] = []
-    test: list[HeldOutItem] = []
-    skipped = 0
+    lengths = np.array([len(s.codes) for s in streams], dtype=np.int64)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    codes = np.concatenate([s.codes for s in streams] + [np.empty(0, dtype=np.uint32)])
+    gids, bounds, pool = _candidate_pools(codes, starts, ends, half)
     need = 2 * per_equation
-    gids, bounds, cand_stream, cand_pos = _candidate_pools(streams, half)
+    picked, eqs, negatives, skipped = [], [], [], 0
     for gid, lo, hi in zip(gids, bounds, bounds[1:]):
         if hi - lo < need:
             skipped += 1
             continue
-        chosen = rng.choice(hi - lo, size=need, replace=False)
-        for rank, ci in enumerate(chosen):
-            si, p = cand_stream[lo + ci], cand_pos[lo + ci]
-            codes = streams[si].codes
-            target = int(codes[p])
-            nearby = [
-                q
-                for q in _window_word_positions(codes, p, half)
-                if int(codes[q]) != target
-            ]
-            nearby.sort(key=lambda q: (abs(q - p), q))
-            ctx_pos = sorted(nearby[: context_window - 1])
-            context = [("word", int(codes[q])) for q in ctx_pos]
-            context.append(("eq", gid))
-            negatives = _draw_excluding(rng, n_words, n_negatives, target)
-            item = HeldOutItem(
-                target=target,
-                context=context,
-                negatives=negatives,
-                split="validation" if rank < per_equation else "test",
-                doc_id=streams[si].doc_id,
-                position=p,
-                eq_id=gid,
-            )
-            (valid if rank < per_equation else test).append(item)
+        eqs += [gid] * need
+        for ci in rng.choice(hi - lo, size=need, replace=False):
+            picked.append(pool[lo + ci])
+            negatives += _draw_excluding(rng, n_words, n_negatives, int(codes[pool[lo + ci]]))
+    at, eqs = np.array(picked, dtype=np.int64), np.array(eqs, dtype=np.int64)
+    doc = np.searchsorted(ends, at, side="right")
+    target = codes[at].astype(np.int64)
+    # the nearest words of the target's document other than the target word,
+    # the nearer first and, at equal distance, the earlier
+    steps = np.ravel(np.column_stack((-np.arange(1, half + 1), np.arange(1, half + 1))))  # -1, 1, -2, 2, ...
+    near = at[:, None] + steps
+    word = (near >= starts[doc, None]) & (near < ends[doc, None])
+    got = codes[np.where(word, near, 0)].astype(np.int64)
+    word &= (got < EQ_TAG) & (got != target[:, None])
+    word &= np.cumsum(word, axis=1) < context_window
+    # a context: the words in position order, then the equation
+    keep = np.column_stack((word[:, np.argsort(steps)], np.ones(len(at), dtype=bool)))
+    ids = np.column_stack((got[:, np.argsort(steps)], eqs))
+    is_eq = np.zeros_like(keep)
+    is_eq[:, -1] = True
+    # _draw_excluding draws n_negatives per item, or none from a one-word vocabulary
+    cand = np.column_stack((target, np.reshape(negatives, (len(at), n_negatives if n_words > 1 else 0))))
+    first = np.arange(len(at)) % need < per_equation  # an equation's first draws validate, the rest test
+    valid, test = (
+        HeldOut(split, doc[r], at[r] - starts[doc[r]], eqs[r], np.r_[0, np.cumsum(keep[r].sum(axis=1))],
+                is_eq[r][keep[r]], ids[r][keep[r]], np.arange(r.sum() + 1) * cand.shape[1], cand[r].ravel())
+        for split, r in (("validation", first), ("test", ~first))
+    )
     return valid, test, skipped
 
 
-def _candidate_pools(streams: list[TokenStream], half: int):
+def _candidate_pools(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray, half: int):
     """Every equation's held-out candidates: the word positions within
-    ``half`` of one of its occurrences, in its own document.
+    ``half`` of one of its occurrences, in its own document, over the
+    streams' concatenation ``codes`` (stream i spans ``starts[i]:ends[i]``).
 
-    Returns ``(gids, bounds, stream, position)``: equation ``gids[i]``
-    (ascending; every equation the streams hold) owns candidates
-    ``bounds[i]:bounds[i + 1]`` of the ``stream``/``position`` lists, a
-    position near several occurrences once.  Read occurrence by occurrence
-    in corpus order, each window in position order, a window adds only
-    positions past the end of the window before it, so first-seen order is
-    ascending corpus position: the order of the sorted keys.
+    Returns ``(gids, bounds, positions)``: equation ``gids[i]`` (ascending;
+    every equation the streams hold) owns the corpus positions
+    ``positions[bounds[i]:bounds[i + 1]]``, a position near several
+    occurrences once.  Read occurrence by occurrence in corpus order, each
+    window in position order, a window adds only positions past the end of
+    the window before it, so first-seen order is ascending corpus position:
+    the order of the sorted keys.
     """
-    if not streams:
-        return [], [0], [], []
-    lengths = np.array([len(s.codes) for s in streams], dtype=np.int64)
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    codes = np.concatenate([s.codes for s in streams])
     at = np.flatnonzero(codes >= EQ_TAG)
     at = at[codes[at] != GAP]
     doc = np.searchsorted(ends, at, side="right")
@@ -318,12 +325,11 @@ def _candidate_pools(streams: list[TokenStream], half: int):
     at_gid = (codes[at] & ~EQ_TAG).astype(np.int64)
     rows, cols = np.nonzero(inside)
     # one key per (equation, corpus position): sorted keys group by equation
-    key = np.unique(at_gid[rows] * len(codes) + near[rows, cols])
-    cand_gid, cand = np.divmod(key, len(codes))
+    key = np.unique(at_gid[rows] * max(len(codes), 1) + near[rows, cols])
+    cand_gid, cand = np.divmod(key, max(len(codes), 1))
     gids = np.unique(at_gid)
     bounds = np.append(np.searchsorted(cand_gid, gids), len(cand_gid))
-    cand_doc = np.searchsorted(ends, cand, side="right")
-    return gids.tolist(), bounds.tolist(), cand_doc.tolist(), (cand - starts[cand_doc]).tolist()
+    return gids.tolist(), bounds.tolist(), cand.tolist()
 
 
 def _draw_excluding(rng, n: int, size: int, exclude: int) -> list[int]:
@@ -334,14 +340,6 @@ def _draw_excluding(rng, n: int, size: int, exclude: int) -> list[int]:
         draw = rng.integers(0, n, size=size - len(out))
         out.extend(int(d) for d in draw if int(d) != exclude)
     return out[:size]
-
-
-def heldout_positions(items) -> dict[str, set[int]]:
-    """(doc -> positions) excluded as training targets."""
-    excl: dict[str, set[int]] = {}
-    for it in items:
-        excl.setdefault(it.doc_id, set()).add(it.position)
-    return excl
 
 
 # --- ingestion ----------------------------------------------------------------
@@ -386,8 +384,8 @@ class CorpusData:
     streams: list[TokenStream]
     unit_vocab: Vocabulary | None
     eq_units: EquationUnits
-    heldout_valid: list[HeldOutItem]
-    heldout_test: list[HeldOutItem]
+    heldout_valid: HeldOut
+    heldout_test: HeldOut
     params: IngestParams
     stats: dict
 

@@ -46,41 +46,37 @@ class HeldOutLayout(NamedTuple):
     ok: np.ndarray
 
 
-def compile_heldout(items, model: Model) -> HeldOutLayout:
-    """Lay out held-out contexts as the training passes see them: a word adds
-    its alpha row; an equation its row in an equation model, its units
-    (``passes.expand_units``) in a unit model, and nothing in a word model,
-    which never looks its id up."""
+def compile_heldout(held, model: Model) -> HeldOutLayout:
+    """Lay out a ``corpus.HeldOut`` set's contexts as the training passes see
+    them: a word adds its alpha row; an equation its row in an equation model,
+    its units (``passes.expand_units``) in a unit model, and nothing in a word
+    model, which never looks its id up."""
     n_words, n_eqs, mode = model.word.size, model.n_equations, model.mode
-    owner = np.repeat(np.arange(len(items)), [len(it.context) for it in items])
-    kind = np.array([c for it in items for c, _ in it.context], dtype=str)
-    ids = np.array([i for it in items for _, i in it.context], dtype=np.int64)
-    is_eq = kind == "eq"
-    known = (ids >= 0) & (ids < np.where(is_eq, n_eqs, np.where(kind == "word", n_words, 0))) | is_eq & (mode == "word")
-    cand_ptr = _ptr([1 + len(it.negatives) for it in items])
-    cand = np.array([c for it in items for c in (it.target, *it.negatives)], dtype=np.int64)
-    ok = np.bincount(owner, ~known, minlength=len(items)) == 0
-    ok[np.repeat(np.arange(len(items)), np.diff(cand_ptr))[(cand < 0) | (cand >= n_words)]] = False
+    owner = np.repeat(np.arange(len(held)), np.diff(held.ctx_ptr))
+    is_eq, ids, cand_ptr, cand = held.ctx_eq, held.ctx_id, held.cand_ptr, held.cand
+    known = (ids >= 0) & (ids < np.where(is_eq, n_eqs, n_words)) | is_eq & (mode == "word")
+    ok = np.bincount(owner, ~known, minlength=len(held)) == 0
+    ok[np.repeat(np.arange(len(held)), np.diff(cand_ptr))[(cand < 0) | (cand >= n_words)]] = False
     # one id space, words then equations, each id mapped to its alpha rows
     eq_ptr, eq_rows = model.eq_units.without_gaps() if mode == "unit" else (np.arange(n_eqs + 1), np.arange(n_eqs))
     objects = (np.concatenate((np.arange(n_words), n_words + eq_ptr)),
                np.concatenate((np.arange(n_words), n_words + eq_rows)))
-    take = np.flatnonzero(ok[owner] & ((kind == "word") | is_eq & (mode != "word")))
+    take = np.flatnonzero(ok[owner] & (~is_eq | (mode != "word")))
     n_per, rows, w = expand_units(objects, ids[take] + n_words * is_eq[take],
                                   mode == "unit" and model.config.unit_context_mean)
-    ptr = _ptr(np.bincount(owner[take], n_per, minlength=len(items)).astype(np.int64))
+    ptr = _ptr(np.bincount(owner[take], n_per, minlength=len(held)).astype(np.int64))
     alpha = np.concatenate([t.alpha for t in (model.word, model.unit if mode == "unit" else model.eq) if t])
     return HeldOutLayout(alpha, ptr, rows, None if (w == 1.0).all() else w, cand_ptr, cand, ok)
 
 
-def _score_blocks(items, model: Model):
+def _score_blocks(held, model: Model):
     """Candidate scores rho_c . s of the items the model can score, one matrix
     per candidate count, target first.  Step j of the context sums adds the
     j-th entry of every item that still has one, so each sum runs left to
     right, with the additions a loop over that item alone would make."""
-    lay = compile_heldout(items, model)
+    lay = compile_heldout(held, model)
     order, active = ranked_steps(np.diff(lay.ptr))
-    s = np.zeros((len(items), lay.alpha.shape[1]))
+    s = np.zeros((len(held), lay.alpha.shape[1]))
     for j, n in enumerate(active):
         at = lay.ptr[order[:n]] + j
         v = lay.alpha[lay.rows[at]]
@@ -108,41 +104,21 @@ def _pseudo(z, model: Model) -> list:
     return [math.log(r[0]) + (math.fsum(math.log1p(-x) for x in r[1:]) / n if n else 0.0) for r in p.tolist()]
 
 
-def _scores(items, model: Model, score) -> list:
+def _scores(held, model: Model, score) -> list:
     """``score`` of each scorable item, by candidate count, then in order."""
-    return [v for z in _score_blocks(items, model) for v in score(z, model)]
+    return [v for z in _score_blocks(held, model) for v in score(z, model)]
 
 
-def predictive_log_likelihood(item, model: Model):
-    """log softmax probability of the held-out word against its negatives.
-
-    Computed with max-subtraction; under a model that scores all candidates
-    equally this is exactly log(1 / (n_negatives + 1)).  Returns None when
-    the item references ids the model does not know (caller counts skips).
-    """
-    return (_scores([item], model, _predictive) or [None])[0]
-
-
-def pseudo_log_likelihood(item, model: Model):
-    """Target log probability plus averaged log complements of negatives.
-
-    Probabilities are Bernoulli sigmoids of the score by default; the
-    softmax reading is available via ``config.pseudo_likelihood``.
-    Probabilities are clamped to [1e-12, 1 - 1e-12].
-    """
-    return (_scores([item], model, _pseudo) or [None])[0]
-
-
-def mean_predictive_ll(items, model: Model) -> float:
+def mean_predictive_ll(held, model: Model) -> float:
     """Mean over scored items; 0.0 when nothing is scorable (degenerate
     corpora with no held-out items still need a finite epoch trace)."""
-    scores = _scores(items, model, _predictive)
+    scores = _scores(held, model, _predictive)
     return math.fsum(scores) / len(scores) if scores else 0.0
 
 
-def evaluate_split(items, model: Model, split: str) -> EvalReport:
+def evaluate_split(held, model: Model, split: str) -> EvalReport:
     pred, pseudo = [], []
-    for z in _score_blocks(items, model):
+    for z in _score_blocks(held, model):
         pred += _predictive(z, model)
         pseudo += _pseudo(z, model)
     n = len(pred)
@@ -151,7 +127,7 @@ def evaluate_split(items, model: Model, split: str) -> EvalReport:
         mean_predictive_ll=math.fsum(pred) / n if n else float("nan"),
         mean_pseudo_ll=math.fsum(pseudo) / n if n else float("nan"),
         n_items=n,
-        n_skipped=len(items) - n,
+        n_skipped=len(held) - n,
         config=vars(model.config).copy(),
     )
 

@@ -12,22 +12,21 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import EQ_TAG, GAP, CorpusData, heldout_positions
+from .corpus import EQ_TAG, GAP, CorpusData
 from .model import ModelConfig
 
 # Stream tokens compiled at a time.
 _COMPILE_TOKENS = 1024
 
 
-def _exclusion_masks(data: CorpusData):
-    excl = heldout_positions(data.heldout_valid + data.heldout_test)
-    masks = []
-    for stream in data.streams:
-        m = np.zeros(len(stream.codes), dtype=bool)
-        for p in excl.get(stream.doc_id, ()):
-            m[p] = True
-        masks.append(m)
-    return masks
+def _exclusion_masks(data: CorpusData) -> list[np.ndarray]:
+    """Per stream, the positions training leaves out: every held-out target."""
+    lengths = [len(s.codes) for s in data.streams]
+    ends = np.cumsum(lengths, dtype=np.int64)
+    held = np.zeros(ends[-1] if lengths else 0, dtype=bool)
+    for split in (data.heldout_valid, data.heldout_test):
+        held[(ends - lengths)[split.stream] + split.position] = True
+    return np.split(held, ends[:-1])
 
 
 class PassSpec(NamedTuple):

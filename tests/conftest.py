@@ -1,10 +1,19 @@
 import struct
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from eqvec.corpus import CorpusData, EquationRegistry, EquationUnits, IngestParams, Vocabulary, ingest_corpus
+from eqvec.corpus import (
+    CorpusData,
+    EquationRegistry,
+    EquationUnits,
+    HeldOut,
+    IngestParams,
+    Vocabulary,
+    ingest_corpus,
+)
 from eqvec.model import ModelConfig
 from eqvec.synthetic import planted_corpus
 from eqvec.passes import PASS_CLASSES
@@ -52,6 +61,34 @@ def equation_units(rows) -> EquationUnits:
     return EquationUnits(np.cumsum([0] + [len(r) for r in rows]), [u for r in rows for u in r])
 
 
+class Item(NamedTuple):
+    """One held-out item as the per-item references read it."""
+
+    target: int
+    context: list  # ("word" | "eq", id) pairs
+    negatives: list
+    stream: int = 0
+    position: int = 0
+    eq_id: int = 0
+
+
+def heldout_items(held: HeldOut) -> list[Item]:
+    """A ``HeldOut`` set as one record per item."""
+    ctx = [("eq" if e else "word", i) for e, i in zip(held.ctx_eq.tolist(), held.ctx_id.tolist())]
+    cand, cp, xp = held.cand.tolist(), held.cand_ptr.tolist(), held.ctx_ptr.tolist()
+    return [Item(cand[cp[i]], ctx[xp[i] : xp[i + 1]], cand[cp[i] + 1 : cp[i + 1]], *rest)
+            for i, rest in enumerate(zip(held.stream.tolist(), held.position.tolist(), held.eq_id.tolist()))]
+
+
+def heldout_set(items, split: str = "validation") -> HeldOut:
+    """Records as one ``HeldOut`` set; a context class other than "eq" is a word."""
+    ctx = [c for it in items for c in it.context]
+    return HeldOut(split, [it.stream for it in items], [it.position for it in items], [it.eq_id for it in items],
+                   np.cumsum([0] + [len(it.context) for it in items]), [c == "eq" for c, _ in ctx],
+                   [i for _, i in ctx], np.cumsum([0] + [1 + len(it.negatives) for it in items]),
+                   [c for it in items for c in (it.target, *it.negatives)])
+
+
 def rewrite_eq_units(path: str, change):
     """Rewrite an ``eq_units.bin`` with its list of records (each the bytes
     of ``(eq_id, n)`` and n unit ids) passed through ``change``; the record
@@ -78,8 +115,8 @@ def corpus_from_streams(streams, n_words: int, n_equations: int = 0) -> CorpusDa
     registry = EquationRegistry()
     for g in range(n_equations):
         registry.add(f"x_{{{g}}}", streams[0].doc_id)
-    return CorpusData(vocab, registry, list(streams), None, equation_units([[]] * n_equations), [], [],
-                      IngestParams(), {})
+    return CorpusData(vocab, registry, list(streams), None, equation_units([[]] * n_equations),
+                      HeldOut("validation"), HeldOut("test"), IngestParams(), {})
 
 
 def plan_positions(plans, pass_name: str):

@@ -3,24 +3,26 @@ candidate pool built by a loop over its occurrences, kept as a test oracle.
 
 It walks every equation position of every stream and, per position, every
 word position of its window, deduplicating per equation in first-seen
-order.  ``eqvec.corpus.build_heldout`` builds the same pools with array
-operations and must return equal items and skip counts.
+order, and builds every item's context by a loop over its window.
+``eqvec.corpus.build_heldout`` builds the same pools and contexts with
+array operations and must return equal items (as ``conftest.Item``
+records) and skip counts.
 """
 
 import numpy as np
 
-from eqvec.corpus import (
-    EQ_TAG,
-    GAP,
-    HeldOutItem,
-    TokenStream,
-    _draw_excluding,
-    _window_word_positions,
-)
+from eqvec.corpus import EQ_TAG, GAP, TokenStream, _draw_excluding
+
+from .conftest import Item
 
 
 def equation_id(code) -> int:
     return int(code) & ~int(EQ_TAG)
+
+
+def _window_word_positions(codes: np.ndarray, p: int, half: int):
+    lo, hi = max(0, p - half), min(len(codes), p + half + 1)
+    return [q for q in range(lo, hi) if q != p and int(codes[q]) < int(EQ_TAG)]
 
 
 def build_heldout(
@@ -57,8 +59,8 @@ def build_heldout(
                     taken.add((si, q))
                     pool.append((si, q))
 
-    valid: list[HeldOutItem] = []
-    test: list[HeldOutItem] = []
+    valid: list[Item] = []
+    test: list[Item] = []
     skipped = 0
     need = 2 * per_equation
     for gid in sorted(pools):
@@ -81,14 +83,6 @@ def build_heldout(
             context = [("word", int(codes[q])) for q in ctx_pos]
             context.append(("eq", gid))
             negatives = _draw_excluding(rng, n_words, n_negatives, target)
-            item = HeldOutItem(
-                target=target,
-                context=context,
-                negatives=negatives,
-                split="validation" if rank < per_equation else "test",
-                doc_id=streams[si].doc_id,
-                position=p,
-                eq_id=gid,
-            )
+            item = Item(target, context, negatives, si, p, gid)
             (valid if rank < per_equation else test).append(item)
     return valid, test, skipped

@@ -13,13 +13,7 @@ import pytest
 
 from eqvec import retrieval
 from eqvec.corpus import IngestParams, ingest_corpus
-from eqvec.evaluation import (
-    StopDecision,
-    early_stopping_controller,
-    evaluate_split,
-    predictive_log_likelihood,
-    pseudo_log_likelihood,
-)
+from eqvec.evaluation import StopDecision, early_stopping_controller, evaluate_split
 from eqvec.model import EmbeddingTable, Model, ModelConfig, equation_vector_from_units
 from eqvec.slt import tokenize_equation, unit_string
 from eqvec.synthetic import planted_corpus, write_corpus
@@ -217,7 +211,16 @@ def test_criterion_6_early_stopping_rule():
 
 
 def test_criterion_7_score_oracles():
-    from .test_evaluation import FIX_ALPHA, FIX_EQ_ALPHA, FIX_RHO, item, k2_model, oracle_scores
+    from .test_evaluation import (
+        FIX_ALPHA,
+        FIX_EQ_ALPHA,
+        FIX_RHO,
+        item,
+        k2_model,
+        oracle_scores,
+        predictive_log_likelihood,
+        pseudo_log_likelihood,
+    )
 
     model = k2_model(FIX_RHO, FIX_ALPHA, FIX_EQ_ALPHA)
     it = item(0, [1, 3], 0, [2, 3])

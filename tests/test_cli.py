@@ -1,6 +1,8 @@
 """Command-line pipeline: exit codes, artifacts, determinism."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -8,11 +10,14 @@ import shutil
 import struct
 import subprocess
 import sys
+import tempfile
 import zlib
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eqvec
 from eqvec import cli, retrieval
@@ -724,6 +729,71 @@ def test_flipped_stream_code_exits_3(tiny_bundle, tmp_path, capsys):
     assert not os.path.exists(model)
 
 
+@pytest.fixture(scope="module")
+def tiny_data(tiny_bundle):
+    return load_bundle(tiny_bundle)
+
+
+_HELDOUT_FIELDS = ("target", "eq_id", "doc_id", "position", "context", "negatives")
+
+
+def _mutated_row(draw, row: dict, data, mutation: str) -> list[str]:
+    """The fields of a held-out row after one mutation of one field."""
+    row = dict(row)
+    n = {"w": data.n_words, "e": data.n_equations}
+    out_of_range = lambda size: str(draw(st.sampled_from([-1, -7, size, size + 3, 2**70])))
+    if mutation == "unknown_tag":
+        entries = row["context"].split(",")
+        j = draw(st.integers(0, len(entries) - 1))
+        entries[j] = draw(st.sampled_from("abfqxzEW")) + entries[j][1:]
+        row["context"] = ",".join(entries)
+    elif mutation == "id_out_of_range":
+        field = draw(st.sampled_from(["target", "eq_id", "context", "negatives"]))
+        if field in ("target", "eq_id"):
+            row[field] = out_of_range(n["w" if field == "target" else "e"])
+        else:
+            entries = row[field].split(",")
+            j = draw(st.integers(0, len(entries) - 1))
+            tag, _, _ = entries[j].rpartition(":")
+            entries[j] = (tag + ":" if tag else "") + out_of_range(n[tag or "w"])
+            row[field] = ",".join(entries)
+    elif mutation == "position_not_target":
+        codes = next(s.codes for s in data.streams if s.doc_id == row["doc_id"]).tolist()
+        other = [p for p in range(-2, len(codes) + 2) if not (0 <= p < len(codes) and codes[p] == int(row["target"]))]
+        row["position"] = str(draw(st.sampled_from(other)))
+    else:  # missing_field: the field left empty, or gone with its tab
+        field = draw(st.sampled_from(_HELDOUT_FIELDS))
+        if field in ("context", "negatives") or draw(st.booleans()):
+            return [v for k, v in row.items() if k != field]
+        row[field] = ""
+    return list(row.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(split=st.sampled_from(["valid", "test"]), index=st.integers(0, 99),
+       mutation=st.sampled_from(["unknown_tag", "id_out_of_range", "position_not_target", "missing_field"]),
+       draw=st.data())
+def test_heldout_row_mutation_exits_3(split, index, mutation, draw, tiny_bundle, tiny_data):
+    with tempfile.TemporaryDirectory() as root:
+        copy = os.path.join(root, "bundle")
+        shutil.copytree(tiny_bundle, copy)
+        path = os.path.join(copy, f"heldout.{split}.tsv")
+        with open(path) as f:
+            header, *rows = f.read().splitlines()
+        i = index % len(rows)
+        rows[i] = "\t".join(_mutated_row(draw.draw, dict(zip(_HELDOUT_FIELDS, rows[i].split("\t"))),
+                                          tiny_data, mutation))
+        with open(path, "w") as f:
+            f.write("\n".join([header, *rows]) + "\n")
+        model = os.path.join(root, "m.eqv")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["train", "--bundle", copy, "--model", model, "--set", "max_epochs=1"])
+        assert code == 3, err.getvalue()
+        assert out.getvalue() == "" and not os.path.exists(model)
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
+
+
 def _set_counts(path, count):
     """Rewrite the frequency or occurrence column of a bundle table; ``count``
     maps (row index, old value) to the new value."""
@@ -771,6 +841,25 @@ def test_count_swamping_the_rest_exits_1(tiny_bundle, tmp_path):
     assert code == 1
     assert "nearly all the sampling weight" in err and "Traceback" not in err
     assert not os.path.exists(model)
+
+
+@pytest.mark.parametrize("name", [b"one\tx.tex", b"one\xffx.tex"], ids=["tab", "byte_0xff"])
+def test_doc_id_a_bundle_cannot_hold_is_skipped(name, tiny_corpus, tiny_bundle, tmp_path):
+    # a doc id is its file name; a tab in it would split its held-out rows,
+    # and a byte that is not UTF-8 could not be written to streams.bin
+    corpus = tmp_path / "corpus"
+    shutil.copytree(tiny_corpus, corpus)
+    with open(os.path.join(os.fsencode(corpus), name), "wb") as f:
+        f.write(b"Modeling words everywhere always believing.\n$$ q + r $$\nwords believing modeling.")
+    bundle = str(tmp_path / "bundle")
+    code, out, err = fresh(["ingest", "--corpus", str(corpus), "--bundle", bundle] + ING, timeout=60)
+    assert code == 0 and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("warning: skipping ")
+    for f in sorted(os.listdir(tiny_bundle)):  # as if the file were not there
+        with open(os.path.join(tiny_bundle, f), "rb") as a, open(os.path.join(bundle, f), "rb") as b:
+            assert a.read() == b.read(), f
+    model = str(tmp_path / "m.eqv")
+    assert fresh(["train", "--bundle", bundle, "--model", model] + TRN, timeout=120)[0] == 0
 
 
 def test_deeply_nested_equation_ingests(tiny_corpus, tiny_bundle, tmp_path, capsys):

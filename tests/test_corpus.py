@@ -20,7 +20,7 @@ from eqvec.corpus import (
 )
 from eqvec.tex import RawDocument
 
-from .conftest import equation_units
+from .conftest import equation_units, heldout_items
 from .reference_corpus import build_heldout as reference_build_heldout
 
 STOPS = frozenset({"the", "of", "a", "and"})
@@ -212,7 +212,8 @@ def test_heldout_shape_and_counts():
     vocab, streams, (valid, test, skipped) = _heldout_fixture()
     assert skipped == 0
     assert len(valid) == 2 and len(test) == 2
-    for item in valid + test:
+    assert (valid.split, test.split) == ("validation", "test")
+    for item in heldout_items(valid) + heldout_items(test):
         classes = [cls for cls, _ in item.context]
         assert classes.count("eq") == 1
         assert classes[-1] == "eq"
@@ -239,7 +240,7 @@ def test_heldout_skips_small_contexts():
         [TokenStream("d", codes)], n_words=1, per_equation=2, context_window=4,
         n_negatives=3, seed=0,
     )
-    assert (valid, test, skipped) == ([], [], 1)
+    assert (len(valid), len(test), skipped) == (0, 0, 1)
 
 
 def test_heldout_arithmetic():
@@ -276,7 +277,9 @@ _EQ = encode_equation
 def test_heldout_matches_loop_reference(stream_codes, per_equation, window, seed):
     streams = [TokenStream(f"d{i}", np.array(c, dtype=np.uint32)) for i, c in enumerate(stream_codes)]
     kw = dict(n_words=5, per_equation=per_equation, context_window=window, n_negatives=3, seed=seed)
-    assert build_heldout(streams, **kw) == reference_build_heldout(streams, **kw)
+    valid, test, skipped = build_heldout(streams, **kw)
+    assert (valid.split, test.split) == ("validation", "test")
+    assert (heldout_items(valid), heldout_items(test), skipped) == reference_build_heldout(streams, **kw)
 
 
 # --- ingest orchestration ------------------------------------------------------

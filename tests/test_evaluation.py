@@ -8,30 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqvec import evaluation
-from eqvec.corpus import HeldOutItem
-from eqvec.evaluation import (
-    StopDecision,
-    early_stopping_controller,
-    evaluate_split,
-    predictive_log_likelihood,
-    pseudo_log_likelihood,
-)
+from eqvec.evaluation import StopDecision, early_stopping_controller, evaluate_split
 from eqvec.model import MODES, EmbeddingTable, Model, ModelConfig
 
-from .conftest import equation_units
+from .conftest import Item, equation_units, heldout_set
 from .reference_model import reference_predictive_ll, reference_pseudo_ll
 
 
 def item(target, ctx_words, eq_id, negatives):
-    return HeldOutItem(
-        target=target,
-        context=[("word", w) for w in ctx_words] + [("eq", eq_id)],
-        negatives=list(negatives),
-        split="validation",
-        doc_id="d",
-        position=0,
-        eq_id=eq_id,
-    )
+    return Item(target, [("word", w) for w in ctx_words] + [("eq", eq_id)], list(negatives), eq_id=eq_id)
+
+
+def predictive_log_likelihood(it, model):
+    """The predictive score of one item: the mean over a one-row set."""
+    return evaluation.mean_predictive_ll(heldout_set([it]), model)
+
+
+def pseudo_log_likelihood(it, model):
+    """The pseudo score of one item: the mean over a one-row set."""
+    return evaluate_split(heldout_set([it]), model, "validation").mean_pseudo_ll
 
 
 def k2_model(word_rho, word_alpha, eq_alpha, **cfg):
@@ -122,15 +117,7 @@ def test_pseudo_perfect_model_tends_to_zero():
 def test_scores_invariant_under_context_and_negative_permutation():
     model = k2_model(FIX_RHO, FIX_ALPHA, FIX_EQ_ALPHA)
     a = item(0, [1, 2, 3], 0, [2, 3, 1])
-    b = HeldOutItem(
-        target=0,
-        context=[("eq", 0), ("word", 3), ("word", 1), ("word", 2)],
-        negatives=[1, 3, 2],
-        split="validation",
-        doc_id="d",
-        position=0,
-        eq_id=0,
-    )
+    b = Item(0, [("eq", 0), ("word", 3), ("word", 1), ("word", 2)], [1, 3, 2])
     assert predictive_log_likelihood(a, model) == pytest.approx(
         predictive_log_likelihood(b, model), abs=1e-12
     )
@@ -158,7 +145,7 @@ def test_unknown_ids_skip_and_count():
     model = k2_model(FIX_RHO, FIX_ALPHA, FIX_EQ_ALPHA)
     good = item(0, [1], 0, [2])
     bad = item(0, [1], 5, [2])  # equation id out of range
-    report = evaluate_split([good, bad], model, "validation")
+    report = evaluate_split(heldout_set([good, bad]), model, "validation")
     assert report.n_items == 1
     assert report.n_skipped == 1
 
@@ -176,8 +163,8 @@ def test_word_mode_ignores_equation_context():
 def test_report_mean_is_order_independent():
     model = k2_model(FIX_RHO, FIX_ALPHA, FIX_EQ_ALPHA)
     items = [item(i % 4, [(i + 1) % 4], 0, [(i + 2) % 4, (i + 3) % 4]) for i in range(40)]
-    fwd = evaluate_split(items, model, "validation")
-    rev = evaluate_split(list(reversed(items)), model, "validation")
+    fwd = evaluate_split(heldout_set(items), model, "validation")
+    rev = evaluate_split(heldout_set(items[::-1]), model, "validation")
     assert fwd.mean_pseudo_ll == rev.mean_pseudo_ll
     assert fwd.mean_predictive_ll == rev.mean_predictive_ll
 
@@ -193,8 +180,7 @@ def _ids(n: int):
 @st.composite
 def scoring_cases(draw):
     """A small model of any mode and held-out items with ragged contexts and
-    negatives, unknown ids, foreign context classes and untokenizable
-    equations."""
+    negatives, unknown ids and untokenizable equations."""
     mode = draw(st.sampled_from(MODES))
     k, n_words, n_eqs, n_units = (draw(st.integers(1, hi)) for hi in (4, 6, 4, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -219,13 +205,11 @@ def scoring_cases(draw):
         st.tuples(st.just("word"), _ids(n_words)),
         st.tuples(st.just("word"), _ids(n_words)),
         st.tuples(st.just("eq"), _ids(n_eqs)),
-        st.tuples(st.sampled_from(["word", "eq", "unit"]), st.integers(-1, 6)),
+        st.tuples(st.sampled_from(["word", "eq"]), st.integers(-1, 6)),
     )
-    item = st.builds(
-        HeldOutItem, target=_ids(n_words), context=st.lists(entry, max_size=8),
-        negatives=st.lists(_ids(n_words), max_size=4), split=st.just("validation"),
-        doc_id=st.just("d"), position=st.just(0), eq_id=st.just(0),
-    )
+    item = st.builds(Item, target=_ids(n_words), context=st.lists(entry, max_size=8),
+                     negatives=st.lists(_ids(n_words), max_size=4), stream=st.just(0), position=st.just(0),
+                     eq_id=st.just(0))
     return model, draw(st.lists(item, max_size=8))
 
 
@@ -239,6 +223,7 @@ def _same(got, want, exact):
 @given(scoring_cases())
 def test_batched_scorer_matches_per_item_oracle(case):
     model, items = case
+    held = heldout_set(items)
     # the oracle sums a unit-mode equation's units before adding them to the
     # context sum; the layout adds them one by one, which rounds differently
     exact = model.mode != "unit"
@@ -248,12 +233,15 @@ def test_batched_scorer_matches_per_item_oracle(case):
     by_count = sorted(range(len(items)), key=lambda i: len(items[i].negatives))
     for score, want in ((evaluation._predictive, pred), (evaluation._pseudo, pseudo)):
         want = [want[i] for i in by_count if want[i] is not None]
-        batched = evaluation._scores(items, model, score)
+        batched = evaluation._scores(held, model, score)
         assert len(batched) == len(want) and all(_same(g, w, exact) for g, w in zip(batched, want))
-    assert all(_same(predictive_log_likelihood(it, model), w, exact) for it, w in zip(items, pred))
-    assert all(_same(pseudo_log_likelihood(it, model), w, exact) for it, w in zip(items, pseudo))
+    for it, p, q in zip(items, pred, pseudo):  # a one-row set scores its item alone
+        one = evaluate_split(heldout_set([it]), model, "validation")
+        assert one.n_items == (p is not None)
+        if p is not None:
+            assert _same(one.mean_predictive_ll, p, exact) and _same(one.mean_pseudo_ll, q, exact)
 
-    report = evaluate_split(items, model, "validation")
+    report = evaluate_split(held, model, "validation")
     scored = [(a, b) for a, b in zip(pred, pseudo) if a is not None]
     assert all((a is None) == (b is None) for a, b in zip(pred, pseudo))
     assert report.n_items == len(scored)
@@ -262,10 +250,10 @@ def test_batched_scorer_matches_per_item_oracle(case):
         n = len(scored)
         assert _same(report.mean_predictive_ll, math.fsum(a for a, _ in scored) / n, exact)
         assert _same(report.mean_pseudo_ll, math.fsum(b for _, b in scored) / n, exact)
-        assert _same(evaluation.mean_predictive_ll(items, model), report.mean_predictive_ll, True)
+        assert _same(evaluation.mean_predictive_ll(held, model), report.mean_predictive_ll, True)
     else:
         assert math.isnan(report.mean_predictive_ll) and math.isnan(report.mean_pseudo_ll)
-        assert evaluation.mean_predictive_ll(items, model) == 0.0
+        assert evaluation.mean_predictive_ll(held, model) == 0.0
 
 
 # --- early stopping ------------------------------------------------------------

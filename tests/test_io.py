@@ -5,7 +5,6 @@ import os
 import re
 import struct
 import tempfile
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from eqvec.modelfile import (
 from eqvec.tex import RawDocument
 
 from . import reference_bundle
-from .conftest import corpus_from_streams, equation_units, rewrite_eq_units
+from .conftest import Item, corpus_from_streams, equation_units, heldout_items, heldout_set, rewrite_eq_units
 from .reference_model import _compensated_mean
 from .reference_training import unit_lists
 
@@ -199,20 +198,40 @@ def _break_stream_equation(data):
     data.streams[0].codes[_word_position(data.streams[0].codes)] = EQ_TAG | np.uint32(len(data.registry))
 
 
-def _break_heldout(split, **changes):
-    def damage(data):
-        items = getattr(data, split)
-        items[0] = replace(items[0], **{k: v(items[0], data) for k, v in changes.items()})
+def _saved_after(change):
+    """Damage done to the corpus before it is saved."""
+    def damage(data, path):
+        change(data)
+        return save_bundle(data, path)
     return damage
 
 
-def _stream_of(item, data):
-    return next(s for s in data.streams if s.doc_id == item.doc_id)
+_HELDOUT_FIELDS = ("target", "eq_id", "doc_id", "position", "context", "negatives")
 
 
-def _other_word(item, data):
-    codes = _stream_of(item, data).codes
-    return next(p for p, c in enumerate(codes.tolist()) if c < len(data.word_vocab) and c != item.target)
+def _break_heldout(split, field, value):
+    """Damage to one field of the first row of a saved held-out file:
+    ``value(row, data)`` is its new text, ``row`` the row's fields by name."""
+    def damage(data, path):
+        path = save_bundle(data, path)
+        name = os.path.join(path, f"heldout.{split}.tsv")
+        with open(name) as f:
+            header, first, *rest = f.read().split("\n")
+        row = dict(zip(_HELDOUT_FIELDS, first.split("\t")))
+        row[field] = value(row, data)
+        with open(name, "w") as f:
+            f.write("\n".join([header, "\t".join(row.values()), *rest]))
+        return path
+    return damage
+
+
+def _stream_of(row, data):
+    return next(s for s in data.streams if s.doc_id == row["doc_id"]).codes
+
+
+def _other_word(row, data):
+    codes = _stream_of(row, data).tolist()
+    return str(next(p for p, c in enumerate(codes) if c < len(data.word_vocab) and c != int(row["target"])))
 
 
 def _append_to_first_row(data, *units):
@@ -227,19 +246,20 @@ def _break_eq_units(data):
 @pytest.mark.parametrize(
     "damage",
     [
-        _break_stream_word,
-        _break_stream_equation,
-        _break_heldout("heldout_valid", target=lambda it, d: len(d.word_vocab)),
-        _break_heldout("heldout_valid", target=lambda it, d: 2**70),
-        _break_heldout("heldout_test", negatives=lambda it, d: it.negatives[:-1] + [-1]),
-        _break_heldout("heldout_test", context=lambda it, d: [("word", len(d.word_vocab))] + it.context),
-        _break_heldout("heldout_valid", context=lambda it, d: it.context[:-1] + [("eq", len(d.registry))]),
-        _break_heldout("heldout_test", eq_id=lambda it, d: -1),
-        _break_heldout("heldout_valid", position=lambda it, d: len(_stream_of(it, d).codes)),
-        _break_heldout("heldout_test", position=lambda it, d: -3),
-        _break_heldout("heldout_valid", doc_id=lambda it, d: it.doc_id + "-unknown"),
-        _break_heldout("heldout_test", position=lambda it, d: _other_word(it, d)),
-        _break_eq_units,
+        _saved_after(_break_stream_word),
+        _saved_after(_break_stream_equation),
+        _break_heldout("valid", "target", lambda r, d: str(len(d.word_vocab))),
+        _break_heldout("valid", "target", lambda r, d: str(2**70)),
+        _break_heldout("test", "negatives", lambda r, d: ",".join(r["negatives"].split(",")[:-1] + ["-1"])),
+        _break_heldout("test", "context", lambda r, d: f"w:{len(d.word_vocab)},{r['context']}"),
+        _break_heldout("valid", "context", lambda r, d: ",".join(r["context"].split(",")[:-1]
+                                                                + [f"e:{len(d.registry)}"])),
+        _break_heldout("test", "eq_id", lambda r, d: "-1"),
+        _break_heldout("valid", "position", lambda r, d: str(len(_stream_of(r, d)))),
+        _break_heldout("test", "position", lambda r, d: "-3"),
+        _break_heldout("valid", "doc_id", lambda r, d: r["doc_id"] + "-unknown"),
+        _break_heldout("test", "position", _other_word),
+        _saved_after(_break_eq_units),
     ],
     ids=["stream_word", "stream_equation", "heldout_target", "heldout_huge_target", "heldout_negative",
          "heldout_context_word", "heldout_context_equation", "heldout_eq_id", "heldout_position_past_end",
@@ -247,11 +267,10 @@ def _break_eq_units(data):
 )
 def test_bundle_id_out_of_range_rejected(damage, tmp_path):
     data = tiny_corpus_data()
-    assert data.heldout_valid and data.heldout_test
+    assert len(data.heldout_valid) and len(data.heldout_test)
     data.streams[-1].codes = np.append(data.streams[-1].codes, GAP)  # after every held-out position
     load_bundle(save_bundle(data, str(tmp_path / "good")))  # gaps and every real id load
-    damage(data)
-    path = save_bundle(data, str(tmp_path / "bad"))
+    path = damage(data, str(tmp_path / "bad"))
     with pytest.raises(BundleFormatError, match="out of range"):
         load_bundle(path)
 
@@ -345,11 +364,12 @@ def _binary_files(root, streams, eq_units) -> tuple[str, str]:
 def test_binary_readers_match_record_at_a_time_reference(streams, eq_units):
     with tempfile.TemporaryDirectory() as root:
         streams_bin, eq_units_bin = _binary_files(root, streams, eq_units)
-        got = bundle_io._read_streams(streams_bin, _N_WORDS, _N_EQS)
+        got, codes = bundle_io._read_streams(streams_bin, _N_WORDS, _N_EQS)
         want = reference_bundle._read_streams(streams_bin, _N_WORDS, _N_EQS)
         assert [s.doc_id for s in got] == [s.doc_id for s in want]
         for g, w in zip(got, want):
             assert g.codes.dtype == w.codes.dtype and np.array_equal(g.codes, w.codes)
+            assert g.codes.base is codes
         got = bundle_io._read_eq_units(eq_units_bin, len(eq_units))
         want = reference_bundle._read_eq_units(eq_units_bin, len(eq_units))
     assert list(got) == list(want)
@@ -405,6 +425,41 @@ def test_every_cut_or_one_byte_extension_is_a_format_error(streams, eq_units, ex
                     read()
 
 
+# doc ids as ingest admits them: no tab or line break, encodable as UTF-8
+_doc_id = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"), min_size=1, max_size=5)
+_context_entry = st.one_of(st.tuples(st.just("word"), st.integers(0, _N_WORDS - 1)),
+                           st.tuples(st.just("eq"), st.integers(0, _N_EQS - 1)))
+
+
+@st.composite
+def _heldout_corpus(draw):
+    """Streams, and held-out sets whose items name word positions of them,
+    some items with no negatives, no context entry or several equation
+    entries."""
+    doc_ids = draw(st.lists(_doc_id, min_size=1, max_size=4, unique=True))
+    streams = [TokenStream(d, np.array(draw(st.lists(_code, max_size=12)), dtype=np.uint32)) for d in doc_ids]
+    words = [(i, p) for i, s in enumerate(streams) for p in np.flatnonzero(s.codes < _N_WORDS).tolist()]
+    item = st.builds(
+        lambda at, ctx, negs, eq: Item(int(streams[at[0]].codes[at[1]]), ctx, negs, at[0], at[1], eq),
+        st.sampled_from(words), st.lists(_context_entry, max_size=4),
+        st.lists(st.integers(0, _N_WORDS - 1), max_size=3), st.integers(0, _N_EQS - 1),
+    )
+    n_items = st.integers(0, 5 if words else 0)
+    return streams, *(heldout_set([draw(item) for _ in range(draw(n_items))], split) for split in ("validation", "test"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_heldout_corpus())
+def test_heldout_columns_round_trip(case):
+    streams, valid, test = case
+    data = corpus_from_streams(streams, _N_WORDS, _N_EQS)
+    data.heldout_valid, data.heldout_test = valid, test
+    with tempfile.TemporaryDirectory() as root:
+        loaded = load_bundle(save_bundle(data, os.path.join(root, "bundle")))
+    assert loaded.heldout_valid == valid and loaded.heldout_test == test
+    assert heldout_items(loaded.heldout_valid) == heldout_items(valid)
+
+
 def test_binary_readers_make_one_frombuffer_call_per_file(tmp_path, monkeypatch):
     streams = [(f"doc{i}", [i % _N_WORDS, int(GAP)]) for i in range(500)]
     big = [[g % _N_UNITS, -1][: g % 3] for g in range(5000)]
@@ -414,7 +469,7 @@ def test_binary_readers_make_one_frombuffer_call_per_file(tmp_path, monkeypatch)
     monkeypatch.setattr(np, "frombuffer", lambda *a, **kw: calls.append(a) or real(*a, **kw))
     assert len(bundle_io._read_eq_units(big_bin, 5000)) == 5000
     assert len(calls) == 1
-    assert len(bundle_io._read_streams(streams_bin, _N_WORDS, _N_EQS)) == 500
+    assert len(bundle_io._read_streams(streams_bin, _N_WORDS, _N_EQS)[0]) == 500
     assert len(calls) == 2
 
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import eqvec
 from eqvec import model as model_mod
-from eqvec.corpus import HeldOutItem
 from eqvec.evaluation import compile_heldout
 from eqvec.model import (
     ADAGRAD_FLOOR,
@@ -25,7 +24,7 @@ from eqvec.model import (
     unit_means,
 )
 
-from .conftest import RETRIEVAL_SEED, equation_units
+from .conftest import RETRIEVAL_SEED, Item, equation_units, heldout_set
 from .reference_model import (
     Tables,
     TrainingPair,
@@ -495,9 +494,7 @@ def test_derived_equation_matrices_bitwise_equal_oracle(trained):
 def _compiled_context(model, context):
     """The alpha rows and weights a held-out item with ``context`` sums,
     read from the compiled layout."""
-    item = HeldOutItem(target=0, context=context, negatives=[], split="validation",
-                       doc_id="d", position=0, eq_id=0)
-    lay = compile_heldout([item], model)
+    lay = compile_heldout(heldout_set([Item(0, context, [])]), model)
     assert lay.ok[0]
     rows = lay.alpha[lay.rows[lay.ptr[0] : lay.ptr[1]]]
     return rows, (np.ones(len(rows)) if lay.w is None else lay.w)[:, None]

@@ -10,7 +10,6 @@ from eqvec.corpus import (
     IngestParams,
     TokenStream,
     encode_equation,
-    heldout_positions,
     ingest_corpus,
 )
 from eqvec.model import EmbeddingTable, ModelConfig
@@ -26,14 +25,14 @@ def test_heldout_targets_never_training_targets():
     pc = planted_corpus(n_docs=40, seed=2)
     data = ingest_corpus(pc.documents, IngestParams(seed=6))
     masks = _exclusion_masks(data)
-    held = heldout_positions(data.heldout_valid + data.heldout_test)
+    held = {(s, p) for split in (data.heldout_valid, data.heldout_test)
+            for s, p in zip(split.stream.tolist(), split.position.tolist())}
+    assert held
     enumerated = set()
-    for stream, mask in zip(data.streams, masks):
+    for si, (stream, mask) in enumerate(zip(data.streams, masks)):
         for p in np.flatnonzero((stream.codes < EQ_TAG) & ~mask):
-            enumerated.add((stream.doc_id, int(p)))
-    for doc_id, positions in held.items():
-        for p in positions:
-            assert (doc_id, p) not in enumerated
+            enumerated.add((si, int(p)))
+    assert not held & enumerated
 
 
 def test_equation_dedup_counts_match_region_total():

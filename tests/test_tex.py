@@ -181,6 +181,10 @@ def test_document_validation():
         RawDocument("", "text")
     with pytest.raises(ValueError):
         RawDocument("d", "")
+    # a bundle writes doc ids as UTF-8 inside tab-separated rows
+    for doc_id in ("a\tb", "a\nb", "a\rb", "a\udcffb"):
+        with pytest.raises(ValueError, match="doc_id"):
+            RawDocument(doc_id, "text")
 
 
 # --- against the rescanning extractor ------------------------------------------
