@@ -231,7 +231,8 @@ class Model:
 
     For unit-trained models, per-equation vectors are derived by averaging
     unit vectors over ``eq_units``, the corpus's ``EquationUnits`` table
-    (gaps are ignored); without one, every equation has no units.
+    (gaps are ignored), one kind (alpha or rho) at a time on first use;
+    without a table, every equation has no units.
     """
 
     def __init__(
@@ -251,14 +252,13 @@ class Model:
         self.word, self.eq, self.unit = word, eq, unit
         self.n_equations = eq.size if eq is not None else n_equations
         self.eq_units = EquationUnits(np.zeros(self.n_equations + 1), []) if eq_units is None else eq_units
-        self._derived: dict[str, np.ndarray] | None = None
+        self._derived: dict[str, np.ndarray] = {}
 
-    def _derive(self):
-        if self._derived is None:
-            k = self.word.k
-            means = unit_means(self.eq_units.without_gaps(), np.hstack([self.unit.alpha, self.unit.rho]))
-            self._derived = {"alpha": means[:, :k], "rho": means[:, k:]}
-        return self._derived
+    def _derive(self, which: str) -> np.ndarray:
+        """A unit model's equation matrix of one kind, derived on first use."""
+        if which not in self._derived:
+            self._derived[which] = unit_means(self.eq_units.without_gaps(), getattr(self.unit, which))
+        return self._derived[which]
 
     def equation_matrix(self, which: str) -> np.ndarray:
         """All equation vectors of one kind; NaN rows mark equations without
@@ -268,7 +268,7 @@ class Model:
         if self.mode == "equation":
             return self.eq.alpha if which == "alpha" else self.eq.rho
         if self.mode == "unit":
-            return self._derive()[which]
+            return self._derive(which)
         raise ValueError("word-only model has no equation vectors")
 
     def equation_vectors(self, eq_id: int) -> tuple[np.ndarray, np.ndarray]:
@@ -279,8 +279,8 @@ class Model:
             return self.eq.alpha[eq_id].copy(), self.eq.rho[eq_id].copy()
         if self.mode == "unit":
             ids = self.eq_units[eq_id]
-            if self._derived is not None and (ids >= 0).any():
-                # the batched pass gave every equation bitwise its one-group mean
+            if len(self._derived) == 2 and (ids >= 0).any():
+                # both batched passes have run, and gave every equation bitwise its one-group mean
                 return self._derived["alpha"][eq_id].copy(), self._derived["rho"][eq_id].copy()
             return equation_vector_from_units(ids, self.unit)
         raise ValueError("word-only model has no equation vectors")

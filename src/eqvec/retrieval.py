@@ -29,39 +29,64 @@ class Ranking:
     dropped: list[str] = field(default_factory=list)
 
 
-def _finite_rows(matrix: np.ndarray) -> np.ndarray:
-    return np.isfinite(matrix).all(axis=1)
+def _check_k(k: int):
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
 
 
 def _scores(matrix: np.ndarray, query: np.ndarray, metric: str) -> np.ndarray:
-    """Per-row score; rows without a representation score worst."""
-    valid = _finite_rows(matrix)
-    safe = np.where(valid[:, None], matrix, 0.0)
+    """Per-row score; rows with a non-finite entry score worst.
+
+    Row sums and the matrix-vector product are row-local, so each finite
+    row of the matrix itself scores bitwise as it would in a zero-filled
+    copy.  The other rows are then found among the few whose distance is
+    NaN (a row with a ±inf entry is already at inf) or whose norm is not
+    finite, and marked."""
     if metric == "euclidean":
-        d = np.sqrt(((safe - query) ** 2).sum(axis=1))
-        return np.where(valid, d, np.inf)
+        d = np.sqrt(((matrix - query) ** 2).sum(axis=1))
+        nan = np.isnan(d)
+        if nan.any():
+            nan = nan.nonzero()[0]
+            d[nan[~np.isfinite(matrix[nan]).all(axis=1)]] = np.inf
+        return d
     if metric == "cosine":
-        norms = np.sqrt((safe**2).sum(axis=1))
+        norms = np.sqrt((matrix**2).sum(axis=1))
         qn = float(np.sqrt(query @ query))
         with np.errstate(invalid="ignore", divide="ignore"):
-            c = (safe @ query) / (norms * qn)
-        c = np.where(valid & (norms > 0) & (qn > 0), c, -np.inf)
+            c = (matrix @ query) / (norms * qn)
+        if not qn > 0:
+            c.fill(-np.inf)
+            return c
+        c[norms == 0] = -np.inf
+        odd = ~np.isfinite(norms)
+        if odd.any():  # a finite row whose squared norm overflows keeps its score
+            odd = odd.nonzero()[0]
+            c[odd[~np.isfinite(matrix[odd]).all(axis=1)]] = -np.inf
         return c
     raise ValueError(f"unknown metric {metric!r}")
 
 
 def _rank(scores: np.ndarray, k: int, ascending: bool, exclude: int | None = None):
-    ids = np.arange(len(scores))
+    """The first k (id, score) pairs but ``exclude``, by score and then
+    ascending id.  A partition finds the m-th key (m counts the excluded
+    id), and only the keys not above it, ties and NaNs included, are
+    sorted."""
     key = scores if ascending else -scores
-    if exclude is not None:
-        keep = ids != exclude
-        ids, key, scores = ids[keep], key[keep], scores[keep]
-    order = np.lexsort((ids, key))[:k]
-    return [(int(ids[i]), float(scores[i])) for i in order]
+    m = k + (exclude is not None)
+    if m < len(key):
+        ids = (~(key > np.partition(key, m - 1)[m - 1])).nonzero()[0]
+    else:
+        ids = np.arange(len(key))
+    order = ids[np.lexsort((ids, key[ids]))][:m].tolist()
+    if exclude in order:
+        order.remove(exclude)
+    top = order[:k]
+    return list(zip(top, scores[top].tolist()))
 
 
 def nearest_equations(model: Model, eq_id: int, k: int = 5, metric: str = "euclidean") -> Ranking:
     """Top-k equations nearest the query equation over feature vectors."""
+    _check_k(k)
     if not 0 <= eq_id < model.n_equations:
         raise IndexError(f"unknown equation id {eq_id}")
     matrix = model.equation_matrix("alpha")
@@ -75,6 +100,7 @@ def nearest_equations(model: Model, eq_id: int, k: int = 5, metric: str = "eucli
 def nearest_words(model: Model, eq_id: int, k: int = 5, metric: str = "cosine") -> Ranking:
     """Top-k words by similarity between the equation's interaction vector
     and every word's feature vector; zero-norm words sink to the bottom."""
+    _check_k(k)
     if not 0 <= eq_id < model.n_equations:
         raise IndexError(f"unknown equation id {eq_id}")
     _, rho_e = model.equation_vectors(eq_id)
@@ -96,6 +122,7 @@ def equations_for_words(
     words are reported and dropped, an all-unknown query is an error.
     ``vectors`` picks which equation matrix to scan (defaults to the model
     config, interaction vectors unless overridden)."""
+    _check_k(k)
     known, dropped = [], []
     for w in words:
         wid = vocab.index.get(w)

@@ -12,6 +12,10 @@
   time (a unit-mode equation contributes the sum or mean of its units),
   then its candidates scored; the oracle for the batched scorer in
   ``eqvec.evaluation``.
+* The whole-matrix similarity scan: rows with a non-finite entry
+  zero-filled in a copy, the copy scored, those rows then set worst, and
+  every score ordered by one full ``lexsort``; the oracle for
+  ``eqvec.retrieval._scores`` and ``_rank``.
 """
 
 import math
@@ -332,3 +336,35 @@ def reference_pseudo_ll(item, model):
     if len(p) > 1:
         value += math.fsum(math.log1p(-pj) for pj in p[1:]) / (len(p) - 1)
     return value
+
+
+# --- similarity scans --------------------------------------------------------
+
+
+def reference_scores(matrix: np.ndarray, query: np.ndarray, metric: str) -> np.ndarray:
+    """Per-row score over a zero-filled copy; rows with a non-finite entry,
+    and for cosine zero-norm rows (all rows for a zero query), score worst."""
+    valid = np.isfinite(matrix).all(axis=1)
+    safe = np.where(valid[:, None], matrix, 0.0)
+    if metric == "euclidean":
+        d = np.sqrt(((safe - query) ** 2).sum(axis=1))
+        return np.where(valid, d, np.inf)
+    if metric == "cosine":
+        norms = np.sqrt((safe**2).sum(axis=1))
+        qn = float(np.sqrt(query @ query))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            c = (safe @ query) / (norms * qn)
+        return np.where(valid & (norms > 0) & (qn > 0), c, -np.inf)
+    raise ValueError(f"unknown metric {metric!r}")
+
+
+def reference_rank(scores: np.ndarray, k: int, ascending: bool, exclude: int | None = None):
+    """The first k of every (id, score) but ``exclude``, by score (ascending
+    or descending) and then ascending id, from one full ``lexsort``."""
+    ids = np.arange(len(scores))
+    key = scores if ascending else -scores
+    if exclude is not None:
+        keep = ids != exclude
+        ids, key, scores = ids[keep], key[keep], scores[keep]
+    order = np.lexsort((ids, key))[:k]
+    return [(int(ids[i]), float(scores[i])) for i in order]

@@ -488,6 +488,32 @@ def test_derived_equation_matrices_bitwise_equal_oracle(trained):
                 assert rho.tobytes() == rhos[eq_id].tobytes()
 
 
+def test_unit_model_derives_one_kind_on_first_use(monkeypatch):
+    rng = np.random.default_rng(13)
+    t = EmbeddingTable(6, 3, rng, 0.5)
+    model = Model("unit", ModelConfig(k=3), t, unit=t, n_equations=3,
+                  eq_units=equation_units([[0, 2], [-1, -1], [5, 1, -1, 1]]))
+    derived = []
+    real = model_mod.unit_means
+    monkeypatch.setattr(model_mod, "unit_means", lambda groups, rows: derived.append(rows) or real(groups, rows))
+
+    def one_group_paths_agree():
+        for eq_id in (0, 2):
+            got = model.equation_vectors(eq_id)
+            want = equation_vector_from_units(model.eq_units[eq_id], t)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    one_group_paths_agree()
+    alpha = model.equation_matrix("alpha")
+    assert len(derived) == 1 and derived[0] is t.alpha  # rho is not derived with it
+    assert model.equation_matrix("alpha") is alpha and len(derived) == 1
+    one_group_paths_agree()
+    rho = model.equation_matrix("rho")
+    assert len(derived) == 2 and derived[1] is t.rho
+    assert alpha.flags.c_contiguous and rho.flags.c_contiguous
+    one_group_paths_agree()
+
+
 # --- model container -------------------------------------------------------------------
 
 

@@ -1,13 +1,18 @@
-"""Ranking exactness against brute-force scorers, metric invariances."""
+"""Ranking exactness against brute-force scorers and the whole-matrix
+oracle scan, metric invariances."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eqvec.corpus import Vocabulary
 from eqvec.model import EmbeddingTable, Model, ModelConfig
-from eqvec.retrieval import equations_for_words, nearest_equations, nearest_words
+from eqvec.retrieval import _rank, _scores, equations_for_words, nearest_equations, nearest_words
+
+from .reference_model import reference_rank, reference_scores
 
 
 def planted_model(seed=0, n_eq=20, n_words=30, k=6, clusters=2):
@@ -130,6 +135,19 @@ def test_euclidean_ranking_rotation_invariant():
     assert base == rotated
 
 
+@pytest.mark.parametrize("k", [0, -1, -100])
+def test_k_below_one_is_an_error(k):
+    model, _ = planted_model()
+    vocab = word_vocab(f"word{i:02d}" for i in range(30))
+    for query in (
+        lambda: nearest_equations(model, 0, k),
+        lambda: nearest_words(model, 0, k),
+        lambda: equations_for_words(model, vocab, ["word01"], k),
+    ):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            query()
+
+
 def test_unknown_equation_id_errors():
     model, _ = planted_model()
     with pytest.raises(IndexError):
@@ -188,3 +206,68 @@ def test_metric_override():
     want = brute_force_cosine(model.eq.alpha, model.eq.alpha[0], 6)
     want = [(i, s) for i, s in want if i != 0][:5]
     assert [i for i, _ in r.hits] == [i for i, _ in want]
+
+
+# --- the row-local scan against the whole-matrix oracle -------------------------------
+
+_SCORE_POOL = [0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf, math.nan]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    scores=st.lists(st.sampled_from(_SCORE_POOL) | st.floats(-3, 3), min_size=1, max_size=40),
+    k=st.integers(1, 45),
+    ascending=st.booleans(),
+    exclude=st.none() | st.integers(0, 39),
+)
+@example(scores=[math.nan, 1.0, math.nan, 1.0, 1.0], k=2, ascending=True, exclude=1)
+@example(scores=[-math.inf, math.nan, 0.0, -0.0, math.inf], k=1, ascending=False, exclude=None)
+def test_rank_equals_full_lexsort_oracle(scores, k, ascending, exclude):
+    # ties, signed zeros, ±inf and NaN; the excluded id anywhere, or past n
+    scores = np.array(scores)
+    got = _rank(scores, k, ascending, exclude)
+    want = reference_rank(scores, k, ascending, exclude)
+    assert [i for i, _ in got] == [i for i, _ in want]
+    assert np.array([s for _, s in got]).tobytes() == np.array([s for _, s in want]).tobytes()
+
+
+def _special_rows(kinds, k, rng):
+    rows = rng.normal(size=(len(kinds), k))
+    for r, kind in zip(rows, kinds):
+        col = int(rng.integers(k))
+        if kind == "nan":
+            r[col] = math.nan
+        elif kind in ("+inf", "-inf"):
+            r[col] = math.inf if kind == "+inf" else -math.inf
+        elif kind == "±inf":
+            r[:2] = (math.inf, -math.inf)
+        elif kind == "zero":
+            r[:] = 0.0
+        elif kind == "huge":  # finite, but its squared norm overflows
+            r *= 1e200
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(["finite", "nan", "+inf", "-inf", "±inf", "zero", "huge"]), min_size=1,
+                   max_size=70),
+    k=st.integers(2, 9),
+    query_kind=st.sampled_from(["finite", "zero", "huge", "row"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kinds=["finite"] * 300 + ["nan", "zero", "huge", "±inf"] * 3, k=25, query_kind="finite", seed=3)
+def test_scores_bitwise_equal_zero_filled_oracle(kinds, k, query_kind, seed):
+    rng = np.random.default_rng(seed)
+    matrix = _special_rows(kinds, k, rng)
+    query = {
+        "finite": rng.normal(size=k),
+        "zero": np.zeros(k),
+        "huge": rng.normal(size=k) * 1e200,
+        "row": matrix[int(rng.integers(len(kinds)))].copy(),  # a query as eq2eq takes it, finite or not
+    }[query_kind]
+    for metric in ("euclidean", "cosine"):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf where a non-finite row meets one
+            got = _scores(matrix, query, metric)
+            want = reference_scores(matrix, query, metric)
+        assert got.tobytes() == want.tobytes(), metric

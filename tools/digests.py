@@ -10,8 +10,8 @@ Builds the planted corpus bundle and runs the CLI on it in-process:
   and its ``.trace.jsonl`` with the two timing fields masked;
 * ``eqvec eval --seed 4`` with the default grid: the report TSV;
 * ``eqvec query`` on every model with equation vectors: eq2eq and eq2word
-  at equation ids 0, 7 and 42 (those the bundle has) and one word2eq:
-  stdout and exit code.
+  at equation ids 0, 7 and 42 (those the bundle has), each under its
+  default metric and the other one, and one word2eq: stdout and exit code.
 
 Fits use the acceptance configuration (k=25, windows 4/16/2, learning rate
 0.05).  Run it in two checkouts and compare the outputs::
@@ -134,6 +134,9 @@ def digests(workdir: str, n_docs: int = 200, max_epochs: int | None = None) -> d
             if mode == "word":  # no equation vectors to query
                 continue
             queries = {f"{kind}/{i}": [kind, "--id", str(i)] for kind in ("eq2eq", "eq2word") for i in ids}
+            # each family's other metric, so that both scorers run on every matrix
+            for kind, metric in (("eq2eq", "cosine"), ("eq2word", "euclidean")):
+                queries.update({f"{kind}-{metric}/{i}": [kind, "--id", str(i), "--metric", metric] for i in ids})
             queries["word2eq"] = ["word2eq", "--words", words]
             for q, args in queries.items():
                 code, text = _run(["query", *args, "--model", model, "--bundle", bundle_dir])
