@@ -29,11 +29,12 @@ def main() -> None:
     print(" ", ", ".join(data.word_vocab.stop_forms[:10]), "...")
 
     print("\nequations with repeated occurrences:")
-    for rec in data.registry.records[:6]:
-        print(f"  eq {rec.eq_id}  x{rec.occurrence_count}   {rec.latex}")
+    registry = data.registry  # columns: equation g is latex[g], seen counts[g] times
+    for g in range(min(6, len(registry))):
+        print(f"  eq {g}  x{registry.counts[g]}   {registry.latex[g]}")
 
-    singles = sum(1 for r in data.registry.records if r.occurrence_count == 1)
-    print(f"\nsingletons: {singles} of {len(data.registry)} equations")
+    singles = int((registry.counts == 1).sum())
+    print(f"\nsingletons: {singles} of {len(registry)} equations")
 
     held = data.heldout_valid  # one column per field; item 0 is the first row
     ctx = slice(held.ctx_ptr[0], held.ctx_ptr[1])

@@ -28,11 +28,11 @@ def main() -> None:
     model, _ = train_model(data, config, "equation")
 
     query = 0
-    print(f"query equation: {data.registry.records[query].latex}")
+    print(f"query equation: {data.registry.latex[query]}")
 
     print("\nnearest equations (euclidean over feature vectors):")
     for rank, (eq_id, score) in enumerate(nearest_equations(model, query, 5).hits, 1):
-        print(f"  {rank}. d={score:.3f}  {data.registry.records[eq_id].latex}")
+        print(f"  {rank}. d={score:.3f}  {data.registry.latex[eq_id]}")
 
     print("\nnearest words (cosine against word feature vectors):")
     for rank, (wid, score) in enumerate(nearest_words(model, query, 5).hits, 1):
@@ -42,7 +42,7 @@ def main() -> None:
     print(f"\nequations for the word query {words}:")
     ranking = equations_for_words(model, data.word_vocab, words, 5)
     for rank, (eq_id, score) in enumerate(ranking.hits, 1):
-        print(f"  {rank}. cos={score:.3f}  {data.registry.records[eq_id].latex}")
+        print(f"  {rank}. cos={score:.3f}  {data.registry.latex[eq_id]}")
 
 
 if __name__ == "__main__":

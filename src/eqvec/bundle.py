@@ -6,7 +6,8 @@ Layout (every file opens with a one-line format/version header):
     vocab.tsv            form, id, frequency
     equations.tsv        eq_id, occurrence_count, latex
     units.tsv            unit string, id, frequency
-    streams.bin          length-prefixed uint32 code sequences per document
+    streams.bin          one record per document: doc id, then its
+                         length-prefixed uint32 codes
     eq_units.bin         one record per equation, in id order: eq_id, n, then
                          its n unit ids (int32, -1 marks gaps)
     heldout.valid.tsv    held-out items, one per row
@@ -18,14 +19,14 @@ Each file has one reader.  ``load_bundle`` runs all of them;
 ``load_query_files`` runs only those a similarity query needs (manifest,
 vocab.tsv, equations.tsv, eq_units.bin).  A file that ends inside a line
 or record, fails to parse, disagrees with a count the manifest records,
-holds an id out of range, a form or LaTeX string twice, a frequency or
-occurrence count below 1, or other than one record per equation in id order
-raises ``BundleFormatError``, and the CLI exits 3.
+holds an id out of range, a form, LaTeX string or document id twice, a
+frequency or occurrence count below 1 or past int64, or other than one
+record per equation in id order raises ``BundleFormatError``, and the CLI
+exits 3.
 
-The binary files are each read as one array: a document's codes, and an
-equation's unit ids in ``EquationUnits``, are views of it, so the numpy
-calls a reader makes do not grow with the number of records.  Text files
-are split and checked whole-file.
+Each file is read into the columns of its corpus table, the binary files
+each as one array, so the numpy calls a reader makes do not grow with the
+number of records.  Text files are split and checked whole-file.
 """
 
 import json
@@ -35,7 +36,7 @@ import shutil
 import struct
 import tempfile
 from dataclasses import asdict
-from itertools import accumulate, repeat
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -48,10 +49,9 @@ from .corpus import (
     EquationUnits,
     HeldOut,
     IngestParams,
-    TokenStream,
+    TokenStreams,
     Vocabulary,
 )
-from .records import EquationRecord
 
 BUNDLE_VERSION = 1
 _H_VOCAB = "# eqvec-vocab 1"
@@ -118,25 +118,24 @@ def _write_files(data: CorpusData, root: str):
     _write_vocab(os.path.join(root, "vocab.tsv"), _H_VOCAB, data.word_vocab)
     with open(os.path.join(root, "equations.tsv"), "w") as f:
         f.write(_H_EQS + "\n")
-        for r in data.registry.records:
-            if "\t" in r.latex or "\n" in r.latex:
-                raise BundleFormatError(f"equation {r.eq_id} latex not normalized")
-            f.write(f"{r.eq_id}\t{r.occurrence_count}\t{r.latex}\n")
+        for eq_id, (latex, n) in enumerate(zip(data.registry.latex, data.registry.counts.tolist())):
+            if "\t" in latex or "\n" in latex:
+                raise BundleFormatError(f"equation {eq_id} latex not normalized")
+            f.write(f"{eq_id}\t{n}\t{latex}\n")
     if data.unit_vocab is not None:
         _write_vocab(os.path.join(root, "units.tsv"), _H_UNITS, data.unit_vocab)
     else:
         with open(os.path.join(root, "units.tsv"), "w") as f:
             f.write(_H_UNITS + "\n")
 
+    streams = data.streams
+    codes, ptr = streams.codes.astype("<u4").tobytes(), (4 * streams.ptr).tolist()
     with open(os.path.join(root, "streams.bin"), "wb") as f:
         f.write(_H_STREAMS)
-        f.write(struct.pack("<I", len(data.streams)))
-        for s in data.streams:
-            did = s.doc_id.encode("utf-8")
-            f.write(struct.pack("<H", len(did)))
-            f.write(did)
-            f.write(struct.pack("<I", len(s.codes)))
-            f.write(s.codes.astype("<u4").tobytes())
+        f.write(struct.pack("<I", len(streams)))
+        for doc_id, lo, hi in zip(streams.doc_ids, ptr, ptr[1:]):
+            did = doc_id.encode("utf-8")
+            f.write(struct.pack("<H", len(did)) + did + struct.pack("<I", (hi - lo) // 4) + codes[lo:hi])
 
     with open(os.path.join(root, "eq_units.bin"), "wb") as f:
         f.write(_H_EQUNITS)
@@ -145,7 +144,7 @@ def _write_files(data: CorpusData, root: str):
             f.write(struct.pack("<II", eq_id, len(ids)))
             f.write(ids.astype("<i4").tobytes())
 
-    doc_ids = np.array([s.doc_id for s in data.streams], dtype=object)
+    doc_ids = np.array(streams.doc_ids, dtype=object)
     _write_heldout(os.path.join(root, "heldout.valid.tsv"), data.heldout_valid, doc_ids)
     _write_heldout(os.path.join(root, "heldout.test.tsv"), data.heldout_test, doc_ids)
 
@@ -223,15 +222,15 @@ def load_bundle(path: str) -> CorpusData:
     units = query.eq_units.without_gaps()[1]
     _check_ids(os.path.join(path, "eq_units.bin"), "unit", units, len(unit_vocab or ()))
     sizes = (len(query.word_vocab), len(query.registry))
-    streams, codes = _read_streams(os.path.join(path, "streams.bin"), *sizes)
+    streams = _read_streams(os.path.join(path, "streams.bin"), *sizes)
     return CorpusData(
         word_vocab=query.word_vocab,
         registry=query.registry,
         streams=streams,
         unit_vocab=unit_vocab,
         eq_units=query.eq_units,
-        heldout_valid=_read_heldout(os.path.join(path, "heldout.valid.tsv"), "validation", streams, codes, *sizes),
-        heldout_test=_read_heldout(os.path.join(path, "heldout.test.tsv"), "test", streams, codes, *sizes),
+        heldout_valid=_read_heldout(os.path.join(path, "heldout.valid.tsv"), "validation", streams, *sizes),
+        heldout_test=_read_heldout(os.path.join(path, "heldout.test.tsv"), "test", streams, *sizes),
         params=params,
         stats=manifest["stats"],
     )
@@ -312,26 +311,22 @@ def _read_equations(path: str, count: int | None = None) -> EquationRegistry:
     eq_ids, counts, latex = _read_columns(path, _H_EQS, 3, count)
     try:
         eq_ids = list(map(int, eq_ids))
-        counts = list(map(int, counts))
-    except ValueError:
+        counts = np.array(counts, dtype=np.int64)
+    except (ValueError, OverflowError):
         raise BundleFormatError(f"{path}: bad equation id or count") from None
-    if counts and min(counts) < 1:
-        raise BundleFormatError(f"{path}: occurrence count {min(counts)} below 1")
+    if (counts < 1).any():
+        raise BundleFormatError(f"{path}: occurrence count {counts.min()} below 1")
     if eq_ids != list(range(len(eq_ids))):
         raise BundleFormatError("equation ids not dense")
-    registry = EquationRegistry(
-        records=list(map(EquationRecord, eq_ids, repeat(""), latex, counts)),
-        _by_latex=dict(zip(latex, eq_ids)),
-    )
-    _check_unique(path, "LaTeX", latex, registry._by_latex)
-    return registry
+    _check_unique(path, "LaTeX", latex, dict(zip(latex, range(len(latex)))))
+    return EquationRegistry(latex, counts)
 
 
-def _check_unique(path: str, what: str, rows: list[str], index: dict[str, int]):
+def _check_unique(path: str, what: str, rows: list[str], index: dict[str, int], row: str = "row"):
     """``index`` maps each of ``rows`` to the last row that holds it."""
     if len(index) != len(rows):
         repeated = next(r for i, r in enumerate(rows) if index[r] != i)
-        raise BundleFormatError(f"{path}: {what} {repeated!r} is in more than one row")
+        raise BundleFormatError(f"{path}: {what} {repeated!r} is in more than one {row}")
 
 
 _U16 = struct.Struct("<H")
@@ -347,13 +342,13 @@ def _read_binary(path: str, header: bytes) -> bytes:
     return raw
 
 
-def _read_streams(path: str, n_words: int, n_equations: int) -> tuple[list[TokenStream], np.ndarray]:
-    """The streams, and the one array their codes are views of: the record
-    headers are walked with ``struct``, the payloads joined into one byte
-    string and read with one ``frombuffer`` and one ``astype``."""
+def _read_streams(path: str, n_words: int, n_equations: int) -> TokenStreams:
+    """The streams table: the record headers are walked with ``struct``, the
+    payloads joined into one byte string and read with one ``frombuffer``
+    and one ``astype``.  Each document must have one record."""
     raw = _read_binary(path, _H_STREAMS)
     at = memoryview(raw)
-    doc_ids, sizes, payloads = [], [], []
+    doc_ids, ptr, payloads = [], [0], []
     try:
         (n_docs,) = _U32.unpack_from(raw, len(_H_STREAMS))
         pos = len(_H_STREAMS) + 4
@@ -362,7 +357,7 @@ def _read_streams(path: str, n_words: int, n_equations: int) -> tuple[list[Token
             doc_ids.append(raw[pos + 2 : pos + 2 + dlen].decode("utf-8"))
             (n,) = _U32.unpack_from(raw, pos + 2 + dlen)
             pos += 6 + dlen
-            sizes.append(n)
+            ptr.append(ptr[-1] + n)
             payloads.append(at[pos : pos + 4 * n])
             pos += 4 * n
     except (struct.error, ValueError) as exc:  # a read past the end, or a bad doc id
@@ -371,6 +366,7 @@ def _read_streams(path: str, n_words: int, n_equations: int) -> tuple[list[Token
         raise BundleFormatError(f"truncated or corrupt bundle file {path}: the last stream runs past the end")
     if pos != len(raw):
         raise BundleFormatError(f"trailing bytes in bundle file: {path}")
+    _check_unique(path, "document", doc_ids, dict(zip(doc_ids, range(len(doc_ids)))), "record")
     codes = np.frombuffer(b"".join(payloads), dtype="<u4").astype(np.uint32)
     for lo in range(0, len(codes), _CHECK_BLOCK):  # in blocks, so the masks stay small next to the corpus
         block = codes[lo : lo + _CHECK_BLOCK]
@@ -378,7 +374,7 @@ def _read_streams(path: str, n_words: int, n_equations: int) -> tuple[list[Token
         bad = block[(block >= n_words) & ~eq & (block != GAP)]  # not a word, an equation or a gap
         if bad.size:
             raise BundleFormatError(f"{path}: code {bad[0]:#x} out of range (no word, equation or gap)")
-    return [TokenStream(d, codes[e - n : e]) for d, n, e in zip(doc_ids, sizes, accumulate(sizes))], codes
+    return TokenStreams(doc_ids, ptr, codes)
 
 
 def _read_eq_units(path: str, n_equations: int) -> EquationUnits:
@@ -417,12 +413,11 @@ def _read_eq_units(path: str, n_equations: int) -> EquationUnits:
     return EquationUnits(np.concatenate(([0], np.cumsum(sizes))), units)
 
 
-def _read_heldout(path: str, split: str, streams: list[TokenStream], codes: np.ndarray,
-                  n_words: int, n_equations: int) -> HeldOut:
+def _read_heldout(path: str, split: str, streams: TokenStreams, n_words: int, n_equations: int) -> HeldOut:
     """The held-out set of one split, parsed and checked column by column.
-    Each item must name a word of its own stream: its document's codes (a
-    view of ``codes``, the streams' one array) hold its target at its
-    position, which is the token training then leaves out."""
+    Each item must name a word of its own stream: its document's codes hold
+    its target at its position, which is the token training then leaves
+    out."""
     target, eq_id, doc_id, position, ctx, negs = _read_columns(path, _H_HELDOUT, 6)
     target, eq_id, position = (_ints(path, what, col) for what, col in
                                (("target", target), ("equation id", eq_id), ("position", position)))
@@ -442,11 +437,11 @@ def _read_heldout(path: str, split: str, streams: list[TokenStream], codes: np.n
     cand = np.insert(neg, neg_ptr[:-1], target)
     _check_ids(path, "word", np.concatenate((cand, ctx_id[~ctx_eq])), n_words)
     _check_ids(path, "equation", np.concatenate((eq_id, ctx_id[ctx_eq])), n_equations)
-    index = {s.doc_id: i for i, s in enumerate(streams)}
+    index = dict(zip(streams.doc_ids, range(len(streams))))
     stream = np.fromiter(map(index.get, doc_id, repeat(-1)), np.int64, len(doc_id))
-    lengths = np.array([len(s.codes) for s in streams] + [0], dtype=np.int64)  # stream -1 (no such doc) is empty
+    lengths = np.append(np.diff(streams.ptr), 0)  # stream -1 (no such doc) is empty
     ok = (position >= 0) & (position < lengths[stream])
-    ok[ok] = codes[(np.cumsum(lengths) - lengths)[stream[ok]] + position[ok]] == target[ok]
+    ok[ok] = streams.codes[streams.ptr[stream[ok]] + position[ok]] == target[ok]
     if not ok.all():
         i = int(np.argmin(ok))
         raise BundleFormatError(f"{path}: held-out item out of range: document {doc_id[i]!r} "

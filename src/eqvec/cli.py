@@ -325,7 +325,7 @@ def cmd_query(args) -> int:
         ranking = retrieval.nearest_equations(
             model, args.id, k, metric=args.metric or "euclidean"
         )
-        surface = lambda i: data.registry.records[i].latex
+        surface = lambda i: data.registry.latex[i]
     elif args.query_kind == "eq2word":
         ranking = retrieval.nearest_words(model, args.id, k, metric=args.metric or "cosine")
         surface = lambda i: data.word_vocab.forms[i]
@@ -337,7 +337,7 @@ def cmd_query(args) -> int:
             model, data.word_vocab, words, k,
             metric=args.metric or "cosine", vectors=vectors,
         )
-        surface = lambda i: data.registry.records[i].latex
+        surface = lambda i: data.registry.latex[i]
     print("rank\tid\tscore\tsurface")
     for rank, (idx, score) in enumerate(ranking.hits, 1):
         print(f"{rank}\t{idx}\t{score:.6f}\t{surface(idx)}")

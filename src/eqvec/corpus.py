@@ -6,10 +6,13 @@ so parallel and serial ingestion produce identical corpora.
 """
 
 import logging
+import operator
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from importlib import resources
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,55 +107,79 @@ def build_word_vocabulary(
     )
 
 
-# --- equation registry -------------------------------------------------------
+# --- equation registry and token streams ---------------------------------------
 
 
-@dataclass
-class EquationRegistry:
-    """Corpus-wide equation table, deduplicated on normalized LaTeX."""
+class _Rows(Sequence):
+    """A read-only sequence of rows built from columns on access: row i is
+    ``self._row(i)``; an index past either end raises ``IndexError``."""
 
-    records: list[EquationRecord] = field(default_factory=list)
-    _by_latex: dict[str, int] = field(default_factory=dict)
+    def __getitem__(self, i):
+        n, i = len(self), operator.index(i)
+        if not -n <= i < n:
+            raise IndexError(f"row {i} out of range ({n} rows)")
+        return self._row(i % n)
+
+
+class EquationRegistry(_Rows):
+    """Corpus-wide equation table, deduplicated on normalized LaTeX: equation
+    g is ``latex[g]``, which the corpus holds ``counts[g]`` times.  Row g is
+    ``EquationRecord(g, latex[g], counts[g])``, built on access."""
+
+    def __init__(self, latex=(), counts=()):
+        self.latex = list(latex)
+        self.counts = np.asarray(counts, dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.latex)
 
-    def add(self, latex: str, doc_id: str, count: int = 1) -> int:
-        eq_id = self._by_latex.get(latex)
-        if eq_id is None:
-            eq_id = len(self.records)
-            self._by_latex[latex] = eq_id
-            self.records.append(EquationRecord(eq_id, doc_id, latex, 0))
-        self.records[eq_id].occurrence_count += count
-        return eq_id
+    def _row(self, g: int) -> EquationRecord:
+        return EquationRecord(g, self.latex[g], int(self.counts[g]))
 
-    def occurrence_counts(self) -> np.ndarray:
-        return np.array([r.occurrence_count for r in self.records], dtype=np.int64)
+    @property
+    def records(self) -> "EquationRegistry":
+        """The equations as ``EquationRecord`` rows: the registry itself."""
+        return self
 
 
 def build_equation_registry(doc_records: list[tuple[str, list[EquationRecord]]]):
-    """Merge per-document records into one registry, in doc_id order.
+    """Merge per-document records, given in doc_id order, into one registry:
+    equations are numbered in order of first occurrence.
 
     Returns ``(registry, doc_maps)`` where ``doc_maps[doc_id]`` maps each
     document-local equation id to its global id.
     """
-    registry = EquationRegistry()
-    doc_maps: dict[str, dict[int, int]] = {}
-    for doc_id, records in sorted(doc_records, key=lambda p: p[0]):
-        mapping = {}
+    ids, counts, doc_maps = {}, [], {}  # LaTeX -> id; id -> occurrences; doc_id -> {local id: id}
+    for doc_id, records in doc_records:
+        mapping = doc_maps[doc_id] = {}
         for rec in records:
-            mapping[rec.eq_id] = registry.add(rec.latex, doc_id, rec.occurrence_count)
-        doc_maps[doc_id] = mapping
-    return registry, doc_maps
+            g = mapping[rec.eq_id] = ids.setdefault(rec.latex, len(ids))
+            if g == len(counts):
+                counts.append(0)
+            counts[g] += rec.occurrence_count
+    return EquationRegistry(ids, counts), doc_maps
 
 
-# --- token streams ------------------------------------------------------------
-
-
-@dataclass
-class TokenStream:
+class TokenStream(NamedTuple):
     doc_id: str
     codes: np.ndarray  # uint32, see module head for the encoding
+
+
+class TokenStreams(_Rows):
+    """Every document's stream as columns: document i is ``doc_ids[i]`` and
+    its codes are ``codes[ptr[i]:ptr[i + 1]]``.  Row i is
+    ``TokenStream(doc_ids[i], view of codes)``, built on access."""
+
+    def __init__(self, doc_ids=(), ptr=(0,), codes=()):
+        self.doc_ids = list(doc_ids)
+        self.ptr = np.asarray(ptr, dtype=np.int64)
+        self.codes = np.asarray(codes, dtype=np.uint32)
+
+    def __len__(self) -> int:
+        return len(self.doc_ids)
+
+    def _row(self, i: int) -> TokenStream:
+        return TokenStream(self.doc_ids[i], self.codes[self.ptr[i] : self.ptr[i + 1]])
 
 
 class EquationUnits(Mapping):
@@ -181,7 +208,7 @@ class EquationUnits(Mapping):
         return np.concatenate(([0], np.cumsum(keep)))[self.ptr], self.ids[keep]
 
 
-def build_token_streams(doc_tokens, word_vocab: Vocabulary, doc_maps) -> list[TokenStream]:
+def build_token_streams(doc_tokens, word_vocab: Vocabulary, doc_maps) -> TokenStreams:
     """Map prepared documents to streams of word/equation/gap codes.
 
     ``doc_tokens`` holds ``(doc_id, pieces, slots)``: the word lists of a
@@ -195,18 +222,19 @@ def build_token_streams(doc_tokens, word_vocab: Vocabulary, doc_maps) -> list[To
     """
     lookup = word_vocab.index.get
     gap = int(GAP)
-    streams = []
+    doc_ids, ptr, codes = [], [0], []
     for doc_id, pieces, slots in doc_tokens:
         mapping = doc_maps.get(doc_id, {})
-        codes = [lookup(w, gap) for w in pieces[0]]
+        codes += map(lookup, pieces[0], repeat(gap))
         for local, words in zip(slots, pieces[1:], strict=True):
             if local not in mapping:
                 raise CorpusError(f"{doc_id}: equation slot {local} names no equation of the document")
             gid = mapping[local]
             codes.append(gap if gid is None else encode_equation(gid))
-            codes += [lookup(w, gap) for w in words]
-        streams.append(TokenStream(doc_id, np.array(codes, dtype=np.uint32)))
-    return streams
+            codes += map(lookup, words, repeat(gap))
+        doc_ids.append(doc_id)
+        ptr.append(len(codes))
+    return TokenStreams(doc_ids, ptr, np.array(codes, dtype=np.uint32))
 
 
 # --- held-out sets ------------------------------------------------------------
@@ -240,7 +268,7 @@ class HeldOut:
 
 
 def build_heldout(
-    streams: list[TokenStream],
+    streams: TokenStreams,
     n_words: int,
     per_equation: int = 2,
     context_window: int = 4,
@@ -260,11 +288,8 @@ def build_heldout(
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     half = context_window // 2
-    lengths = np.array([len(s.codes) for s in streams], dtype=np.int64)
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    codes = np.concatenate([s.codes for s in streams] + [np.empty(0, dtype=np.uint32)])
-    gids, bounds, pool = _candidate_pools(codes, starts, ends, half)
+    codes, ptr = streams.codes, streams.ptr
+    gids, bounds, pool = _candidate_pools(codes, ptr, half)
     need = 2 * per_equation
     picked, eqs, negatives, skipped = [], [], [], 0
     for gid, lo, hi in zip(gids, bounds, bounds[1:]):
@@ -276,13 +301,13 @@ def build_heldout(
             picked.append(pool[lo + ci])
             negatives += _draw_excluding(rng, n_words, n_negatives, int(codes[pool[lo + ci]]))
     at, eqs = np.array(picked, dtype=np.int64), np.array(eqs, dtype=np.int64)
-    doc = np.searchsorted(ends, at, side="right")
+    doc = np.searchsorted(ptr, at, side="right") - 1
     target = codes[at].astype(np.int64)
     # the nearest words of the target's document other than the target word,
     # the nearer first and, at equal distance, the earlier
     steps = np.ravel(np.column_stack((-np.arange(1, half + 1), np.arange(1, half + 1))))  # -1, 1, -2, 2, ...
     near = at[:, None] + steps
-    word = (near >= starts[doc, None]) & (near < ends[doc, None])
+    word = (near >= ptr[doc, None]) & (near < ptr[doc + 1, None])
     got = codes[np.where(word, near, 0)].astype(np.int64)
     word &= (got < EQ_TAG) & (got != target[:, None])
     word &= np.cumsum(word, axis=1) < context_window
@@ -295,17 +320,17 @@ def build_heldout(
     cand = np.column_stack((target, np.reshape(negatives, (len(at), n_negatives if n_words > 1 else 0))))
     first = np.arange(len(at)) % need < per_equation  # an equation's first draws validate, the rest test
     valid, test = (
-        HeldOut(split, doc[r], at[r] - starts[doc[r]], eqs[r], np.r_[0, np.cumsum(keep[r].sum(axis=1))],
+        HeldOut(split, doc[r], at[r] - ptr[doc[r]], eqs[r], np.r_[0, np.cumsum(keep[r].sum(axis=1))],
                 is_eq[r][keep[r]], ids[r][keep[r]], np.arange(r.sum() + 1) * cand.shape[1], cand[r].ravel())
         for split, r in (("validation", first), ("test", ~first))
     )
     return valid, test, skipped
 
 
-def _candidate_pools(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray, half: int):
+def _candidate_pools(codes: np.ndarray, ptr: np.ndarray, half: int):
     """Every equation's held-out candidates: the word positions within
     ``half`` of one of its occurrences, in its own document, over the
-    streams' concatenation ``codes`` (stream i spans ``starts[i]:ends[i]``).
+    streams' codes (stream i spans ``ptr[i]:ptr[i + 1]``).
 
     Returns ``(gids, bounds, positions)``: equation ``gids[i]`` (ascending;
     every equation the streams hold) owns the corpus positions
@@ -317,10 +342,10 @@ def _candidate_pools(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray, ha
     """
     at = np.flatnonzero(codes >= EQ_TAG)
     at = at[codes[at] != GAP]
-    doc = np.searchsorted(ends, at, side="right")
+    doc = np.searchsorted(ptr, at, side="right") - 1
     steps = np.r_[-half:0, 1 : half + 1]
     near = at[:, None] + steps
-    inside = (near >= starts[doc, None]) & (near < ends[doc, None])
+    inside = (near >= ptr[doc, None]) & (near < ptr[doc + 1, None])
     inside &= codes[np.where(inside, near, 0)] < EQ_TAG
     at_gid = (codes[at] & ~EQ_TAG).astype(np.int64)
     rows, cols = np.nonzero(inside)
@@ -381,7 +406,7 @@ class CorpusData:
 
     word_vocab: Vocabulary
     registry: EquationRegistry
-    streams: list[TokenStream]
+    streams: TokenStreams
     unit_vocab: Vocabulary | None
     eq_units: EquationUnits
     heldout_valid: HeldOut
@@ -429,7 +454,7 @@ def ingest_corpus(docs: list[RawDocument], params: IngestParams, stopwords=None)
     regions_skipped = sum(r[4] for r in prepared)
 
     registry, doc_maps = build_equation_registry([(d, r) for d, _, _, r, _ in prepared])
-    dropped_eqs = _sample_singletons(registry, params)
+    keep = _sample_singletons(registry, params)
 
     word_vocab = build_word_vocabulary(
         (words for _, pieces, _, _, _ in prepared for words in pieces),
@@ -439,15 +464,15 @@ def ingest_corpus(docs: list[RawDocument], params: IngestParams, stopwords=None)
         top_stop=params.top_stop,
         abbrev_top=params.abbrev_top,
     )
-    if dropped_eqs:
-        doc_maps, registry = _compact_registry(registry, doc_maps, dropped_eqs)
+    if keep is not None:
+        doc_maps, registry = _compact_registry(registry, doc_maps, keep)
     streams = build_token_streams(
         [(d, pieces, slots) for d, pieces, slots, _, _ in prepared], word_vocab, doc_maps
     )
 
     sequences = {
-        r.eq_id: slt.tokenize_equation(r.latex, symbol_window=params.symbol_window)
-        for r in registry.records
+        g: slt.tokenize_equation(latex, symbol_window=params.symbol_window)
+        for g, latex in enumerate(registry.latex)
     }
     unit_vocab, eq_units = None, EquationUnits([0], [])
     if sequences:
@@ -482,32 +507,22 @@ def ingest_corpus(docs: list[RawDocument], params: IngestParams, stopwords=None)
     )
 
 
-def _sample_singletons(registry: EquationRegistry, params: IngestParams) -> set[int]:
-    """Optionally keep only a random subset of singleton equations."""
-    if params.singleton_sample <= 0:
-        return set()
-    singles = [r.eq_id for r in registry.records if r.occurrence_count == 1]
-    if len(singles) <= params.singleton_sample:
-        return set()
+def _sample_singletons(registry: EquationRegistry, params: IngestParams) -> np.ndarray | None:
+    """Which equations stay when only a random ``singleton_sample`` of the
+    singletons is kept, as a mask over equation ids; None when all stay."""
+    singles = np.flatnonzero(registry.counts == 1)
+    if params.singleton_sample <= 0 or len(singles) <= params.singleton_sample:
+        return None
     rng = np.random.Generator(np.random.PCG64(params.seed))
-    keep = set(
-        int(singles[i])
-        for i in rng.choice(len(singles), size=params.singleton_sample, replace=False)
-    )
-    return {e for e in singles if e not in keep}
+    keep = registry.counts != 1
+    keep[singles[rng.choice(len(singles), size=params.singleton_sample, replace=False)]] = True
+    return keep
 
 
-def _compact_registry(registry, doc_maps, dropped: set[int]):
-    """Renumber equation ids densely after dropping sampled-out singletons;
-    a dropped equation's local ids map to None."""
-    remap: dict[int, int] = {}
-    new = EquationRegistry()
-    for rec in registry.records:
-        if rec.eq_id in dropped:
-            continue
-        remap[rec.eq_id] = new.add(rec.latex, rec.doc_id, rec.occurrence_count)
-    new_maps = {
-        d: {loc: remap.get(g) for loc, g in m.items()}
-        for d, m in doc_maps.items()
-    }
-    return new_maps, new
+def _compact_registry(registry: EquationRegistry, doc_maps, keep: np.ndarray):
+    """Renumber the equations ``keep`` marks densely, in id order; a dropped
+    equation's local ids map to None."""
+    kept = np.flatnonzero(keep).tolist()
+    remap = dict(zip(kept, range(len(kept))))
+    new_maps = {d: {loc: remap.get(g) for loc, g in m.items()} for d, m in doc_maps.items()}
+    return new_maps, EquationRegistry([registry.latex[g] for g in kept], registry.counts[kept])

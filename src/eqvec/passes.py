@@ -1,10 +1,10 @@
 """Compiled training passes: every position of a pass as flat arrays.
 
 A pass is enumerated once per fit, by vectorised window extraction over
-the gap-padded concatenation of the token streams, into plans of int32
-target and context rows that every epoch reuses.  Enumeration order is
-document order, positions left to right, the units of an equation at the
-equation's position.
+the token streams' codes with gaps inserted at document boundaries, into
+plans of int32 target and context rows that every epoch reuses.
+Enumeration order is document order, positions left to right, the units
+of an equation at the equation's position.
 """
 
 from dataclasses import dataclass
@@ -19,14 +19,12 @@ from .model import ModelConfig
 _COMPILE_TOKENS = 1024
 
 
-def _exclusion_masks(data: CorpusData) -> list[np.ndarray]:
-    """Per stream, the positions training leaves out: every held-out target."""
-    lengths = [len(s.codes) for s in data.streams]
-    ends = np.cumsum(lengths, dtype=np.int64)
-    held = np.zeros(ends[-1] if lengths else 0, dtype=bool)
+def _exclusion_mask(data: CorpusData) -> np.ndarray:
+    """Over the streams' codes, the positions training leaves out: held-out targets."""
+    held = np.zeros(len(data.streams.codes), dtype=bool)
     for split in (data.heldout_valid, data.heldout_test):
-        held[(ends - lengths)[split.stream] + split.position] = True
-    return np.split(held, ends[:-1])
+        held[data.streams.ptr[split.stream] + split.position] = True
+    return held
 
 
 class PassSpec(NamedTuple):
@@ -129,15 +127,6 @@ def assemble_plan(sizes, trainable, key, cls, target, ctx_len, ctx_cls, ctx_id, 
     )
 
 
-def _padded(arrays, pad: int, fill, dtype) -> np.ndarray:
-    """Arrays concatenated with ``pad`` fill slots before, between and after."""
-    filler = np.full(pad, fill, dtype=dtype)
-    parts = [filler]
-    for a in arrays:
-        parts += [np.asarray(a, dtype=dtype), filler]
-    return np.concatenate(parts)
-
-
 def _window(seq, pos, half):
     """Entries at offsets -half..-1 and 1..half around each position."""
     off = np.concatenate((np.arange(-half, 0), np.arange(1, half + 1)))
@@ -177,32 +166,32 @@ def compile_pass(data: CorpusData, config: ModelConfig, pass_name: str) -> list[
     of the equations) of the word-equation window.  Equation targets see
     the words of their own window; unit targets see the units around them
     in their equation.  Streams are compiled about a thousand tokens at a
-    time into consecutive plans, so the window matrices stay small and the
-    plans are never copied into one.
+    time into consecutive plans, each ending at a document boundary, so
+    the window matrices stay small and the plans are never copied into one.
     """
     spec = PASS_CLASSES[pass_name]
     sizes = [class_sizes(data)[c] for c in spec.classes]
     units = data.eq_units.without_gaps()
-    masks = _exclusion_masks(data)
-    plans, lo, tokens = [], 0, 0
-    for hi, stream in enumerate(data.streams, 1):
-        tokens += len(stream.codes)
-        if tokens >= _COMPILE_TOKENS or hi == len(data.streams):
-            codes = [s.codes for s in data.streams[lo:hi]]
-            plans.append(_compile_streams(codes, masks[lo:hi], units, sizes, spec.trainable, config, pass_name))
-            lo, tokens = hi, 0
+    held, ptr = _exclusion_mask(data), data.streams.ptr
+    plans, lo, ends = [], 0, ptr.tolist()
+    for hi in range(1, len(ends)):
+        if ends[hi] - ends[lo] >= _COMPILE_TOKENS or hi == len(ends) - 1:
+            plans.append(_compile_streams(data.streams.codes, held, ptr[lo : hi + 1], units, sizes,
+                                          spec.trainable, config, pass_name))
+            lo = hi
     return plans
 
 
-def _compile_streams(streams, masks, units, sizes, trainable, config, pass_name) -> PassPlan:
-    """``compile_pass`` over some streams: windows are cut from their
-    concatenation, padded with gaps so that no window crosses a document
-    boundary."""
+def _compile_streams(codes, held, bounds, units, sizes, trainable, config, pass_name) -> PassPlan:
+    """``compile_pass`` over the documents at offsets ``bounds`` of the
+    streams' ``codes`` and ``held`` mask: windows are cut from their tokens
+    with gaps inserted at every boundary, so that none crosses one."""
     half_w, half_e = config.word_window // 2, config.eq_window // 2
     half_m, half_u = config.eq_context_window // 2, config.unit_window // 2
     pad = max(half_w, half_e, half_m)
-    codes = _padded(streams, pad, GAP, np.uint32)
-    held = _padded(masks, pad, False, bool)
+    cuts = np.repeat(bounds - bounds[0], pad)  # pad slots at every boundary
+    codes = np.insert(codes[bounds[0] : bounds[-1]], cuts, GAP)
+    held = np.insert(held[bounds[0] : bounds[-1]], cuts, False)
     eq_pos = np.flatnonzero((codes != GAP) & (codes >= EQ_TAG))
     eq_ids = (codes[eq_pos] & ~EQ_TAG).astype(np.int64)
 

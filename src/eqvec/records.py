@@ -1,6 +1,6 @@
-"""Plain records shared by ingest and the bundle: a source document and an
-equation record.  They live apart from ``tex`` so that reading a bundle
-does not import the LaTeX scanner."""
+"""Plain records: a source document, and an equation record (a document's
+distinct region as ``tex`` extracts it, or a row of the equation registry).
+They live apart from ``tex`` so that reading a bundle does not import it."""
 
 from dataclasses import dataclass
 
@@ -23,6 +23,5 @@ class RawDocument:
 @dataclass
 class EquationRecord:
     eq_id: int
-    doc_id: str
     latex: str
     occurrence_count: int

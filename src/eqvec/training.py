@@ -370,7 +370,7 @@ def train_model(data: CorpusData, config: ModelConfig, mode: str):
         if config.negative_sampling != "unigram":
             return None
         if cls == "eq":
-            return data.registry.occurrence_counts()
+            return data.registry.counts
         vocab = data.word_vocab if cls == "word" else data.unit_vocab
         return vocab.freqs if vocab is not None else None
 

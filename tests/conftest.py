@@ -11,6 +11,7 @@ from eqvec.corpus import (
     EquationUnits,
     HeldOut,
     IngestParams,
+    TokenStreams,
     Vocabulary,
     ingest_corpus,
 )
@@ -108,14 +109,20 @@ def rewrite_eq_units(path: str, change):
         f.write(header + struct.pack("<I", len(records)) + b"".join(records))
 
 
+def token_streams(rows) -> TokenStreams:
+    """The streams table of ``(doc_id, codes)`` rows, such as ``TokenStream``s, in order."""
+    rows = [(doc_id, np.asarray(codes, dtype=np.uint32)) for doc_id, codes in rows]
+    return TokenStreams([d for d, _ in rows], np.cumsum([0] + [len(c) for _, c in rows]),
+                        np.concatenate([np.empty(0, dtype=np.uint32)] + [c for _, c in rows]))
+
+
 def corpus_from_streams(streams, n_words: int, n_equations: int = 0) -> CorpusData:
-    """A corpus around hand-made token streams: no held-out items, no units."""
+    """A corpus around hand-made token streams (``(doc_id, codes)`` rows):
+    no held-out items, no units, every equation seen once."""
     vocab = Vocabulary(kind="word", forms=[f"w{i:04d}" for i in range(n_words)],
                        freqs=np.ones(n_words, dtype=np.int64))
-    registry = EquationRegistry()
-    for g in range(n_equations):
-        registry.add(f"x_{{{g}}}", streams[0].doc_id)
-    return CorpusData(vocab, registry, list(streams), None, equation_units([[]] * n_equations),
+    registry = EquationRegistry([f"x_{{{g}}}" for g in range(n_equations)], np.ones(n_equations))
+    return CorpusData(vocab, registry, token_streams(streams), None, equation_units([[]] * n_equations),
                       HeldOut("validation"), HeldOut("test"), IngestParams(), {})
 
 

@@ -1,17 +1,28 @@
-"""Reference held-out sampler: ``build_heldout`` with each equation's
-candidate pool built by a loop over its occurrences, kept as a test oracle.
+"""Reference corpus builders, kept as test oracles:
 
-It walks every equation position of every stream and, per position, every
-word position of its window, deduplicating per equation in first-seen
-order, and builds every item's context by a loop over its window.
-``eqvec.corpus.build_heldout`` builds the same pools and contexts with
-array operations and must return equal items (as ``conftest.Item``
-records) and skip counts.
+* ``build_heldout`` with each equation's candidate pool built by a loop
+  over its occurrences.  It walks every equation position of every stream
+  and, per position, every word position of its window, deduplicating per
+  equation in first-seen order, and builds every item's context by a loop
+  over its window.  ``eqvec.corpus.build_heldout`` builds the same pools
+  and contexts with array operations and must return equal items (as
+  ``conftest.Item`` records) and skip counts.
+* The equation registry as one ``EquationRecord`` per equation, grown by
+  ``Registry.add`` through a LaTeX -> id dict; singleton sampling as sets
+  of ids, and compaction by re-adding the kept records.
+* ``build_token_streams`` with one ``TokenStream`` and one array per
+  document.
+
+``eqvec.corpus`` builds the registry and the streams as columns and must
+give equal LaTeX, counts, document maps, doc ids and codes.
 """
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from eqvec.corpus import EQ_TAG, GAP, TokenStream, _draw_excluding
+from eqvec.corpus import EQ_TAG, GAP, CorpusError, TokenStream, _draw_excluding, encode_equation
+from eqvec.records import EquationRecord
 
 from .conftest import Item
 
@@ -26,7 +37,7 @@ def _window_word_positions(codes: np.ndarray, p: int, half: int):
 
 
 def build_heldout(
-    streams: list[TokenStream],
+    streams,
     n_words: int,
     per_equation: int = 2,
     context_window: int = 4,
@@ -86,3 +97,70 @@ def build_heldout(
             item = Item(target, context, negatives, si, p, gid)
             (valid if rank < per_equation else test).append(item)
     return valid, test, skipped
+
+
+# --- equation registry and token streams ---------------------------------------
+
+
+@dataclass
+class Registry:
+    records: list[EquationRecord] = field(default_factory=list)
+    by_latex: dict[str, int] = field(default_factory=dict)
+
+    def add(self, latex: str, count: int = 1) -> int:
+        eq_id = self.by_latex.get(latex)
+        if eq_id is None:
+            eq_id = len(self.records)
+            self.by_latex[latex] = eq_id
+            self.records.append(EquationRecord(eq_id, latex, 0))
+        self.records[eq_id].occurrence_count += count
+        return eq_id
+
+
+def build_equation_registry(doc_records):
+    """``(registry, doc_maps)`` from per-document records, merged in doc_id order."""
+    registry = Registry()
+    doc_maps: dict[str, dict[int, int]] = {}
+    for doc_id, records in sorted(doc_records, key=lambda p: p[0]):
+        doc_maps[doc_id] = {rec.eq_id: registry.add(rec.latex, rec.occurrence_count) for rec in records}
+    return registry, doc_maps
+
+
+def sample_singletons(registry: Registry, singleton_sample: int, seed: int) -> set[int]:
+    """The singleton equations dropped when only ``singleton_sample`` of them stay."""
+    if singleton_sample <= 0:
+        return set()
+    singles = [r.eq_id for r in registry.records if r.occurrence_count == 1]
+    if len(singles) <= singleton_sample:
+        return set()
+    rng = np.random.Generator(np.random.PCG64(seed))
+    keep = {int(singles[i]) for i in rng.choice(len(singles), size=singleton_sample, replace=False)}
+    return {e for e in singles if e not in keep}
+
+
+def compact_registry(registry: Registry, doc_maps, dropped: set[int]):
+    """Renumber equation ids densely after dropping ``dropped``; a dropped
+    equation's local ids map to None."""
+    remap: dict[int, int] = {}
+    new = Registry()
+    for rec in registry.records:
+        if rec.eq_id not in dropped:
+            remap[rec.eq_id] = new.add(rec.latex, rec.occurrence_count)
+    return {d: {loc: remap.get(g) for loc, g in m.items()} for d, m in doc_maps.items()}, new
+
+
+def build_token_streams(doc_tokens, word_vocab, doc_maps) -> list[TokenStream]:
+    """One ``TokenStream`` per document, each with its own code array."""
+    gap = int(GAP)
+    streams = []
+    for doc_id, pieces, slots in doc_tokens:
+        mapping = doc_maps.get(doc_id, {})
+        codes = [word_vocab.index.get(w, gap) for w in pieces[0]]
+        for local, words in zip(slots, pieces[1:], strict=True):
+            if local not in mapping:
+                raise CorpusError(f"{doc_id}: equation slot {local} names no equation of the document")
+            gid = mapping[local]
+            codes.append(gap if gid is None else encode_equation(gid))
+            codes += [word_vocab.index.get(w, gap) for w in words]
+        streams.append(TokenStream(doc_id, np.array(codes, dtype=np.uint32)))
+    return streams

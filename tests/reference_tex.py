@@ -78,7 +78,7 @@ def _extract(doc: RawDocument):
         if local is None:
             local = len(records)
             by_latex[norm] = local
-            records.append(EquationRecord(local, doc.doc_id, norm, 0))
+            records.append(EquationRecord(local, norm, 0))
         records[local].occurrence_count += 1
         out.append(" " + PLACEHOLDER_FMT.format(local) + " ")
 

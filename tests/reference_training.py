@@ -28,7 +28,7 @@ import numpy as np
 from eqvec import evaluation, training
 from eqvec.corpus import EQ_TAG, GAP
 from eqvec.model import LOG_EPS, EmbeddingTable, Model, sigmoid
-from eqvec.passes import PassPlan, _exclusion_masks, _ptr, _ranges
+from eqvec.passes import PassPlan, _exclusion_mask, _ptr, _ranges
 from eqvec.training import EpochRecord, _expected_draws
 
 from .reference_model import adagrad_rows
@@ -284,7 +284,7 @@ def reference_train_model(data, config, mode):
     n_units = len(data.unit_vocab) if data.unit_vocab is not None else 0
     unit_t = EmbeddingTable(n_units, config.k, rngs[2], config.scale) if mode == "unit" else None
 
-    masks = _exclusion_masks(data)
+    masks = np.split(_exclusion_mask(data), data.streams.ptr[1:-1])
     unigram = config.negative_sampling == "unigram"
     word_freqs = data.word_vocab.freqs if unigram else None
     unit_freqs = data.unit_vocab.freqs if (unigram and data.unit_vocab is not None) else None
@@ -324,7 +324,7 @@ def reference_train_model(data, config, mode):
 
     word_t.freeze()
     if mode == "equation":
-        eq_freqs = data.registry.occurrence_counts() if unigram else None
+        eq_freqs = data.registry.counts if unigram else None
         pass2_word_sampler = NegativeSampler(rngs[4], n_words, word_freqs)
         eq_sampler = NegativeSampler(rngs[4], data.n_equations, eq_freqs)
         run(

@@ -346,7 +346,7 @@ def test_unit_model_query_prints_library_ranking(family, planted_models, capsys)
     model = load_model(models["unit"], eq_units=data.eq_units)
     eq_id = next(e for e in range(data.n_equations)
                  if np.isfinite(model.equation_matrix("alpha")[e]).all())
-    latex = lambda i: data.registry.records[i].latex
+    latex = lambda i: data.registry.latex[i]
     if family == "eq2eq":
         args, ranking, surface = ["--id", str(eq_id)], retrieval.nearest_equations(model, eq_id, 5), latex
     elif family == "eq2word":
@@ -595,7 +595,7 @@ def test_word2eq_vectors_three_spellings(planted_models, tmp_path, capsys):
         ["matrix", "eigenvalue", "probability"], 8,
     )
     assert plain.splitlines()[1:] == [
-        f"{rank}\t{i}\t{score:.6f}\t{data.registry.records[i].latex}"
+        f"{rank}\t{i}\t{score:.6f}\t{data.registry.latex[i]}"
         for rank, (i, score) in enumerate(ranking.hits, 1)
     ]
 
@@ -808,16 +808,17 @@ def _set_counts(path, count):
 
 
 @pytest.mark.parametrize(
-    "name,count",
+    "name,count,message",
     [
-        ("vocab.tsv", lambda i, n: n if i == 0 else 0),  # all sampling weight on one word
-        ("vocab.tsv", lambda i, n: -n if i == 1 else n),
-        ("units.tsv", lambda i, n: 0 if i == 0 else n),
-        ("equations.tsv", lambda i, n: 0 if i == 0 else n),
+        ("vocab.tsv", lambda i, n: n if i == 0 else 0, "below 1"),  # all sampling weight on one word
+        ("vocab.tsv", lambda i, n: -n if i == 1 else n, "below 1"),
+        ("units.tsv", lambda i, n: 0 if i == 0 else n, "below 1"),
+        ("equations.tsv", lambda i, n: 0 if i == 0 else n, "below 1"),
+        ("equations.tsv", lambda i, n: 10**20 if i == 1 else n, "bad equation id or count"),
     ],
-    ids=["vocab_one_nonzero", "vocab_negative", "units_zero", "equations_zero"],
+    ids=["vocab_one_nonzero", "vocab_negative", "units_zero", "equations_zero", "equations_past_int64"],
 )
-def test_count_below_one_exits_3(name, count, tiny_bundle, tmp_path):
+def test_count_below_one_exits_3(name, count, message, tiny_bundle, tmp_path):
     copy = str(tmp_path / "bundle")
     shutil.copytree(tiny_bundle, copy)
     _set_counts(os.path.join(copy, name), count)
@@ -825,8 +826,25 @@ def test_count_below_one_exits_3(name, count, tiny_bundle, tmp_path):
     code, out, err = fresh(["train", "--bundle", copy, "--model", model, "--mode", "unit",
                             "--set", "max_epochs=1"], timeout=60)
     assert code == 3
-    assert "below 1" in err and "Traceback" not in err
+    assert message in err and len(err.splitlines()) == 1 and "Traceback" not in err
     assert not os.path.exists(model)
+
+
+def test_repeated_doc_id_in_streams_exits_3(tiny_bundle, tmp_path, capsys):
+    # one document's record renamed to another's: the streams file is at
+    # fault, not the held-out items that name the renamed document
+    copy = str(tmp_path / "bundle")
+    shutil.copytree(tiny_bundle, copy)
+    path = os.path.join(copy, "streams.bin")
+    with open(path, "rb") as f:
+        raw = f.read()
+    assert raw.count(b"\x03\x00two") == 1  # the length-prefixed doc id
+    with open(path, "wb") as f:
+        f.write(raw.replace(b"\x03\x00two", b"\x03\x00one"))
+    model = str(tmp_path / "m.eqv")
+    code, out, err = run(["train", "--bundle", copy, "--model", model, "--set", "max_epochs=1"], capsys)
+    assert code == 3 and out == "" and not os.path.exists(model)
+    assert err.splitlines() == [f"error: {path}: document 'one' is in more than one record"]
 
 
 def test_count_swamping_the_rest_exits_1(tiny_bundle, tmp_path):
@@ -873,8 +891,8 @@ def test_deeply_nested_equation_ingests(tiny_corpus, tiny_bundle, tmp_path, caps
 
     def units_by_latex(path):
         data = load_bundle(path)
-        return {r.latex: [data.unit_vocab.forms[u] for u in data.eq_units[r.eq_id] if u >= 0]
-                for r in data.registry.records}
+        return {latex: [data.unit_vocab.forms[u] for u in data.eq_units[g] if u >= 0]
+                for g, latex in enumerate(data.registry.latex)}
 
     before, after = units_by_latex(tiny_bundle), units_by_latex(bundle)
     assert after.pop(deep) == []  # untokenizable: no units

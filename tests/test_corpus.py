@@ -9,8 +9,9 @@ from eqvec import corpus
 from eqvec.corpus import (
     GAP,
     CorpusError,
+    EquationRegistry,
     IngestParams,
-    TokenStream,
+    build_equation_registry,
     build_heldout,
     build_token_streams,
     build_word_vocabulary,
@@ -18,9 +19,11 @@ from eqvec.corpus import (
     ingest_corpus,
     load_stopwords,
 )
+from eqvec.records import EquationRecord
 from eqvec.tex import RawDocument
 
-from .conftest import equation_units, heldout_items
+from . import reference_corpus
+from .conftest import equation_units, heldout_items, token_streams
 from .reference_corpus import build_heldout as reference_build_heldout
 
 STOPS = frozenset({"the", "of", "a", "and"})
@@ -157,6 +160,85 @@ def test_unknown_placeholder_is_error():
         build_token_streams([("d", [[], []], [9])], vocab, {"d": {}})
 
 
+def test_token_streams_are_a_read_only_sequence_of_views():
+    table = token_streams([("a", [1, 2]), ("b", []), ("c", [int(GAP)])])
+    assert len(table) == 3 and [s.doc_id for s in table] == table.doc_ids == ["a", "b", "c"]
+    assert table.ptr.tolist() == [0, 2, 2, 3] and table.codes.dtype == np.uint32
+    for s in table:  # every row's codes are a view of the one code array
+        assert s.codes.base is table.codes and s.codes.dtype == np.uint32
+    assert table[np.int64(0)].codes.tolist() == [1, 2] and table[1].codes.tolist() == []
+    assert table[-1].doc_id == "c" and table[-1].codes.tolist() == [int(GAP)]
+    for i in (3, -4, 2**70):
+        with pytest.raises(IndexError):
+            table[i]
+    for i in ("0", 1.0, None):
+        with pytest.raises(TypeError):
+            table[i]
+    with pytest.raises(AttributeError):
+        table[0].codes = np.zeros(2, dtype=np.uint32)
+    assert len(token_streams([])) == 0 and list(token_streams([])) == []
+
+
+def test_registry_rows_are_built_from_its_columns():
+    registry = EquationRegistry(["a", "b^2"], [3, 1])
+    assert len(registry) == len(registry.records) == 2 and registry.counts.dtype == np.int64
+    assert list(registry.records) == [EquationRecord(0, "a", 3), EquationRecord(1, "b^2", 1)]
+    assert registry.records[-1] == EquationRecord(1, "b^2", 1)
+    with pytest.raises(IndexError):
+        registry.records[2]
+
+
+_LATEX = st.integers(0, 11).map(lambda i: f"x_{{{i}}}")
+_WORD = st.sampled_from(["model", "layer", "zz", "qq"])
+
+
+@st.composite
+def _prepared_docs(draw):
+    """Per-document equation records and tokens, as ``_prepare_document``
+    gives them, in doc_id order: LaTeX repeats across documents, and an
+    equation's count is often 1."""
+    doc_records, doc_tokens = [], []
+    for d in range(draw(st.integers(0, 6))):
+        latex = draw(st.lists(_LATEX, unique=True, max_size=5))
+        records = [EquationRecord(i, form, draw(st.sampled_from([1, 1, 2, 3]))) for i, form in enumerate(latex)]
+        slots = draw(st.lists(st.integers(0, len(latex) - 1), max_size=6)) if latex else []
+        pieces = draw(st.lists(st.lists(_WORD, max_size=4), min_size=len(slots) + 1, max_size=len(slots) + 1))
+        doc_records.append((f"d{d}", records))
+        doc_tokens.append((f"d{d}", pieces, slots))
+    return doc_records, doc_tokens
+
+
+@settings(max_examples=300, deadline=None)
+@given(_prepared_docs(), st.integers(0, 3), st.integers(0, 2**32 - 1))
+@example(([("d0", [EquationRecord(0, "a", 1), EquationRecord(1, "b", 1)]), ("d1", [EquationRecord(0, "x + y", 1)])],
+          [("d0", [["model"], [], ["zz"]], [0, 1]), ("d1", [[], ["layer"]], [0])]), 1, 0)
+def test_columnar_registry_and_streams_match_per_record_oracles(prepared, singleton_sample, seed):
+    # registry, singleton sampling, compaction and streams, as ingest runs them
+    doc_records, doc_tokens = prepared
+    vocab = _mini_vocab()
+    registry, doc_maps = build_equation_registry(doc_records)
+    keep = corpus._sample_singletons(registry, IngestParams(singleton_sample=singleton_sample, seed=seed))
+    if keep is not None:
+        doc_maps, registry = corpus._compact_registry(registry, doc_maps, keep)
+    streams = build_token_streams(doc_tokens, vocab, doc_maps)
+
+    want, want_maps = reference_corpus.build_equation_registry(doc_records)
+    dropped = reference_corpus.sample_singletons(want, singleton_sample, seed)
+    assert (keep is None) == (not dropped)
+    if dropped:
+        want_maps, want = reference_corpus.compact_registry(want, want_maps, dropped)
+    want_streams = reference_corpus.build_token_streams(doc_tokens, vocab, want_maps)
+
+    assert registry.latex == [r.latex for r in want.records]
+    assert registry.counts.dtype == np.int64 and registry.counts.tolist() == [r.occurrence_count for r in want.records]
+    assert list(registry.records) == want.records
+    assert doc_maps == want_maps
+    assert streams.doc_ids == [s.doc_id for s in want_streams]
+    assert streams.ptr.tolist() == np.cumsum([0] + [len(s.codes) for s in want_streams]).tolist()
+    assert streams.codes.dtype == np.uint32
+    assert streams.codes.tolist() == [c for s in want_streams for c in s.codes.tolist()]
+
+
 def test_window_classes_word_vs_equation_context():
     # a word two positions from an equation: the equation is outside the
     # word window but inside the word-equation window
@@ -197,7 +279,7 @@ def _heldout_fixture(seed=0, per_equation=2, window=4, n_negatives=6):
         [0, 1, encode_equation(0), 2, 3, 5, 5, 1, encode_equation(0), 4, 0, 5],
         dtype=np.uint32,
     )
-    streams = [TokenStream("d", codes)]
+    streams = token_streams([("d", codes)])
     return vocab, streams, build_heldout(
         streams,
         n_words=len(words),
@@ -237,7 +319,7 @@ def test_heldout_skips_small_contexts():
     )
     codes = np.array([0, encode_equation(0)], dtype=np.uint32)
     valid, test, skipped = build_heldout(
-        [TokenStream("d", codes)], n_words=1, per_equation=2, context_window=4,
+        token_streams([("d", codes)]), n_words=1, per_equation=2, context_window=4,
         n_negatives=3, seed=0,
     )
     assert (len(valid), len(test), skipped) == (0, 0, 1)
@@ -251,9 +333,9 @@ def test_heldout_arithmetic():
         codes = np.array(
             [0, 1, 2, 3, encode_equation(d), 0, 1, 2, 3], dtype=np.uint32
         )
-        streams.append(TokenStream(f"doc{d}", codes))
+        streams.append((f"doc{d}", codes))
     valid, test, skipped = build_heldout(
-        streams, n_words=4, per_equation=2, context_window=4, n_negatives=2, seed=1
+        token_streams(streams), n_words=4, per_equation=2, context_window=4, n_negatives=2, seed=1
     )
     assert skipped == 0
     assert len(valid) == 2 * 10 and len(test) == 2 * 10
@@ -275,7 +357,7 @@ _EQ = encode_equation
 @example([[_EQ(0), 1, 2, _EQ(0), 3, 4], [], [0, 1, 2], [4, _EQ(1)], [_EQ(1), 2, 3, 4, 0]], 1, 4, 0)
 @example([[_EQ(0), int(GAP), _EQ(0)], [1, 2, 3, 4, 0, 1]], 1, 8, 1)
 def test_heldout_matches_loop_reference(stream_codes, per_equation, window, seed):
-    streams = [TokenStream(f"d{i}", np.array(c, dtype=np.uint32)) for i, c in enumerate(stream_codes)]
+    streams = token_streams((f"d{i}", c) for i, c in enumerate(stream_codes))
     kw = dict(n_words=5, per_equation=per_equation, context_window=window, n_negatives=3, seed=seed)
     valid, test, skipped = build_heldout(streams, **kw)
     assert (valid.split, test.split) == ("validation", "test")

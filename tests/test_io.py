@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from eqvec import bundle as bundle_io
 from eqvec.bundle import BundleFormatError, load_bundle, save_bundle
-from eqvec.corpus import EQ_TAG, GAP, IngestParams, TokenStream, ingest_corpus
+from eqvec.corpus import EQ_TAG, GAP, EquationRegistry, IngestParams, TokenStream, ingest_corpus
 from eqvec.model import ADAGRAD_FLOOR, EmbeddingTable, Model, ModelConfig, unit_means
 from eqvec.modelfile import (
     ChecksumError,
@@ -26,7 +26,8 @@ from eqvec.modelfile import (
 from eqvec.tex import RawDocument
 
 from . import reference_bundle
-from .conftest import Item, corpus_from_streams, equation_units, heldout_items, heldout_set, rewrite_eq_units
+from .conftest import (Item, corpus_from_streams, equation_units, heldout_items, heldout_set, rewrite_eq_units,
+                       token_streams)
 from .reference_model import _compensated_mean
 from .reference_training import unit_lists
 
@@ -268,7 +269,8 @@ def _break_eq_units(data):
 def test_bundle_id_out_of_range_rejected(damage, tmp_path):
     data = tiny_corpus_data()
     assert len(data.heldout_valid) and len(data.heldout_test)
-    data.streams[-1].codes = np.append(data.streams[-1].codes, GAP)  # after every held-out position
+    *rest, (doc_id, codes) = data.streams
+    data.streams = token_streams([*rest, (doc_id, np.append(codes, GAP))])  # after every held-out position
     load_bundle(save_bundle(data, str(tmp_path / "good")))  # gaps and every real id load
     path = damage(data, str(tmp_path / "bad"))
     with pytest.raises(BundleFormatError, match="out of range"):
@@ -342,7 +344,7 @@ _code = st.one_of(
     st.just(int(GAP)),
 )
 _streams = st.lists(
-    st.tuples(st.text(min_size=1, max_size=6), st.lists(_code, max_size=12)), max_size=6
+    st.tuples(st.text(min_size=1, max_size=6), st.lists(_code, max_size=12)), max_size=6, unique_by=lambda s: s[0]
 )
 # every equation's units: rows empty, all gaps, or with gaps anywhere
 _eq_units = st.lists(st.lists(st.integers(-1, _N_UNITS - 1), max_size=9), max_size=_N_EQS)
@@ -350,8 +352,7 @@ _eq_units = st.lists(st.lists(st.integers(-1, _N_UNITS - 1), max_size=9), max_si
 
 def _binary_files(root, streams, eq_units) -> tuple[str, str]:
     """``streams.bin`` and ``eq_units.bin`` as ``save_bundle`` writes them."""
-    data = corpus_from_streams([TokenStream("d", np.zeros(0, dtype=np.uint32))], _N_WORDS, _N_EQS)
-    data.streams = [TokenStream(d, np.array(c, dtype=np.uint32)) for d, c in streams]
+    data = corpus_from_streams(streams, _N_WORDS, _N_EQS)
     data.eq_units = equation_units(eq_units)
     path = save_bundle(data, os.path.join(root, "bundle"))
     return os.path.join(path, "streams.bin"), os.path.join(path, "eq_units.bin")
@@ -364,12 +365,12 @@ def _binary_files(root, streams, eq_units) -> tuple[str, str]:
 def test_binary_readers_match_record_at_a_time_reference(streams, eq_units):
     with tempfile.TemporaryDirectory() as root:
         streams_bin, eq_units_bin = _binary_files(root, streams, eq_units)
-        got, codes = bundle_io._read_streams(streams_bin, _N_WORDS, _N_EQS)
+        got = bundle_io._read_streams(streams_bin, _N_WORDS, _N_EQS)
         want = reference_bundle._read_streams(streams_bin, _N_WORDS, _N_EQS)
-        assert [s.doc_id for s in got] == [s.doc_id for s in want]
-        for g, w in zip(got, want):
+        assert got.doc_ids == [s.doc_id for s in got] == [s.doc_id for s in want]
+        for g, w in zip(got, want, strict=True):
             assert g.codes.dtype == w.codes.dtype and np.array_equal(g.codes, w.codes)
-            assert g.codes.base is codes
+            assert g.codes.base is got.codes
         got = bundle_io._read_eq_units(eq_units_bin, len(eq_units))
         want = reference_bundle._read_eq_units(eq_units_bin, len(eq_units))
     assert list(got) == list(want)
@@ -460,6 +461,28 @@ def test_heldout_columns_round_trip(case):
     assert heldout_items(loaded.heldout_valid) == heldout_items(valid)
 
 
+# LaTeX as the registry holds it: no tab or line break, encodable as UTF-8
+_latex = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"), min_size=1, max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(streams=_streams, latex=st.lists(_latex, min_size=_N_EQS, max_size=_N_EQS, unique=True),
+       counts=st.lists(st.integers(1, 2**63 - 1), min_size=_N_EQS, max_size=_N_EQS))
+@example(streams=[], latex=["a", " b", "c d", "é", "\\x"], counts=[1, 2**63 - 1, 3, 1, 7])
+def test_streams_and_registry_round_trip(streams, latex, counts):
+    data = corpus_from_streams(streams, _N_WORDS, _N_EQS)
+    data.registry = EquationRegistry(latex, counts)
+    with tempfile.TemporaryDirectory() as root:
+        loaded = load_bundle(save_bundle(data, os.path.join(root, "bundle")))
+    assert loaded.registry.latex == latex
+    assert loaded.registry.counts.dtype == np.int64 and loaded.registry.counts.tolist() == counts
+    assert [tuple(vars(r).values()) for r in loaded.registry.records] == list(zip(range(_N_EQS), latex, counts))
+    assert loaded.streams.doc_ids == [d for d, _ in streams]
+    assert loaded.streams.ptr.tolist() == np.cumsum([0] + [len(c) for _, c in streams]).tolist()
+    assert loaded.streams.codes.dtype == np.uint32
+    assert loaded.streams.codes.tolist() == [c for _, codes in streams for c in codes]
+
+
 def test_binary_readers_make_one_frombuffer_call_per_file(tmp_path, monkeypatch):
     streams = [(f"doc{i}", [i % _N_WORDS, int(GAP)]) for i in range(500)]
     big = [[g % _N_UNITS, -1][: g % 3] for g in range(5000)]
@@ -469,7 +492,7 @@ def test_binary_readers_make_one_frombuffer_call_per_file(tmp_path, monkeypatch)
     monkeypatch.setattr(np, "frombuffer", lambda *a, **kw: calls.append(a) or real(*a, **kw))
     assert len(bundle_io._read_eq_units(big_bin, 5000)) == 5000
     assert len(calls) == 1
-    assert len(bundle_io._read_streams(streams_bin, _N_WORDS, _N_EQS)[0]) == 500
+    assert len(bundle_io._read_streams(streams_bin, _N_WORDS, _N_EQS)) == 500
     assert len(calls) == 2
 
 

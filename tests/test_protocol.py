@@ -15,7 +15,7 @@ from eqvec.corpus import (
 from eqvec.model import EmbeddingTable, ModelConfig
 from eqvec.synthetic import planted_corpus
 from eqvec.tex import RawDocument
-from eqvec.passes import _exclusion_masks, compile_pass
+from eqvec.passes import _exclusion_mask, compile_pass
 
 from .conftest import corpus_from_streams, plan_positions
 from .reference_model import Tables, TrainingPair, pair_loss_and_grads
@@ -24,13 +24,13 @@ from .reference_model import Tables, TrainingPair, pair_loss_and_grads
 def test_heldout_targets_never_training_targets():
     pc = planted_corpus(n_docs=40, seed=2)
     data = ingest_corpus(pc.documents, IngestParams(seed=6))
-    masks = _exclusion_masks(data)
+    mask = _exclusion_mask(data)
     held = {(s, p) for split in (data.heldout_valid, data.heldout_test)
             for s, p in zip(split.stream.tolist(), split.position.tolist())}
     assert held
     enumerated = set()
-    for si, (stream, mask) in enumerate(zip(data.streams, masks)):
-        for p in np.flatnonzero((stream.codes < EQ_TAG) & ~mask):
+    for si, (stream, lo) in enumerate(zip(data.streams, data.streams.ptr.tolist())):
+        for p in np.flatnonzero((stream.codes < EQ_TAG) & ~mask[lo : lo + len(stream.codes)]):
             enumerated.add((si, int(p)))
     assert not held & enumerated
 
@@ -41,7 +41,7 @@ def test_equation_dedup_counts_match_region_total():
     total_regions = sum(
         int(((s.codes != GAP) & (s.codes >= EQ_TAG)).sum()) for s in data.streams
     )
-    assert int(data.registry.occurrence_counts().sum()) == total_regions
+    assert int(data.registry.counts.sum()) == total_regions
 
 
 def test_document_boundary_truncates_equation_context():

@@ -154,8 +154,7 @@ def test_untouched_equation_keeps_initialization():
         heldout_per_equation=1, heldout_window=4, n_negatives=4, seed=9,
     )
     data = ingest_corpus(docs, params)
-    iso_id = data.registry._by_latex.get(normalize_equation("w_{9} + q_{9}"))
-    assert iso_id is not None
+    iso_id = data.registry.latex.index(normalize_equation("w_{9} + q_{9}"))
     model, _ = train_model(data, CFG, "equation")
     # the feature vector is only reachable through context membership, so it
     # stays at initialization; the interaction vector may still be drawn as
@@ -165,7 +164,7 @@ def test_untouched_equation_keeps_initialization():
 
 def test_singleton_equation_gets_nonzero_vector():
     data = make_corpus()
-    singles = [r.eq_id for r in data.registry.records if r.occurrence_count == 1]
+    singles = np.flatnonzero(data.registry.counts == 1)
     model, _ = train_model(data, CFG, "equation")
     for eq_id in singles:
         assert np.linalg.norm(model.eq.alpha[eq_id]) > 0

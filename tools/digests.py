@@ -2,9 +2,11 @@
 
 Builds the planted corpus bundle and runs the CLI on it in-process:
 
-* every file of the bundle, and of a bundle of the same corpus with
-  ``%`` comments, ``\\%`` escapes and hyphenated words written into its
-  prose (``commented_corpus``), which the planted corpus has none of;
+* every file of the bundle; of a bundle of the same corpus with ``%``
+  comments, ``\\%`` escapes and hyphenated words written into its prose
+  (``commented_corpus``), which the planted corpus has none of; and of a
+  bundle that keeps only ``SINGLETON_SAMPLE`` of its singleton equations,
+  so that the registry is compacted and renumbered;
 * ``eqvec train`` in five configurations (word, equation, unit-joint, unit
   two-pass, ``unit_context_mean``) at model seeds 4 and 1: the model file,
   and its ``.trace.jsonl`` with the two timing fields masked;
@@ -43,6 +45,7 @@ from eqvec.synthetic import planted_corpus  # noqa: E402
 from eqvec.tex import RawDocument  # noqa: E402
 
 CORPUS_SEED, INGEST_SEED = 7, 11
+SINGLETON_SAMPLE = 8
 MODEL_SEEDS = (4, 1)
 EVAL_SEED = 4
 QUERY_IDS = (0, 7, 42)
@@ -115,6 +118,10 @@ def digests(workdir: str, n_docs: int = 200, max_epochs: int | None = None) -> d
     commented = ingest_corpus(commented_corpus(docs), IngestParams(seed=INGEST_SEED))
     out = _bundle_digests(commented, os.path.join(workdir, "commented"), "commented")
     data = ingest_corpus(docs, IngestParams(seed=INGEST_SEED))
+    sampled = ingest_corpus(docs, IngestParams(seed=INGEST_SEED, singleton_sample=SINGLETON_SAMPLE))
+    if sampled.n_equations == data.n_equations:
+        raise RuntimeError("singleton sampling dropped no equation")
+    out.update(_bundle_digests(sampled, os.path.join(workdir, "sampled"), "sampled"))
     bundle_dir = os.path.join(workdir, "bundle")
     out.update(_bundle_digests(data, bundle_dir, "planted"))
     cap = {} if max_epochs is None else {"max_epochs": max_epochs}
