@@ -6,34 +6,36 @@ Layout (every file opens with a one-line format/version header):
     vocab.tsv            form, id, frequency
     equations.tsv        eq_id, occurrence_count, latex
     units.tsv            unit string, id, frequency
-    streams.bin          one record per document: doc id, then its
-                         length-prefixed uint32 codes
-    eq_units.bin         one record per equation, in id order: eq_id, n, then
-                         its n unit ids (int32, -1 marks gaps)
+    streams.bin          document count n, byte size of the id block, the
+                         document ids (UTF-8, newline-separated), lengths[n],
+                         then every document's codes, back to back
+    eq_units.bin         equation count n, lengths[n], then every equation's
+                         unit ids (int32, -1 marks gaps); equation g is row g
     heldout.valid.tsv    held-out items, one per row
     heldout.test.tsv
 
-Bundles are written to a temp directory and renamed into place.
+Counts, lengths and codes are little-endian uint32.  Bundles are written to
+a temp directory and renamed into place.
 
 Each file has one reader.  ``load_bundle`` runs all of them;
 ``load_query_files`` runs only those a similarity query needs (manifest,
-vocab.tsv, equations.tsv, eq_units.bin).  A file that ends inside a line
-or record, fails to parse, disagrees with a count the manifest records,
-holds an id out of range, a form, LaTeX string or document id twice, a
-frequency or occurrence count below 1 or past int64, or other than one
-record per equation in id order raises ``BundleFormatError``, and the CLI
-exits 3.
+vocab.tsv, equations.tsv, eq_units.bin).  A bundle of another format
+version, a file that ends inside a line or runs short of or past what its
+lengths imply, fails to parse, disagrees with a count the manifest or
+equations.tsv records, holds an id out of range, a form, LaTeX string or
+document id twice, or a frequency or occurrence count below 1 or past
+int64 raises ``BundleFormatError``, and the CLI exits 3.
 
-Each file is read into the columns of its corpus table, the binary files
-each as one array, so the numpy calls a reader makes do not grow with the
-number of records.  Text files are split and checked whole-file.
+Each file is read into the columns of its corpus table, a binary file's
+lengths and payload as one array, so the numpy calls a reader makes do not
+grow with the number of records.  Text files are split and checked
+whole-file.
 """
 
 import json
 import operator
 import os
 import shutil
-import struct
 import tempfile
 from dataclasses import asdict
 from itertools import repeat
@@ -52,13 +54,14 @@ from .corpus import (
     TokenStreams,
     Vocabulary,
 )
+from .records import doc_id_problem
 
-BUNDLE_VERSION = 1
+BUNDLE_VERSION = 2
 _H_VOCAB = "# eqvec-vocab 1"
 _H_EQS = "# eqvec-equations 1"
 _H_UNITS = "# eqvec-units 1"
-_H_STREAMS = b"# eqvec-streams 1\n"
-_H_EQUNITS = b"# eqvec-equnits 1\n"
+_H_STREAMS = b"# eqvec-streams 2\n"
+_H_EQUNITS = b"# eqvec-equnits 2\n"
 _H_HELDOUT = "# eqvec-heldout 1"
 
 
@@ -70,8 +73,12 @@ def save_bundle(data: CorpusData, path: str) -> str:
     """Write the bundle atomically: temp dir next to the target, then rename.
 
     An existing target is replaced only if it is an empty directory or a
-    bundle; anything else raises ``FileExistsError`` before any write."""
+    bundle; anything else raises ``FileExistsError`` before any write.  So
+    does a document id the layout cannot hold, as ``BundleFormatError``."""
     path = os.path.abspath(path)
+    problem = next(filter(None, map(doc_id_problem, data.streams.doc_ids)), None)
+    if problem:
+        raise BundleFormatError(f"cannot save bundle {path}: {problem}")
     if os.path.lexists(path) and not _replaceable(path):
         raise FileExistsError(f"refusing to replace {path}: not an empty directory or an eqvec bundle")
     parent = os.path.dirname(path) or "."
@@ -128,25 +135,22 @@ def _write_files(data: CorpusData, root: str):
         with open(os.path.join(root, "units.tsv"), "w") as f:
             f.write(_H_UNITS + "\n")
 
-    streams = data.streams
-    codes, ptr = streams.codes.astype("<u4").tobytes(), (4 * streams.ptr).tolist()
+    streams, eq_units = data.streams, data.eq_units
+    id_block = "\n".join(streams.doc_ids).encode("utf-8")
     with open(os.path.join(root, "streams.bin"), "wb") as f:
-        f.write(_H_STREAMS)
-        f.write(struct.pack("<I", len(streams)))
-        for doc_id, lo, hi in zip(streams.doc_ids, ptr, ptr[1:]):
-            did = doc_id.encode("utf-8")
-            f.write(struct.pack("<H", len(did)) + did + struct.pack("<I", (hi - lo) // 4) + codes[lo:hi])
-
+        f.write(_H_STREAMS + _u32([len(streams), len(id_block)]) + id_block)
+        f.write(_u32(np.diff(streams.ptr)) + _u32(streams.codes))
     with open(os.path.join(root, "eq_units.bin"), "wb") as f:
-        f.write(_H_EQUNITS)
-        f.write(struct.pack("<I", len(data.eq_units)))
-        for eq_id, ids in data.eq_units.items():
-            f.write(struct.pack("<II", eq_id, len(ids)))
-            f.write(ids.astype("<i4").tobytes())
+        f.write(_H_EQUNITS + _u32([len(eq_units)]) + _u32(np.diff(eq_units.ptr)))
+        f.write(eq_units.ids.astype("<i4").tobytes())
 
     doc_ids = np.array(streams.doc_ids, dtype=object)
     _write_heldout(os.path.join(root, "heldout.valid.tsv"), data.heldout_valid, doc_ids)
     _write_heldout(os.path.join(root, "heldout.test.tsv"), data.heldout_test, doc_ids)
+
+
+def _u32(values) -> bytes:
+    return np.asarray(values).astype("<u4").tobytes()
 
 
 def _write_vocab(path: str, header: str, vocab: Vocabulary):
@@ -199,8 +203,11 @@ def load_query_files(path: str) -> QueryFiles:
     held-out files it never uses."""
     manifest = _read_manifest(path)
     stats = manifest["stats"]
+    stop_forms = manifest.get("word_stop_forms", [])
+    if not isinstance(stop_forms, list) or not all(map(isinstance, stop_forms, repeat(str))):
+        raise BundleFormatError(f"manifest of bundle {path}: word_stop_forms is not a list of strings")
     word_vocab = _read_vocab(os.path.join(path, "vocab.tsv"), _H_VOCAB, "word", stats.get("words"))
-    word_vocab.stop_forms = tuple(manifest.get("word_stop_forms", ()))
+    word_vocab.stop_forms = tuple(stop_forms)
     registry = _read_equations(os.path.join(path, "equations.tsv"), stats.get("equations"))
     eq_units = _read_eq_units(os.path.join(path, "eq_units.bin"), len(registry))
     return QueryFiles(manifest, word_vocab, registry, eq_units)
@@ -211,8 +218,8 @@ def load_bundle(path: str) -> CorpusData:
     query = load_query_files(path)
     manifest = query.manifest
     try:
-        params = IngestParams(**manifest["params"])
-    except TypeError as exc:  # a key IngestParams does not have, or one missing
+        params = IngestParams(**manifest["params"]).validate()
+    except (TypeError, ValueError) as exc:  # a key IngestParams does not have, or a bad value
         raise BundleFormatError(f"manifest of bundle {path}: {exc}") from None
     unit_vocab = None
     if manifest.get("has_units", True):
@@ -255,12 +262,11 @@ def _read_manifest(path: str) -> dict:
             manifest = json.load(f)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise BundleFormatError(f"corrupt manifest in bundle {path}: {exc}") from None
-    if (
-        not isinstance(manifest, dict)
-        or manifest.get("format") != "eqvec-bundle"
-        or manifest.get("version") != BUNDLE_VERSION
-    ):
-        raise BundleFormatError(f"not a version-{BUNDLE_VERSION} bundle: {path}")
+    if not isinstance(manifest, dict) or manifest.get("format") != "eqvec-bundle":
+        raise BundleFormatError(f"not an eqvec bundle: {path}")
+    if manifest.get("version") != BUNDLE_VERSION:
+        raise BundleFormatError(f"bundle {path} has format version {manifest.get('version')!r}, this eqvec reads "
+                                f"{BUNDLE_VERSION}: re-run `eqvec ingest` to rebuild it")
     if not isinstance(manifest.get("params"), dict) or not isinstance(manifest.get("stats"), dict):
         raise BundleFormatError(f"manifest of bundle {path} lacks params or stats")
     return manifest
@@ -329,9 +335,6 @@ def _check_unique(path: str, what: str, rows: list[str], index: dict[str, int], 
         raise BundleFormatError(f"{path}: {what} {repeated!r} is in more than one {row}")
 
 
-_U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
-_U32_MAX = 0xFFFFFFFF  # masks an int32 read back to the uint32 the writer wrote
 _CHECK_BLOCK = 1 << 16  # stream codes range-checked at a time
 
 
@@ -342,32 +345,41 @@ def _read_binary(path: str, header: bytes) -> bytes:
     return raw
 
 
-def _read_streams(path: str, n_words: int, n_equations: int) -> TokenStreams:
-    """The streams table: the record headers are walked with ``struct``, the
-    payloads joined into one byte string and read with one ``frombuffer``
-    and one ``astype``.  Each document must have one record."""
-    raw = _read_binary(path, _H_STREAMS)
-    at = memoryview(raw)
-    doc_ids, ptr, payloads = [], [0], []
-    try:
-        (n_docs,) = _U32.unpack_from(raw, len(_H_STREAMS))
-        pos = len(_H_STREAMS) + 4
-        for _ in range(n_docs):
-            (dlen,) = _U16.unpack_from(raw, pos)
-            doc_ids.append(raw[pos + 2 : pos + 2 + dlen].decode("utf-8"))
-            (n,) = _U32.unpack_from(raw, pos + 2 + dlen)
-            pos += 6 + dlen
-            ptr.append(ptr[-1] + n)
-            payloads.append(at[pos : pos + 4 * n])
-            pos += 4 * n
-    except (struct.error, ValueError) as exc:  # a read past the end, or a bad doc id
-        raise BundleFormatError(f"truncated or corrupt bundle file {path}: {exc}") from None
-    if pos > len(raw):
-        raise BundleFormatError(f"truncated or corrupt bundle file {path}: the last stream runs past the end")
-    if pos != len(raw):
+def _rows(path: str, raw: bytes, at: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(ptr, payload)`` of ``n`` rows stored from byte ``at`` on (which
+    lies past the end of a file cut short) as u32 ``lengths[n]``, then the
+    rows' 4-byte items to the end of the file.  One ``frombuffer`` reads
+    both; the payload is a read-only ``<u4`` view of the file."""
+    if len(raw) < at + 4 * n:
+        raise BundleFormatError(f"truncated bundle file {path}: {n} row lengths past the end")
+    words = np.frombuffer(raw, dtype="<u4", count=(len(raw) - at) // 4, offset=at)
+    ptr = np.concatenate(([0], np.cumsum(words[:n], dtype=np.int64)))
+    end = at + 4 * (n + int(ptr[-1]))
+    if len(raw) < end:
+        raise BundleFormatError(f"truncated bundle file {path}: its rows need {end} bytes, it has {len(raw)}")
+    if len(raw) > end:
         raise BundleFormatError(f"trailing bytes in bundle file: {path}")
-    _check_unique(path, "document", doc_ids, dict(zip(doc_ids, range(len(doc_ids)))), "record")
-    codes = np.frombuffer(b"".join(payloads), dtype="<u4").astype(np.uint32)
+    return ptr, words[n:]
+
+
+def _read_streams(path: str, n_words: int, n_equations: int) -> TokenStreams:
+    """The streams table: the document ids split from their block in one
+    call, the lengths and codes read as one array."""
+    raw = _read_binary(path, _H_STREAMS)
+    at = len(_H_STREAMS) + 8  # the id block
+    n_docs, id_bytes = (int.from_bytes(raw[i : i + 4], "little") for i in (at - 8, at - 4))
+    ptr, codes = _rows(path, raw, at + id_bytes, n_docs)
+    try:
+        text = raw[at : at + id_bytes].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BundleFormatError(f"corrupt bundle file {path}: {exc}") from None
+    doc_ids = text.split("\n") if text else []
+    if len(doc_ids) != n_docs:
+        raise BundleFormatError(f"corrupt bundle file {path}: {len(doc_ids)} document ids, {n_docs} documents")
+    if "" in doc_ids:
+        raise BundleFormatError(f"corrupt bundle file {path}: an empty document id")
+    _check_unique(path, "document", doc_ids, dict(zip(doc_ids, range(n_docs))), "record")
+    codes = codes.astype(np.uint32)
     for lo in range(0, len(codes), _CHECK_BLOCK):  # in blocks, so the masks stay small next to the corpus
         block = codes[lo : lo + _CHECK_BLOCK]
         eq = (block >= EQ_TAG) & (block < EQ_TAG + n_equations)
@@ -378,39 +390,18 @@ def _read_streams(path: str, n_words: int, n_equations: int) -> TokenStreams:
 
 
 def _read_eq_units(path: str, n_equations: int) -> EquationUnits:
-    """The equation -> units table.  The body is read as one array; only
-    the walk from one ``(eq_id, n)`` record header to the next runs per
-    equation.  The records must be one per equation, in id order."""
+    """The equation -> units table, row g for equation g; it must have one
+    row per equation of ``equations.tsv``."""
     raw = _read_binary(path, _H_EQUNITS)
-    body = len(raw) - len(_H_EQUNITS)
-    words = np.frombuffer(raw, dtype="<i4", count=body // 4, offset=len(_H_EQUNITS)).astype(np.int64)
-    at, heads, pos = memoryview(words), [], 1
-    try:
-        for _ in range(at[0] & _U32_MAX):
-            heads.append(pos)
-            pos += 2 + (at[pos + 1] & _U32_MAX)
-    except IndexError:  # a read past the end
-        raise BundleFormatError(f"truncated bundle file {path}: a record header past the end") from None
-    if pos > len(words):
-        raise BundleFormatError(f"truncated bundle file {path}: the last record runs past the end")
-    if pos != len(words) or body % 4:
-        raise BundleFormatError(f"trailing bytes in bundle file: {path}")
-    heads = np.array(heads, dtype=np.int64)
-    ids, sizes = words[heads] & _U32_MAX, words[heads + 1] & _U32_MAX
-    if ids.max(initial=-1) >= n_equations:
-        raise BundleFormatError(f"{path}: equation id {ids.max()} beyond the registry")
-    units = np.delete(words, np.concatenate(([0], heads, heads + 1)))  # the record count and headers
-    if units.min(initial=-1) < -1:
-        raise BundleFormatError(f"{path}: unit id {units[units < -1][0]} out of range (gaps are -1)")
-    records = np.bincount(ids, minlength=n_equations)
-    if (records > 1).any():
-        raise BundleFormatError(f"{path}: equation id {records.argmax()} has more than one record")
-    if len(ids) < n_equations:
-        raise BundleFormatError(f"{path}: equation {records.argmin()} has no record")
-    moved = np.flatnonzero(ids != np.arange(n_equations))
-    if moved.size:
-        raise BundleFormatError(f"{path}: record {moved[0]} is equation {ids[moved[0]]}, out of id order")
-    return EquationUnits(np.concatenate(([0], np.cumsum(sizes))), units)
+    at = len(_H_EQUNITS) + 4  # the lengths
+    n = int.from_bytes(raw[at - 4 : at], "little")
+    ptr, ids = _rows(path, raw, at, n)
+    if n != n_equations:
+        raise BundleFormatError(f"{path} holds {n} equations, equations.tsv {n_equations}")
+    ids = ids.view("<i4").astype(np.int64)
+    if ids.min(initial=-1) < -1:
+        raise BundleFormatError(f"{path}: unit id {ids[ids < -1][0]} out of range (gaps are -1)")
+    return EquationUnits(ptr, ids)
 
 
 def _read_heldout(path: str, split: str, streams: TokenStreams, n_words: int, n_equations: int) -> HeldOut:

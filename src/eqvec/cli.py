@@ -235,6 +235,7 @@ def cmd_train(args) -> int:
         print(f"error: bundle not found: {cfg.bundle_dir}", file=sys.stderr)
         return EXIT_USAGE
     _check_output(cfg.model_path)
+    _check_output(cfg.model_path + ".trace.jsonl")
     data = bundle_io.load_bundle(cfg.bundle_dir)
     mconfig = cfg.model
     t0 = time.perf_counter()

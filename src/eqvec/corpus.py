@@ -395,8 +395,8 @@ class IngestParams:
         for f in fields(self):
             v = getattr(self, f.name)
             low = 1 if f.name in _AT_LEAST_ONE else 0
-            if v < low:
-                raise ValueError(f"{f.name} must be >= {low}, got {v}")
+            if not isinstance(v, int) or v < low:
+                raise ValueError(f"{f.name} must be an integer >= {low}, got {v!r}")
         return self
 
 

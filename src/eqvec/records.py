@@ -5,17 +5,24 @@ They live apart from ``tex`` so that reading a bundle does not import it."""
 from dataclasses import dataclass
 
 
+def doc_id_problem(doc_id: str) -> str | None:
+    """Why a bundle, which writes doc ids as UTF-8 lines and in tab-separated rows, cannot hold ``doc_id``."""
+    if not doc_id:
+        return "doc_id must be non-empty"
+    if set("\t\n\r") & set(doc_id) or doc_id.encode("utf-8", "replace").decode() != doc_id:
+        return f"doc_id {doc_id!r} holds a tab or a line break, or is not valid UTF-8"
+    return None
+
+
 @dataclass(frozen=True)
 class RawDocument:
     doc_id: str
     source_text: str
 
     def __post_init__(self):
-        if not self.doc_id:
-            raise ValueError("doc_id must be non-empty")
-        # a bundle writes doc ids inside tab-separated rows, and as UTF-8
-        if set("\t\n\r") & set(self.doc_id) or self.doc_id.encode("utf-8", "replace").decode() != self.doc_id:
-            raise ValueError(f"doc_id {self.doc_id!r} holds a tab or a line break, or is not valid UTF-8")
+        problem = doc_id_problem(self.doc_id)
+        if problem:
+            raise ValueError(problem)
         if not self.source_text:
             raise ValueError(f"document {self.doc_id!r} has empty source text")
 

@@ -1,4 +1,3 @@
-import struct
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -90,23 +89,18 @@ def heldout_set(items, split: str = "validation") -> HeldOut:
                    [c for it in items for c in (it.target, *it.negatives)])
 
 
-def rewrite_eq_units(path: str, change):
-    """Rewrite an ``eq_units.bin`` with its list of records (each the bytes
-    of ``(eq_id, n)`` and n unit ids) passed through ``change``; the record
-    count follows the new list."""
+def drop_last_equation(path: str):
+    """Rewrite an ``eq_units.bin`` without its last row: a file whose
+    lengths and unit ids agree, holding one equation fewer than
+    ``equations.tsv``."""
     with open(path, "rb") as f:
         raw = f.read()
-    pos = raw.index(b"\n") + 1
-    header, records = raw[:pos], []
-    (count,) = struct.unpack_from("<I", raw, pos)
-    pos += 4
-    for _ in range(count):
-        end = pos + 8 + 4 * struct.unpack_from("<I", raw, pos + 4)[0]
-        records.append(raw[pos:end])
-        pos = end
-    records = change(records)
+    at = raw.index(b"\n") + 1
+    words = np.frombuffer(raw, dtype="<u4", offset=at)  # count n, lengths[n], unit ids
+    n = int(words[0])
+    kept = np.concatenate(([n - 1], words[1:n], words[1 + n : len(words) - int(words[n])]))
     with open(path, "wb") as f:
-        f.write(header + struct.pack("<I", len(records)) + b"".join(records))
+        f.write(raw[:at] + kept.astype("<u4").tobytes())
 
 
 def token_streams(rows) -> TokenStreams:

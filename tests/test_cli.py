@@ -28,7 +28,7 @@ from eqvec.model import EmbeddingTable, Model, ModelConfig
 from eqvec.modelfile import ModelFileError, load_model, save_model
 from eqvec.synthetic import planted_corpus, write_corpus
 
-from .conftest import rewrite_eq_units
+from .conftest import drop_last_equation
 
 
 @pytest.fixture(scope="module")
@@ -530,6 +530,19 @@ def test_path_of_the_wrong_kind_exits_2(case, planted_models, tiny_corpus, tmp_p
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_trace_path_a_directory_exits_2_before_the_fit(planted_models, tmp_path, capsys, monkeypatch):
+    from eqvec import training
+
+    monkeypatch.setattr(training, "train_model",
+                        lambda *a, **kw: pytest.fail("fitted before the trace path was checked"))
+    bundle, _, _ = planted_models
+    model = tmp_path / "m.eqv"
+    (tmp_path / "m.eqv.trace.jsonl").mkdir()
+    code, out, err = run(["train", "--bundle", bundle, "--model", str(model), "--mode", "word"], capsys)
+    assert code == 2 and out == "" and not model.exists()
+    assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1
+
+
 def test_eval_report_into_a_missing_directory(planted_models, tmp_path, capsys, monkeypatch):
     # the directory exists before the first fit, as for ``train --model``
     from eqvec import training
@@ -642,40 +655,21 @@ def _set_first_unit(value):
     def damage(path):
         with open(path, "rb") as f:
             raw = f.read()
-        record = raw.index(b"\n") + 1 + 4  # equation 0
-        eq_id, n_units = struct.unpack_from("<II", raw, record)
-        assert eq_id == 0 and n_units > 0
+        count = raw.index(b"\n") + 1
+        n_equations, n_units = struct.unpack_from("<II", raw, count)  # and the length of equation 0
+        assert n_units > 0
         with open(path, "r+b") as f:
-            f.seek(record + 8)
+            f.seek(count + 4 + 4 * n_equations)  # the first unit id of equation 0
             f.write(struct.pack("<i", value))
     return damage
-
-
-def _repeat_first_id(path):
-    with open(path, "rb") as f:
-        raw = f.read()
-    first = raw.index(b"\n") + 1 + 4
-    second = first + 8 + 4 * struct.unpack_from("<I", raw, first + 4)[0]
-    with open(path, "r+b") as f:
-        f.seek(second)
-        f.write(struct.pack("<I", 0))
-
-
-def _drop_second_record(path):
-    rewrite_eq_units(path, lambda records: records[:1] + records[2:])
-
-
-def _swap_first_records(path):
-    rewrite_eq_units(path, lambda records: [records[1], records[0], *records[2:]])
 
 
 @pytest.mark.parametrize("family", ["eq2eq", "eq2word", "word2eq"])
 @pytest.mark.parametrize(
     "damage, message",
-    [(_set_first_unit(-5), "unit id -5 out of range"), (_repeat_first_id, "equation id 0 has more than one record"),
-     (_drop_second_record, "equation 1 has no record"),
-     (_swap_first_records, "record 0 is equation 1, out of id order")],
-    ids=["unit_id_-5", "repeated_equation_id", "missing_record", "records_out_of_order"],
+    [(_set_first_unit(-5), "unit id -5 out of range"),
+     (drop_last_equation, "eq_units.bin holds 35 equations, equations.tsv 36")],
+    ids=["unit_id_-5", "missing_record"],
 )
 def test_bad_eq_units_record_exits_3(damage, message, family, planted_models, tmp_path, capsys):
     bundle, models, _ = planted_models
@@ -688,6 +682,52 @@ def test_bad_eq_units_record_exits_3(damage, message, family, planted_models, tm
         assert code == 3
         assert out == ""
         assert message in err and len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def _set_manifest(path, change):
+    with open(os.path.join(path, "manifest.json")) as f:
+        manifest = json.load(f)
+    change(manifest)
+    with open(os.path.join(path, "manifest.json"), "w") as f:
+        json.dump(manifest, f)
+
+
+@pytest.mark.parametrize(
+    "command, change, message",
+    [("query", lambda m: m.update(word_stop_forms=5), "word_stop_forms is not a list of strings"),
+     ("query", lambda m: m.update(word_stop_forms="abc"), "word_stop_forms is not a list of strings"),
+     ("query", lambda m: m.update(word_stop_forms=["a", 1]), "word_stop_forms is not a list of strings"),
+     ("train", lambda m: m["params"].update(min_tf="x"), "min_tf must be an integer >= 0, got 'x'"),
+     ("train", lambda m: m["params"].update(seed=-1), "seed must be an integer >= 0, got -1")],
+    ids=["stop_forms_int", "stop_forms_str", "stop_forms_not_str", "params_min_tf_str", "params_seed_negative"],
+)
+def test_malformed_manifest_field_exits_3(command, change, message, planted_models, tmp_path, capsys):
+    bundle, models, _ = planted_models
+    copy = str(tmp_path / "bundle")
+    shutil.copytree(bundle, copy)
+    _set_manifest(copy, change)
+    model = str(tmp_path / "m.eqv")
+    argv = {"query": ["query", "eq2eq", "--id", "0", "--model", models["unit"]],
+            "train": ["train", "--model", model, "--mode", "word", "--set", "max_epochs=1"]}[command]
+    code, out, err = run([*argv, "--bundle", copy], capsys)
+    assert code == 3 and out == "" and not os.path.exists(model)
+    assert message in err and len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_version_1_bundle_exits_3_naming_ingest(planted_models, tmp_path, capsys):
+    bundle, models, _ = planted_models
+    copy = str(tmp_path / "bundle")
+    shutil.copytree(bundle, copy)
+    _set_manifest(copy, lambda m: m.update(version=1))
+    model, report = str(tmp_path / "m.eqv"), str(tmp_path / "r.tsv")
+    for argv in (["query", "eq2eq", "--id", "0", "--model", models["unit"]],
+                 ["train", "--model", model, "--mode", "word", "--set", "max_epochs=1"],
+                 ["eval", "--report", report, *_ONE_ROW_GRID]):
+        code, out, err = run([*argv, "--bundle", copy], capsys)
+        assert code == 3 and out == "", argv
+        assert err.splitlines() == [
+            f"error: bundle {copy} has format version 1, this eqvec reads 2: re-run `eqvec ingest` to rebuild it"]
+    assert not os.path.exists(model) and not os.path.exists(report)
 
 
 def test_repeated_vocabulary_form_exits_3(planted_models, tmp_path, capsys):
@@ -716,8 +756,8 @@ def test_flipped_stream_code_exits_3(tiny_bundle, tmp_path, capsys):
     with open(path, "rb") as f:
         raw = bytearray(f.read())
     header = raw.index(b"\n") + 1
-    doc_id_len = int.from_bytes(raw[header + 4 : header + 6], "little")
-    first_code = header + 4 + 2 + doc_id_len + 4
+    n_docs, id_bytes = struct.unpack_from("<II", raw, header)
+    first_code = header + 8 + id_bytes + 4 * n_docs  # after the doc ids and the lengths
     assert int.from_bytes(raw[first_code : first_code + 4], "little") < 2**22  # a word id
     raw[first_code + 2] ^= 0x40  # bit 22 of the first code
     with open(path, "wb") as f:
@@ -831,16 +871,16 @@ def test_count_below_one_exits_3(name, count, message, tiny_bundle, tmp_path):
 
 
 def test_repeated_doc_id_in_streams_exits_3(tiny_bundle, tmp_path, capsys):
-    # one document's record renamed to another's: the streams file is at
-    # fault, not the held-out items that name the renamed document
+    # one document renamed to another: the streams file is at fault, not
+    # the held-out items that name the renamed document
     copy = str(tmp_path / "bundle")
     shutil.copytree(tiny_bundle, copy)
     path = os.path.join(copy, "streams.bin")
     with open(path, "rb") as f:
         raw = f.read()
-    assert raw.count(b"\x03\x00two") == 1  # the length-prefixed doc id
+    assert raw.count(b"one\nthree\ntwo") == 1  # the doc id block, in file name order
     with open(path, "wb") as f:
-        f.write(raw.replace(b"\x03\x00two", b"\x03\x00one"))
+        f.write(raw.replace(b"one\nthree\ntwo", b"one\nthree\none"))
     model = str(tmp_path / "m.eqv")
     code, out, err = run(["train", "--bundle", copy, "--model", model, "--set", "max_epochs=1"], capsys)
     assert code == 3 and out == "" and not os.path.exists(model)

@@ -7,6 +7,11 @@ Builds the planted corpus bundle and runs the CLI on it in-process:
   (``commented_corpus``), which the planted corpus has none of; and of a
   bundle that keeps only ``SINGLETON_SAMPLE`` of its singleton equations,
   so that the registry is compacted and renumbered;
+* each of those three bundles loaded back, table by table (``table/...``):
+  the streams' ``doc_ids``, ``ptr`` and ``codes``, the ``eq_units`` ``ptr``
+  and ``ids``, the registry, both vocabularies and every held-out column.
+  These digest content, not layout: a change to how a bundle file is laid
+  out changes its file digest and leaves its table digests equal;
 * ``eqvec train`` in five configurations (word, equation, unit-joint, unit
   two-pass, ``unit_context_mean``) at model seeds 4 and 1: the model file,
   and its ``.trace.jsonl`` with the two timing fields masked;
@@ -36,6 +41,8 @@ import re
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -106,9 +113,40 @@ def commented_corpus(docs):
     return out
 
 
+def _content(value) -> str:
+    """The digest of an array's dtype, shape and values, or of a JSON value."""
+    if isinstance(value, np.ndarray):
+        return _sha(f"{value.dtype.str} {value.shape}\n".encode() + np.ascontiguousarray(value).tobytes())
+    return _sha(json.dumps(value).encode())
+
+
+def _tables(data) -> dict:
+    """The tables of a loaded corpus by name."""
+    tables = {
+        "streams.doc_ids": data.streams.doc_ids,
+        "streams.ptr": data.streams.ptr,
+        "streams.codes": data.streams.codes,
+        "eq_units.ptr": data.eq_units.ptr,
+        "eq_units.ids": data.eq_units.ids,
+        "registry.latex": data.registry.latex,
+        "registry.counts": data.registry.counts,
+    }
+    for kind in ("word_vocab", "unit_vocab"):
+        vocab = getattr(data, kind)
+        tables[f"{kind}.forms"] = None if vocab is None else vocab.forms
+        tables[f"{kind}.freqs"] = None if vocab is None else vocab.freqs
+    tables["word_vocab.stop_forms"] = list(data.word_vocab.stop_forms)
+    for split in ("heldout_valid", "heldout_test"):
+        held = getattr(data, split)
+        tables.update({f"{split}.{c}": getattr(held, c) for c in held.COLUMNS})
+    return tables
+
+
 def _bundle_digests(data, bundle_dir: str, name: str) -> dict:
     bundle.save_bundle(data, bundle_dir)
-    return {f"bundle/{name}/{f}": _sha(Path(bundle_dir, f).read_bytes()) for f in sorted(os.listdir(bundle_dir))}
+    out = {f"bundle/{name}/{f}": _sha(Path(bundle_dir, f).read_bytes()) for f in sorted(os.listdir(bundle_dir))}
+    out.update({f"table/{name}/{t}": _content(v) for t, v in _tables(bundle.load_bundle(bundle_dir)).items()})
+    return out
 
 
 def digests(workdir: str, n_docs: int = 200, max_epochs: int | None = None) -> dict:
