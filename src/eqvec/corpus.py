@@ -2,16 +2,19 @@
 
 Per-document work (extraction + tokenization) is pure and safe to fan out
 to worker processes; everything order-sensitive is merged in doc_id order
-so parallel and serial ingestion produce identical corpora.
+so parallel and serial ingestion produce identical corpora.  After
+tokenization each word is touched once, in ``intern_words``: the word
+counts the vocabulary is selected from and the streams' codes are then
+array operations over its provisional ids.
 """
 
 import logging
 import operator
-from collections import Counter
+from collections import defaultdict
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from importlib import resources
-from itertools import repeat
+from itertools import count
 from typing import NamedTuple
 
 import numpy as np
@@ -63,7 +66,7 @@ def load_stopwords() -> frozenset[str]:
 
 
 def build_word_vocabulary(
-    token_lists,
+    counts: Mapping[str, int],
     stopwords,
     min_tf: int = 10,
     min_len: int = 4,
@@ -71,7 +74,8 @@ def build_word_vocabulary(
     abbrev_top: int = 50,
     extra_stop=(),
 ) -> Vocabulary:
-    """Word vocabulary under the frequency/length/stopword rules.
+    """Word vocabulary under the frequency/length/stopword rules, selected
+    from ``counts``, each word form's number of occurrences in the corpus.
 
     After removing fixed stopwords (and any ``extra_stop`` forms), the
     ``top_stop`` most frequent remaining forms are dropped as corpus stop
@@ -80,9 +84,6 @@ def build_word_vocabulary(
     the abbreviation exception.  Ids are dense, ordered by descending
     frequency then form.
     """
-    counts: Counter[str] = Counter()
-    for toks in token_lists:
-        counts.update(toks)
     if not counts:
         raise CorpusError("empty corpus")
     dropped = set(stopwords) | set(extra_stop)
@@ -208,33 +209,64 @@ class EquationUnits(Mapping):
         return np.concatenate(([0], np.cumsum(keep)))[self.ptr], self.ids[keep]
 
 
-def build_token_streams(doc_tokens, word_vocab: Vocabulary, doc_maps) -> TokenStreams:
-    """Map prepared documents to streams of word/equation/gap codes.
+class InternedWords(NamedTuple):
+    """Every document's stream before the word vocabulary is known.
+
+    Position j of the corpus holds the word ``forms[prov[j]]``, or an
+    equation slot where ``prov[j]`` is 0 (``forms[0]`` is "", which no word
+    is); the slots' codes are ``slot_codes``, in position order.  Document i
+    is ``doc_ids[i]`` and spans ``ptr[i]:ptr[i + 1]``.
+    """
+
+    forms: list[str]
+    prov: np.ndarray  # int32 provisional word ids
+    doc_ids: list[str]
+    ptr: list[int]
+    slot_codes: list[int]
+
+    def counts(self) -> dict[str, int]:
+        """Each word form's number of occurrences."""
+        return dict(zip(self.forms[1:], np.bincount(self.prov, minlength=len(self.forms))[1:].tolist()))
+
+    def encode(self, word_vocab: Vocabulary) -> TokenStreams:
+        """The streams of word/equation/gap codes under ``word_vocab``: a
+        word out of it becomes a gap that holds its position but never
+        enters a context window."""
+        index, gap = word_vocab.index, int(GAP)
+        remap = np.array([index.get(f, gap) for f in self.forms], dtype=np.uint32)
+        codes = remap[self.prov]
+        codes[self.prov == 0] = self.slot_codes
+        return TokenStreams(self.doc_ids, self.ptr, codes)
+
+
+def intern_words(doc_tokens, doc_maps) -> InternedWords:
+    """Number the word forms of prepared documents in one pass over their words.
 
     ``doc_tokens`` holds ``(doc_id, pieces, slots)``: the word lists of a
     document's prose pieces and, between consecutive pieces, the
-    document-local id of the equation in that slot.  Every in-vocabulary
-    word becomes its id, every other word a gap that holds its position
-    but never enters a context window.  A slot becomes its tagged global
+    document-local id of the equation in that slot.  A word form's id is
+    the order of its first occurrence.  A slot's code is its tagged global
     equation id, or a gap when ``doc_maps`` maps it to None (an equation
     dropped by singleton sampling); a slot naming no equation of its
     document is an error.
     """
-    lookup = word_vocab.index.get
+    ids = defaultdict(count(1).__next__, {"": 0})  # id 0 marks a slot
     gap = int(GAP)
-    doc_ids, ptr, codes = [], [0], []
+    words, slot_codes, doc_ids, ptr = [], [], [], [0]
     for doc_id, pieces, slots in doc_tokens:
         mapping = doc_maps.get(doc_id, {})
-        codes += map(lookup, pieces[0], repeat(gap))
-        for local, words in zip(slots, pieces[1:], strict=True):
+        words += pieces[0]
+        for local, piece in zip(slots, pieces[1:], strict=True):
             if local not in mapping:
                 raise CorpusError(f"{doc_id}: equation slot {local} names no equation of the document")
             gid = mapping[local]
-            codes.append(gap if gid is None else encode_equation(gid))
-            codes += map(lookup, words, repeat(gap))
+            slot_codes.append(gap if gid is None else encode_equation(gid))
+            words.append("")
+            words += piece
         doc_ids.append(doc_id)
-        ptr.append(len(codes))
-    return TokenStreams(doc_ids, ptr, np.array(codes, dtype=np.uint32))
+        ptr.append(len(words))
+    prov = np.fromiter(map(ids.__getitem__, words), dtype=np.int32, count=len(words))
+    return InternedWords(list(ids), prov, doc_ids, ptr, slot_codes)
 
 
 # --- held-out sets ------------------------------------------------------------
@@ -455,20 +487,19 @@ def ingest_corpus(docs: list[RawDocument], params: IngestParams, stopwords=None)
 
     registry, doc_maps = build_equation_registry([(d, r) for d, _, _, r, _ in prepared])
     keep = _sample_singletons(registry, params)
+    if keep is not None:  # before interning: slot codes name the compacted ids
+        doc_maps, registry = _compact_registry(registry, doc_maps, keep)
 
+    words = intern_words([(d, pieces, slots) for d, pieces, slots, _, _ in prepared], doc_maps)
     word_vocab = build_word_vocabulary(
-        (words for _, pieces, _, _, _ in prepared for words in pieces),
+        words.counts(),
         stopwords,
         min_tf=params.min_tf,
         min_len=params.min_len,
         top_stop=params.top_stop,
         abbrev_top=params.abbrev_top,
     )
-    if keep is not None:
-        doc_maps, registry = _compact_registry(registry, doc_maps, keep)
-    streams = build_token_streams(
-        [(d, pieces, slots) for d, pieces, slots, _, _ in prepared], word_vocab, doc_maps
-    )
+    streams = words.encode(word_vocab)
 
     sequences = {
         g: slt.tokenize_equation(latex, symbol_window=params.symbol_window)

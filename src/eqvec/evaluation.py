@@ -8,6 +8,7 @@ averaged log complements of the negatives (drives model comparison).
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -101,7 +102,8 @@ def _predictive(z, model: Model) -> list:
 def _pseudo(z, model: Model) -> list:
     p = np.clip(_softmax(z) if model.config.pseudo_likelihood == "softmax" else sigmoid(z), LOG_EPS, 1.0 - LOG_EPS)
     n = z.shape[1] - 1
-    return [math.log(r[0]) + (math.fsum(math.log1p(-x) for x in r[1:]) / n if n else 0.0) for r in p.tolist()]
+    return [math.log(r[0]) + (math.fsum(map(math.log1p, map(operator.neg, r[1:]))) / n if n else 0.0)
+            for r in p.tolist()]
 
 
 def _scores(held, model: Model, score) -> list:

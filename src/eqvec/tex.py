@@ -151,6 +151,9 @@ def _extract(doc: RawDocument):
 # later one.
 
 _INLINE_OPEN = re.compile(r"\$|\\\(")
+# Where "$" is the only opener, each span ends at the next "$" and a lone
+# last "$" stays: what the scan in ``_drop_inline_math`` does, in one pass.
+_DOLLAR_SPAN = re.compile(r"\$[^$]*\$")
 # Commands whose braced argument is reference noise, not prose: the name,
 # then an optional [...] argument, then one or more {...} groups without
 # nested braces.
@@ -196,6 +199,8 @@ def tokenize_words(prose_text: str) -> list[str]:
 def _drop_inline_math(text: str) -> str:
     """Replace each ``$...$`` and ``\\(...\\)`` span with a space; an opener
     with no closer after it stays in the text."""
+    if "\\(" not in text:
+        return _DOLLAR_SPAN.sub(" ", text)
     m = _INLINE_OPEN.search(text)
     if m is None:
         return text

@@ -273,6 +273,8 @@ def sgd_block(stacked, plan: PassPlan, lo: int, hi: int, negatives, lr: float) -
     v0, v1 = vec
     take, exp, add, multiply, divide, subtract, sqrt = (
         stacked[0].take, np.exp, np.add, np.multiply, np.divide, np.subtract, np.sqrt)
+    # 0-d operands: a ufunc converts a Python float on every call
+    one, minus_one, rate = np.array(1.0), np.array(-1.0), np.array(lr, dtype=f8)
     steps = zip(
         gptr[:-1].tolist(), gptr[1:].tolist(), nt.tolist(), eptr.tolist(),
         cptr[:-1].tolist(), cptr[1:].tolist(), uptr[:-1].tolist(), uptr[1:].tolist(), dptr.tolist(),
@@ -284,8 +286,8 @@ def sgd_block(stacked, plan: PassPlan, lo: int, hi: int, negatives, lr: float) -
         e = coef[e0 : e0 + t]
         r.dot(v0, e)
         exp(e, e)
-        add(e, 1.0, e)
-        divide(-1.0, e, e)
+        add(e, one, e)
+        divide(minus_one, e, e)
         b0[i] = e[0]
         if d0 >= 0:  # before the target's +1, so a negative equal to it stays exact
             multiply(e, draws[d0 : d0 + t], e)
@@ -298,7 +300,7 @@ def sgd_block(stacked, plan: PassPlan, lo: int, hi: int, negatives, lr: float) -
         g2 = multiply(g, g)
         add(a, g2, a)
         sqrt(a, g2)
-        multiply(g, lr, g)
+        multiply(g, rate, g)
         divide(g, g2, g)
         subtract(p, g, p)
         pv[rows] = zp

@@ -11,10 +11,12 @@
   ``Registry.add`` through a LaTeX -> id dict; singleton sampling as sets
   of ids, and compaction by re-adding the kept records.
 * ``build_token_streams`` with one ``TokenStream`` and one array per
-  document.
+  document, and one vocabulary lookup per word.
 
-``eqvec.corpus`` builds the registry and the streams as columns and must
-give equal LaTeX, counts, document maps, doc ids and codes.
+``eqvec.corpus`` builds the registry as columns and the streams from one
+pass over the words (``intern_words``), and must give equal LaTeX, counts,
+document maps, doc ids and codes; the word counts of that pass must equal
+a ``Counter`` over the words.
 """
 
 from dataclasses import dataclass, field

@@ -1,5 +1,7 @@
 """Vocabulary rules, token streams, held-out construction."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,10 +15,10 @@ from eqvec.corpus import (
     IngestParams,
     build_equation_registry,
     build_heldout,
-    build_token_streams,
     build_word_vocabulary,
     encode_equation,
     ingest_corpus,
+    intern_words,
     load_stopwords,
 )
 from eqvec.records import EquationRecord
@@ -29,44 +31,41 @@ from .reference_corpus import build_heldout as reference_build_heldout
 STOPS = frozenset({"the", "of", "a", "and"})
 
 
-def toks(*groups):
-    out = []
-    for word, n in groups:
-        out.extend([word] * n)
-    return [out]
+def word_counts(*groups):
+    return Counter(dict(groups))
 
 
 def test_inclusion_by_frequency_and_length():
-    lists = toks(("model", 500), ("tiny", 9), ("of", 900))
-    vocab = build_word_vocabulary(lists, STOPS, top_stop=0)
+    counts = word_counts(("model", 500), ("tiny", 9), ("of", 900))
+    vocab = build_word_vocabulary(counts, STOPS, top_stop=0)
     assert "model" in vocab
     assert "tiny" not in vocab  # below min_tf
     assert "of" not in vocab  # stopword
 
 
 def test_stopword_always_excluded():
-    lists = toks(("the", 10000), ("model", 50))
-    vocab = build_word_vocabulary(lists, STOPS, top_stop=0)
+    counts = word_counts(("the", 10000), ("model", 50))
+    vocab = build_word_vocabulary(counts, STOPS, top_stop=0)
     assert "the" not in vocab and "model" in vocab
 
 
 def test_top_frequency_stop_list():
-    lists = toks(("alpha", 100), ("beta", 90), ("gamma", 80), ("delta", 70))
-    vocab = build_word_vocabulary(lists, STOPS, top_stop=2)
+    counts = word_counts(("alpha", 100), ("beta", 90), ("gamma", 80), ("delta", 70))
+    vocab = build_word_vocabulary(counts, STOPS, top_stop=2)
     assert vocab.stop_forms == ("alpha", "beta")
     assert set(vocab.forms) == {"gamma", "delta"}
 
 
 def test_three_char_abbreviation_exception():
-    lists = toks(*[(f"word{i:02d}", 200) for i in range(30)], ("lda", 40), ("svm", 12), ("xy", 99))
-    vocab = build_word_vocabulary(lists, STOPS, top_stop=0, abbrev_top=50)
+    counts = word_counts(*[(f"word{i:02d}", 200) for i in range(30)], ("lda", 40), ("svm", 12), ("xy", 99))
+    vocab = build_word_vocabulary(counts, STOPS, top_stop=0, abbrev_top=50)
     assert "lda" in vocab and "svm" in vocab  # top-50 3-char forms
     assert "xy" not in vocab  # length 2 has no exception
 
 
 def test_abbrev_cap_applies():
     three = [(f"a{i:02d}", 20 + i) for i in range(60)]  # sixty 3-char forms
-    vocab = build_word_vocabulary(toks(*three), STOPS, top_stop=0, abbrev_top=50)
+    vocab = build_word_vocabulary(word_counts(*three), STOPS, top_stop=0, abbrev_top=50)
     assert len(vocab) == 50
     assert "a59" in vocab and "a09" not in vocab  # lowest-frequency ten dropped
 
@@ -74,8 +73,7 @@ def test_abbrev_cap_applies():
 def test_word_vocab_invariants_hold():
     rng = np.random.default_rng(0)
     words = [f"w{i}{'x' * int(rng.integers(0, 6))}" for i in range(60)]
-    lists = [list(rng.choice(words, size=3000))]
-    vocab = build_word_vocabulary(lists, STOPS)
+    vocab = build_word_vocabulary(Counter(rng.choice(words, size=3000).tolist()), STOPS)
     stops = load_stopwords()
     for form, freq in zip(vocab.forms, vocab.freqs):
         assert freq >= 10
@@ -88,7 +86,7 @@ def test_word_vocab_invariants_hold():
 
 def test_empty_corpus_raises():
     with pytest.raises(CorpusError, match="empty corpus"):
-        build_word_vocabulary([[]], STOPS)
+        build_word_vocabulary(Counter(), STOPS)
 
 
 def test_refilter_with_fixed_stop_set_is_idempotent():
@@ -97,9 +95,9 @@ def test_refilter_with_fixed_stop_set_is_idempotent():
     rng = np.random.default_rng(1)
     words = [f"word{i:03d}" for i in range(80)]
     weights = rng.random(80) + 0.05
-    lists = [list(rng.choice(words, size=6000, p=weights / weights.sum()))]
-    v1 = build_word_vocabulary(lists, STOPS)
-    filtered = [[t for t in lists[0] if t in v1.index]]
+    tokens = rng.choice(words, size=6000, p=weights / weights.sum()).tolist()
+    v1 = build_word_vocabulary(Counter(tokens), STOPS)
+    filtered = Counter(t for t in tokens if t in v1.index)
     v2 = build_word_vocabulary(filtered, STOPS, extra_stop=v1.stop_forms, top_stop=0)
     assert v1.forms == v2.forms
     assert np.array_equal(v1.freqs, v2.freqs)
@@ -109,13 +107,17 @@ def test_vocabulary_filter_restriction_idempotent():
     rng = np.random.default_rng(2)
     words = [f"word{i:03d}" for i in range(50)]
     stream = list(rng.choice(words, size=4000))
-    v1 = build_word_vocabulary([stream], STOPS)
+    v1 = build_word_vocabulary(Counter(stream), STOPS)
     once = [t for t in stream if t in v1.index]
     twice = [t for t in once if t in v1.index]
     assert once == twice
 
 
 # --- token streams -----------------------------------------------------------
+
+
+def _streams(doc_tokens, vocab, doc_maps):
+    return intern_words(doc_tokens, doc_maps).encode(vocab)
 
 
 def _mini_vocab():
@@ -129,7 +131,7 @@ def _mini_vocab():
 def test_stream_mapping():
     vocab = _mini_vocab()
     doc_maps = {"d": {7: 3}}
-    streams = build_token_streams(
+    streams = _streams(
         [("d", [["the", "model"], []], [7])], vocab, doc_maps
     )
     codes = streams[0].codes
@@ -140,14 +142,14 @@ def test_stream_mapping():
 
 def test_all_gap_document():
     vocab = _mini_vocab()
-    streams = build_token_streams([("d", [["zz", "qq"]], [])], vocab, {})
+    streams = _streams([("d", [["zz", "qq"]], [])], vocab, {})
     assert (streams[0].codes == GAP).all()
 
 
 def test_dropped_equation_slot_is_gap():
     # _compact_registry maps the local ids of sampled-out equations to None
     vocab = _mini_vocab()
-    streams = build_token_streams(
+    streams = _streams(
         [("d", [["model"], [], ["layer"]], [0, 1])], vocab, {"d": {0: None, 1: 4}}
     )
     assert list(streams[0].codes) == [vocab.index["model"], GAP, encode_equation(4),
@@ -157,7 +159,7 @@ def test_dropped_equation_slot_is_gap():
 def test_unknown_placeholder_is_error():
     vocab = _mini_vocab()
     with pytest.raises(CorpusError, match="equation slot 9"):
-        build_token_streams([("d", [[], []], [9])], vocab, {"d": {}})
+        _streams([("d", [[], []], [9])], vocab, {"d": {}})
 
 
 def test_token_streams_are_a_read_only_sequence_of_views():
@@ -189,7 +191,11 @@ def test_registry_rows_are_built_from_its_columns():
 
 
 _LATEX = st.integers(0, 11).map(lambda i: f"x_{{{i}}}")
-_WORD = st.sampled_from(["model", "layer", "zz", "qq"])
+_WORD = st.sampled_from(["model", "layer", "lda", "the", "zz", "qq"])
+# Small enough that the drawn corpora keep some forms, drop others as too
+# rare, too short, a stopword or a frequency stop form, and hold documents
+# with no word in the vocabulary.
+_SELECT = {"min_tf": 2, "min_len": 4, "top_stop": 1, "abbrev_top": 1}
 
 
 @st.composite
@@ -212,21 +218,36 @@ def _prepared_docs(draw):
 @given(_prepared_docs(), st.integers(0, 3), st.integers(0, 2**32 - 1))
 @example(([("d0", [EquationRecord(0, "a", 1), EquationRecord(1, "b", 1)]), ("d1", [EquationRecord(0, "x + y", 1)])],
           [("d0", [["model"], [], ["zz"]], [0, 1]), ("d1", [[], ["layer"]], [0])]), 1, 0)
+@example(([("d0", [EquationRecord(0, "a", 1), EquationRecord(1, "b", 1)]), ("d1", [EquationRecord(0, "c", 1)])],
+          [("d0", [["model", "model", "layer"], ["lda"], ["zz", "layer", "lda", "model"]], [0, 1]),
+           ("d1", [["zz", "the"], ["qq"]], [0])]), 1, 3)  # d1 holds no vocabulary word
 def test_columnar_registry_and_streams_match_per_record_oracles(prepared, singleton_sample, seed):
-    # registry, singleton sampling, compaction and streams, as ingest runs them
+    # registry, singleton sampling and compaction, then the vocabulary and
+    # the streams from one pass over the words, as ingest runs them
     doc_records, doc_tokens = prepared
-    vocab = _mini_vocab()
     registry, doc_maps = build_equation_registry(doc_records)
     keep = corpus._sample_singletons(registry, IngestParams(singleton_sample=singleton_sample, seed=seed))
     if keep is not None:
         doc_maps, registry = corpus._compact_registry(registry, doc_maps, keep)
-    streams = build_token_streams(doc_tokens, vocab, doc_maps)
+    words = intern_words(doc_tokens, doc_maps)
 
     want, want_maps = reference_corpus.build_equation_registry(doc_records)
     dropped = reference_corpus.sample_singletons(want, singleton_sample, seed)
     assert (keep is None) == (not dropped)
     if dropped:
         want_maps, want = reference_corpus.compact_registry(want, want_maps, dropped)
+    want_counts = Counter(w for _, pieces, _ in doc_tokens for piece in pieces for w in piece)
+    assert words.counts() == want_counts
+    if want_counts:
+        vocab = build_word_vocabulary(words.counts(), STOPS, **_SELECT)
+        want_vocab = build_word_vocabulary(want_counts, STOPS, **_SELECT)
+        assert vocab.forms == want_vocab.forms and vocab.stop_forms == want_vocab.stop_forms
+        assert vocab.freqs.tolist() == want_vocab.freqs.tolist()
+    else:
+        with pytest.raises(CorpusError, match="empty corpus"):
+            build_word_vocabulary(words.counts(), STOPS, **_SELECT)
+        vocab = _mini_vocab()
+    streams = words.encode(vocab)
     want_streams = reference_corpus.build_token_streams(doc_tokens, vocab, want_maps)
 
     assert registry.latex == [r.latex for r in want.records]
@@ -248,7 +269,7 @@ def test_window_classes_word_vs_equation_context():
     from .conftest import corpus_from_streams, plan_positions
 
     vocab = _mini_vocab()
-    streams = build_token_streams(
+    streams = _streams(
         [("d", [["model", "layer"], []], [0])], vocab, {"d": {0: 7}}
     )
     data = corpus_from_streams(streams, len(vocab), n_equations=8)

@@ -21,11 +21,12 @@ def test_two_runs_agree_and_compare_lists_a_change(tmp_path, capsys):
     assert {f"model/{c}" for c in configs} <= a.keys()
     assert {f"trace/{c}" for c in configs} <= a.keys()
     assert "eval/seed4" in a and any(k.startswith("query/") for k in a)
-    assert a["bundle/planted/streams.bin"] != a["bundle/commented/streams.bin"]
+    assert a["bundle/planted/streams.bin"] != a["bundle/commented/streams.bin"] != a["bundle/inline/streams.bin"]
     for table in ("streams.doc_ids", "streams.ptr", "streams.codes", "eq_units.ptr", "eq_units.ids",
                   "registry.latex", "word_vocab.forms", "unit_vocab.forms", "heldout_test.cand"):
-        assert {f"table/{b}/{table}" for b in ("planted", "commented", "sampled")} <= a.keys()
+        assert {f"table/{b}/{table}" for b in ("planted", "commented", "inline", "sampled")} <= a.keys()
     assert a["table/planted/streams.codes"] != a["table/commented/streams.codes"]
+    assert a["table/planted/streams.codes"] != a["table/inline/streams.codes"]
     assert a["table/planted/registry.latex"] != a["table/sampled/registry.latex"]
     assert len(set(a[f"model/{c}"] for c in configs)) == len(configs)
 

@@ -278,6 +278,9 @@ _PROSE = [
 @example(["\\cite[", "\\ref{", "a", "}", "]{", "bc", "}", "a"])  # a command inside [...]
 @example(["\\(", "a", "\\(", "bc", "\\)", "$", "a", "\\begin{", "a"])
 @example(["Word", "-", "\u212a", "a-", "-b", "\u0130", "--", "\u00e9", "bc", "p-value", "-"])
+@example(["a", "$", "bc", "$", "a", "$", "bc"])  # "$" the only opener, a lone last "$" stays
+@example(["$", "$", "a", "$"])  # an empty span, then a lone "$"
+@example(["$", "a", "\\)", "$", "bc", "$"])  # a "$" span holding "\)", then a lone "$"
 def test_tokenize_words_matches_regex_reference(parts):
     text = "".join(parts)
     assert tokenize_words(text) == reference_tokenize_words(text)
@@ -287,11 +290,12 @@ def test_tokenize_words_matches_regex_reference(parts):
     "make",
     [
         lambda n: " ".join(f"\\( x_{i} word" for i in range(n)),
+        lambda n: " ".join(f"$ x_{i} word" for i in range(n)) + " $ tail",  # n + 1 "$", n even
         lambda n: " ".join(f"\\cite[ p{i} word" for i in range(n)),
         lambda n: " ".join(f"\\cite[ p{i} word" for i in range(n)) + " ]{" + " word" * n,
         lambda n: " ".join(f"\\begin{{ x{i} word" for i in range(n)),
     ],
-    ids=["unclosed_parens", "cite_without_bracket", "cite_shared_bracket", "unclosed_begin"],
+    ids=["unclosed_parens", "odd_dollars", "cite_without_bracket", "cite_shared_bracket", "unclosed_begin"],
 )
 def test_tokenize_time_is_linear(make):
     # the regex tokenizer takes about 0.25 s (parens) and 0.05 s (the others)

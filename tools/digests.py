@@ -4,10 +4,13 @@ Builds the planted corpus bundle and runs the CLI on it in-process:
 
 * every file of the bundle; of a bundle of the same corpus with ``%``
   comments, ``\\%`` escapes and hyphenated words written into its prose
-  (``commented_corpus``), which the planted corpus has none of; and of a
+  (``commented_corpus``), which the planted corpus has none of; of one
+  with inline math the planted corpus lacks (``inline_math_corpus``:
+  ``\\(...\\)`` spans, a ``$`` span holding ``\\)``, an unclosed ``\\(``
+  and a lone ``$``, in pieces with and without a ``\\(``); and of a
   bundle that keeps only ``SINGLETON_SAMPLE`` of its singleton equations,
   so that the registry is compacted and renumbered;
-* each of those three bundles loaded back, table by table (``table/...``):
+* each of those four bundles loaded back, table by table (``table/...``):
   the streams' ``doc_ids``, ``ptr`` and ``codes``, the ``eq_units`` ``ptr``
   and ``ids``, the registry, both vocabularies and every held-out column.
   These digest content, not layout: a change to how a bundle file is laid
@@ -113,6 +116,34 @@ def commented_corpus(docs):
     return out
 
 
+# Written into the prose lines of the even documents in turn and into
+# every prose line of the odd ones: two closed \(...\) spans, and a $...$
+# span that holds "\)", so that the odd documents' pieces hold "$" as the
+# only opener.  Before \end{document}, in the last piece of prose, an
+# unclosed "\(" (even documents) and a lone "$" follow.
+_PAREN_SPANS = " Then \\(q_{{{}}}\\) holds for \\(r\\) here."
+_DOLLAR_PAREN = " Here $a \\) b_{{{}}}$ stays closed."
+_TAILS = ("An open \\( paren and a lone $ sign end the text.\n", "A lone $ sign ends the text.\n")
+
+
+def inline_math_corpus(docs):
+    """``docs`` with inline math written into their prose: ``\\(...\\)``
+    spans, which the planted corpus has none of, a ``$`` span holding
+    ``\\)``, an unclosed ``\\(`` and a lone ``$``."""
+    out = []
+    for d, doc in enumerate(docs):
+        lines, j = [], 0
+        for line in doc.source_text.split("\n"):
+            if line.endswith("."):
+                line += (_PAREN_SPANS if d % 2 == j % 2 == 0 else _DOLLAR_PAREN).format(j)
+                j += 1
+            lines.append(line)
+        text = "\n".join(lines)
+        end = text.rindex("\\end{document}")
+        out.append(RawDocument(doc.doc_id, text[:end] + _TAILS[d % 2] + text[end:]))
+    return out
+
+
 def _content(value) -> str:
     """The digest of an array's dtype, shape and values, or of a JSON value."""
     if isinstance(value, np.ndarray):
@@ -155,6 +186,8 @@ def digests(workdir: str, n_docs: int = 200, max_epochs: int | None = None) -> d
     docs = planted_corpus(n_docs=n_docs, seed=CORPUS_SEED).documents
     commented = ingest_corpus(commented_corpus(docs), IngestParams(seed=INGEST_SEED))
     out = _bundle_digests(commented, os.path.join(workdir, "commented"), "commented")
+    inline = ingest_corpus(inline_math_corpus(docs), IngestParams(seed=INGEST_SEED))
+    out.update(_bundle_digests(inline, os.path.join(workdir, "inline"), "inline"))
     data = ingest_corpus(docs, IngestParams(seed=INGEST_SEED))
     sampled = ingest_corpus(docs, IngestParams(seed=INGEST_SEED, singleton_sample=SINGLETON_SAMPLE))
     if sampled.n_equations == data.n_equations:
