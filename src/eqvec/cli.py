@@ -248,10 +248,7 @@ def cmd_train(args) -> int:
         return EXIT_RUNTIME
     modelfile.save_model(model, cfg.model_path)
     _write_trace(cfg.model_path, records)
-    passes = {}
-    for r in records:
-        passes[r.pass_name] = r.epoch
-    epochs = ", ".join(f"{p}={e}" for p, e in passes.items())
+    epochs = ", ".join(f"{p}={e}" for p, e in training.epochs_per_pass(records).items())
     print(
         f"trained mode={cfg.mode} k={mconfig.k} epochs[{epochs}] "
         f"in {time.perf_counter() - t0:.1f}s -> {cfg.model_path}"
@@ -294,10 +291,11 @@ def cmd_eval(args) -> int:
         + json.dumps(dataclasses.asdict(base), sort_keys=True)
     ]
     lines.append("mode\tk\tword_window\teq_window\tvalid_pseudo_ll\ttest_pseudo_ll\tepochs\tselected")
+    word_fits = {k: {} for k in dims}  # per k, each word window's word pass, shared across modes
     for mode in modes:
         for k in dims:
             rows, best = evaluation.grid_select(
-                data, dataclasses.replace(base, k=k), mode, wws, ews
+                data, dataclasses.replace(base, k=k), mode, wws, ews, word_fits[k]
             )
             for r in rows:
                 lines.append(

@@ -176,15 +176,26 @@ def window_grid(word_windows=(4, 8, 16), eq_windows=(8, 16)):
     return [(w, e) for w in word_windows for e in eq_windows if e >= w]
 
 
-def grid_select(data, base_config: ModelConfig, mode: str, word_windows=(4, 8, 16), eq_windows=(8, 16)):
+def grid_select(data, base_config: ModelConfig, mode: str, word_windows=(4, 8, 16), eq_windows=(8, 16),
+                word_fits=None):
     """Train one model per window combination and pick the validation-best.
 
     Returns ``(rows, best_row)``; single-run failures are recorded on their
     row and the grid continues.  Word-only models ignore the equation
     window, so their grid collapses to the word windows alone.
-    """
-    from .training import train_model
 
+    ``word_fits`` maps a word window W to the ``(model, records)`` of a
+    successful fit with a word pass at W, on ``data`` at ``base_config``:
+    a fit with a word pass starts from the map's fit at its W, if any, and
+    is added to the map otherwise, so each distinct word pass is fitted
+    once.  Pass one map to every call that shares ``data`` and
+    ``base_config`` (any mode).  A failed fit is not added, so the next
+    row at its W fits the word pass again.
+    """
+    from .training import epochs_per_pass, train_model
+
+    word_fits = {} if word_fits is None else word_fits
+    has_word_pass = not (mode == "unit" and base_config.unit_joint)
     if mode == "word":
         combos = [(w, max(w, min(eq_windows))) for w in sorted(set(word_windows))]
     else:
@@ -194,13 +205,12 @@ def grid_select(data, base_config: ModelConfig, mode: str, word_windows=(4, 8, 1
         cfg = replace(base_config, word_window=w, eq_window=e)
         try:
             cfg.validate()
-            fitted, records = train_model(data, cfg, mode)
+            fitted, records = train_model(data, cfg, mode, word=word_fits.get(w) if has_word_pass else None)
+            if has_word_pass:
+                word_fits.setdefault(w, (fitted, records))
             valid = evaluate_split(data.heldout_valid, fitted, "validation")
             test = evaluate_split(data.heldout_test, fitted, "test")
-            epochs = "+".join(
-                str(max(r.epoch for r in records if r.pass_name == p))
-                for p in dict.fromkeys(r.pass_name for r in records)
-            )
+            epochs = "+".join(map(str, epochs_per_pass(records).values()))
             rows.append(
                 GridRow(mode, cfg.k, w, e, valid.mean_pseudo_ll, test.mean_pseudo_ll, epochs)
             )

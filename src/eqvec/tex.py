@@ -43,23 +43,33 @@ def normalize_equation(latex: str) -> str:
     return _WS_RUN.sub(" ", latex).strip()
 
 
+# Text a row split passes over: no brace and no backslash pair; any other
+# escape, ``\{`` and ``\}`` included, is taken whole.  Written as
+# ``normal* (escape normal*)*`` so that it matches in only one way.
+_ROW_TEXT = r"[^\\{}]*(?:\\[^\\][^\\{}]*)*"
+# One match per mark the split acts on (a backslash pair, a brace, or the
+# end after an optional lone backslash), with the text before it consumed
+# in the same match, brace groups of such text included: a group that
+# closes leaves the depth as it was.  A group that does not close fails in
+# time linear in its text, and its ``{`` is the mark.
+_ROW_MARK = re.compile(_ROW_TEXT + r"(?:\{" + _ROW_TEXT + r"\}" + _ROW_TEXT + r")*(\\\\|[{}]|\\?\Z)")
+
+
 def _split_rows(content: str) -> list[str]:
-    """Split a multi-line environment body on top-level ``\\\\`` separators."""
-    rows, depth, start, i = [], 0, 0, 0
-    while i < len(content):
-        ch = content[i]
-        if ch == "{":
+    """Split a multi-line environment body on top-level ``\\\\`` separators.
+
+    Braces nest (a stray ``}`` at depth 0 is ignored); an escaped character
+    is skipped, so ``\\}`` does not close a group."""
+    rows, depth, start = [], 0, 0
+    for m in _ROW_MARK.finditer(content):
+        mark = m.group(1)
+        if mark == "{":
             depth += 1
-        elif ch == "}":
+        elif mark == "}":
             depth = max(0, depth - 1)
-        elif ch == "\\" and i + 1 < len(content):
-            if content[i + 1] == "\\" and depth == 0:
-                rows.append(content[start:i])
-                i += 2
-                start = i
-                continue
-            i += 1  # skip escaped char so \} does not close a group
-        i += 1
+        elif mark == "\\\\" and depth == 0:
+            rows.append(content[start : m.start(1)])
+            start = m.end()
     rows.append(content[start:])
     return rows
 

@@ -16,7 +16,7 @@ time, and takes one serial SGD step per position on the stacked array.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,6 +51,11 @@ class EpochRecord:
     seconds: float
     train_loss: float
     score_seconds: float
+
+
+def epochs_per_pass(records) -> dict:
+    """Each pass's epochs run, by pass name in the order the passes ran."""
+    return {r.pass_name: r.epoch for r in records}
 
 
 class NegativeSampler:
@@ -344,7 +349,7 @@ def _run_epoch(plans, stacked, samplers, config: ModelConfig) -> float:
 # --- the fit: one early-stopped loop per pass ------------------------------------
 
 
-def train_model(data: CorpusData, config: ModelConfig, mode: str):
+def train_model(data: CorpusData, config: ModelConfig, mode: str, word=None):
     """Fit a model of the requested mode; returns (model, epoch records).
 
     Runs the word pass and then the mode's own pass, or only the joint pass
@@ -353,6 +358,15 @@ def train_model(data: CorpusData, config: ModelConfig, mode: str):
     and negative streams use independent child seeds of ``config.seed``, so
     the fitted word table is bit-identical across modes on corpora where
     the extra passes have nothing to train.
+
+    ``word`` is ``(model, records)`` of an earlier fit with a word pass on
+    the same data, at a config that differs from ``config`` at most in
+    ``eq_window``, which the word pass does not read.  Its word table and
+    ``"word"`` records then stand for this fit's word pass, which is not
+    run again: the result is the one a fresh fit gives.  The earlier model
+    is never written; a word mode fit fits nothing and shares its arrays.
+    ``ValueError`` before any fitting where the earlier fit has no word
+    pass, another word count or another config, or this fit is joint.
     """
     config.validate()
     if mode not in MODES:
@@ -362,11 +376,16 @@ def train_model(data: CorpusData, config: ModelConfig, mode: str):
         pass_names = ["joint"]
     else:
         pass_names = ["word"] if mode == "word" else ["word", mode]
+    records: list[EpochRecord] = []
+    if word is not None:
+        records = _word_pass_of(word, data, config, pass_names)
+        pass_names = pass_names[1:]
     used = {c for p in pass_names for c in PASS_CLASSES[p].classes}
     sizes = passes.class_sizes(data)
+    tables = {} if word is None else {"word": EmbeddingTable.from_arrays(word[0].word.rho, word[0].word.alpha)}
     # the word, equation and unit tables start from child seeds 0, 1 and 2
-    tables = {c: EmbeddingTable(n, config.k, rngs[i], config.scale)
-              for i, (c, n) in enumerate(sizes.items()) if c in used}
+    tables.update({c: EmbeddingTable(n, config.k, rngs[i], config.scale)
+                   for i, (c, n) in enumerate(sizes.items()) if c in used and c not in tables})
 
     def freqs(cls):
         if config.negative_sampling != "unigram":
@@ -380,7 +399,6 @@ def train_model(data: CorpusData, config: ModelConfig, mode: str):
         return Model(name, config, tables["word"], eq=tables.get("eq"), unit=tables.get("unit"),
                      eq_units=data.eq_units, n_equations=data.n_equations)
 
-    records: list[EpochRecord] = []
     for name in pass_names:
         spec = PASS_CLASSES[name]
         pass_tables = [tables[c] for c in spec.classes]
@@ -410,3 +428,22 @@ def train_model(data: CorpusData, config: ModelConfig, mode: str):
                 break
             snapshots = [t.snapshot() for t in trainables]
     return view(mode), records
+
+
+def _word_pass_of(word, data: CorpusData, config: ModelConfig, pass_names) -> list:
+    """The ``"word"`` records of ``word``, an earlier ``(model, records)``,
+    once its word pass is the one a fit of ``pass_names`` at ``config``
+    would run on ``data``; ValueError otherwise."""
+    model, records = word
+    kept = [r for r in records if r.pass_name == "word"]
+    if pass_names[0] != "word":
+        raise ValueError("a joint fit runs no word pass for an earlier one to stand for")
+    if not kept:
+        raise ValueError("the earlier fit ran no word pass")
+    if model.word.size != data.n_words:
+        raise ValueError(f"the earlier word pass has {model.word.size} words, the corpus {data.n_words}")
+    differ = [f.name for f in fields(config)
+              if f.name != "eq_window" and getattr(model.config, f.name) != getattr(config, f.name)]
+    if differ:
+        raise ValueError(f"the earlier word pass was fitted with another {', '.join(differ)}")
+    return kept

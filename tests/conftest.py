@@ -38,18 +38,19 @@ def planted():
 
 @pytest.fixture(scope="session")
 def trained(planted):
-    """Lazily trained planted-corpus models, cached per (mode, seed)."""
+    """Lazily trained planted-corpus models, cached per (mode, seed).  An
+    equation fit starts from its seed's word fit, whose word pass it would
+    repeat; the joint unit fit has no word pass."""
     _, data = planted
     cache = {}
 
-    def get(mode, seed):
-        key = (mode, seed)
-        if key not in cache:
-            cfg = ModelConfig(seed=seed, **ACCEPT_KW)
-            cache[key] = train_model(data, cfg, mode)[0]
-        return cache[key]
+    def fit(mode, seed):
+        if (mode, seed) not in cache:
+            word = fit("word", seed) if mode == "equation" else None
+            cache[mode, seed] = train_model(data, ModelConfig(seed=seed, **ACCEPT_KW), mode, word=word)
+        return cache[mode, seed]
 
-    return get
+    return lambda mode, seed: fit(mode, seed)[0]
 
 
 def with_overrides(cfg: ModelConfig, **kw) -> ModelConfig:

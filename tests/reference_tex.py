@@ -12,7 +12,9 @@ differential tests check.  The regex tokenizer rescans to the end of the
 text from every unclosed ``\\(``, every ``\\begin{`` without a ``}`` and
 every ``\\cite[`` without a ``]``; ``eqvec.tex.tokenize_words`` must give
 the same tokens.  The comment stripper is the look-behind-first regex;
-``eqvec.tex.strip_comments`` must drop the same spans.
+``eqvec.tex.strip_comments`` must drop the same spans.  The row splitter
+walks an environment body one character at a time;
+``eqvec.tex._split_rows`` must give the same rows.
 """
 
 import logging
@@ -26,7 +28,6 @@ from eqvec.tex import (
     MULTILINE_ENVS,
     EquationRecord,
     RawDocument,
-    _split_rows,
     normalize_equation,
 )
 
@@ -52,6 +53,28 @@ _COMMENT = re.compile(r"(?<!\\)%[^\n]*")
 
 _DOLLAR_PAIR = re.compile(r"\$\$(.*?)\$\$", re.DOTALL)
 _BRACKET_PAIR = re.compile(r"\\\[(.*?)\\\]", re.DOTALL)
+
+
+def split_rows(content: str) -> list[str]:
+    """Split a multi-line environment body on top-level ``\\\\`` separators,
+    walking it one character at a time."""
+    rows, depth, start, i = [], 0, 0, 0
+    while i < len(content):
+        ch = content[i]
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth = max(0, depth - 1)
+        elif ch == "\\" and i + 1 < len(content):
+            if content[i + 1] == "\\" and depth == 0:
+                rows.append(content[start:i])
+                i += 2
+                start = i
+                continue
+            i += 1  # skip escaped char so \} does not close a group
+        i += 1
+    rows.append(content[start:])
+    return rows
 
 
 def strip_comments(text: str) -> str:
@@ -107,7 +130,7 @@ def _extract(doc: RawDocument):
                 continue
             body = text[m.end() : end.start()]
             if env in MULTILINE_ENVS:
-                for row in _split_rows(body):
+                for row in split_rows(body):
                     if row.strip():
                         register(row)
             else:

@@ -9,9 +9,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqvec.corpus import _prepare_document
-from eqvec.tex import RawDocument, _extract, extract_display_equations, strip_comments, tokenize_words
+from eqvec.tex import (
+    RawDocument,
+    _extract,
+    _split_rows,
+    extract_display_equations,
+    strip_comments,
+    tokenize_words,
+)
 
-from .reference_tex import reference_sequence, reference_tokenize_words
+from .reference_tex import reference_sequence, reference_tokenize_words, split_rows
 from .reference_tex import strip_comments as reference_strip_comments
 
 
@@ -75,6 +82,15 @@ def test_row_split_ignores_braced_backslashes():
     _, _, records = extract_display_equations(doc)
     assert len(records) == 2
     assert records[0].latex == r"a = \frac{1}{2}"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(["{", "}", "\\", "\\\\", "\\}", "&", "a", "b", "\n"]), max_size=40))
+@example(["a", "\\\\", "b", "\\"])  # a lone last backslash
+@example(["}", "}", "\\\\", "{", "\\}", "\\\\", "}", "\\\\"])  # stray closers, an escaped one
+def test_split_rows_matches_character_walk(parts):
+    body = "".join(parts)
+    assert _split_rows(body) == split_rows(body)
 
 
 def test_unbalanced_environment_is_skipped_not_fatal():
@@ -246,8 +262,10 @@ def _best_seconds(run, small, large, ceiling: float, repeat: int = 5) -> tuple[f
     [
         lambda n: " ".join(f"\\[ x_{{{i}}} + y" for i in range(n)),
         lambda n: " ".join(f"$$x_{{{i}}}$$ w" for i in range(n)) + " \\[ tail",
+        # row splitting: each "{" opens a group of text that a backslash pair leaves unclosed
+        lambda n: "\\begin{align}" + " ".join(f"{{x{i} + y - z + w \\\\ z" for i in range(n)) + "\\end{align}",
     ],
-    ids=["unclosed_brackets", "equations_then_unclosed_bracket"],
+    ids=["unclosed_brackets", "equations_then_unclosed_bracket", "unclosed_groups_in_align"],
 )
 def test_extract_time_is_linear(make):
     # the rescanning extractor takes about 0.7 s at n = 2000 and 11 s at

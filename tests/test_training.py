@@ -1,13 +1,14 @@
 """Training protocol: frozen passes, mode reduction, determinism, stopping."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from eqvec import cli, evaluation
 from eqvec.bundle import save_bundle
-from eqvec.corpus import IngestParams, ingest_corpus
+from eqvec.corpus import IngestParams, Vocabulary, ingest_corpus
 from eqvec.model import ModelConfig
 from eqvec.modelfile import load_model
 from eqvec.tex import RawDocument, normalize_equation
@@ -175,6 +176,88 @@ def test_two_pass_unit_word_pass_identical_to_word_mode():
     a, _ = train_model(data, CFG, "word")
     b, _ = train_model(data, with_overrides(CFG, unit_joint=False), "unit")
     assert a.word.rho.tobytes() == b.word.rho.tobytes()
+
+
+def _records(records):
+    return [(r.pass_name, r.epoch, r.validation_score, r.train_loss) for r in records]
+
+
+@pytest.mark.parametrize("seed", [13, 2])
+@pytest.mark.parametrize("mode, extra", [("word", {}), ("equation", {}), ("unit", {"unit_joint": False})])
+def test_reused_word_pass_gives_the_fresh_fit(mode, extra, seed, monkeypatch):
+    from eqvec import training
+
+    data = make_corpus()
+    cfg = with_overrides(CFG, seed=seed, **extra)
+    fresh, fresh_records = train_model(data, cfg, mode)
+    # the word pass does not read eq_window: a fit at another one stands in
+    word = train_model(data, with_overrides(cfg, eq_window=16), "word")
+    before = word[0].word.checksum()
+    compile_pass, compiled = training.compile_pass, []
+    monkeypatch.setattr(training, "compile_pass", lambda d, c, name: compiled.append(name) or compile_pass(d, c, name))
+    model, records = train_model(data, cfg, mode, word=word)
+    assert compiled == ([] if mode == "word" else [mode])  # the word pass is not run again
+    assert word[0].word.checksum() == before  # the earlier model is not written
+    for name in ("word", "eq", "unit"):
+        got, want = getattr(model, name), getattr(fresh, name)
+        assert (got is None) == (want is None), name
+        if want is not None:
+            assert got.rho.tobytes() == want.rho.tobytes() and got.alpha.tobytes() == want.alpha.tobytes(), name
+    assert _records(records) == _records(fresh_records)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("k", "another k$"), ("word_window", "another word_window$"), ("seed", "another seed$"),
+    ("n_words", "has 20 words, the corpus 19"), ("joint_fit", "earlier fit ran no word pass"),
+    ("joint_mode", "joint fit runs no word pass"),
+])
+def test_word_pass_of_another_fit_refused_before_any_epoch(case, message, monkeypatch):
+    from eqvec import training
+
+    data = make_corpus()
+    if case == "n_words":  # fitted on the corpus; this fit's vocabulary lacks its last word
+        word = train_model(data, CFG, "word")
+        vocab = data.word_vocab
+        data = replace(data, word_vocab=Vocabulary("word", vocab.forms[:-1], vocab.freqs[:-1]))
+    elif case == "joint_fit":  # has no word pass
+        word = train_model(data, CFG, "unit")
+    else:
+        change = {"k": {"k": 6}, "word_window": {"word_window": 2}, "seed": {"seed": 14}}.get(case, {})
+        word = train_model(data, with_overrides(CFG, **change), "word")
+    monkeypatch.setattr(training, "_run_epoch", lambda *a: pytest.fail("an epoch ran"))
+    with pytest.raises(ValueError, match=message):
+        train_model(data, CFG, "unit" if case == "joint_mode" else "equation", word=word)
+
+
+def test_grid_fits_each_word_pass_once_and_refits_after_a_failure(monkeypatch, caplog):
+    from eqvec import training
+
+    data, fit, calls = make_corpus(), training.train_model, []
+
+    def failing_fit(data, cfg, mode, word=None):
+        calls.append(((mode, cfg.word_window, cfg.eq_window), word))
+        if (mode, cfg.word_window, cfg.eq_window) == ("equation", 4, 8):
+            raise RuntimeError("planted failure")
+        return fit(data, cfg, mode, word=word)
+
+    monkeypatch.setattr(training, "train_model", failing_fit)
+    fits = {}
+    rows, _ = evaluation.grid_select(data, CFG, "equation", (4, 8), (8, 16), fits)
+    assert "grid run (W=4, E=8) failed: planted failure" in caplog.text
+    assert rows[0].error == "planted failure" and rows[0].epochs_run == ""
+    assert all(not r.error for r in rows[1:])
+    # the failed row stored nothing: the next row at W=4 fits the word pass
+    assert [(combo, word is None) for combo, word in calls] == [
+        (("equation", 4, 8), True), (("equation", 4, 16), True),
+        (("equation", 8, 8), True), (("equation", 8, 16), False),
+    ]
+    assert calls[3][1] is fits[8] and sorted(fits) == [4, 8]
+    # word mode starts from the same map and fits nothing; its rows are the fresh ones
+    del calls[:]
+    word_rows, _ = evaluation.grid_select(data, CFG, "word", (4, 8), (8, 16), fits)
+    assert [word for _, word in calls] == [fits[4], fits[8]]
+    monkeypatch.setattr(training, "train_model", fit)
+    assert word_rows == evaluation.grid_select(data, CFG, "word", (4, 8), (8, 16))[0]
 
 
 def test_joint_unit_training_runs_and_updates_words():
