@@ -11,11 +11,14 @@ Layout (every file opens with a one-line format/version header):
                          then every document's codes, back to back
     eq_units.bin         equation count n, lengths[n], then every equation's
                          unit ids (int32, -1 marks gaps); equation g is row g
-    heldout.valid.tsv    held-out items, one per row
-    heldout.test.tsv
+    heldout.valid.bin    item count n, the columns stream[n], position[n] and
+    heldout.test.bin     eq_id[n], then the context rows (lengths[n], then
+                         codes as streams.bin encodes them), then the
+                         candidate rows (lengths[n], then word ids, each
+                         row's target first)
 
-Counts, lengths and codes are little-endian uint32.  Bundles are written to
-a temp directory and renamed into place.
+Counts, lengths, codes and ids are little-endian uint32 unless marked.
+Bundles are written to a temp directory and renamed into place.
 
 Each file has one reader.  ``load_bundle`` runs all of them;
 ``load_query_files`` runs only those a similarity query needs (manifest,
@@ -23,8 +26,9 @@ vocab.tsv, equations.tsv, eq_units.bin).  A bundle of another format
 version, a file that ends inside a line or runs short of or past what its
 lengths imply, fails to parse, disagrees with a count the manifest or
 equations.tsv records, holds an id out of range, a form, LaTeX string or
-document id twice, or a frequency or occurrence count below 1 or past
-int64 raises ``BundleFormatError``, and the CLI exits 3.
+document id twice, a frequency or occurrence count below 1 or past int64,
+or a held-out item without a target or whose document does not hold its
+target at its position raises ``BundleFormatError``, and the CLI exits 3.
 
 Each file is read into the columns of its corpus table, a binary file's
 lengths and payload as one array, so the numpy calls a reader makes do not
@@ -33,7 +37,6 @@ whole-file.
 """
 
 import json
-import operator
 import os
 import shutil
 import tempfile
@@ -56,13 +59,13 @@ from .corpus import (
 )
 from .records import doc_id_problem
 
-BUNDLE_VERSION = 2
+BUNDLE_VERSION = 3
 _H_VOCAB = "# eqvec-vocab 1"
 _H_EQS = "# eqvec-equations 1"
 _H_UNITS = "# eqvec-units 1"
 _H_STREAMS = b"# eqvec-streams 2\n"
 _H_EQUNITS = b"# eqvec-equnits 2\n"
-_H_HELDOUT = "# eqvec-heldout 1"
+_H_HELDOUT = b"# eqvec-heldout 2\n"
 
 
 class BundleFormatError(ValueError):
@@ -116,7 +119,6 @@ def _write_files(data: CorpusData, root: str):
         "params": params,
         "stats": data.stats,
         "word_stop_forms": list(data.word_vocab.stop_forms),
-        "has_units": data.unit_vocab is not None,
     }
     with open(os.path.join(root, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -129,11 +131,7 @@ def _write_files(data: CorpusData, root: str):
             if "\t" in latex or "\n" in latex:
                 raise BundleFormatError(f"equation {eq_id} latex not normalized")
             f.write(f"{eq_id}\t{n}\t{latex}\n")
-    if data.unit_vocab is not None:
-        _write_vocab(os.path.join(root, "units.tsv"), _H_UNITS, data.unit_vocab)
-    else:
-        with open(os.path.join(root, "units.tsv"), "w") as f:
-            f.write(_H_UNITS + "\n")
+    _write_vocab(os.path.join(root, "units.tsv"), _H_UNITS, data.unit_vocab)
 
     streams, eq_units = data.streams, data.eq_units
     id_block = "\n".join(streams.doc_ids).encode("utf-8")
@@ -144,9 +142,11 @@ def _write_files(data: CorpusData, root: str):
         f.write(_H_EQUNITS + _u32([len(eq_units)]) + _u32(np.diff(eq_units.ptr)))
         f.write(eq_units.ids.astype("<i4").tobytes())
 
-    doc_ids = np.array(streams.doc_ids, dtype=object)
-    _write_heldout(os.path.join(root, "heldout.valid.tsv"), data.heldout_valid, doc_ids)
-    _write_heldout(os.path.join(root, "heldout.test.tsv"), data.heldout_test, doc_ids)
+    for split, held in (("valid", data.heldout_valid), ("test", data.heldout_test)):
+        with open(os.path.join(root, f"heldout.{split}.bin"), "wb") as f:
+            f.write(_H_HELDOUT + _u32([len(held)]) + _u32(held.stream) + _u32(held.position) + _u32(held.eq_id))
+            f.write(_u32(np.diff(held.ctx_ptr)) + _u32(np.where(held.ctx_eq, held.ctx_id | int(EQ_TAG), held.ctx_id)))
+            f.write(_u32(np.diff(held.cand_ptr)) + _u32(held.cand))
 
 
 def _u32(values) -> bytes:
@@ -158,29 +158,6 @@ def _write_vocab(path: str, header: str, vocab: Vocabulary):
         f.write(header + "\n")
         for i, form in enumerate(vocab.forms):
             f.write(f"{form}\t{i}\t{int(vocab.freqs[i])}\n")
-
-
-def _write_heldout(path: str, held: HeldOut, doc_ids: np.ndarray):
-    """One row per item: target, equation id, document id, position, then the
-    context entries ("w:12" or "e:3") and the negatives, comma-separated.
-    One format string holds every row, so one ``%`` writes them all."""
-    n_ctx, n_neg = np.diff(held.ctx_ptr), np.diff(held.cand_ptr) - 1
-    width = 4 + 2 * n_ctx + n_neg  # a row's values; a context entry has two, its tag and its id
-    start = np.cumsum(width) - width
-    values = np.empty(width.sum(), dtype=object)
-    values[start + 1], values[start + 2], values[start + 3] = held.eq_id, doc_ids[held.stream], held.position
-    at = np.repeat(start + 4 - 2 * held.ctx_ptr[:-1], n_ctx) + 2 * np.arange(len(held.ctx_id))
-    values[at], values[at + 1] = np.where(held.ctx_eq, "e", "w"), held.ctx_id
-    # candidate j > 0 of a row is its negative j, after the context; candidate 0, the target, goes first
-    at = np.repeat(start + 3 + 2 * n_ctx - held.cand_ptr[:-1], n_neg + 1) + np.arange(len(held.cand))
-    at[held.cand_ptr[:-1]] = start
-    values[at] = held.cand
-    counts = list(zip(n_ctx.tolist(), n_neg.tolist()))
-    row = {c: "%d\t%d\t%s\t%d\t" + ",".join(["%s:%d"] * c[0]) + "\t" + ",".join(["%d"] * c[1]) + "\n"
-           for c in set(counts)}
-    with open(path, "w") as f:
-        f.write(_H_HELDOUT + "\n")
-        f.write("".join(map(row.__getitem__, counts)) % tuple(values.tolist()))
 
 
 # --- loading -------------------------------------------------------------------
@@ -221,13 +198,9 @@ def load_bundle(path: str) -> CorpusData:
         params = IngestParams(**manifest["params"]).validate()
     except (TypeError, ValueError) as exc:  # a key IngestParams does not have, or a bad value
         raise BundleFormatError(f"manifest of bundle {path}: {exc}") from None
-    unit_vocab = None
-    if manifest.get("has_units", True):
-        unit_vocab = _read_vocab(
-            os.path.join(path, "units.tsv"), _H_UNITS, "unit", manifest["stats"].get("units")
-        )
+    unit_vocab = _read_vocab(os.path.join(path, "units.tsv"), _H_UNITS, "unit", manifest["stats"].get("units"))
     units = query.eq_units.without_gaps()[1]
-    _check_ids(os.path.join(path, "eq_units.bin"), "unit", units, len(unit_vocab or ()))
+    _check_ids(os.path.join(path, "eq_units.bin"), "unit", units, len(unit_vocab))
     sizes = (len(query.word_vocab), len(query.registry))
     streams = _read_streams(os.path.join(path, "streams.bin"), *sizes)
     return CorpusData(
@@ -236,8 +209,8 @@ def load_bundle(path: str) -> CorpusData:
         streams=streams,
         unit_vocab=unit_vocab,
         eq_units=query.eq_units,
-        heldout_valid=_read_heldout(os.path.join(path, "heldout.valid.tsv"), "validation", streams, *sizes),
-        heldout_test=_read_heldout(os.path.join(path, "heldout.test.tsv"), "test", streams, *sizes),
+        heldout_valid=_read_heldout(os.path.join(path, "heldout.valid.bin"), "validation", streams, *sizes),
+        heldout_test=_read_heldout(os.path.join(path, "heldout.test.bin"), "test", streams, *sizes),
         params=params,
         stats=manifest["stats"],
     )
@@ -345,11 +318,11 @@ def _read_binary(path: str, header: bytes) -> bytes:
     return raw
 
 
-def _rows(path: str, raw: bytes, at: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(ptr, payload)`` of ``n`` rows stored from byte ``at`` on (which
-    lies past the end of a file cut short) as u32 ``lengths[n]``, then the
-    rows' 4-byte items to the end of the file.  One ``frombuffer`` reads
-    both; the payload is a read-only ``<u4`` view of the file."""
+def _rows(path: str, raw: bytes, at: int, n: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(ptr, payload, end)`` of ``n`` rows stored from byte ``at`` on
+    (which lies past the end of a file cut short) as u32 ``lengths[n]``,
+    then the rows' 4-byte items, up to byte ``end``.  One ``frombuffer``
+    reads both; the payload is a read-only ``<u4`` view of the file."""
     if len(raw) < at + 4 * n:
         raise BundleFormatError(f"truncated bundle file {path}: {n} row lengths past the end")
     words = np.frombuffer(raw, dtype="<u4", count=(len(raw) - at) // 4, offset=at)
@@ -357,9 +330,13 @@ def _rows(path: str, raw: bytes, at: int, n: int) -> tuple[np.ndarray, np.ndarra
     end = at + 4 * (n + int(ptr[-1]))
     if len(raw) < end:
         raise BundleFormatError(f"truncated bundle file {path}: its rows need {end} bytes, it has {len(raw)}")
+    return ptr, words[n : n + int(ptr[-1])], end
+
+
+def _check_end(path: str, raw: bytes, end: int):
+    """The file's last row must end it."""
     if len(raw) > end:
         raise BundleFormatError(f"trailing bytes in bundle file: {path}")
-    return ptr, words[n:]
 
 
 def _read_streams(path: str, n_words: int, n_equations: int) -> TokenStreams:
@@ -368,7 +345,8 @@ def _read_streams(path: str, n_words: int, n_equations: int) -> TokenStreams:
     raw = _read_binary(path, _H_STREAMS)
     at = len(_H_STREAMS) + 8  # the id block
     n_docs, id_bytes = (int.from_bytes(raw[i : i + 4], "little") for i in (at - 8, at - 4))
-    ptr, codes = _rows(path, raw, at + id_bytes, n_docs)
+    ptr, codes, end = _rows(path, raw, at + id_bytes, n_docs)
+    _check_end(path, raw, end)
     try:
         text = raw[at : at + id_bytes].decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -395,7 +373,8 @@ def _read_eq_units(path: str, n_equations: int) -> EquationUnits:
     raw = _read_binary(path, _H_EQUNITS)
     at = len(_H_EQUNITS) + 4  # the lengths
     n = int.from_bytes(raw[at - 4 : at], "little")
-    ptr, ids = _rows(path, raw, at, n)
+    ptr, ids, end = _rows(path, raw, at, n)
+    _check_end(path, raw, end)
     if n != n_equations:
         raise BundleFormatError(f"{path} holds {n} equations, equations.tsv {n_equations}")
     ids = ids.view("<i4").astype(np.int64)
@@ -405,51 +384,33 @@ def _read_eq_units(path: str, n_equations: int) -> EquationUnits:
 
 
 def _read_heldout(path: str, split: str, streams: TokenStreams, n_words: int, n_equations: int) -> HeldOut:
-    """The held-out set of one split, parsed and checked column by column.
-    Each item must name a word of its own stream: its document's codes hold
-    its target at its position, which is the token training then leaves
-    out."""
-    target, eq_id, doc_id, position, ctx, negs = _read_columns(path, _H_HELDOUT, 6)
-    target, eq_id, position = (_ints(path, what, col) for what, col in
-                               (("target", target), ("equation id", eq_id), ("position", position)))
-    neg = _ints(path, "negatives", _entries(negs))
-    entries = _entries(ctx)
-    tag_id = ":".join(entries).split(":") if entries else []
-    if len(tag_id) != 2 * len(entries) or not all(map(operator.contains, entries, repeat(":"))):
-        raise BundleFormatError(f"{path}: malformed held-out context: an entry is not one tag:id pair")
-    tags, ctx_id = tag_id[0::2], _ints(path, "context", tag_id[1::2])
-    unknown = set(tags) - {"w", "e"}  # word, equation
-    if unknown:
-        raise BundleFormatError(f"{path}: malformed held-out item: unknown context class {min(unknown)!r}")
-    ctx_eq = np.array(tags, dtype=str) == "e"
-    # a list of n entries holds n - 1 commas, an empty one none
-    ctx_ptr, neg_ptr = (np.cumsum([0, *map(str.count, col, repeat(","))]) + np.cumsum([0, *map(bool, col)])
-                        for col in (ctx, negs))
-    cand = np.insert(neg, neg_ptr[:-1], target)
+    """The held-out set of one split: its item columns, then its context and
+    candidate rows.  Each item must name a word of its own stream: its
+    document's codes hold its target at its position, which is the token
+    training then leaves out."""
+    raw = _read_binary(path, _H_HELDOUT)
+    at = len(_H_HELDOUT) + 4  # the item columns
+    n = int.from_bytes(raw[at - 4 : at], "little")
+    if len(raw) < at + 12 * n:
+        raise BundleFormatError(f"truncated bundle file {path}: {n} items past the end")
+    items = np.frombuffer(raw, dtype="<u4", count=3 * n, offset=at).astype(np.int64)
+    stream, position, eq_id = items.reshape(3, n)
+    ctx_ptr, codes, end = _rows(path, raw, at + 12 * n, n)
+    cand_ptr, cand, end = _rows(path, raw, end, n)
+    _check_end(path, raw, end)
+    ctx_eq = codes >= EQ_TAG
+    ctx_id, cand = (codes & ~EQ_TAG).astype(np.int64), cand.astype(np.int64)
+    no_target = np.flatnonzero(np.diff(cand_ptr) == 0)
+    if no_target.size:
+        raise BundleFormatError(f"{path}: held-out item {no_target[0]} has no target")
+    target = cand[cand_ptr[:-1]]
     _check_ids(path, "word", np.concatenate((cand, ctx_id[~ctx_eq])), n_words)
     _check_ids(path, "equation", np.concatenate((eq_id, ctx_id[ctx_eq])), n_equations)
-    index = dict(zip(streams.doc_ids, range(len(streams))))
-    stream = np.fromiter(map(index.get, doc_id, repeat(-1)), np.int64, len(doc_id))
-    lengths = np.append(np.diff(streams.ptr), 0)  # stream -1 (no such doc) is empty
-    ok = (position >= 0) & (position < lengths[stream])
+    _check_ids(path, "stream", stream, len(streams))
+    ok = position < np.diff(streams.ptr)[stream]
     ok[ok] = streams.codes[streams.ptr[stream[ok]] + position[ok]] == target[ok]
     if not ok.all():
         i = int(np.argmin(ok))
-        raise BundleFormatError(f"{path}: held-out item out of range: document {doc_id[i]!r} "
+        raise BundleFormatError(f"{path}: held-out item out of range: document {streams.doc_ids[stream[i]]!r} "
                                 f"has no word {target[i]} at position {position[i]}")
-    return HeldOut(split, stream, position, eq_id, ctx_ptr, ctx_eq, ctx_id, neg_ptr + np.arange(len(neg_ptr)), cand)
-
-
-def _entries(rows: list[str]) -> list[str]:
-    """The entries of comma-separated lists, row after row; an empty row has none."""
-    text = ",".join(filter(None, rows))
-    return text.split(",") if text else []
-
-
-def _ints(path: str, what: str, fields: list[str]) -> np.ndarray:
-    try:
-        return np.array(fields, dtype=np.int64)
-    except ValueError as exc:  # an empty entry, or not an integer
-        raise BundleFormatError(f"{path}: malformed held-out {what}: {exc}") from None
-    except OverflowError:  # more digits than an int64 holds
-        raise BundleFormatError(f"{path}: held-out {what} out of range") from None
+    return HeldOut(split, stream, position, eq_id, ctx_ptr, ctx_eq, ctx_id, cand_ptr, cand)

@@ -314,6 +314,10 @@ def cmd_query(args) -> int:
     cfg = build_config(args)
     if args.k < 1:
         raise UsageError(f"-k must be at least 1, got {args.k}")
+    if args.query_kind == "word2eq":
+        words = [w.strip() for w in args.words.split(",") if w.strip()]
+        if not words:
+            raise UsageError("--words names no word")
     data = bundle_io.load_query_files(cfg.bundle_dir)
     model = modelfile.load_model(cfg.model_path, eq_units=data.eq_units)
     _check_model_fits(model, data)
@@ -329,7 +333,6 @@ def cmd_query(args) -> int:
         ranking = retrieval.nearest_words(model, args.id, k, metric=args.metric or "cosine")
         surface = lambda i: data.word_vocab.forms[i]
     else:
-        words = [w.strip() for w in args.words.split(",") if w.strip()]
         # the model's own choice unless this run names one
         vectors = cfg.model.word2eq_vectors if "word2eq_vectors" in cfg.given else None
         ranking = retrieval.equations_for_words(

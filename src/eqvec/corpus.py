@@ -439,7 +439,7 @@ class CorpusData:
     word_vocab: Vocabulary
     registry: EquationRegistry
     streams: TokenStreams
-    unit_vocab: Vocabulary | None
+    unit_vocab: Vocabulary
     eq_units: EquationUnits
     heldout_valid: HeldOut
     heldout_test: HeldOut
@@ -505,7 +505,7 @@ def ingest_corpus(docs: list[RawDocument], params: IngestParams, stopwords=None)
         g: slt.tokenize_equation(latex, symbol_window=params.symbol_window)
         for g, latex in enumerate(registry.latex)
     }
-    unit_vocab, eq_units = None, EquationUnits([0], [])
+    unit_vocab, eq_units = Vocabulary("unit", [], np.zeros(0, dtype=np.int64)), EquationUnits([0], [])
     if sequences:
         unit_vocab, eq_units = slt.build_unit_vocabulary(sequences, min_count=params.unit_min_count)
 
@@ -521,7 +521,7 @@ def ingest_corpus(docs: list[RawDocument], params: IngestParams, stopwords=None)
         "documents": len(docs),
         "words": len(word_vocab),
         "equations": len(registry),
-        "units": 0 if unit_vocab is None else len(unit_vocab),
+        "units": len(unit_vocab),
         "regions_skipped": regions_skipped,
         "heldout_skipped": heldout_skipped,
     }

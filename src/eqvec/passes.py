@@ -49,8 +49,7 @@ PASS_CLASSES = {
 
 def class_sizes(data: CorpusData) -> dict:
     """Rows of each table class."""
-    n_units = len(data.unit_vocab) if data.unit_vocab is not None else 0
-    return {"word": data.n_words, "eq": data.n_equations, "unit": n_units}
+    return {"word": data.n_words, "eq": data.n_equations, "unit": len(data.unit_vocab)}
 
 
 @dataclass

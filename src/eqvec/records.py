@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 
 def doc_id_problem(doc_id: str) -> str | None:
-    """Why a bundle, which writes doc ids as UTF-8 lines and in tab-separated rows, cannot hold ``doc_id``."""
+    """Why a bundle, which writes doc ids as UTF-8 lines, cannot hold ``doc_id``; a tab is refused as well."""
     if not doc_id:
         return "doc_id must be non-empty"
     if set("\t\n\r") & set(doc_id) or doc_id.encode("utf-8", "replace").decode() != doc_id:

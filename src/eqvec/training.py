@@ -392,8 +392,7 @@ def train_model(data: CorpusData, config: ModelConfig, mode: str, word=None):
             return None
         if cls == "eq":
             return data.registry.counts
-        vocab = data.word_vocab if cls == "word" else data.unit_vocab
-        return vocab.freqs if vocab is not None else None
+        return (data.word_vocab if cls == "word" else data.unit_vocab).freqs
 
     def view(name):
         return Model(name, config, tables["word"], eq=tables.get("eq"), unit=tables.get("unit"),

@@ -117,7 +117,8 @@ def corpus_from_streams(streams, n_words: int, n_equations: int = 0) -> CorpusDa
     vocab = Vocabulary(kind="word", forms=[f"w{i:04d}" for i in range(n_words)],
                        freqs=np.ones(n_words, dtype=np.int64))
     registry = EquationRegistry([f"x_{{{g}}}" for g in range(n_equations)], np.ones(n_equations))
-    return CorpusData(vocab, registry, token_streams(streams), None, equation_units([[]] * n_equations),
+    units = Vocabulary(kind="unit", forms=[], freqs=np.zeros(0, dtype=np.int64))
+    return CorpusData(vocab, registry, token_streams(streams), units, equation_units([[]] * n_equations),
                       HeldOut("validation"), HeldOut("test"), IngestParams(), {})
 
 

@@ -1,16 +1,19 @@
-"""Reference bundle readers: ``streams.bin`` and ``eq_units.bin`` read one
-row at a time, walking the lengths array with one ``np.frombuffer`` and
-one ``astype`` per document or equation, kept as test oracles.
+"""Reference bundle readers: ``streams.bin``, ``eq_units.bin`` and the
+held-out files read one row at a time, walking the lengths array with one
+``np.frombuffer`` and one ``astype`` per document or equation, and one
+held-out item after another, kept as test oracles.
 
 ``eqvec.bundle`` reads each file's lengths and payload as one array and
-must return equal streams and ``eq_units`` (keys, order, dtypes and
-values) for every file these accept.
+must return equal streams, ``eq_units`` (keys, order, dtypes and values)
+and held-out items for every file these accept.
 """
 
 import numpy as np
 
-from eqvec.bundle import _H_EQUNITS, _H_STREAMS, BundleFormatError, _read_binary
+from eqvec.bundle import _H_EQUNITS, _H_HELDOUT, _H_STREAMS, BundleFormatError, _read_binary
 from eqvec.corpus import EQ_TAG, GAP, TokenStream
+
+from .conftest import Item
 
 
 def _u32(raw: bytes, pos: int, path: str) -> int:
@@ -19,9 +22,9 @@ def _u32(raw: bytes, pos: int, path: str) -> int:
     return int.from_bytes(raw[pos : pos + 4], "little")
 
 
-def _rows(path: str, raw: bytes, pos: int, n: int, dtype: str) -> list[np.ndarray]:
+def _rows(path: str, raw: bytes, pos: int, n: int, dtype: str) -> tuple[list[np.ndarray], int]:
     """The ``n`` rows whose u32 lengths start at byte ``pos``, each its own
-    ``frombuffer`` of ``dtype`` items; the last row must end the file."""
+    ``frombuffer`` of ``dtype`` items, and the byte after the last row."""
     lengths = [_u32(raw, pos + 4 * i, path) for i in range(n)]
     pos += 4 * n
     rows = []
@@ -30,9 +33,12 @@ def _rows(path: str, raw: bytes, pos: int, n: int, dtype: str) -> list[np.ndarra
             raise BundleFormatError(f"truncated bundle file: {path}")
         rows.append(np.frombuffer(raw, dtype=dtype, count=n_items, offset=pos))
         pos += 4 * n_items
+    return rows, pos
+
+
+def _check_end(path: str, raw: bytes, pos: int):
     if pos != len(raw):
         raise BundleFormatError(f"trailing bytes in bundle file: {path}")
-    return rows
 
 
 def _read_streams(path: str, n_words: int, n_equations: int) -> list[TokenStream]:
@@ -42,7 +48,8 @@ def _read_streams(path: str, n_words: int, n_equations: int) -> list[TokenStream
     pos += 8
     if pos + id_bytes > len(raw):
         raise BundleFormatError(f"truncated bundle file: {path}")
-    rows = _rows(path, raw, pos + id_bytes, n_docs, "<u4")
+    rows, end = _rows(path, raw, pos + id_bytes, n_docs, "<u4")
+    _check_end(path, raw, end)
     block, doc_ids, start = raw[pos : pos + id_bytes], [], 0
     for i in range(n_docs):  # one id at a time: up to its newline, or to the block's end
         end = block.find(b"\n", start)
@@ -70,7 +77,8 @@ def _read_streams(path: str, n_words: int, n_equations: int) -> list[TokenStream
 def _read_eq_units(path: str, n_equations: int) -> dict[int, np.ndarray]:
     raw = _read_binary(path, _H_EQUNITS)
     n = _u32(raw, len(_H_EQUNITS), path)
-    rows = _rows(path, raw, len(_H_EQUNITS) + 4, n, "<i4")
+    rows, end = _rows(path, raw, len(_H_EQUNITS) + 4, n, "<i4")
+    _check_end(path, raw, end)
     if n != n_equations:
         raise BundleFormatError(f"{path} holds {n} equations, equations.tsv {n_equations}")
     eq_units = {g: ids.astype(np.int64) for g, ids in enumerate(rows)}
@@ -78,3 +86,32 @@ def _read_eq_units(path: str, n_equations: int) -> dict[int, np.ndarray]:
         if (ids < -1).any():
             raise BundleFormatError(f"{path}: unit id {ids[ids < -1][0]} out of range (gaps are -1)")
     return eq_units
+
+
+def _read_heldout(path: str, streams: list[TokenStream], n_words: int, n_equations: int) -> list[Item]:
+    """One split's held-out items, item i from word i of the stream,
+    position and equation id columns and from row i of the context and the
+    candidate rows, each checked on its own."""
+    raw = _read_binary(path, _H_HELDOUT)
+    pos = len(_H_HELDOUT)
+    n = _u32(raw, pos, path)
+    columns = [[_u32(raw, pos + 4 * (1 + c * n + i), path) for i in range(n)] for c in range(3)]
+    contexts, end = _rows(path, raw, pos + 4 * (1 + 3 * n), n, "<u4")
+    candidates, end = _rows(path, raw, end, n, "<u4")
+    _check_end(path, raw, end)
+    items = []
+    for stream, position, eq_id, codes, cand in zip(*columns, contexts, candidates):
+        context = [("eq", c - int(EQ_TAG)) if c >= EQ_TAG else ("word", c) for c in codes.tolist()]
+        cand = cand.tolist()
+        if not cand:
+            raise BundleFormatError(f"{path}: held-out item {len(items)} has no target")
+        for kind, i in [*context, *(("word", c) for c in cand)]:
+            if i >= (n_words if kind == "word" else n_equations):
+                raise BundleFormatError(f"{path}: {kind} id {i} out of range")
+        if eq_id >= n_equations or stream >= len(streams):
+            raise BundleFormatError(f"{path}: equation id {eq_id} or stream {stream} out of range")
+        codes = streams[stream].codes
+        if position >= len(codes) or codes[position] != cand[0]:
+            raise BundleFormatError(f"{path}: held-out item out of range: no word {cand[0]} at position {position}")
+        items.append(Item(cand[0], context, cand[1:], stream, position, eq_id))
+    return items

@@ -281,13 +281,13 @@ def reference_train_model(data, config, mode):
     n_words = data.n_words
     word_t = EmbeddingTable(n_words, config.k, rngs[0], config.scale)
     eq_t = EmbeddingTable(data.n_equations, config.k, rngs[1], config.scale) if mode == "equation" else None
-    n_units = len(data.unit_vocab) if data.unit_vocab is not None else 0
+    n_units = len(data.unit_vocab)
     unit_t = EmbeddingTable(n_units, config.k, rngs[2], config.scale) if mode == "unit" else None
 
     masks = np.split(_exclusion_mask(data), data.streams.ptr[1:-1])
     unigram = config.negative_sampling == "unigram"
     word_freqs = data.word_vocab.freqs if unigram else None
-    unit_freqs = data.unit_vocab.freqs if (unigram and data.unit_vocab is not None) else None
+    unit_freqs = data.unit_vocab.freqs if unigram else None
     records: list[EpochRecord] = []
 
     def scoring_model(view_mode):

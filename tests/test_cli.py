@@ -23,7 +23,7 @@ import eqvec
 from eqvec import cli, retrieval
 from eqvec.bundle import load_bundle
 from eqvec.cli import RunConfig, build_config, main, make_parser
-from eqvec.corpus import IngestParams
+from eqvec.corpus import EQ_TAG, IngestParams
 from eqvec.model import EmbeddingTable, Model, ModelConfig
 from eqvec.modelfile import ModelFileError, load_model, save_model
 from eqvec.synthetic import planted_corpus, write_corpus
@@ -58,6 +58,25 @@ ING = ["--set", "min_tf=2", "--set", "top_stop=0", "--set", "heldout_per_equatio
        "--set", "n_negatives=3"]
 TRN = ["--set", "k=6", "--set", "eq_window=4", "--set", "eq_context_window=4",
        "--set", "max_epochs=3", "--set", "n_negatives=3"]
+
+
+def test_corpus_without_equations_ingests_and_trains_in_every_mode(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("one", "two", "three"):
+        (corpus / f"{name}.tex").write_text("Modeling words everywhere always believing. Modeling believing words "
+                                            f"everywhere always.\nbelieving {name} words modeling everywhere always.")
+    bundle = str(tmp_path / "bundle")
+    code, out, _ = run(["ingest", "--corpus", str(corpus), "--bundle", bundle] + ING, capsys)
+    assert code == 0 and out.splitlines()[1].split("\t")[2:] == ["0", "0"]  # no equations, no units
+    data = load_bundle(bundle)
+    assert data.unit_vocab.forms == [] and data.unit_vocab.freqs.dtype == np.int64
+    assert len(data.heldout_valid) == len(data.heldout_test) == 0
+    for mode in ("word", "equation", "unit"):
+        model = str(tmp_path / f"{mode}.eqv")
+        code, _, err = run(["train", "--bundle", bundle, "--model", model, "--mode", mode] + TRN, capsys)
+        assert code == 0 and "Traceback" not in err, (mode, err)
+        assert load_model(model).mode == mode
 
 
 @pytest.fixture(scope="module")
@@ -372,8 +391,9 @@ def test_unit_model_query_prints_library_ranking(family, planted_models, capsys)
         ("eq2word", ["--id", "-1"], "unknown equation id -1"),
         ("eq2eq", ["--id", "0", "-k", "-2"], "-k must be at least 1"),
         ("word2eq", ["--words", "matrix", "-k", "0"], "-k must be at least 1"),
+        ("word2eq", ["--words", " , ,"], "--words names no word"),
     ],
-    ids=["eq2eq_id_999", "eq2word_id_-1", "k_-2", "k_0"],
+    ids=["eq2eq_id_999", "eq2word_id_-1", "k_-2", "k_0", "no_words"],
 )
 def test_bad_query_argument_exits_2(family, args, message, planted_models, capsys):
     bundle, models, _ = planted_models
@@ -715,18 +735,20 @@ def test_malformed_manifest_field_exits_3(command, change, message, planted_mode
 
 
 def test_version_1_bundle_exits_3_naming_ingest(planted_models, tmp_path, capsys):
+    # version 2 is the layout with text held-out files, version 1 the one before it
     bundle, models, _ = planted_models
     copy = str(tmp_path / "bundle")
     shutil.copytree(bundle, copy)
-    _set_manifest(copy, lambda m: m.update(version=1))
     model, report = str(tmp_path / "m.eqv"), str(tmp_path / "r.tsv")
-    for argv in (["query", "eq2eq", "--id", "0", "--model", models["unit"]],
-                 ["train", "--model", model, "--mode", "word", "--set", "max_epochs=1"],
-                 ["eval", "--report", report, *_ONE_ROW_GRID]):
-        code, out, err = run([*argv, "--bundle", copy], capsys)
-        assert code == 3 and out == "", argv
-        assert err.splitlines() == [
-            f"error: bundle {copy} has format version 1, this eqvec reads 2: re-run `eqvec ingest` to rebuild it"]
+    for version in (1, 2):
+        _set_manifest(copy, lambda m: m.update(version=version))
+        for argv in (["query", "eq2eq", "--id", "0", "--model", models["unit"]],
+                     ["train", "--model", model, "--mode", "word", "--set", "max_epochs=1"],
+                     ["eval", "--report", report, *_ONE_ROW_GRID]):
+            code, out, err = run([*argv, "--bundle", copy], capsys)
+            assert code == 3 and out == "", argv
+            assert err.splitlines() == [f"error: bundle {copy} has format version {version}, this eqvec reads 3: "
+                                        "re-run `eqvec ingest` to rebuild it"]
     assert not os.path.exists(model) and not os.path.exists(report)
 
 
@@ -774,57 +796,60 @@ def tiny_data(tiny_bundle):
     return load_bundle(tiny_bundle)
 
 
-_HELDOUT_FIELDS = ("target", "eq_id", "doc_id", "position", "context", "negatives")
+_HELDOUT_MUTATIONS = ["id_out_of_range", "position_not_target", "length"]
+_LENGTH_DELTAS = [-2, -1, 1, 2, 2**31]
 
 
-def _mutated_row(draw, row: dict, data, mutation: str) -> list[str]:
-    """The fields of a held-out row after one mutation of one field."""
-    row = dict(row)
-    n = {"w": data.n_words, "e": data.n_equations}
-    out_of_range = lambda size: str(draw(st.sampled_from([-1, -7, size, size + 3, 2**70])))
-    if mutation == "unknown_tag":
-        entries = row["context"].split(",")
-        j = draw(st.integers(0, len(entries) - 1))
-        entries[j] = draw(st.sampled_from("abfqxzEW")) + entries[j][1:]
-        row["context"] = ",".join(entries)
-    elif mutation == "id_out_of_range":
-        field = draw(st.sampled_from(["target", "eq_id", "context", "negatives"]))
-        if field in ("target", "eq_id"):
-            row[field] = out_of_range(n["w" if field == "target" else "e"])
-        else:
-            entries = row[field].split(",")
-            j = draw(st.integers(0, len(entries) - 1))
-            tag, _, _ = entries[j].rpartition(":")
-            entries[j] = (tag + ":" if tag else "") + out_of_range(n[tag or "w"])
-            row[field] = ",".join(entries)
+def _mutated_heldout(draw, words: np.ndarray, data, mutation: str, index: int) -> np.ndarray:
+    """The u32 words of a held-out file after its header line after one
+    mutation of item ``index % n``'s fields or of a length.  The words are
+    the count n, stream[n], position[n], eq_id[n], the context lengths[n]
+    and codes, then the candidate lengths[n] and word ids."""
+    words = words.astype(np.int64)
+    n = int(words[0])
+    i = index % n
+    ctx_lengths = 1 + 3 * n
+    cand_lengths = ctx_lengths + n + int(words[ctx_lengths : ctx_lengths + n].sum())
+    ctx = ctx_lengths + n + int(words[ctx_lengths : ctx_lengths + i].sum())
+    ctx = range(ctx, ctx + int(words[ctx_lengths + i]))
+    cand = cand_lengths + n + int(words[cand_lengths : cand_lengths + i].sum())
+    cand = range(cand, cand + int(words[cand_lengths + i]))
+    n_words, n_eqs, top = data.n_words, data.n_equations, 2**32 - 1
+    if mutation == "id_out_of_range":
+        field = draw(st.sampled_from(["stream", "eq_id", "context", "candidate"]))
+        if field == "stream":
+            at, bad = 1 + i, [len(data.streams), len(data.streams) + 3, top]
+        elif field == "eq_id":
+            at, bad = 1 + 2 * n + i, [n_eqs, n_eqs + 5, top]
+        elif field == "context":  # a word past the vocabulary, or an equation past the registry (the gap code too)
+            at, bad = draw(st.sampled_from(ctx)), [n_words, n_words + 7, int(EQ_TAG) - 1, int(EQ_TAG) + n_eqs, top]
+        else:  # the target or a negative
+            at, bad = draw(st.sampled_from(cand)), [n_words, n_words + 3, top]
+        words[at] = draw(st.sampled_from(bad))
     elif mutation == "position_not_target":
-        codes = next(s.codes for s in data.streams if s.doc_id == row["doc_id"]).tolist()
-        other = [p for p in range(-2, len(codes) + 2) if not (0 <= p < len(codes) and codes[p] == int(row["target"]))]
-        row["position"] = str(draw(st.sampled_from(other)))
-    else:  # missing_field: the field left empty, or gone with its tab
-        field = draw(st.sampled_from(_HELDOUT_FIELDS))
-        if field in ("context", "negatives") or draw(st.booleans()):
-            return [v for k, v in row.items() if k != field]
-        row[field] = ""
-    return list(row.values())
+        codes = data.streams[int(words[1 + i])].codes.tolist()
+        other = [p for p in [*range(len(codes) + 2), top] if not (p < len(codes) and codes[p] == words[cand[0]])]
+        words[1 + n + i] = draw(st.sampled_from(other))
+    else:  # a length: the item count, or one item's context or candidate count
+        at = draw(st.sampled_from([0, ctx_lengths + i, cand_lengths + i]))
+        words[at] = (words[at] + draw(st.sampled_from(_LENGTH_DELTAS))) % 2**32
+    return words
 
 
 @settings(max_examples=60, deadline=None)
 @given(split=st.sampled_from(["valid", "test"]), index=st.integers(0, 99),
-       mutation=st.sampled_from(["unknown_tag", "id_out_of_range", "position_not_target", "missing_field"]),
-       draw=st.data())
+       mutation=st.sampled_from(_HELDOUT_MUTATIONS), draw=st.data())
 def test_heldout_row_mutation_exits_3(split, index, mutation, draw, tiny_bundle, tiny_data):
     with tempfile.TemporaryDirectory() as root:
         copy = os.path.join(root, "bundle")
         shutil.copytree(tiny_bundle, copy)
-        path = os.path.join(copy, f"heldout.{split}.tsv")
-        with open(path) as f:
-            header, *rows = f.read().splitlines()
-        i = index % len(rows)
-        rows[i] = "\t".join(_mutated_row(draw.draw, dict(zip(_HELDOUT_FIELDS, rows[i].split("\t"))),
-                                          tiny_data, mutation))
-        with open(path, "w") as f:
-            f.write("\n".join([header, *rows]) + "\n")
+        path = os.path.join(copy, f"heldout.{split}.bin")
+        with open(path, "rb") as f:
+            raw = f.read()
+        at = raw.index(b"\n") + 1
+        words = _mutated_heldout(draw.draw, np.frombuffer(raw, dtype="<u4", offset=at), tiny_data, mutation, index)
+        with open(path, "wb") as f:
+            f.write(raw[:at] + words.astype("<u4").tobytes())
         model = os.path.join(root, "m.eqv")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

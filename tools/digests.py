@@ -2,9 +2,12 @@
 
 Builds the planted corpus bundle and runs the CLI on it in-process:
 
-* every file of the bundle; of a bundle of the same corpus with ``%``
-  comments, ``\\%`` escapes and hyphenated words written into its prose
-  (``commented_corpus``), which the planted corpus has none of; of one
+* every file of the bundle (``manifest.json``, ``vocab.tsv``,
+  ``equations.tsv``, ``units.tsv``, ``streams.bin``, ``eq_units.bin``,
+  ``heldout.valid.bin`` and ``heldout.test.bin``); of a bundle of the
+  same corpus with ``%`` comments, ``\\%`` escapes and hyphenated words
+  written into its prose (``commented_corpus``), which the planted
+  corpus has none of; of one
   with inline math the planted corpus lacks (``inline_math_corpus``:
   ``\\(...\\)`` spans, a ``$`` span holding ``\\)``, an unclosed ``\\(``
   and a lone ``$``, in pieces with and without a ``\\(``); and of a
@@ -163,9 +166,8 @@ def _tables(data) -> dict:
         "registry.counts": data.registry.counts,
     }
     for kind in ("word_vocab", "unit_vocab"):
-        vocab = getattr(data, kind)
-        tables[f"{kind}.forms"] = None if vocab is None else vocab.forms
-        tables[f"{kind}.freqs"] = None if vocab is None else vocab.freqs
+        tables[f"{kind}.forms"] = getattr(data, kind).forms
+        tables[f"{kind}.freqs"] = getattr(data, kind).freqs
     tables["word_vocab.stop_forms"] = list(data.word_vocab.stop_forms)
     for split in ("heldout_valid", "heldout_test"):
         held = getattr(data, split)
