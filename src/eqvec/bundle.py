@@ -77,7 +77,10 @@ def save_bundle(data: CorpusData, path: str) -> str:
 
     An existing target is replaced only if it is an empty directory or a
     bundle; anything else raises ``FileExistsError`` before any write.  So
-    does a document id the layout cannot hold, as ``BundleFormatError``."""
+    does a document id the layout cannot hold, as ``BundleFormatError``.  A
+    value its fields cannot hold (a negative id, or one past the field's
+    width) raises ``BundleFormatError`` during the write, which leaves any
+    existing target as it was."""
     path = os.path.abspath(path)
     problem = next(filter(None, map(doc_id_problem, data.streams.doc_ids)), None)
     if problem:
@@ -136,21 +139,27 @@ def _write_files(data: CorpusData, root: str):
     streams, eq_units = data.streams, data.eq_units
     id_block = "\n".join(streams.doc_ids).encode("utf-8")
     with open(os.path.join(root, "streams.bin"), "wb") as f:
-        f.write(_H_STREAMS + _u32([len(streams), len(id_block)]) + id_block)
-        f.write(_u32(np.diff(streams.ptr)) + _u32(streams.codes))
+        f.write(_H_STREAMS + _packed([len(streams), len(id_block)]) + id_block)
+        f.write(_packed(np.diff(streams.ptr)) + _packed(streams.codes))
     with open(os.path.join(root, "eq_units.bin"), "wb") as f:
-        f.write(_H_EQUNITS + _u32([len(eq_units)]) + _u32(np.diff(eq_units.ptr)))
-        f.write(eq_units.ids.astype("<i4").tobytes())
+        f.write(_H_EQUNITS + _packed([len(eq_units)]) + _packed(np.diff(eq_units.ptr)))
+        f.write(_packed(eq_units.ids, "<i4"))
 
     for split, held in (("valid", data.heldout_valid), ("test", data.heldout_test)):
         with open(os.path.join(root, f"heldout.{split}.bin"), "wb") as f:
-            f.write(_H_HELDOUT + _u32([len(held)]) + _u32(held.stream) + _u32(held.position) + _u32(held.eq_id))
-            f.write(_u32(np.diff(held.ctx_ptr)) + _u32(np.where(held.ctx_eq, held.ctx_id | int(EQ_TAG), held.ctx_id)))
-            f.write(_u32(np.diff(held.cand_ptr)) + _u32(held.cand))
+            f.write(_H_HELDOUT + b"".join(map(_packed, ([len(held)], held.stream, held.position, held.eq_id))))
+            ctx_codes = np.where(held.ctx_eq, held.ctx_id | int(EQ_TAG), held.ctx_id)
+            f.write(b"".join(map(_packed, (np.diff(held.ctx_ptr), ctx_codes, np.diff(held.cand_ptr), held.cand))))
 
 
-def _u32(values) -> bytes:
-    return np.asarray(values).astype("<u4").tobytes()
+def _packed(values, dtype: str = "<u4") -> bytes:
+    """``values`` as little-endian ``dtype`` bytes; a value the type cannot
+    hold raises ``BundleFormatError`` instead of being written wrapped."""
+    values, bounds = np.asarray(values), np.iinfo(dtype)
+    if values.size and (values.min() < bounds.min or values.max() > bounds.max):
+        bad = values[(values < bounds.min) | (values > bounds.max)][0]
+        raise BundleFormatError(f"value {bad} is out of range of a {bounds.dtype} field")
+    return values.astype(dtype).tobytes()
 
 
 def _write_vocab(path: str, header: str, vocab: Vocabulary):

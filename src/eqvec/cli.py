@@ -282,8 +282,10 @@ def cmd_eval(args) -> int:
         print(f"error: bundle not found: {cfg.bundle_dir}", file=sys.stderr)
         return EXIT_USAGE
     _check_output(cfg.report_path)
-    os.makedirs(os.path.dirname(os.path.abspath(cfg.report_path)), exist_ok=True)
     data = bundle_io.load_bundle(cfg.bundle_dir)
+    if not (len(data.heldout_valid) and len(data.heldout_test)):
+        raise UsageError(f"bundle {cfg.bundle_dir} has no held-out items to score")
+    os.makedirs(os.path.dirname(os.path.abspath(cfg.report_path)), exist_ok=True)
     modes, dims, wws, ews = cfg.eval_grid()
     base = cfg.model
     lines = [

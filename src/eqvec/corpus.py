@@ -501,13 +501,8 @@ def ingest_corpus(docs: list[RawDocument], params: IngestParams, stopwords=None)
     )
     streams = words.encode(word_vocab)
 
-    sequences = {
-        g: slt.tokenize_equation(latex, symbol_window=params.symbol_window)
-        for g, latex in enumerate(registry.latex)
-    }
-    unit_vocab, eq_units = Vocabulary("unit", [], np.zeros(0, dtype=np.int64)), EquationUnits([0], [])
-    if sequences:
-        unit_vocab, eq_units = slt.build_unit_vocabulary(sequences, min_count=params.unit_min_count)
+    sequences = [slt.tokenize_equation(latex, symbol_window=params.symbol_window) for latex in registry.latex]
+    unit_vocab, eq_units = slt.build_unit_vocabulary(sequences, min_count=params.unit_min_count)
 
     heldout_valid, heldout_test, heldout_skipped = build_heldout(
         streams,

@@ -6,11 +6,11 @@ from dataclasses import dataclass
 
 
 def doc_id_problem(doc_id: str) -> str | None:
-    """Why a bundle, which writes doc ids as UTF-8 lines, cannot hold ``doc_id``; a tab is refused as well."""
+    """Why a bundle, which writes doc ids as UTF-8 lines, cannot hold ``doc_id``."""
     if not doc_id:
         return "doc_id must be non-empty"
-    if set("\t\n\r") & set(doc_id) or doc_id.encode("utf-8", "replace").decode() != doc_id:
-        return f"doc_id {doc_id!r} holds a tab or a line break, or is not valid UTF-8"
+    if set("\n\r") & set(doc_id) or doc_id.encode("utf-8", "replace").decode() != doc_id:
+        return f"doc_id {doc_id!r} holds a line break, or is not valid UTF-8"
     return None
 
 

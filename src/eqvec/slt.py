@@ -6,9 +6,9 @@ w (within).  Walking the tree emits (symbol, symbol, relation) tuples;
 each tuple is one equation *unit*, the atomic "word" of an equation.
 """
 
-import re
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain, count
 from typing import NamedTuple
 
 import numpy as np
@@ -132,6 +132,10 @@ class _Tok(NamedTuple):
     offset: int
 
 
+# One-character tokens other than "char"; any other character is a "char".
+_PUNCT = {"{": "lbrace", "}": "rbrace", "^": "sup", "_": "sub", "'": "prime"}
+
+
 def _lex(latex: str) -> list[_Tok]:
     toks: list[_Tok] = []
     i, n = 0, len(latex)
@@ -151,30 +155,13 @@ def _lex(latex: str) -> list[_Tok]:
                     j += 1
                 toks.append(_Tok("cmd", latex[i + 1 : j].rstrip("*"), i))
                 i = j
-            elif i + 1 < n:
-                c = latex[i + 1]
-                if c != "\\" and c not in ",;:! ":
+            else:
+                c = latex[i + 1 : i + 2]
+                if c not in "\\,;:! ":  # "" (a trailing backslash) is in every string
                     toks.append(_Tok("char", c, i))  # escaped literal symbol
                 i += 2
-            else:
-                i += 1
-        elif ch == "{":
-            toks.append(_Tok("lbrace", ch, i))
-            i += 1
-        elif ch == "}":
-            toks.append(_Tok("rbrace", ch, i))
-            i += 1
-        elif ch == "^":
-            toks.append(_Tok("sup", ch, i))
-            i += 1
-        elif ch == "_":
-            toks.append(_Tok("sub", ch, i))
-            i += 1
-        elif ch == "'":
-            toks.append(_Tok("prime", ch, i))
-            i += 1
         else:
-            toks.append(_Tok("char", ch, i))
+            toks.append(_Tok(_PUNCT.get(ch, "char"), ch, i))
             i += 1
     return toks
 
@@ -243,85 +230,65 @@ class _Parser:
             else:
                 nodes.append(MathNode("symbol", "prime"))
         else:
-            got = self.unit(tok)
-            if isinstance(got, list):
-                nodes.extend(got)
-            elif got is not None:
-                nodes.append(got)
+            nodes.extend(self.unit(tok))
 
     def argument(self, script_tok: _Tok) -> list[MathNode]:
         """One script/command argument: a braced chain or a single unit."""
         tok = self.peek()
-        if tok is None:
+        if tok is None or tok.kind in ("sup", "sub", "rbrace"):
             if self.lenient:
                 return []
-            self.error("missing argument", script_tok.offset)
+            self.error("missing argument", (tok or script_tok).offset)
         if tok.kind == "lbrace":
             self.i += 1
             return self.chain(in_group=True)
-        if tok.kind in ("sup", "sub", "rbrace"):
-            if self.lenient:
-                return []
-            self.error("missing argument", tok.offset)
-        got = self.unit(tok)
-        if isinstance(got, list):
-            return got
-        return [got] if got is not None else []
+        return self.unit(tok)
 
-    def unit(self, tok: _Tok):
-        """Parse one construct starting at ``tok``; returns node, list or None."""
+    def unit(self, tok: _Tok) -> list[MathNode]:
+        """The nodes of the one construct starting at ``tok``: none, one, or
+        the spliced chain of a transparent command."""
         if tok.kind == "lbrace":
             self.i += 1
-            inner = self.chain(in_group=True)
-            return MathNode("group", "{}", within=inner)
+            return [MathNode("group", "{}", within=self.chain(in_group=True))]
         if tok.kind == "char":
             self.i += 1
-            return MathNode("symbol", tok.text)
+            return [MathNode("symbol", tok.text)]
         if tok.kind == "cmd":
             return self.command(tok)
         self.error(f"unexpected token {tok.text!r}", tok.offset)
 
     @_nested
-    def command(self, tok: _Tok):
+    def command(self, tok: _Tok) -> list[MathNode]:
         name = tok.text
         self.i += 1
         if name in SKIP_COMMANDS:
-            return None
-        if name in ("left", "right"):
+            return []
+        if name in ("left", "right"):  # the delimiter that follows is a symbol; "." is none
             nxt = self.peek()
-            if nxt is not None and nxt.kind in ("char", "cmd"):
-                if nxt.kind == "char" and nxt.text == ".":
-                    self.i += 1
-                    return None
-                if nxt.kind == "char":
-                    self.i += 1
-                    return MathNode("symbol", nxt.text)
-            return None
+            if nxt is not None and nxt.kind == "char":
+                self.i += 1
+                return [] if nxt.text == "." else [MathNode("symbol", nxt.text)]
+            return []
         if name in DROP_ARG_COMMANDS:
             self._skip_braced()
-            return None
+            return []
         if name in TRANSPARENT_COMMANDS:
             return self.argument(tok)
         if name in FRACTION_COMMANDS:
             num = self.argument(tok)
             den = self.argument(tok)
-            return MathNode("fraction", FRACTION_COMMANDS[name], over=num, under=den)
+            return [MathNode("fraction", FRACTION_COMMANDS[name], over=num, under=den)]
         if name == "sqrt":
-            node = MathNode("root", "sqrt")
             nxt = self.peek()
-            if nxt is not None and nxt.kind == "char" and nxt.text == "[":
-                node.above.extend(self._bracket_group())
-            node.within.extend(self.argument(tok))
-            return node
+            index = self._bracket_group() if nxt is not None and nxt.kind == "char" and nxt.text == "[" else []
+            return [MathNode("root", "sqrt", above=index, within=self.argument(tok))]
         if name in WRAPPER_COMMANDS:
-            return MathNode("symbol", name, within=self.argument(tok))
+            return [MathNode("symbol", name, within=self.argument(tok))]
         if name in OPERATOR_COMMANDS:
-            return MathNode("operator", name)
-        if name in SYMBOL_COMMANDS:
-            return MathNode("symbol", name)
-        if self.lenient:
-            return MathNode("symbol", name)
-        self.error(f"unknown command \\{name}", tok.offset)
+            return [MathNode("operator", name)]
+        if name not in SYMBOL_COMMANDS and not self.lenient:
+            self.error(f"unknown command \\{name}", tok.offset)
+        return [MathNode("symbol", name)]
 
     def _bracket_group(self) -> list[MathNode]:
         self.i += 1  # consume '['
@@ -426,28 +393,25 @@ def unit_string(t: SltTuple) -> str:
     return f"({esc(t.from_symbol)},{esc(t.to_symbol)},{t.relation})"
 
 
-def build_unit_vocabulary(sequences: dict[int, list[SltTuple]], min_count: int = 1):
+def build_unit_vocabulary(sequences: list[list[SltTuple]], min_count: int = 1):
     """Frequency-filtered unit vocabulary over all tokenized equations.
 
-    ``sequences`` maps every equation id 0..n-1 to its tuple list.  Returns
-    ``(vocab, eq_units)``: the tuple lists re-emitted as vocabulary ids in
-    one ``EquationUnits`` table, with units below ``min_count`` replaced by
-    :data:`UNIT_GAP`.
+    ``sequences[g]`` is equation g's tuple list.  Returns ``(vocab,
+    eq_units)``: the tuple lists re-emitted as vocabulary ids in one
+    ``EquationUnits`` table, with units below ``min_count`` replaced by
+    :data:`UNIT_GAP`; no equations give an empty vocabulary and table.
+    Ids are dense, ordered by descending count then unit string.  Each
+    distinct tuple is serialized once: ``unit_string`` is injective, so a
+    tuple's count is its string's.
     """
     from .corpus import EquationUnits, Vocabulary  # local import: corpus also imports slt
 
-    if not sequences:
-        raise ValueError("empty equation set")
-    rows = [[unit_string(t) for t in sequences[eq_id]] for eq_id in range(len(sequences))]
-    counts = Counter(s for strs in rows for s in strs)
-    kept = sorted(
-        (f for f, c in counts.items() if c >= min_count),
-        key=lambda f: (-counts[f], f),
-    )
-    vocab = Vocabulary(
-        kind="unit",
-        forms=kept,
-        freqs=np.array([counts[f] for f in kept], dtype=np.int64),
-    )
-    ptr = np.concatenate(([0], np.cumsum([len(strs) for strs in rows])))
-    return vocab, EquationUnits(ptr, [vocab.index.get(s, UNIT_GAP) for strs in rows for s in strs])
+    ids = defaultdict(count().__next__)  # a tuple's provisional id: the order of its first occurrence
+    prov = np.fromiter(map(ids.__getitem__, chain.from_iterable(sequences)), dtype=np.int64)
+    counts = np.bincount(prov, minlength=len(ids))
+    forms, n = list(map(unit_string, ids)), counts.tolist()
+    kept = sorted((u for u, c in enumerate(n) if c >= min_count), key=lambda u: (-n[u], forms[u]))
+    remap = np.full(len(forms), UNIT_GAP, dtype=np.int64)
+    remap[kept] = np.arange(len(kept))
+    ptr = np.concatenate(([0], np.cumsum([len(seq) for seq in sequences], dtype=np.int64)))
+    return Vocabulary("unit", [forms[u] for u in kept], counts[kept]), EquationUnits(ptr, remap[prov])

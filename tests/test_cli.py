@@ -77,6 +77,12 @@ def test_corpus_without_equations_ingests_and_trains_in_every_mode(tmp_path, cap
         code, _, err = run(["train", "--bundle", bundle, "--model", model, "--mode", mode] + TRN, capsys)
         assert code == 0 and "Traceback" not in err, (mode, err)
         assert load_model(model).mode == mode
+    # nothing to score: eval refuses before any fit and writes no report
+    report = tmp_path / "out" / "report.tsv"
+    code, out, err = run(["eval", "--bundle", bundle, "--report", str(report)] + TRN, capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: bundle {bundle} has no held-out items to score\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")
@@ -926,10 +932,21 @@ def test_count_swamping_the_rest_exits_1(tiny_bundle, tmp_path):
     assert not os.path.exists(model)
 
 
-@pytest.mark.parametrize("name", [b"one\tx.tex", b"one\xffx.tex"], ids=["tab", "byte_0xff"])
+def test_doc_id_with_a_tab_is_ingested(tiny_corpus, tmp_path, capsys):
+    # a doc id is its file name; no bundle file separates doc ids with tabs
+    corpus = tmp_path / "corpus"
+    shutil.copytree(tiny_corpus, corpus)
+    (corpus / "one\tx.tex").write_text("Modeling words everywhere always believing.\n$$ q + r $$\nwords believing.")
+    bundle = str(tmp_path / "bundle")
+    code, _, err = run(["ingest", "--corpus", str(corpus), "--bundle", bundle] + ING, capsys)
+    assert code == 0 and err == ""
+    assert load_bundle(bundle).streams.doc_ids == ["one", "one\tx", "three", "two"]
+
+
+@pytest.mark.parametrize("name", [b"one\xffx.tex"], ids=["byte_0xff"])
 def test_doc_id_a_bundle_cannot_hold_is_skipped(name, tiny_corpus, tiny_bundle, tmp_path):
-    # a doc id is its file name; a tab in it would split its held-out rows,
-    # and a byte that is not UTF-8 could not be written to streams.bin
+    # a doc id is its file name; a byte that is not UTF-8 could not be
+    # written to streams.bin
     corpus = tmp_path / "corpus"
     shutil.copytree(tiny_corpus, corpus)
     with open(os.path.join(os.fsencode(corpus), name), "wb") as f:

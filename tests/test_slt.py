@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqvec import slt
+from eqvec.corpus import EquationUnits
 from eqvec.slt import (
     RELATIONS,
     MathNode,
@@ -21,6 +22,8 @@ from eqvec.slt import (
     tokenize_equation,
     unit_string,
 )
+
+from . import reference_slt
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "slt_golden.tsv")
 
@@ -249,7 +252,7 @@ def test_round_trip_over_random_symbols():
 def test_build_unit_vocabulary_counts():
     seq_a = tokenize_equation("x^2 + y")
     seq_b = tokenize_equation("x^2 - y")
-    vocab, ids = build_unit_vocabulary({0: seq_a, 1: seq_b})
+    vocab, ids = build_unit_vocabulary([seq_a, seq_b])
     assert vocab.kind == "unit"
     shared = unit_string(SltTuple("x", "2", "a"))
     assert vocab.freqs[vocab.index[shared]] == 2
@@ -260,15 +263,17 @@ def test_build_unit_vocabulary_counts():
 def test_unit_vocabulary_min_count_gaps():
     seq_a = tokenize_equation("x^2 + y")
     seq_b = tokenize_equation("x^2 - y")
-    vocab, ids = build_unit_vocabulary({0: seq_a, 1: seq_b}, min_count=2)
+    vocab, ids = build_unit_vocabulary([seq_a, seq_b], min_count=2)
     assert (ids[0] == slt.UNIT_GAP).any()
     for form in vocab.forms:
         assert vocab.freqs[vocab.index[form]] >= 2
 
 
-def test_empty_equation_set_errors():
-    with pytest.raises(ValueError, match="empty"):
-        build_unit_vocabulary({})
+def test_empty_equation_set_gives_empty_vocabulary():
+    vocab, eq_units = build_unit_vocabulary([])
+    assert vocab.kind == "unit" and vocab.forms == [] and vocab.freqs.dtype == np.int64
+    assert isinstance(eq_units, EquationUnits) and len(eq_units) == 0
+    assert eq_units.ptr.tolist() == [0] and eq_units.ids.tolist() == []
 
 
 def test_relations_confined_to_alphabet():
@@ -332,6 +337,47 @@ def test_lenient_parse_never_raises(parts, repeat):
     except MathParseError:
         pass  # strict mode rejects, but never with another error
 
+
+# --- against the branchy reference parser and vocabulary ---------------------------
+
+# Pieces that reach every lexer and parser branch: punctuation tokens, escapes
+# (spacing, "\\", literal braces, a trailing backslash), delimiters, root
+# indices, fractions, wrappers, transparent, skipped and argument-dropping
+# commands, unknown and starred commands, comments, and non-ASCII letters,
+# digits and spaces.
+_LATEX_PIECES = [
+    "{", "}", "^", "_", "'", "\\\\", "\\,", "\\;", "\\!", "\\ ", "\\{", "\\}", "\\%", "\\",
+    "\\left.", "\\right|", "\\left(", "\\right)", "\\left", "\\right", "\\left\\{", "\\sqrt", "\\sqrt[",
+    "[", "]", "\\frac", "\\binom", "\\hat", "\\vec", "\\mathbf", "\\text", "\\label", "\\displaystyle",
+    "\\alpha", "\\sum", "\\lim", "\\cdot", "\\foo", "\\unknowncmd", "\\align*", "*", "x", "y", "1", "=",
+    "+", "&", "~", "%", "\n", " ", "é", "²", "\u2009", "ß", "\u0663",
+]
+_latex = st.lists(st.one_of(st.sampled_from(_LATEX_PIECES), st.text(max_size=2)), max_size=30).map("".join)
+
+
+def _outcome(parse, latex, lenient):
+    try:
+        return parse(latex, lenient=lenient)
+    except MathParseError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_latex)
+def test_parse_matches_reference(latex):
+    for lenient in (True, False):
+        assert _outcome(parse_math, latex, lenient) == _outcome(reference_slt.parse_math, latex, lenient)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_latex, min_size=1, max_size=8), st.integers(1, 3), st.integers(1, 3))
+def test_unit_vocabulary_matches_reference(latexes, window, min_count):
+    sequences = [tokenize_equation(latex, symbol_window=window) for latex in latexes]
+    vocab, eq_units = build_unit_vocabulary(sequences, min_count=min_count)
+    want_vocab, want_units = reference_slt.build_unit_vocabulary(dict(enumerate(sequences)), min_count=min_count)
+    assert vocab.forms == want_vocab.forms and vocab.index == want_vocab.index
+    assert vocab.freqs.dtype == want_vocab.freqs.dtype and vocab.freqs.tolist() == want_vocab.freqs.tolist()
+    assert eq_units.ptr.tolist() == want_units.ptr.tolist() and eq_units.ids.tolist() == want_units.ids.tolist()
 
 
 def _best_seconds(small: str, large: str, repeats: int = 5) -> tuple[float, float]:

@@ -197,10 +197,11 @@ def test_document_validation():
         RawDocument("", "text")
     with pytest.raises(ValueError):
         RawDocument("d", "")
-    # a bundle writes doc ids as UTF-8 inside tab-separated rows
-    for doc_id in ("a\tb", "a\nb", "a\rb", "a\udcffb"):
+    # a bundle writes doc ids as UTF-8 lines
+    for doc_id in ("a\nb", "a\rb", "a\udcffb"):
         with pytest.raises(ValueError, match="doc_id"):
             RawDocument(doc_id, "text")
+    assert RawDocument("a\tb", "text").doc_id == "a\tb"
 
 
 # --- against the rescanning extractor ------------------------------------------

@@ -10,10 +10,15 @@ Builds the planted corpus bundle and runs the CLI on it in-process:
   corpus has none of; of one
   with inline math the planted corpus lacks (``inline_math_corpus``:
   ``\\(...\\)`` spans, a ``$`` span holding ``\\)``, an unclosed ``\\(``
-  and a lone ``$``, in pieces with and without a ``\\(``); and of a
-  bundle that keeps only ``SINGLETON_SAMPLE`` of its singleton equations,
-  so that the registry is compacted and renumbered;
-* each of those four bundles loaded back, table by table (``table/...``):
+  and a lone ``$``, in pieces with and without a ``\\(``); of one with
+  display equations that reach the layout-tree parser's branches the
+  planted templates do not (``math_corpus``: root indices, ``\\left.``
+  and ``\\right|``, ``\\binom``, wrappers, ``\\text``, ``\\label``,
+  primes, ``\\{``, an unknown command and an unclosed brace), ingested
+  at ``symbol_window=2``; and of a bundle that keeps only
+  ``SINGLETON_SAMPLE`` of its singleton equations, so that the registry
+  is compacted and renumbered;
+* each of those five bundles loaded back, table by table (``table/...``):
   the streams' ``doc_ids``, ``ptr`` and ``codes``, the ``eq_units`` ``ptr``
   and ``ids``, the registry, both vocabularies and every held-out column.
   These digest content, not layout: a change to how a bundle file is laid
@@ -147,6 +152,32 @@ def inline_math_corpus(docs):
     return out
 
 
+# One display equation per document, in turn, with "@" replaced by the
+# document's number modulo 3, so that each is seen several times.
+_MATH_EQUATIONS = (
+    "\\sqrt[@]{x_{@} + 1} = \\sqrt{y}",
+    "\\left. \\frac{d f}{d x} \\right|_{x = @}",
+    "\\binom{n}{@} = \\binom{n}{n - @}",
+    "\\hat{x}_{@} + \\vec{v} \\cdot \\overline{w}",
+    "f'(x) + g''_{@} = h'^{2}",
+    "y = @ \\text{if } x > 0 \\label{eq:{@}}",  # nested braces: normalization keeps it
+    "\\{ a_{@}, b \\} \\subseteq \\left\\{ S \\right\\}",
+    "\\mycommand{x} + \\widget_{@} \\mathbf{A}^{T}",
+    "{x + y_{@} \\cdot z",
+)
+
+
+def math_corpus(docs):
+    """``docs`` with one display equation from ``_MATH_EQUATIONS`` each,
+    written before ``\\end{document}``."""
+    out = []
+    for d, doc in enumerate(docs):
+        eq = _MATH_EQUATIONS[d % len(_MATH_EQUATIONS)].replace("@", str(d % 3))
+        end = doc.source_text.rindex("\\end{document}")
+        out.append(RawDocument(doc.doc_id, f"{doc.source_text[:end]}\\[ {eq} \\]\n{doc.source_text[end:]}"))
+    return out
+
+
 def _content(value) -> str:
     """The digest of an array's dtype, shape and values, or of a JSON value."""
     if isinstance(value, np.ndarray):
@@ -190,6 +221,8 @@ def digests(workdir: str, n_docs: int = 200, max_epochs: int | None = None) -> d
     out = _bundle_digests(commented, os.path.join(workdir, "commented"), "commented")
     inline = ingest_corpus(inline_math_corpus(docs), IngestParams(seed=INGEST_SEED))
     out.update(_bundle_digests(inline, os.path.join(workdir, "inline"), "inline"))
+    math = ingest_corpus(math_corpus(docs), IngestParams(seed=INGEST_SEED, symbol_window=2))
+    out.update(_bundle_digests(math, os.path.join(workdir, "math"), "math"))
     data = ingest_corpus(docs, IngestParams(seed=INGEST_SEED))
     sampled = ingest_corpus(docs, IngestParams(seed=INGEST_SEED, singleton_sample=SINGLETON_SAMPLE))
     if sampled.n_equations == data.n_equations:
