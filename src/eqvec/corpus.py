@@ -1,11 +1,14 @@
 """Corpus construction: vocabulary, equation registry, token streams, held-out sets.
 
-Per-document work (extraction + tokenization) is pure and safe to fan out
-to worker processes; everything order-sensitive is merged in doc_id order
-so parallel and serial ingestion produce identical corpora.  After
-tokenization each word is touched once, in ``intern_words``: the word
-counts the vocabulary is selected from and the streams' codes are then
-array operations over its provisional ids.
+Documents are prepared in doc_id order, and each document's words become
+int32 ids as soon as it is extracted and tokenized (``intern_prepared``),
+so the corpus is never held as one string per word.  Preparing a batch of
+documents is pure and safe to fan out to worker processes: each worker
+prepares a contiguous chunk and sends back its ids and its own form
+table, and ``merge_batches`` joins the chunks in doc_id order, so
+parallel and serial ingestion produce identical corpora.  The word counts
+the vocabulary is selected from and the streams' codes are then array
+operations over the ids.
 """
 
 import logging
@@ -221,7 +224,7 @@ class InternedWords(NamedTuple):
     forms: list[str]
     prov: np.ndarray  # int32 provisional word ids
     doc_ids: list[str]
-    ptr: list[int]
+    ptr: Sequence[int]
     slot_codes: list[int]
 
     def counts(self) -> dict[str, int]:
@@ -239,34 +242,104 @@ class InternedWords(NamedTuple):
         return TokenStreams(self.doc_ids, self.ptr, codes)
 
 
-def intern_words(doc_tokens, doc_maps) -> InternedWords:
-    """Number the word forms of prepared documents in one pass over their words.
+class PreparedBatch(NamedTuple):
+    """Prepared documents in doc_id order, their words numbered.
 
-    ``doc_tokens`` holds ``(doc_id, pieces, slots)``: the word lists of a
-    document's prose pieces and, between consecutive pieces, the
-    document-local id of the equation in that slot.  A word form's id is
-    the order of its first occurrence.  A slot's code is its tagged global
-    equation id, or a gap when ``doc_maps`` maps it to None (an equation
-    dropped by singleton sampling); a slot naming no equation of its
-    document is an error.
+    Position j of the batch holds the word ``forms[ids[j]]``, or an
+    equation slot where ``ids[j]`` is 0 (``forms[0]`` is "", which no word
+    is); the slots' document-local equation ids are ``slots``, in position
+    order.  Document i is ``doc_ids[i]``, spans ``ptr[i]:ptr[i + 1]`` and
+    holds the distinct equations ``records[i]``.  A word form's id is the
+    order of its first occurrence in the batch.  ``skipped`` counts the
+    regions extraction skipped.
     """
-    ids = defaultdict(count(1).__next__, {"": 0})  # id 0 marks a slot
-    gap = int(GAP)
-    words, slot_codes, doc_ids, ptr = [], [], [], [0]
-    for doc_id, pieces, slots in doc_tokens:
-        mapping = doc_maps.get(doc_id, {})
-        words += pieces[0]
-        for local, piece in zip(slots, pieces[1:], strict=True):
+
+    doc_ids: list[str]
+    ptr: np.ndarray  # int64
+    ids: np.ndarray  # int32
+    slots: np.ndarray  # int32
+    records: list[list[EquationRecord]]
+    skipped: int
+    forms: list[str]
+
+    def interned(self, doc_maps) -> InternedWords:
+        """The batch's words with each slot's code: its tagged global
+        equation id, or a gap when ``doc_maps`` maps it to None (an
+        equation dropped by singleton sampling).  A slot naming no equation
+        of its document is an error."""
+        gap = int(GAP)
+        doc = np.searchsorted(self.ptr, np.flatnonzero(self.ids == 0), side="right") - 1
+        slot_codes = []
+        for i, local in zip(doc.tolist(), self.slots.tolist()):
+            mapping = doc_maps.get(self.doc_ids[i], {})
             if local not in mapping:
-                raise CorpusError(f"{doc_id}: equation slot {local} names no equation of the document")
+                raise CorpusError(f"{self.doc_ids[i]}: equation slot {local} names no equation of the document")
             gid = mapping[local]
             slot_codes.append(gap if gid is None else encode_equation(gid))
+        return InternedWords(self.forms, self.ids, self.doc_ids, self.ptr, slot_codes)
+
+
+# Words are numbered in runs of at least this many, one ``np.fromiter``
+# per run: a call per document costs more than a short document's
+# lookups, and a run holds a bounded number of strings.
+_INTERN_RUN = 4096
+
+
+def intern_prepared(prepared) -> PreparedBatch:
+    """Number the words of prepared documents as they arrive.
+
+    ``prepared`` yields ``(doc_id, pieces, slots, records, skipped)`` in
+    doc_id order: the word lists of a document's prose pieces, the
+    document-local equation id of each slot between consecutive pieces,
+    its distinct equations and its skipped regions.  Only the distinct
+    forms and the words of the last ``_INTERN_RUN`` or so positions are
+    held as strings.
+    """
+    index = defaultdict(count(1).__next__, {"": 0})  # id 0 marks a slot
+    doc_ids, ptr, ids, words, slots, records, skipped = [], [0], [], [], [], [], 0
+
+    def number():
+        ids.append(np.fromiter(map(index.__getitem__, words), dtype=np.int32, count=len(words)))
+        words.clear()
+
+    for doc_id, pieces, doc_slots, doc_records, doc_skipped in prepared:
+        start = len(words)
+        words += pieces[0]
+        for _, piece in zip(doc_slots, pieces[1:], strict=True):
             words.append("")
             words += piece
         doc_ids.append(doc_id)
-        ptr.append(len(words))
-    prov = np.fromiter(map(ids.__getitem__, words), dtype=np.int32, count=len(words))
-    return InternedWords(list(ids), prov, doc_ids, ptr, slot_codes)
+        ptr.append(ptr[-1] + len(words) - start)
+        slots += doc_slots
+        records.append(doc_records)
+        skipped += doc_skipped
+        if len(words) >= _INTERN_RUN:
+            number()
+    number()
+    return PreparedBatch(doc_ids, np.array(ptr, dtype=np.int64), np.concatenate(ids),
+                         np.array(slots, dtype=np.int32), records, skipped, list(index))
+
+
+def merge_batches(batches: list[PreparedBatch]) -> PreparedBatch:
+    """One batch from consecutive batches, given in doc_id order: each
+    batch's forms join one table in order of first occurrence, and its ids
+    are remapped with one gather."""
+    index = {"": 0}
+    ptr, ids, end = [np.zeros(1, dtype=np.int64)], [], 0
+    for b in batches:
+        remap = np.fromiter((index.setdefault(f, len(index)) for f in b.forms), dtype=np.int32, count=len(b.forms))
+        ids.append(remap[b.ids])
+        ptr.append(b.ptr[1:] + end)
+        end += int(b.ptr[-1])
+    return PreparedBatch(
+        [d for b in batches for d in b.doc_ids],
+        np.concatenate(ptr),
+        np.concatenate(ids),
+        np.concatenate([b.slots for b in batches]),
+        [r for b in batches for r in b.records],
+        sum(b.skipped for b in batches),
+        list(index),
+    )
 
 
 # --- held-out sets ------------------------------------------------------------
@@ -464,6 +537,16 @@ def _prepare_document(doc: RawDocument):
     return doc.doc_id, [tex.tokenize_words(p) for p in pieces], slots, records, skipped
 
 
+def _prepare_batch(docs: list[RawDocument]) -> PreparedBatch:
+    """Extract, tokenize and number the words of ``docs``, in their order."""
+    return intern_prepared(map(_prepare_document, docs))
+
+
+# Contiguous chunks per ingest worker, so that documents of uneven length
+# even out across workers.
+_CHUNKS_PER_WORKER = 4
+
+
 def ingest_corpus(docs: list[RawDocument], params: IngestParams, stopwords=None) -> CorpusData:
     """Run the full corpus pipeline over parsed documents."""
     from . import slt  # ingest only: keeps the layout-tree tokenizer off the query path
@@ -475,22 +558,23 @@ def ingest_corpus(docs: list[RawDocument], params: IngestParams, stopwords=None)
     if stopwords is None:
         stopwords = load_stopwords()
 
+    docs = sorted(docs, key=lambda d: d.doc_id)
     if params.workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # all of multiprocessing: import on use
 
+        n = max(1, min(len(docs), _CHUNKS_PER_WORKER * params.workers))
+        bounds = [len(docs) * i // n for i in range(n + 1)]
         with ProcessPoolExecutor(max_workers=params.workers) as pool:
-            prepared = list(pool.map(_prepare_document, docs, chunksize=8))
+            batch = merge_batches(list(pool.map(_prepare_batch, [docs[a:b] for a, b in zip(bounds, bounds[1:])])))
     else:
-        prepared = [_prepare_document(d) for d in docs]
-    prepared.sort(key=lambda r: r[0])
-    regions_skipped = sum(r[4] for r in prepared)
+        batch = _prepare_batch(docs)
 
-    registry, doc_maps = build_equation_registry([(d, r) for d, _, _, r, _ in prepared])
+    registry, doc_maps = build_equation_registry(list(zip(batch.doc_ids, batch.records)))
     keep = _sample_singletons(registry, params)
-    if keep is not None:  # before interning: slot codes name the compacted ids
+    if keep is not None:  # before the slot codes: they name the compacted ids
         doc_maps, registry = _compact_registry(registry, doc_maps, keep)
 
-    words = intern_words([(d, pieces, slots) for d, pieces, slots, _, _ in prepared], doc_maps)
+    words = batch.interned(doc_maps)
     word_vocab = build_word_vocabulary(
         words.counts(),
         stopwords,
@@ -517,7 +601,7 @@ def ingest_corpus(docs: list[RawDocument], params: IngestParams, stopwords=None)
         "words": len(word_vocab),
         "equations": len(registry),
         "units": len(unit_vocab),
-        "regions_skipped": regions_skipped,
+        "regions_skipped": batch.skipped,
         "heldout_skipped": heldout_skipped,
     }
     return CorpusData(

@@ -28,7 +28,9 @@ _OPENER = re.compile(_ENV_BEGIN.pattern + r"|\$\$|\\\[")
 # The look-behind follows the literal "%", so the search jumps from one "%"
 # to the next instead of trying the pattern at every character.
 _COMMENT = re.compile(r"%(?<!\\%)[^\n]*")
-_LABEL = re.compile(r"\\label\{[^{}]*\}")
+# One match per mark a label scan acts on: a ``\label{``, an escape pair
+# (so ``\{`` and ``\}`` are no braces), or a brace.
+_LABEL_MARK = re.compile(r"\\label\{|\\.|[{}]", re.S)
 _WS_RUN = re.compile(r"\s+")
 
 
@@ -39,8 +41,33 @@ def strip_comments(text: str) -> str:
 
 def normalize_equation(latex: str) -> str:
     """Canonical form used for deduplication: no labels, collapsed whitespace."""
-    latex = _LABEL.sub(" ", latex)
-    return _WS_RUN.sub(" ", latex).strip()
+    return _WS_RUN.sub(" ", _drop_labels(latex)).strip()
+
+
+def _drop_labels(latex: str) -> str:
+    """Replace each ``\\label{...}`` group, braces balanced, with a space.
+
+    One pass over the marks keeps the start of every open group (-1 for a
+    group that is no label); a label that never closes stays as written.
+    A label inside a dropped one goes with it."""
+    if "\\label{" not in latex:
+        return latex
+    opened: list[int] = []
+    spans: list[tuple[int, int]] = []  # dropped labels, in order
+    for m in _LABEL_MARK.finditer(latex):
+        mark = m[0]
+        if mark == "{" or mark == "\\label{":
+            opened.append(-1 if mark == "{" else m.start())
+        elif mark == "}" and opened and (start := opened.pop()) >= 0:
+            while spans and spans[-1][0] > start:
+                spans.pop()
+            spans.append((start, m.end()))
+    kept, cut = [], 0
+    for start, end in spans:
+        kept.append(latex[cut:start])
+        cut = end
+    kept.append(latex[cut:])
+    return " ".join(kept)
 
 
 # Text a row split passes over: no brace and no backslash pair; any other

@@ -12,18 +12,33 @@
   of ids, and compaction by re-adding the kept records.
 * ``build_token_streams`` with one ``TokenStream`` and one array per
   document, and one vocabulary lookup per word.
+* ``intern_words``, which numbers the words of all prepared documents in
+  one pass once the document maps are known, holding every word of the
+  corpus as a string until it returns.
 
-``eqvec.corpus`` builds the registry as columns and the streams from one
-pass over the words (``intern_words``), and must give equal LaTeX, counts,
-document maps, doc ids and codes; the word counts of that pass must equal
-a ``Counter`` over the words.
+``eqvec.corpus`` builds the registry as columns and numbers each
+document's words as it is prepared (``intern_prepared``), in consecutive
+batches that ``merge_batches`` joins, and must give equal LaTeX, counts,
+document maps, doc ids and codes; the word counts must equal a
+``Counter`` over the words, and the forms, counts and codes those of
+``intern_words``.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 
-from eqvec.corpus import EQ_TAG, GAP, CorpusError, TokenStream, _draw_excluding, encode_equation
+from eqvec.corpus import (
+    EQ_TAG,
+    GAP,
+    CorpusError,
+    InternedWords,
+    TokenStream,
+    _draw_excluding,
+    encode_equation,
+)
 from eqvec.records import EquationRecord
 
 from .conftest import Item
@@ -166,3 +181,33 @@ def build_token_streams(doc_tokens, word_vocab, doc_maps) -> list[TokenStream]:
             codes += [word_vocab.index.get(w, gap) for w in words]
         streams.append(TokenStream(doc_id, np.array(codes, dtype=np.uint32)))
     return streams
+
+
+def intern_words(doc_tokens, doc_maps) -> InternedWords:
+    """Number the word forms of prepared documents in one pass over their words.
+
+    ``doc_tokens`` holds ``(doc_id, pieces, slots)``: the word lists of a
+    document's prose pieces and, between consecutive pieces, the
+    document-local id of the equation in that slot.  A word form's id is
+    the order of its first occurrence.  A slot's code is its tagged global
+    equation id, or a gap when ``doc_maps`` maps it to None (an equation
+    dropped by singleton sampling); a slot naming no equation of its
+    document is an error.
+    """
+    ids = defaultdict(count(1).__next__, {"": 0})  # id 0 marks a slot
+    gap = int(GAP)
+    words, slot_codes, doc_ids, ptr = [], [], [], [0]
+    for doc_id, pieces, slots in doc_tokens:
+        mapping = doc_maps.get(doc_id, {})
+        words += pieces[0]
+        for local, piece in zip(slots, pieces[1:], strict=True):
+            if local not in mapping:
+                raise CorpusError(f"{doc_id}: equation slot {local} names no equation of the document")
+            gid = mapping[local]
+            slot_codes.append(gap if gid is None else encode_equation(gid))
+            words.append("")
+            words += piece
+        doc_ids.append(doc_id)
+        ptr.append(len(words))
+    prov = np.fromiter(map(ids.__getitem__, words), dtype=np.int32, count=len(words))
+    return InternedWords(list(ids), prov, doc_ids, ptr, slot_codes)

@@ -14,7 +14,9 @@ every ``\\cite[`` without a ``]``; ``eqvec.tex.tokenize_words`` must give
 the same tokens.  The comment stripper is the look-behind-first regex;
 ``eqvec.tex.strip_comments`` must drop the same spans.  The row splitter
 walks an environment body one character at a time;
-``eqvec.tex._split_rows`` must give the same rows.
+``eqvec.tex._split_rows`` must give the same rows.  The label dropper finds
+each unescaped ``\\label{`` and then its closing brace by a scan of its own
+from there; ``eqvec.tex.normalize_equation`` must drop the same labels.
 """
 
 import logging
@@ -191,3 +193,31 @@ def reference_sequence(doc: RawDocument):
         for t in tokenize_words(prose)
     ]
     return sequence, records, skipped
+
+
+def drop_labels(latex: str) -> str:
+    """Each ``\\label{`` that no backslash escapes, up to the brace that
+    closes it, found by counting braces forward from there (an escape pair
+    skipped), replaced with a space; a label that never closes stays, and
+    one inside a dropped label goes with it."""
+    starts, i = [], 0
+    while i < len(latex):
+        if latex.startswith("\\label{", i):
+            starts.append(i)
+            i += len("\\label{")
+        else:
+            i += 2 if latex[i] == "\\" else 1
+    spans = []
+    for start in starts:
+        depth, j = 1, start + len("\\label{")
+        while j < len(latex) and depth:
+            ch = latex[j]
+            depth += (ch == "{") - (ch == "}")
+            j += 2 if ch == "\\" else 1
+        if depth == 0 and (not spans or start >= spans[-1][1]):
+            spans.append((start, j))
+    out, cut = [], 0
+    for start, end in spans:
+        out.append(latex[cut:start])
+        cut = end
+    return " ".join(out + [latex[cut:]])

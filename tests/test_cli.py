@@ -54,6 +54,22 @@ def tiny_corpus(tmp_path_factory):
     return str(root)
 
 
+@pytest.fixture(scope="module")
+def chunked_corpus(tmp_path_factory):
+    """Twelve documents, more than one chunk per worker at ``--workers 2``;
+    each brings a word no earlier document has, so later chunks hold forms
+    first seen there."""
+    root = tmp_path_factory.mktemp("chunked")
+    for i, letter in enumerate("abcdefghijkl"):
+        own = "extra" + letter * 3
+        (root / f"doc{i:02d}.tex").write_text(
+            f"Modeling words everywhere {own} always believing {own}.\n"
+            f"\\begin{{equation}}\nx_{{{i % 5}}} + y\n\\end{{equation}}\n"
+            f"{own} believing words modeling always everywhere."
+        )
+    return str(root)
+
+
 ING = ["--set", "min_tf=2", "--set", "top_stop=0", "--set", "heldout_per_equation=1",
        "--set", "n_negatives=3"]
 TRN = ["--set", "k=6", "--set", "eq_window=4", "--set", "eq_context_window=4",
@@ -144,13 +160,21 @@ def test_word2eq_three_word_query_returns_five_rows(tmp_path, capsys):
     assert len(lines) == 6  # five result rows
 
 
-def test_ingest_parallel_workers_byte_identical(tiny_corpus, tmp_path, capsys):
+def _assert_workers_byte_identical(corpus_dir, tmp_path, capsys):
     b1, b2 = str(tmp_path / "b1"), str(tmp_path / "b2")
-    assert run(["ingest", "--corpus", tiny_corpus, "--bundle", b1] + ING, capsys)[0] == 0
-    assert run(["ingest", "--corpus", tiny_corpus, "--bundle", b2, "--workers", "2"] + ING, capsys)[0] == 0
+    assert run(["ingest", "--corpus", corpus_dir, "--bundle", b1] + ING, capsys)[0] == 0
+    assert run(["ingest", "--corpus", corpus_dir, "--bundle", b2, "--workers", "2"] + ING, capsys)[0] == 0
     for name in sorted(os.listdir(b1)):
         with open(os.path.join(b1, name), "rb") as f1, open(os.path.join(b2, name), "rb") as f2:
             assert f1.read() == f2.read(), name
+
+
+def test_ingest_parallel_workers_byte_identical(tiny_corpus, tmp_path, capsys):
+    _assert_workers_byte_identical(tiny_corpus, tmp_path, capsys)
+
+
+def test_ingest_workers_byte_identical_across_chunks(chunked_corpus, tmp_path, capsys):
+    _assert_workers_byte_identical(chunked_corpus, tmp_path, capsys)
 
 
 def test_ingest_rerun_byte_identical(tiny_corpus, tmp_path, capsys):

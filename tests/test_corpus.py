@@ -1,5 +1,6 @@
 """Vocabulary rules, token streams, held-out construction."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -18,10 +19,12 @@ from eqvec.corpus import (
     build_word_vocabulary,
     encode_equation,
     ingest_corpus,
-    intern_words,
+    intern_prepared,
     load_stopwords,
+    merge_batches,
 )
 from eqvec.records import EquationRecord
+from eqvec.synthetic import planted_corpus
 from eqvec.tex import RawDocument
 
 from . import reference_corpus
@@ -116,8 +119,16 @@ def test_vocabulary_filter_restriction_idempotent():
 # --- token streams -----------------------------------------------------------
 
 
+def _interned(doc_tokens, doc_maps, bounds=None):
+    """Number the words of ``(doc_id, pieces, slots)`` documents in the
+    batches ``bounds`` cuts (one by default) and merge them, as ingest does."""
+    prepared = [(doc_id, pieces, slots, [], 0) for doc_id, pieces, slots in doc_tokens]
+    bounds = bounds or [0, len(prepared)]
+    return merge_batches([intern_prepared(prepared[a:b]) for a, b in zip(bounds, bounds[1:])]).interned(doc_maps)
+
+
 def _streams(doc_tokens, vocab, doc_maps):
-    return intern_words(doc_tokens, doc_maps).encode(vocab)
+    return _interned(doc_tokens, doc_maps).encode(vocab)
 
 
 def _mini_vocab():
@@ -199,15 +210,17 @@ _SELECT = {"min_tf": 2, "min_len": 4, "top_stop": 1, "abbrev_top": 1}
 
 
 @st.composite
-def _prepared_docs(draw):
+def _prepared_docs(draw, stray_slots=False):
     """Per-document equation records and tokens, as ``_prepare_document``
     gives them, in doc_id order: LaTeX repeats across documents, and an
-    equation's count is often 1."""
+    equation's count is often 1.  With ``stray_slots`` a slot may name an
+    equation its document does not have."""
     doc_records, doc_tokens = [], []
     for d in range(draw(st.integers(0, 6))):
         latex = draw(st.lists(_LATEX, unique=True, max_size=5))
         records = [EquationRecord(i, form, draw(st.sampled_from([1, 1, 2, 3]))) for i, form in enumerate(latex)]
-        slots = draw(st.lists(st.integers(0, len(latex) - 1), max_size=6)) if latex else []
+        top = len(latex) - (0 if stray_slots else 1)
+        slots = draw(st.lists(st.integers(0, top), max_size=6)) if top >= 0 else []
         pieces = draw(st.lists(st.lists(_WORD, max_size=4), min_size=len(slots) + 1, max_size=len(slots) + 1))
         doc_records.append((f"d{d}", records))
         doc_tokens.append((f"d{d}", pieces, slots))
@@ -229,7 +242,7 @@ def test_columnar_registry_and_streams_match_per_record_oracles(prepared, single
     keep = corpus._sample_singletons(registry, IngestParams(singleton_sample=singleton_sample, seed=seed))
     if keep is not None:
         doc_maps, registry = corpus._compact_registry(registry, doc_maps, keep)
-    words = intern_words(doc_tokens, doc_maps)
+    words = _interned(doc_tokens, doc_maps)
 
     want, want_maps = reference_corpus.build_equation_registry(doc_records)
     dropped = reference_corpus.sample_singletons(want, singleton_sample, seed)
@@ -258,6 +271,63 @@ def test_columnar_registry_and_streams_match_per_record_oracles(prepared, single
     assert streams.ptr.tolist() == np.cumsum([0] + [len(s.codes) for s in want_streams]).tolist()
     assert streams.codes.dtype == np.uint32
     assert streams.codes.tolist() == [c for s in want_streams for c in s.codes.tolist()]
+
+
+@st.composite
+def _batched_docs(draw):
+    """Prepared documents, a slot sometimes naming no equation of its
+    document, and the bounds of consecutive batches over them (empty
+    batches included)."""
+    doc_records, doc_tokens = draw(_prepared_docs(stray_slots=True))
+    n = len(doc_tokens)
+    return doc_records, doc_tokens, [0, *sorted(draw(st.lists(st.integers(0, n), max_size=4))), n]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_batched_docs(), st.integers(0, 3), st.integers(0, 2**32 - 1))
+@example(([("d0", [EquationRecord(0, "a", 1)]), ("d1", [EquationRecord(0, "b", 2)]), ("d2", [])],
+          [("d0", [["model", "the"], ["zz"]], [0]), ("d1", [["the"], ["layer", "model"]], [0]),
+           ("d2", [["lda", "qq", "model"]], [])], [0, 1, 2, 3]), 0, 0)  # forms first seen in later batches
+@example(([("d0", [EquationRecord(0, "a", 1)]), ("d1", [])],
+          [("d0", [["model"], ["zz"]], [0]), ("d1", [["the"], ["layer"]], [0])], [0, 1, 2]), 0, 0)
+def test_batched_interning_matches_the_one_pass_oracle(batched, singleton_sample, seed):
+    # documents numbered in consecutive batches and merged, as ingest
+    # workers' results are, against numbering all words in one pass
+    doc_records, doc_tokens, bounds = batched
+    registry, doc_maps = build_equation_registry(doc_records)
+    keep = corpus._sample_singletons(registry, IngestParams(singleton_sample=singleton_sample, seed=seed))
+    if keep is not None:
+        doc_maps, registry = corpus._compact_registry(registry, doc_maps, keep)
+    try:
+        want = reference_corpus.intern_words(doc_tokens, doc_maps)
+    except CorpusError as e:
+        with pytest.raises(CorpusError) as got:
+            _interned(doc_tokens, doc_maps, bounds)
+        assert str(got.value) == str(e)
+        return
+    words = _interned(doc_tokens, doc_maps, bounds)
+    assert words.forms == want.forms and words.prov.dtype == np.int32
+    assert words.counts() == want.counts()
+    if not want.counts():
+        return
+    vocab = build_word_vocabulary(words.counts(), STOPS, **_SELECT)
+    want_vocab = build_word_vocabulary(want.counts(), STOPS, **_SELECT)
+    assert vocab.forms == want_vocab.forms and vocab.stop_forms == want_vocab.stop_forms
+    streams, want_streams = words.encode(vocab), want.encode(vocab)
+    assert streams.doc_ids == want_streams.doc_ids
+    assert streams.ptr.tolist() == want_streams.ptr.tolist()
+    assert streams.codes.tolist() == want_streams.codes.tolist()
+
+
+def test_merged_batches_keep_each_documents_records(monkeypatch):
+    docs = [RawDocument(f"d{i}", f"word{'s' * i} alpha $$x^{i}$$ beta \\begin{{equation}}") for i in range(5)]
+    whole = corpus._prepare_batch(docs)  # one run of positions
+    monkeypatch.setattr(corpus, "_INTERN_RUN", 3)  # runs that end inside and between documents
+    merged = merge_batches([corpus._prepare_batch(docs[a:b]) for a, b in ((0, 2), (2, 2), (2, 5))])
+    assert merged.doc_ids == whole.doc_ids == [d.doc_id for d in docs]
+    assert merged.records == whole.records and merged.skipped == whole.skipped == 5
+    assert merged.forms == whole.forms and merged.ids.tolist() == whole.ids.tolist()
+    assert merged.ptr.tolist() == whole.ptr.tolist() and merged.slots.tolist() == whole.slots.tolist()
 
 
 def test_window_classes_word_vs_equation_context():
@@ -448,6 +518,21 @@ def test_ingest_parallel_merge_matches_serial():
         assert s.doc_id == p.doc_id
         assert np.array_equal(s.codes, p.codes)
     assert serial.heldout_valid == parallel.heldout_valid
+
+
+def test_ingest_peak_memory_is_bounded_per_stream_position():
+    # words become ids a few thousand positions at a time, so no string
+    # per word of the corpus is alive at once: a few bytes per position
+    # (ids, codes, masks) plus the documents in flight
+    docs = planted_corpus(2000).documents
+    ingest_corpus(docs[:20], IngestParams())  # imports and stopwords outside the trace
+    tracemalloc.start()
+    try:
+        data = ingest_corpus(docs, IngestParams())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * len(data.streams.codes), (peak, len(data.streams.codes))
 
 
 @pytest.mark.parametrize("marker", ["\u27e6eq:0\u27e7", "\u27e6eq:9\u27e7"])

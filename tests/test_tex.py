@@ -14,11 +14,12 @@ from eqvec.tex import (
     _extract,
     _split_rows,
     extract_display_equations,
+    normalize_equation,
     strip_comments,
     tokenize_words,
 )
 
-from .reference_tex import reference_sequence, reference_tokenize_words, split_rows
+from .reference_tex import drop_labels, reference_sequence, reference_tokenize_words, split_rows
 from .reference_tex import strip_comments as reference_strip_comments
 
 
@@ -106,6 +107,30 @@ def test_label_stripped_and_whitespace_collapsed():
     )
     _, _, records = extract_display_equations(doc)
     assert records[0].latex == "x + y"
+
+
+@pytest.mark.parametrize(
+    "latex, normal",
+    [
+        ("x = 1 \\label{eq:{a}}", "x = 1"),  # the same equation as under \label{eq:a}
+        ("x = 1 \\label{eq:\\alpha{}} + 0", "x = 1 + 0"),
+        ("x \\label{a\\}b} y", "x y"),  # an escaped brace closes nothing
+        ("x \\label{a\\{b} y", "x y"),  # and opens nothing
+        ("x \\label{{a} y", "x \\label{{a} y"),  # never closes: stays as written
+        ("\\label{a \\label{b}} z", "z"),
+        ("} \\label{a} {", "} {"),
+        ("x \\\\label{a} y", "x \\\\label{a} y"),  # a line break, then text
+    ],
+)
+def test_label_with_braces_dropped_whole(latex, normal):
+    assert normalize_equation(latex) == normal
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(["\\label{", "{", "}", "\\", "\\{", "\\}", "a", " "]), max_size=24))
+def test_drop_labels_matches_per_label_scan(parts):
+    latex = "".join(parts)
+    assert normalize_equation(latex) == " ".join(drop_labels(latex).split())
 
 
 @settings(max_examples=1000, deadline=None)
@@ -265,8 +290,10 @@ def _best_seconds(run, small, large, ceiling: float, repeat: int = 5) -> tuple[f
         lambda n: " ".join(f"$$x_{{{i}}}$$ w" for i in range(n)) + " \\[ tail",
         # row splitting: each "{" opens a group of text that a backslash pair leaves unclosed
         lambda n: "\\begin{align}" + " ".join(f"{{x{i} + y - z + w \\\\ z" for i in range(n)) + "\\end{align}",
+        # every label but the last closes an inner group and never its own
+        lambda n: "\\begin{equation}x" + " \\label{{a}" * n + " \\label{b}\\end{equation}",
     ],
-    ids=["unclosed_brackets", "equations_then_unclosed_bracket", "unclosed_groups_in_align"],
+    ids=["unclosed_brackets", "equations_then_unclosed_bracket", "unclosed_groups_in_align", "unclosed_labels"],
 )
 def test_extract_time_is_linear(make):
     # the rescanning extractor takes about 0.7 s at n = 2000 and 11 s at

@@ -160,7 +160,7 @@ _MATH_EQUATIONS = (
     "\\binom{n}{@} = \\binom{n}{n - @}",
     "\\hat{x}_{@} + \\vec{v} \\cdot \\overline{w}",
     "f'(x) + g''_{@} = h'^{2}",
-    "y = @ \\text{if } x > 0 \\label{eq:{@}}",  # nested braces: normalization keeps it
+    "y = @ \\text{if } x > 0 \\label{eq:{@}}",  # nested braces: normalization drops the whole label
     "\\{ a_{@}, b \\} \\subseteq \\left\\{ S \\right\\}",
     "\\mycommand{x} + \\widget_{@} \\mathbf{A}^{T}",
     "{x + y_{@} \\cdot z",
