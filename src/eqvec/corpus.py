@@ -6,9 +6,13 @@ so the corpus is never held as one string per word.  Preparing a batch of
 documents is pure and safe to fan out to worker processes: each worker
 prepares a contiguous chunk and sends back its ids and its own form
 table, and ``merge_batches`` joins the chunks in doc_id order, so
-parallel and serial ingestion produce identical corpora.  The word counts
-the vocabulary is selected from and the streams' codes are then array
-operations over the ids.
+parallel and serial ingestion produce identical corpora.  A batch holds
+its equations as columns as well: each document's distinct LaTeX and
+counts, found through a per-document offset.  The registry is then one
+dict pass over that LaTeX (``register_equations``), singleton sampling
+one remap of the global ids it gives, and the word counts the vocabulary
+is selected from and the streams' codes array operations over the ids:
+every slot's code is one gather.
 """
 
 import logging
@@ -146,24 +150,6 @@ class EquationRegistry(_Rows):
         return self
 
 
-def build_equation_registry(doc_records: list[tuple[str, list[EquationRecord]]]):
-    """Merge per-document records, given in doc_id order, into one registry:
-    equations are numbered in order of first occurrence.
-
-    Returns ``(registry, doc_maps)`` where ``doc_maps[doc_id]`` maps each
-    document-local equation id to its global id.
-    """
-    ids, counts, doc_maps = {}, [], {}  # LaTeX -> id; id -> occurrences; doc_id -> {local id: id}
-    for doc_id, records in doc_records:
-        mapping = doc_maps[doc_id] = {}
-        for rec in records:
-            g = mapping[rec.eq_id] = ids.setdefault(rec.latex, len(ids))
-            if g == len(counts):
-                counts.append(0)
-            counts[g] += rec.occurrence_count
-    return EquationRegistry(ids, counts), doc_maps
-
-
 class TokenStream(NamedTuple):
     doc_id: str
     codes: np.ndarray  # uint32, see module head for the encoding
@@ -212,71 +198,51 @@ class EquationUnits(Mapping):
         return np.concatenate(([0], np.cumsum(keep)))[self.ptr], self.ids[keep]
 
 
-class InternedWords(NamedTuple):
-    """Every document's stream before the word vocabulary is known.
-
-    Position j of the corpus holds the word ``forms[prov[j]]``, or an
-    equation slot where ``prov[j]`` is 0 (``forms[0]`` is "", which no word
-    is); the slots' codes are ``slot_codes``, in position order.  Document i
-    is ``doc_ids[i]`` and spans ``ptr[i]:ptr[i + 1]``.
-    """
-
-    forms: list[str]
-    prov: np.ndarray  # int32 provisional word ids
-    doc_ids: list[str]
-    ptr: Sequence[int]
-    slot_codes: list[int]
-
-    def counts(self) -> dict[str, int]:
-        """Each word form's number of occurrences."""
-        return dict(zip(self.forms[1:], np.bincount(self.prov, minlength=len(self.forms))[1:].tolist()))
-
-    def encode(self, word_vocab: Vocabulary) -> TokenStreams:
-        """The streams of word/equation/gap codes under ``word_vocab``: a
-        word out of it becomes a gap that holds its position but never
-        enters a context window."""
-        index, gap = word_vocab.index, int(GAP)
-        remap = np.array([index.get(f, gap) for f in self.forms], dtype=np.uint32)
-        codes = remap[self.prov]
-        codes[self.prov == 0] = self.slot_codes
-        return TokenStreams(self.doc_ids, self.ptr, codes)
-
-
 class PreparedBatch(NamedTuple):
     """Prepared documents in doc_id order, their words numbered.
 
     Position j of the batch holds the word ``forms[ids[j]]``, or an
     equation slot where ``ids[j]`` is 0 (``forms[0]`` is "", which no word
     is); the slots' document-local equation ids are ``slots``, in position
-    order.  Document i is ``doc_ids[i]``, spans ``ptr[i]:ptr[i + 1]`` and
-    holds the distinct equations ``records[i]``.  A word form's id is the
-    order of its first occurrence in the batch.  ``skipped`` counts the
-    regions extraction skipped.
+    order.  Document i is ``doc_ids[i]`` and spans ``ptr[i]:ptr[i + 1]``;
+    its local equation e is row ``eq_ptr[i] + e`` of the equation columns,
+    which document i holds ``eq_counts[row]`` times as ``eq_latex[row]``.
+    A word form's id is the order of its first occurrence in the batch.
+    ``skipped`` counts the regions extraction skipped.
     """
 
     doc_ids: list[str]
     ptr: np.ndarray  # int64
     ids: np.ndarray  # int32
     slots: np.ndarray  # int32
-    records: list[list[EquationRecord]]
+    eq_ptr: np.ndarray  # int64
+    eq_latex: list[str]
+    eq_counts: np.ndarray  # int64
     skipped: int
     forms: list[str]
 
-    def interned(self, doc_maps) -> InternedWords:
-        """The batch's words with each slot's code: its tagged global
-        equation id, or a gap when ``doc_maps`` maps it to None (an
-        equation dropped by singleton sampling).  A slot naming no equation
-        of its document is an error."""
-        gap = int(GAP)
-        doc = np.searchsorted(self.ptr, np.flatnonzero(self.ids == 0), side="right") - 1
-        slot_codes = []
-        for i, local in zip(doc.tolist(), self.slots.tolist()):
-            mapping = doc_maps.get(self.doc_ids[i], {})
-            if local not in mapping:
-                raise CorpusError(f"{self.doc_ids[i]}: equation slot {local} names no equation of the document")
-            gid = mapping[local]
-            slot_codes.append(gap if gid is None else encode_equation(gid))
-        return InternedWords(self.forms, self.ids, self.doc_ids, self.ptr, slot_codes)
+    def counts(self) -> dict[str, int]:
+        """Each word form's number of occurrences."""
+        return dict(zip(self.forms[1:], np.bincount(self.ids, minlength=len(self.forms))[1:].tolist()))
+
+    def encode(self, word_vocab: Vocabulary, gid: np.ndarray) -> TokenStreams:
+        """The streams of word/equation/gap codes under ``word_vocab``, where
+        equation row r is global equation ``gid[r]``, or none (-1, an
+        equation dropped by singleton sampling).  A word out of the
+        vocabulary and the slot of a dropped equation become gaps, which
+        hold their position but never enter a context window.  A slot
+        naming no equation of its document is an error."""
+        index, gap = word_vocab.index, int(GAP)
+        codes = np.array([index.get(f, gap) for f in self.forms], dtype=np.uint32)[self.ids]
+        at = np.flatnonzero(self.ids == 0)
+        doc = np.searchsorted(self.ptr, at, side="right") - 1
+        stray = (self.slots < 0) | (self.slots >= np.diff(self.eq_ptr)[doc])
+        if stray.any():
+            i = int(np.argmax(stray))
+            raise CorpusError(f"{self.doc_ids[doc[i]]}: equation slot {self.slots[i]} names no equation of the document")
+        g = gid[self.eq_ptr[doc] + self.slots]
+        codes[at] = np.where(g < 0, gap, g | int(EQ_TAG))
+        return TokenStreams(self.doc_ids, self.ptr, codes)
 
 
 # Words are numbered in runs of at least this many, one ``np.fromiter``
@@ -291,12 +257,13 @@ def intern_prepared(prepared) -> PreparedBatch:
     ``prepared`` yields ``(doc_id, pieces, slots, records, skipped)`` in
     doc_id order: the word lists of a document's prose pieces, the
     document-local equation id of each slot between consecutive pieces,
-    its distinct equations and its skipped regions.  Only the distinct
-    forms and the words of the last ``_INTERN_RUN`` or so positions are
-    held as strings.
+    its distinct equations (record e is local equation e) and its skipped
+    regions.  Only the distinct forms and the words of the last
+    ``_INTERN_RUN`` or so positions are held as strings.
     """
     index = defaultdict(count(1).__next__, {"": 0})  # id 0 marks a slot
-    doc_ids, ptr, ids, words, slots, records, skipped = [], [0], [], [], [], [], 0
+    doc_ids, ptr, ids, words, slots, skipped = [], [0], [], [], [], 0
+    eq_ptr, eq_latex, eq_counts = [0], [], []
 
     def number():
         ids.append(np.fromiter(map(index.__getitem__, words), dtype=np.int32, count=len(words)))
@@ -311,32 +278,38 @@ def intern_prepared(prepared) -> PreparedBatch:
         doc_ids.append(doc_id)
         ptr.append(ptr[-1] + len(words) - start)
         slots += doc_slots
-        records.append(doc_records)
+        eq_latex += (r.latex for r in doc_records)
+        eq_counts += (r.occurrence_count for r in doc_records)
+        eq_ptr.append(len(eq_latex))
         skipped += doc_skipped
         if len(words) >= _INTERN_RUN:
             number()
     number()
-    return PreparedBatch(doc_ids, np.array(ptr, dtype=np.int64), np.concatenate(ids),
-                         np.array(slots, dtype=np.int32), records, skipped, list(index))
+    return PreparedBatch(doc_ids, np.array(ptr, dtype=np.int64), np.concatenate(ids), np.array(slots, dtype=np.int32),
+                         np.array(eq_ptr, dtype=np.int64), eq_latex, np.array(eq_counts, dtype=np.int64), skipped,
+                         list(index))
 
 
 def merge_batches(batches: list[PreparedBatch]) -> PreparedBatch:
     """One batch from consecutive batches, given in doc_id order: each
     batch's forms join one table in order of first occurrence, and its ids
     are remapped with one gather."""
-    index = {"": 0}
-    ptr, ids, end = [np.zeros(1, dtype=np.int64)], [], 0
+    index, ids = {"": 0}, []
     for b in batches:
         remap = np.fromiter((index.setdefault(f, len(index)) for f in b.forms), dtype=np.int32, count=len(b.forms))
         ids.append(remap[b.ids])
-        ptr.append(b.ptr[1:] + end)
-        end += int(b.ptr[-1])
+
+    def joined(ptrs):  # one offset column from the batches' own
+        return np.concatenate(([0], np.cumsum(np.concatenate([np.diff(p) for p in ptrs]))))
+
     return PreparedBatch(
         [d for b in batches for d in b.doc_ids],
-        np.concatenate(ptr),
+        joined([b.ptr for b in batches]),
         np.concatenate(ids),
         np.concatenate([b.slots for b in batches]),
-        [r for b in batches for r in b.records],
+        joined([b.eq_ptr for b in batches]),
+        [latex for b in batches for latex in b.eq_latex],
+        np.concatenate([b.eq_counts for b in batches]),
         sum(b.skipped for b in batches),
         list(index),
     )
@@ -569,21 +542,16 @@ def ingest_corpus(docs: list[RawDocument], params: IngestParams, stopwords=None)
     else:
         batch = _prepare_batch(docs)
 
-    registry, doc_maps = build_equation_registry(list(zip(batch.doc_ids, batch.records)))
-    keep = _sample_singletons(registry, params)
-    if keep is not None:  # before the slot codes: they name the compacted ids
-        doc_maps, registry = _compact_registry(registry, doc_maps, keep)
-
-    words = batch.interned(doc_maps)
+    registry, gid = register_equations(batch, params)
     word_vocab = build_word_vocabulary(
-        words.counts(),
+        batch.counts(),
         stopwords,
         min_tf=params.min_tf,
         min_len=params.min_len,
         top_stop=params.top_stop,
         abbrev_top=params.abbrev_top,
     )
-    streams = words.encode(word_vocab)
+    streams = batch.encode(word_vocab, gid)
 
     sequences = [slt.tokenize_equation(latex, symbol_window=params.symbol_window) for latex in registry.latex]
     unit_vocab, eq_units = slt.build_unit_vocabulary(sequences, min_count=params.unit_min_count)
@@ -617,22 +585,21 @@ def ingest_corpus(docs: list[RawDocument], params: IngestParams, stopwords=None)
     )
 
 
-def _sample_singletons(registry: EquationRegistry, params: IngestParams) -> np.ndarray | None:
-    """Which equations stay when only a random ``singleton_sample`` of the
-    singletons is kept, as a mask over equation ids; None when all stay."""
+def register_equations(batch: PreparedBatch, params: IngestParams) -> tuple[EquationRegistry, np.ndarray]:
+    """``(registry, gid)``: the corpus-wide registry of the batch's
+    equations, numbered in order of first occurrence, and the id of each
+    equation row in it.  When only a random ``singleton_sample`` of the
+    singletons is kept, the kept equations are renumbered densely in id
+    order and a dropped one's rows get -1."""
+    index = {}  # LaTeX -> id
+    gid = np.fromiter((index.setdefault(latex, len(index)) for latex in batch.eq_latex), dtype=np.int64,
+                      count=len(batch.eq_latex))
+    registry = EquationRegistry(index, np.bincount(gid, batch.eq_counts, len(index)).astype(np.int64))
     singles = np.flatnonzero(registry.counts == 1)
     if params.singleton_sample <= 0 or len(singles) <= params.singleton_sample:
-        return None
+        return registry, gid
     rng = np.random.Generator(np.random.PCG64(params.seed))
     keep = registry.counts != 1
     keep[singles[rng.choice(len(singles), size=params.singleton_sample, replace=False)]] = True
-    return keep
-
-
-def _compact_registry(registry: EquationRegistry, doc_maps, keep: np.ndarray):
-    """Renumber the equations ``keep`` marks densely, in id order; a dropped
-    equation's local ids map to None."""
-    kept = np.flatnonzero(keep).tolist()
-    remap = dict(zip(kept, range(len(kept))))
-    new_maps = {d: {loc: remap.get(g) for loc, g in m.items()} for d, m in doc_maps.items()}
-    return new_maps, EquationRegistry([registry.latex[g] for g in kept], registry.counts[kept])
+    remap = np.where(keep, np.cumsum(keep) - 1, -1)
+    return EquationRegistry([registry.latex[g] for g in np.flatnonzero(keep)], registry.counts[keep]), remap[gid]

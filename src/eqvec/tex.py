@@ -28,9 +28,9 @@ _OPENER = re.compile(_ENV_BEGIN.pattern + r"|\$\$|\\\[")
 # The look-behind follows the literal "%", so the search jumps from one "%"
 # to the next instead of trying the pattern at every character.
 _COMMENT = re.compile(r"%(?<!\\%)[^\n]*")
-# One match per mark a label scan acts on: a ``\label{``, an escape pair
-# (so ``\{`` and ``\}`` are no braces), or a brace.
-_LABEL_MARK = re.compile(r"\\label\{|\\.|[{}]", re.S)
+# One match per mark a brace scan acts on: a ``\label{`` (whose ``{`` opens
+# a group), an escape pair (so ``\{`` and ``\}`` are no braces), or a brace.
+_BRACE_MARK = re.compile(r"\\label\{|\\.|[{}]", re.S)
 _WS_RUN = re.compile(r"\s+")
 
 
@@ -44,28 +44,39 @@ def normalize_equation(latex: str) -> str:
     return _WS_RUN.sub(" ", _drop_labels(latex)).strip()
 
 
+def _brace_map(text: str) -> tuple[dict[int, int], list[int]]:
+    """``(close, labels)`` from one scan of the marks of ``text``: the index
+    of the ``}`` that closes each ``{``, by the index of the ``{`` (-1 for
+    a group that never closes), and the start of each ``\\label{``, in
+    order.  A ``}`` that closes no group is ignored."""
+    close, labels, opened = {}, [], []  # opened: the "{" of each group not yet closed
+    for m in _BRACE_MARK.finditer(text):
+        mark = m[0]
+        if mark == "}":
+            if opened:
+                close[opened.pop()] = m.start()
+        elif mark == "{" or len(mark) > 2:  # a brace or a \label{
+            opened.append(m.end() - 1)
+            close[m.end() - 1] = -1
+            if len(mark) > 2:
+                labels.append(m.start())
+    return close, labels
+
+
 def _drop_labels(latex: str) -> str:
     """Replace each ``\\label{...}`` group, braces balanced, with a space.
 
-    One pass over the marks keeps the start of every open group (-1 for a
-    group that is no label); a label that never closes stays as written.
-    A label inside a dropped one goes with it."""
+    A label that never closes stays as written; a label inside a dropped
+    one goes with it."""
     if "\\label{" not in latex:
         return latex
-    opened: list[int] = []
-    spans: list[tuple[int, int]] = []  # dropped labels, in order
-    for m in _LABEL_MARK.finditer(latex):
-        mark = m[0]
-        if mark == "{" or mark == "\\label{":
-            opened.append(-1 if mark == "{" else m.start())
-        elif mark == "}" and opened and (start := opened.pop()) >= 0:
-            while spans and spans[-1][0] > start:
-                spans.pop()
-            spans.append((start, m.end()))
+    close, labels = _brace_map(latex)
     kept, cut = [], 0
-    for start, end in spans:
-        kept.append(latex[cut:start])
-        cut = end
+    for start in labels:
+        end = close[start + len("\\label")]
+        if end >= 0 and start >= cut:
+            kept.append(latex[cut:start])
+            cut = end + 1
     kept.append(latex[cut:])
     return " ".join(kept)
 
@@ -192,15 +203,18 @@ _INLINE_OPEN = re.compile(r"\$|\\\(")
 # last "$" stays: what the scan in ``_drop_inline_math`` does, in one pass.
 _DOLLAR_SPAN = re.compile(r"\$[^$]*\$")
 # Commands whose braced argument is reference noise, not prose: the name,
-# then an optional [...] argument, then one or more {...} groups without
-# nested braces.
+# then an optional [...] argument, then one or more {...} groups, braces
+# balanced.
 _REFERENCE = re.compile(
     r"\\(?:cite[pt]?\*?|ref|eqref|pageref|autoref|cref|Cref|label|url|href"
     r"|input|include|includegraphics|bibliography|bibliographystyle"
     r"|usepackage|documentclass|pagestyle|thispagestyle)"
     r"(?=[\[{])"
 )
-_BRACE = re.compile(r"[{}]")
+# A brace group with no brace and no backslash inside: its end needs no
+# brace map, so texts whose references are all like this (every
+# ``\documentclass{article}``) are never scanned for braces.
+_FLAT_GROUP = re.compile(r"\{[^{}\\]*\}")
 _BEGIN_END = re.compile(r"\\(?:begin|end)\{[^}]*\}")
 _COMMAND = re.compile(r"\\[a-zA-Z]+\*?|\\[^a-zA-Z]")
 _WORD = re.compile(r"[a-z]+(?:-[a-z]+)*")
@@ -259,7 +273,8 @@ def _drop_inline_math(text: str) -> str:
 
 
 def _drop_references(text: str) -> str:
-    """Replace each reference command with its arguments by a space.
+    """Replace each reference command with its arguments by a space; a
+    command with no brace group that closes stays.
 
     Several commands can share the ``]`` that ends their ``[...]``
     argument; what follows that ``]`` decides all of them, so the next
@@ -268,6 +283,7 @@ def _drop_references(text: str) -> str:
     m = _REFERENCE.search(text)
     if m is None:
         return text
+    close: dict[int, int] = {}  # the brace map, made when a group first needs it
     kept: list[str] = []
     cut = 0
     bracket = -1  # the first "]" after the last searched position; len(text) if none
@@ -278,11 +294,11 @@ def _drop_references(text: str) -> str:
             if bracket <= end:
                 bracket = text.find("]", end + 1)
                 bracket = len(text) if bracket < 0 else bracket
-            end = -1 if bracket in (len(text), dead) else _brace_groups(text, bracket + 1)
+            end = -1 if bracket in (len(text), dead) else _groups_end(text, bracket + 1, close)
             if end < 0:
                 dead = bracket
         else:
-            end = _brace_groups(text, end)
+            end = _groups_end(text, end, close)
         if end < 0:
             m = _REFERENCE.search(text, m.end())
             continue
@@ -293,13 +309,18 @@ def _drop_references(text: str) -> str:
     return " ".join(kept)
 
 
-def _brace_groups(text: str, pos: int) -> int:
-    """End of the run of ``{...}`` groups without nested braces that starts
-    at ``pos``, or -1 when none does."""
+def _groups_end(text: str, pos: int, close: dict[int, int]) -> int:
+    """The end of the run of brace groups that starts at ``pos``, or -1 when
+    none does; a group ends at the ``}`` that ``close``, the brace map of
+    ``text``, gives it.  An empty ``close`` is filled the first time a group
+    holds a brace or a backslash."""
     end = -1
     while text.startswith("{", pos):
-        m = _BRACE.search(text, pos + 1)
-        if m is None or m[0] == "{":
+        flat = _FLAT_GROUP.match(text, pos)
+        if flat is None and not close:
+            close.update(_brace_map(text)[0])
+        group = flat.end() - 1 if flat else close[pos]
+        if group < 0:
             break
-        pos = end = m.end()
+        pos = end = group + 1
     return end

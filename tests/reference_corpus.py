@@ -8,25 +8,34 @@
   and contexts with array operations and must return equal items (as
   ``conftest.Item`` records) and skip counts.
 * The equation registry as one ``EquationRecord`` per equation, grown by
-  ``Registry.add`` through a LaTeX -> id dict; singleton sampling as sets
-  of ids, and compaction by re-adding the kept records.
+  ``Registry.add`` through a LaTeX -> id dict, with one document map per
+  document (local equation id -> global id); singleton sampling as sets
+  of ids, and compaction by re-adding the kept records and rebuilding
+  every document map.
 * ``build_token_streams`` with one ``TokenStream`` and one array per
-  document, and one vocabulary lookup per word.
+  document, one vocabulary lookup per word and one document-map lookup
+  per equation slot.
 * ``intern_words``, which numbers the words of all prepared documents in
   one pass once the document maps are known, holding every word of the
-  corpus as a string until it returns.
+  corpus as a string until it returns, and codes each slot through its
+  document's map.
 
-``eqvec.corpus`` builds the registry as columns and numbers each
-document's words as it is prepared (``intern_prepared``), in consecutive
-batches that ``merge_batches`` joins, and must give equal LaTeX, counts,
-document maps, doc ids and codes; the word counts must equal a
-``Counter`` over the words, and the forms, counts and codes those of
-``intern_words``.
+``eqvec.corpus`` numbers each document's words as it is prepared
+(``intern_prepared``), in consecutive batches that ``merge_batches``
+joins, keeps the equations as columns with a per-document offset, builds
+the registry with one dict pass and compacts it with one remap array
+(``register_equations``), and codes every slot with one gather
+(``PreparedBatch.encode``).  It must give equal LaTeX, counts, doc ids
+and codes, each document's local equations the global ids of the
+document maps, and a slot naming no equation of its document the same
+``CorpusError``; the word counts must equal a ``Counter`` over the words,
+and the forms, counts and codes those of ``intern_words``.
 """
 
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import count
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +43,8 @@ from eqvec.corpus import (
     EQ_TAG,
     GAP,
     CorpusError,
-    InternedWords,
     TokenStream,
+    TokenStreams,
     _draw_excluding,
     encode_equation,
 )
@@ -181,6 +190,34 @@ def build_token_streams(doc_tokens, word_vocab, doc_maps) -> list[TokenStream]:
             codes += [word_vocab.index.get(w, gap) for w in words]
         streams.append(TokenStream(doc_id, np.array(codes, dtype=np.uint32)))
     return streams
+
+
+class InternedWords(NamedTuple):
+    """Every document's stream before the word vocabulary is known.
+
+    Position j of the corpus holds the word ``forms[prov[j]]``, or an
+    equation slot where ``prov[j]`` is 0 (``forms[0]`` is "", which no word
+    is); the slots' codes are ``slot_codes``, in position order.  Document i
+    is ``doc_ids[i]`` and spans ``ptr[i]:ptr[i + 1]``.
+    """
+
+    forms: list[str]
+    prov: np.ndarray  # int32 provisional word ids
+    doc_ids: list[str]
+    ptr: list[int]
+    slot_codes: list[int]
+
+    def counts(self) -> dict[str, int]:
+        """Each word form's number of occurrences."""
+        return dict(zip(self.forms[1:], np.bincount(self.prov, minlength=len(self.forms))[1:].tolist()))
+
+    def encode(self, word_vocab) -> TokenStreams:
+        """The streams of word/equation/gap codes under ``word_vocab``."""
+        index, gap = word_vocab.index, int(GAP)
+        remap = np.array([index.get(f, gap) for f in self.forms], dtype=np.uint32)
+        codes = remap[self.prov]
+        codes[self.prov == 0] = self.slot_codes
+        return TokenStreams(self.doc_ids, self.ptr, codes)
 
 
 def intern_words(doc_tokens, doc_maps) -> InternedWords:

@@ -10,8 +10,10 @@ text, ``eqvec.tex._extract`` followed by per-piece tokenization must give
 the same records, skipped count and word/slot sequence, which the
 differential tests check.  The regex tokenizer rescans to the end of the
 text from every unclosed ``\\(``, every ``\\begin{`` without a ``}`` and
-every ``\\cite[`` without a ``]``; ``eqvec.tex.tokenize_words`` must give
-the same tokens.  The comment stripper is the look-behind-first regex;
+every ``\\cite[`` without a ``]``, and closes each brace group of a
+reference command by counting braces forward from its ``{``, so that a
+group holding braces is dropped whole; ``eqvec.tex.tokenize_words`` must
+give the same tokens.  The comment stripper is the look-behind-first regex;
 ``eqvec.tex.strip_comments`` must drop the same spans.  The row splitter
 walks an environment body one character at a time;
 ``eqvec.tex._split_rows`` must give the same rows.  The label dropper finds
@@ -41,12 +43,13 @@ PLACEHOLDER_FMT = "\u27e6eq:{}\u27e7"
 PLACEHOLDER_RE = re.compile(r"\u27e6eq:(\d+)\u27e7")
 
 _INLINE_MATH = re.compile(r"\$[^$]*\$|\\\(.*?\\\)", re.DOTALL)
-# Commands whose braced argument is reference noise, not prose.
-_DROP_WITH_ARG = re.compile(
+# Commands whose braced argument is reference noise, not prose: the name,
+# when an optional [...] argument or a brace group follows.
+_REFERENCE_NAME = re.compile(
     r"\\(?:cite[pt]?\*?|ref|eqref|pageref|autoref|cref|Cref|label|url|href"
     r"|input|include|includegraphics|bibliography|bibliographystyle"
     r"|usepackage|documentclass|pagestyle|thispagestyle)"
-    r"(?:\[[^\]]*\])?(?:\{[^{}]*\})+"
+    r"(?=[\[{])"
 )
 
 # The comment pattern as first written: the look-behind leads, so a search
@@ -161,10 +164,43 @@ def placeholder_id(token: str) -> int:
     return int(m.group(1))
 
 
+def _group_end(text: str, i: int) -> int:
+    """The index past the ``}`` that closes the ``{`` at ``i``, found by
+    counting braces forward from there (an escape pair skipped), or -1."""
+    depth, j = 0, i
+    while j < len(text):
+        ch = text[j]
+        depth += (ch == "{") - (ch == "}")
+        j += 2 if ch == "\\" else 1
+        if depth == 0:
+            return j
+    return -1
+
+
+def drop_references(text: str) -> str:
+    """Each reference command with its arguments replaced with a space,
+    found left to right: the name, an optional ``[...]`` argument up to
+    the first ``]``, then one or more brace groups, each closed by a scan
+    of its own; a command with no group that closes stays."""
+    out, cut, pos = [], 0, 0
+    while (m := _REFERENCE_NAME.search(text, pos)) is not None:
+        pos, end = m.end(), -1
+        j = pos
+        if text[j] == "[":
+            j = text.find("]", j) + 1 or len(text)
+        while text.startswith("{", j) and (e := _group_end(text, j)) >= 0:
+            end = j = e
+        if end >= 0:
+            out.append(text[cut : m.start()])
+            cut = pos = end
+    return " ".join(out + [text[cut:]])
+
+
 def reference_tokenize_words(prose_text: str) -> list[str]:
-    """Lowercase alphabetic tokens in document order, by regex substitution."""
+    """Lowercase alphabetic tokens in document order, by regex substitution
+    and a scan per reference command."""
     t = _INLINE_MATH.sub(" ", prose_text)
-    t = _DROP_WITH_ARG.sub(" ", t)
+    t = drop_references(t)
     t = _BEGIN_END.sub(" ", t)
     t = _COMMAND.sub(" ", t)
     return _WORD.findall(t.lower())

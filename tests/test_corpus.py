@@ -14,7 +14,6 @@ from eqvec.corpus import (
     CorpusError,
     EquationRegistry,
     IngestParams,
-    build_equation_registry,
     build_heldout,
     build_word_vocabulary,
     encode_equation,
@@ -119,16 +118,23 @@ def test_vocabulary_filter_restriction_idempotent():
 # --- token streams -----------------------------------------------------------
 
 
-def _interned(doc_tokens, doc_maps, bounds=None):
-    """Number the words of ``(doc_id, pieces, slots)`` documents in the
-    batches ``bounds`` cuts (one by default) and merge them, as ingest does."""
-    prepared = [(doc_id, pieces, slots, [], 0) for doc_id, pieces, slots in doc_tokens]
+def _batch(doc_records, doc_tokens, bounds=None):
+    """``(doc_id, pieces, slots)`` documents with the equation records
+    ``doc_records`` (``(doc_id, records)`` pairs), numbered in the batches
+    ``bounds`` cuts (one by default) and merged, as ingest does."""
+    records = dict(doc_records)
+    prepared = [(doc_id, pieces, slots, records[doc_id], 0) for doc_id, pieces, slots in doc_tokens]
     bounds = bounds or [0, len(prepared)]
-    return merge_batches([intern_prepared(prepared[a:b]) for a, b in zip(bounds, bounds[1:])]).interned(doc_maps)
+    return merge_batches([intern_prepared(prepared[a:b]) for a, b in zip(bounds, bounds[1:])])
 
 
-def _streams(doc_tokens, vocab, doc_maps):
-    return _interned(doc_tokens, doc_maps).encode(vocab)
+def _streams(doc_tokens, vocab, doc_gids):
+    """The streams of ``(doc_id, pieces, slots)`` documents whose local
+    equations are the global ones ``doc_gids[doc_id]`` (-1 for an equation
+    dropped by singleton sampling)."""
+    doc_records = [(d, [EquationRecord(e, "x", 1) for e in range(len(doc_gids.get(d, [])))]) for d, _, _ in doc_tokens]
+    gid = np.array([g for d, _, _ in doc_tokens for g in doc_gids.get(d, [])], dtype=np.int64)
+    return _batch(doc_records, doc_tokens).encode(vocab, gid)
 
 
 def _mini_vocab():
@@ -141,10 +147,7 @@ def _mini_vocab():
 
 def test_stream_mapping():
     vocab = _mini_vocab()
-    doc_maps = {"d": {7: 3}}
-    streams = _streams(
-        [("d", [["the", "model"], []], [7])], vocab, doc_maps
-    )
+    streams = _streams([("d", [["the", "model"], []], [0])], vocab, {"d": [3]})
     codes = streams[0].codes
     assert codes[0] == GAP  # out-of-vocabulary word
     assert codes[1] == vocab.index["model"]
@@ -158,19 +161,27 @@ def test_all_gap_document():
 
 
 def test_dropped_equation_slot_is_gap():
-    # _compact_registry maps the local ids of sampled-out equations to None
+    # register_equations gives the rows of sampled-out equations -1
     vocab = _mini_vocab()
-    streams = _streams(
-        [("d", [["model"], [], ["layer"]], [0, 1])], vocab, {"d": {0: None, 1: 4}}
-    )
+    streams = _streams([("d", [["model"], [], ["layer"]], [0, 1])], vocab, {"d": [-1, 4]})
     assert list(streams[0].codes) == [vocab.index["model"], GAP, encode_equation(4),
                                       vocab.index["layer"]]
 
 
 def test_unknown_placeholder_is_error():
+    # a slot in a document with no equations, a negative slot and one past
+    # its document's equations: the error names the first stray slot's
+    # document and local id, as the per-document maps did
     vocab = _mini_vocab()
-    with pytest.raises(CorpusError, match="equation slot 9"):
-        _streams([("d", [[], []], [9])], vocab, {"d": {}})
+    for slot, doc_gids in ((9, {"c": [0], "d": []}), (-1, {"c": [0], "d": [1, 2]}), (2, {"c": [0], "d": [1, 2]})):
+        doc_tokens = [("c", [["model"], []], [0]), ("d", [[], [], []], [0 if doc_gids["d"] else slot, slot])]
+        message = f"d: equation slot {slot} names no equation of the document"
+        with pytest.raises(CorpusError) as got:
+            _streams(doc_tokens, vocab, doc_gids)
+        assert str(got.value) == message
+        with pytest.raises(CorpusError) as want:
+            reference_corpus.intern_words(doc_tokens, {d: dict(enumerate(g)) for d, g in doc_gids.items()})
+        assert str(want.value) == message
 
 
 def test_token_streams_are_a_read_only_sequence_of_views():
@@ -212,120 +223,121 @@ _SELECT = {"min_tf": 2, "min_len": 4, "top_stop": 1, "abbrev_top": 1}
 @st.composite
 def _prepared_docs(draw, stray_slots=False):
     """Per-document equation records and tokens, as ``_prepare_document``
-    gives them, in doc_id order: LaTeX repeats across documents, and an
+    gives them, in doc_id order, and the bounds of consecutive batches over
+    them (empty batches included): LaTeX repeats across documents, and an
     equation's count is often 1.  With ``stray_slots`` a slot may name an
-    equation its document does not have."""
+    equation its document does not have: a negative id, or one past its
+    equations."""
     doc_records, doc_tokens = [], []
     for d in range(draw(st.integers(0, 6))):
         latex = draw(st.lists(_LATEX, unique=True, max_size=5))
         records = [EquationRecord(i, form, draw(st.sampled_from([1, 1, 2, 3]))) for i, form in enumerate(latex)]
-        top = len(latex) - (0 if stray_slots else 1)
-        slots = draw(st.lists(st.integers(0, top), max_size=6)) if top >= 0 else []
+        low, top = (-1, len(latex)) if stray_slots else (0, len(latex) - 1)
+        slots = draw(st.lists(st.integers(low, top), max_size=6)) if top >= low else []
         pieces = draw(st.lists(st.lists(_WORD, max_size=4), min_size=len(slots) + 1, max_size=len(slots) + 1))
         doc_records.append((f"d{d}", records))
         doc_tokens.append((f"d{d}", pieces, slots))
-    return doc_records, doc_tokens
+    n = len(doc_tokens)
+    return doc_records, doc_tokens, [0, *sorted(draw(st.lists(st.integers(0, n), max_size=4))), n]
 
 
 @settings(max_examples=300, deadline=None)
 @given(_prepared_docs(), st.integers(0, 3), st.integers(0, 2**32 - 1))
 @example(([("d0", [EquationRecord(0, "a", 1), EquationRecord(1, "b", 1)]), ("d1", [EquationRecord(0, "x + y", 1)])],
-          [("d0", [["model"], [], ["zz"]], [0, 1]), ("d1", [[], ["layer"]], [0])]), 1, 0)
+          [("d0", [["model"], [], ["zz"]], [0, 1]), ("d1", [[], ["layer"]], [0])], [0, 2]), 1, 0)
 @example(([("d0", [EquationRecord(0, "a", 1), EquationRecord(1, "b", 1)]), ("d1", [EquationRecord(0, "c", 1)])],
           [("d0", [["model", "model", "layer"], ["lda"], ["zz", "layer", "lda", "model"]], [0, 1]),
-           ("d1", [["zz", "the"], ["qq"]], [0])]), 1, 3)  # d1 holds no vocabulary word
+           ("d1", [["zz", "the"], ["qq"]], [0])], [0, 1, 2]), 1, 3)  # d1 holds no vocabulary word
+@example(([("d0", [EquationRecord(0, "a", 1)]), ("d1", []), ("d2", [EquationRecord(0, "b", 2), EquationRecord(1, "a", 1)])],
+          [("d0", [["model"], ["zz"]], [0]), ("d1", [["layer"]], []), ("d2", [[], ["qq"], []], [1, 0])],
+          [0, 1, 1, 3]), 0, 0)  # a document without equations, an empty batch, a repeat across batches
 def test_columnar_registry_and_streams_match_per_record_oracles(prepared, singleton_sample, seed):
     # registry, singleton sampling and compaction, then the vocabulary and
-    # the streams from one pass over the words, as ingest runs them
-    doc_records, doc_tokens = prepared
-    registry, doc_maps = build_equation_registry(doc_records)
-    keep = corpus._sample_singletons(registry, IngestParams(singleton_sample=singleton_sample, seed=seed))
-    if keep is not None:
-        doc_maps, registry = corpus._compact_registry(registry, doc_maps, keep)
-    words = _interned(doc_tokens, doc_maps)
+    # the streams, as ingest runs them on batches merged in order
+    doc_records, doc_tokens, bounds = prepared
+    batch = _batch(doc_records, doc_tokens, bounds)
+    registry, gid = corpus.register_equations(batch, IngestParams(singleton_sample=singleton_sample, seed=seed))
 
     want, want_maps = reference_corpus.build_equation_registry(doc_records)
     dropped = reference_corpus.sample_singletons(want, singleton_sample, seed)
-    assert (keep is None) == (not dropped)
     if dropped:
         want_maps, want = reference_corpus.compact_registry(want, want_maps, dropped)
     want_counts = Counter(w for _, pieces, _ in doc_tokens for piece in pieces for w in piece)
-    assert words.counts() == want_counts
+    assert batch.counts() == want_counts
     if want_counts:
-        vocab = build_word_vocabulary(words.counts(), STOPS, **_SELECT)
+        vocab = build_word_vocabulary(batch.counts(), STOPS, **_SELECT)
         want_vocab = build_word_vocabulary(want_counts, STOPS, **_SELECT)
         assert vocab.forms == want_vocab.forms and vocab.stop_forms == want_vocab.stop_forms
         assert vocab.freqs.tolist() == want_vocab.freqs.tolist()
     else:
         with pytest.raises(CorpusError, match="empty corpus"):
-            build_word_vocabulary(words.counts(), STOPS, **_SELECT)
+            build_word_vocabulary(batch.counts(), STOPS, **_SELECT)
         vocab = _mini_vocab()
-    streams = words.encode(vocab)
+    streams = batch.encode(vocab, gid)
     want_streams = reference_corpus.build_token_streams(doc_tokens, vocab, want_maps)
 
     assert registry.latex == [r.latex for r in want.records]
     assert registry.counts.dtype == np.int64 and registry.counts.tolist() == [r.occurrence_count for r in want.records]
     assert list(registry.records) == want.records
-    assert doc_maps == want_maps
+    # document d's local equation e is equation row eq_ptr[d] + e
+    assert batch.eq_ptr.tolist() == np.cumsum([0] + [len(r) for _, r in doc_records]).tolist()
+    assert gid.dtype == np.int64 and gid.tolist() == [
+        -1 if want_maps[d][e] is None else want_maps[d][e] for d, records in doc_records for e in range(len(records))]
     assert streams.doc_ids == [s.doc_id for s in want_streams]
     assert streams.ptr.tolist() == np.cumsum([0] + [len(s.codes) for s in want_streams]).tolist()
     assert streams.codes.dtype == np.uint32
     assert streams.codes.tolist() == [c for s in want_streams for c in s.codes.tolist()]
 
 
-@st.composite
-def _batched_docs(draw):
-    """Prepared documents, a slot sometimes naming no equation of its
-    document, and the bounds of consecutive batches over them (empty
-    batches included)."""
-    doc_records, doc_tokens = draw(_prepared_docs(stray_slots=True))
-    n = len(doc_tokens)
-    return doc_records, doc_tokens, [0, *sorted(draw(st.lists(st.integers(0, n), max_size=4))), n]
-
-
 @settings(max_examples=300, deadline=None)
-@given(_batched_docs(), st.integers(0, 3), st.integers(0, 2**32 - 1))
+@given(_prepared_docs(stray_slots=True), st.integers(0, 3), st.integers(0, 2**32 - 1))
 @example(([("d0", [EquationRecord(0, "a", 1)]), ("d1", [EquationRecord(0, "b", 2)]), ("d2", [])],
           [("d0", [["model", "the"], ["zz"]], [0]), ("d1", [["the"], ["layer", "model"]], [0]),
            ("d2", [["lda", "qq", "model"]], [])], [0, 1, 2, 3]), 0, 0)  # forms first seen in later batches
 @example(([("d0", [EquationRecord(0, "a", 1)]), ("d1", [])],
           [("d0", [["model"], ["zz"]], [0]), ("d1", [["the"], ["layer"]], [0])], [0, 1, 2]), 0, 0)
+@example(([("d0", [EquationRecord(0, "a", 1)]), ("d1", [EquationRecord(0, "b", 1)])],
+          [("d0", [["model"], ["zz"]], [0]), ("d1", [["the"], ["layer"], []], [0, -1])], [0, 1, 2]), 0, 0)
 def test_batched_interning_matches_the_one_pass_oracle(batched, singleton_sample, seed):
     # documents numbered in consecutive batches and merged, as ingest
     # workers' results are, against numbering all words in one pass
     doc_records, doc_tokens, bounds = batched
-    registry, doc_maps = build_equation_registry(doc_records)
-    keep = corpus._sample_singletons(registry, IngestParams(singleton_sample=singleton_sample, seed=seed))
-    if keep is not None:
-        doc_maps, registry = corpus._compact_registry(registry, doc_maps, keep)
+    batch = _batch(doc_records, doc_tokens, bounds)
+    _, gid = corpus.register_equations(batch, IngestParams(singleton_sample=singleton_sample, seed=seed))
+    want, want_maps = reference_corpus.build_equation_registry(doc_records)
+    dropped = reference_corpus.sample_singletons(want, singleton_sample, seed)
+    if dropped:
+        want_maps, want = reference_corpus.compact_registry(want, want_maps, dropped)
+    counts = batch.counts()
+    vocab = build_word_vocabulary(counts, STOPS, **_SELECT) if counts else _mini_vocab()
     try:
-        want = reference_corpus.intern_words(doc_tokens, doc_maps)
+        words = reference_corpus.intern_words(doc_tokens, want_maps)
     except CorpusError as e:
         with pytest.raises(CorpusError) as got:
-            _interned(doc_tokens, doc_maps, bounds)
+            batch.encode(vocab, gid)
         assert str(got.value) == str(e)
         return
-    words = _interned(doc_tokens, doc_maps, bounds)
-    assert words.forms == want.forms and words.prov.dtype == np.int32
-    assert words.counts() == want.counts()
-    if not want.counts():
-        return
-    vocab = build_word_vocabulary(words.counts(), STOPS, **_SELECT)
-    want_vocab = build_word_vocabulary(want.counts(), STOPS, **_SELECT)
-    assert vocab.forms == want_vocab.forms and vocab.stop_forms == want_vocab.stop_forms
-    streams, want_streams = words.encode(vocab), want.encode(vocab)
+    assert batch.forms == words.forms and batch.ids.dtype == np.int32
+    assert counts == words.counts()
+    if counts:
+        want_vocab = build_word_vocabulary(words.counts(), STOPS, **_SELECT)
+        assert vocab.forms == want_vocab.forms and vocab.stop_forms == want_vocab.stop_forms
+    streams, want_streams = batch.encode(vocab, gid), words.encode(vocab)
     assert streams.doc_ids == want_streams.doc_ids
     assert streams.ptr.tolist() == want_streams.ptr.tolist()
     assert streams.codes.tolist() == want_streams.codes.tolist()
 
 
 def test_merged_batches_keep_each_documents_records(monkeypatch):
-    docs = [RawDocument(f"d{i}", f"word{'s' * i} alpha $$x^{i}$$ beta \\begin{{equation}}") for i in range(5)]
+    docs = [RawDocument(f"d{i}", f"word{'s' * i} alpha $$x^{i}$$ beta $$y$$ \\begin{{equation}}") for i in range(5)]
     whole = corpus._prepare_batch(docs)  # one run of positions
     monkeypatch.setattr(corpus, "_INTERN_RUN", 3)  # runs that end inside and between documents
     merged = merge_batches([corpus._prepare_batch(docs[a:b]) for a, b in ((0, 2), (2, 2), (2, 5))])
     assert merged.doc_ids == whole.doc_ids == [d.doc_id for d in docs]
-    assert merged.records == whole.records and merged.skipped == whole.skipped == 5
+    assert merged.eq_latex == whole.eq_latex == [x for i in range(5) for x in (f"x^{i}", "y")]
+    assert merged.eq_counts.tolist() == whole.eq_counts.tolist() == [1] * 10
+    assert merged.eq_ptr.tolist() == whole.eq_ptr.tolist() == list(range(0, 11, 2))
+    assert merged.skipped == whole.skipped == 5
     assert merged.forms == whole.forms and merged.ids.tolist() == whole.ids.tolist()
     assert merged.ptr.tolist() == whole.ptr.tolist() and merged.slots.tolist() == whole.slots.tolist()
 
@@ -339,9 +351,7 @@ def test_window_classes_word_vs_equation_context():
     from .conftest import corpus_from_streams, plan_positions
 
     vocab = _mini_vocab()
-    streams = _streams(
-        [("d", [["model", "layer"], []], [0])], vocab, {"d": {0: 7}}
-    )
+    streams = _streams([("d", [["model", "layer"], []], [0])], vocab, {"d": [7]})
     data = corpus_from_streams(streams, len(vocab), n_equations=8)
 
     def context_of_model(eq_window, pass_name):

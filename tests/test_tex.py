@@ -50,7 +50,9 @@ def test_duplicate_regions_share_record():
 
 def test_corpus_level_dedup_matches_string_count_oracle():
     # brute-force oracle: occurrences of the normalized latex across raw docs
-    from eqvec.corpus import build_equation_registry
+    from eqvec.corpus import IngestParams, _prepare_batch, register_equations
+
+    from .reference_corpus import build_equation_registry
 
     docs = [
         RawDocument("a", "one $$a^2$$ two"),
@@ -63,12 +65,16 @@ def test_corpus_level_dedup_matches_string_count_oracle():
         per_doc.append((d.doc_id, recs))
         for r in recs:
             oracle[r.latex] = oracle.get(r.latex, 0) + r.occurrence_count
-    registry, doc_maps = build_equation_registry(per_doc)
+    batch = _prepare_batch(docs)
+    registry, gid = register_equations(batch, IngestParams())
     assert len(registry) == 2
     by_latex = {r.latex: r.occurrence_count for r in registry.records}
     assert by_latex == oracle == {"a^2": 2, "b_i": 1}
-    # both docs map their local id to the same global id
-    assert doc_maps["a"][0] == doc_maps["b"][0]
+    # both docs' local equation 0 is the same global equation
+    assert gid[batch.eq_ptr[0]] == gid[batch.eq_ptr[1]] == 0
+    want, want_maps = build_equation_registry(per_doc)
+    assert list(registry.records) == want.records
+    assert [want_maps[d][e] for d, e in (("a", 0), ("b", 0), ("b", 1))] == gid.tolist()
 
 
 def test_multiline_align_splits_rows():
@@ -210,6 +216,20 @@ def test_placeholders_pass_through():
     assert slots == [0]
 
 
+@pytest.mark.parametrize(
+    "text, words",
+    [
+        (r"see \ref{eq:{a}} now", ["see", "now"]),  # as under \ref{eq:a}
+        (r"see \eqref{eq:{a}{b}}{c} now", ["see", "now"]),  # a run of groups
+        (r"by \cite[p.~{3}]{x{y}} it", ["by", "it"]),
+        (r"by \cite[p.~3]{x{y} it", ["by", "p", "x", "y", "it"]),  # never closes: stays
+        (r"a \ref{x\}y} b \{ c \}", ["a", "b", "c"]),  # an escaped brace closes nothing
+    ],
+)
+def test_reference_with_nested_braces_dropped_whole(text, words):
+    assert tokenize_words(text) == reference_tokenize_words(text) == words
+
+
 def test_inline_math_and_commands_dropped():
     toks = tokenize_words(r"the value $x_i$ of \textbf{bold} text \cite{Someone_2010}")
     assert "x" not in toks and "i" not in toks
@@ -311,7 +331,7 @@ def test_extract_time_is_linear(make):
 # remembered-bracket and brace-group branches.
 _PROSE = [
     "\\(", "\\)", "$", "\\cite", "\\cite[", "\\citep", "\\ref{", "\\include",
-    "\\includegraphics", "\\begin{", "\\end", "\\", "[", "]", "]{", "{", "}", "*", "a",
+    "\\includegraphics", "\\begin{", "\\end", "\\", "\\{", "\\}", "[", "]", "]{", "{", "}", "*", "a",
     "bc", "p-value", "7", " ", "\n", "-", "--", "a-", "-b", "Word", "\u212a", "\u0130", "\u00e9",
 ]
 
@@ -322,6 +342,9 @@ _PROSE = [
 @example(["{", "}", "\\cite[", "a"])  # no "]" anywhere after the command
 @example(["\\cite[", "a", "\\cite[", "bc", "]{", "a"])  # a shared "]" with no group after it
 @example(["\\cite[", "\\ref{", "a", "}", "]{", "bc", "}", "a"])  # a command inside [...]
+@example(["\\ref{", "{", "a", "}", "bc", "}", "a"])  # a nested group
+@example(["\\cite[", "a", "]{", "{", "bc", "\\}", "}", "}", "a"])  # an escaped brace in a nested group
+@example(["\\ref{", "{", "a", "}", "\\ref{", "bc", "}"])  # a nested group that never closes
 @example(["\\(", "a", "\\(", "bc", "\\)", "$", "a", "\\begin{", "a"])
 @example(["Word", "-", "\u212a", "a-", "-b", "\u0130", "--", "\u00e9", "bc", "p-value", "-"])
 @example(["a", "$", "bc", "$", "a", "$", "bc"])  # "$" the only opener, a lone last "$" stays
@@ -340,8 +363,10 @@ def test_tokenize_words_matches_regex_reference(parts):
         lambda n: " ".join(f"\\cite[ p{i} word" for i in range(n)),
         lambda n: " ".join(f"\\cite[ p{i} word" for i in range(n)) + " ]{" + " word" * n,
         lambda n: " ".join(f"\\begin{{ x{i} word" for i in range(n)),
+        lambda n: " ".join(f"\\ref{{{{ w{i}" for i in range(n)),
     ],
-    ids=["unclosed_parens", "odd_dollars", "cite_without_bracket", "cite_shared_bracket", "unclosed_begin"],
+    ids=["unclosed_parens", "odd_dollars", "cite_without_bracket", "cite_shared_bracket", "unclosed_begin",
+         "unclosed_nested_refs"],
 )
 def test_tokenize_time_is_linear(make):
     # the regex tokenizer takes about 0.25 s (parens) and 0.05 s (the others)

@@ -15,10 +15,13 @@ Builds the planted corpus bundle and runs the CLI on it in-process:
   planted templates do not (``math_corpus``: root indices, ``\\left.``
   and ``\\right|``, ``\\binom``, wrappers, ``\\text``, ``\\label``,
   primes, ``\\{``, an unknown command and an unclosed brace), ingested
-  at ``symbol_window=2``; and of a bundle that keeps only
-  ``SINGLETON_SAMPLE`` of its singleton equations, so that the registry
-  is compacted and renumbered;
-* each of those five bundles loaded back, table by table (``table/...``):
+  at ``symbol_window=2``; of one with reference commands in its prose
+  (``references_corpus``: ``\\ref``, ``\\eqref`` and ``\\cite[...]{...}``,
+  with and without nested braces in their arguments, and ``\\{``
+  escapes), which the planted corpus has none of; and of a bundle that
+  keeps only ``SINGLETON_SAMPLE`` of its singleton equations, so that the
+  registry is compacted and renumbered;
+* each of those six bundles loaded back, table by table (``table/...``):
   the streams' ``doc_ids``, ``ptr`` and ``codes``, the ``eq_units`` ``ptr``
   and ``ids``, the registry, both vocabularies and every held-out column.
   These digest content, not layout: a change to how a bundle file is laid
@@ -178,6 +181,33 @@ def math_corpus(docs):
     return out
 
 
+# Written into every prose line, in turn: references without braces in
+# their arguments, references whose arguments nest braces (dropped whole,
+# like the others), and escaped braces before a reference.  "@" is the
+# line's number.
+_REFERENCES = (
+    " See \\ref{sec:@} and \\eqref{eq:@} here.",
+    " As in \\ref{sec:{intro}@} and \\eqref{eq:{a}{b}@} shown.",
+    " By \\cite[p.~@]{key} and \\cite[p.~{@}]{smith{jones}} we know.",
+    " The set \\{ x_@ \\} of \\cite{lemma} holds.",
+)
+
+
+def references_corpus(docs):
+    """``docs`` with reference commands from ``_REFERENCES`` written into
+    their prose lines (those ending in ".")."""
+    out = []
+    for doc in docs:
+        lines, j = [], 0
+        for line in doc.source_text.split("\n"):
+            if line.endswith("."):
+                line += _REFERENCES[j % len(_REFERENCES)].replace("@", str(j))
+                j += 1
+            lines.append(line)
+        out.append(RawDocument(doc.doc_id, "\n".join(lines)))
+    return out
+
+
 def _content(value) -> str:
     """The digest of an array's dtype, shape and values, or of a JSON value."""
     if isinstance(value, np.ndarray):
@@ -223,6 +253,8 @@ def digests(workdir: str, n_docs: int = 200, max_epochs: int | None = None) -> d
     out.update(_bundle_digests(inline, os.path.join(workdir, "inline"), "inline"))
     math = ingest_corpus(math_corpus(docs), IngestParams(seed=INGEST_SEED, symbol_window=2))
     out.update(_bundle_digests(math, os.path.join(workdir, "math"), "math"))
+    references = ingest_corpus(references_corpus(docs), IngestParams(seed=INGEST_SEED))
+    out.update(_bundle_digests(references, os.path.join(workdir, "references"), "references"))
     data = ingest_corpus(docs, IngestParams(seed=INGEST_SEED))
     sampled = ingest_corpus(docs, IngestParams(seed=INGEST_SEED, singleton_sample=SINGLETON_SAMPLE))
     if sampled.n_equations == data.n_equations:
