@@ -29,8 +29,9 @@ _OPENER = re.compile(_ENV_BEGIN.pattern + r"|\$\$|\\\[")
 # to the next instead of trying the pattern at every character.
 _COMMENT = re.compile(r"%(?<!\\%)[^\n]*")
 # One match per mark a brace scan acts on: a ``\label{`` (whose ``{`` opens
-# a group), an escape pair (so ``\{`` and ``\}`` are no braces), or a brace.
-_BRACE_MARK = re.compile(r"\\label\{|\\.|[{}]", re.S)
+# a group), an escape pair (so ``\{``, ``\}``, ``\[`` and ``\]`` are no marks,
+# and ``\\`` is a row break), a brace or a bracket.
+_BRACE_MARK = re.compile(r"\\label\{|\\.|[{}\[\]]", re.S)
 _WS_RUN = re.compile(r"\s+")
 
 
@@ -44,23 +45,37 @@ def normalize_equation(latex: str) -> str:
     return _WS_RUN.sub(" ", _drop_labels(latex)).strip()
 
 
-def _brace_map(text: str) -> tuple[dict[int, int], list[int]]:
-    """``(close, labels)`` from one scan of the marks of ``text``: the index
-    of the ``}`` that closes each ``{``, by the index of the ``{`` (-1 for
-    a group that never closes), and the start of each ``\\label{``, in
-    order.  A ``}`` that closes no group is ignored."""
-    close, labels, opened = {}, [], []  # opened: the "{" of each group not yet closed
+def _brace_map(text: str) -> tuple[dict[int, int], list[int], list[int]]:
+    """``(close, labels, breaks)`` from one scan of the marks of ``text``.
+
+    ``close`` maps the index of each ``{`` to that of the ``}`` that closes
+    it, and of each ``[`` to that of the first ``]`` at its own brace depth;
+    -1 if there is none.  A ``}`` that closes no group is ignored, save
+    that, like any ``}``, it leaves each ``[`` still open at its depth
+    unclosed.  ``labels`` holds the start of each ``\\label{`` and
+    ``breaks`` that of each ``\\\\`` outside every group, in order."""
+    close, labels, breaks = {}, [], []
+    opened = []  # the "{" of each group not yet closed
+    pending = []  # (depth, index) of each "[" not yet closed, depths ascending
     for m in _BRACE_MARK.finditer(text):
-        mark = m[0]
-        if mark == "}":
-            if opened:
-                close[opened.pop()] = m.start()
+        mark, at = m[0], m.start()
+        if mark == "]" or mark == "}":  # either ends each "[" still open at its depth
+            while pending and pending[-1][0] == len(opened):
+                close[pending.pop()[1]] = at if mark == "]" else -1
+            if mark == "}" and opened:
+                close[opened.pop()] = at
+        elif mark == "[":
+            close[at] = -1
+            pending.append((len(opened), at))
+        elif mark == "\\\\":
+            if not opened:
+                breaks.append(at)
         elif mark == "{" or len(mark) > 2:  # a brace or a \label{
             opened.append(m.end() - 1)
             close[m.end() - 1] = -1
             if len(mark) > 2:
-                labels.append(m.start())
-    return close, labels
+                labels.append(at)
+    return close, labels, breaks
 
 
 def _drop_labels(latex: str) -> str:
@@ -70,7 +85,7 @@ def _drop_labels(latex: str) -> str:
     one goes with it."""
     if "\\label{" not in latex:
         return latex
-    close, labels = _brace_map(latex)
+    close, labels, _ = _brace_map(latex)
     kept, cut = [], 0
     for start in labels:
         end = close[start + len("\\label")]
@@ -81,33 +96,13 @@ def _drop_labels(latex: str) -> str:
     return " ".join(kept)
 
 
-# Text a row split passes over: no brace and no backslash pair; any other
-# escape, ``\{`` and ``\}`` included, is taken whole.  Written as
-# ``normal* (escape normal*)*`` so that it matches in only one way.
-_ROW_TEXT = r"[^\\{}]*(?:\\[^\\][^\\{}]*)*"
-# One match per mark the split acts on (a backslash pair, a brace, or the
-# end after an optional lone backslash), with the text before it consumed
-# in the same match, brace groups of such text included: a group that
-# closes leaves the depth as it was.  A group that does not close fails in
-# time linear in its text, and its ``{`` is the mark.
-_ROW_MARK = re.compile(_ROW_TEXT + r"(?:\{" + _ROW_TEXT + r"\}" + _ROW_TEXT + r")*(\\\\|[{}]|\\?\Z)")
-
-
 def _split_rows(content: str) -> list[str]:
-    """Split a multi-line environment body on top-level ``\\\\`` separators.
-
-    Braces nest (a stray ``}`` at depth 0 is ignored); an escaped character
-    is skipped, so ``\\}`` does not close a group."""
-    rows, depth, start = [], 0, 0
-    for m in _ROW_MARK.finditer(content):
-        mark = m.group(1)
-        if mark == "{":
-            depth += 1
-        elif mark == "}":
-            depth = max(0, depth - 1)
-        elif mark == "\\\\" and depth == 0:
-            rows.append(content[start : m.start(1)])
-            start = m.end()
+    """Split a multi-line environment body on the ``\\\\`` separators that
+    lie outside every brace group (``\\}`` closes none)."""
+    rows, start = [], 0
+    for at in _brace_map(content)[2]:
+        rows.append(content[start:at])
+        start = at + 2
     rows.append(content[start:])
     return rows
 
@@ -194,9 +189,9 @@ def _extract(doc: RawDocument):
 
 # --- word tokenization -----------------------------------------------------
 # No pass rescans the text from an unclosed opener.  Where the scan is in
-# Python, a closer is found with ``str.find`` and a failed search is
-# remembered: a closer absent after one position is absent after every
-# later one.
+# Python, a closer is read from the brace map, or found with ``str.find``
+# and a failed search is remembered: a closer absent after one position is
+# absent after every later one.
 
 _INLINE_OPEN = re.compile(r"\$|\\\(")
 # Where "$" is the only opener, each span ends at the next "$" and a lone
@@ -204,7 +199,8 @@ _INLINE_OPEN = re.compile(r"\$|\\\(")
 _DOLLAR_SPAN = re.compile(r"\$[^$]*\$")
 # Commands whose braced argument is reference noise, not prose: the name,
 # then an optional [...] argument, then one or more {...} groups, braces
-# balanced.
+# balanced.  A name after an odd run of backslashes is escaped, which no
+# look-behind can tell; ``_drop_references`` counts the run.
 _REFERENCE = re.compile(
     r"\\(?:cite[pt]?\*?|ref|eqref|pageref|autoref|cref|Cref|label|url|href"
     r"|input|include|includegraphics|bibliography|bibliographystyle"
@@ -274,31 +270,20 @@ def _drop_inline_math(text: str) -> str:
 
 def _drop_references(text: str) -> str:
     """Replace each reference command with its arguments by a space; a
-    command with no brace group that closes stays.
-
-    Several commands can share the ``]`` that ends their ``[...]``
-    argument; what follows that ``]`` decides all of them, so the next
-    ``]`` and a ``]`` not followed by a brace group are remembered.
-    """
+    command whose backslash is escaped, or with no brace group that
+    closes, stays."""
     m = _REFERENCE.search(text)
     if m is None:
         return text
-    close: dict[int, int] = {}  # the brace map, made when a group first needs it
+    close: dict[int, int] = {}  # the brace map, made when an argument first needs it
     kept: list[str] = []
     cut = 0
-    bracket = -1  # the first "]" after the last searched position; len(text) if none
-    dead = -1  # a "]" that no brace group follows
     while m is not None:
-        end = m.end()
-        if text[end] == "[":
-            if bracket <= end:
-                bracket = text.find("]", end + 1)
-                bracket = len(text) if bracket < 0 else bracket
-            end = -1 if bracket in (len(text), dead) else _groups_end(text, bracket + 1, close)
-            if end < 0:
-                dead = bracket
-        else:
-            end = _groups_end(text, end, close)
+        run = m.start()
+        while run > cut and text[run - 1] == "\\":
+            run -= 1
+        # an odd run of backslashes before the command escapes its own
+        end = -1 if (m.start() - run) % 2 else _arguments_end(text, m.end(), close)
         if end < 0:
             m = _REFERENCE.search(text, m.end())
             continue
@@ -309,18 +294,21 @@ def _drop_references(text: str) -> str:
     return " ".join(kept)
 
 
-def _groups_end(text: str, pos: int, close: dict[int, int]) -> int:
-    """The end of the run of brace groups that starts at ``pos``, or -1 when
-    none does; a group ends at the ``}`` that ``close``, the brace map of
-    ``text``, gives it.  An empty ``close`` is filled the first time a group
-    holds a brace or a backslash."""
-    end = -1
-    while text.startswith("{", pos):
-        flat = _FLAT_GROUP.match(text, pos)
+def _arguments_end(text: str, pos: int, close: dict[int, int]) -> int:
+    """The end of the arguments that start at ``pos``, an optional ``[...]``
+    and then a run of brace groups, or -1 when no group closes.  Each ends
+    where ``close``, the brace map of ``text``, says.  An empty ``close`` is
+    filled the first time a ``[`` or a group holding a brace or a backslash
+    needs it; until then ``_FLAT_GROUP`` ends groups."""
+    end, start = -1, pos
+    while text.startswith("{", pos) or pos == start:  # a "[" may open the first
+        flat = None if close else _FLAT_GROUP.match(text, pos)
         if flat is None and not close:
             close.update(_brace_map(text)[0])
         group = flat.end() - 1 if flat else close[pos]
         if group < 0:
             break
-        pos = end = group + 1
+        pos = group + 1
+        if text[group] == "}":
+            end = pos
     return end

@@ -9,12 +9,13 @@ that word tokenization passes through.  On input without literal marker
 text, ``eqvec.tex._extract`` followed by per-piece tokenization must give
 the same records, skipped count and word/slot sequence, which the
 differential tests check.  The regex tokenizer rescans to the end of the
-text from every unclosed ``\\(``, every ``\\begin{`` without a ``}`` and
-every ``\\cite[`` without a ``]``, and closes each brace group of a
-reference command by counting braces forward from its ``{``, so that a
-group holding braces is dropped whole; ``eqvec.tex.tokenize_words`` must
-give the same tokens.  The comment stripper is the look-behind-first regex;
-``eqvec.tex.strip_comments`` must drop the same spans.  The row splitter
+text from every unclosed ``\\(`` and every ``\\begin{`` without a ``}``.
+It takes a reference command after an odd run of backslashes for no
+command, and ends each argument of one by counting braces forward from
+its ``[`` or ``{``, so that an argument holding braces is dropped whole;
+``eqvec.tex.tokenize_words`` must give the same tokens.  The comment
+stripper is the look-behind-first regex; ``eqvec.tex.strip_comments``
+must drop the same spans.  The row splitter
 walks an environment body one character at a time;
 ``eqvec.tex._split_rows`` must give the same rows.  The label dropper finds
 each unescaped ``\\label{`` and then its closing brace by a scan of its own
@@ -44,7 +45,8 @@ PLACEHOLDER_RE = re.compile(r"\u27e6eq:(\d+)\u27e7")
 
 _INLINE_MATH = re.compile(r"\$[^$]*\$|\\\(.*?\\\)", re.DOTALL)
 # Commands whose braced argument is reference noise, not prose: the name,
-# when an optional [...] argument or a brace group follows.
+# when an optional [...] argument or a brace group follows.  A name after
+# an odd run of backslashes is no command; ``drop_references`` skips it.
 _REFERENCE_NAME = re.compile(
     r"\\(?:cite[pt]?\*?|ref|eqref|pageref|autoref|cref|Cref|label|url|href"
     r"|input|include|includegraphics|bibliography|bibliographystyle"
@@ -177,18 +179,36 @@ def _group_end(text: str, i: int) -> int:
     return -1
 
 
+def _bracket_end(text: str, i: int) -> int:
+    """The index past the ``]`` that ends the ``[`` at ``i``: the first one
+    outside every group opened after it, found by counting braces forward
+    from there (an escape pair skipped); -1 when a ``}`` that closes no
+    such group, or the end of the text, comes first."""
+    depth, j = 0, i + 1
+    while j < len(text):
+        ch = text[j]
+        if depth == 0 and ch in "]}":
+            return j + 1 if ch == "]" else -1
+        depth += (ch == "{") - (ch == "}")
+        j += 2 if ch == "\\" else 1
+    return -1
+
+
 def drop_references(text: str) -> str:
     """Each reference command with its arguments replaced with a space,
-    found left to right: the name, an optional ``[...]`` argument up to
-    the first ``]``, then one or more brace groups, each closed by a scan
-    of its own; a command with no group that closes stays."""
+    found left to right: the name, an optional ``[...]`` argument, then
+    one or more brace groups, each closed by a scan of its own; a command
+    after an odd run of backslashes, or with no group that closes, stays."""
     out, cut, pos = [], 0, 0
     while (m := _REFERENCE_NAME.search(text, pos)) is not None:
         pos, end = m.end(), -1
+        before = text[cut : m.start()]
+        if (len(before) - len(before.rstrip("\\"))) % 2:
+            continue
         j = pos
         if text[j] == "[":
-            j = text.find("]", j) + 1 or len(text)
-        while text.startswith("{", j) and (e := _group_end(text, j)) >= 0:
+            j = _bracket_end(text, j)
+        while j >= 0 and text.startswith("{", j) and (e := _group_end(text, j)) >= 0:
             end = j = e
         if end >= 0:
             out.append(text[cut : m.start()])

@@ -92,7 +92,8 @@ def test_row_split_ignores_braced_backslashes():
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.lists(st.sampled_from(["{", "}", "\\", "\\\\", "\\}", "&", "a", "b", "\n"]), max_size=40))
+@given(st.lists(st.sampled_from(["{", "}", "\\", "\\\\", "\\{", "\\}", "[", "]", "\\label{", "&", "a", "b", "\n"]),
+                max_size=40))
 @example(["a", "\\\\", "b", "\\"])  # a lone last backslash
 @example(["}", "}", "\\\\", "{", "\\}", "\\\\", "}", "\\\\"])  # stray closers, an escaped one
 def test_split_rows_matches_character_walk(parts):
@@ -224,6 +225,12 @@ def test_placeholders_pass_through():
         (r"by \cite[p.~{3}]{x{y}} it", ["by", "it"]),
         (r"by \cite[p.~3]{x{y} it", ["by", "p", "x", "y", "it"]),  # never closes: stays
         (r"a \ref{x\}y} b \{ c \}", ["a", "b", "c"]),  # an escaped brace closes nothing
+        (r"see \cite[{a]b}]{x} now", ["see", "now"]),  # a "]" in a group ends no [...]
+        (r"see \cite[a\]b]{x} now", ["see", "now"]),  # nor does an escaped one
+        (r"see \cite[ {x ] y", ["see", "x", "y"]),  # its group never closes: stays
+        (r"a \\ref{b} c", ["a", "ref", "b", "c"]),  # a line break, then text
+        (r"a \\\ref{b} c", ["a", "c"]),  # a line break, then a reference
+        (r"\ref{a}\\ref{b} c", ["ref", "b", "c"]),
     ],
 )
 def test_reference_with_nested_braces_dropped_whole(text, words):
@@ -328,10 +335,10 @@ def test_extract_time_is_linear(make):
 # --- word tokenizer against the regex tokenizer --------------------------------
 
 # Openers, closers and whole command heads, so that short lists reach the
-# remembered-bracket and brace-group branches.
+# bracket and brace-group branches and commands behind a backslash pair.
 _PROSE = [
     "\\(", "\\)", "$", "\\cite", "\\cite[", "\\citep", "\\ref{", "\\include",
-    "\\includegraphics", "\\begin{", "\\end", "\\", "\\{", "\\}", "[", "]", "]{", "{", "}", "*", "a",
+    "\\includegraphics", "\\begin{", "\\end", "\\", "\\\\", "\\{", "\\}", "[", "]", "]{", "{", "}", "*", "a",
     "bc", "p-value", "7", " ", "\n", "-", "--", "a-", "-b", "Word", "\u212a", "\u0130", "\u00e9",
 ]
 
@@ -345,6 +352,10 @@ _PROSE = [
 @example(["\\ref{", "{", "a", "}", "bc", "}", "a"])  # a nested group
 @example(["\\cite[", "a", "]{", "{", "bc", "\\}", "}", "}", "a"])  # an escaped brace in a nested group
 @example(["\\ref{", "{", "a", "}", "\\ref{", "bc", "}"])  # a nested group that never closes
+@example(["\\cite[", "{", "a", "]", "bc", "}", "]{", "a", "}"])  # a "]" in a group ends no [...]
+@example(["\\cite[", "a", "\\", "]", "bc", "]{", "a", "}"])  # nor does an escaped "]"
+@example(["\\cite[", "a", "}", "]{", "bc", "}"])  # a "}" before the "]" leaves the [...] open
+@example(["a", "\\", "\\ref{", "bc", "}", "\\\\", "\\ref{", "a", "}"])  # escaped, then not
 @example(["\\(", "a", "\\(", "bc", "\\)", "$", "a", "\\begin{", "a"])
 @example(["Word", "-", "\u212a", "a-", "-b", "\u0130", "--", "\u00e9", "bc", "p-value", "-"])
 @example(["a", "$", "bc", "$", "a", "$", "bc"])  # "$" the only opener, a lone last "$" stays
@@ -364,9 +375,11 @@ def test_tokenize_words_matches_regex_reference(parts):
         lambda n: " ".join(f"\\cite[ p{i} word" for i in range(n)) + " ]{" + " word" * n,
         lambda n: " ".join(f"\\begin{{ x{i} word" for i in range(n)),
         lambda n: " ".join(f"\\ref{{{{ w{i}" for i in range(n)),
+        lambda n: " ".join(f"\\cite[{{ p{i} ]" for i in range(n)),
+        lambda n: " ".join(f"\\\\ref{{ w{i}" for i in range(n)),
     ],
     ids=["unclosed_parens", "odd_dollars", "cite_without_bracket", "cite_shared_bracket", "unclosed_begin",
-         "unclosed_nested_refs"],
+         "unclosed_nested_refs", "brackets_in_groups", "escaped_refs"],
 )
 def test_tokenize_time_is_linear(make):
     # the regex tokenizer takes about 0.25 s (parens) and 0.05 s (the others)

@@ -17,10 +17,11 @@ Builds the planted corpus bundle and runs the CLI on it in-process:
   primes, ``\\{``, an unknown command and an unclosed brace), ingested
   at ``symbol_window=2``; of one with reference commands in its prose
   (``references_corpus``: ``\\ref``, ``\\eqref`` and ``\\cite[...]{...}``,
-  with and without nested braces in their arguments, and ``\\{``
-  escapes), which the planted corpus has none of; and of a bundle that
-  keeps only ``SINGLETON_SAMPLE`` of its singleton equations, so that the
-  registry is compacted and renumbered;
+  with and without nested braces in their arguments, a ``]`` in a group
+  or escaped inside ``[...]``, ``\\{`` escapes and a ``ref{`` after a
+  ``\\\\`` line break), which the planted corpus has none of; and of a
+  bundle that keeps only ``SINGLETON_SAMPLE`` of its singleton equations,
+  so that the registry is compacted and renumbered;
 * each of those six bundles loaded back, table by table (``table/...``):
   the streams' ``doc_ids``, ``ptr`` and ``codes``, the ``eq_units`` ``ptr``
   and ``ids``, the registry, both vocabularies and every held-out column.
@@ -190,6 +191,7 @@ _REFERENCES = (
     " As in \\ref{sec:{intro}@} and \\eqref{eq:{a}{b}@} shown.",
     " By \\cite[p.~@]{key} and \\cite[p.~{@}]{smith{jones}} we know.",
     " The set \\{ x_@ \\} of \\cite{lemma} holds.",
+    " Cf. \\cite[{a]b}]{x@} and \\cite[p.\\]@]{k} then a \\\\ref{b} line.",
 )
 
 
