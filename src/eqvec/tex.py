@@ -207,10 +207,11 @@ _REFERENCE = re.compile(
     r"|usepackage|documentclass|pagestyle|thispagestyle)"
     r"(?=[\[{])"
 )
-# A brace group with no brace and no backslash inside: its end needs no
-# brace map, so texts whose references are all like this (every
-# ``\documentclass{article}``) are never scanned for braces.
-_FLAT_GROUP = re.compile(r"\{[^{}\\]*\}")
+# A ``[...]`` or brace group with no brace, bracket or backslash inside
+# ends where the brace map would say, so texts whose references are all
+# like this (``\documentclass[11pt]{article}``) are never scanned for
+# braces; stopping at a backslash keeps each match short of the next command.
+_FLAT_GROUP = re.compile(r"\[[^\[\]{}\\]*\]|\{[^{}\\]*\}")
 _BEGIN_END = re.compile(r"\\(?:begin|end)\{[^}]*\}")
 _COMMAND = re.compile(r"\\[a-zA-Z]+\*?|\\[^a-zA-Z]")
 _WORD = re.compile(r"[a-z]+(?:-[a-z]+)*")
@@ -298,8 +299,8 @@ def _arguments_end(text: str, pos: int, close: dict[int, int]) -> int:
     """The end of the arguments that start at ``pos``, an optional ``[...]``
     and then a run of brace groups, or -1 when no group closes.  Each ends
     where ``close``, the brace map of ``text``, says.  An empty ``close`` is
-    filled the first time a ``[`` or a group holding a brace or a backslash
-    needs it; until then ``_FLAT_GROUP`` ends groups."""
+    filled the first time an argument that is not flat needs it; until then
+    ``_FLAT_GROUP`` ends arguments."""
     end, start = -1, pos
     while text.startswith("{", pos) or pos == start:  # a "[" may open the first
         flat = None if close else _FLAT_GROUP.match(text, pos)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eqvec import tex
 from eqvec.corpus import _prepare_document
 from eqvec.tex import (
     RawDocument,
@@ -231,10 +232,21 @@ def test_placeholders_pass_through():
         (r"a \\ref{b} c", ["a", "ref", "b", "c"]),  # a line break, then text
         (r"a \\\ref{b} c", ["a", "c"]),  # a line break, then a reference
         (r"\ref{a}\\ref{b} c", ["ref", "b", "c"]),
+        (r"\documentclass[11pt]{article} a \cite[p.~3]{k} b", ["a", "b"]),  # flat arguments
     ],
 )
 def test_reference_with_nested_braces_dropped_whole(text, words):
     assert tokenize_words(text) == reference_tokenize_words(text) == words
+
+
+def test_flat_arguments_need_no_brace_map(monkeypatch):
+    # a preamble's optional arguments are flat: ending them must not scan the text for braces
+    def no_map(text):
+        raise AssertionError("brace map built")
+
+    monkeypatch.setattr(tex, "_brace_map", no_map)
+    text = r"\documentclass[11pt]{article} \usepackage[utf8]{inputenc} see \cite[p.~3]{k} \cite[x] now"
+    assert tokenize_words(text) == ["see", "x", "now"]
 
 
 def test_inline_math_and_commands_dropped():
@@ -377,9 +389,10 @@ def test_tokenize_words_matches_regex_reference(parts):
         lambda n: " ".join(f"\\ref{{{{ w{i}" for i in range(n)),
         lambda n: " ".join(f"\\cite[{{ p{i} ]" for i in range(n)),
         lambda n: " ".join(f"\\\\ref{{ w{i}" for i in range(n)),
+        lambda n: " ".join(f"\\cite[p{i}] word" for i in range(n)),
     ],
     ids=["unclosed_parens", "odd_dollars", "cite_without_bracket", "cite_shared_bracket", "unclosed_begin",
-         "unclosed_nested_refs", "brackets_in_groups", "escaped_refs"],
+         "unclosed_nested_refs", "brackets_in_groups", "escaped_refs", "flat_brackets"],
 )
 def test_tokenize_time_is_linear(make):
     # the regex tokenizer takes about 0.25 s (parens) and 0.05 s (the others)
