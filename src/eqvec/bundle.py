@@ -239,6 +239,8 @@ def _expect(got, want, path):
 
 
 def _read_manifest(path: str) -> dict:
+    if not os.path.isdir(path):
+        raise FileNotFoundError(f"bundle not found: {path}")  # an OSError: the CLI exits 2
     try:
         with open(os.path.join(path, "manifest.json")) as f:
             manifest = json.load(f)
@@ -305,7 +307,7 @@ def _read_equations(path: str, count: int | None = None) -> EquationRegistry:
     if (counts < 1).any():
         raise BundleFormatError(f"{path}: occurrence count {counts.min()} below 1")
     if eq_ids != list(range(len(eq_ids))):
-        raise BundleFormatError("equation ids not dense")
+        raise BundleFormatError(f"{path}: equation ids not dense")
     _check_unique(path, "LaTeX", latex, dict(zip(latex, range(len(latex)))))
     return EquationRegistry(latex, counts)
 

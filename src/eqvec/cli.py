@@ -231,9 +231,6 @@ def cmd_train(args) -> int:
     from . import training
 
     cfg = build_config(args)
-    if not os.path.isdir(cfg.bundle_dir):
-        print(f"error: bundle not found: {cfg.bundle_dir}", file=sys.stderr)
-        return EXIT_USAGE
     _check_output(cfg.model_path)
     _check_output(cfg.model_path + ".trace.jsonl")
     data = bundle_io.load_bundle(cfg.bundle_dir)
@@ -278,9 +275,6 @@ def cmd_eval(args) -> int:
     from . import evaluation
 
     cfg = build_config(args)
-    if not os.path.isdir(cfg.bundle_dir):
-        print(f"error: bundle not found: {cfg.bundle_dir}", file=sys.stderr)
-        return EXIT_USAGE
     _check_output(cfg.report_path)
     data = bundle_io.load_bundle(cfg.bundle_dir)
     if not (len(data.heldout_valid) and len(data.heldout_test)):

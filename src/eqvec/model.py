@@ -14,7 +14,6 @@ import numpy as np
 
 from .corpus import EquationUnits
 
-ADAGRAD_FLOOR = 1e-8
 LOG_EPS = 1e-12
 
 MODES = ("word", "equation", "unit")
@@ -70,20 +69,14 @@ class ModelConfig:
         return 0.5 / self.k if self.init_scale is None else self.init_scale
 
 
-class FrozenTableError(RuntimeError):
-    pass
-
-
 class EmbeddingTable:
-    """rho/alpha matrices plus per-cell Adagrad accumulators for one class."""
+    """rho/alpha matrices for one class."""
 
     def __init__(self, size: int, k: int, rng: np.random.Generator, scale: float):
         self.size = size
         self.k = k
         self.rho = rng.uniform(-scale, scale, size=(size, k))
         self.alpha = rng.uniform(-scale, scale, size=(size, k))
-        self.rho_acc = np.full((size, k), ADAGRAD_FLOOR)
-        self.alpha_acc = np.full((size, k), ADAGRAD_FLOOR)
 
     @classmethod
     def from_arrays(cls, rho: np.ndarray, alpha: np.ndarray) -> "EmbeddingTable":
@@ -91,10 +84,6 @@ class EmbeddingTable:
         t.size, t.k = rho.shape
         t.rho = np.ascontiguousarray(rho, dtype=np.float64)
         t.alpha = np.ascontiguousarray(alpha, dtype=np.float64)
-        # a table built from stored vectors is never trained: its accumulators
-        # are a read-only view of the floor and take no memory
-        t.rho_acc = np.broadcast_to(ADAGRAD_FLOOR, rho.shape)
-        t.alpha_acc = np.broadcast_to(ADAGRAD_FLOOR, rho.shape)
         return t
 
     @property
@@ -102,16 +91,7 @@ class EmbeddingTable:
         return not self.rho.flags.writeable
 
     def freeze(self):
-        for m in (self.rho, self.alpha, self.rho_acc, self.alpha_acc):
-            m.flags.writeable = False
-
-    def snapshot(self) -> tuple:
-        return (self.rho.copy(), self.alpha.copy(), self.rho_acc.copy(), self.alpha_acc.copy())
-
-    def restore(self, snap: tuple):
-        if self.frozen:
-            raise FrozenTableError("cannot restore into a frozen table")
-        self.rho[...], self.alpha[...], self.rho_acc[...], self.alpha_acc[...] = snap
+        self.rho.flags.writeable = self.alpha.flags.writeable = False
 
     def checksum(self) -> bytes:
         import hashlib

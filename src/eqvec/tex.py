@@ -198,14 +198,15 @@ _INLINE_OPEN = re.compile(r"\$|\\\(")
 # last "$" stays: what the scan in ``_drop_inline_math`` does, in one pass.
 _DOLLAR_SPAN = re.compile(r"\$[^$]*\$")
 # Commands whose braced argument is reference noise, not prose: the name,
-# then an optional [...] argument, then one or more {...} groups, braces
-# balanced.  A name after an odd run of backslashes is escaped, which no
-# look-behind can tell; ``_drop_references`` counts the run.
+# spaces and tabs with at most one line break, as LaTeX skips them, then
+# any [...] arguments, then one or more {...} groups, braces balanced.  A
+# name after an odd run of backslashes is escaped, which no look-behind
+# can tell; ``_drop_references`` counts the run.
 _REFERENCE = re.compile(
     r"\\(?:cite[pt]?\*?|ref|eqref|pageref|autoref|cref|Cref|label|url|href"
     r"|input|include|includegraphics|bibliography|bibliographystyle"
     r"|usepackage|documentclass|pagestyle|thispagestyle)"
-    r"(?=[\[{])"
+    r"[ \t]*(?:\n[ \t]*)?(?=[\[{])"
 )
 # A ``[...]`` or brace group with no brace, bracket or backslash inside
 # ends where the brace map would say, so texts whose references are all
@@ -277,6 +278,7 @@ def _drop_references(text: str) -> str:
     if m is None:
         return text
     close: dict[int, int] = {}  # the brace map, made when an argument first needs it
+    seen: set[int] = set()  # each "]" an argument walk has passed
     kept: list[str] = []
     cut = 0
     while m is not None:
@@ -284,7 +286,7 @@ def _drop_references(text: str) -> str:
         while run > cut and text[run - 1] == "\\":
             run -= 1
         # an odd run of backslashes before the command escapes its own
-        end = -1 if (m.start() - run) % 2 else _arguments_end(text, m.end(), close)
+        end = -1 if (m.start() - run) % 2 else _arguments_end(text, m.end(), close, seen)
         if end < 0:
             m = _REFERENCE.search(text, m.end())
             continue
@@ -295,21 +297,26 @@ def _drop_references(text: str) -> str:
     return " ".join(kept)
 
 
-def _arguments_end(text: str, pos: int, close: dict[int, int]) -> int:
-    """The end of the arguments that start at ``pos``, an optional ``[...]``
+def _arguments_end(text: str, pos: int, close: dict[int, int], seen: set[int]) -> int:
+    """The end of the arguments that start at ``pos``, a run of ``[...]``
     and then a run of brace groups, or -1 when no group closes.  Each ends
     where ``close``, the brace map of ``text``, says.  An empty ``close`` is
     filled the first time an argument that is not flat needs it; until then
-    ``_FLAT_GROUP`` ends arguments."""
-    end, start = -1, pos
-    while text.startswith("{", pos) or pos == start:  # a "[" may open the first
+    ``_FLAT_GROUP`` ends arguments.  ``seen`` holds each ``]`` that an
+    earlier walk passed.  Commands whose ``[...]`` share a ``]`` share the
+    arguments after it, so a walk that reaches one fails as that walk did:
+    one that succeeded moved the cut past it."""
+    end = -1
+    while text.startswith("{", pos) or (end < 0 and text.startswith("[", pos)):
         flat = None if close else _FLAT_GROUP.match(text, pos)
         if flat is None and not close:
             close.update(_brace_map(text)[0])
         group = flat.end() - 1 if flat else close[pos]
-        if group < 0:
+        if group < 0 or group in seen:
             break
         pos = group + 1
         if text[group] == "}":
             end = pos
+        else:
+            seen.add(group)
     return end

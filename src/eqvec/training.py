@@ -25,6 +25,8 @@ from .corpus import CorpusData
 from .model import LOG_EPS, MODES, EmbeddingTable, Model, ModelConfig
 from .passes import PASS_CLASSES, PassPlan, _ptr, _ranges, compile_pass
 
+ADAGRAD_FLOOR = 1e-8
+
 
 class TrainingDiverged(RuntimeError):
     """Raised when the validation score goes non-finite.
@@ -188,18 +190,18 @@ def _merged(pos, rows, weights, m: int, n_rows: int):
 
 def _stack(tables, trainable) -> np.ndarray:
     """(2, rows, k): the parameters, every table's rho rows then every
-    table's alpha rows, over their Adagrad accumulators in the same layout.
-    Each table's matrices become views of it, read-only where the table is
+    table's alpha rows, over their Adagrad accumulators in the same layout,
+    all at the floor: a table trains in one pass at most.  Each table's
+    matrices become views of the parameters, read-only where the table is
     not ``trainable``, so steps on the stacked array train the tables."""
     n = sum(t.size for t in tables)
     stacked = np.empty((2, 2 * n, tables[0].k))
-    o = 0
+    stacked[1] = ADAGRAD_FLOOR
+    params, o = stacked[0], 0
     for t, tr in zip(tables, trainable):
-        rho, alpha = slice(o, o + t.size), slice(n + o, n + o + t.size)
-        views = stacked[0, rho], stacked[1, rho], stacked[0, alpha], stacked[1, alpha]
-        for v, m in zip(views, (t.rho, t.rho_acc, t.alpha, t.alpha_acc)):
-            v[...] = m
-        t.rho, t.rho_acc, t.alpha, t.alpha_acc = views
+        rho, alpha = params[o : o + t.size], params[n + o : n + o + t.size]
+        rho[...], alpha[...] = t.rho, t.alpha
+        t.rho, t.alpha = rho, alpha
         if not tr:
             t.freeze()
         o += t.size
@@ -400,11 +402,9 @@ def train_model(data: CorpusData, config: ModelConfig, mode: str, word=None):
 
     for name in pass_names:
         spec = PASS_CLASSES[name]
-        pass_tables = [tables[c] for c in spec.classes]
-        trainables = [t for t, tr in zip(pass_tables, spec.trainable) if tr]
-        stacked = _stack(pass_tables, spec.trainable)
+        stacked = _stack([tables[c] for c in spec.classes], spec.trainable)
         samplers = [NegativeSampler(rngs[s], sizes[c], freqs(c)) for c, s in zip(spec.classes, spec.seeds)]
-        snapshots = [t.snapshot() for t in trainables]
+        best = stacked[0].copy()  # the parameters of the last good epoch
         plans, trace = None, []
         for epoch in range(1, config.max_epochs + 1):
             t0 = time.perf_counter()
@@ -419,13 +419,12 @@ def train_model(data: CorpusData, config: ModelConfig, mode: str, word=None):
             diverged = not np.isfinite(score)
             decision = evaluation.early_stopping_controller(trace, config.max_epochs)
             if diverged or (decision.stop and decision.best_epoch < epoch):
-                for t, snap in zip(trainables, snapshots):
-                    t.restore(snap)
+                stacked[0] = best  # the pass ends here: its accumulators are not needed again
             if diverged:
                 raise TrainingDiverged(name, epoch, view(spec.view), records)
             if decision.stop:
                 break
-            snapshots = [t.snapshot() for t in trainables]
+            best[...] = stacked[0]
     return view(mode), records
 
 

@@ -1,6 +1,7 @@
 """Reference oracles for ``eqvec.model`` and ``eqvec.evaluation``.
 
-* The pair API: per-class ``Tables``, context sums, Bernoulli parameters,
+* The pair API: per-class ``Tables`` of ``Table``s, which keep their own
+  Adagrad accumulators, context sums, Bernoulli parameters,
   ``pair_loss_and_grads`` and the Adagrad update, one observation at a
   time.  The gradient suite finite-differences it, and the compiled SGD
   step in ``eqvec.training`` must match it.
@@ -24,9 +25,53 @@ from typing import Iterable
 
 import numpy as np
 
-from eqvec.model import LOG_EPS, MODES, EmbeddingTable, FrozenTableError, sigmoid
+from eqvec.model import LOG_EPS, MODES, sigmoid
+from eqvec.training import ADAGRAD_FLOOR
 
 _TINY = np.finfo(np.float64).tiny
+
+
+# --- tables with their own accumulators ---------------------------------------
+
+
+class FrozenTableError(RuntimeError):
+    pass
+
+
+class Table:
+    """One class's rho/alpha matrices with per-cell Adagrad accumulators
+    that start at the floor.  ``eqvec.model.EmbeddingTable`` holds only the
+    vectors (the trainer keeps accumulators for the length of a pass); this
+    table keeps its own, so the pair API and the reference trainer share
+    nothing with the code they check."""
+
+    def __init__(self, rho: np.ndarray, alpha: np.ndarray):
+        self.size, self.k = rho.shape
+        self.rho, self.alpha = rho, alpha
+        self.rho_acc = np.full(rho.shape, ADAGRAD_FLOOR)
+        self.alpha_acc = np.full(rho.shape, ADAGRAD_FLOOR)
+
+    @classmethod
+    def random(cls, size: int, k: int, rng: np.random.Generator, scale: float) -> "Table":
+        """Drawn as ``EmbeddingTable(size, k, rng, scale)`` draws its vectors."""
+        rho = rng.uniform(-scale, scale, size=(size, k))
+        return cls(rho, rng.uniform(-scale, scale, size=(size, k)))
+
+    @property
+    def frozen(self) -> bool:
+        return not self.rho.flags.writeable
+
+    def freeze(self):
+        for m in (self.rho, self.alpha, self.rho_acc, self.alpha_acc):
+            m.flags.writeable = False
+
+    def snapshot(self) -> tuple:
+        return (self.rho.copy(), self.alpha.copy(), self.rho_acc.copy(), self.alpha_acc.copy())
+
+    def restore(self, snap: tuple):
+        if self.frozen:
+            raise FrozenTableError("cannot restore into a frozen table")
+        self.rho[...], self.alpha[...], self.rho_acc[...], self.alpha_acc[...] = snap
 
 
 # --- context sums and Bernoulli parameters -----------------------------------
@@ -35,12 +80,12 @@ _TINY = np.finfo(np.float64).tiny
 class Tables:
     """Per-class table lookup used by the parameterization functions."""
 
-    def __init__(self, word: EmbeddingTable, eq: EmbeddingTable | None = None, unit: EmbeddingTable | None = None):
+    def __init__(self, word: Table, eq: Table | None = None, unit: Table | None = None):
         self.word = word
         self.eq = eq
         self.unit = unit
 
-    def get(self, cls: str) -> EmbeddingTable:
+    def get(self, cls: str) -> Table:
         t = getattr(self, cls, None)
         if t is None:
             raise ValueError(f"no table for class {cls!r}")
@@ -64,7 +109,7 @@ def context_sum(tables: Tables, items) -> np.ndarray:
     return rows.sum(axis=0)
 
 
-def word_context_sum(context, word_table: EmbeddingTable, eq_table: EmbeddingTable | None) -> np.ndarray:
+def word_context_sum(context, word_table: Table, eq_table: Table | None) -> np.ndarray:
     """Sum of feature vectors over a word's context: window words plus any
     equations from the enlarged word-equation window."""
     return context_sum(Tables(word_table, eq=eq_table), context)

@@ -11,8 +11,10 @@ the same records, skipped count and word/slot sequence, which the
 differential tests check.  The regex tokenizer rescans to the end of the
 text from every unclosed ``\\(`` and every ``\\begin{`` without a ``}``.
 It takes a reference command after an odd run of backslashes for no
-command, and ends each argument of one by counting braces forward from
-its ``[`` or ``{``, so that an argument holding braces is dropped whole;
+command, skips the blank after its name if that holds at most one line
+break, and ends each of its ``[...]`` and brace arguments by counting
+braces forward from its ``[`` or ``{``, so that an argument holding
+braces is dropped whole;
 ``eqvec.tex.tokenize_words`` must give the same tokens.  The comment
 stripper is the look-behind-first regex; ``eqvec.tex.strip_comments``
 must drop the same spans.  The row splitter
@@ -44,14 +46,15 @@ PLACEHOLDER_FMT = "\u27e6eq:{}\u27e7"
 PLACEHOLDER_RE = re.compile(r"\u27e6eq:(\d+)\u27e7")
 
 _INLINE_MATH = re.compile(r"\$[^$]*\$|\\\(.*?\\\)", re.DOTALL)
-# Commands whose braced argument is reference noise, not prose: the name,
-# when an optional [...] argument or a brace group follows.  A name after
-# an odd run of backslashes is no command; ``drop_references`` skips it.
+# Commands whose braced argument is reference noise, not prose: the name
+# and the blank after it, when a [...] argument or a brace group follows.
+# A name after an odd run of backslashes, or whose blank holds more than
+# one line break, is no command; ``drop_references`` skips it.
 _REFERENCE_NAME = re.compile(
     r"\\(?:cite[pt]?\*?|ref|eqref|pageref|autoref|cref|Cref|label|url|href"
     r"|input|include|includegraphics|bibliography|bibliographystyle"
     r"|usepackage|documentclass|pagestyle|thispagestyle)"
-    r"(?=[\[{])"
+    r"([ \t\n]*)(?=[\[{])"
 )
 
 # The comment pattern as first written: the look-behind leads, so a search
@@ -196,17 +199,18 @@ def _bracket_end(text: str, i: int) -> int:
 
 def drop_references(text: str) -> str:
     """Each reference command with its arguments replaced with a space,
-    found left to right: the name, an optional ``[...]`` argument, then
-    one or more brace groups, each closed by a scan of its own; a command
-    after an odd run of backslashes, or with no group that closes, stays."""
+    found left to right: the name, spaces, tabs and at most one line
+    break, any ``[...]`` arguments, then one or more brace groups, each
+    closed by a scan of its own; a command after an odd run of
+    backslashes, or with no group that closes, stays."""
     out, cut, pos = [], 0, 0
     while (m := _REFERENCE_NAME.search(text, pos)) is not None:
         pos, end = m.end(), -1
         before = text[cut : m.start()]
-        if (len(before) - len(before.rstrip("\\"))) % 2:
+        if (len(before) - len(before.rstrip("\\"))) % 2 or m[1].count("\n") > 1:
             continue
         j = pos
-        if text[j] == "[":
+        while j >= 0 and text.startswith("[", j):
             j = _bracket_end(text, j)
         while j >= 0 and text.startswith("{", j) and (e := _group_end(text, j)) >= 0:
             end = j = e

@@ -5,6 +5,8 @@ Every position runs its own context sum, sigmoid and Adagrad step through
 It is slow and plain on purpose: the compiled trainer in
 ``eqvec.training`` must reproduce its epoch counts, validation scores,
 losses and fitted tables (to rounding), which the equivalence tests check.
+Its tables are ``reference_model.Table``s: each keeps its accumulators
+and is snapshotted and restored whole.
 
 ``NegativeSampler`` adds the sequential per-position draw, the oracle for
 the block draws of ``eqvec.training.draw_negatives``.
@@ -27,11 +29,11 @@ import numpy as np
 
 from eqvec import evaluation, training
 from eqvec.corpus import EQ_TAG, GAP
-from eqvec.model import LOG_EPS, EmbeddingTable, Model, sigmoid
+from eqvec.model import LOG_EPS, Model, sigmoid
 from eqvec.passes import PassPlan, _exclusion_mask, _ptr, _ranges
 from eqvec.training import EpochRecord, _expected_draws
 
-from .reference_model import adagrad_rows
+from .reference_model import Table, adagrad_rows
 
 
 class NegativeSampler(training.NegativeSampler):
@@ -279,10 +281,10 @@ def reference_train_model(data, config, mode):
     rngs = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
 
     n_words = data.n_words
-    word_t = EmbeddingTable(n_words, config.k, rngs[0], config.scale)
-    eq_t = EmbeddingTable(data.n_equations, config.k, rngs[1], config.scale) if mode == "equation" else None
+    word_t = Table.random(n_words, config.k, rngs[0], config.scale)
+    eq_t = Table.random(data.n_equations, config.k, rngs[1], config.scale) if mode == "equation" else None
     n_units = len(data.unit_vocab)
-    unit_t = EmbeddingTable(n_units, config.k, rngs[2], config.scale) if mode == "unit" else None
+    unit_t = Table.random(n_units, config.k, rngs[2], config.scale) if mode == "unit" else None
 
     masks = np.split(_exclusion_mask(data), data.streams.ptr[1:-1])
     unigram = config.negative_sampling == "unigram"

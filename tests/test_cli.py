@@ -133,6 +133,19 @@ def test_ingest_missing_directory_exits_2(capsys):
     assert "not found" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["train", "--model", "m.eqv"], ["eval", "--report", "r.tsv"], ["query", "eq2eq", "--id", "0", "--model", "m.eqv"]],
+    ids=["train", "eval", "query"],
+)
+def test_missing_bundle_exits_2(argv, tmp_path, capsys):
+    missing = str(tmp_path / "nowhere")
+    argv = [str(tmp_path / a) if a.endswith((".eqv", ".tsv")) else a for a in argv]
+    code, out, err = run(argv + ["--bundle", missing], capsys)
+    assert (code, out, err) == (2, "", f"error: bundle not found: {missing}\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_ingest_no_documents_exits_1(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -889,13 +902,14 @@ def test_heldout_row_mutation_exits_3(split, index, mutation, draw, tiny_bundle,
         assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
 
 
-def _set_counts(path, count):
-    """Rewrite the frequency or occurrence column of a bundle table; ``count``
-    maps (row index, old value) to the new value."""
+def _set_counts(path, count, col=None):
+    """Rewrite column ``col`` of a bundle table, by default its frequency or
+    occurrence column; ``count`` maps (row index, old value) to the new value."""
     with open(path) as f:
         header, *rows = f.read().splitlines()
     cols = [r.split("\t") for r in rows]
-    col = 2 if path.endswith(("vocab.tsv", "units.tsv")) else 1
+    if col is None:
+        col = 2 if path.endswith(("vocab.tsv", "units.tsv")) else 1
     for i, c in enumerate(cols):
         c[col] = str(count(i, int(c[col])))
     with open(path, "w") as f:
@@ -903,20 +917,22 @@ def _set_counts(path, count):
 
 
 @pytest.mark.parametrize(
-    "name,count,message",
+    "name,col,count,message",
     [
-        ("vocab.tsv", lambda i, n: n if i == 0 else 0, "below 1"),  # all sampling weight on one word
-        ("vocab.tsv", lambda i, n: -n if i == 1 else n, "below 1"),
-        ("units.tsv", lambda i, n: 0 if i == 0 else n, "below 1"),
-        ("equations.tsv", lambda i, n: 0 if i == 0 else n, "below 1"),
-        ("equations.tsv", lambda i, n: 10**20 if i == 1 else n, "bad equation id or count"),
+        ("vocab.tsv", None, lambda i, n: n if i == 0 else 0, "below 1"),  # all sampling weight on one word
+        ("vocab.tsv", None, lambda i, n: -n if i == 1 else n, "below 1"),
+        ("units.tsv", None, lambda i, n: 0 if i == 0 else n, "below 1"),
+        ("equations.tsv", None, lambda i, n: 0 if i == 0 else n, "below 1"),
+        ("equations.tsv", None, lambda i, n: 10**20 if i == 1 else n, "bad equation id or count"),
+        ("equations.tsv", 0, lambda i, n: n + 1 if i == 1 else n, "equations.tsv: equation ids not dense"),
     ],
-    ids=["vocab_one_nonzero", "vocab_negative", "units_zero", "equations_zero", "equations_past_int64"],
+    ids=["vocab_one_nonzero", "vocab_negative", "units_zero", "equations_zero", "equations_past_int64",
+         "equations_id_skipped"],
 )
-def test_count_below_one_exits_3(name, count, message, tiny_bundle, tmp_path):
+def test_count_below_one_exits_3(name, col, count, message, tiny_bundle, tmp_path):
     copy = str(tmp_path / "bundle")
     shutil.copytree(tiny_bundle, copy)
-    _set_counts(os.path.join(copy, name), count)
+    _set_counts(os.path.join(copy, name), count, col)
     model = str(tmp_path / "m.eqv")
     code, out, err = fresh(["train", "--bundle", copy, "--model", model, "--mode", "unit",
                             "--set", "max_epochs=1"], timeout=60)

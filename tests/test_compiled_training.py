@@ -15,13 +15,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from eqvec import passes
+from eqvec import passes, training
 from eqvec.model import EmbeddingTable
 from eqvec.passes import assemble_plan
 from eqvec.training import _POOL, _stack, draw_negatives, sgd_block, train_model
 
 from .conftest import plan_positions, with_overrides
-from .reference_model import SparseGrads, Tables, TrainingPair, adagrad_step, pair_loss_and_grads
+from .reference_model import SparseGrads, Table, Tables, TrainingPair, adagrad_step, pair_loss_and_grads
 from .reference_training import NegativeSampler, reference_train_model
 from .reference_training import sgd_block as reference_sgd_block
 from .test_training import CFG, make_corpus
@@ -54,11 +54,13 @@ def test_matches_reference_trainer(corpus, name):
     for g, w in zip(got_records, want_records):
         assert abs(g.validation_score - w.validation_score) <= 1e-9
         assert abs(g.train_loss - w.train_loss) <= 1e-9
+    # the accumulators end with their pass; the scores and losses of every
+    # epoch after the first already depend on them
     for cls in ("word", "eq", "unit"):
         a, b = getattr(got, cls), getattr(want, cls)
         assert (a is None) == (b is None)
         if a is not None:
-            for m in ("rho", "alpha", "rho_acc", "alpha_acc"):
+            for m in ("rho", "alpha"):
                 np.testing.assert_allclose(getattr(a, m), getattr(b, m), rtol=0, atol=1e-10, err_msg=f"{cls}.{m}")
     assert got.word.frozen == want.word.frozen
 
@@ -88,10 +90,15 @@ def test_fit_independent_of_compile_chunking(corpus, monkeypatch, name):
 
     def fitted(tokens):
         monkeypatch.setattr(passes, "_COMPILE_TOKENS", tokens)
-        model, records = train_model(corpus, cfg, mode)
-        tables = [getattr(getattr(model, c), m).tobytes() for c in ("word", "eq", "unit")
-                  if getattr(model, c) is not None for m in ("rho", "alpha", "rho_acc", "alpha_acc")]
-        return tables, [(r.pass_name, r.epoch, r.validation_score, r.train_loss) for r in records]
+        stacked = []  # each pass's parameters and accumulators, as the pass left them
+
+        def recorded(tables, trainable):
+            stacked.append(_stack(tables, trainable))
+            return stacked[-1]
+
+        monkeypatch.setattr(training, "_stack", recorded)
+        _, records = train_model(corpus, cfg, mode)
+        return [s.tobytes() for s in stacked], [(r.pass_name, r.epoch, r.validation_score, r.train_loss) for r in records]
 
     one, many = fitted(10**9), fitted(1)
     assert one == many
@@ -123,11 +130,16 @@ def steps(draw):
 
 def _tables(k, n_words, n_units, seed):
     rng = np.random.default_rng(seed)
-    word, unit = EmbeddingTable(n_words, k, rng, 0.6), EmbeddingTable(n_units, k, rng, 0.6)
+    word, unit = Table.random(n_words, k, rng, 0.6), Table.random(n_units, k, rng, 0.6)
     for t in (word, unit):  # accumulators away from the floor
         t.rho_acc += rng.uniform(0, 0.3, t.rho_acc.shape)
         t.alpha_acc += rng.uniform(0, 0.3, t.alpha_acc.shape)
     return word, unit
+
+
+def _accumulators(word, unit):
+    """The tables' accumulators in the layout of a stacked array's second half."""
+    return np.concatenate((word.rho_acc, unit.rho_acc, word.alpha_acc, unit.alpha_acc))
 
 
 def _pair_api_step(word, unit, target, negs, ctx, words_trainable, lr):
@@ -142,7 +154,7 @@ def _pair_api_step(word, unit, target, negs, ctx, words_trainable, lr):
         rho, alpha = np.zeros((n, table.k)), np.zeros((n, table.k))
         rho[: table.size] = table.rho
         alpha[: len(rows)] = np.reshape(rows, (-1, table.k))
-        return EmbeddingTable.from_arrays(rho, alpha)
+        return Table(rho, alpha)
 
     view = Tables(weighted_view(word, "word"), unit=weighted_view(unit, "unit"))
     view_ctx, back = [], {}
@@ -172,8 +184,8 @@ def test_compiled_step_equals_pair_api(case):
     k, n_words, n_units, target, negs, words, units, seed, lr = case
     ctx = [("word", i, 1.0) for i in words] + [("unit", u, w) for u, w in units]
     for words_trainable in (False, True):  # a frozen context table, then a trained one
-        got_word, got_unit = _tables(k, n_words, n_units, seed)
         want_word, want_unit = _tables(k, n_words, n_units, seed)
+        got_word, got_unit = (EmbeddingTable.from_arrays(t.rho.copy(), t.alpha.copy()) for t in (want_word, want_unit))
 
         plan = assemble_plan(
             (n_words, n_units), (words_trainable, True),
@@ -183,13 +195,15 @@ def test_compiled_step_equals_pair_api(case):
         )
         assert len(plan) == 1
         stacked = _stack([got_word, got_unit], plan.trainable)
+        stacked[1] = _accumulators(want_word, want_unit)
         loss = sgd_block(stacked, plan, 0, 1, np.array([negs]), lr)
 
         want_loss = _pair_api_step(want_word, want_unit, target, negs, ctx, words_trainable, lr)
         assert abs(loss[0] - want_loss) <= 1e-12
         for got, want in ((got_word, want_word), (got_unit, want_unit)):
-            for m in ("rho", "alpha", "rho_acc", "alpha_acc"):
+            for m in ("rho", "alpha"):
                 np.testing.assert_allclose(getattr(got, m), getattr(want, m), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(stacked[1], _accumulators(want_word, want_unit), rtol=0, atol=1e-12)
 
 
 # --- the kernel against the kernel before its step rewrite ----------------------

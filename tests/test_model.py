@@ -14,18 +14,19 @@ import eqvec
 from eqvec import model as model_mod
 from eqvec.evaluation import compile_heldout
 from eqvec.model import (
-    ADAGRAD_FLOOR,
     EmbeddingTable,
-    FrozenTableError,
     Model,
     ModelConfig,
     equation_vector_from_units,
     sigmoid,
     unit_means,
 )
+from eqvec.training import ADAGRAD_FLOOR
 
 from .conftest import RETRIEVAL_SEED, Item, equation_units, heldout_set
 from .reference_model import (
+    FrozenTableError,
+    Table,
     Tables,
     TrainingPair,
     _compensated_mean,
@@ -43,9 +44,9 @@ from .reference_model import (
 
 def make_tables(rng, k=5, n_words=12, n_eqs=6, n_units=9, scale=0.3):
     return Tables(
-        EmbeddingTable(n_words, k, rng, scale),
-        eq=EmbeddingTable(n_eqs, k, rng, scale),
-        unit=EmbeddingTable(n_units, k, rng, scale),
+        Table.random(n_words, k, rng, scale),
+        eq=Table.random(n_eqs, k, rng, scale),
+        unit=Table.random(n_units, k, rng, scale),
     )
 
 
@@ -173,8 +174,8 @@ def test_long_equation_dominates_context_sum():
     # documented behavior of the literal unit sum: no rescaling
     rng = np.random.default_rng(3)
     t = Tables(
-        EmbeddingTable(4, 8, rng, 0.3),
-        unit=EmbeddingTable(120, 8, rng, 0.3),
+        Table.random(4, 8, rng, 0.3),
+        unit=Table.random(120, 8, rng, 0.3),
     )
     word_part = t.word.alpha[[1, 2]].sum(axis=0)
     unit_part = t.unit.alpha[np.arange(100)].sum(axis=0)

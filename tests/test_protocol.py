@@ -12,13 +12,13 @@ from eqvec.corpus import (
     encode_equation,
     ingest_corpus,
 )
-from eqvec.model import EmbeddingTable, ModelConfig
+from eqvec.model import ModelConfig
 from eqvec.synthetic import planted_corpus
 from eqvec.tex import RawDocument
 from eqvec.passes import _exclusion_mask, compile_pass
 
 from .conftest import corpus_from_streams, plan_positions
-from .reference_model import Tables, TrainingPair, pair_loss_and_grads
+from .reference_model import Table, Tables, TrainingPair, pair_loss_and_grads
 
 
 def test_heldout_targets_never_training_targets():
@@ -79,7 +79,7 @@ def test_document_boundary_truncates_equation_context():
 
 def test_pair_loss_clamped_at_saturation():
     rng = np.random.default_rng(0)
-    t = Tables(EmbeddingTable(3, 2, rng, 0.1))
+    t = Tables(Table.random(3, 2, rng, 0.1))
     t.word.rho[0] = (900.0, 0.0)
     t.word.alpha[1] = (1.0, 0.0)  # b == 1.0 numerically
     loss, grads = pair_loss_and_grads(TrainingPair(("word", 0), [("word", 1)], 0), "word", t)

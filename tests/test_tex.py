@@ -233,6 +233,13 @@ def test_placeholders_pass_through():
         (r"a \\\ref{b} c", ["a", "c"]),  # a line break, then a reference
         (r"\ref{a}\\ref{b} c", ["ref", "b", "c"]),
         (r"\documentclass[11pt]{article} a \cite[p.~3]{k} b", ["a", "b"]),  # flat arguments
+        (r"see \citep[see][p.~3]{key} now", ["see", "now"]),  # natbib's two [...] arguments
+        (r"see \citep[{a}][b]{key} now", ["see", "now"]),  # read from the brace map
+        (r"see \cite[a][b] now", ["see", "a", "b", "now"]),  # no brace group: stays
+        ("see \\ref {eq:a} now", ["see", "now"]),  # LaTeX skips the space
+        ("see \\ref \t\n\t{eq:a} now", ["see", "now"]),  # and one line break
+        ("see \\ref\n\n{eq:a} now", ["see", "eq", "a", "now"]),  # but not a paragraph break
+        ("see \\cite [a] [b]{k} now", ["see", "a", "b", "k", "now"]),  # nor a blank between arguments
     ],
 )
 def test_reference_with_nested_braces_dropped_whole(text, words):
@@ -351,7 +358,7 @@ def test_extract_time_is_linear(make):
 _PROSE = [
     "\\(", "\\)", "$", "\\cite", "\\cite[", "\\citep", "\\ref{", "\\include",
     "\\includegraphics", "\\begin{", "\\end", "\\", "\\\\", "\\{", "\\}", "[", "]", "]{", "{", "}", "*", "a",
-    "bc", "p-value", "7", " ", "\n", "-", "--", "a-", "-b", "Word", "\u212a", "\u0130", "\u00e9",
+    "bc", "p-value", "7", " ", "\t", "\n", "-", "--", "a-", "-b", "Word", "\u212a", "\u0130", "\u00e9",
 ]
 
 
@@ -368,6 +375,10 @@ _PROSE = [
 @example(["\\cite[", "a", "\\", "]", "bc", "]{", "a", "}"])  # nor does an escaped "]"
 @example(["\\cite[", "a", "}", "]{", "bc", "}"])  # a "}" before the "]" leaves the [...] open
 @example(["a", "\\", "\\ref{", "bc", "}", "\\\\", "\\ref{", "a", "}"])  # escaped, then not
+@example(["\\citep", "[", "a", "][", "bc", "]{", "a", "}"])  # a run of [...] arguments
+@example(["\\cite[", "\\cite[", "a", "]", "[", "bc", "]", "a"])  # two commands share a "]"
+@example(["\\ref", " ", "\t", "\n", " ", "{", "a", "}"])  # a blank before the first argument
+@example(["\\ref", "\n", " ", "\n", "{", "a", "}"])  # two line breaks end the command
 @example(["\\(", "a", "\\(", "bc", "\\)", "$", "a", "\\begin{", "a"])
 @example(["Word", "-", "\u212a", "a-", "-b", "\u0130", "--", "\u00e9", "bc", "p-value", "-"])
 @example(["a", "$", "bc", "$", "a", "$", "bc"])  # "$" the only opener, a lone last "$" stays
@@ -390,9 +401,13 @@ def test_tokenize_words_matches_regex_reference(parts):
         lambda n: " ".join(f"\\cite[{{ p{i} ]" for i in range(n)),
         lambda n: " ".join(f"\\\\ref{{ w{i}" for i in range(n)),
         lambda n: " ".join(f"\\cite[p{i}] word" for i in range(n)),
+        # every "[" closes at the first "]", and each command would walk the run after it
+        lambda n: "\\cite[ " * n + "]" + "[x]" * n + " word",
+        lambda n: " ".join(f"\\ref{' ' * 40}\n{' ' * 40}w{i}" for i in range(n)),
     ],
     ids=["unclosed_parens", "odd_dollars", "cite_without_bracket", "cite_shared_bracket", "unclosed_begin",
-         "unclosed_nested_refs", "brackets_in_groups", "escaped_refs", "flat_brackets"],
+         "unclosed_nested_refs", "brackets_in_groups", "escaped_refs", "flat_brackets", "shared_optional_run",
+         "refs_before_blanks"],
 )
 def test_tokenize_time_is_linear(make):
     # the regex tokenizer takes about 0.25 s (parens) and 0.05 s (the others)

@@ -9,7 +9,7 @@ import pytest
 from eqvec import cli, evaluation
 from eqvec.bundle import save_bundle
 from eqvec.corpus import IngestParams, Vocabulary, ingest_corpus
-from eqvec.model import ModelConfig
+from eqvec.model import EmbeddingTable, ModelConfig
 from eqvec.modelfile import load_model
 from eqvec.tex import RawDocument, normalize_equation
 from eqvec.training import TrainingDiverged, train_model
@@ -128,9 +128,7 @@ def test_trace_stops_at_first_non_improvement():
 
 def test_untouched_equation_keeps_initialization():
     # an equation with no in-vocabulary words anywhere near it receives no
-    # gradient: its Adagrad accumulators stay at the floor
-    from eqvec.model import ADAGRAD_FLOOR
-
+    # gradient: its feature vector stays as the equation table drew it
     rng = np.random.default_rng(0)
     base = make_corpus()
     docs = []
@@ -160,7 +158,10 @@ def test_untouched_equation_keeps_initialization():
     # the feature vector is only reachable through context membership, so it
     # stays at initialization; the interaction vector may still be drawn as
     # a subsampled zero for other equations' positions
-    assert np.array_equal(model.eq.alpha_acc[iso_id], np.full(CFG.k, ADAGRAD_FLOOR))
+    eq_seed = np.random.SeedSequence(CFG.seed).spawn(6)[1]  # the equation table's child seed
+    init = EmbeddingTable(data.n_equations, CFG.k, np.random.Generator(np.random.PCG64(eq_seed)), CFG.scale)
+    assert np.array_equal(model.eq.alpha[iso_id], init.alpha[iso_id])
+    assert not np.array_equal(model.eq.alpha, init.alpha)
 
 
 def test_singleton_equation_gets_nonzero_vector():
@@ -350,7 +351,7 @@ def test_divergence_aborts_with_last_good_snapshot(monkeypatch):
             got, ref = getattr(exc.model, name), getattr(want, name)
             if ref is None:
                 continue
-            for attr in ("rho", "alpha", "rho_acc", "alpha_acc"):
+            for attr in ("rho", "alpha"):
                 assert getattr(got, attr).tobytes() == getattr(ref, attr).tobytes(), (mode, name, attr)
 
 

@@ -18,8 +18,10 @@ Builds the planted corpus bundle and runs the CLI on it in-process:
   at ``symbol_window=2``; of one with reference commands in its prose
   (``references_corpus``: ``\\ref``, ``\\eqref`` and ``\\cite[...]{...}``,
   with and without nested braces in their arguments, a ``]`` in a group
-  or escaped inside ``[...]``, ``\\{`` escapes and a ``ref{`` after a
-  ``\\\\`` line break), which the planted corpus has none of; and of a
+  or escaped inside ``[...]``, ``\\{`` escapes, a ``ref{`` after a
+  ``\\\\`` line break, a ``\\citep`` with two ``[...]`` arguments and a
+  ``\\ref`` with a space before its argument), which the planted corpus
+  has none of; and of a
   bundle that keeps only ``SINGLETON_SAMPLE`` of its singleton equations,
   so that the registry is compacted and renumbered;
 * each of those six bundles loaded back, table by table (``table/...``):
@@ -192,6 +194,8 @@ _REFERENCES = (
     " By \\cite[p.~@]{key} and \\cite[p.~{@}]{smith{jones}} we know.",
     " The set \\{ x_@ \\} of \\cite{lemma} holds.",
     " Cf. \\cite[{a]b}]{x@} and \\cite[p.\\]@]{k} then a \\\\ref{b} line.",
+    " See \\citep[see][p.~@]{k@} for it.",
+    " Recall \\ref {eq:@} above.",
 )
 
 
