@@ -198,15 +198,17 @@ _INLINE_OPEN = re.compile(r"\$|\\\(")
 # last "$" stays: what the scan in ``_drop_inline_math`` does, in one pass.
 _DOLLAR_SPAN = re.compile(r"\$[^$]*\$")
 # Commands whose braced argument is reference noise, not prose: the name,
-# spaces and tabs with at most one line break, as LaTeX skips them, then
-# any [...] arguments, then one or more {...} groups, braces balanced.  A
-# name after an odd run of backslashes is escaped, which no look-behind
+# any [...] arguments, then one or more adjacent {...} groups, braces
+# balanced.  Before the first argument and after each [...] a blank of
+# spaces and tabs with at most one line break may come, as LaTeX skips it.
+# A name after an odd run of backslashes is escaped, which no look-behind
 # can tell; ``_drop_references`` counts the run.
+_BLANK = re.compile(r"[ \t]*(?:\n[ \t]*)?")
 _REFERENCE = re.compile(
     r"\\(?:cite[pt]?\*?|ref|eqref|pageref|autoref|cref|Cref|label|url|href"
     r"|input|include|includegraphics|bibliography|bibliographystyle"
     r"|usepackage|documentclass|pagestyle|thispagestyle)"
-    r"[ \t]*(?:\n[ \t]*)?(?=[\[{])"
+    + _BLANK.pattern + r"(?=[\[{])"
 )
 # A ``[...]`` or brace group with no brace, bracket or backslash inside
 # ends where the brace map would say, so texts whose references are all
@@ -299,7 +301,8 @@ def _drop_references(text: str) -> str:
 
 def _arguments_end(text: str, pos: int, close: dict[int, int], seen: set[int]) -> int:
     """The end of the arguments that start at ``pos``, a run of ``[...]``
-    and then a run of brace groups, or -1 when no group closes.  Each ends
+    and then a run of adjacent brace groups, or -1 when no group closes;
+    a blank after a ``[...]`` is skipped (``_BLANK``).  Each ends
     where ``close``, the brace map of ``text``, says.  An empty ``close`` is
     filled the first time an argument that is not flat needs it; until then
     ``_FLAT_GROUP`` ends arguments.  ``seen`` holds each ``]`` that an
@@ -319,4 +322,5 @@ def _arguments_end(text: str, pos: int, close: dict[int, int], seen: set[int]) -
             end = pos
         else:
             seen.add(group)
+            pos = _BLANK.match(text, pos).end()
     return end

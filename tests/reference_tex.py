@@ -11,10 +11,10 @@ the same records, skipped count and word/slot sequence, which the
 differential tests check.  The regex tokenizer rescans to the end of the
 text from every unclosed ``\\(`` and every ``\\begin{`` without a ``}``.
 It takes a reference command after an odd run of backslashes for no
-command, skips the blank after its name if that holds at most one line
-break, and ends each of its ``[...]`` and brace arguments by counting
-braces forward from its ``[`` or ``{``, so that an argument holding
-braces is dropped whole;
+command, skips the blank after its name and after each ``[...]`` argument
+if that holds at most one line break, and ends each of its ``[...]`` and
+brace arguments by counting braces forward from its ``[`` or ``{``, so
+that an argument holding braces is dropped whole;
 ``eqvec.tex.tokenize_words`` must give the same tokens.  The comment
 stripper is the look-behind-first regex; ``eqvec.tex.strip_comments``
 must drop the same spans.  The row splitter
@@ -197,12 +197,22 @@ def _bracket_end(text: str, i: int) -> int:
     return -1
 
 
+def _blank_end(text: str, i: int) -> int:
+    """The index past the spaces, tabs and line breaks from ``i`` if they
+    hold at most one line break, else ``i``; -1 for -1."""
+    j = i
+    while 0 <= j < len(text) and text[j] in " \t\n":
+        j += 1
+    return j if text.count("\n", i, j) <= 1 else i
+
+
 def drop_references(text: str) -> str:
     """Each reference command with its arguments replaced with a space,
     found left to right: the name, spaces, tabs and at most one line
-    break, any ``[...]`` arguments, then one or more brace groups, each
-    closed by a scan of its own; a command after an odd run of
-    backslashes, or with no group that closes, stays."""
+    break, any ``[...]`` arguments, each followed by such a blank, then
+    one or more adjacent brace groups, each closed by a scan of its own;
+    a command after an odd run of backslashes, or with no group that
+    closes, stays."""
     out, cut, pos = [], 0, 0
     while (m := _REFERENCE_NAME.search(text, pos)) is not None:
         pos, end = m.end(), -1
@@ -211,7 +221,7 @@ def drop_references(text: str) -> str:
             continue
         j = pos
         while j >= 0 and text.startswith("[", j):
-            j = _bracket_end(text, j)
+            j = _blank_end(text, _bracket_end(text, j))
         while j >= 0 and text.startswith("{", j) and (e := _group_end(text, j)) >= 0:
             end = j = e
         if end >= 0:

@@ -23,6 +23,8 @@ def test_two_runs_agree_and_compare_lists_a_change(tmp_path, capsys):
     assert {"eval/seed4", "eval/seed1"} <= a.keys() and any(k.startswith("query/") for k in a)
     assert a["bundle/planted/streams.bin"] != a["bundle/commented/streams.bin"] != a["bundle/inline/streams.bin"]
     assert "bundle/planted/heldout.valid.bin" in a
+    corpora = ["corpus/{}-{}-{}/seed{}".format(*args) for args in digests.PLANTED]
+    assert len({a[c] for c in corpora}) == len(corpora) == 3
     for table in ("streams.doc_ids", "streams.ptr", "streams.codes", "eq_units.ptr", "eq_units.ids",
                   "registry.latex", "word_vocab.forms", "unit_vocab.forms", "heldout_test.cand"):
         assert {f"table/{b}/{table}" for b in ("planted", "commented", "inline", "math", "references", "sampled")} <= a.keys()

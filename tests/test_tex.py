@@ -239,7 +239,10 @@ def test_placeholders_pass_through():
         ("see \\ref {eq:a} now", ["see", "now"]),  # LaTeX skips the space
         ("see \\ref \t\n\t{eq:a} now", ["see", "now"]),  # and one line break
         ("see \\ref\n\n{eq:a} now", ["see", "eq", "a", "now"]),  # but not a paragraph break
-        ("see \\cite [a] [b]{k} now", ["see", "a", "b", "k", "now"]),  # nor a blank between arguments
+        ("see \\cite [a] [b]{k} now", ["see", "now"]),  # a blank before a later argument too
+        ("see \\cite[a] \n {k} now", ["see", "now"]),  # and before the group, one line break
+        ("see \\cite[a]\n\n{k} now", ["see", "a", "k", "now"]),  # not a paragraph break
+        ("see \\cite{x} {\\em word} now", ["see", "word", "now"]),  # brace groups stay adjacent
     ],
 )
 def test_reference_with_nested_braces_dropped_whole(text, words):
@@ -379,6 +382,7 @@ _PROSE = [
 @example(["\\cite[", "\\cite[", "a", "]", "[", "bc", "]", "a"])  # two commands share a "]"
 @example(["\\ref", " ", "\t", "\n", " ", "{", "a", "}"])  # a blank before the first argument
 @example(["\\ref", "\n", " ", "\n", "{", "a", "}"])  # two line breaks end the command
+@example(["\\cite", " ", "[", "a", "]", "\t", "[", "bc", "]", "\n", "{", "a", "}", " ", "{", "bc", "}"])  # blanks
 @example(["\\(", "a", "\\(", "bc", "\\)", "$", "a", "\\begin{", "a"])
 @example(["Word", "-", "\u212a", "a-", "-b", "\u0130", "--", "\u00e9", "bc", "p-value", "-"])
 @example(["a", "$", "bc", "$", "a", "$", "bc"])  # "$" the only opener, a lone last "$" stays
@@ -404,10 +408,12 @@ def test_tokenize_words_matches_regex_reference(parts):
         # every "[" closes at the first "]", and each command would walk the run after it
         lambda n: "\\cite[ " * n + "]" + "[x]" * n + " word",
         lambda n: " ".join(f"\\ref{' ' * 40}\n{' ' * 40}w{i}" for i in range(n)),
+        # as shared_optional_run, with a blank before each later argument
+        lambda n: "\\cite[ " * n + "]" + " [a]" * n + " word",
     ],
     ids=["unclosed_parens", "odd_dollars", "cite_without_bracket", "cite_shared_bracket", "unclosed_begin",
          "unclosed_nested_refs", "brackets_in_groups", "escaped_refs", "flat_brackets", "shared_optional_run",
-         "refs_before_blanks"],
+         "refs_before_blanks", "blank_optional_run"],
 )
 def test_tokenize_time_is_linear(make):
     # the regex tokenizer takes about 0.25 s (parens) and 0.05 s (the others)

@@ -2,6 +2,11 @@
 
 Builds the planted corpus bundle and runs the CLI on it in-process:
 
+* the source text of three planted corpora (``corpus/...``, named
+  ``DOCS-CLASSES-SENTENCES/seedSEED``): the 200 documents every other
+  digest starts from, the bench's 2000-document ingest corpus, and one
+  with 3 classes and 5 sentences a document, so that a change to the
+  generator shows by itself and not only through the bundles;
 * every file of the bundle (``manifest.json``, ``vocab.tsv``,
   ``equations.tsv``, ``units.tsv``, ``streams.bin``, ``eq_units.bin``,
   ``heldout.valid.bin`` and ``heldout.test.bin``); of a bundle of the
@@ -19,9 +24,10 @@ Builds the planted corpus bundle and runs the CLI on it in-process:
   (``references_corpus``: ``\\ref``, ``\\eqref`` and ``\\cite[...]{...}``,
   with and without nested braces in their arguments, a ``]`` in a group
   or escaped inside ``[...]``, ``\\{`` escapes, a ``ref{`` after a
-  ``\\\\`` line break, a ``\\citep`` with two ``[...]`` arguments and a
-  ``\\ref`` with a space before its argument), which the planted corpus
-  has none of; and of a
+  ``\\\\`` line break, a ``\\citep`` with two ``[...]`` arguments, a
+  ``\\ref`` with a space before its argument, a ``\\cite`` with blanks
+  between its arguments, and a ``\\cite{x}`` whose next group, after a
+  space, stays prose), which the planted corpus has none of; and of a
   bundle that keeps only ``SINGLETON_SAMPLE`` of its singleton equations,
   so that the registry is compacted and renumbered;
 * each of those six bundles loaded back, table by table (``table/...``):
@@ -69,6 +75,8 @@ from eqvec.synthetic import planted_corpus  # noqa: E402
 from eqvec.tex import RawDocument  # noqa: E402
 
 CORPUS_SEED, INGEST_SEED = 7, 11
+# (n_docs, n_classes, sentences_per_doc, seed) of each planted corpus whose text is digested
+PLANTED = ((200, 4, 8, CORPUS_SEED), (2000, 4, 8, 1), (37, 3, 5, 11))
 SINGLETON_SAMPLE = 8
 MODEL_SEEDS = (4, 1)
 EVAL_SEEDS = (4, 1)
@@ -196,6 +204,7 @@ _REFERENCES = (
     " Cf. \\cite[{a]b}]{x@} and \\cite[p.\\]@]{k} then a \\\\ref{b} line.",
     " See \\citep[see][p.~@]{k@} for it.",
     " Recall \\ref {eq:@} above.",
+    " By \\cite [a] [p.~@]\n{k@} and \\cite{x} {\\em word} it.",
 )
 
 
@@ -252,9 +261,13 @@ def _bundle_digests(data, bundle_dir: str, name: str) -> dict:
 def digests(workdir: str, n_docs: int = 200, max_epochs: int | None = None) -> dict:
     """Every named digest of one run in ``workdir``; ``max_epochs`` caps
     every fit, the eval grid's included."""
+    out = {}
+    for args in PLANTED:
+        text = [[d.doc_id, d.source_text] for d in planted_corpus(*args).documents]
+        out["corpus/{}-{}-{}/seed{}".format(*args)] = _content(text)
     docs = planted_corpus(n_docs=n_docs, seed=CORPUS_SEED).documents
     commented = ingest_corpus(commented_corpus(docs), IngestParams(seed=INGEST_SEED))
-    out = _bundle_digests(commented, os.path.join(workdir, "commented"), "commented")
+    out.update(_bundle_digests(commented, os.path.join(workdir, "commented"), "commented"))
     inline = ingest_corpus(inline_math_corpus(docs), IngestParams(seed=INGEST_SEED))
     out.update(_bundle_digests(inline, os.path.join(workdir, "inline"), "inline"))
     math = ingest_corpus(math_corpus(docs), IngestParams(seed=INGEST_SEED, symbol_window=2))
