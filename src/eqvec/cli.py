@@ -280,25 +280,18 @@ def cmd_eval(args) -> int:
     if not (len(data.heldout_valid) and len(data.heldout_test)):
         raise UsageError(f"bundle {cfg.bundle_dir} has no held-out items to score")
     os.makedirs(os.path.dirname(os.path.abspath(cfg.report_path)), exist_ok=True)
-    modes, dims, wws, ews = cfg.eval_grid()
     base = cfg.model
     lines = [
         "# eqvec-eval 1\tconfig="
         + json.dumps(dataclasses.asdict(base), sort_keys=True)
     ]
     lines.append("mode\tk\tword_window\teq_window\tvalid_pseudo_ll\ttest_pseudo_ll\tepochs\tselected")
-    word_fits = {k: {} for k in dims}  # per k, each word window's word pass, shared across modes
-    for mode in modes:
-        for k in dims:
-            rows, best = evaluation.grid_select(
-                data, dataclasses.replace(base, k=k), mode, wws, ews, word_fits[k]
-            )
-            for r in rows:
-                lines.append(
-                    f"{r.mode}\t{r.k}\t{r.word_window}\t{r.eq_window}\t"
-                    f"{r.valid_pseudo_ll:.6f}\t{r.test_pseudo_ll:.6f}\t"
-                    f"{r.epochs_run}\t{int(r.selected)}"
-                )
+    for r in evaluation.grid_select(data, base, *cfg.eval_grid()):
+        lines.append(
+            f"{r.mode}\t{r.k}\t{r.word_window}\t{r.eq_window}\t"
+            f"{r.valid_pseudo_ll:.6f}\t{r.test_pseudo_ll:.6f}\t"
+            f"{r.epochs_run}\t{int(r.selected)}"
+        )
     report = "\n".join(lines) + "\n"
     with open(cfg.report_path, "w") as f:
         f.write(report)

@@ -72,38 +72,31 @@ def load_stopwords() -> frozenset[str]:
     return frozenset(w.strip() for w in data.splitlines() if w.strip() and not w.startswith("#"))
 
 
-def build_word_vocabulary(
-    counts: Mapping[str, int],
-    stopwords,
-    min_tf: int = 10,
-    min_len: int = 4,
-    top_stop: int = 25,
-    abbrev_top: int = 50,
-    extra_stop=(),
-) -> Vocabulary:
-    """Word vocabulary under the frequency/length/stopword rules, selected
-    from ``counts``, each word form's number of occurrences in the corpus.
+def build_word_vocabulary(counts: Mapping[str, int], stopwords, params: "IngestParams") -> Vocabulary:
+    """Word vocabulary under the frequency/length/stopword rules of
+    ``params``, selected from ``counts``, each word form's number of
+    occurrences in the corpus.
 
-    After removing fixed stopwords (and any ``extra_stop`` forms), the
-    ``top_stop`` most frequent remaining forms are dropped as corpus stop
-    words.  Kept are forms with frequency >= ``min_tf`` and length >=
-    ``min_len``, plus the ``abbrev_top`` most frequent 3-character forms as
-    the abbreviation exception.  Ids are dense, ordered by descending
-    frequency then form.
+    After removing ``stopwords``, the ``params.top_stop`` most frequent
+    remaining forms are dropped as corpus stop words.  Kept are forms with
+    frequency >= ``params.min_tf`` and length >= ``params.min_len``, plus the
+    ``params.abbrev_top`` most frequent 3-character forms as the
+    abbreviation exception.  Ids are dense, ordered by descending frequency
+    then form.
     """
     if not counts:
         raise CorpusError("empty corpus")
-    dropped = set(stopwords) | set(extra_stop)
+    dropped = set(stopwords)
     remaining = {f: c for f, c in counts.items() if f not in dropped}
     by_rank = sorted(remaining, key=lambda f: (-remaining[f], f))
-    freq_stop = tuple(by_rank[:top_stop])
+    freq_stop = tuple(by_rank[: params.top_stop])
     for f in freq_stop:
         del remaining[f]
 
-    kept = {f: c for f, c in remaining.items() if c >= min_tf and len(f) >= min_len}
-    three = [f for f, c in remaining.items() if len(f) == 3 and c >= min_tf]
+    kept = {f: c for f, c in remaining.items() if c >= params.min_tf and len(f) >= params.min_len}
+    three = [f for f, c in remaining.items() if len(f) == 3 and c >= params.min_tf]
     three.sort(key=lambda f: (-remaining[f], f))
-    for f in three[:abbrev_top]:
+    for f in three[: params.abbrev_top]:
         kept[f] = remaining[f]
 
     forms = sorted(kept, key=lambda f: (-kept[f], f))
@@ -345,26 +338,22 @@ class HeldOut:
             np.array_equal(getattr(self, c), getattr(other, c)) for c in self.COLUMNS)
 
 
-def build_heldout(
-    streams: TokenStreams,
-    n_words: int,
-    per_equation: int = 2,
-    context_window: int = 4,
-    n_negatives: int = 10,
-    seed: int = 0,
-):
-    """Sample per-equation held-out words for validation and test.
+def build_heldout(streams: TokenStreams, n_words: int, params: "IngestParams"):
+    """Sample per-equation held-out words for validation and test, drawn
+    from ``params.seed``.
 
-    For each equation, ``per_equation`` in-window word positions go to each
-    split.  An item's context is the nearest ``context_window - 1``
-    in-vocabulary words around the target, in position order, plus the
-    equation itself; negatives are drawn uniformly over the word vocabulary
-    excluding the target.  Equations with fewer than ``2 * per_equation``
+    For each equation, ``params.heldout_per_equation`` in-window word
+    positions go to each split.  An item's context is the nearest
+    ``params.heldout_window - 1`` in-vocabulary words around the target, in
+    position order, plus the equation itself; ``params.n_negatives``
+    negatives are drawn uniformly over the ``n_words`` word ids excluding
+    the target.  Equations with fewer than ``2 * heldout_per_equation``
     candidate positions are skipped and counted.
 
     Returns ``(validation, test, n_skipped)``, the splits as ``HeldOut``.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
+    per_equation, context_window, n_negatives = params.heldout_per_equation, params.heldout_window, params.n_negatives
+    rng = np.random.Generator(np.random.PCG64(params.seed))
     half = context_window // 2
     codes, ptr = streams.codes, streams.ptr
     gids, bounds, pool = _candidate_pools(codes, ptr, half)
@@ -543,27 +532,13 @@ def ingest_corpus(docs: list[RawDocument], params: IngestParams, stopwords=None)
         batch = _prepare_batch(docs)
 
     registry, gid = register_equations(batch, params)
-    word_vocab = build_word_vocabulary(
-        batch.counts(),
-        stopwords,
-        min_tf=params.min_tf,
-        min_len=params.min_len,
-        top_stop=params.top_stop,
-        abbrev_top=params.abbrev_top,
-    )
+    word_vocab = build_word_vocabulary(batch.counts(), stopwords, params)
     streams = batch.encode(word_vocab, gid)
 
     sequences = [slt.tokenize_equation(latex, symbol_window=params.symbol_window) for latex in registry.latex]
     unit_vocab, eq_units = slt.build_unit_vocabulary(sequences, min_count=params.unit_min_count)
 
-    heldout_valid, heldout_test, heldout_skipped = build_heldout(
-        streams,
-        n_words=len(word_vocab),
-        per_equation=params.heldout_per_equation,
-        context_window=params.heldout_window,
-        n_negatives=params.n_negatives,
-        seed=params.seed,
-    )
+    heldout_valid, heldout_test, heldout_skipped = build_heldout(streams, len(word_vocab), params)
     stats = {
         "documents": len(docs),
         "words": len(word_vocab),

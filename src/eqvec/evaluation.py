@@ -10,6 +10,7 @@ import logging
 import math
 import operator
 from dataclasses import dataclass, replace
+from itertools import groupby, product
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +30,6 @@ class EvalReport:
     mean_pseudo_ll: float
     n_items: int
     n_skipped: int
-    config: dict
 
 
 class HeldOutLayout(NamedTuple):
@@ -130,7 +130,6 @@ def evaluate_split(held, model: Model, split: str) -> EvalReport:
         mean_pseudo_ll=math.fsum(pseudo) / n if n else float("nan"),
         n_items=n,
         n_skipped=len(held) - n,
-        config=vars(model.config).copy(),
     )
 
 
@@ -142,7 +141,7 @@ class StopDecision(NamedTuple):
     best_epoch: int  # 1-based
 
 
-def early_stopping_controller(trace, max_epochs: int = 20) -> StopDecision:
+def early_stopping_controller(trace, max_epochs: int) -> StopDecision:
     """Stop at the first epoch whose validation score fails to improve on
     its predecessor (ties count as no improvement); the retained epoch is
     the predecessor.  Hard cap at ``max_epochs``."""
@@ -171,54 +170,45 @@ class GridRow:
     error: str = ""
 
 
-def window_grid(word_windows=(4, 8, 16), eq_windows=(8, 16)):
-    """Constrained (W, E) combinations with E >= W."""
-    return [(w, e) for w in word_windows for e in eq_windows if e >= w]
+def grid_select(data, base_config: ModelConfig, modes, dims, word_windows, eq_windows) -> list[GridRow]:
+    """Train one model per grid row, in report order: mode, then dimension k,
+    then window pair (W, E), with E >= W.  Word-only models ignore the
+    equation window, so their rows are the word windows alone.
 
-
-def grid_select(data, base_config: ModelConfig, mode: str, word_windows=(4, 8, 16), eq_windows=(8, 16),
-                word_fits=None):
-    """Train one model per window combination and pick the validation-best.
-
-    Returns ``(rows, best_row)``; single-run failures are recorded on their
-    row and the grid continues.  Word-only models ignore the equation
-    window, so their grid collapses to the word windows alone.
-
-    ``word_fits`` maps a word window W to the ``(model, records)`` of a
-    successful fit with a word pass at W, on ``data`` at ``base_config``:
-    a fit with a word pass starts from the map's fit at its W, if any, and
-    is added to the map otherwise, so each distinct word pass is fitted
-    once.  Pass one map to every call that shares ``data`` and
-    ``base_config`` (any mode).  A failed fit is not added, so the next
-    row at its W fits the word pass again.
+    Returns the rows, the validation-best row of each (mode, k) marked
+    ``selected``; a single run's failure is recorded on its row and the grid
+    continues.  Each distinct word pass, one per (k, W), is fitted once: a
+    fit with a word pass starts from the first successful fit at its
+    (k, W), in any mode.  A failed fit is not kept, so the next row at its
+    (k, W) fits the word pass again.
     """
     from .training import epochs_per_pass, train_model
 
-    word_fits = {} if word_fits is None else word_fits
-    has_word_pass = not (mode == "unit" and base_config.unit_joint)
-    if mode == "word":
-        combos = [(w, max(w, min(eq_windows))) for w in sorted(set(word_windows))]
-    else:
-        combos = window_grid(word_windows, eq_windows)
+    word_fits = {}  # (k, W) -> (model, records) of a successful fit with that word pass
     rows: list[GridRow] = []
-    for w, e in combos:
-        cfg = replace(base_config, word_window=w, eq_window=e)
-        try:
-            cfg.validate()
-            fitted, records = train_model(data, cfg, mode, word=word_fits.get(w) if has_word_pass else None)
-            if has_word_pass:
-                word_fits.setdefault(w, (fitted, records))
-            valid = evaluate_split(data.heldout_valid, fitted, "validation")
-            test = evaluate_split(data.heldout_test, fitted, "test")
-            epochs = "+".join(map(str, epochs_per_pass(records).values()))
-            rows.append(
-                GridRow(mode, cfg.k, w, e, valid.mean_pseudo_ll, test.mean_pseudo_ll, epochs)
-            )
-        except Exception as exc:  # single run failure: record and continue
-            log.warning("grid run (W=%d, E=%d) failed: %s", w, e, exc)
-            rows.append(GridRow(mode, base_config.k, w, e, float("nan"), float("nan"), "", error=str(exc)))
-    scored = [r for r in rows if not r.error and not math.isnan(r.valid_pseudo_ll)]
-    best = max(scored, key=lambda r: r.valid_pseudo_ll, default=None)
-    if best is not None:
-        best.selected = True
-    return rows, best
+    for mode in modes:
+        has_word_pass = not (mode == "unit" and base_config.unit_joint)
+        if mode == "word":
+            combos = [(w, max(w, min(eq_windows))) for w in sorted(set(word_windows))]
+        else:
+            combos = [(w, e) for w in word_windows for e in eq_windows if e >= w]
+        for k, (w, e) in product(dims, combos):
+            cfg = replace(base_config, k=k, word_window=w, eq_window=e)
+            try:
+                cfg.validate()
+                fitted, records = train_model(data, cfg, mode, word=word_fits.get((k, w)) if has_word_pass else None)
+                if has_word_pass:
+                    word_fits.setdefault((k, w), (fitted, records))
+                valid = evaluate_split(data.heldout_valid, fitted, "validation")
+                test = evaluate_split(data.heldout_test, fitted, "test")
+                epochs = "+".join(map(str, epochs_per_pass(records).values()))
+                rows.append(GridRow(mode, k, w, e, valid.mean_pseudo_ll, test.mean_pseudo_ll, epochs))
+            except Exception as exc:  # single run failure: record and continue
+                log.warning("grid run (W=%d, E=%d) failed: %s", w, e, exc)
+                rows.append(GridRow(mode, k, w, e, float("nan"), float("nan"), "", error=str(exc)))
+    for _, group in groupby(rows, key=lambda r: (r.mode, r.k)):
+        scored = [r for r in group if not r.error and not math.isnan(r.valid_pseudo_ll)]
+        best = max(scored, key=lambda r: r.valid_pseudo_ll, default=None)
+        if best is not None:
+            best.selected = True
+    return rows

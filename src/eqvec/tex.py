@@ -22,22 +22,46 @@ MULTILINE_ENVS = frozenset({"align", "align*", "eqnarray"})
 _ENV_BEGIN = re.compile(
     r"\\begin\{(" + "|".join(re.escape(e) for e in DISPLAY_ENVS) + r")\}"
 )
-# Any region opener; the group names the environment of a ``\begin``.
+# Any region opener; the group names the environment of a ``\begin``.  An
+# opener after an odd run of backslashes is escaped (``_escaped``).
 _OPENER = re.compile(_ENV_BEGIN.pattern + r"|\$\$|\\\[")
 
-# The look-behind follows the literal "%", so the search jumps from one "%"
-# to the next instead of trying the pattern at every character.
-_COMMENT = re.compile(r"%(?<!\\%)[^\n]*")
+# The blank LaTeX skips between a command's name and its argument: spaces
+# and tabs with at most one line break.
+_BLANK = re.compile(r"[ \t]*(?:\n[ \t]*)?")
 # One match per mark a brace scan acts on: a ``\label{`` (whose ``{`` opens
-# a group), an escape pair (so ``\{``, ``\}``, ``\[`` and ``\]`` are no marks,
-# and ``\\`` is a row break), a brace or a bracket.
-_BRACE_MARK = re.compile(r"\\label\{|\\.|[{}\[\]]", re.S)
+# a group; a blank may come before it), an escape pair (so ``\{``, ``\}``,
+# ``\[`` and ``\]`` are no marks, and ``\\`` is a row break), a brace or a
+# bracket.
+_BRACE_MARK = re.compile(r"\\label" + _BLANK.pattern + r"\{|\\.|[{}\[\]]", re.S)
 _WS_RUN = re.compile(r"\s+")
 
 
+def _escaped(text: str, i: int) -> bool:
+    """Whether an odd run of backslashes ends right before ``i``, which
+    escapes the character at ``i``."""
+    run = i
+    while run > 0 and text[run - 1] == "\\":
+        run -= 1
+    return (i - run) % 2 == 1
+
+
 def strip_comments(text: str) -> str:
-    """Drop unescaped %-comments, keeping line structure intact."""
-    return _COMMENT.sub("", text)
+    """Drop %-comments, keeping line structure intact; a "%" after an odd
+    run of backslashes is escaped.  The search jumps from one "%" to the
+    next."""
+    kept, cut, at = [], 0, text.find("%")
+    while at >= 0:
+        if _escaped(text, at):
+            at = text.find("%", at + 1)
+            continue
+        kept.append(text[cut:at])
+        cut = text.find("\n", at)
+        if cut < 0:
+            return "".join(kept)
+        at = text.find("%", cut)
+    kept.append(text[cut:])
+    return "".join(kept)
 
 
 def normalize_equation(latex: str) -> str:
@@ -79,16 +103,17 @@ def _brace_map(text: str) -> tuple[dict[int, int], list[int], list[int]]:
 
 
 def _drop_labels(latex: str) -> str:
-    """Replace each ``\\label{...}`` group, braces balanced, with a space.
+    """Replace each ``\\label{...}`` group, braces balanced, with a space;
+    a blank may come before the group, as in prose.
 
     A label that never closes stays as written; a label inside a dropped
     one goes with it."""
-    if "\\label{" not in latex:
+    if "\\label" not in latex:
         return latex
     close, labels, _ = _brace_map(latex)
     kept, cut = [], 0
     for start in labels:
-        end = close[start + len("\\label")]
+        end = close[latex.index("{", start)]
         if end >= 0 and start >= cut:
             kept.append(latex[cut:start])
             cut = end + 1
@@ -156,6 +181,10 @@ def _extract(doc: RawDocument):
         slots.append(local)
 
     while (m := _OPENER.search(text, pos)) is not None:
+        # the first test keeps the call off the path of an opener after no backslash
+        if text[m.start() - 1] == "\\" and _escaped(text, m.start()):
+            pos = m.start() + 1
+            continue
         env = m.group(1)
         closer = f"\\end{{{env}}}" if env else "$$" if m[0] == "$$" else "\\]"
         end = -1 if closer in unclosed else text.find(closer, m.end())
@@ -194,16 +223,16 @@ def _extract(doc: RawDocument):
 # absent after every later one.
 
 _INLINE_OPEN = re.compile(r"\$|\\\(")
-# Where "$" is the only opener, each span ends at the next "$" and a lone
-# last "$" stays: what the scan in ``_drop_inline_math`` does, in one pass.
+# Where "$" is the only opener and none is escaped (no ``_PAREN_OR_ESCAPE``
+# match), each span ends at the next "$" and a lone last "$" stays: what the
+# scan in ``_drop_inline_math`` does, in one pass.
 _DOLLAR_SPAN = re.compile(r"\$[^$]*\$")
+_PAREN_OR_ESCAPE = re.compile(r"\\[($]")
 # Commands whose braced argument is reference noise, not prose: the name,
 # any [...] arguments, then one or more adjacent {...} groups, braces
-# balanced.  Before the first argument and after each [...] a blank of
-# spaces and tabs with at most one line break may come, as LaTeX skips it.
-# A name after an odd run of backslashes is escaped, which no look-behind
-# can tell; ``_drop_references`` counts the run.
-_BLANK = re.compile(r"[ \t]*(?:\n[ \t]*)?")
+# balanced.  Before the first argument and after each [...] a blank
+# (``_BLANK``) may come.  A name after an odd run of backslashes is escaped,
+# which no look-behind can tell; ``_drop_references`` counts the run.
 _REFERENCE = re.compile(
     r"\\(?:cite[pt]?\*?|ref|eqref|pageref|autoref|cref|Cref|label|url|href"
     r"|input|include|includegraphics|bibliography|bibliographystyle"
@@ -249,8 +278,9 @@ def tokenize_words(prose_text: str) -> list[str]:
 
 def _drop_inline_math(text: str) -> str:
     """Replace each ``$...$`` and ``\\(...\\)`` span with a space; an opener
-    with no closer after it stays in the text."""
-    if "\\(" not in text:
+    with no closer after it, or after an odd run of backslashes, stays in
+    the text."""
+    if _PAREN_OR_ESCAPE.search(text) is None:
         return _DOLLAR_SPAN.sub(" ", text)
     m = _INLINE_OPEN.search(text)
     if m is None:
@@ -259,6 +289,9 @@ def _drop_inline_math(text: str) -> str:
     unclosed: set[str] = set()
     cut = 0
     while m is not None:
+        if _escaped(text, m.start()):
+            m = _INLINE_OPEN.search(text, m.end())
+            continue
         closer = "$" if m[0] == "$" else "\\)"
         end = -1 if closer in unclosed else text.find(closer, m.end())
         if end < 0:
@@ -284,11 +317,7 @@ def _drop_references(text: str) -> str:
     kept: list[str] = []
     cut = 0
     while m is not None:
-        run = m.start()
-        while run > cut and text[run - 1] == "\\":
-            run -= 1
-        # an odd run of backslashes before the command escapes its own
-        end = -1 if (m.start() - run) % 2 else _arguments_end(text, m.end(), close, seen)
+        end = -1 if _escaped(text, m.start()) else _arguments_end(text, m.end(), close, seen)
         if end < 0:
             m = _REFERENCE.search(text, m.end())
             continue

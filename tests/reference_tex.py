@@ -8,20 +8,23 @@ time, and each region is written into the prose as a ``⟦eq:N⟧`` marker
 that word tokenization passes through.  On input without literal marker
 text, ``eqvec.tex._extract`` followed by per-piece tokenization must give
 the same records, skipped count and word/slot sequence, which the
-differential tests check.  The regex tokenizer rescans to the end of the
-text from every unclosed ``\\(`` and every ``\\begin{`` without a ``}``.
-It takes a reference command after an odd run of backslashes for no
-command, skips the blank after its name and after each ``[...]`` argument
-if that holds at most one line break, and ends each of its ``[...]`` and
-brace arguments by counting braces forward from its ``[`` or ``{``, so
-that an argument holding braces is dropped whole;
+differential tests check.  It takes a display opener after an odd run
+of backslashes for no opener.  The regex tokenizer rescans to the end of
+the text from every unclosed ``\\(`` and every ``\\begin{`` without a
+``}``, and takes an inline-math opener after an odd run of backslashes
+for no opener.  It takes a reference command after such a run for no
+command, skips the blank after its name and after each ``[...]``
+argument if that holds at most one line break, and ends each of its
+``[...]`` and brace arguments by counting braces forward from its ``[``
+or ``{``, so that an argument holding braces is dropped whole;
 ``eqvec.tex.tokenize_words`` must give the same tokens.  The comment
-stripper is the look-behind-first regex; ``eqvec.tex.strip_comments``
-must drop the same spans.  The row splitter
-walks an environment body one character at a time;
-``eqvec.tex._split_rows`` must give the same rows.  The label dropper finds
-each unescaped ``\\label{`` and then its closing brace by a scan of its own
-from there; ``eqvec.tex.normalize_equation`` must drop the same labels.
+stripper is the look-behind-first regex, which takes a "%" after an odd
+run of backslashes for no comment; ``eqvec.tex.strip_comments`` must drop
+the same spans.  The row splitter walks an environment body one
+character at a time; ``eqvec.tex._split_rows`` must give the same rows.
+The label dropper finds each unescaped ``\\label{``, a blank allowed
+before the ``{``, and then its closing brace by a scan of its own from
+there; ``eqvec.tex.normalize_equation`` must drop the same labels.
 """
 
 import logging
@@ -45,7 +48,11 @@ log = logging.getLogger(__name__)
 PLACEHOLDER_FMT = "\u27e6eq:{}\u27e7"
 PLACEHOLDER_RE = re.compile(r"\u27e6eq:(\d+)\u27e7")
 
-_INLINE_MATH = re.compile(r"\$[^$]*\$|\\\(.*?\\\)", re.DOTALL)
+# An even run of backslashes, none before it: what follows is no escape.
+# Each pattern below keeps the run as group 1 and starts its opener after it.
+_UNESCAPED = r"(?<!\\)((?:\\\\)*)"
+
+_INLINE_MATH = re.compile(_UNESCAPED + r"(?:\$[^$]*\$|\\\(.*?\\\))", re.DOTALL)
 # Commands whose braced argument is reference noise, not prose: the name
 # and the blank after it, when a [...] argument or a brace group follows.
 # A name after an odd run of backslashes, or whose blank holds more than
@@ -57,12 +64,15 @@ _REFERENCE_NAME = re.compile(
     r"([ \t\n]*)(?=[\[{])"
 )
 
-# The comment pattern as first written: the look-behind leads, so a search
-# tries the pattern at every character.
-_COMMENT = re.compile(r"(?<!\\)%[^\n]*")
+# The comment pattern as first written, with a look-behind that leads, so a
+# search tries the pattern at every character.
+_COMMENT = re.compile(_UNESCAPED + r"%[^\n]*")
 
-_DOLLAR_PAIR = re.compile(r"\$\$(.*?)\$\$", re.DOTALL)
-_BRACKET_PAIR = re.compile(r"\\\[(.*?)\\\]", re.DOTALL)
+_ENV_OPEN = re.compile(_UNESCAPED + _ENV_BEGIN.pattern)
+_DOLLAR_PAIR = re.compile(_UNESCAPED + r"\$\$(.*?)\$\$", re.DOTALL)
+_BRACKET_PAIR = re.compile(_UNESCAPED + r"\\\[(.*?)\\\]", re.DOTALL)
+# A label's name, the blank after it, and the "{" that opens its group.
+_LABEL_OPEN = re.compile(r"\\label([ \t\n]*)\{")
 
 
 def split_rows(content: str) -> list[str]:
@@ -88,8 +98,9 @@ def split_rows(content: str) -> list[str]:
 
 
 def strip_comments(text: str) -> str:
-    """Drop unescaped %-comments, keeping line structure intact."""
-    return _COMMENT.sub("", text)
+    """Drop %-comments, keeping line structure intact; a "%" after an odd
+    run of backslashes is escaped."""
+    return _COMMENT.sub(r"\1", text)
 
 
 def _extract(doc: RawDocument):
@@ -119,7 +130,7 @@ def _extract(doc: RawDocument):
         matches = [
             m
             for m in (
-                _ENV_BEGIN.search(text, pos),
+                _ENV_OPEN.search(text, pos),
                 _DOLLAR_PAIR.search(text, pos),
                 _BRACKET_PAIR.search(text, pos),
             )
@@ -128,10 +139,10 @@ def _extract(doc: RawDocument):
         if not matches:
             out.append(text[pos:])
             break
-        m = min(matches, key=lambda m: m.start())
-        out.append(text[pos : m.start()])
-        if m.re is _ENV_BEGIN:
-            env = m.group(1)
+        m = min(matches, key=lambda m: m.end(1))
+        out.append(text[pos : m.end(1)])
+        if m.re is _ENV_OPEN:
+            env = m.group(2)
             end = re.compile(r"\\end\{" + re.escape(env) + r"\}").search(text, m.end())
             if end is None:
                 skipped += 1
@@ -147,7 +158,7 @@ def _extract(doc: RawDocument):
                 register(body)
             pos = end.end()
         else:
-            register(m.group(1))
+            register(m.group(2))
             pos = m.end()
 
     prose = "".join(out)
@@ -233,7 +244,7 @@ def drop_references(text: str) -> str:
 def reference_tokenize_words(prose_text: str) -> list[str]:
     """Lowercase alphabetic tokens in document order, by regex substitution
     and a scan per reference command."""
-    t = _INLINE_MATH.sub(" ", prose_text)
+    t = _INLINE_MATH.sub(r"\1 ", prose_text)
     t = drop_references(t)
     t = _BEGIN_END.sub(" ", t)
     t = _COMMAND.sub(" ", t)
@@ -266,20 +277,22 @@ def reference_sequence(doc: RawDocument):
 
 
 def drop_labels(latex: str) -> str:
-    """Each ``\\label{`` that no backslash escapes, up to the brace that
+    """Each ``\\label{`` that no backslash escapes, a blank of spaces, tabs
+    and at most one line break allowed before its ``{``, up to the brace that
     closes it, found by counting braces forward from there (an escape pair
     skipped), replaced with a space; a label that never closes stays, and
     one inside a dropped label goes with it."""
     starts, i = [], 0
     while i < len(latex):
-        if latex.startswith("\\label{", i):
-            starts.append(i)
-            i += len("\\label{")
+        m = _LABEL_OPEN.match(latex, i)
+        if m and m[1].count("\n") <= 1:
+            starts.append((i, m.end()))
+            i = m.end()
         else:
             i += 2 if latex[i] == "\\" else 1
     spans = []
-    for start in starts:
-        depth, j = 1, start + len("\\label{")
+    for start, j in starts:
+        depth = 1
         while j < len(latex) and depth:
             ch = latex[j]
             depth += (ch == "{") - (ch == "}")

@@ -39,7 +39,7 @@ def word_counts(*groups):
 
 def test_inclusion_by_frequency_and_length():
     counts = word_counts(("model", 500), ("tiny", 9), ("of", 900))
-    vocab = build_word_vocabulary(counts, STOPS, top_stop=0)
+    vocab = build_word_vocabulary(counts, STOPS, IngestParams(top_stop=0))
     assert "model" in vocab
     assert "tiny" not in vocab  # below min_tf
     assert "of" not in vocab  # stopword
@@ -47,27 +47,27 @@ def test_inclusion_by_frequency_and_length():
 
 def test_stopword_always_excluded():
     counts = word_counts(("the", 10000), ("model", 50))
-    vocab = build_word_vocabulary(counts, STOPS, top_stop=0)
+    vocab = build_word_vocabulary(counts, STOPS, IngestParams(top_stop=0))
     assert "the" not in vocab and "model" in vocab
 
 
 def test_top_frequency_stop_list():
     counts = word_counts(("alpha", 100), ("beta", 90), ("gamma", 80), ("delta", 70))
-    vocab = build_word_vocabulary(counts, STOPS, top_stop=2)
+    vocab = build_word_vocabulary(counts, STOPS, IngestParams(top_stop=2))
     assert vocab.stop_forms == ("alpha", "beta")
     assert set(vocab.forms) == {"gamma", "delta"}
 
 
 def test_three_char_abbreviation_exception():
     counts = word_counts(*[(f"word{i:02d}", 200) for i in range(30)], ("lda", 40), ("svm", 12), ("xy", 99))
-    vocab = build_word_vocabulary(counts, STOPS, top_stop=0, abbrev_top=50)
+    vocab = build_word_vocabulary(counts, STOPS, IngestParams(top_stop=0, abbrev_top=50))
     assert "lda" in vocab and "svm" in vocab  # top-50 3-char forms
     assert "xy" not in vocab  # length 2 has no exception
 
 
 def test_abbrev_cap_applies():
     three = [(f"a{i:02d}", 20 + i) for i in range(60)]  # sixty 3-char forms
-    vocab = build_word_vocabulary(word_counts(*three), STOPS, top_stop=0, abbrev_top=50)
+    vocab = build_word_vocabulary(word_counts(*three), STOPS, IngestParams(top_stop=0, abbrev_top=50))
     assert len(vocab) == 50
     assert "a59" in vocab and "a09" not in vocab  # lowest-frequency ten dropped
 
@@ -75,7 +75,7 @@ def test_abbrev_cap_applies():
 def test_word_vocab_invariants_hold():
     rng = np.random.default_rng(0)
     words = [f"w{i}{'x' * int(rng.integers(0, 6))}" for i in range(60)]
-    vocab = build_word_vocabulary(Counter(rng.choice(words, size=3000).tolist()), STOPS)
+    vocab = build_word_vocabulary(Counter(rng.choice(words, size=3000).tolist()), STOPS, IngestParams())
     stops = load_stopwords()
     for form, freq in zip(vocab.forms, vocab.freqs):
         assert freq >= 10
@@ -88,7 +88,7 @@ def test_word_vocab_invariants_hold():
 
 def test_empty_corpus_raises():
     with pytest.raises(CorpusError, match="empty corpus"):
-        build_word_vocabulary(Counter(), STOPS)
+        build_word_vocabulary(Counter(), STOPS, IngestParams())
 
 
 def test_refilter_with_fixed_stop_set_is_idempotent():
@@ -98,9 +98,9 @@ def test_refilter_with_fixed_stop_set_is_idempotent():
     words = [f"word{i:03d}" for i in range(80)]
     weights = rng.random(80) + 0.05
     tokens = rng.choice(words, size=6000, p=weights / weights.sum()).tolist()
-    v1 = build_word_vocabulary(Counter(tokens), STOPS)
+    v1 = build_word_vocabulary(Counter(tokens), STOPS, IngestParams())
     filtered = Counter(t for t in tokens if t in v1.index)
-    v2 = build_word_vocabulary(filtered, STOPS, extra_stop=v1.stop_forms, top_stop=0)
+    v2 = build_word_vocabulary(filtered, STOPS | set(v1.stop_forms), IngestParams(top_stop=0))
     assert v1.forms == v2.forms
     assert np.array_equal(v1.freqs, v2.freqs)
 
@@ -109,7 +109,7 @@ def test_vocabulary_filter_restriction_idempotent():
     rng = np.random.default_rng(2)
     words = [f"word{i:03d}" for i in range(50)]
     stream = list(rng.choice(words, size=4000))
-    v1 = build_word_vocabulary(Counter(stream), STOPS)
+    v1 = build_word_vocabulary(Counter(stream), STOPS, IngestParams())
     once = [t for t in stream if t in v1.index]
     twice = [t for t in once if t in v1.index]
     assert once == twice
@@ -217,7 +217,7 @@ _WORD = st.sampled_from(["model", "layer", "lda", "the", "zz", "qq"])
 # Small enough that the drawn corpora keep some forms, drop others as too
 # rare, too short, a stopword or a frequency stop form, and hold documents
 # with no word in the vocabulary.
-_SELECT = {"min_tf": 2, "min_len": 4, "top_stop": 1, "abbrev_top": 1}
+_SELECT = IngestParams(min_tf=2, min_len=4, top_stop=1, abbrev_top=1)
 
 
 @st.composite
@@ -265,13 +265,13 @@ def test_columnar_registry_and_streams_match_per_record_oracles(prepared, single
     want_counts = Counter(w for _, pieces, _ in doc_tokens for piece in pieces for w in piece)
     assert batch.counts() == want_counts
     if want_counts:
-        vocab = build_word_vocabulary(batch.counts(), STOPS, **_SELECT)
-        want_vocab = build_word_vocabulary(want_counts, STOPS, **_SELECT)
+        vocab = build_word_vocabulary(batch.counts(), STOPS, _SELECT)
+        want_vocab = build_word_vocabulary(want_counts, STOPS, _SELECT)
         assert vocab.forms == want_vocab.forms and vocab.stop_forms == want_vocab.stop_forms
         assert vocab.freqs.tolist() == want_vocab.freqs.tolist()
     else:
         with pytest.raises(CorpusError, match="empty corpus"):
-            build_word_vocabulary(batch.counts(), STOPS, **_SELECT)
+            build_word_vocabulary(batch.counts(), STOPS, _SELECT)
         vocab = _mini_vocab()
     streams = batch.encode(vocab, gid)
     want_streams = reference_corpus.build_token_streams(doc_tokens, vocab, want_maps)
@@ -309,7 +309,7 @@ def test_batched_interning_matches_the_one_pass_oracle(batched, singleton_sample
     if dropped:
         want_maps, want = reference_corpus.compact_registry(want, want_maps, dropped)
     counts = batch.counts()
-    vocab = build_word_vocabulary(counts, STOPS, **_SELECT) if counts else _mini_vocab()
+    vocab = build_word_vocabulary(counts, STOPS, _SELECT) if counts else _mini_vocab()
     try:
         words = reference_corpus.intern_words(doc_tokens, want_maps)
     except CorpusError as e:
@@ -320,7 +320,7 @@ def test_batched_interning_matches_the_one_pass_oracle(batched, singleton_sample
     assert batch.forms == words.forms and batch.ids.dtype == np.int32
     assert counts == words.counts()
     if counts:
-        want_vocab = build_word_vocabulary(words.counts(), STOPS, **_SELECT)
+        want_vocab = build_word_vocabulary(words.counts(), STOPS, _SELECT)
         assert vocab.forms == want_vocab.forms and vocab.stop_forms == want_vocab.stop_forms
     streams, want_streams = batch.encode(vocab, gid), words.encode(vocab)
     assert streams.doc_ids == want_streams.doc_ids
@@ -381,14 +381,8 @@ def _heldout_fixture(seed=0, per_equation=2, window=4, n_negatives=6):
         dtype=np.uint32,
     )
     streams = token_streams([("d", codes)])
-    return vocab, streams, build_heldout(
-        streams,
-        n_words=len(words),
-        per_equation=per_equation,
-        context_window=window,
-        n_negatives=n_negatives,
-        seed=seed,
-    )
+    params = IngestParams(heldout_per_equation=per_equation, heldout_window=window, n_negatives=n_negatives, seed=seed)
+    return vocab, streams, build_heldout(streams, len(words), params)
 
 
 def test_heldout_shape_and_counts():
@@ -420,8 +414,7 @@ def test_heldout_skips_small_contexts():
     )
     codes = np.array([0, encode_equation(0)], dtype=np.uint32)
     valid, test, skipped = build_heldout(
-        token_streams([("d", codes)]), n_words=1, per_equation=2, context_window=4,
-        n_negatives=3, seed=0,
+        token_streams([("d", codes)]), 1, IngestParams(heldout_per_equation=2, heldout_window=4, n_negatives=3, seed=0)
     )
     assert (len(valid), len(test), skipped) == (0, 0, 1)
 
@@ -436,7 +429,7 @@ def test_heldout_arithmetic():
         )
         streams.append((f"doc{d}", codes))
     valid, test, skipped = build_heldout(
-        token_streams(streams), n_words=4, per_equation=2, context_window=4, n_negatives=2, seed=1
+        token_streams(streams), 4, IngestParams(heldout_per_equation=2, heldout_window=4, n_negatives=2, seed=1)
     )
     assert skipped == 0
     assert len(valid) == 2 * 10 and len(test) == 2 * 10
@@ -459,10 +452,11 @@ _EQ = encode_equation
 @example([[_EQ(0), int(GAP), _EQ(0)], [1, 2, 3, 4, 0, 1]], 1, 8, 1)
 def test_heldout_matches_loop_reference(stream_codes, per_equation, window, seed):
     streams = token_streams((f"d{i}", c) for i, c in enumerate(stream_codes))
-    kw = dict(n_words=5, per_equation=per_equation, context_window=window, n_negatives=3, seed=seed)
-    valid, test, skipped = build_heldout(streams, **kw)
+    params = IngestParams(heldout_per_equation=per_equation, heldout_window=window, n_negatives=3, seed=seed)
+    valid, test, skipped = build_heldout(streams, 5, params)
     assert (valid.split, test.split) == ("validation", "test")
-    assert (heldout_items(valid), heldout_items(test), skipped) == reference_build_heldout(streams, **kw)
+    assert (heldout_items(valid), heldout_items(test), skipped) == reference_build_heldout(
+        streams, n_words=5, per_equation=per_equation, context_window=window, n_negatives=3, seed=seed)
 
 
 # --- ingest orchestration ------------------------------------------------------

@@ -260,11 +260,11 @@ def test_batched_scorer_matches_per_item_oracle(case):
 
 
 def test_controller_stops_on_decline():
-    assert early_stopping_controller([-3.0, -2.0, -2.5]) == StopDecision(True, 2)
+    assert early_stopping_controller([-3.0, -2.0, -2.5], max_epochs=20) == StopDecision(True, 2)
 
 
 def test_controller_tie_counts_as_stop():
-    assert early_stopping_controller([-3.0, -3.0]) == StopDecision(True, 1)
+    assert early_stopping_controller([-3.0, -3.0], max_epochs=20) == StopDecision(True, 1)
 
 
 def test_controller_improving_to_cap():
@@ -289,15 +289,21 @@ def test_controller_never_returns_declining_epoch():
 
 def test_controller_empty_trace_errors():
     with pytest.raises(ValueError):
-        early_stopping_controller([])
+        early_stopping_controller([], max_epochs=20)
 
 
 # --- grid ------------------------------------------------------------------------
 
 
-def test_window_grid_enumeration():
-    from eqvec.evaluation import window_grid
+def test_window_grid_enumeration(monkeypatch):
+    from eqvec import training
 
-    combos = window_grid((4, 8, 16), (8, 16))
-    assert combos == [(4, 8), (4, 16), (8, 8), (8, 16), (16, 16)]
-    assert len(combos) <= 5
+    def no_fit(data, cfg, mode, word=None):  # a failed row still names its windows
+        raise RuntimeError("no fit")
+
+    monkeypatch.setattr(training, "train_model", no_fit)
+    rows = evaluation.grid_select(None, ModelConfig(), ("equation", "word"), (8,), (4, 8, 16), (8, 16))
+    assert [(r.mode, r.word_window, r.eq_window) for r in rows] == [
+        ("equation", 4, 8), ("equation", 4, 16), ("equation", 8, 8), ("equation", 8, 16), ("equation", 16, 16),
+        ("word", 4, 8), ("word", 8, 8), ("word", 16, 16),
+    ]

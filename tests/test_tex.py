@@ -128,6 +128,9 @@ def test_label_stripped_and_whitespace_collapsed():
         ("\\label{a \\label{b}} z", "z"),
         ("} \\label{a} {", "} {"),
         ("x \\\\label{a} y", "x \\\\label{a} y"),  # a line break, then text
+        ("x = 1 \\label {eq:a}", "x = 1"),  # a blank before the group, as in prose
+        ("x = 1 \\label \t\n {eq:a}", "x = 1"),  # one line break too
+        ("x \\label\n\n{a} y", "x \\label {a} y"),  # but not a paragraph break
     ],
 )
 def test_label_with_braces_dropped_whole(latex, normal):
@@ -135,7 +138,7 @@ def test_label_with_braces_dropped_whole(latex, normal):
 
 
 @settings(max_examples=1000, deadline=None)
-@given(st.lists(st.sampled_from(["\\label{", "{", "}", "\\", "\\{", "\\}", "a", " "]), max_size=24))
+@given(st.lists(st.sampled_from(["\\label{", "\\label", "{", "}", "\\", "\\{", "\\}", "a", " ", "\n"]), max_size=24))
 def test_drop_labels_matches_per_label_scan(parts):
     latex = "".join(parts)
     assert normalize_equation(latex) == " ".join(drop_labels(latex).split())
@@ -148,6 +151,17 @@ def test_drop_labels_matches_per_label_scan(parts):
 def test_strip_comments_matches_lookbehind_reference(parts):
     text = "".join(parts)
     assert strip_comments(text) == reference_strip_comments(text)
+
+
+@pytest.mark.parametrize(
+    "text, kept",
+    [
+        ("one \\\\% hidden words", "one \\\\"),  # a line break, then a comment
+        ("a \\% b % c\nd \\\\\\% e", "a \\% b \nd \\\\\\% e"),  # an odd run escapes
+    ],
+)
+def test_percent_escaped_only_after_an_odd_run(text, kept):
+    assert strip_comments(text) == reference_strip_comments(text) == kept
 
 
 def test_comments_do_not_hide_math():
@@ -164,6 +178,15 @@ def test_round_trip_region_positions():
     assert found == [0, 1, 0]
     assert [p.strip() for p in pieces] == ["A", "B", "C", "D"]
     assert sum(r.occurrence_count for r in records) == 3
+
+
+def test_escaped_display_opener_stays_prose():
+    # "\\[2pt]" is a row break with its skip, not the opener of "2pt] ... \[ y = 2"
+    text = r"Results \begin{tabular}{cc} a & b \\[2pt] c & d \end{tabular} and then \[ y = 2 \] follows."
+    _, pieces, slots, records, skipped = _prepare_document(RawDocument("d", text))
+    assert ([r.latex for r in records], slots, skipped) == (["y = 2"], [0], 0)
+    assert pieces == [["results", "cc", "a", "b", "pt", "c", "d", "and", "then"], ["follows"]]
+    assert reference_sequence(RawDocument("d", text))[1:] == (records, skipped)
 
 
 def test_bracket_display_math():
@@ -266,6 +289,18 @@ def test_inline_math_and_commands_dropped():
     assert "someone" not in toks
 
 
+@pytest.mark.parametrize(
+    "text, words",
+    [
+        (r"a price of \$5 and \$10 total", ["a", "price", "of", "and", "total"]),
+        (r"alpha \\(beta) gamma \\) delta", ["alpha", "beta", "gamma", "delta"]),
+        (r"a \\\(x\) b \\$y$ c", ["a", "b", "c"]),  # an even run escapes nothing
+    ],
+)
+def test_escaped_inline_opener_stays_prose(text, words):
+    assert tokenize_words(text) == reference_tokenize_words(text) == words
+
+
 def test_document_validation():
     with pytest.raises(ValueError):
         RawDocument("", "text")
@@ -285,6 +320,7 @@ def test_document_validation():
 _PIECES = [
     "$$", "$", "\\[", "\\]", "\\begin{equation}", "\\end{equation}", "\\begin{align}",
     "\\end{align}", "\\\\", "%", "{", "}", "\\label{a}", "a", "b", "xy", "model", " ", "\n",
+    "\\\\[", "\\$", "\\\\(", "\\",
 ]
 
 
@@ -341,8 +377,12 @@ def _best_seconds(run, small, large, ceiling: float, repeat: int = 5) -> tuple[f
         lambda n: "\\begin{align}" + " ".join(f"{{x{i} + y - z + w \\\\ z" for i in range(n)) + "\\end{align}",
         # every label but the last closes an inner group and never its own
         lambda n: "\\begin{equation}x" + " \\label{{a}" * n + " \\label{b}\\end{equation}",
+        # escaped openers and escaped "%" before real ones
+        lambda n: " ".join(f"\\\\[ x_{{{i}}} \\$$ y" for i in range(n)) + " \\[ z \\] $$ w $$",
+        lambda n: " ".join(f"\\% x{i} \\\\\\%" for i in range(n)) + " % tail\n\\[ z \\]",
     ],
-    ids=["unclosed_brackets", "equations_then_unclosed_bracket", "unclosed_groups_in_align", "unclosed_labels"],
+    ids=["unclosed_brackets", "equations_then_unclosed_bracket", "unclosed_groups_in_align", "unclosed_labels",
+         "escaped_openers", "escaped_percents"],
 )
 def test_extract_time_is_linear(make):
     # the rescanning extractor takes about 0.7 s at n = 2000 and 11 s at
@@ -359,7 +399,7 @@ def test_extract_time_is_linear(make):
 # Openers, closers and whole command heads, so that short lists reach the
 # bracket and brace-group branches and commands behind a backslash pair.
 _PROSE = [
-    "\\(", "\\)", "$", "\\cite", "\\cite[", "\\citep", "\\ref{", "\\include",
+    "\\(", "\\)", "$", "\\$", "\\\\(", "\\\\[", "\\cite", "\\cite[", "\\citep", "\\ref{", "\\include",
     "\\includegraphics", "\\begin{", "\\end", "\\", "\\\\", "\\{", "\\}", "[", "]", "]{", "{", "}", "*", "a",
     "bc", "p-value", "7", " ", "\t", "\n", "-", "--", "a-", "-b", "Word", "\u212a", "\u0130", "\u00e9",
 ]
@@ -410,10 +450,12 @@ def test_tokenize_words_matches_regex_reference(parts):
         lambda n: " ".join(f"\\ref{' ' * 40}\n{' ' * 40}w{i}" for i in range(n)),
         # as shared_optional_run, with a blank before each later argument
         lambda n: "\\cite[ " * n + "]" + " [a]" * n + " word",
+        lambda n: " ".join(f"\\$ {i} word" for i in range(n)) + " $ x $",
+        lambda n: " ".join(f"\\\\( x_{i} word" for i in range(n)) + " \\( x \\)",
     ],
     ids=["unclosed_parens", "odd_dollars", "cite_without_bracket", "cite_shared_bracket", "unclosed_begin",
          "unclosed_nested_refs", "brackets_in_groups", "escaped_refs", "flat_brackets", "shared_optional_run",
-         "refs_before_blanks", "blank_optional_run"],
+         "refs_before_blanks", "blank_optional_run", "escaped_dollars", "escaped_parens"],
 )
 def test_tokenize_time_is_linear(make):
     # the regex tokenizer takes about 0.25 s (parens) and 0.05 s (the others)

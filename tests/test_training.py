@@ -233,32 +233,62 @@ def test_word_pass_of_another_fit_refused_before_any_epoch(case, message, monkey
 def test_grid_fits_each_word_pass_once_and_refits_after_a_failure(monkeypatch, caplog):
     from eqvec import training
 
-    data, fit, calls = make_corpus(), training.train_model, []
+    data, fit, calls, fits = make_corpus(), training.train_model, [], []
+    compile_pass, compiled = training.compile_pass, []
 
     def failing_fit(data, cfg, mode, word=None):
         calls.append(((mode, cfg.word_window, cfg.eq_window), word))
         if (mode, cfg.word_window, cfg.eq_window) == ("equation", 4, 8):
             raise RuntimeError("planted failure")
-        return fit(data, cfg, mode, word=word)
+        fits.append(fit(data, cfg, mode, word=word))
+        return fits[-1]
 
     monkeypatch.setattr(training, "train_model", failing_fit)
-    fits = {}
-    rows, _ = evaluation.grid_select(data, CFG, "equation", (4, 8), (8, 16), fits)
+    monkeypatch.setattr(training, "compile_pass", lambda d, c, name: compiled.append(name) or compile_pass(d, c, name))
+    rows = evaluation.grid_select(data, CFG, ("equation", "word"), (CFG.k,), (4, 8), (8, 16))
     assert "grid run (W=4, E=8) failed: planted failure" in caplog.text
     assert rows[0].error == "planted failure" and rows[0].epochs_run == ""
     assert all(not r.error for r in rows[1:])
     # the failed row stored nothing: the next row at W=4 fits the word pass
-    assert [(combo, word is None) for combo, word in calls] == [
+    assert [(combo, word is None) for combo, word in calls[:4]] == [
         (("equation", 4, 8), True), (("equation", 4, 16), True),
         (("equation", 8, 8), True), (("equation", 8, 16), False),
     ]
-    assert calls[3][1] is fits[8] and sorted(fits) == [4, 8]
-    # word mode starts from the same map and fits nothing; its rows are the fresh ones
-    del calls[:]
-    word_rows, _ = evaluation.grid_select(data, CFG, "word", (4, 8), (8, 16), fits)
-    assert [word for _, word in calls] == [fits[4], fits[8]]
+    assert calls[3][1] == fits[1]  # the same model (no __eq__: identity) and its records
+    # the word rows start from the equation rows' word passes and fit nothing
+    assert [(combo, word) for combo, word in calls[4:]] == [(("word", 4, 8), fits[0]), (("word", 8, 8), fits[1])]
+    assert compiled == ["word", "equation", "word", "equation", "equation"]
     monkeypatch.setattr(training, "train_model", fit)
-    assert word_rows == evaluation.grid_select(data, CFG, "word", (4, 8), (8, 16))[0]
+    assert rows[4:] == evaluation.grid_select(data, CFG, ("word",), (CFG.k,), (4, 8), (8, 16))
+
+
+def test_grid_shares_word_passes_per_dimension(monkeypatch, caplog):
+    from eqvec import training
+
+    data, fit, calls = make_corpus(), training.train_model, []
+
+    def failing_fit(data, cfg, mode, word=None):
+        if (mode, cfg.k, cfg.word_window) == ("equation", 4, 8):
+            raise RuntimeError("planted failure")
+        out = fit(data, cfg, mode, word=word)
+        calls.append(((mode, cfg.k, cfg.word_window), word, out))
+        return out
+
+    monkeypatch.setattr(training, "train_model", failing_fit)
+    rows = evaluation.grid_select(data, CFG, ("equation", "word"), (8, 4), (4, 8), (8,))
+    assert "grid run (W=8, E=8) failed: planted failure" in caplog.text
+    assert [(r.mode, r.k, r.word_window, bool(r.error)) for r in rows] == [
+        ("equation", 8, 4, False), ("equation", 8, 8, False), ("equation", 4, 4, False), ("equation", 4, 8, True),
+        ("word", 8, 4, False), ("word", 8, 8, False), ("word", 4, 4, False), ("word", 4, 8, False),
+    ]
+    # each word row starts from the equation row's fit at its own (k, W); the failed one left none
+    fitted = {row: out for row, _, out in calls}
+    assert [(row, word) for row, word, _ in calls[3:]] == [
+        (("word", 8, 4), fitted["equation", 8, 4]), (("word", 8, 8), fitted["equation", 8, 8]),
+        (("word", 4, 4), fitted["equation", 4, 4]), (("word", 4, 8), None),
+    ]
+    assert [(r.mode, r.k) for r in rows if r.selected] == [("equation", 8), ("equation", 4), ("word", 8), ("word", 4)]
+    assert not rows[3].selected
 
 
 def test_joint_unit_training_runs_and_updates_words():

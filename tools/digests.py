@@ -27,10 +27,14 @@ Builds the planted corpus bundle and runs the CLI on it in-process:
   ``\\\\`` line break, a ``\\citep`` with two ``[...]`` arguments, a
   ``\\ref`` with a space before its argument, a ``\\cite`` with blanks
   between its arguments, and a ``\\cite{x}`` whose next group, after a
-  space, stays prose), which the planted corpus has none of; and of a
-  bundle that keeps only ``SINGLETON_SAMPLE`` of its singleton equations,
-  so that the registry is compacted and renumbered;
-* each of those six bundles loaded back, table by table (``table/...``):
+  space, stays prose), which the planted corpus has none of; of one with
+  backslash escapes in its prose (``escapes_corpus``: a table row's
+  ``\\\\[2pt]`` before a real ``\\[...\\]``, ``\\$`` prices, a ``\\\\(``, a
+  comment after ``\\\\%`` and an equation with ``\\label {x}``), which the
+  planted corpus has none of; and of a bundle that keeps only
+  ``SINGLETON_SAMPLE`` of its singleton equations, so that the registry
+  is compacted and renumbered;
+* each of those seven bundles loaded back, table by table (``table/...``):
   the streams' ``doc_ids``, ``ptr`` and ``codes``, the ``eq_units`` ``ptr``
   and ``ids``, the registry, both vocabularies and every held-out column.
   These digest content, not layout: a change to how a bundle file is laid
@@ -211,12 +215,37 @@ _REFERENCES = (
 def references_corpus(docs):
     """``docs`` with reference commands from ``_REFERENCES`` written into
     their prose lines (those ending in ".")."""
+    return _written_into_prose(docs, _REFERENCES)
+
+
+# Written into every prose line, in turn: a table row break with its skip
+# before a display equation, escaped dollars, a line break before "(", a
+# comment after a line break, and an equation whose label has a blank
+# before its group.  "@" is the line's number.
+_ESCAPED = (
+    " A table \\begin{tabular}{cc} a & b \\\\[2pt] c & d \\end{tabular} and then \\[ y_{@} = 2 \\] follows.",
+    " A price of \\$@ within \\$10 in total.",
+    " Then \\\\(alpha) holds \\\\) here.",
+    " One line \\\\% hidden words @",
+    " So \\[ x_{@} = 1 \\label {eq:@} \\] and \\[ x_{@} = 1 \\label{eq:@} \\] hold.",
+)
+
+
+def escapes_corpus(docs):
+    """``docs`` with the escapes of ``_ESCAPED`` written into their prose
+    lines (those ending in ".")."""
+    return _written_into_prose(docs, _ESCAPED)
+
+
+def _written_into_prose(docs, pieces):
+    """``docs`` with ``pieces`` appended to their prose lines (those ending
+    in "."), in turn, each "@" replaced by the line's number."""
     out = []
     for doc in docs:
         lines, j = [], 0
         for line in doc.source_text.split("\n"):
             if line.endswith("."):
-                line += _REFERENCES[j % len(_REFERENCES)].replace("@", str(j))
+                line += pieces[j % len(pieces)].replace("@", str(j))
                 j += 1
             lines.append(line)
         out.append(RawDocument(doc.doc_id, "\n".join(lines)))
@@ -274,6 +303,8 @@ def digests(workdir: str, n_docs: int = 200, max_epochs: int | None = None) -> d
     out.update(_bundle_digests(math, os.path.join(workdir, "math"), "math"))
     references = ingest_corpus(references_corpus(docs), IngestParams(seed=INGEST_SEED))
     out.update(_bundle_digests(references, os.path.join(workdir, "references"), "references"))
+    escapes = ingest_corpus(escapes_corpus(docs), IngestParams(seed=INGEST_SEED))
+    out.update(_bundle_digests(escapes, os.path.join(workdir, "escapes"), "escapes"))
     data = ingest_corpus(docs, IngestParams(seed=INGEST_SEED))
     sampled = ingest_corpus(docs, IngestParams(seed=INGEST_SEED, singleton_sample=SINGLETON_SAMPLE))
     if sampled.n_equations == data.n_equations:
