@@ -17,6 +17,7 @@ every slot's code is one gather.
 
 import logging
 import operator
+from array import array
 from collections import defaultdict
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
@@ -26,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .draws import Draws
 from .records import EquationRecord, RawDocument
 
 log = logging.getLogger(__name__)
@@ -340,7 +342,7 @@ class HeldOut:
 
 def build_heldout(streams: TokenStreams, n_words: int, params: "IngestParams"):
     """Sample per-equation held-out words for validation and test, drawn
-    from ``params.seed``.
+    from the raw PCG64 stream of ``params.seed`` (``draws.Draws``).
 
     For each equation, ``params.heldout_per_equation`` in-window word
     positions go to each split.  An item's context is the nearest
@@ -348,26 +350,34 @@ def build_heldout(streams: TokenStreams, n_words: int, params: "IngestParams"):
     position order, plus the equation itself; ``params.n_negatives``
     negatives are drawn uniformly over the ``n_words`` word ids excluding
     the target.  Equations with fewer than ``2 * heldout_per_equation``
-    candidate positions are skipped and counted.
+    candidate positions are skipped and counted.  The draws are those of
+    ``np.random.Generator(PCG64(seed))``: per equation one ``choice`` of
+    its positions, then per item ``integers(n_words, n_negatives)``, the
+    draws of the target dropped and drawn again as one block until none
+    is left.
 
     Returns ``(validation, test, n_skipped)``, the splits as ``HeldOut``.
     """
-    per_equation, context_window, n_negatives = params.heldout_per_equation, params.heldout_window, params.n_negatives
-    rng = np.random.Generator(np.random.PCG64(params.seed))
-    half = context_window // 2
+    per_equation, context_window = params.heldout_per_equation, params.heldout_window
+    n_negatives = params.n_negatives if n_words > 1 else 0  # a one-word vocabulary has no other word
+    half, need = context_window // 2, 2 * per_equation
     codes, ptr = streams.codes, streams.ptr
     gids, bounds, pool = _candidate_pools(codes, ptr, half)
-    need = 2 * per_equation
-    picked, eqs, negatives, skipped = [], [], [], 0
-    for gid, lo, hi in zip(gids, bounds, bounds[1:]):
-        if hi - lo < need:
-            skipped += 1
-            continue
-        eqs += [gid] * need
-        for ci in rng.choice(hi - lo, size=need, replace=False):
-            picked.append(pool[lo + ci])
-            negatives += _draw_excluding(rng, n_words, n_negatives, int(codes[pool[lo + ci]]))
-    at, eqs = np.array(picked, dtype=np.int64), np.array(eqs, dtype=np.int64)
+    sizes = np.diff(bounds)
+    drawn = sizes >= need
+    # One pass over the items, drawn in turn: an equation's positions, then
+    # each position's negatives, where a draw of its own word is drawn again.
+    draws, words = Draws(params.seed), codes[pool].tolist()
+    picked, negatives = [], array("q")
+    for lo, n in zip(bounds[:-1][drawn].tolist(), sizes[drawn].tolist()):
+        for ci in draws.choice(n, need):
+            picked.append(lo + ci)
+            row = draws.integers(n_words, n_negatives)
+            while words[lo + ci] in row:
+                row = [w for w in row if w != words[lo + ci]]
+                row += draws.integers(n_words, n_negatives - len(row))
+            negatives.extend(row)
+    at, eqs = pool[picked], np.repeat(gids[drawn], need)
     doc = np.searchsorted(ptr, at, side="right") - 1
     target = codes[at].astype(np.int64)
     # the nearest words of the target's document other than the target word,
@@ -383,15 +393,14 @@ def build_heldout(streams: TokenStreams, n_words: int, params: "IngestParams"):
     ids = np.column_stack((got[:, np.argsort(steps)], eqs))
     is_eq = np.zeros_like(keep)
     is_eq[:, -1] = True
-    # _draw_excluding draws n_negatives per item, or none from a one-word vocabulary
-    cand = np.column_stack((target, np.reshape(negatives, (len(at), n_negatives if n_words > 1 else 0))))
+    cand = np.column_stack((target, np.frombuffer(negatives, dtype=np.int64).reshape(len(at), n_negatives)))
     first = np.arange(len(at)) % need < per_equation  # an equation's first draws validate, the rest test
     valid, test = (
         HeldOut(split, doc[r], at[r] - ptr[doc[r]], eqs[r], np.r_[0, np.cumsum(keep[r].sum(axis=1))],
                 is_eq[r][keep[r]], ids[r][keep[r]], np.arange(r.sum() + 1) * cand.shape[1], cand[r].ravel())
         for split, r in (("validation", first), ("test", ~first))
     )
-    return valid, test, skipped
+    return valid, test, int(np.count_nonzero(~drawn))
 
 
 def _candidate_pools(codes: np.ndarray, ptr: np.ndarray, half: int):
@@ -417,21 +426,20 @@ def _candidate_pools(codes: np.ndarray, ptr: np.ndarray, half: int):
     at_gid = (codes[at] & ~EQ_TAG).astype(np.int64)
     rows, cols = np.nonzero(inside)
     # one key per (equation, corpus position): sorted keys group by equation
-    key = np.unique(at_gid[rows] * max(len(codes), 1) + near[rows, cols])
+    key = _distinct(at_gid[rows] * max(len(codes), 1) + near[rows, cols])
     cand_gid, cand = np.divmod(key, max(len(codes), 1))
-    gids = np.unique(at_gid)
-    bounds = np.append(np.searchsorted(cand_gid, gids), len(cand_gid))
-    return gids.tolist(), bounds.tolist(), cand.tolist()
+    gids = _distinct(at_gid)
+    return gids, np.append(np.searchsorted(cand_gid, gids), len(cand_gid)), cand
 
 
-def _draw_excluding(rng, n: int, size: int, exclude: int) -> list[int]:
-    if n <= 1:
-        return []
-    out: list[int] = []
-    while len(out) < size:
-        draw = rng.integers(0, n, size=size - len(out))
-        out.extend(int(d) for d in draw if int(d) != exclude)
-    return out[:size]
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of ``a``, ascending, by one sort: numpy 2's
+    ``np.unique`` hashes first and takes about 40 times as long on 1.7M
+    int64 keys."""
+    a = np.sort(a)
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    return a[first]
 
 
 # --- ingestion ----------------------------------------------------------------
@@ -573,8 +581,7 @@ def register_equations(batch: PreparedBatch, params: IngestParams) -> tuple[Equa
     singles = np.flatnonzero(registry.counts == 1)
     if params.singleton_sample <= 0 or len(singles) <= params.singleton_sample:
         return registry, gid
-    rng = np.random.Generator(np.random.PCG64(params.seed))
     keep = registry.counts != 1
-    keep[singles[rng.choice(len(singles), size=params.singleton_sample, replace=False)]] = True
+    keep[singles[Draws(params.seed).choice(len(singles), params.singleton_sample)]] = True
     remap = np.where(keep, np.cumsum(keep) - 1, -1)
     return EquationRegistry([registry.latex[g] for g in np.flatnonzero(keep)], registry.counts[keep]), remap[gid]

@@ -17,8 +17,7 @@ class-bearing context item.
 import os
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from .draws import Draws
 from .tex import RawDocument, normalize_equation
 
 FILLERS = (
@@ -117,54 +116,6 @@ def _pad_words():
     return [a + b + c for a in _SYLLABLES for b in _SYLLABLES[:10] for c in _SYLLABLES[10:]]
 
 
-class _Draws:
-    """``random()`` and ``integers(n)`` of ``np.random.Generator(PCG64(seed))``,
-    value for value, read from the raw PCG64 stream in blocks of words.
-
-    ``random()`` is the top 53 bits of a word scaled to [0, 1).
-    ``integers(n)``, for 1 <= n <= 2**32, is Lemire's bounded draw
-    (arXiv 1805.10941) on 32-bit halves: a fresh word gives its low half
-    and keeps its high half for the next half draw, which ``random()``
-    leaves alone; ``n == 1`` draws nothing.  Only the raw stream is read,
-    so the values do not depend on ``Generator``'s internals, which numpy
-    may change between releases."""
-
-    BLOCK = 4096
-
-    def __init__(self, seed: int):
-        self._bits = np.random.PCG64(seed)
-        self._next = iter(()).__next__  # no block read yet
-        self._high = -1  # the kept high half, -1 if none
-
-    def _word(self) -> int:
-        try:
-            return self._next()
-        except StopIteration:
-            self._next = iter(self._bits.random_raw(self.BLOCK).tolist()).__next__
-            return self._next()
-
-    def _half(self) -> int:
-        if self._high >= 0:
-            half, self._high = self._high, -1
-            return half
-        word = self._word()
-        self._high = word >> 32
-        return word & 0xFFFFFFFF
-
-    def random(self) -> float:
-        return (self._word() >> 11) * 2.0**-53
-
-    def integers(self, n: int) -> int:
-        if n == 1:
-            return 0
-        m = self._half() * n
-        if m & 0xFFFFFFFF < n:  # maybe in the biased low part: reject below 2**32 mod n
-            floor = (1 << 32) % n
-            while m & 0xFFFFFFFF < floor:
-                m = self._half() * n
-        return m >> 32
-
-
 @dataclass
 class PlantedCorpus:
     documents: list[RawDocument]
@@ -197,7 +148,7 @@ def planted_corpus(
         raise ValueError("n_docs must be at least 0")
     if sentences_per_doc < 1:
         raise ValueError("sentences_per_doc must be at least 1")
-    rng = _Draws(seed)
+    rng = Draws(seed)
     rare = _rare_words()
     pads = _pad_words()
     class_eqs = {c: _class_equations(c) for c in range(n_classes)}

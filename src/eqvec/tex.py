@@ -46,22 +46,27 @@ def _escaped(text: str, i: int) -> bool:
     return (i - run) % 2 == 1
 
 
+def _cut_unescaped(text: str, mark: str, end) -> list[str]:
+    """The parts of ``text`` left when each ``mark`` that no odd run of
+    backslashes escapes is cut up to ``end(at)``, ``at`` being where it
+    starts, or to the end of the text if that is -1.  The search jumps
+    from one mark, or cut, to the next."""
+    kept, cut, at = [], 0, text.find(mark)
+    while at >= 0:
+        if not _escaped(text, at):
+            kept.append(text[cut:at])
+            cut = end(at)
+            if cut < 0:
+                return kept
+        at = text.find(mark, max(cut, at + 1))
+    kept.append(text[cut:])
+    return kept
+
+
 def strip_comments(text: str) -> str:
     """Drop %-comments, keeping line structure intact; a "%" after an odd
-    run of backslashes is escaped.  The search jumps from one "%" to the
-    next."""
-    kept, cut, at = [], 0, text.find("%")
-    while at >= 0:
-        if _escaped(text, at):
-            at = text.find("%", at + 1)
-            continue
-        kept.append(text[cut:at])
-        cut = text.find("\n", at)
-        if cut < 0:
-            return "".join(kept)
-        at = text.find("%", cut)
-    kept.append(text[cut:])
-    return "".join(kept)
+    run of backslashes is escaped."""
+    return "".join(_cut_unescaped(text, "%", lambda at: text.find("\n", at)))
 
 
 def normalize_equation(latex: str) -> str:
@@ -124,12 +129,8 @@ def _drop_labels(latex: str) -> str:
 def _split_rows(content: str) -> list[str]:
     """Split a multi-line environment body on the ``\\\\`` separators that
     lie outside every brace group (``\\}`` closes none)."""
-    rows, start = [], 0
-    for at in _brace_map(content)[2]:
-        rows.append(content[start:at])
-        start = at + 2
-    rows.append(content[start:])
-    return rows
+    cuts = [-2, *_brace_map(content)[2], len(content)]
+    return [content[a + 2 : b] for a, b in zip(cuts, cuts[1:])]
 
 
 def extract_display_equations(doc: RawDocument):
@@ -170,10 +171,8 @@ def _extract(doc: RawDocument):
             skipped += 1
             log.warning("%s: empty display-math region skipped", doc.doc_id)
             return
-        local = by_latex.get(norm)
-        if local is None:
-            local = len(records)
-            by_latex[norm] = local
+        local = by_latex.setdefault(norm, len(records))
+        if local == len(records):
             records.append(EquationRecord(local, norm, 0))
         records[local].occurrence_count += 1
         pieces.append("".join(held))
@@ -209,11 +208,12 @@ def _extract(doc: RawDocument):
     held.append(text[cut:])
     pieces.append("".join(held))
 
-    if any("$$" in p for p in pieces):
+    # a "$$" left in prose opened no region; "\\$$" is an escaped "$" and a "$"
+    loose = [" ".join(_cut_unescaped(p, "$$", lambda at: at + 2)) if "$$" in p else p for p in pieces]
+    if loose != pieces:
         skipped += 1
         log.warning("%s: unbalanced $$ delimiter left in prose", doc.doc_id)
-        pieces = [p.replace("$$", " ") for p in pieces]
-    return pieces, records, skipped, slots
+    return loose, records, skipped, slots
 
 
 # --- word tokenization -----------------------------------------------------

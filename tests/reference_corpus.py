@@ -4,13 +4,15 @@
   over its occurrences.  It walks every equation position of every stream
   and, per position, every word position of its window, deduplicating per
   equation in first-seen order, and builds every item's context by a loop
-  over its window.  ``eqvec.corpus.build_heldout`` builds the same pools
-  and contexts with array operations and must return equal items (as
+  over its window, drawing each equation's positions and each item's
+  negatives through ``np.random.Generator``.  ``eqvec.corpus.build_heldout``
+  builds the same pools and contexts with array operations, draws from
+  the raw PCG64 stream (``eqvec.draws``), and must return equal items (as
   ``conftest.Item`` records) and skip counts.
 * The equation registry as one ``EquationRecord`` per equation, grown by
   ``Registry.add`` through a LaTeX -> id dict, with one document map per
   document (local equation id -> global id); singleton sampling as sets
-  of ids, and compaction by re-adding the kept records and rebuilding
+  of ids, drawn through ``np.random.Generator``, and compaction by re-adding the kept records and rebuilding
   every document map.
 * ``build_token_streams`` with one ``TokenStream`` and one array per
   document, one vocabulary lookup per word and one document-map lookup
@@ -45,7 +47,6 @@ from eqvec.corpus import (
     CorpusError,
     TokenStream,
     TokenStreams,
-    _draw_excluding,
     encode_equation,
 )
 from eqvec.records import EquationRecord
@@ -60,6 +61,18 @@ def equation_id(code) -> int:
 def _window_word_positions(codes: np.ndarray, p: int, half: int):
     lo, hi = max(0, p - half), min(len(codes), p + half + 1)
     return [q for q in range(lo, hi) if q != p and int(codes[q]) < int(EQ_TAG)]
+
+
+def _draw_excluding(rng, n: int, size: int, exclude: int) -> list[int]:
+    """``size`` draws from [0, n) other than ``exclude``, by ``Generator``
+    blocks of the draws still missing; none from a one-word vocabulary."""
+    if n <= 1:
+        return []
+    out: list[int] = []
+    while len(out) < size:
+        draw = rng.integers(0, n, size=size - len(out))
+        out.extend(int(d) for d in draw if int(d) != exclude)
+    return out[:size]
 
 
 def build_heldout(

@@ -9,14 +9,15 @@ that word tokenization passes through.  On input without literal marker
 text, ``eqvec.tex._extract`` followed by per-piece tokenization must give
 the same records, skipped count and word/slot sequence, which the
 differential tests check.  It takes a display opener after an odd run
-of backslashes for no opener.  The regex tokenizer rescans to the end of
-the text from every unclosed ``\\(`` and every ``\\begin{`` without a
-``}``, and takes an inline-math opener after an odd run of backslashes
-for no opener.  It takes a reference command after such a run for no
-command, skips the blank after its name and after each ``[...]``
-argument if that holds at most one line break, and ends each of its
-``[...]`` and brace arguments by counting braces forward from its ``[``
-or ``{``, so that an argument holding braces is dropped whole;
+of backslashes for no opener, and a ``$$`` left in the prose after such
+a run for an escaped ``$`` and a ``$``, not an unbalanced delimiter.
+The regex tokenizer rescans to the end of the text from every unclosed
+``\\(`` and every ``\\begin{`` without a ``}``, and takes an inline-math
+opener after an odd run of backslashes for no opener.  It takes a
+reference command after such a run for no command, skips the blank after
+its name and after each ``[...]`` argument if that holds at most one
+line break, and ends each of its ``[...]`` and brace arguments by
+counting braces forward from its ``[`` or ``{``, so that an argument holding braces is dropped whole;
 ``eqvec.tex.tokenize_words`` must give the same tokens.  The comment
 stripper is the look-behind-first regex, which takes a "%" after an odd
 run of backslashes for no comment; ``eqvec.tex.strip_comments`` must drop
@@ -71,6 +72,8 @@ _COMMENT = re.compile(_UNESCAPED + r"%[^\n]*")
 _ENV_OPEN = re.compile(_UNESCAPED + _ENV_BEGIN.pattern)
 _DOLLAR_PAIR = re.compile(_UNESCAPED + r"\$\$(.*?)\$\$", re.DOTALL)
 _BRACKET_PAIR = re.compile(_UNESCAPED + r"\\\[(.*?)\\\]", re.DOTALL)
+# A "$$" no pair took, none after an odd run of backslashes.
+_LOOSE_DOLLARS = re.compile(_UNESCAPED + r"\$\$")
 # A label's name, the blank after it, and the "{" that opens its group.
 _LABEL_OPEN = re.compile(r"\\label([ \t\n]*)\{")
 
@@ -161,11 +164,10 @@ def _extract(doc: RawDocument):
             register(m.group(2))
             pos = m.end()
 
-    prose = "".join(out)
-    if "$$" in prose:
+    prose, loose = _LOOSE_DOLLARS.subn(r"\1 ", "".join(out))
+    if loose:
         skipped += 1
         log.warning("%s: unbalanced $$ delimiter left in prose", doc.doc_id)
-        prose = prose.replace("$$", " ")
     return prose, records, skipped
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eqvec import corpus
+from eqvec import bundle, corpus
 from eqvec.corpus import (
     GAP,
     CorpusError,
@@ -587,3 +587,22 @@ def test_singleton_sampling_keeps_repeated_equations():
     # z^2 is the only singleton; sampling one keeps both equations
     sampled = ingest_corpus(_tiny_docs(), _tiny_params(singleton_sample=1))
     assert sampled.n_equations == 2
+
+
+def test_ingest_makes_no_generator_draw(monkeypatch, tmp_path):
+    # held-out sets and singleton sampling read the raw PCG64 stream only
+    docs = planted_corpus(n_docs=48, seed=3).documents
+    params = IngestParams(seed=5, singleton_sample=3)
+    bundle.save_bundle(ingest_corpus(docs, params), str(tmp_path / "want"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.random.Generator used")
+
+    monkeypatch.setattr(np.random, "Generator", refuse)
+    data = ingest_corpus(docs, params)
+    assert data.stats["equations"] < ingest_corpus(docs, IngestParams(seed=5)).stats["equations"]
+    assert len(data.heldout_valid) > 0
+    bundle.save_bundle(data, str(tmp_path / "got"))
+    files = sorted(p.name for p in (tmp_path / "want").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "got").iterdir())
+    assert all((tmp_path / "want" / f).read_bytes() == (tmp_path / "got" / f).read_bytes() for f in files)

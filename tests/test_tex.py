@@ -189,6 +189,21 @@ def test_escaped_display_opener_stays_prose():
     assert reference_sequence(RawDocument("d", text))[1:] == (records, skipped)
 
 
+@pytest.mark.parametrize(
+    "text, words, skipped",
+    [
+        # an escaped "$", then inline math: no unbalanced "$$", and LaTeX's words
+        (r"costs \$$5$ here and \$$x$ too", ["costs", "here", "and", "too"], 0),
+        (r"a \$$$ b", ["a", "b"], 1),  # an escaped "$", then an unclosed "$$"
+        (r"a \\$$ b", ["a", "b"], 1),  # an escaped backslash, then an unclosed "$$"
+    ],
+)
+def test_escaped_dollar_before_dollar_is_no_display_delimiter(text, words, skipped):
+    _, pieces, slots, _, got = _prepare_document(RawDocument("d", text))
+    assert (pieces, slots, got) == ([words], [], skipped)
+    assert reference_sequence(RawDocument("d", text))[2] == skipped
+
+
 def test_bracket_display_math():
     doc = RawDocument("d", r"p \[ a = b \] q")
     _, _, records = extract_display_equations(doc)
@@ -320,7 +335,7 @@ def test_document_validation():
 _PIECES = [
     "$$", "$", "\\[", "\\]", "\\begin{equation}", "\\end{equation}", "\\begin{align}",
     "\\end{align}", "\\\\", "%", "{", "}", "\\label{a}", "a", "b", "xy", "model", " ", "\n",
-    "\\\\[", "\\$", "\\\\(", "\\",
+    "\\\\[", "\\$", "\\\\(", "\\", "\\$$",
 ]
 
 
@@ -401,7 +416,7 @@ def test_extract_time_is_linear(make):
 _PROSE = [
     "\\(", "\\)", "$", "\\$", "\\\\(", "\\\\[", "\\cite", "\\cite[", "\\citep", "\\ref{", "\\include",
     "\\includegraphics", "\\begin{", "\\end", "\\", "\\\\", "\\{", "\\}", "[", "]", "]{", "{", "}", "*", "a",
-    "bc", "p-value", "7", " ", "\t", "\n", "-", "--", "a-", "-b", "Word", "\u212a", "\u0130", "\u00e9",
+    "bc", "p-value", "7", " ", "\t", "\n", "-", "--", "a-", "-b", "Word", "\u212a", "\u0130", "\u00e9", "\\$$",
 ]
 
 

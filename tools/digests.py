@@ -30,11 +30,14 @@ Builds the planted corpus bundle and runs the CLI on it in-process:
   space, stays prose), which the planted corpus has none of; of one with
   backslash escapes in its prose (``escapes_corpus``: a table row's
   ``\\\\[2pt]`` before a real ``\\[...\\]``, ``\\$`` prices, a ``\\\\(``, a
-  comment after ``\\\\%`` and an equation with ``\\label {x}``), which the
-  planted corpus has none of; and of a bundle that keeps only
-  ``SINGLETON_SAMPLE`` of its singleton equations, so that the registry
-  is compacted and renumbered;
-* each of those seven bundles loaded back, table by table (``table/...``):
+  comment after ``\\\\%``, a ``\\$`` before inline math and an equation
+  with ``\\label {x}``), which the planted corpus has none of; of the
+  planted corpus ingested at the held-out settings ``HELDOUT`` (seed,
+  items per equation, window and negatives all off their defaults), so
+  that held-out draws at other sizes and bounds are pinned; and of a
+  bundle that keeps only ``SINGLETON_SAMPLE`` of its singleton
+  equations, so that the registry is compacted and renumbered;
+* each of those eight bundles loaded back, table by table (``table/...``):
   the streams' ``doc_ids``, ``ptr`` and ``codes``, the ``eq_units`` ``ptr``
   and ``ids``, the registry, both vocabularies and every held-out column.
   These digest content, not layout: a change to how a bundle file is laid
@@ -82,6 +85,8 @@ CORPUS_SEED, INGEST_SEED = 7, 11
 # (n_docs, n_classes, sentences_per_doc, seed) of each planted corpus whose text is digested
 PLANTED = ((200, 4, 8, CORPUS_SEED), (2000, 4, 8, 1), (37, 3, 5, 11))
 SINGLETON_SAMPLE = 8
+# held-out settings other than the defaults, so that draws at other sizes and bounds are pinned
+HELDOUT = {"seed": 12345, "heldout_per_equation": 3, "heldout_window": 6, "n_negatives": 5}
 MODEL_SEEDS = (4, 1)
 EVAL_SEEDS = (4, 1)
 QUERY_IDS = (0, 7, 42)
@@ -220,13 +225,15 @@ def references_corpus(docs):
 
 # Written into every prose line, in turn: a table row break with its skip
 # before a display equation, escaped dollars, a line break before "(", a
-# comment after a line break, and an equation whose label has a blank
-# before its group.  "@" is the line's number.
+# comment after a line break, an escaped dollar before inline math, and an
+# equation whose label has a blank before its group.  "@" is the line's
+# number.
 _ESCAPED = (
     " A table \\begin{tabular}{cc} a & b \\\\[2pt] c & d \\end{tabular} and then \\[ y_{@} = 2 \\] follows.",
     " A price of \\$@ within \\$10 in total.",
     " Then \\\\(alpha) holds \\\\) here.",
     " One line \\\\% hidden words @",
+    " It costs \\$$y_{@}$ at most.",
     " So \\[ x_{@} = 1 \\label {eq:@} \\] and \\[ x_{@} = 1 \\label{eq:@} \\] hold.",
 )
 
@@ -305,6 +312,8 @@ def digests(workdir: str, n_docs: int = 200, max_epochs: int | None = None) -> d
     out.update(_bundle_digests(references, os.path.join(workdir, "references"), "references"))
     escapes = ingest_corpus(escapes_corpus(docs), IngestParams(seed=INGEST_SEED))
     out.update(_bundle_digests(escapes, os.path.join(workdir, "escapes"), "escapes"))
+    heldout = ingest_corpus(docs, IngestParams(**HELDOUT))
+    out.update(_bundle_digests(heldout, os.path.join(workdir, "heldout"), "heldout"))
     data = ingest_corpus(docs, IngestParams(seed=INGEST_SEED))
     sampled = ingest_corpus(docs, IngestParams(seed=INGEST_SEED, singleton_sample=SINGLETON_SAMPLE))
     if sampled.n_equations == data.n_equations:
