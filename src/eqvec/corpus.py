@@ -27,7 +27,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .draws import Draws
 from .records import EquationRecord, RawDocument
 
 log = logging.getLogger(__name__)
@@ -358,6 +357,8 @@ def build_heldout(streams: TokenStreams, n_words: int, params: "IngestParams"):
 
     Returns ``(validation, test, n_skipped)``, the splits as ``HeldOut``.
     """
+    from .draws import Draws  # ingest only: keeps the raw-stream draws off the query path
+
     per_equation, context_window = params.heldout_per_equation, params.heldout_window
     n_negatives = params.n_negatives if n_words > 1 else 0  # a one-word vocabulary has no other word
     half, need = context_window // 2, 2 * per_equation
@@ -581,6 +582,8 @@ def register_equations(batch: PreparedBatch, params: IngestParams) -> tuple[Equa
     singles = np.flatnonzero(registry.counts == 1)
     if params.singleton_sample <= 0 or len(singles) <= params.singleton_sample:
         return registry, gid
+    from .draws import Draws  # ingest only: keeps the raw-stream draws off the query path
+
     keep = registry.counts != 1
     keep[singles[Draws(params.seed).choice(len(singles), params.singleton_sample)]] = True
     remap = np.where(keep, np.cumsum(keep) - 1, -1)

@@ -9,6 +9,7 @@ the positive's context with label 0.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -203,6 +204,32 @@ def equation_vector_from_units(units, unit_table: EmbeddingTable):
     return mean[:k], mean[k:]
 
 
+# --- what a similarity scan reads of a matrix ---------------------------------
+
+
+class RowStats(NamedTuple):
+    """The values a similarity scan reads of a matrix, none of which
+    depends on the query."""
+
+    norms: np.ndarray  # each row's Euclidean norm
+    nonfinite: np.ndarray  # rows holding a NaN or ±inf entry
+    cosine_worst: np.ndarray  # rows that score worst under cosine: those, and zero-norm rows
+
+
+def row_stats(matrix: np.ndarray) -> RowStats:
+    """Row-local, like the scans that read them: each finite row's norm
+    is bitwise the one it has in a copy with the other rows zero-filled.
+
+    A row with a non-finite entry has a NaN or inf norm, so only the rows
+    whose norm is not finite are searched for one; a finite row whose
+    squared norm overflows is among them and stays finite."""
+    norms = np.sqrt((matrix**2).sum(axis=1))
+    nonfinite = ~np.isfinite(norms)
+    odd = nonfinite.nonzero()[0]
+    nonfinite[odd] = ~np.isfinite(matrix[odd]).all(axis=1)
+    return RowStats(norms, nonfinite, nonfinite | (norms == 0))
+
+
 # --- fitted model container ---------------------------------------------------
 
 
@@ -213,6 +240,11 @@ class Model:
     unit vectors over ``eq_units``, the corpus's ``EquationUnits`` table
     (gaps are ignored), one kind (alpha or rho) at a time on first use;
     without a table, every equation has no units.
+
+    A model's tables are not written again once it is returned, so what
+    is derived from them is kept: a unit model's equation matrices, and the
+    ``RowStats`` of each matrix a similarity query scans, from its first
+    scan.
     """
 
     def __init__(
@@ -233,6 +265,7 @@ class Model:
         self.n_equations = eq.size if eq is not None else n_equations
         self.eq_units = EquationUnits(np.zeros(self.n_equations + 1), []) if eq_units is None else eq_units
         self._derived: dict[str, np.ndarray] = {}
+        self._scanned: dict[str, RowStats] = {}
 
     def _derive(self, which: str) -> np.ndarray:
         """A unit model's equation matrix of one kind, derived on first use."""
@@ -250,6 +283,15 @@ class Model:
         if self.mode == "unit":
             return self._derive(which)
         raise ValueError("word-only model has no equation vectors")
+
+    def scan(self, kind: str) -> tuple[np.ndarray, RowStats]:
+        """The matrix a similarity query scans, ``"word"`` feature vectors
+        or the equation vectors of one kind (``"alpha"`` or ``"rho"``), and
+        its ``RowStats``, computed on its first scan."""
+        matrix = self.word.alpha if kind == "word" else self.equation_matrix(kind)
+        if kind not in self._scanned:
+            self._scanned[kind] = row_stats(matrix)
+        return matrix, self._scanned[kind]
 
     def equation_vectors(self, eq_id: int) -> tuple[np.ndarray, np.ndarray]:
         """(alpha, rho) for one equation; raises for untokenizable ones."""

@@ -6,6 +6,8 @@ the equation's interaction vector and word feature vectors), and nearest
 equations to a bag of words (cosine against equation vectors, query being
 the mean of the words' interaction vectors).  Scans are exhaustive; ties
 break on ascending id and the query item never appears in its own hits.
+What a scan reads of its matrix besides the query, the ``RowStats``, is
+kept on the model from the matrix's first scan (``Model.scan``).
 """
 
 import logging
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Vocabulary
-from .model import Model
+from .model import Model, RowStats
 
 log = logging.getLogger(__name__)
 
@@ -34,34 +36,24 @@ def _check_k(k: int):
         raise ValueError(f"k must be at least 1, got {k}")
 
 
-def _scores(matrix: np.ndarray, query: np.ndarray, metric: str) -> np.ndarray:
-    """Per-row score; rows with a non-finite entry score worst.
+def _scores(matrix: np.ndarray, query: np.ndarray, metric: str, stats: RowStats) -> np.ndarray:
+    """Per-row score; rows with a non-finite entry score worst, and so do
+    zero-norm rows under cosine (every row for a zero query).
 
     Row sums and the matrix-vector product are row-local, so each finite
     row of the matrix itself scores bitwise as it would in a zero-filled
-    copy.  The other rows are then found among the few whose distance is
-    NaN (a row with a ±inf entry is already at inf) or whose norm is not
-    finite, and marked."""
+    copy; ``stats``, the matrix's ``RowStats``, then marks the other rows."""
     if metric == "euclidean":
         d = np.sqrt(((matrix - query) ** 2).sum(axis=1))
-        nan = np.isnan(d)
-        if nan.any():
-            nan = nan.nonzero()[0]
-            d[nan[~np.isfinite(matrix[nan]).all(axis=1)]] = np.inf
+        d[stats.nonfinite] = np.inf
         return d
     if metric == "cosine":
-        norms = np.sqrt((matrix**2).sum(axis=1))
         qn = float(np.sqrt(query @ query))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            c = (matrix @ query) / (norms * qn)
         if not qn > 0:
-            c.fill(-np.inf)
-            return c
-        c[norms == 0] = -np.inf
-        odd = ~np.isfinite(norms)
-        if odd.any():  # a finite row whose squared norm overflows keeps its score
-            odd = odd.nonzero()[0]
-            c[odd[~np.isfinite(matrix[odd]).all(axis=1)]] = -np.inf
+            return np.full(len(matrix), -np.inf)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            c = (matrix @ query) / (stats.norms * qn)
+        c[stats.cosine_worst] = -np.inf
         return c
     raise ValueError(f"unknown metric {metric!r}")
 
@@ -89,11 +81,10 @@ def nearest_equations(model: Model, eq_id: int, k: int = 5, metric: str = "eucli
     _check_k(k)
     if not 0 <= eq_id < model.n_equations:
         raise IndexError(f"unknown equation id {eq_id}")
-    matrix = model.equation_matrix("alpha")
-    query = matrix[eq_id]
-    if not np.isfinite(query).all():
+    matrix, stats = model.scan("alpha")
+    if stats.nonfinite[eq_id]:
         raise ValueError(f"untokenizable equation {eq_id} has no vector")
-    scores = _scores(matrix, query, metric)
+    scores = _scores(matrix, matrix[eq_id], metric, stats)
     return Ranking(f"eq:{eq_id}", metric, _rank(scores, k, metric == "euclidean", exclude=eq_id))
 
 
@@ -104,7 +95,8 @@ def nearest_words(model: Model, eq_id: int, k: int = 5, metric: str = "cosine") 
     if not 0 <= eq_id < model.n_equations:
         raise IndexError(f"unknown equation id {eq_id}")
     _, rho_e = model.equation_vectors(eq_id)
-    scores = _scores(model.word.alpha, rho_e, metric)
+    matrix, stats = model.scan("word")
+    scores = _scores(matrix, rho_e, metric, stats)
     return Ranking(f"eq:{eq_id}", metric, _rank(scores, k, metric == "euclidean"))
 
 
@@ -132,9 +124,8 @@ def equations_for_words(
     if not known:
         raise ValueError("no query word is in the vocabulary")
     query = model.word.rho[np.array(known, dtype=np.int64)].mean(axis=0)
-    which = vectors or model.config.word2eq_vectors
-    matrix = model.equation_matrix(which)
-    scores = _scores(matrix, query, metric)
+    matrix, stats = model.scan(vectors or model.config.word2eq_vectors)
+    scores = _scores(matrix, query, metric, stats)
     return Ranking(
         "words:" + ",".join(str(w) for w in words),
         metric,

@@ -10,9 +10,10 @@ after each positive from a seeded stream, so a (seed, config, corpus)
 triple fully determines the fitted parameters.
 
 Each pass is compiled once per fit into plans of flat arrays (``passes``)
-and stacks its tables into one array, of which the tables are views.  An
-epoch then draws a plan's negatives by one scan, a slice of positions at a
-time, and takes one serial SGD step per position on the stacked array.
+and stacks its tables into one parameter array, of which the tables are
+views, beside one array of their Adagrad accumulators.  An epoch then draws
+a plan's negatives by one scan, a slice of positions at a time, and takes
+one serial SGD step per position on the stacked arrays.
 """
 
 import time
@@ -188,16 +189,15 @@ def _merged(pos, rows, weights, m: int, n_rows: int):
     return rows[first], np.bincount(run, weights)[run[first]], np.bincount(pos[first], minlength=m)
 
 
-def _stack(tables, trainable) -> np.ndarray:
-    """(2, rows, k): the parameters, every table's rho rows then every
-    table's alpha rows, over their Adagrad accumulators in the same layout,
-    all at the floor: a table trains in one pass at most.  Each table's
-    matrices become views of the parameters, read-only where the table is
-    not ``trainable``, so steps on the stacked array train the tables."""
+def _stack(tables, trainable) -> tuple[np.ndarray, np.ndarray]:
+    """``(params, acc)``, two separate (rows, k) arrays: the parameters,
+    every table's rho rows then every table's alpha rows, and their Adagrad
+    accumulators in the same layout, all at the floor: a table trains in one
+    pass at most.  Each table's matrices become views of the parameters,
+    read-only where the table is not ``trainable``, so steps on the pair
+    train the tables, and a fitted model keeps no accumulator alive."""
     n = sum(t.size for t in tables)
-    stacked = np.empty((2, 2 * n, tables[0].k))
-    stacked[1] = ADAGRAD_FLOOR
-    params, o = stacked[0], 0
+    params, o = np.empty((2 * n, tables[0].k)), 0
     for t, tr in zip(tables, trainable):
         rho, alpha = params[o : o + t.size], params[n + o : n + o + t.size]
         rho[...], alpha[...] = t.rho, t.alpha
@@ -205,11 +205,13 @@ def _stack(tables, trainable) -> np.ndarray:
         if not tr:
             t.freeze()
         o += t.size
-    return stacked
+    return params, np.full(params.shape, ADAGRAD_FLOOR)
 
 
 def sgd_block(stacked, plan: PassPlan, lo: int, hi: int, negatives, lr: float) -> np.ndarray:
-    """Serial SGD steps for positions ``lo:hi``; returns their losses.
+    """Serial SGD steps for positions ``lo:hi`` on ``stacked``, a pass's
+    parameters and accumulators as ``_stack`` gives them; returns their
+    losses.
 
     ``negatives`` holds each position's class-local negative ids (-1 for
     none).  Each step is one positive and its sampled zeros sharing one
@@ -230,8 +232,7 @@ def sgd_block(stacked, plan: PassPlan, lo: int, hi: int, negatives, lr: float) -
     parameters and of the accumulators as one item.
     """
     m = hi - lo
-    k = stacked.shape[2]
-    n_rows = stacked.shape[1]
+    n_rows, k = stacked[0].shape
     cls = plan.cls[lo:hi]
     base = plan.offsets[cls]
     valid = np.concatenate((np.ones((m, 1), dtype=bool), negatives >= 0), axis=1)
@@ -419,7 +420,7 @@ def train_model(data: CorpusData, config: ModelConfig, mode: str, word=None):
             diverged = not np.isfinite(score)
             decision = evaluation.early_stopping_controller(trace, config.max_epochs)
             if diverged or (decision.stop and decision.best_epoch < epoch):
-                stacked[0] = best  # the pass ends here: its accumulators are not needed again
+                stacked[0][...] = best  # the pass ends here: its accumulators are not needed again
             if diverged:
                 raise TrainingDiverged(name, epoch, view(spec.view), records)
             if decision.stop:

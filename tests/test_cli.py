@@ -1073,7 +1073,7 @@ def test_query_imports_only_the_query_path(planted_models, capsys):
     loaded = {line.rsplit("|", 1)[1].strip() for line in err.splitlines()
               if line.startswith("import time:")}
     assert {"eqvec.cli", "eqvec.bundle", "eqvec.modelfile", "eqvec.retrieval"} <= loaded
-    unused = {"eqvec.training", "eqvec.passes", "eqvec.evaluation", "eqvec.slt", "eqvec.tex",
+    unused = {"eqvec.training", "eqvec.passes", "eqvec.evaluation", "eqvec.slt", "eqvec.tex", "eqvec.draws",
               "concurrent.futures.process"}
     assert not loaded & unused
     assert main(argv) == 0

@@ -98,7 +98,7 @@ def test_fit_independent_of_compile_chunking(corpus, monkeypatch, name):
 
         monkeypatch.setattr(training, "_stack", recorded)
         _, records = train_model(corpus, cfg, mode)
-        return [s.tobytes() for s in stacked], [(r.pass_name, r.epoch, r.validation_score, r.train_loss) for r in records]
+        return [a.tobytes() for s in stacked for a in s], [(r.pass_name, r.epoch, r.validation_score, r.train_loss) for r in records]
 
     one, many = fitted(10**9), fitted(1)
     assert one == many
@@ -195,7 +195,7 @@ def test_compiled_step_equals_pair_api(case):
         )
         assert len(plan) == 1
         stacked = _stack([got_word, got_unit], plan.trainable)
-        stacked[1] = _accumulators(want_word, want_unit)
+        stacked[1][...] = _accumulators(want_word, want_unit)
         loss = sgd_block(stacked, plan, 0, 1, np.array([negs]), lr)
 
         want_loss = _pair_api_step(want_word, want_unit, target, negs, ctx, words_trainable, lr)

@@ -21,6 +21,7 @@ def test_two_runs_agree_and_compare_lists_a_change(tmp_path, capsys):
     assert {f"model/{c}" for c in configs} <= a.keys()
     assert {f"trace/{c}" for c in configs} <= a.keys()
     assert {"eval/seed4", "eval/seed1"} <= a.keys() and any(k.startswith("query/") for k in a)
+    assert {k.replace("query/", "warm/", 1) for k in a if k.startswith("query/")} == {k for k in a if k.startswith("warm/")}
     assert a["bundle/planted/streams.bin"] != a["bundle/commented/streams.bin"] != a["bundle/inline/streams.bin"]
     assert "bundle/planted/heldout.valid.bin" in a
     corpora = ["corpus/{}-{}-{}/seed{}".format(*args) for args in digests.PLANTED]

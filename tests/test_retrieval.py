@@ -8,9 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eqvec.corpus import Vocabulary
-from eqvec.model import EmbeddingTable, Model, ModelConfig
-from eqvec.retrieval import _rank, _scores, equations_for_words, nearest_equations, nearest_words
+from eqvec import model as model_mod
+from eqvec.corpus import EquationUnits, Vocabulary
+from eqvec.model import EmbeddingTable, Model, ModelConfig, row_stats
+from eqvec.modelfile import load_model, save_model
+from eqvec.retrieval import METRICS, _rank, _scores, equations_for_words, nearest_equations, nearest_words
 
 from .reference_model import reference_rank, reference_scores
 
@@ -126,13 +128,14 @@ def test_cosine_ranking_scale_invariant():
 
 
 def test_euclidean_ranking_rotation_invariant():
+    # a model's tables are not written once it has been queried: the rotation gets its own model
     model, _ = planted_model(seed=6)
-    base = [i for i, _ in nearest_equations(model, 1, 19).hits]
+    rotated, _ = planted_model(seed=6)
     rng = np.random.default_rng(7)
     q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-    model.eq.alpha[...] = model.eq.alpha @ q
-    rotated = [i for i, _ in nearest_equations(model, 1, 19).hits]
-    assert base == rotated
+    rotated.eq.alpha[...] = rotated.eq.alpha @ q
+    base = [i for i, _ in nearest_equations(model, 1, 19).hits]
+    assert base == [i for i, _ in nearest_equations(rotated, 1, 19).hits]
 
 
 @pytest.mark.parametrize("k", [0, -1, -100])
@@ -268,6 +271,74 @@ def test_scores_bitwise_equal_zero_filled_oracle(kinds, k, query_kind, seed):
     }[query_kind]
     for metric in ("euclidean", "cosine"):
         with np.errstate(over="ignore", invalid="ignore"):  # inf - inf where a non-finite row meets one
-            got = _scores(matrix, query, metric)
+            got = _scores(matrix, query, metric, row_stats(matrix))
             want = reference_scores(matrix, query, metric)
         assert got.tobytes() == want.tobytes(), metric
+
+
+# --- warm queries against cold ones ---------------------------------------------------------
+
+
+def _saved_models(tmp_path):
+    """Paths of an equation model and a unit model, and the unit model's
+    ``EquationUnits``.  Each scanned matrix has a zero row; the unit model's
+    equation 4 is untokenizable (a NaN row), and equation 1 is the mean of
+    the zero unit 3 (a zero row)."""
+    rng = np.random.default_rng(11)
+    k, n_words, n_eq = 5, 12, 9
+    word = rng.normal(size=(2, n_words, k))
+    word[1, 4] = 0.0  # a zero word feature vector
+    eq = rng.normal(size=(2, n_eq, k))
+    eq[0, 2] = eq[1, 5] = 0.0
+    unit = rng.normal(size=(2, 7, k))
+    unit[:, 3] = 0.0
+    units = [[3] if e == 1 else [-1, -1] if e == 4 else rng.choice([0, 1, 2, 4, 5, 6], 1 + e % 3).tolist()
+             for e in range(n_eq)]
+    eq_units = EquationUnits(np.cumsum([0] + [len(u) for u in units]), [i for u in units for i in u])
+    cfg = ModelConfig(k=k)
+    models = {
+        "equation": Model("equation", cfg, EmbeddingTable.from_arrays(*word), eq=EmbeddingTable.from_arrays(*eq)),
+        "unit": Model("unit", cfg, EmbeddingTable.from_arrays(*word), unit=EmbeddingTable.from_arrays(*unit),
+                      eq_units=eq_units, n_equations=n_eq),
+    }
+    return {mode: save_model(m, str(tmp_path / f"{mode}.eqv")) for mode, m in models.items()}, eq_units
+
+
+def _answer(model, vocab, family, arg, metric):
+    """A query's hits and the bytes of their scores, or its error."""
+    try:
+        if family == "eq2eq":
+            r = nearest_equations(model, arg, 20, metric)
+        elif family == "eq2word":
+            r = nearest_words(model, arg, 20, metric)
+        else:
+            vectors, words = arg
+            r = equations_for_words(model, vocab, words, 20, metric, vectors=vectors)
+    except ValueError as e:
+        return str(e)
+    return [i for i, _ in r.hits], np.array([s for _, s in r.hits]).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["equation", "unit"])
+def test_warm_queries_equal_cold_ones(mode, tmp_path, monkeypatch):
+    paths, eq_units = _saved_models(tmp_path)
+    vocab = word_vocab(f"w{i}" for i in range(12))
+    queries = [(family, e, metric) for family in ("eq2eq", "eq2word") for e in range(9) for metric in METRICS]
+    queries += [("word2eq", (vectors, words), metric) for vectors in ("rho", "alpha")
+                for words in (["w0", "w4"], ["w4"], ["w7", "w2", "w3"]) for metric in METRICS]
+    scanned = []
+    row_stats_of = model_mod.row_stats
+    monkeypatch.setattr(model_mod, "row_stats", lambda matrix: scanned.append(matrix) or row_stats_of(matrix))
+    cold_models = [load_model(paths[mode], eq_units=eq_units) for _ in queries]
+    cold = [_answer(m, vocab, *q) for m, q in zip(cold_models, queries)]
+    warm_model = load_model(paths[mode], eq_units=eq_units)
+    first = [_answer(warm_model, vocab, *q) for q in queries]
+    again = [_answer(warm_model, vocab, *q) for q in queries]
+    assert first == again == cold
+    untokenizable = [q for q, a in zip(queries, cold) if isinstance(a, str)]
+    assert untokenizable == ([("eq2eq", 4, m) for m in METRICS] + [("eq2word", 4, m) for m in METRICS]
+                             if mode == "unit" else [])
+    # each (model, matrix) pair's statistics are computed once, on its first scan; an eq2word
+    # query on an untokenizable equation fails before its scan
+    assert len({id(m) for m in scanned}) == len(scanned) == len(queries) - len(untokenizable) // 2 + 3
+    assert all(any(m is w for m in scanned) for w in (warm_model.scan(kind)[0] for kind in ("word", "alpha", "rho")))

@@ -81,6 +81,21 @@ def test_equation_pass_trains_equation_vectors():
     assert np.abs(model.eq.alpha).max() > 2 * init_scale
 
 
+def _root(a: np.ndarray) -> np.ndarray:
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+@pytest.mark.parametrize("mode, extra", [("word", {}), ("equation", {}), ("unit", {}), ("unit", {"unit_joint": False})])
+def test_fitted_model_keeps_only_its_parameters_alive(mode, extra):
+    # a pass's Adagrad accumulators are its own: no table of the returned model is a view of them
+    model, _ = train_model(make_corpus(), with_overrides(CFG, **extra), mode)
+    tables = [t for t in (model.word, model.eq, model.unit) if t is not None]
+    held = {id(r): r for t in tables for r in map(_root, (t.rho, t.alpha))}
+    assert sum(r.nbytes for r in held.values()) == sum(t.rho.nbytes + t.alpha.nbytes for t in tables)
+
+
 def test_mode_reduction_zero_equations_bit_identical():
     data = make_corpus(with_equations=False)
     assert data.n_equations == 0

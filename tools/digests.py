@@ -48,7 +48,10 @@ Builds the planted corpus bundle and runs the CLI on it in-process:
 * ``eqvec eval`` with the default grid at seeds 4 and 1: the report TSV;
 * ``eqvec query`` on every model with equation vectors: eq2eq and eq2word
   at equation ids 0, 7 and 42 (those the bundle has), each under its
-  default metric and the other one, and one word2eq: stdout and exit code.
+  default metric and the other one, and one word2eq: stdout and exit code;
+* the same queries through ``eqvec.retrieval`` on one loaded model, asked
+  twice, so that the second answers read what the first scans left on the
+  model (``warm/...``): their ids and the ``float.hex`` of each score.
 
 Fits use the acceptance configuration (k=25, windows 4/16/2, learning rate
 0.05).  Run it in two checkouts and compare the outputs::
@@ -76,7 +79,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from eqvec import bundle, cli  # noqa: E402
+from eqvec import bundle, cli, modelfile, retrieval  # noqa: E402
 from eqvec.corpus import IngestParams, ingest_corpus  # noqa: E402
 from eqvec.synthetic import planted_corpus  # noqa: E402
 from eqvec.tex import RawDocument  # noqa: E402
@@ -90,6 +93,7 @@ HELDOUT = {"seed": 12345, "heldout_per_equation": 3, "heldout_window": 6, "n_neg
 MODEL_SEEDS = (4, 1)
 EVAL_SEEDS = (4, 1)
 QUERY_IDS = (0, 7, 42)
+QUERY_K = 5  # eqvec query's default -k
 ACCEPTANCE = {"k": 25, "word_window": 4, "eq_window": 16, "unit_window": 2, "learning_rate": 0.05}
 CONFIGS = {
     "word": ("word", {}),
@@ -337,14 +341,18 @@ def digests(workdir: str, n_docs: int = 200, max_epochs: int | None = None) -> d
             out[f"trace/{key}"] = _sha(trace.encode())
             if mode == "word":  # no equation vectors to query
                 continue
-            queries = {f"{kind}/{i}": [kind, "--id", str(i)] for kind in ("eq2eq", "eq2word") for i in ids}
+            # (family, equation id or words, metric or None for the family's default)
+            queries = {f"{kind}/{i}": (kind, i, None) for kind in ("eq2eq", "eq2word") for i in ids}
             # each family's other metric, so that both scorers run on every matrix
             for kind, metric in (("eq2eq", "cosine"), ("eq2word", "euclidean")):
-                queries.update({f"{kind}-{metric}/{i}": [kind, "--id", str(i), "--metric", metric] for i in ids})
-            queries["word2eq"] = ["word2eq", "--words", words]
-            for q, args in queries.items():
+                queries.update({f"{kind}-{metric}/{i}": (kind, i, metric) for i in ids})
+            queries["word2eq"] = ("word2eq", words, None)
+            for q, (kind, arg, metric) in queries.items():
+                args = [kind, "--words", arg] if kind == "word2eq" else [kind, "--id", str(arg)]
+                args += ["--metric", metric] if metric else []
                 code, text = _run(["query", *args, "--model", model, "--bundle", bundle_dir])
                 out[f"query/{key}/{q}"] = _sha(f"{code}\n{text}".encode())
+            out.update({f"warm/{key}/{q}": d for q, d in _warm_digests(model, bundle_dir, queries).items()})
     for seed in EVAL_SEEDS:
         report = os.path.join(workdir, f"eval-{seed}.tsv")
         code, _ = _run(["eval", "--bundle", bundle_dir, "--report", report, "--seed", str(seed), *_sets(cap)])
@@ -352,6 +360,31 @@ def digests(workdir: str, n_docs: int = 200, max_epochs: int | None = None) -> d
             raise RuntimeError(f"eval --seed {seed} exited {code}")
         out[f"eval/seed{seed}"] = _sha(Path(report).read_bytes())
     return out
+
+
+def _warm_digests(model_path: str, bundle_dir: str, queries: dict) -> dict:
+    """Each of ``queries`` asked twice through ``eqvec.retrieval`` of one
+    loaded model, at ``eqvec query``'s default k: the digest of each second
+    answer's ids and ``float.hex`` scores, or of the error it raised."""
+    files = bundle.load_query_files(bundle_dir)
+    model = modelfile.load_model(model_path, eq_units=files.eq_units)
+
+    def ask(kind, arg, metric):
+        given = {"metric": metric} if metric else {}
+        try:
+            if kind == "eq2eq":
+                ranking = retrieval.nearest_equations(model, arg, QUERY_K, **given)
+            elif kind == "eq2word":
+                ranking = retrieval.nearest_words(model, arg, QUERY_K, **given)
+            else:
+                ranking = retrieval.equations_for_words(model, files.word_vocab, arg.split(","), QUERY_K, **given)
+        except ValueError as e:
+            return f"error: {e}"
+        return " ".join(f"{i}:{score.hex()}" for i, score in ranking.hits)
+
+    for _ in range(2):
+        answers = {q: ask(*spec) for q, spec in queries.items()}
+    return {q: _sha(a.encode()) for q, a in answers.items()}
 
 
 def compare(a: dict, b: dict) -> list:
