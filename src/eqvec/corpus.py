@@ -89,24 +89,30 @@ def build_word_vocabulary(counts: Mapping[str, int], stopwords, params: "IngestP
         raise CorpusError("empty corpus")
     dropped = set(stopwords)
     remaining = {f: c for f, c in counts.items() if f not in dropped}
-    by_rank = sorted(remaining, key=lambda f: (-remaining[f], f))
-    freq_stop = tuple(by_rank[: params.top_stop])
+    freq_stop = tuple(_by_rank(remaining, remaining)[: params.top_stop])
     for f in freq_stop:
         del remaining[f]
 
     kept = {f: c for f, c in remaining.items() if c >= params.min_tf and len(f) >= params.min_len}
     three = [f for f, c in remaining.items() if len(f) == 3 and c >= params.min_tf]
-    three.sort(key=lambda f: (-remaining[f], f))
-    for f in three[: params.abbrev_top]:
+    for f in _by_rank(three, remaining)[: params.abbrev_top]:
         kept[f] = remaining[f]
 
-    forms = sorted(kept, key=lambda f: (-kept[f], f))
+    forms = _by_rank(kept, kept)
     return Vocabulary(
         kind="word",
         forms=forms,
         freqs=np.array([kept[f] for f in forms], dtype=np.int64),
         stop_forms=freq_stop,
     )
+
+
+def _by_rank(forms, counts: Mapping[str, int]) -> list[str]:
+    """``forms`` by descending count, then form: sorted by form, then by
+    count alone, which a stable sort keeps in form order where counts tie."""
+    ranked = sorted(forms)
+    ranked.sort(key=counts.__getitem__, reverse=True)
+    return ranked
 
 
 # --- equation registry and token streams ---------------------------------------

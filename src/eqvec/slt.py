@@ -7,7 +7,7 @@ each tuple is one equation *unit*, the atomic "word" of an equation.
 """
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, count
 from typing import NamedTuple
 
@@ -28,21 +28,30 @@ class MathParseError(ValueError):
         self.offset = offset
 
 
-@dataclass
+@dataclass(init=False, slots=True)
 class MathNode:
     """One node of the layout tree.
 
     Horizontal adjacency is implicit: siblings inside any slot list are
     chained left to right.  ``symbol`` is empty only for the synthetic
     document root and for recovery carriers, which never appear in tuples.
+    Each slot list the caller does not pass starts empty.
     """
 
     kind: str  # symbol | operator | fraction | root | group | carrier
     symbol: str
-    above: list["MathNode"] = field(default_factory=list)
-    under: list["MathNode"] = field(default_factory=list)
-    over: list["MathNode"] = field(default_factory=list)
-    within: list["MathNode"] = field(default_factory=list)
+    above: list["MathNode"]
+    under: list["MathNode"]
+    over: list["MathNode"]
+    within: list["MathNode"]
+
+    def __init__(self, kind: str, symbol: str, above=None, under=None, over=None, within=None):
+        self.kind = kind
+        self.symbol = symbol
+        self.above = [] if above is None else above
+        self.under = [] if under is None else under
+        self.over = [] if over is None else over
+        self.within = [] if within is None else within
 
 
 class SltTuple(NamedTuple):
@@ -126,62 +135,57 @@ SKIP_COMMANDS = frozenset(
 DROP_ARG_COMMANDS = frozenset("label tag hspace vspace kern mspace".split())
 
 
-class _Tok(NamedTuple):
-    kind: str  # cmd | char | lbrace | rbrace | sup | sub | prime
-    text: str
-    offset: int
-
-
-# One-character tokens other than "char"; any other character is a "char".
+# A token is a plain ``(kind, text, offset)`` tuple; kind is one of cmd, char,
+# lbrace, rbrace, sup, sub and prime.  One-character tokens other than "char"
+# come from this table; any other character is a "char".
 _PUNCT = {"{": "lbrace", "}": "rbrace", "^": "sup", "_": "sub", "'": "prime"}
 
 
-def _lex(latex: str) -> list[_Tok]:
-    toks: list[_Tok] = []
+def _lex(latex: str) -> list[tuple[str, str, int]]:
+    toks: list[tuple[str, str, int]] = []
+    append = toks.append
     i, n = 0, len(latex)
     while i < n:
         ch = latex[i]
-        if ch.isspace() or ch in "&~":
+        kind = _PUNCT.get(ch)
+        if kind is not None:
+            append((kind, ch, i))
             i += 1
-        elif ch == "%":
-            while i < n and latex[i] != "\n":
-                i += 1
         elif ch == "\\":
-            if i + 1 < n and latex[i + 1].isalpha():
-                j = i + 1
-                while j < n and latex[j].isalpha():
-                    j += 1
+            j = i + 1
+            while j < n and latex[j].isalpha():
+                j += 1
+            if j > i + 1:
+                name = latex[i + 1 : j]
                 if j < n and latex[j] == "*":
                     j += 1
-                toks.append(_Tok("cmd", latex[i + 1 : j].rstrip("*"), i))
+                append(("cmd", name, i))
                 i = j
             else:
                 c = latex[i + 1 : i + 2]
                 if c not in "\\,;:! ":  # "" (a trailing backslash) is in every string
-                    toks.append(_Tok("char", c, i))  # escaped literal symbol
+                    append(("char", c, i))  # escaped literal symbol
                 i += 2
+        elif ch.isspace() or ch in "&~":
+            i += 1
+        elif ch == "%":
+            i = latex.find("\n", i)
+            if i < 0:
+                break
         else:
-            toks.append(_Tok(_PUNCT.get(ch, "char"), ch, i))
+            append(("char", ch, i))
             i += 1
     return toks
 
 
-def _nested(method):
-    """``method`` one nesting level deeper; past ``MAX_DEPTH`` it raises."""
-    def counted(self, *args, **kwargs):
-        if self.depth == MAX_DEPTH:
-            raise MathParseError(f"nested deeper than {MAX_DEPTH}", (self.peek() or self.toks[-1]).offset)
-        self.depth += 1
-        try:
-            return method(self, *args, **kwargs)
-        finally:
-            self.depth -= 1
-    return counted
-
-
 class _Parser:
-    def __init__(self, toks: list[_Tok], lenient: bool):
+    """Recursive descent over the tokens.  ``chain`` and ``command`` each open
+    one nesting level, counted in ``depth``; past ``MAX_DEPTH`` they raise.
+    A raise ends the parse, so no level is closed on the way out."""
+
+    def __init__(self, toks: list[tuple[str, str, int]], lenient: bool):
         self.toks = toks
+        self.n = len(toks)
         self.i = 0
         self.lenient = lenient
         self.depth = 0
@@ -189,41 +193,52 @@ class _Parser:
     def error(self, msg: str, offset: int):
         raise MathParseError(msg, offset)
 
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
+    def too_deep(self):
+        raise MathParseError(f"nested deeper than {MAX_DEPTH}", self.toks[min(self.i, self.n - 1)][2])
 
-    @_nested
     def chain(self, in_group: bool) -> list[MathNode]:
+        if self.depth == MAX_DEPTH:
+            self.too_deep()
+        self.depth += 1
+        toks, n = self.toks, self.n
         nodes: list[MathNode] = []
         while True:
-            tok = self.peek()
-            if tok is None:
+            i = self.i
+            if i == n:
                 if in_group and not self.lenient:
-                    self.error("unclosed brace", self.toks[-1].offset if self.toks else 0)
-                return nodes
-            if tok.kind == "rbrace":
+                    self.error("unclosed brace", toks[-1][2] if toks else 0)
+                break
+            tok = toks[i]
+            kind = tok[0]
+            if kind == "char":
+                self.i = i + 1
+                nodes.append(MathNode("symbol", tok[1]))
+            elif kind == "rbrace":
                 if in_group:
-                    self.i += 1
-                    return nodes
+                    self.i = i + 1
+                    break
                 if not self.lenient:
-                    self.error("unmatched closing brace", tok.offset)
-                self.i += 1
-                continue
-            self.step(tok, nodes)
+                    self.error("unmatched closing brace", tok[2])
+                self.i = i + 1
+            else:
+                self.step(tok, nodes)
+        self.depth -= 1
+        return nodes
 
-    def step(self, tok: _Tok, nodes: list[MathNode]):
+    def step(self, tok: tuple[str, str, int], nodes: list[MathNode]):
         """Parse the construct at ``tok`` onto ``nodes``; a script or prime attaches
         to the last node."""
-        if tok.kind in ("sup", "sub"):
+        kind = tok[0]
+        if kind == "sup" or kind == "sub":
             self.i += 1
             arg = self.argument(tok)
             base = nodes[-1] if nodes and nodes[-1].symbol else None
-            slot = "above" if tok.kind == "sup" else "under"
+            slot = "above" if kind == "sup" else "under"
             if base is None or getattr(base, slot):
                 base = MathNode("carrier", "")
                 nodes.append(base)
             getattr(base, slot).extend(arg)
-        elif tok.kind == "prime":
+        elif kind == "prime":
             self.i += 1
             if nodes:
                 nodes[-1].above.append(MathNode("symbol", "prime"))
@@ -232,87 +247,100 @@ class _Parser:
         else:
             nodes.extend(self.unit(tok))
 
-    def argument(self, script_tok: _Tok) -> list[MathNode]:
+    def argument(self, script_tok: tuple[str, str, int]) -> list[MathNode]:
         """One script/command argument: a braced chain or a single unit."""
-        tok = self.peek()
-        if tok is None or tok.kind in ("sup", "sub", "rbrace"):
-            if self.lenient:
-                return []
-            self.error("missing argument", (tok or script_tok).offset)
-        if tok.kind == "lbrace":
-            self.i += 1
-            return self.chain(in_group=True)
-        return self.unit(tok)
+        i = self.i
+        if i < self.n:
+            tok = self.toks[i]
+            kind = tok[0]
+            if kind == "lbrace":
+                self.i = i + 1
+                return self.chain(in_group=True)
+            if kind != "sup" and kind != "sub" and kind != "rbrace":
+                return self.unit(tok)
+        else:
+            tok = script_tok
+        if not self.lenient:
+            self.error("missing argument", tok[2])
+        return []
 
-    def unit(self, tok: _Tok) -> list[MathNode]:
+    def unit(self, tok: tuple[str, str, int]) -> list[MathNode]:
         """The nodes of the one construct starting at ``tok``: none, one, or
         the spliced chain of a transparent command."""
-        if tok.kind == "lbrace":
+        kind = tok[0]
+        if kind == "char":
+            self.i += 1
+            return [MathNode("symbol", tok[1])]
+        if kind == "cmd":
+            return self.command(tok)
+        if kind == "lbrace":
             self.i += 1
             return [MathNode("group", "{}", within=self.chain(in_group=True))]
-        if tok.kind == "char":
-            self.i += 1
-            return [MathNode("symbol", tok.text)]
-        if tok.kind == "cmd":
-            return self.command(tok)
-        self.error(f"unexpected token {tok.text!r}", tok.offset)
+        self.error(f"unexpected token {tok[1]!r}", tok[2])
 
-    @_nested
-    def command(self, tok: _Tok) -> list[MathNode]:
-        name = tok.text
+    def command(self, tok: tuple[str, str, int]) -> list[MathNode]:
+        if self.depth == MAX_DEPTH:
+            self.too_deep()
+        self.depth += 1
+        name = tok[1]
         self.i += 1
-        if name in SKIP_COMMANDS:
-            return []
-        if name in ("left", "right"):  # the delimiter that follows is a symbol; "." is none
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "char":
+        # The command tables are disjoint, so the commonest kinds are tested first.
+        if name in SYMBOL_COMMANDS:
+            got = [MathNode("symbol", name)]
+        elif name in OPERATOR_COMMANDS:
+            got = [MathNode("operator", name)]
+        elif name in SKIP_COMMANDS:
+            got = []
+        elif name == "left" or name == "right":  # the delimiter that follows is a symbol; "." is none
+            got = []
+            nxt = self.toks[self.i] if self.i < self.n else None
+            if nxt is not None and nxt[0] == "char":
                 self.i += 1
-                return [] if nxt.text == "." else [MathNode("symbol", nxt.text)]
-            return []
-        if name in DROP_ARG_COMMANDS:
+                if nxt[1] != ".":
+                    got.append(MathNode("symbol", nxt[1]))
+        elif name in DROP_ARG_COMMANDS:
             self._skip_braced()
-            return []
-        if name in TRANSPARENT_COMMANDS:
-            return self.argument(tok)
-        if name in FRACTION_COMMANDS:
+            got = []
+        elif name in TRANSPARENT_COMMANDS:
+            got = self.argument(tok)
+        elif name in FRACTION_COMMANDS:
             num = self.argument(tok)
             den = self.argument(tok)
-            return [MathNode("fraction", FRACTION_COMMANDS[name], over=num, under=den)]
-        if name == "sqrt":
-            nxt = self.peek()
-            index = self._bracket_group() if nxt is not None and nxt.kind == "char" and nxt.text == "[" else []
-            return [MathNode("root", "sqrt", above=index, within=self.argument(tok))]
-        if name in WRAPPER_COMMANDS:
-            return [MathNode("symbol", name, within=self.argument(tok))]
-        if name in OPERATOR_COMMANDS:
-            return [MathNode("operator", name)]
-        if name not in SYMBOL_COMMANDS and not self.lenient:
-            self.error(f"unknown command \\{name}", tok.offset)
-        return [MathNode("symbol", name)]
+            got = [MathNode("fraction", FRACTION_COMMANDS[name], over=num, under=den)]
+        elif name == "sqrt":
+            bracket = self.i < self.n and self.toks[self.i][:2] == ("char", "[")
+            index = self._bracket_group() if bracket else []
+            got = [MathNode("root", "sqrt", above=index, within=self.argument(tok))]
+        elif name in WRAPPER_COMMANDS:
+            got = [MathNode("symbol", name, within=self.argument(tok))]
+        else:
+            if not self.lenient:
+                self.error(f"unknown command \\{name}", tok[2])
+            got = [MathNode("symbol", name)]
+        self.depth -= 1
+        return got
 
     def _bracket_group(self) -> list[MathNode]:
         self.i += 1  # consume '['
         nodes: list[MathNode] = []
-        while True:
-            tok = self.peek()
-            if tok is None:
-                return nodes
-            if tok.kind == "char" and tok.text == "]":
+        while self.i < self.n:
+            tok = self.toks[self.i]
+            if tok[0] == "char" and tok[1] == "]":
                 self.i += 1
-                return nodes
+                break
             self.step(tok, nodes)
+        return nodes
 
     def _skip_braced(self):
-        tok = self.peek()
-        if tok is None or tok.kind != "lbrace":
+        if self.i == self.n or self.toks[self.i][0] != "lbrace":
             return
         depth = 0
-        while self.i < len(self.toks):
-            t = self.toks[self.i]
+        while self.i < self.n:
+            kind = self.toks[self.i][0]
             self.i += 1
-            if t.kind == "lbrace":
+            if kind == "lbrace":
                 depth += 1
-            elif t.kind == "rbrace":
+            elif kind == "rbrace":
                 depth -= 1
                 if depth == 0:
                     return
@@ -340,8 +368,6 @@ def parse_math(latex: str, lenient: bool = False) -> MathNode:
 
 # --- tuple emission ---------------------------------------------------------
 
-_SLOT_ORDER = (("over", "o"), ("under", "u"), ("above", "a"), ("within", "w"))
-
 
 def slt_tuples(tree: MathNode, symbol_window: int = 1) -> list[SltTuple]:
     """Emit layout tuples by depth-first traversal.
@@ -352,31 +378,43 @@ def slt_tuples(tree: MathNode, symbol_window: int = 1) -> list[SltTuple]:
     before horizontal continuation so nested units precede the rest.
     """
     out: list[SltTuple] = []
+    append = out.append
+    new = tuple.__new__  # SltTuple's own __new__ is a Python-level call
+    wide = symbol_window > 1
 
-    def visit(node: MathNode):
-        for slot, rel in _SLOT_ORDER:
-            kids = getattr(node, slot)
-            if not kids:
-                continue
-            if node.symbol:
-                for child in kids[:symbol_window]:
-                    if child.symbol:
-                        out.append(SltTuple(node.symbol, child.symbol, rel))
-            visit_chain(kids)
+    def slot(sym: str, kids: list[MathNode], rel: str):
+        """Link ``sym`` to the first symbols of ``kids`` by ``rel``, then walk them."""
+        if sym:
+            for child in kids[:symbol_window]:
+                if child.symbol:
+                    append(new(SltTuple, (sym, child.symbol, rel)))
+        visit_chain(kids)
 
     def visit_chain(chain: list[MathNode]):
-        for i, node in enumerate(chain):
-            visit(node)
-            if not node.symbol:
-                continue
-            for step in range(1, symbol_window + 1):
-                if i + step < len(chain) and chain[i + step].symbol:
-                    out.append(SltTuple(node.symbol, chain[i + step].symbol, "n"))
+        # A node's n links follow the units of its slots and precede those of
+        # the next node.  At window 1 its one link is emitted on reaching the
+        # next node, before that node's slots, so no slice of the chain is made.
+        prev = ""
+        for i, node in enumerate(chain, 1):
+            sym = node.symbol
+            if prev and sym:
+                append(new(SltTuple, (prev, sym, "n")))
+            if node.over:
+                slot(sym, node.over, "o")
+            if node.under:
+                slot(sym, node.under, "u")
+            if node.above:
+                slot(sym, node.above, "a")
+            if node.within:
+                slot(sym, node.within, "w")
+            if not wide:
+                prev = sym
+            elif sym:
+                for nxt in chain[i : i + symbol_window]:
+                    if nxt.symbol:
+                        append(new(SltTuple, (sym, nxt.symbol, "n")))
 
-    if tree.symbol:
-        visit_chain([tree])
-    else:
-        visit_chain(tree.within)
+    visit_chain(tree.within if not tree.symbol else [tree])
     return out
 
 

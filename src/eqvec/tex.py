@@ -22,9 +22,16 @@ MULTILINE_ENVS = frozenset({"align", "align*", "eqnarray"})
 _ENV_BEGIN = re.compile(
     r"\\begin\{(" + "|".join(re.escape(e) for e in DISPLAY_ENVS) + r")\}"
 )
-# Any region opener; the group names the environment of a ``\begin``.  An
-# opener after an odd run of backslashes is escaped (``_escaped``).
-_OPENER = re.compile(_ENV_BEGIN.pattern + r"|\$\$|\\\[")
+# Region openers; the group names the environment of a ``\begin``.  An
+# opener after an odd run of backslashes is escaped (``_escaped``).  Once a
+# ``$$`` or ``\[`` has found no closer, no later one finds one either, so the
+# scan goes on without it: ``_OPENERS[dollars, brackets]`` searches for
+# ``\begin`` and for each of ``$$`` and ``\[`` whose flag is true.
+_OPENERS = {
+    (dollars, brackets): re.compile("|".join([_ENV_BEGIN.pattern] + [r"\$\$"] * dollars + [r"\\\["] * brackets))
+    for dollars in (True, False)
+    for brackets in (True, False)
+}
 
 # The blank LaTeX skips between a command's name and its argument: spaces
 # and tabs with at most one line break.
@@ -151,8 +158,9 @@ def _extract(doc: RawDocument):
 
     Each opener's closer is found with a forward ``str.find``.  A closer
     that is absent after one position is absent after every later one, so
-    a failed search is remembered and never repeated: every character is
-    scanned a bounded number of times.
+    a failed search is remembered and never repeated, and the opener search
+    leaves out a ``$$`` or ``\\[`` whose closer is absent: every character
+    is scanned a bounded number of times.
     """
     text = strip_comments(doc.source_text)
     pieces: list[str] = []
@@ -179,7 +187,8 @@ def _extract(doc: RawDocument):
         held.clear()
         slots.append(local)
 
-    while (m := _OPENER.search(text, pos)) is not None:
+    opener = _OPENERS[True, True]
+    while (m := opener.search(text, pos)) is not None:
         # the first test keeps the call off the path of an opener after no backslash
         if text[m.start() - 1] == "\\" and _escaped(text, m.start()):
             pos = m.start() + 1
@@ -195,6 +204,8 @@ def _extract(doc: RawDocument):
                 log.warning("%s: unbalanced \\begin{%s} skipped", doc.doc_id, env)
                 held.append(text[cut : m.start()])
                 cut = pos
+            else:
+                opener = _OPENERS["$$" not in unclosed, "\\]" not in unclosed]
             continue
         held.append(text[cut : m.start()])
         body = text[m.end() : end]

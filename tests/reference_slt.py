@@ -1,9 +1,10 @@
 """Reference layout-tree lexer, parser and unit vocabulary: the branchy
 first versions, kept as test oracles.
 
-The lexer spends one branch on each one-character token kind; the parser's
-``unit`` and ``command`` return a node, a list or None, and its callers
-branch on which; the vocabulary serializes every unit occurrence with
+The lexer spends one branch on each one-character token kind and emits
+``_Tok`` named tuples; the parser's ``unit`` and ``command`` return a node,
+a list or None, and its callers branch on which, and each nesting level is
+one ``_nested`` wrapper frame; the vocabulary serializes every unit occurrence with
 ``unit_string`` and counts the strings with a ``Counter``.
 ``eqvec.slt.parse_math`` must give ``==`` trees, or raise the same error
 with the same message, and ``eqvec.slt.build_unit_vocabulary`` the same
@@ -11,6 +12,7 @@ vocabulary and unit table, which the differential tests check.
 """
 
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,6 +20,7 @@ from eqvec.corpus import EquationUnits, Vocabulary
 from eqvec.slt import (
     DROP_ARG_COMMANDS,
     FRACTION_COMMANDS,
+    MAX_DEPTH,
     OPERATOR_COMMANDS,
     SKIP_COMMANDS,
     SYMBOL_COMMANDS,
@@ -27,10 +30,27 @@ from eqvec.slt import (
     MathNode,
     MathParseError,
     SltTuple,
-    _nested,
-    _Tok,
     unit_string,
 )
+
+
+class _Tok(NamedTuple):
+    kind: str  # cmd | char | lbrace | rbrace | sup | sub | prime
+    text: str
+    offset: int
+
+
+def _nested(method):
+    """``method`` one nesting level deeper; past ``MAX_DEPTH`` it raises."""
+    def counted(self, *args, **kwargs):
+        if self.depth == MAX_DEPTH:
+            raise MathParseError(f"nested deeper than {MAX_DEPTH}", (self.peek() or self.toks[-1]).offset)
+        self.depth += 1
+        try:
+            return method(self, *args, **kwargs)
+        finally:
+            self.depth -= 1
+    return counted
 
 
 def _lex(latex: str) -> list[_Tok]:

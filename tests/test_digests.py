@@ -28,7 +28,8 @@ def test_two_runs_agree_and_compare_lists_a_change(tmp_path, capsys):
     assert len({a[c] for c in corpora}) == len(corpora) == 3
     for table in ("streams.doc_ids", "streams.ptr", "streams.codes", "eq_units.ptr", "eq_units.ids",
                   "registry.latex", "word_vocab.forms", "unit_vocab.forms", "heldout_test.cand"):
-        bundles = ("planted", "commented", "inline", "math", "references", "escapes", "heldout", "sampled")
+        bundles = ("planted", "commented", "inline", "math", "equations", "equations3", "references", "escapes",
+                   "heldout", "sampled")
         assert {f"table/{b}/{table}" for b in bundles} <= a.keys()
     assert a["table/planted/streams.codes"] != a["table/commented/streams.codes"]
     assert a["table/planted/streams.codes"] != a["table/inline/streams.codes"]
@@ -37,6 +38,9 @@ def test_two_runs_agree_and_compare_lists_a_change(tmp_path, capsys):
     assert a["table/planted/streams.codes"] == a["table/heldout/streams.codes"]
     assert a["table/planted/heldout_test.cand"] != a["table/heldout/heldout_test.cand"]
     assert a["table/planted/unit_vocab.forms"] != a["table/math/unit_vocab.forms"]
+    assert a["table/planted/unit_vocab.forms"] != a["table/equations/unit_vocab.forms"]
+    assert a["table/equations/unit_vocab.forms"] != a["table/equations3/unit_vocab.forms"]
+    assert a["table/equations/registry.latex"] == a["table/equations3/registry.latex"]
     assert len(set(a[f"model/{c}"] for c in configs)) == len(configs)
 
     files = []

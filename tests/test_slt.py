@@ -6,13 +6,20 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqvec import slt
 from eqvec.corpus import EquationUnits
 from eqvec.slt import (
+    DROP_ARG_COMMANDS,
+    FRACTION_COMMANDS,
+    OPERATOR_COMMANDS,
     RELATIONS,
+    SKIP_COMMANDS,
+    SYMBOL_COMMANDS,
+    TRANSPARENT_COMMANDS,
+    WRAPPER_COMMANDS,
     MathNode,
     MathParseError,
     SltTuple,
@@ -353,6 +360,10 @@ _LATEX_PIECES = [
     "+", "&", "~", "%", "\n", " ", "é", "²", "\u2009", "ß", "\u0663",
 ]
 _latex = st.lists(st.one_of(st.sampled_from(_LATEX_PIECES), st.text(max_size=2)), max_size=30).map("".join)
+# Whole scripts and arguments, so that scripts stack into carriers and take
+# primes more often than in ``_latex``.
+_scripted = st.lists(st.sampled_from(["x", "y", "{}", "{x y}", "^{2}", "_{i}", "^", "'", "\\sqrt[n]", "\\frac"]),
+                     max_size=20).map(" ".join)
 
 
 def _outcome(parse, latex, lenient):
@@ -367,6 +378,25 @@ def _outcome(parse, latex, lenient):
 def test_parse_matches_reference(latex):
     for lenient in (True, False):
         assert _outcome(parse_math, latex, lenient) == _outcome(reference_slt.parse_math, latex, lenient)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_latex, _scripted))
+@example("x^{2}^{3}' y \\sqrt[n_i]{} {} z_1_2 w")
+def test_emitter_matches_independent_emitter_on_random_trees(latex):
+    """Carriers, primes, root indices and empty groups, beside the goldens' shapes."""
+    tree = parse_math(latex, lenient=True)
+    for window in (1, 2, 3):
+        got = slt_tuples(tree, symbol_window=window)
+        assert [tuple(t) for t in got] == _reference_tuples(tree, window)
+        assert all(type(t) is SltTuple for t in got)
+
+
+def test_command_tables_are_disjoint():
+    """The parser tests a command name against the tables in any order."""
+    tables = [SYMBOL_COMMANDS, OPERATOR_COMMANDS, SKIP_COMMANDS, DROP_ARG_COMMANDS, TRANSPARENT_COMMANDS,
+              FRACTION_COMMANDS.keys(), WRAPPER_COMMANDS, {"left", "right", "sqrt"}]
+    assert sum(map(len, tables)) == len(set().union(*tables))
 
 
 @settings(max_examples=300, deadline=None)

@@ -359,6 +359,30 @@ def test_extract_matches_rescanning_reference(parts):
     assert _sequence(pieces, slots) == expected
 
 
+# Dead openers: a run of "\[" or a "$$" that finds no closer, then real
+# regions of each kind, which the scan must still find once it stops
+# searching for the dead opener.  Each case: (text, equations extracted).
+_DEAD_OPENERS = {
+    "brackets_then_dollars": ("\\[ a \\[ b_{1} \\[ c $$ x = 1 $$ d $$ y $$", 2),
+    "brackets_then_equation": ("\\[ a \\[ b \\begin{equation} y \\end{equation} e \\[ f", 1),
+    "brackets_then_align_rows": ("\\[ a \\[ b \\begin{align} p \\\\ q = 2 \\\\ \\end{align} \\[ c", 2),
+    "dollars_then_brackets": ("$$ a \\[ x \\] b \\[ y \\] c", 2),
+    "escaped_then_dead_dollars_then_brackets": ("\\$$ a $$ b \\[ x \\] c", 1),
+    "row_breaks_in_dead_run": ("\\[ a \\\\[2pt] b \\[ c \\\\[1ex] $$ z $$ \\\\[ d \\begin{equation} w \\end{equation}", 2),
+    "closer_before_dead_run": ("\\] \\[ a \\[ b $$ x $$ \\[ y", 1),
+}
+
+
+@pytest.mark.parametrize("text, n_equations", list(_DEAD_OPENERS.values()), ids=list(_DEAD_OPENERS))
+def test_dead_openers_match_rescanning_reference(text, n_equations):
+    doc = RawDocument("d", text)
+    expected, ref_records, ref_skipped = reference_sequence(doc)
+    _, pieces, slots, records, skipped = _prepare_document(doc)
+    assert records == ref_records and skipped == ref_skipped
+    assert _sequence(pieces, slots) == expected
+    assert len(slots) == n_equations
+
+
 # --- linear time on hostile input ------------------------------------------------
 
 
@@ -395,9 +419,15 @@ def _best_seconds(run, small, large, ceiling: float, repeat: int = 5) -> tuple[f
         # escaped openers and escaped "%" before real ones
         lambda n: " ".join(f"\\\\[ x_{{{i}}} \\$$ y" for i in range(n)) + " \\[ z \\] $$ w $$",
         lambda n: " ".join(f"\\% x{i} \\\\\\%" for i in range(n)) + " % tail\n\\[ z \\]",
+        # dead openers, then real regions of the other kinds
+        lambda n: "\\[ a " * n + " ".join(f"$$ x_{{{i}}} $$ \\begin{{equation}} y \\end{{equation}}" for i in range(n)),
+        lambda n: "\\[ a " * n + "\\begin{align}" + " \\\\ ".join(f"x_{{{i}}} = 1" for i in range(n)) + "\\end{align}",
+        lambda n: "$$ a " + " ".join(f"\\[ x_{{{i}}} \\] w" for i in range(n)),
+        lambda n: "\\] " + " ".join(f"\\[ x_{{{i}}} \\\\[2pt]" for i in range(n)) + " $$ z $$",
     ],
     ids=["unclosed_brackets", "equations_then_unclosed_bracket", "unclosed_groups_in_align", "unclosed_labels",
-         "escaped_openers", "escaped_percents"],
+         "escaped_openers", "escaped_percents", "dead_brackets_then_regions", "dead_brackets_then_align",
+         "dead_dollars_then_brackets", "row_breaks_in_dead_brackets"],
 )
 def test_extract_time_is_linear(make):
     # the rescanning extractor takes about 0.7 s at n = 2000 and 11 s at

@@ -20,7 +20,12 @@ Builds the planted corpus bundle and runs the CLI on it in-process:
   planted templates do not (``math_corpus``: root indices, ``\\left.``
   and ``\\right|``, ``\\binom``, wrappers, ``\\text``, ``\\label``,
   primes, ``\\{``, an unknown command and an unclosed brace), ingested
-  at ``symbol_window=2``; of one with reference commands in its prose
+  at ``symbol_window=2``; of one with display equations beyond the planted
+  templates (``equations_corpus``: every equation of
+  ``tests/data/slt_golden.tsv`` and the parser's edge cases in
+  ``_EDGE_EQUATIONS``), ingested at the default ``symbol_window`` and at
+  ``symbol_window=3`` (``equations`` and ``equations3``), so that the unit
+  tables pin the layout-tree tokenizer; of one with reference commands in its prose
   (``references_corpus``: ``\\ref``, ``\\eqref`` and ``\\cite[...]{...}``,
   with and without nested braces in their arguments, a ``]`` in a group
   or escaped inside ``[...]``, ``\\{`` escapes, a ``ref{`` after a
@@ -37,7 +42,7 @@ Builds the planted corpus bundle and runs the CLI on it in-process:
   that held-out draws at other sizes and bounds are pinned; and of a
   bundle that keeps only ``SINGLETON_SAMPLE`` of its singleton
   equations, so that the registry is compacted and renumbered;
-* each of those eight bundles loaded back, table by table (``table/...``):
+* each of those ten bundles loaded back, table by table (``table/...``):
   the streams' ``doc_ids``, ``ptr`` and ``codes``, the ``eq_units`` ``ptr``
   and ``ids``, the registry, both vocabularies and every held-out column.
   These digest content, not layout: a change to how a bundle file is laid
@@ -194,6 +199,44 @@ _MATH_EQUATIONS = (
 )
 
 
+# Edge cases of the layout-tree parser that neither the planted templates
+# nor the golden equations reach: roots with indices, "\left.", primes on
+# carriers, unknown and starred commands, a "%" comment (which the extractor
+# strips) beside an escaped "\%", non-ASCII letters, digits and spaces,
+# spacing escapes, empty groups and a trailing backslash.
+_EDGE_EQUATIONS = (
+    "\\sqrt[n^2]{x} + \\sqrt[x']{y} - \\sqrt[a_i]{b} + \\sqrt[\\sqrt[3]{k}]{c}",
+    "\\left. \\frac{d f}{d x} \\right|_{x = 0} + \\left\\{ a \\right\\} \\left( b \\right)",
+    "x^{2}^{3}' + {_{i}' y} + z_{1}_{2}''",
+    "\\foo{x} + \\unknowncmd_{1} \\widget^{\\gadget}",
+    "\\operatorname*{argmax}_{\\theta} L(\\theta) + \\foo* z \\align* w",
+    "a + b % a comment inside the equation\n + c \\% d",
+    "\\é + ß_{1} + x² + \u0663 \u2009 y",
+    "\\binom{n}{k} \\hat{x} \\vec{v} \\text{if} \\displaystyle \\lim_{n} a \\cdot b",
+    "a \\, b \\; c \\! d \\ e & f ~ g * h \\{ i \\} \\\\ j",
+    "{x + y} {} \\frac{}{} z \\",
+)
+
+
+def _golden_equations() -> list[str]:
+    """The equations of ``tests/data/slt_golden.tsv``, in file order."""
+    path = Path(__file__).resolve().parents[1] / "tests" / "data" / "slt_golden.tsv"
+    return [line.split("\t")[0] for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
+def equations_corpus(docs):
+    """``docs`` with one display equation each, in turn, from the golden
+    equations and ``_EDGE_EQUATIONS``, written before ``\\end{document}``."""
+    cases = _golden_equations() + list(_EDGE_EQUATIONS)
+    out = []
+    for d, doc in enumerate(docs):
+        eq = cases[d % len(cases)]
+        end = doc.source_text.rindex("\\end{document}")
+        region = f"\\begin{{equation}}\n{eq}\n\\end{{equation}}\n"
+        out.append(RawDocument(doc.doc_id, doc.source_text[:end] + region + doc.source_text[end:]))
+    return out
+
+
 def math_corpus(docs):
     """``docs`` with one display equation from ``_MATH_EQUATIONS`` each,
     written before ``\\end{document}``."""
@@ -312,6 +355,9 @@ def digests(workdir: str, n_docs: int = 200, max_epochs: int | None = None) -> d
     out.update(_bundle_digests(inline, os.path.join(workdir, "inline"), "inline"))
     math = ingest_corpus(math_corpus(docs), IngestParams(seed=INGEST_SEED, symbol_window=2))
     out.update(_bundle_digests(math, os.path.join(workdir, "math"), "math"))
+    for name, window in (("equations", {}), ("equations3", {"symbol_window": 3})):
+        eqs = ingest_corpus(equations_corpus(docs), IngestParams(seed=INGEST_SEED, **window))
+        out.update(_bundle_digests(eqs, os.path.join(workdir, name), name))
     references = ingest_corpus(references_corpus(docs), IngestParams(seed=INGEST_SEED))
     out.update(_bundle_digests(references, os.path.join(workdir, "references"), "references"))
     escapes = ingest_corpus(escapes_corpus(docs), IngestParams(seed=INGEST_SEED))
