@@ -3,12 +3,12 @@
 Layout (every file opens with a one-line format/version header):
 
     manifest.json        ingestion parameters, counts, format version
-    vocab.tsv            form, id, frequency
-    equations.tsv        eq_id, occurrence_count, latex
-    units.tsv            unit string, id, frequency
-    streams.bin          document count n, byte size of the id block, the
-                         document ids (UTF-8, newline-separated), lengths[n],
-                         then every document's codes, back to back
+    vocab.bin            the word forms, then counts[n]: each form's frequency
+    equations.bin        the equations' LaTeX, then counts[n]: each
+                         equation's occurrence count
+    units.bin            the unit strings, then counts[n]: each unit's frequency
+    streams.bin          the document ids, then lengths[n], then every
+                         document's codes, back to back
     eq_units.bin         equation count n, lengths[n], then every equation's
                          unit ids (int32, -1 marks gaps); equation g is row g
     heldout.valid.bin    item count n, the columns stream[n], position[n] and
@@ -17,23 +17,29 @@ Layout (every file opens with a one-line format/version header):
                          candidate rows (lengths[n], then word ids, each
                          row's target first)
 
-Counts, lengths, codes and ids are little-endian uint32 unless marked.
-Bundles are written to a temp directory and renamed into place.
+A string column (the forms, LaTeX strings, unit strings and document ids)
+is its row count n, the byte size B of its block, then B bytes of
+newline-separated UTF-8 strings; row i is id i.  Counts in the three
+string tables are little-endian uint64; the other counts, lengths, codes
+and ids are little-endian uint32 unless marked.  Bundles are written to a
+temp directory and renamed into place.
 
 Each file has one reader.  ``load_bundle`` runs all of them;
 ``load_query_files`` runs only those a similarity query needs (manifest,
-vocab.tsv, equations.tsv, eq_units.bin).  A bundle of another format
-version, a file that ends inside a line or runs short of or past what its
-lengths imply, fails to parse, disagrees with a count the manifest or
-equations.tsv records, holds an id out of range, a form, LaTeX string or
-document id twice, a frequency or occurrence count below 1 or past int64,
-or a held-out item without a target or whose document does not hold its
-target at its position raises ``BundleFormatError``, and the CLI exits 3.
+vocab.bin, equations.bin, eq_units.bin).  A bundle of another format
+version, a file that runs short of or past what its sizes imply, a string
+block that is not UTF-8, holds an empty string or another number of
+strings than its count, a table that disagrees with a count the manifest
+or equations.bin records, holds an id out of range, a form, LaTeX string
+or document id twice, a frequency or occurrence count below 1 or past
+int64, or a held-out item without a target or whose document does not
+hold its target at its position raises ``BundleFormatError``, and the CLI
+exits 3.
 
-Each file is read into the columns of its corpus table, a binary file's
-lengths and payload as one array, so the numpy calls a reader makes do not
-grow with the number of records.  Text files are split and checked
-whole-file.
+Each file is read into the columns of its corpus table: a string block is
+decoded and split in one call each, and a binary column (counts, or
+lengths and payload) is read as one array, so the calls a reader makes do
+not grow with the number of records.
 """
 
 import json
@@ -59,10 +65,10 @@ from .corpus import (
 )
 from .records import doc_id_problem
 
-BUNDLE_VERSION = 3
-_H_VOCAB = "# eqvec-vocab 1"
-_H_EQS = "# eqvec-equations 1"
-_H_UNITS = "# eqvec-units 1"
+BUNDLE_VERSION = 4
+_H_VOCAB = b"# eqvec-vocab 2\n"
+_H_EQS = b"# eqvec-equations 2\n"
+_H_UNITS = b"# eqvec-units 2\n"
 _H_STREAMS = b"# eqvec-streams 2\n"
 _H_EQUNITS = b"# eqvec-equnits 2\n"
 _H_HELDOUT = b"# eqvec-heldout 2\n"
@@ -78,9 +84,9 @@ def save_bundle(data: CorpusData, path: str) -> str:
     An existing target is replaced only if it is an empty directory or a
     bundle; anything else raises ``FileExistsError`` before any write.  So
     does a document id the layout cannot hold, as ``BundleFormatError``.  A
-    value its fields cannot hold (a negative id, or one past the field's
-    width) raises ``BundleFormatError`` during the write, which leaves any
-    existing target as it was."""
+    value its fields cannot hold (a negative id, one past the field's width,
+    or an empty string or one holding a newline) raises ``BundleFormatError``
+    during the write, which leaves any existing target as it was."""
     path = os.path.abspath(path)
     problem = next(filter(None, map(doc_id_problem, data.streams.doc_ids)), None)
     if problem:
@@ -123,23 +129,21 @@ def _write_files(data: CorpusData, root: str):
         "stats": data.stats,
         "word_stop_forms": list(data.word_vocab.stop_forms),
     }
-    with open(os.path.join(root, "manifest.json"), "w") as f:
+    with open(os.path.join(root, "manifest.json"), "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
 
-    _write_vocab(os.path.join(root, "vocab.tsv"), _H_VOCAB, data.word_vocab)
-    with open(os.path.join(root, "equations.tsv"), "w") as f:
-        f.write(_H_EQS + "\n")
-        for eq_id, (latex, n) in enumerate(zip(data.registry.latex, data.registry.counts.tolist())):
-            if "\t" in latex or "\n" in latex:
-                raise BundleFormatError(f"equation {eq_id} latex not normalized")
-            f.write(f"{eq_id}\t{n}\t{latex}\n")
-    _write_vocab(os.path.join(root, "units.tsv"), _H_UNITS, data.unit_vocab)
+    for name, header, strings, counts in (
+        ("vocab.bin", _H_VOCAB, data.word_vocab.forms, data.word_vocab.freqs),
+        ("equations.bin", _H_EQS, data.registry.latex, data.registry.counts),
+        ("units.bin", _H_UNITS, data.unit_vocab.forms, data.unit_vocab.freqs),
+    ):
+        with open(os.path.join(root, name), "wb") as f:
+            f.write(header + _strings(strings) + _packed(counts, "<u8"))
 
     streams, eq_units = data.streams, data.eq_units
-    id_block = "\n".join(streams.doc_ids).encode("utf-8")
     with open(os.path.join(root, "streams.bin"), "wb") as f:
-        f.write(_H_STREAMS + _packed([len(streams), len(id_block)]) + id_block)
+        f.write(_H_STREAMS + _strings(streams.doc_ids))
         f.write(_packed(np.diff(streams.ptr)) + _packed(streams.codes))
     with open(os.path.join(root, "eq_units.bin"), "wb") as f:
         f.write(_H_EQUNITS + _packed([len(eq_units)]) + _packed(np.diff(eq_units.ptr)))
@@ -162,11 +166,19 @@ def _packed(values, dtype: str = "<u4") -> bytes:
     return values.astype(dtype).tobytes()
 
 
-def _write_vocab(path: str, header: str, vocab: Vocabulary):
-    with open(path, "w") as f:
-        f.write(header + "\n")
-        for i, form in enumerate(vocab.forms):
-            f.write(f"{form}\t{i}\t{int(vocab.freqs[i])}\n")
+def _strings(strings: list[str]) -> bytes:
+    """A string column: u32 n, u32 byte size B, then ``strings`` as B bytes
+    of newline-separated UTF-8.  A string the block cannot hold (empty,
+    holding a newline, or not UTF-8) raises ``BundleFormatError``."""
+    text = "\n".join(strings)
+    if "" in strings or text.count("\n") > max(len(strings) - 1, 0):
+        bad = next(s for s in strings if not s or "\n" in s)
+        raise BundleFormatError(f"cannot store the string {bad!r}: a bundle string is non-empty and has no newline")
+    try:
+        block = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise BundleFormatError(f"cannot store a string as UTF-8: {exc}") from None
+    return _packed([len(strings), len(block)]) + block
 
 
 # --- loading -------------------------------------------------------------------
@@ -192,9 +204,12 @@ def load_query_files(path: str) -> QueryFiles:
     stop_forms = manifest.get("word_stop_forms", [])
     if not isinstance(stop_forms, list) or not all(map(isinstance, stop_forms, repeat(str))):
         raise BundleFormatError(f"manifest of bundle {path}: word_stop_forms is not a list of strings")
-    word_vocab = _read_vocab(os.path.join(path, "vocab.tsv"), _H_VOCAB, "word", stats.get("words"))
+    word_vocab = _read_vocab(os.path.join(path, "vocab.bin"), _H_VOCAB, "word", stats.get("words"))
     word_vocab.stop_forms = tuple(stop_forms)
-    registry = _read_equations(os.path.join(path, "equations.tsv"), stats.get("equations"))
+    equations = os.path.join(path, "equations.bin")
+    latex, counts = _read_table(equations, _H_EQS, stats.get("equations"))
+    _check_unique(equations, "LaTeX", latex, len(set(latex)))
+    registry = EquationRegistry(latex, counts)
     eq_units = _read_eq_units(os.path.join(path, "eq_units.bin"), len(registry))
     return QueryFiles(manifest, word_vocab, registry, eq_units)
 
@@ -207,7 +222,7 @@ def load_bundle(path: str) -> CorpusData:
         params = IngestParams(**manifest["params"]).validate()
     except (TypeError, ValueError) as exc:  # a key IngestParams does not have, or a bad value
         raise BundleFormatError(f"manifest of bundle {path}: {exc}") from None
-    unit_vocab = _read_vocab(os.path.join(path, "units.tsv"), _H_UNITS, "unit", manifest["stats"].get("units"))
+    unit_vocab = _read_vocab(os.path.join(path, "units.bin"), _H_UNITS, "unit", manifest["stats"].get("units"))
     units = query.eq_units.without_gaps()[1]
     _check_ids(os.path.join(path, "eq_units.bin"), "unit", units, len(unit_vocab))
     sizes = (len(query.word_vocab), len(query.registry))
@@ -233,16 +248,11 @@ def _check_ids(path: str, kind: str, ids, n: int):
         raise BundleFormatError(f"{path}: {kind} id {bad[0]} out of range (the bundle has {n})")
 
 
-def _expect(got, want, path):
-    if got != want:
-        raise BundleFormatError(f"bad file header in bundle {path}: {got!r}")
-
-
 def _read_manifest(path: str) -> dict:
     if not os.path.isdir(path):
         raise FileNotFoundError(f"bundle not found: {path}")  # an OSError: the CLI exits 2
     try:
-        with open(os.path.join(path, "manifest.json")) as f:
+        with open(os.path.join(path, "manifest.json"), "rb") as f:
             manifest = json.load(f)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise BundleFormatError(f"corrupt manifest in bundle {path}: {exc}") from None
@@ -256,66 +266,38 @@ def _read_manifest(path: str) -> dict:
     return manifest
 
 
-def _read_columns(path: str, header: str, n_fields: int, count: int | None = None) -> list[list[str]]:
-    """The rows of a text file after its header, each of ``n_fields``
-    tab-separated fields, as ``n_fields`` columns.  The writer puts no tab
-    inside a field, so a row with another number of tabs is malformed.
-    It ends every line with a newline, so a last line without one marks a
-    file cut short; ``count``, when given, is the row count the manifest
-    recorded."""
-    try:
-        with open(path) as f:
-            text = f.read()
-    except UnicodeDecodeError as exc:
-        raise BundleFormatError(f"corrupt bundle file {path}: {exc}") from None
-    lines = text.split("\n")
-    _expect(lines[0], header, path)
-    if lines[-1]:
-        raise BundleFormatError(f"truncated bundle file: {path}")
-    lines = lines[1:-1]
-    if not set(map(str.count, lines, repeat("\t"))) <= {n_fields - 1}:
-        raise BundleFormatError(f"malformed row in bundle file {path}")
-    if count is not None and len(lines) != count:
-        raise BundleFormatError(f"{path} has {len(lines)} rows, the manifest records {count}")
-    fields = text[len(header) + 1 : -1].replace("\n", "\t").split("\t") if lines else []
-    return [fields[i::n_fields] for i in range(n_fields)]
+def _read_table(path: str, header: bytes, count: int | None = None) -> tuple[list[str], np.ndarray]:
+    """A string table: its strings and its u64 counts column, read as
+    int64.  ``count``, when given, is the row count the manifest recorded."""
+    raw = _read_binary(path, header)
+    strings, at = _read_strings(path, raw, len(header))
+    n = len(strings)
+    if len(raw) < at + 8 * n:
+        raise BundleFormatError(f"truncated bundle file {path}: {n} counts past the end")
+    _check_end(path, raw, at + 8 * n)
+    if count is not None and n != count:
+        raise BundleFormatError(f"{path} has {n} rows, the manifest records {count}")
+    counts = np.frombuffer(raw, dtype="<u8", count=n, offset=at)
+    if counts.max(initial=0) > np.iinfo(np.int64).max:
+        raise BundleFormatError(f"{path}: count {counts.max()} past int64")
+    counts = counts.astype(np.int64)
+    if counts.min(initial=1) < 1:
+        raise BundleFormatError(f"{path}: count {counts.min()} below 1")
+    return strings, counts
 
 
-def _read_vocab(path: str, header: str, kind: str, count: int | None = None) -> Vocabulary:
-    forms, ids, freqs = _read_columns(path, header, 3, count)
-    try:
-        ids = list(map(int, ids))
-        freqs = np.array(list(map(int, freqs)), dtype=np.int64)
-    except (ValueError, OverflowError):
-        raise BundleFormatError(f"{path}: bad id or frequency") from None
-    if ids != list(range(len(ids))):
-        raise BundleFormatError(f"{path}: ids not dense")
-    if (freqs < 1).any():
-        raise BundleFormatError(f"{path}: frequency {freqs.min()} below 1")
+def _read_vocab(path: str, header: bytes, kind: str, count: int | None = None) -> Vocabulary:
+    forms, freqs = _read_table(path, header, count)
     vocab = Vocabulary(kind=kind, forms=forms, freqs=freqs)
-    _check_unique(path, "form", forms, vocab.index)
+    _check_unique(path, "form", forms, len(vocab.index))
     return vocab
 
 
-def _read_equations(path: str, count: int | None = None) -> EquationRegistry:
-    eq_ids, counts, latex = _read_columns(path, _H_EQS, 3, count)
-    try:
-        eq_ids = list(map(int, eq_ids))
-        counts = np.array(counts, dtype=np.int64)
-    except (ValueError, OverflowError):
-        raise BundleFormatError(f"{path}: bad equation id or count") from None
-    if (counts < 1).any():
-        raise BundleFormatError(f"{path}: occurrence count {counts.min()} below 1")
-    if eq_ids != list(range(len(eq_ids))):
-        raise BundleFormatError(f"{path}: equation ids not dense")
-    _check_unique(path, "LaTeX", latex, dict(zip(latex, range(len(latex)))))
-    return EquationRegistry(latex, counts)
-
-
-def _check_unique(path: str, what: str, rows: list[str], index: dict[str, int], row: str = "row"):
-    """``index`` maps each of ``rows`` to the last row that holds it."""
-    if len(index) != len(rows):
-        repeated = next(r for i, r in enumerate(rows) if index[r] != i)
+def _check_unique(path: str, what: str, rows: list[str], distinct: int, row: str = "row"):
+    """``distinct`` is the number of distinct values among ``rows``."""
+    if distinct != len(rows):
+        seen = set()
+        repeated = next(r for r in rows if r in seen or seen.add(r))
         raise BundleFormatError(f"{path}: {what} {repeated!r} is in more than one {row}")
 
 
@@ -325,8 +307,30 @@ _CHECK_BLOCK = 1 << 16  # stream codes range-checked at a time
 def _read_binary(path: str, header: bytes) -> bytes:
     with open(path, "rb") as f:
         raw = f.read()
-    _expect(raw[: len(header)], header, path)
+    if not raw.startswith(header):
+        raise BundleFormatError(f"bad file header in bundle {path}: {raw[: len(header)]!r}")
     return raw
+
+
+def _read_strings(path: str, raw: bytes, at: int) -> tuple[list[str], int]:
+    """The string column that starts at byte ``at``, decoded and split in
+    one call each, and the byte after its block."""
+    if len(raw) < at + 8:
+        raise BundleFormatError(f"truncated bundle file {path}: a string block past the end")
+    n, size = (int.from_bytes(raw[i : i + 4], "little") for i in (at, at + 4))
+    at += 8
+    if len(raw) < at + size:
+        raise BundleFormatError(f"truncated bundle file {path}: its strings need {at + size} bytes, it has {len(raw)}")
+    try:
+        text = raw[at : at + size].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BundleFormatError(f"corrupt bundle file {path}: {exc}") from None
+    strings = text.split("\n") if text else []
+    if len(strings) != n:
+        raise BundleFormatError(f"corrupt bundle file {path}: {len(strings)} strings, {n} rows")
+    if "" in strings:
+        raise BundleFormatError(f"corrupt bundle file {path}: an empty string")
+    return strings, at + size
 
 
 def _rows(path: str, raw: bytes, at: int, n: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -351,23 +355,13 @@ def _check_end(path: str, raw: bytes, end: int):
 
 
 def _read_streams(path: str, n_words: int, n_equations: int) -> TokenStreams:
-    """The streams table: the document ids split from their block in one
-    call, the lengths and codes read as one array."""
+    """The streams table: the document ids as a string column, the lengths
+    and codes read as one array."""
     raw = _read_binary(path, _H_STREAMS)
-    at = len(_H_STREAMS) + 8  # the id block
-    n_docs, id_bytes = (int.from_bytes(raw[i : i + 4], "little") for i in (at - 8, at - 4))
-    ptr, codes, end = _rows(path, raw, at + id_bytes, n_docs)
+    doc_ids, at = _read_strings(path, raw, len(_H_STREAMS))
+    ptr, codes, end = _rows(path, raw, at, len(doc_ids))
     _check_end(path, raw, end)
-    try:
-        text = raw[at : at + id_bytes].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise BundleFormatError(f"corrupt bundle file {path}: {exc}") from None
-    doc_ids = text.split("\n") if text else []
-    if len(doc_ids) != n_docs:
-        raise BundleFormatError(f"corrupt bundle file {path}: {len(doc_ids)} document ids, {n_docs} documents")
-    if "" in doc_ids:
-        raise BundleFormatError(f"corrupt bundle file {path}: an empty document id")
-    _check_unique(path, "document", doc_ids, dict(zip(doc_ids, range(n_docs))), "record")
+    _check_unique(path, "document", doc_ids, len(set(doc_ids)), "record")
     codes = codes.astype(np.uint32)
     for lo in range(0, len(codes), _CHECK_BLOCK):  # in blocks, so the masks stay small next to the corpus
         block = codes[lo : lo + _CHECK_BLOCK]
@@ -380,14 +374,14 @@ def _read_streams(path: str, n_words: int, n_equations: int) -> TokenStreams:
 
 def _read_eq_units(path: str, n_equations: int) -> EquationUnits:
     """The equation -> units table, row g for equation g; it must have one
-    row per equation of ``equations.tsv``."""
+    row per equation of ``equations.bin``."""
     raw = _read_binary(path, _H_EQUNITS)
     at = len(_H_EQUNITS) + 4  # the lengths
     n = int.from_bytes(raw[at - 4 : at], "little")
     ptr, ids, end = _rows(path, raw, at, n)
     _check_end(path, raw, end)
     if n != n_equations:
-        raise BundleFormatError(f"{path} holds {n} equations, equations.tsv {n_equations}")
+        raise BundleFormatError(f"{path} holds {n} equations, equations.bin {n_equations}")
     ids = ids.view("<i4").astype(np.int64)
     if ids.min(initial=-1) < -1:
         raise BundleFormatError(f"{path}: unit id {ids[ids < -1][0]} out of range (gaps are -1)")

@@ -137,7 +137,7 @@ def _pick(cls, values: dict) -> dict:
 
 def parse_config_file(path: str) -> dict:
     values = {}
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -254,7 +254,7 @@ def cmd_train(args) -> int:
 
 
 def _write_trace(model_path: str, records):
-    with open(model_path + ".trace.jsonl", "w") as f:
+    with open(model_path + ".trace.jsonl", "w", encoding="utf-8") as f:
         for r in records:
             f.write(
                 json.dumps(
@@ -293,7 +293,7 @@ def cmd_eval(args) -> int:
             f"{r.epochs_run}\t{int(r.selected)}"
         )
     report = "\n".join(lines) + "\n"
-    with open(cfg.report_path, "w") as f:
+    with open(cfg.report_path, "w", encoding="utf-8") as f:
         f.write(report)
     sys.stdout.write(report)
     return EXIT_OK

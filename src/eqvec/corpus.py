@@ -69,7 +69,7 @@ class Vocabulary:
 
 
 def load_stopwords() -> frozenset[str]:
-    data = resources.files("eqvec").joinpath("stopwords.txt").read_text()
+    data = resources.files("eqvec").joinpath("stopwords.txt").read_text(encoding="utf-8")
     return frozenset(w.strip() for w in data.splitlines() if w.strip() and not w.startswith("#"))
 
 

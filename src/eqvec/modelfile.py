@@ -95,8 +95,7 @@ def load_model(path: str, eq_units=None) -> Model:
     bundle to derive per-equation vectors."""
     with open(path, "rb") as f:
         raw = f.read()
-    header, hlen = _parse_and_verify(raw, path)
-    config = ModelConfig(**header["config"])
+    header, hlen, config = _parse_and_verify(raw, path)
     mode = header["mode"]
 
     offset = len(MAGIC) + 8 + hlen
@@ -124,8 +123,8 @@ def load_model(path: str, eq_units=None) -> Model:
                  eq_units=eq_units, n_equations=header.get("n_equations", 0))
 
 
-def _parse_and_verify(raw: bytes, path: str) -> tuple[dict, int]:
-    """The checked header and its length in bytes."""
+def _parse_and_verify(raw: bytes, path: str) -> tuple[dict, int, ModelConfig]:
+    """The checked header, its length in bytes and its validated config."""
     if len(raw) < len(MAGIC) + 12 or raw[: len(MAGIC)] != MAGIC:
         raise ModelFileError(f"not a model file: {path}")
     (version,) = struct.unpack_from("<I", raw, len(MAGIC))
@@ -142,17 +141,17 @@ def _parse_and_verify(raw: bytes, path: str) -> tuple[dict, int]:
         header = json.loads(raw[start : start + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFileError(f"corrupt model header: {exc}") from exc
-    _check_header(header)
-    return header, hlen
+    return header, hlen, _check_header(header)
 
 
 _HEADER_KEYS = {"format_version", "mode", "k", "seed", "vocab_sizes", "eq_vector_source", "config"}
 _HEADER_INTS = ("format_version", "k", "seed", "n_equations")  # n_equations may be absent
 
 
-def _check_header(header):
-    """ModelFileError unless the header has every key readers use, integer
-    counts, a known mode and a config ``ModelConfig`` accepts."""
+def _check_header(header) -> ModelConfig:
+    """The header's config; ModelFileError unless the header has every key
+    readers use, integer counts, a known mode and a config ``ModelConfig``
+    accepts."""
     if not isinstance(header, dict) or not header.keys() >= _HEADER_KEYS:
         raise ModelFileError("corrupt model header: not an object with keys " + ", ".join(sorted(_HEADER_KEYS)))
     if header["mode"] not in MODES:
@@ -161,7 +160,7 @@ def _check_header(header):
     if bad or not isinstance(header["vocab_sizes"], dict):
         raise ModelFileError(f"corrupt model header: {(bad or ['vocab_sizes'])[0]} has the wrong type")
     try:
-        ModelConfig(**header["config"]).validate()
+        return ModelConfig(**header["config"]).validate()
     except (TypeError, ValueError) as exc:
         raise ModelFileError(f"corrupt model header: bad config: {exc}") from None
 

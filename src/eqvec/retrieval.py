@@ -21,6 +21,7 @@ from .model import Model, RowStats
 log = logging.getLogger(__name__)
 
 METRICS = ("cosine", "euclidean")
+_SCAN_BLOCK = 2048  # rows a Euclidean scan differences at a time, in one buffer per call
 
 
 @dataclass
@@ -42,11 +43,19 @@ def _scores(matrix: np.ndarray, query: np.ndarray, metric: str, stats: RowStats)
 
     Row sums and the matrix-vector product are row-local, so each finite
     row of the matrix itself scores bitwise as it would in a zero-filled
-    copy; ``stats``, the matrix's ``RowStats``, then marks the other rows."""
+    copy, and a Euclidean scan may square and sum its differences
+    ``_SCAN_BLOCK`` rows at a time; ``stats``, the matrix's ``RowStats``,
+    then marks the other rows."""
     if metric == "euclidean":
-        d = np.sqrt(((matrix - query) ** 2).sum(axis=1))
+        d, buf = np.empty(len(matrix)), np.empty((min(_SCAN_BLOCK, len(matrix)), len(query)))
+        for lo in range(0, len(matrix), _SCAN_BLOCK):  # ufuncs with positional outs: a one-block scan stays cheap
+            rows = matrix[lo : lo + _SCAN_BLOCK]
+            block = buf[: len(rows)]
+            np.subtract(rows, query, block)
+            np.square(block, block)
+            np.add.reduce(block, 1, None, d[lo : lo + len(rows)])
         d[stats.nonfinite] = np.inf
-        return d
+        return np.sqrt(d, d)
     if metric == "cosine":
         qn = float(np.sqrt(query @ query))
         if not qn > 0:

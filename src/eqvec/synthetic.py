@@ -243,6 +243,6 @@ def planted_corpus(
 def write_corpus(pc: PlantedCorpus, directory: str) -> str:
     os.makedirs(directory, exist_ok=True)
     for doc in pc.documents:
-        with open(os.path.join(directory, doc.doc_id + ".tex"), "w") as f:
+        with open(os.path.join(directory, doc.doc_id + ".tex"), "w", encoding="utf-8") as f:
             f.write(doc.source_text)
     return directory

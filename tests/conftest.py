@@ -93,7 +93,7 @@ def heldout_set(items, split: str = "validation") -> HeldOut:
 def drop_last_equation(path: str):
     """Rewrite an ``eq_units.bin`` without its last row: a file whose
     lengths and unit ids agree, holding one equation fewer than
-    ``equations.tsv``."""
+    ``equations.bin``."""
     with open(path, "rb") as f:
         raw = f.read()
     at = raw.index(b"\n") + 1

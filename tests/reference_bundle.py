@@ -1,12 +1,20 @@
-"""Reference bundle readers: ``streams.bin``, ``eq_units.bin`` and the
-held-out files read one row at a time, walking the lengths array with one
-``np.frombuffer`` and one ``astype`` per document or equation, and one
-held-out item after another, kept as test oracles.
+"""Reference bundle readers: the string tables (``vocab.bin``,
+``equations.bin``, ``units.bin``) and the document ids of ``streams.bin``
+read one string and one count at a time; ``streams.bin``, ``eq_units.bin``
+and the held-out files read one row at a time, walking the lengths array
+with one ``np.frombuffer`` and one ``astype`` per document or equation,
+and one held-out item after another, kept as test oracles.
 
-``eqvec.bundle`` reads each file's lengths and payload as one array and
-must return equal streams, ``eq_units`` (keys, order, dtypes and values)
-and held-out items for every file these accept.
+``eqvec.bundle`` decodes each string block in one call and reads each
+file's counts, lengths and payload as one array, and must return equal
+tables, streams, ``eq_units`` (keys, order, dtypes and values) and
+held-out items for every file these accept.
+
+``write_table`` writes a string table byte by byte with no check on its
+rows, so that tests can write the corrupt tables ``save_bundle`` refuses.
 """
+
+import struct
 
 import numpy as np
 
@@ -20,6 +28,69 @@ def _u32(raw: bytes, pos: int, path: str) -> int:
     if pos + 4 > len(raw):
         raise BundleFormatError(f"truncated bundle file: {path}")
     return int.from_bytes(raw[pos : pos + 4], "little")
+
+
+def _strings(path: str, raw: bytes, pos: int) -> tuple[list[str], int]:
+    """The string column at byte ``pos`` (u32 n, u32 byte size, the block),
+    one string at a time, and the byte after its block."""
+    n, size = _u32(raw, pos, path), _u32(raw, pos + 4, path)
+    pos += 8
+    if pos + size > len(raw):
+        raise BundleFormatError(f"truncated bundle file: {path}")
+    block, strings, start = raw[pos : pos + size], [], 0
+    for i in range(n):  # one string at a time: up to its newline, or to the block's end
+        end = block.find(b"\n", start)
+        end = len(block) if end < 0 else end
+        if end <= start:
+            raise BundleFormatError(f"corrupt bundle file {path}: string {i} is empty")
+        try:
+            strings.append(block[start:end].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise BundleFormatError(f"corrupt bundle file {path}: {exc}") from None
+        start = end + 1
+    if start != len(block) + (n > 0):  # the last string ends the block
+        raise BundleFormatError(f"corrupt bundle file {path}: more strings than rows")
+    return strings, pos + size
+
+
+def read_table(path: str, header: bytes, count: int | None = None) -> tuple[list[str], list[int]]:
+    """A string table's strings and counts, each count read on its own."""
+    raw = _read_binary(path, header)
+    strings, pos = _strings(path, raw, len(header))
+    counts = []
+    for _ in strings:
+        if pos + 8 > len(raw):
+            raise BundleFormatError(f"truncated bundle file: {path}")
+        counts.append(int.from_bytes(raw[pos : pos + 8], "little"))
+        pos += 8
+    _check_end(path, raw, pos)
+    if count is not None and len(strings) != count:
+        raise BundleFormatError(f"{path} has {len(strings)} rows, the manifest records {count}")
+    for c in counts:
+        if not 1 <= c < 2**63:
+            raise BundleFormatError(f"{path}: count {c} below 1 or past int64")
+    if len(set(strings)) != len(strings):
+        raise BundleFormatError(f"{path}: a string is in more than one row")
+    return strings, counts
+
+
+def write_table(path: str, header: bytes, strings: list[str], counts: list[int]):
+    """Write a string table as ``strings`` and ``counts`` (each below
+    2**64) give it, repeats, empty strings and zeros included."""
+    block = "\n".join(strings).encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(header + struct.pack("<II", len(strings), len(block)) + block)
+        f.write(b"".join(c.to_bytes(8, "little") for c in counts))
+
+
+def rewrite_table(path: str, change) -> tuple[list[str], list[int]]:
+    """Rewrite a saved string table as ``change(strings, counts)`` returns
+    them, keeping its header line; return the rows it held."""
+    with open(path, "rb") as f:
+        header = f.readline()
+    rows = read_table(path, header)
+    write_table(path, header, *change(*rows))
+    return rows
 
 
 def _rows(path: str, raw: bytes, pos: int, n: int, dtype: str) -> tuple[list[np.ndarray], int]:
@@ -43,27 +114,10 @@ def _check_end(path: str, raw: bytes, pos: int):
 
 def _read_streams(path: str, n_words: int, n_equations: int) -> list[TokenStream]:
     raw = _read_binary(path, _H_STREAMS)
-    pos = len(_H_STREAMS)
-    n_docs, id_bytes = _u32(raw, pos, path), _u32(raw, pos + 4, path)
-    pos += 8
-    if pos + id_bytes > len(raw):
-        raise BundleFormatError(f"truncated bundle file: {path}")
-    rows, end = _rows(path, raw, pos + id_bytes, n_docs, "<u4")
+    doc_ids, pos = _strings(path, raw, len(_H_STREAMS))
+    rows, end = _rows(path, raw, pos, len(doc_ids), "<u4")
     _check_end(path, raw, end)
-    block, doc_ids, start = raw[pos : pos + id_bytes], [], 0
-    for i in range(n_docs):  # one id at a time: up to its newline, or to the block's end
-        end = block.find(b"\n", start)
-        end = len(block) if end < 0 else end
-        if end <= start:
-            raise BundleFormatError(f"corrupt bundle file {path}: document {i} has no id")
-        try:
-            doc_ids.append(block[start:end].decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise BundleFormatError(f"corrupt bundle file {path}: {exc}") from None
-        start = end + 1
-    if start != len(block) + (n_docs > 0):  # the last id ends the block
-        raise BundleFormatError(f"corrupt bundle file {path}: more document ids than documents")
-    if len(set(doc_ids)) != n_docs:
+    if len(set(doc_ids)) != len(doc_ids):
         raise BundleFormatError(f"{path}: a document id is in more than one record")
     streams = [TokenStream(d, codes.astype(np.uint32)) for d, codes in zip(doc_ids, rows)]
     for s in streams:
@@ -80,7 +134,7 @@ def _read_eq_units(path: str, n_equations: int) -> dict[int, np.ndarray]:
     rows, end = _rows(path, raw, len(_H_EQUNITS) + 4, n, "<i4")
     _check_end(path, raw, end)
     if n != n_equations:
-        raise BundleFormatError(f"{path} holds {n} equations, equations.tsv {n_equations}")
+        raise BundleFormatError(f"{path} holds {n} equations, equations.bin {n_equations}")
     eq_units = {g: ids.astype(np.int64) for g, ids in enumerate(rows)}
     for ids in eq_units.values():
         if (ids < -1).any():

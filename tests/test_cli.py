@@ -28,6 +28,7 @@ from eqvec.model import EmbeddingTable, Model, ModelConfig
 from eqvec.modelfile import ModelFileError, load_model, save_model
 from eqvec.synthetic import planted_corpus, write_corpus
 
+from . import reference_bundle
 from .conftest import drop_last_equation
 
 
@@ -123,7 +124,7 @@ def test_ingest_summary_and_artifacts(tiny_corpus, tmp_path, capsys):
     counts = lines[1].split("\t")
     assert counts[0] == "3"
     assert os.path.isdir(bundle)
-    for f in ("manifest.json", "vocab.tsv", "equations.tsv", "streams.bin"):
+    for f in ("manifest.json", "vocab.bin", "equations.bin", "units.bin", "streams.bin"):
         assert os.path.exists(os.path.join(bundle, f))
 
 
@@ -683,21 +684,22 @@ def _cut_in_half(path):
         f.write(raw[: len(raw) // 2])
 
 
-def _drop_last_line(path):
-    with open(path) as f:
-        lines = f.readlines()
-    with open(path, "w") as f:
-        f.writelines(lines[:-1])
+def _drop_last_row(path):
+    # the last count: the string block still holds the row
+    with open(path, "rb") as f:
+        raw = f.read()
+    with open(path, "wb") as f:
+        f.write(raw[:-8])
 
 
 @pytest.mark.parametrize(
     "name, damage",
     [
         ("manifest.json", _cut_in_half),
-        ("vocab.tsv", _cut_in_half),
-        ("vocab.tsv", _drop_last_line),
-        ("equations.tsv", _cut_in_half),
-        ("equations.tsv", _drop_last_line),
+        ("vocab.bin", _cut_in_half),
+        ("vocab.bin", _drop_last_row),
+        ("equations.bin", _cut_in_half),
+        ("equations.bin", _drop_last_row),
         ("eq_units.bin", _cut_in_half),
     ],
     ids=["manifest", "vocab", "vocab_last_line", "equations", "equations_last_line", "eq_units"],
@@ -731,7 +733,7 @@ def _set_first_unit(value):
 @pytest.mark.parametrize(
     "damage, message",
     [(_set_first_unit(-5), "unit id -5 out of range"),
-     (drop_last_equation, "eq_units.bin holds 35 equations, equations.tsv 36")],
+     (drop_last_equation, "eq_units.bin holds 35 equations, equations.bin 36")],
     ids=["unit_id_-5", "missing_record"],
 )
 def test_bad_eq_units_record_exits_3(damage, message, family, planted_models, tmp_path, capsys):
@@ -778,19 +780,20 @@ def test_malformed_manifest_field_exits_3(command, change, message, planted_mode
 
 
 def test_version_1_bundle_exits_3_naming_ingest(planted_models, tmp_path, capsys):
-    # version 2 is the layout with text held-out files, version 1 the one before it
+    # version 3 is the layout with text string tables, version 2 the one
+    # with text held-out files, version 1 the one before it
     bundle, models, _ = planted_models
     copy = str(tmp_path / "bundle")
     shutil.copytree(bundle, copy)
     model, report = str(tmp_path / "m.eqv"), str(tmp_path / "r.tsv")
-    for version in (1, 2):
+    for version in (1, 2, 3):
         _set_manifest(copy, lambda m: m.update(version=version))
         for argv in (["query", "eq2eq", "--id", "0", "--model", models["unit"]],
                      ["train", "--model", model, "--mode", "word", "--set", "max_epochs=1"],
                      ["eval", "--report", report, *_ONE_ROW_GRID]):
             code, out, err = run([*argv, "--bundle", copy], capsys)
             assert code == 3 and out == "", argv
-            assert err.splitlines() == [f"error: bundle {copy} has format version {version}, this eqvec reads 3: "
+            assert err.splitlines() == [f"error: bundle {copy} has format version {version}, this eqvec reads 4: "
                                         "re-run `eqvec ingest` to rebuild it"]
     assert not os.path.exists(model) and not os.path.exists(report)
 
@@ -800,12 +803,9 @@ def test_repeated_vocabulary_form_exits_3(planted_models, tmp_path, capsys):
     bundle, models, _ = planted_models
     copy = str(tmp_path / "bundle")
     shutil.copytree(bundle, copy)
-    path = os.path.join(copy, "vocab.tsv")
-    with open(path) as f:
-        header, first, second, *rest = f.read().split("\n")
-    form = first.split("\t")[0]
-    with open(path, "w") as f:
-        f.write("\n".join([header, first, "\t".join([form, *second.split("\t")[1:]]), *rest]))
+    forms, _ = reference_bundle.rewrite_table(os.path.join(copy, "vocab.bin"),
+                                              lambda s, c: ([s[0], s[0], *s[2:]], c))
+    form = forms[0]
     for mode in ("unit", "equation"):
         code, out, err = run(["query", "word2eq", "--words", form, "--model", models[mode], "--bundle", copy], capsys)
         assert code == 3
@@ -902,37 +902,34 @@ def test_heldout_row_mutation_exits_3(split, index, mutation, draw, tiny_bundle,
         assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
 
 
-def _set_counts(path, count, col=None):
-    """Rewrite column ``col`` of a bundle table, by default its frequency or
-    occurrence column; ``count`` maps (row index, old value) to the new value."""
-    with open(path) as f:
-        header, *rows = f.read().splitlines()
-    cols = [r.split("\t") for r in rows]
-    if col is None:
-        col = 2 if path.endswith(("vocab.tsv", "units.tsv")) else 1
-    for i, c in enumerate(cols):
-        c[col] = str(count(i, int(c[col])))
-    with open(path, "w") as f:
-        f.write("\n".join([header] + ["\t".join(c) for c in cols]) + "\n")
+def _counts(count):
+    """A string-table change that maps each (row index, count) to a new count."""
+    return lambda s, c: (s, [count(i, n) for i, n in enumerate(c)])
+
+
+def _drop_row(i):
+    """A string-table change that drops row ``i``: each later row's id moves down one."""
+    return lambda s, c: (s[:i] + s[i + 1 :], c[:i] + c[i + 1 :])
 
 
 @pytest.mark.parametrize(
-    "name,col,count,message",
+    "name,change,message",
     [
-        ("vocab.tsv", None, lambda i, n: n if i == 0 else 0, "below 1"),  # all sampling weight on one word
-        ("vocab.tsv", None, lambda i, n: -n if i == 1 else n, "below 1"),
-        ("units.tsv", None, lambda i, n: 0 if i == 0 else n, "below 1"),
-        ("equations.tsv", None, lambda i, n: 0 if i == 0 else n, "below 1"),
-        ("equations.tsv", None, lambda i, n: 10**20 if i == 1 else n, "bad equation id or count"),
-        ("equations.tsv", 0, lambda i, n: n + 1 if i == 1 else n, "equations.tsv: equation ids not dense"),
+        ("vocab.bin", _counts(lambda i, n: n if i == 0 else 0), "below 1"),  # all sampling weight on one word
+        ("vocab.bin", _counts(lambda i, n: 2**64 - n if i == 1 else n), "past int64"),  # -n as a u64
+        ("units.bin", _counts(lambda i, n: 0 if i == 0 else n), "below 1"),
+        ("equations.bin", _counts(lambda i, n: 0 if i == 0 else n), "below 1"),
+        ("equations.bin", _counts(lambda i, n: 2**63 if i == 1 else n), "equations.bin: count 9223372036854775808 "
+                                                                          "past int64"),
+        ("equations.bin", _drop_row(1), "rows, the manifest records"),
     ],
     ids=["vocab_one_nonzero", "vocab_negative", "units_zero", "equations_zero", "equations_past_int64",
          "equations_id_skipped"],
 )
-def test_count_below_one_exits_3(name, col, count, message, tiny_bundle, tmp_path):
+def test_count_below_one_exits_3(name, change, message, tiny_bundle, tmp_path):
     copy = str(tmp_path / "bundle")
     shutil.copytree(tiny_bundle, copy)
-    _set_counts(os.path.join(copy, name), count, col)
+    reference_bundle.rewrite_table(os.path.join(copy, name), change)
     model = str(tmp_path / "m.eqv")
     code, out, err = fresh(["train", "--bundle", copy, "--model", model, "--mode", "unit",
                             "--set", "max_epochs=1"], timeout=60)
@@ -963,7 +960,7 @@ def test_count_swamping_the_rest_exits_1(tiny_bundle, tmp_path):
     # drawing negatives that exclude it is refused instead of never ending
     copy = str(tmp_path / "bundle")
     shutil.copytree(tiny_bundle, copy)
-    _set_counts(os.path.join(copy, "vocab.tsv"), lambda i, n: 10**17 if i == 1 else n)
+    reference_bundle.rewrite_table(os.path.join(copy, "vocab.bin"), _counts(lambda i, n: 10**17 if i == 1 else n))
     model = str(tmp_path / "m.eqv")
     code, out, err = fresh(["train", "--bundle", copy, "--model", model, "--mode", "word",
                             "--set", "max_epochs=1"], timeout=60)
@@ -1026,12 +1023,46 @@ def test_deeply_nested_equation_ingests(tiny_corpus, tiny_bundle, tmp_path, caps
 SRC = os.path.dirname(os.path.dirname(eqvec.__file__))
 
 
-def fresh(argv, *flags, timeout=300):
-    """``python [flags] -m eqvec argv`` in a new interpreter: (exit code, stdout, stderr)."""
+def fresh(argv, *flags, timeout=300, env=None):
+    """``python [flags] -m eqvec argv`` in a new interpreter, with ``env``
+    added to the environment: (exit code, stdout, stderr)."""
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, *flags, "-m", "eqvec", *argv], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=timeout)
+    done = subprocess.run([sys.executable, *flags, "-m", "eqvec", *argv], capture_output=True, text=True,
+                          encoding="utf-8", env={**os.environ, **(env or {}), "PYTHONPATH": path}, timeout=timeout)
     return done.returncode, done.stdout, done.stderr
+
+
+# an ASCII locale, with neither locale coercion nor UTF-8 mode to mend it
+_ASCII_LOCALE = {"LC_ALL": "C", "LANG": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def test_ingest_and_query_under_an_ascii_locale(tiny_corpus, tmp_path, capsys):
+    # every file eqvec writes or reads is UTF-8 by name: a corpus, a config
+    # file and a bundle holding non-ASCII text work under any locale, and
+    # the bundle's bytes do not depend on it
+    corpus = tmp_path / "corpus"
+    shutil.copytree(tiny_corpus, corpus)
+    (corpus / "four.tex").write_text("Words believing caf\u00e9 modeling.\n$$ x_{\u00e9} $$\ncaf\u00e9 words always.",
+                                     encoding="utf-8")
+    config = tmp_path / "run.cfg"
+    config.write_text("# r\u00e9glages\nmin_tf = 2\n", encoding="utf-8")
+    ingest = ["ingest", "--corpus", str(corpus), "--config", str(config), *ING[2:]]
+    bundle, model = str(tmp_path / "bundle"), str(tmp_path / "m.eqv")
+    code, _, err = fresh([*ingest, "--bundle", bundle], env=_ASCII_LOCALE, timeout=60)
+    assert code == 0, err
+    assert run([*ingest, "--bundle", str(tmp_path / "utf8")], capsys)[0] == 0
+    assert {f: (tmp_path / "bundle" / f).read_bytes() for f in os.listdir(bundle)} == {
+        f: (tmp_path / "utf8" / f).read_bytes() for f in os.listdir(tmp_path / "utf8")}
+    data = load_bundle(bundle)
+    eq = data.registry.latex.index("x_{\u00e9}")
+    code, _, err = fresh(["train", "--bundle", bundle, "--model", model, "--mode", "equation", *TRN, "--config",
+                          str(config)], env=_ASCII_LOCALE, timeout=60)
+    assert code == 0, err
+    # stdout's encoding is the terminal's: name UTF-8 for it, and only for it
+    code, out, err = fresh(["query", "word2eq", "--words", "words", "-k", "5", "--model", model, "--bundle", bundle],
+                           env={**_ASCII_LOCALE, "PYTHONIOENCODING": "utf-8"}, timeout=60)
+    assert code == 0, err
+    assert f"\t{eq}\t" in out and "x_{\u00e9}" in out
 
 
 def test_reused_parser_leaks_no_state(planted_models, monkeypatch, capsys):

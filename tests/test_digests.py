@@ -23,7 +23,9 @@ def test_two_runs_agree_and_compare_lists_a_change(tmp_path, capsys):
     assert {"eval/seed4", "eval/seed1"} <= a.keys() and any(k.startswith("query/") for k in a)
     assert {k.replace("query/", "warm/", 1) for k in a if k.startswith("query/")} == {k for k in a if k.startswith("warm/")}
     assert a["bundle/planted/streams.bin"] != a["bundle/commented/streams.bin"] != a["bundle/inline/streams.bin"]
-    assert "bundle/planted/heldout.valid.bin" in a
+    files = ("manifest.json", "vocab.bin", "equations.bin", "units.bin", "streams.bin", "eq_units.bin",
+             "heldout.valid.bin", "heldout.test.bin")
+    assert {k for k in a if k.startswith("bundle/planted/")} == {f"bundle/planted/{f}" for f in files}
     corpora = ["corpus/{}-{}-{}/seed{}".format(*args) for args in digests.PLANTED]
     assert len({a[c] for c in corpora}) == len(corpora) == 3
     for table in ("streams.doc_ids", "streams.ptr", "streams.codes", "eq_units.ptr", "eq_units.ids",

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import struct
 import tempfile
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from eqvec import bundle as bundle_io
 from eqvec.bundle import BundleFormatError, load_bundle, save_bundle
-from eqvec.corpus import EQ_TAG, GAP, EquationRegistry, IngestParams, TokenStream, ingest_corpus
+from eqvec.corpus import EQ_TAG, GAP, EquationRegistry, IngestParams, TokenStream, Vocabulary, ingest_corpus
 from eqvec.model import EmbeddingTable, Model, ModelConfig, unit_means
 from eqvec.modelfile import (
     ChecksumError,
@@ -111,10 +112,8 @@ def test_bundle_replaces_only_an_empty_directory_or_a_bundle(tmp_path):
 def test_bundle_files_have_headers(tmp_path):
     data = tiny_corpus_data()
     path = save_bundle(data, str(tmp_path / "bundle"))
-    for name in ("vocab.tsv", "equations.tsv", "units.tsv"):
-        with open(os.path.join(path, name)) as f:
-            assert f.readline().startswith("# eqvec-")
-    for name in ("streams.bin", "eq_units.bin", "heldout.valid.bin", "heldout.test.bin"):
+    for name in ("vocab.bin", "equations.bin", "units.bin", "streams.bin", "eq_units.bin", "heldout.valid.bin",
+                 "heldout.test.bin"):
         with open(os.path.join(path, name), "rb") as f:
             assert f.readline().startswith(b"# eqvec-")
 
@@ -161,30 +160,37 @@ def test_bundle_of_another_version_rejected_then_replaced(tmp_path):
     manifest_path = os.path.join(path, "manifest.json")
     with open(manifest_path) as f:
         manifest = json.load(f)
-    manifest["version"] = 1
-    with open(manifest_path, "w") as f:
-        json.dump(manifest, f)
-    for load in (load_bundle, bundle_io.load_query_files):
-        with pytest.raises(BundleFormatError, match=re.escape(f"bundle {path} has format version 1, this eqvec "
-                                                              "reads 3: re-run `eqvec ingest` to rebuild it")):
-            load(path)
+    for version in (1, 3):  # 3 is the layout with text string tables
+        manifest["version"] = version
+        with open(manifest_path, "w") as f:
+            json.dump(manifest, f)
+        for load in (load_bundle, bundle_io.load_query_files):
+            with pytest.raises(BundleFormatError, match=re.escape(f"bundle {path} has format version {version}, "
+                                                                  "this eqvec reads 4: re-run `eqvec ingest` to "
+                                                                  "rebuild it")):
+                load(path)
     load_bundle(save_bundle(tiny_corpus_data(), path))  # a bundle of any version is replaced
 
 
 def test_bundle_bad_header_rejected(tmp_path):
+    # a version-3 text table keeps its name's stem but not its header
     data = tiny_corpus_data()
-    path = save_bundle(data, str(tmp_path / "bundle"))
-    vocab = os.path.join(path, "vocab.tsv")
-    content = open(vocab).read()
-    with open(vocab, "w") as f:
-        f.write("# wrong 9\n" + content.split("\n", 1)[1])
-    with pytest.raises(BundleFormatError):
-        load_bundle(path)
+    for name, old in (("vocab.bin", b"# eqvec-vocab 1\n"), ("equations.bin", b"# eqvec-equations 1\n"),
+                      ("units.bin", b"# eqvec-units 1\n")):
+        path = save_bundle(data, str(tmp_path / "bundle"))
+        table = os.path.join(path, name)
+        with open(table, "rb") as f:
+            f.readline()
+            rest = f.read()
+        with open(table, "wb") as f:
+            f.write(old + rest)
+        with pytest.raises(BundleFormatError, match=re.escape(f"bad file header in bundle {table}")):
+            load_bundle(path)
 
 
 @pytest.mark.parametrize(
     "name",
-    ["manifest.json", "vocab.tsv", "equations.tsv", "units.tsv", "streams.bin", "eq_units.bin",
+    ["manifest.json", "vocab.bin", "equations.bin", "units.bin", "streams.bin", "eq_units.bin",
      "heldout.valid.bin", "heldout.test.bin"],
 )
 def test_truncated_bundle_file_rejected(name, tmp_path):
@@ -197,18 +203,23 @@ def test_truncated_bundle_file_rejected(name, tmp_path):
         load_bundle(path)
 
 
-@pytest.mark.parametrize("name", ["vocab.tsv", "equations.tsv", "units.tsv"])
-@pytest.mark.parametrize("change", [lambda row: row.replace("\t", "", 1), lambda row: row.replace("\t", "\t\t", 1)],
-                         ids=["tab_missing", "tab_extra"])
-def test_row_with_another_number_of_tabs_rejected(name, change, tmp_path):
-    # the writer puts no tab inside a field, so a row whose tabs do not
-    # separate exactly the file's fields is corrupt
+@pytest.mark.parametrize("name", ["vocab.bin", "equations.bin", "units.bin"])
+@pytest.mark.parametrize("change", [lambda block: block.replace(b"\n", b"", 1),
+                                    lambda block: block.replace(b"\n", b"\n\n", 1)[:-1]],
+                         ids=["newline_missing", "newline_extra"])
+def test_string_block_with_another_number_of_newlines_rejected(name, change, tmp_path):
+    # the writer puts no newline inside a string, so a block of the same
+    # size whose newlines do not separate exactly n strings is corrupt
     path = save_bundle(tiny_corpus_data(), str(tmp_path / "bundle"))
-    with open(os.path.join(path, name)) as f:
-        header, first, *rest = f.read().split("\n")
-    with open(os.path.join(path, name), "w") as f:
-        f.write("\n".join([header, change(first), *rest]))
-    with pytest.raises(BundleFormatError, match="malformed row"):
+    with open(os.path.join(path, name), "rb") as f:
+        raw = f.read()
+    at = raw.index(b"\n") + 1 + 8
+    n, size = struct.unpack_from("<II", raw, at - 8)
+    block = change(raw[at : at + size]).ljust(size, b"x")
+    assert n >= 2 and len(block) == size
+    with open(os.path.join(path, name), "wb") as f:
+        f.write(raw[:at] + block + raw[at + size :])
+    with pytest.raises(BundleFormatError, match=re.escape(f"strings, {n} rows")):
         load_bundle(path)
 
 
@@ -321,23 +332,18 @@ def test_equation_count_other_than_the_registry_rejected(tmp_path):
     eq_units = os.path.join(path, "eq_units.bin")
     drop_last_equation(eq_units)
     for load in (load_bundle, bundle_io.load_query_files):
-        with pytest.raises(BundleFormatError, match=re.escape(f"{eq_units} holds 1 equations, equations.tsv 2")):
+        with pytest.raises(BundleFormatError, match=re.escape(f"{eq_units} holds 1 equations, equations.bin 2")):
             load(path)
 
 
-@pytest.mark.parametrize("name, column, what", [("vocab.tsv", 0, "form"), ("units.tsv", 0, "form"),
-                                                ("equations.tsv", 2, "LaTeX")])
-def test_repeated_form_or_latex_rejected(name, column, what, tmp_path):
+@pytest.mark.parametrize("name, what", [("vocab.bin", "form"), ("units.bin", "form"), ("equations.bin", "LaTeX")])
+def test_repeated_form_or_latex_rejected(name, what, tmp_path):
     # the writer never repeats one (vocabulary forms are Counter keys, the
     # registry deduplicates LaTeX); a repeat would make two ids for one form
     path = save_bundle(tiny_corpus_data(), str(tmp_path / "bundle"))
-    with open(os.path.join(path, name)) as f:
-        header, first, second, *rest = f.read().split("\n")
-    repeated, fields = first.split("\t")[column], second.split("\t")
-    fields[column] = repeated
-    with open(os.path.join(path, name), "w") as f:
-        f.write("\n".join([header, first, "\t".join(fields), *rest]))
-    loads = [load_bundle] if name == "units.tsv" else [load_bundle, bundle_io.load_query_files]
+    strings, _ = reference_bundle.rewrite_table(os.path.join(path, name), lambda s, c: ([s[0], s[0], *s[2:]], c))
+    repeated = strings[0]
+    loads = [load_bundle] if name == "units.bin" else [load_bundle, bundle_io.load_query_files]
     for load in loads:
         with pytest.raises(BundleFormatError, match=re.escape(f"{what} {repeated!r} is in more than one row")):
             load(path)
@@ -432,6 +438,75 @@ def test_every_cut_or_one_byte_extension_is_a_format_error(streams, eq_units, ex
                     f.write(damaged)
                 with pytest.raises(BundleFormatError):
                     read()
+
+
+# --- string tables against the one-string-at-a-time oracle ---------------------
+
+_TABLES = (("vocab.bin", bundle_io._H_VOCAB), ("equations.bin", bundle_io._H_EQS), ("units.bin", bundle_io._H_UNITS))
+# strings as a table holds them: non-empty, no newline, UTF-8 (tabs, carriage
+# returns and non-ASCII included), with any count a table loads
+_table = st.lists(st.tuples(st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"),
+                                    min_size=1, max_size=5), st.integers(1, 2**63 - 1)),
+                  max_size=6, unique_by=lambda row: row[0])
+
+
+def _string_tables(words, equations, units):
+    """A corpus of no documents whose word vocabulary, registry and unit
+    vocabulary hold these (string, count) rows."""
+    data = corpus_from_streams([], len(words), len(equations))
+    columns = [([s for s, _ in rows], np.array([c for _, c in rows], dtype=np.int64)) for rows in (words, equations,
+                                                                                                   units)]
+    data.word_vocab, data.unit_vocab = Vocabulary("word", *columns[0]), Vocabulary("unit", *columns[2])
+    data.registry = EquationRegistry(*columns[1])
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(words=_table, equations=_table, units=_table)
+@example(words=[("a\tb", 1), ("\u00e9", 2**63 - 1)], equations=[("x_{\u00e9}", 3), ("\t", 1)], units=[("\r", 1)])
+@example(words=[], equations=[], units=[])
+def test_string_tables_round_trip(words, equations, units):
+    with tempfile.TemporaryDirectory() as root:
+        path = save_bundle(_string_tables(words, equations, units), os.path.join(root, "bundle"))
+        loaded = load_bundle(path)
+        want = [reference_bundle.read_table(os.path.join(path, name), header) for name, header in _TABLES]
+    got = [(loaded.word_vocab.forms, loaded.word_vocab.freqs), (loaded.registry.latex, loaded.registry.counts),
+           (loaded.unit_vocab.forms, loaded.unit_vocab.freqs)]
+    for rows, (strings, counts), (ref_strings, ref_counts) in zip((words, equations, units), got, want, strict=True):
+        assert strings == ref_strings == [s for s, _ in rows]
+        assert counts.dtype == np.int64 and counts.tolist() == ref_counts == [c for _, c in rows]
+    assert loaded.word_vocab.index == {s: i for i, (s, _) in enumerate(words)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(words=_table, equations=_table, units=_table, extra=st.binary(min_size=1, max_size=1))
+def test_every_cut_or_one_byte_extension_of_a_string_table_is_a_format_error(words, equations, units, extra):
+    with tempfile.TemporaryDirectory() as root:
+        path = save_bundle(_string_tables(words, equations, units), os.path.join(root, "bundle"))
+        for name, header in _TABLES:
+            table = os.path.join(path, name)
+            with open(table, "rb") as f:
+                raw = f.read()
+            for damaged in [raw[:cut] for cut in range(len(raw))] + [raw + extra, raw + b"\0", raw + b"\n"]:
+                with open(table, "wb") as f:
+                    f.write(damaged)
+                with pytest.raises(BundleFormatError):
+                    bundle_io._read_table(table, header)
+
+
+@pytest.mark.parametrize("table", ["word_vocab", "registry", "unit_vocab"])
+@pytest.mark.parametrize("string", ["", "a\nb", "\ud800"], ids=["empty", "newline", "lone_surrogate"])
+def test_string_a_table_cannot_hold_refused_at_save(table, string, tmp_path):
+    # a table separates its strings with newlines, so such a string would
+    # read back as other strings, or not at all
+    data = tiny_corpus_data()
+    (data.registry.latex if table == "registry" else getattr(data, table).forms)[-1] = string
+    kept = save_bundle(tiny_corpus_data(), str(tmp_path / "kept"))
+    before = {f: (tmp_path / "kept" / f).read_bytes() for f in os.listdir(kept)}
+    with pytest.raises(BundleFormatError, match="cannot store"):
+        save_bundle(data, kept)
+    assert sorted(os.listdir(tmp_path)) == ["kept"]
+    assert {f: (tmp_path / "kept" / f).read_bytes() for f in os.listdir(kept)} == before
 
 
 _context_entry = st.one_of(st.tuples(st.just("word"), st.integers(0, _N_WORDS - 1)),

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqvec import model as model_mod
+from eqvec import retrieval
 from eqvec.corpus import EquationUnits, Vocabulary
 from eqvec.model import EmbeddingTable, Model, ModelConfig, row_stats
 from eqvec.modelfile import load_model, save_model
@@ -274,6 +275,28 @@ def test_scores_bitwise_equal_zero_filled_oracle(kinds, k, query_kind, seed):
             got = _scores(matrix, query, metric, row_stats(matrix))
             want = reference_scores(matrix, query, metric)
         assert got.tobytes() == want.tobytes(), metric
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(["finite", "nan", "+inf", "zero", "huge"]), min_size=1, max_size=40),
+    k=st.integers(1, 9),
+    block=st.integers(1, 8),
+    strided=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_euclidean_scan_in_row_blocks_equals_oracle(kinds, k, block, strided, seed):
+    # blocks that end mid-matrix, a last block shorter than the rest, and a
+    # matrix whose rows are not contiguous (every other column of a wider one)
+    rng = np.random.default_rng(seed)
+    rows = _special_rows(kinds, 2 * k if strided else k, rng)
+    matrix = rows[:, ::2] if strided else rows
+    query = rng.normal(size=k)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+        mp.setattr(retrieval, "_SCAN_BLOCK", block)
+        got = _scores(matrix, query, "euclidean", row_stats(matrix))
+        want = reference_scores(matrix, query, "euclidean")
+    assert got.tobytes() == want.tobytes()
 
 
 # --- warm queries against cold ones ---------------------------------------------------------

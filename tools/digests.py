@@ -7,8 +7,8 @@ Builds the planted corpus bundle and runs the CLI on it in-process:
   digest starts from, the bench's 2000-document ingest corpus, and one
   with 3 classes and 5 sentences a document, so that a change to the
   generator shows by itself and not only through the bundles;
-* every file of the bundle (``manifest.json``, ``vocab.tsv``,
-  ``equations.tsv``, ``units.tsv``, ``streams.bin``, ``eq_units.bin``,
+* every file of the bundle (``manifest.json``, ``vocab.bin``,
+  ``equations.bin``, ``units.bin``, ``streams.bin``, ``eq_units.bin``,
   ``heldout.valid.bin`` and ``heldout.test.bin``); of a bundle of the
   same corpus with ``%`` comments, ``\\%`` escapes and hyphenated words
   written into its prose (``commented_corpus``), which the planted
