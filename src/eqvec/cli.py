@@ -324,15 +324,29 @@ def cmd_query(args) -> int:
     else:
         # the model's own choice unless this run names one
         vectors = cfg.model.word2eq_vectors if "word2eq_vectors" in cfg.given else None
-        ranking = retrieval.equations_for_words(
-            model, data.word_vocab, words, k,
-            metric=args.metric or "cosine", vectors=vectors,
-        )
+        try:
+            ranking = retrieval.equations_for_words(
+                model, data.word_vocab, words, k,
+                metric=args.metric or "cosine", vectors=vectors,
+            )
+        except retrieval.UnknownWords as exc:
+            raise UsageError(str(exc)) from exc
         surface = lambda i: data.registry.latex[i]
-    print("rank\tid\tscore\tsurface")
-    for rank, (idx, score) in enumerate(ranking.hits, 1):
-        print(f"{rank}\t{idx}\t{score:.6f}\t{surface(idx)}")
+    rows = [f"{rank}\t{idx}\t{score:.6f}\t{surface(idx)}\n" for rank, (idx, score) in enumerate(ranking.hits, 1)]
+    _write_utf8("rank\tid\tscore\tsurface\n" + "".join(rows))
     return EXIT_OK
+
+
+def _write_utf8(text: str):
+    """``text`` on stdout as UTF-8 whatever the locale: as bytes where
+    stdout has a byte buffer, as text to a caller's text stream without one."""
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.write(text)
+    else:
+        sys.stdout.flush()
+        buffer.write(text.encode("utf-8"))
+        buffer.flush()
 
 
 def _check_model_fits(model, data: bundle_io.QueryFiles):

@@ -15,8 +15,9 @@ import numpy as np
 from .corpus import EQ_TAG, GAP, CorpusData
 from .model import ModelConfig
 
-# Stream tokens compiled at a time.
-_COMPILE_TOKENS = 1024
+# Stream tokens a plan compiles: it ends at the first document boundary at
+# or past this many, so its window matrices take about half a megabyte.
+_COMPILE_TOKENS = 4096
 
 
 def _exclusion_mask(data: CorpusData) -> np.ndarray:
@@ -60,7 +61,7 @@ class PassPlan:
     ``offsets[c]``), then their alpha rows in the same order.  Position i
     predicts ``target[i]``, a class-local id of class ``cls[i]``, from the
     alpha rows ``ctx_rows[ctx_ptr[i]:ctx_ptr[i+1]]`` with weights ``ctx_w``
-    (None when every weight is 1).
+    (None when every weight is 1).  ``offsets`` is set from ``sizes``.
     """
 
     sizes: tuple
@@ -71,9 +72,8 @@ class PassPlan:
     ctx_rows: np.ndarray
     ctx_w: np.ndarray | None
 
-    @property
-    def offsets(self) -> np.ndarray:
-        return np.concatenate(([0], np.cumsum(self.sizes, dtype=np.int64)))
+    def __post_init__(self):
+        self.offsets = _ptr(self.sizes)
 
     def __len__(self) -> int:
         return len(self.target)
@@ -164,9 +164,10 @@ def compile_pass(data: CorpusData, config: ModelConfig, pass_name: str) -> list[
     the word window plus, after the first pass, the equations (or the units
     of the equations) of the word-equation window.  Equation targets see
     the words of their own window; unit targets see the units around them
-    in their equation.  Streams are compiled about a thousand tokens at a
-    time into consecutive plans, each ending at a document boundary, so
-    the window matrices stay small and the plans are never copied into one.
+    in their equation.  Streams are compiled into consecutive plans of at
+    least ``_COMPILE_TOKENS`` tokens (the last may hold fewer), each ending
+    at a document boundary, so the window matrices stay small and the plans
+    are never copied into one.
     """
     spec = PASS_CLASSES[pass_name]
     sizes = [class_sizes(data)[c] for c in spec.classes]

@@ -109,6 +109,10 @@ def nearest_words(model: Model, eq_id: int, k: int = 5, metric: str = "cosine") 
     return Ranking(f"eq:{eq_id}", metric, _rank(scores, k, metric == "euclidean"))
 
 
+class UnknownWords(ValueError):
+    """A word query none of whose words is in the vocabulary."""
+
+
 def equations_for_words(
     model: Model,
     vocab: Vocabulary,
@@ -120,7 +124,8 @@ def equations_for_words(
     """Top-k equations for a bag-of-words query.
 
     The query vector is the mean of the words' interaction vectors; unknown
-    words are reported and dropped, an all-unknown query is an error.
+    words are reported and dropped, an all-unknown query is an error
+    (``UnknownWords``).
     ``vectors`` picks which equation matrix to scan (defaults to the model
     config, interaction vectors unless overridden)."""
     _check_k(k)
@@ -131,7 +136,7 @@ def equations_for_words(
     if dropped:
         log.warning("query words not in vocabulary: %s", ", ".join(dropped))
     if not known:
-        raise ValueError("no query word is in the vocabulary")
+        raise UnknownWords("no query word is in the vocabulary")
     query = model.word.rho[np.array(known, dtype=np.int64)].mean(axis=0)
     matrix, stats = model.scan(vectors or model.config.word2eq_vectors)
     scores = _scores(matrix, query, metric, stats)

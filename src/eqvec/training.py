@@ -61,13 +61,24 @@ def epochs_per_pass(records) -> dict:
     return {r.pass_name: r.epoch for r in records}
 
 
+# A sampler's table has 2**bits buckets: four to eight per id, at most 2**16.
+_TABLE_BITS = 16
+
+
 class NegativeSampler:
     """The distribution ``draw_negatives`` draws negative target ids from.
 
     Unigram sampling uses the raw frequency distribution (power 1.0);
     without frequencies every id has equal weight (uniform sampling).  Both
-    map one uniform double per draw through the cumulative distribution.
-    ``accept[i]`` is the chance that a draw is not id i.
+    map one uniform double u per draw to ``searchsorted(cum, u,
+    side="right")``, through ``table``: 2**bits equal buckets of [0, 1).
+    ``floor(u * 2**bits)`` is exact and the search is monotone in u, so the
+    doubles of a bucket map to ids from the one its first double maps to
+    up to the one its last double maps to.  Where those are at most one id
+    apart, the bucket holds the first and a double adds 1 if it reaches
+    that id's cumulative weight; a bucket split by more boundaries holds -1
+    and its doubles are searched.  ``accept[i]`` is the chance that a draw
+    is not id i.
     """
 
     def __init__(self, rng: np.random.Generator, n: int, freqs=None):
@@ -81,6 +92,20 @@ class NegativeSampler:
             self.cum = np.cumsum(w / w.sum())
             self.cum[-1] = 1.0
             self.accept = 1.0 - np.diff(self.cum, prepend=0.0)
+            self.scale = float(1 << min(_TABLE_BITS, int(n).bit_length() + 2))
+            edges = np.arange(self.scale + 1) / self.scale
+            first = np.searchsorted(self.cum, edges[:-1], side="right")
+            last = np.searchsorted(self.cum, np.nextafter(edges[1:], 0.0), side="right")
+            self.table = np.where(last - first <= 1, first, -1).astype(np.int32)
+
+    def ids(self, u: np.ndarray) -> np.ndarray:
+        """The id each double of ``u``, all in [0, 1), maps to."""
+        ids = self.table[(u * self.scale).astype(np.intp)]
+        ids += self.cum[ids] <= u  # a split bucket's -1 reads cum[-1], 1.0, and stays
+        split = np.flatnonzero(ids < 0)
+        if split.size:
+            ids[split] = np.searchsorted(self.cum, u[split], side="right")
+        return ids
 
 
 _POOL = 1 << 16  # doubles one chunk of a scan draws and maps, at most
@@ -117,6 +142,8 @@ def draw_negatives(samplers, which, exclude, size: int) -> np.ndarray:
         if s.cum is not None:
             streams.setdefault(id(s.rng), []).append(i)
     for members in streams.values():
+        if len(members) == len(samplers) and len(which):  # one generator feeds every sampler
+            return _draw_stream(samplers, which, exclude, size)
         sel = np.flatnonzero(np.isin(which, members))
         if sel.size:
             out[sel] = _draw_stream(
@@ -129,45 +156,66 @@ def _draw_stream(samplers, which, exclude, size):
     """``draw_negatives`` for samplers sharing one generator, by one scan.
 
     Each position takes ``size`` ids from the cursor; one that drew its own
-    exclusion drops it and takes the next ids one by one, as the rounds of
-    the sequential draw do.  Doubles are drawn and mapped through every
+    exclusion takes further ids until ``size`` others are in its row, as
+    the rounds of the sequential draw do, and its row is the ids it took
+    without the exclusion.  Doubles are drawn and mapped through every
     sampler a chunk at a time (the expected need of the positions left plus
-    four of its square roots, at most ``_POOL``), and the generator ends
-    just past the doubles used."""
+    four of its square roots, at most ``_POOL``); rows run back to back
+    from the start of a chunk, which carries over the last one's ids from
+    the start of the row that ran out, and are copied out of it when the
+    next is drawn.  The generator ends just past the doubles used."""
     offsets = _ptr([s.n for s in samplers])[which]
     need = _expected_draws(size, np.concatenate([s.accept for s in samplers])[offsets + exclude], exclude)
     rest = np.cumsum(need[::-1])[::-1].tolist()
     rng = samplers[0].rng
-    ids, used, end, kept, state = [[] for _ in samplers], 0, 0, 0, None
+    out = np.empty((len(which), size), dtype=np.int64)
+    mapped, ids = [np.empty(0, dtype=np.int32) for _ in samplers], None
+    used, end, kept, first, state = 0, 0, 0, 0, None
+    longer = []  # (position, further ids taken) of the rows that drew their exclusion
 
-    def more(i):  # the next chunk, after the ids of this one not yet taken
-        nonlocal ids, used, end, kept, state
+    def flush(upto):  # rows first..upto-1 of the chunk, into out
+        lens = np.full(upto - first, size)
+        if longer:
+            at, extra = np.array(longer).T
+            lens[at - first] += extra
+        got = int(lens.sum())
+        vals = mapped[0][:got] if len(mapped) == 1 else np.choose(
+            np.repeat(which[first:upto], lens), [m[:got] for m in mapped])
+        if longer:
+            vals = vals[vals != np.repeat(exclude[first:upto], lens)]
+            longer.clear()
+        out[first:upto] = vals.reshape(-1, size)
+
+    def more(i, start):  # the next chunk, from position i's row, which begins at ``start``
+        nonlocal mapped, ids, used, end, kept, first, state
+        if i > first:
+            flush(i)
         state = rng.bit_generator.state
         u = rng.random(min(int(rest[i] + 4 * rest[i] ** 0.5) + 1, _POOL))
-        ids = [seq[used:] + np.searchsorted(s.cum, u, side="right").tolist() for s, seq in zip(samplers, ids)]
-        kept, used, end = end - used, 0, end - used + len(u)
+        mapped = [np.concatenate((m[start:], s.ids(u))) for s, m in zip(samplers, mapped)]
+        ids = [m.tolist() for m in mapped]
+        kept, used, end, first = end - start, used - start, end - start + len(u), i
 
-    more(0)
-    out = []
     for i, (w, x) in enumerate(zip(which.tolist(), exclude.tolist())):
         if used + size > end:
-            more(i)
+            more(i, used)
         seq = ids[w]
-        row = seq[used : used + size]
-        used += size
+        start, used = used, used + size
+        row = seq[start:used]
         if x in row:
-            row = [v for v in row if v != x]
-            while len(row) < size:
+            short = row.count(x)
+            while short:
                 if used == end:
-                    more(i)
-                    seq = ids[w]
+                    more(i, start)
+                    start, seq = 0, ids[w]
                 if seq[used] != x:
-                    row.append(seq[used])
+                    short -= 1
                 used += 1
-        out += row
+            longer.append((i, used - start - size))
+    flush(len(which))
     rng.bit_generator.state = state
     rng.random(used - kept)
-    return np.array(out, dtype=np.int64).reshape(len(which), size)
+    return out
 
 
 # --- the SGD step ---------------------------------------------------------------
@@ -323,7 +371,9 @@ def sgd_block(stacked, plan: PassPlan, lo: int, hi: int, negatives, lr: float) -
     return -np.log(np.maximum(-b0, LOG_EPS)) - neg_loss
 
 
-# Negatives per position at which a slice holds all ``_COMPILE_TOKENS``
+# Positions an epoch steps at a time, at most.
+_SLICE_POSITIONS = 1024
+# Negatives per position at which a slice holds all ``_SLICE_POSITIONS``
 # positions: ModelConfig's default, the setting the slice size was tuned at.
 _SLICE_NEGATIVES = ModelConfig.n_negatives
 
@@ -331,14 +381,14 @@ _SLICE_NEGATIVES = ModelConfig.n_negatives
 def _run_epoch(plans, stacked, samplers, config: ModelConfig) -> float:
     """One epoch of a pass on its stacked tables; returns the summed loss.
 
-    A plan runs in slices of at most ``passes._COMPILE_TOKENS`` positions:
-    a long document compiles into one plan, and a slice bounds the memory
-    its negative draw and step set-up take.  Above ``_SLICE_NEGATIVES``
-    negatives a slice holds proportionally fewer positions, which keeps
-    positions x n_negatives, and so its negatives and per-position set-up,
-    at most what the default takes."""
+    A plan runs in slices of at most ``_SLICE_POSITIONS`` positions: a
+    plan holds a few thousand tokens' positions or a long document's, and
+    a slice bounds the memory its negative draw and step set-up take.
+    Above ``_SLICE_NEGATIVES`` negatives a slice holds proportionally fewer
+    positions, which keeps positions x n_negatives, and so its negatives
+    and per-position set-up, at most what the default takes."""
     total = 0.0
-    n = max(1, passes._COMPILE_TOKENS * _SLICE_NEGATIVES // max(_SLICE_NEGATIVES, config.n_negatives))
+    n = max(1, _SLICE_POSITIONS * _SLICE_NEGATIVES // max(_SLICE_NEGATIVES, config.n_negatives))
     with np.errstate(over="ignore"):
         for plan in plans:
             for lo in range(0, len(plan), n):

@@ -436,8 +436,9 @@ def test_unit_model_query_prints_library_ranking(family, planted_models, capsys)
         ("eq2eq", ["--id", "0", "-k", "-2"], "-k must be at least 1"),
         ("word2eq", ["--words", "matrix", "-k", "0"], "-k must be at least 1"),
         ("word2eq", ["--words", " , ,"], "--words names no word"),
+        ("word2eq", ["--words", "zzqx,qxzz"], "no query word is in the vocabulary"),
     ],
-    ids=["eq2eq_id_999", "eq2word_id_-1", "k_-2", "k_0", "no_words"],
+    ids=["eq2eq_id_999", "eq2word_id_-1", "k_-2", "k_0", "no_words", "unknown_words"],
 )
 def test_bad_query_argument_exits_2(family, args, message, planted_models, capsys):
     bundle, models, _ = planted_models
@@ -1058,11 +1059,17 @@ def test_ingest_and_query_under_an_ascii_locale(tiny_corpus, tmp_path, capsys):
     code, _, err = fresh(["train", "--bundle", bundle, "--model", model, "--mode", "equation", *TRN, "--config",
                           str(config)], env=_ASCII_LOCALE, timeout=60)
     assert code == 0, err
-    # stdout's encoding is the terminal's: name UTF-8 for it, and only for it
-    code, out, err = fresh(["query", "word2eq", "--words", "words", "-k", "5", "--model", model, "--bundle", bundle],
-                           env={**_ASCII_LOCALE, "PYTHONIOENCODING": "utf-8"}, timeout=60)
+    # query rows are UTF-8 bytes whatever stdout's encoding (an empty
+    # PYTHONIOENCODING is none), and an in-process caller's text stream
+    # gets the same text
+    query = ["query", "word2eq", "--words", "words", "-k", "5", "--model", model, "--bundle", bundle]
+    code, out, err = fresh(query, env={**_ASCII_LOCALE, "PYTHONIOENCODING": ""}, timeout=60)
     assert code == 0, err
-    assert f"\t{eq}\t" in out and "x_{\u00e9}" in out
+    assert f"\t{eq}\t" in out and "\tx_{\u00e9}\n".encode() in out.encode("utf-8")
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert main(query) == 0
+    assert text.getvalue() == out
 
 
 def test_reused_parser_leaks_no_state(planted_models, monkeypatch, capsys):

@@ -84,12 +84,15 @@ def test_plan_independent_of_compile_chunking(corpus, monkeypatch, pass_name):
 
 @pytest.mark.parametrize("name", ["word", "equation", "unit-joint", "unit-two-pass"])
 def test_fit_independent_of_compile_chunking(corpus, monkeypatch, name):
-    # negatives are drawn once per plan, so plan boundaries must not show
+    # plans are compiled a chunk of tokens at a time and stepped a slice of
+    # positions at a time, with negatives drawn per slice: neither boundary
+    # may show
     mode, overrides = EQUIVALENCE_CONFIGS[name]
     cfg = with_overrides(CFG, **overrides)
 
-    def fitted(tokens):
+    def fitted(tokens, positions):
         monkeypatch.setattr(passes, "_COMPILE_TOKENS", tokens)
+        monkeypatch.setattr(training, "_SLICE_POSITIONS", positions)
         stacked = []  # each pass's parameters and accumulators, as the pass left them
 
         def recorded(tables, trainable):
@@ -100,8 +103,8 @@ def test_fit_independent_of_compile_chunking(corpus, monkeypatch, name):
         _, records = train_model(corpus, cfg, mode)
         return [a.tobytes() for s in stacked for a in s], [(r.pass_name, r.epoch, r.validation_score, r.train_loss) for r in records]
 
-    one, many = fitted(10**9), fitted(1)
-    assert one == many
+    runs = [fitted(tokens, positions) for tokens in (10**9, 1) for positions in (10**9, 1)]
+    assert all(run == runs[0] for run in runs[1:])
 
 
 # --- one compiled step against the pair API -----------------------------------
@@ -257,13 +260,36 @@ def test_kernel_matches_kernel_before_step_rewrite(case):
 # --- block negatives against the sequential sampler ---------------------------
 
 
+def _weights(draw, rng, n: int, kind: str):
+    """``n`` sampling weights of one kind, no id holding more than half:
+    integer counts with about a third zero, floats over twelve decades, or
+    equal weights on a power-of-two subset, so that every cumulative sum is
+    a bucket edge of the sampler's table."""
+    if kind == "edges":
+        f = np.zeros(n, dtype=np.int64)
+        f[rng.choice(n, 1 << draw(st.integers(1, n.bit_length() - 1)), replace=False)] = 1
+        return f
+    if kind == "counts":
+        f = rng.integers(1, 30, n) * (rng.random(n) < 0.7)
+    else:
+        f = 10.0 ** rng.uniform(-6, 6, n)
+    f[rng.choice(n, 2, replace=False)] = max(f.max(), 1)
+    return f
+
+
 @st.composite
 def negative_streams(draw):
     """Plan-sized runs of positions over two samplers.  In the dominant case
     every position of sampler 0 excludes the id holding 90% of its weight,
     so it consumes ten times the doubles of a free draw and long runs are
-    drawn in several chunks."""
+    drawn in several chunks.  A sampler has 1 to 8 ids, or up to a few
+    thousand with zero weights or cumulative sums on bucket edges, so that
+    its table's buckets split at several boundaries and are searched."""
     def freqs():
+        if draw(st.booleans()):
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            n = draw(st.integers(2, 3000))
+            return _weights(draw, rng, n, draw(st.sampled_from(["counts", "floats", "edges"])))
         n = draw(st.integers(1, 8))
         f = draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))
         if draw(st.booleans()):  # one dominant id: rejections are frequent
@@ -312,6 +338,21 @@ def test_block_draws_reproduce_sequential_stream(case):
         assert a.bit_generator.state == b.bit_generator.state
     # the next sequential draw continues the same stream
     assert np.array_equal(seq[0].draw(size, exclude[0]), blk[0].draw(size, exclude[0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 5000), st.sampled_from(["uniform", "counts", "floats", "edges"]), st.integers(0, 2**32 - 1),
+       st.data())
+def test_table_maps_like_searchsorted(n, kind, seed, data):
+    # at and beside every bucket edge and every cumulative weight, where a
+    # bucket's id changes, and at random doubles
+    rng = np.random.default_rng(seed)
+    sampler = training.NegativeSampler(rng, n, None if kind == "uniform" else _weights(data.draw, rng, n, kind))
+    edges, cum = np.arange(sampler.scale) / sampler.scale, sampler.cum
+    u = np.concatenate([v for x in (edges, cum) for v in (x, np.nextafter(x, 0.0), np.nextafter(x, 1.0))]
+                       + [rng.random(1000)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    assert np.array_equal(sampler.ids(u), np.searchsorted(cum, u, side="right"))
 
 
 class _CountingRng:

@@ -47,9 +47,12 @@ Builds the planted corpus bundle and runs the CLI on it in-process:
   and ``ids``, the registry, both vocabularies and every held-out column.
   These digest content, not layout: a change to how a bundle file is laid
   out changes its file digest and leaves its table digests equal;
-* ``eqvec train`` in five configurations (word, equation, unit-joint, unit
-  two-pass, ``unit_context_mean``) at model seeds 4 and 1: the model file,
-  and its ``.trace.jsonl`` with the two timing fields masked;
+* ``eqvec train`` in seven configurations (word, equation, unit-joint, unit
+  two-pass, ``unit_context_mean``, equation at ``negative_sampling=uniform``,
+  whose cumulative weights are about ``i/n``, and unit-joint at
+  ``n_negatives=25``, whose slices hold fewer positions) at model seeds 4
+  and 1: the model file, and its ``.trace.jsonl`` with the two timing
+  fields masked;
 * ``eqvec eval`` with the default grid at seeds 4 and 1: the report TSV;
 * ``eqvec query`` on every model with equation vectors: eq2eq and eq2word
   at equation ids 0, 7 and 42 (those the bundle has), each under its
@@ -106,6 +109,8 @@ CONFIGS = {
     "unit-joint": ("unit", {}),
     "unit-two-pass": ("unit", {"unit_joint": "false"}),
     "unit-mean": ("unit", {"unit_context_mean": "true"}),
+    "uniform": ("equation", {"negative_sampling": "uniform"}),
+    "negatives-25": ("unit", {"n_negatives": 25}),
 }
 _SECONDS = re.compile(r'"(seconds|score_seconds)": [0-9.e+-]+')
 
