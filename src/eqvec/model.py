@@ -8,7 +8,9 @@ sigma(rho_target . sum of context alphas); negative-sampled zeros share
 the positive's context with label 0.
 """
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -123,7 +125,9 @@ def ranked_steps(lengths: np.ndarray):
 
 # --- derived equation vectors (unit mode) -------------------------------------
 
-_MEAN_BLOCK = 256  # groups ``unit_means`` sums at a time, so that a step's arrays stay in cache
+_MEAN_BLOCK = 256  # groups the compensated loop sums at a time, so that a step's arrays stay in cache
+_EXACT_CHUNK = 256  # groups the exact sum gathers at a time
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 def _rounding_error(tot, r, t, e):
@@ -141,10 +145,72 @@ def _rounding_error(tot, r, t, e):
     e += r
 
 
-def unit_means(groups, rows: np.ndarray) -> np.ndarray:
-    """Neumaier-compensated mean of ``rows[ids[ptr[g]:ptr[g + 1]]]`` for
-    every group g of ``groups = (ptr, ids)``, ids without gaps such as
-    ``EquationUnits.without_gaps()`` gives.
+class UnitGroups:
+    """A gap-free equation -> units layout ``(ptr, ids)``, such as
+    ``EquationUnits.without_gaps()`` gives, and what ``unit_means`` derives
+    from it alone, so that both kinds of a model's equation vectors share it."""
+
+    def __init__(self, ptr: np.ndarray, ids: np.ndarray):
+        self.ptr, self.ids = ptr, ids
+        self.lengths = np.diff(ptr)
+        self.longest = int(self.lengths.max(initial=0))
+
+    @cached_property
+    def ranked(self) -> tuple[np.ndarray, list]:
+        """``ranked_steps`` of the group lengths, for the compensated loop."""
+        return ranked_steps(self.lengths)
+
+    @cached_property
+    def chunks(self) -> tuple[np.ndarray, list]:
+        """The groups with units, and the exact sum's chunks of them: each
+        chunk's ``(lo, hi)`` among those groups, the unit ids of groups
+        ``lo:hi`` and where each group starts in them."""
+        filled = np.flatnonzero(self.lengths)
+        starts, ends = self.ptr[filled], self.ptr[filled + 1]
+        chunks = []
+        for lo in range(0, len(filled), _EXACT_CHUNK):
+            hi = min(lo + _EXACT_CHUNK, len(filled))
+            chunks.append((lo, hi, self.ids[starts[lo] : ends[hi - 1]], starts[lo:hi] - starts[lo]))
+        return filled, chunks
+
+
+def _sums_exact(rows: np.ndarray, longest: int) -> bool:
+    """Whether every partial sum of at most ``longest`` entries of a column
+    of ``rows`` is exact in float64.
+
+    It is when every entry is finite and float32-valued, as a loaded
+    model's are, and ``max|x| * longest < 2**(e + 29)`` for ``e`` the
+    ``frexp`` exponent of the smallest nonzero |x|: each entry is then a
+    multiple of ``2**(e - 24)``, and so is each partial sum, which stays
+    below ``2**(e - 24 + 53)``."""
+    mags = np.abs(rows)
+    hi = mags.max(initial=0.0)
+    if not hi <= _FLOAT32_MAX or not (rows.astype(np.float32) == rows).all():  # a NaN fails the first
+        return False
+    nonzero = mags[mags > 0]
+    return not nonzero.size or hi * longest < math.ldexp(1.0, math.frexp(nonzero.min())[1] + 29)
+
+
+def _exact_means(groups: UnitGroups, rows: np.ndarray) -> np.ndarray:
+    """``unit_means`` where ``_sums_exact`` holds: every partial sum is the
+    true one, so a group's rows are summed in any order, ``_EXACT_CHUNK``
+    groups at a time, without compensation.  Adding +0.0 gives an all -0.0
+    sum the sign a sum started at +0.0 has."""
+    filled, chunks = groups.chunks
+    sums = np.empty((len(filled), rows.shape[1]))
+    for lo, hi, ids, offsets in chunks:
+        np.add.reduceat(rows.take(ids, axis=0), offsets, axis=0, out=sums[lo:hi])
+    sums += 0.0
+    sums /= groups.lengths[filled, None]
+    if len(filled) == len(groups.lengths):
+        return sums
+    out = np.full((len(groups.lengths), rows.shape[1]), np.nan)
+    out[filled] = sums
+    return out
+
+
+def _compensated_means(groups: UnitGroups, rows: np.ndarray) -> np.ndarray:
+    """``unit_means`` by Neumaier-compensated sums.
 
     Groups are ranked by length and summed ``_MEAN_BLOCK`` at a time.  Step
     j adds the j-th unit of every group of the block that still has one;
@@ -152,13 +218,10 @@ def unit_means(groups, rows: np.ndarray) -> np.ndarray:
     rows: no group is padded, and beyond the unit ids the work arrays hold
     ``_MEAN_BLOCK`` rows.  Each group adds its units in order with the same
     element-wise operations as a per-group loop, so its mean is bitwise
-    the one it gets alone.  A group without units gives a NaN row.
-    """
-    ptr, flat = groups
-    lengths = np.diff(ptr)
-    rows = np.asarray(rows, dtype=np.float64)
+    the one it gets alone."""
+    ptr, flat, lengths = groups.ptr, groups.ids, groups.lengths
     out = np.full((len(lengths), rows.shape[1]), np.nan)
-    order, active = ranked_steps(lengths)
+    order, active = groups.ranked
     if not active:
         return out
     starts = ptr[order]
@@ -181,6 +244,23 @@ def unit_means(groups, rows: np.ndarray) -> np.ndarray:
         m = len(ranked)
         out[ranked] = (total[:m] + comp[:m]) / lengths[ranked, None]
     return out
+
+
+def unit_means(groups, rows: np.ndarray) -> np.ndarray:
+    """Neumaier-compensated mean of ``rows[ids[ptr[g]:ptr[g + 1]]]`` for
+    every group g of ``groups``, a ``UnitGroups`` or its ``(ptr, ids)``.
+    A group without units gives a NaN row.
+
+    Where ``_sums_exact`` holds for ``rows`` and the longest group, the
+    compensation is zero, and the groups are summed without it; otherwise
+    they take the compensated loop.  Either way each group's mean is
+    bitwise the one it gets alone."""
+    if not isinstance(groups, UnitGroups):
+        groups = UnitGroups(*groups)
+    rows = np.asarray(rows, dtype=np.float64)
+    if _sums_exact(rows, groups.longest):
+        return _exact_means(groups, rows)
+    return _compensated_means(groups, rows)
 
 
 def equation_vector_from_units(units, unit_table: EmbeddingTable):
@@ -267,10 +347,15 @@ class Model:
         self._derived: dict[str, np.ndarray] = {}
         self._scanned: dict[str, RowStats] = {}
 
+    @cached_property
+    def _unit_groups(self) -> UnitGroups:
+        """The gap-free layout of ``eq_units`` that both kinds are derived over."""
+        return UnitGroups(*self.eq_units.without_gaps())
+
     def _derive(self, which: str) -> np.ndarray:
         """A unit model's equation matrix of one kind, derived on first use."""
         if which not in self._derived:
-            self._derived[which] = unit_means(self.eq_units.without_gaps(), getattr(self.unit, which))
+            self._derived[which] = unit_means(self._unit_groups, getattr(self.unit, which))
         return self._derived[which]
 
     def equation_matrix(self, which: str) -> np.ndarray:

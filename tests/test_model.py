@@ -21,6 +21,7 @@ from eqvec.model import (
     sigmoid,
     unit_means,
 )
+from eqvec.modelfile import load_model, save_model
 from eqvec.training import ADAGRAD_FLOOR
 
 from .conftest import RETRIEVAL_SEED, Item, equation_units, heldout_set
@@ -513,6 +514,105 @@ def test_unit_model_derives_one_kind_on_first_use(monkeypatch):
     assert len(derived) == 2 and derived[1] is t.rho
     assert alpha.flags.c_contiguous and rho.flags.c_contiguous
     one_group_paths_agree()
+
+
+_SPECIALS = (0.0, -0.0, np.nan, np.inf, -np.inf, 2.0**-149, -(2.0**-130))  # the last two: float32 subnormals
+
+
+def _sums_exact_oracle(rows: np.ndarray, longest: int) -> bool:
+    """The exact path's condition, as stated: finite float32 values whose
+    largest magnitude times the longest group stays below 2**(e + 29), for
+    e the exponent of the smallest nonzero magnitude."""
+    if not np.isfinite(rows).all() or not (rows.astype(np.float32) == rows).all():
+        return False
+    mags = np.abs(rows[rows != 0])
+    return not mags.size or mags.max() * longest < 2.0 ** (int(np.frexp(mags.min())[1]) + 29)
+
+
+def _nan_canonical(x: np.ndarray) -> bytes:
+    return np.where(np.isnan(x), np.nan, x).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    groups=st.lists(st.lists(st.integers(-1, 7), max_size=12), max_size=10),
+    base=st.integers(-170, 100),
+    spread=st.integers(0, 45),
+    specials=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 3), st.sampled_from(_SPECIALS)), max_size=3),
+    widened=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(groups=[[0, 1, 2], [], [-1, -1], [3, 3]], base=-10, spread=3, specials=[(3, 0, -0.0)],
+         widened=False, seed=1)  # an all -0.0 column sums to +0.0
+@example(groups=[[0, 1], [2]], base=-150, spread=2, specials=[], widened=False, seed=2)  # subnormals
+@example(groups=[[0, 1, 2, 3, 4, 5, 6, 7]], base=-20, spread=30, specials=[], widened=False, seed=3)
+def test_unit_means_exact_path_bitwise_equal_oracle(groups, base, spread, specials, widened, seed):
+    # float32-valued rows whose exponents span ``spread`` from ``base``
+    # (overflowing to inf or rounding to subnormals and zero at the ends),
+    # with NaN, ±inf, ±0 and subnormals written in; ``widened`` makes one
+    # entry a float64 value.  Where the stated condition holds the exact
+    # path runs (the compensation would raise), elsewhere the compensated
+    # loop does; either way every group's mean is the oracle's, bitwise
+    # (NaNs compared as NaN)
+    rng = np.random.default_rng(seed)
+    mantissas = rng.integers(-(2**24) + 1, 2**24, size=(8, 4)).astype(np.float64)
+    with np.errstate(over="ignore"):
+        rows = np.ldexp(mantissas, base - 24 + rng.integers(0, spread + 1, size=(8, 4)))
+        rows = rows.astype(np.float32).astype(np.float64)
+    for i, j, v in specials:
+        rows[i, j] = v
+    if widened:
+        rows[0, 0] = 1.0 + 2.0**-40
+    table = equation_units(groups)
+    ptr, ids = table.without_gaps()
+    exact = _sums_exact_oracle(rows, int(np.diff(ptr).max(initial=0)))
+
+    def not_this_path(*_):
+        raise AssertionError("the other path ran")
+
+    patched = "_rounding_error" if exact else "_exact_means"
+    with mock.patch.object(model_mod, patched, not_this_path), np.errstate(invalid="ignore"):  # inf - inf
+        got = unit_means((ptr, ids), rows)
+        assert got.shape == (len(groups), 4)
+        for g, row in zip(table, got):
+            units = table[g][table[g] >= 0]
+            want = _compensated_mean(rows[units]) if units.size else np.full(4, np.nan)
+            assert _nan_canonical(row) == _nan_canonical(want)
+
+
+@pytest.mark.parametrize("hi, exact", [(2.0**28 - 16, True), (2.0**28, False)])
+def test_exact_path_runs_only_below_its_bound(hi, exact):
+    # the smallest nonzero |x| is 1.0, whose np.frexp exponent is 1, and the
+    # longest group holds 4 units: the sums are exact while max|x| * 4 < 2**30
+    rows = np.array([[1.0, -0.0], [hi, 3.0], [-hi, 2.0], [7.0, hi]])
+    table = equation_units([[0, 1, 2, 3], [1], [], [3, -1, 0]])
+    patched = "_rounding_error" if exact else "_exact_means"
+    with mock.patch.object(model_mod, patched, side_effect=AssertionError("the other path ran")):
+        got = unit_means(table.without_gaps(), rows)
+    for g, row in zip(table, got):
+        units = table[g][table[g] >= 0]
+        want = _compensated_mean(rows[units]) if units.size else np.full(2, np.nan)
+        assert row.tobytes() == want.tobytes()
+
+
+def test_loaded_unit_model_sums_exactly_and_an_in_memory_fit_compensates(trained, tmp_path, monkeypatch):
+    fitted = trained("unit", RETRIEVAL_SEED)
+    alphas, rhos = reference_equation_matrices(fitted.eq_units, fitted.unit, fitted.n_equations)
+    in_memory = Model("unit", fitted.config, fitted.word, unit=fitted.unit, eq_units=fitted.eq_units,
+                      n_equations=fitted.n_equations)
+    with mock.patch.object(model_mod, "_exact_means", side_effect=AssertionError("float64 rows summed exactly")):
+        assert in_memory.equation_matrix("alpha").tobytes() == alphas.tobytes()
+        assert in_memory.equation_matrix("rho").tobytes() == rhos.tobytes()
+
+    loaded = load_model(save_model(fitted, str(tmp_path / "unit.eqv")), eq_units=fitted.eq_units)
+    alphas, rhos = reference_equation_matrices(loaded.eq_units, loaded.unit, loaded.n_equations)
+    layouts = []
+    real = type(loaded.eq_units).without_gaps
+    monkeypatch.setattr(type(loaded.eq_units), "without_gaps", lambda self: layouts.append(self) or real(self))
+    with mock.patch.object(model_mod, "_rounding_error", side_effect=AssertionError("compensated")):
+        assert loaded.equation_matrix("alpha").tobytes() == alphas.tobytes()
+        assert loaded.equation_matrix("rho").tobytes() == rhos.tobytes()
+    assert len(layouts) == 1  # both kinds share one gap-free layout
 
 
 # --- model container -------------------------------------------------------------------

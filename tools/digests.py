@@ -59,7 +59,9 @@ Builds the planted corpus bundle and runs the CLI on it in-process:
   default metric and the other one, and one word2eq: stdout and exit code;
 * the same queries through ``eqvec.retrieval`` on one loaded model, asked
   twice, so that the second answers read what the first scans left on the
-  model (``warm/...``): their ids and the ``float.hex`` of each score.
+  model (``warm/...``): their ids and the ``float.hex`` of each score;
+* each loaded unit model's two equation matrices (``derived/.../alpha``
+  and ``rho``): their raw bytes.
 
 Fits use the acceptance configuration (k=25, windows 4/16/2, learning rate
 0.05).  Run it in two checkouts and compare the outputs::
@@ -67,9 +69,17 @@ Fits use the acceptance configuration (k=25, windows 4/16/2, learning rate
     python3 tools/digests.py --out a.json          # 200 docs, about 25 s
     python3 tools/digests.py --compare a.json b.json
 
-``--compare`` prints each digest that differs or exists on one side only
-and exits 1 if there is any.  No digests are committed: BLAS builds may
-round differently, so only runs on one host compare.
+The output holds the digests, the corpus size and epoch cap they were
+made at, and the ``environment`` they depend on.  ``--compare`` prints
+each digest that differs or exists on one side only, and exits 1 if there
+is any.  Digests of fitted, scored or queried floats (``FLOAT_GROUPS``)
+depend on numpy's BLAS and on the SIMD extensions it uses, while those of
+the corpus text and bundles (``BYTE_GROUPS``) do not.
+``tests/data/digests.json`` holds a 40-document, one-epoch run that
+tier-1 compares against; a change that alters bytes on purpose writes it
+again::
+
+    python3 tools/digests.py --n-docs 40 --max-epochs 1 --out tests/data/digests.json
 """
 
 import argparse
@@ -112,6 +122,8 @@ CONFIGS = {
     "uniform": ("equation", {"negative_sampling": "uniform"}),
     "negatives-25": ("unit", {"n_negatives": 25}),
 }
+FLOAT_GROUPS = ("model/", "trace/", "eval/", "query/", "warm/", "derived/")
+BYTE_GROUPS = ("corpus/", "bundle/", "table/")
 _SECONDS = re.compile(r'"(seconds|score_seconds)": [0-9.e+-]+')
 
 
@@ -404,6 +416,8 @@ def digests(workdir: str, n_docs: int = 200, max_epochs: int | None = None) -> d
                 code, text = _run(["query", *args, "--model", model, "--bundle", bundle_dir])
                 out[f"query/{key}/{q}"] = _sha(f"{code}\n{text}".encode())
             out.update({f"warm/{key}/{q}": d for q, d in _warm_digests(model, bundle_dir, queries).items()})
+            if mode == "unit":
+                out.update({f"derived/{key}/{w}": d for w, d in _derived_digests(model, bundle_dir).items()})
     for seed in EVAL_SEEDS:
         report = os.path.join(workdir, f"eval-{seed}.tsv")
         code, _ = _run(["eval", "--bundle", bundle_dir, "--report", report, "--seed", str(seed), *_sets(cap)])
@@ -438,6 +452,30 @@ def _warm_digests(model_path: str, bundle_dir: str, queries: dict) -> dict:
     return {q: _sha(a.encode()) for q, a in answers.items()}
 
 
+def _derived_digests(model_path: str, bundle_dir: str) -> dict:
+    """The digests of a loaded unit model's two equation matrices' raw bytes."""
+    model = modelfile.load_model(model_path, eq_units=bundle.load_query_files(bundle_dir).eq_units)
+    return {which: _sha(model.equation_matrix(which).tobytes()) for which in ("alpha", "rho")}
+
+
+def environment() -> dict:
+    """What float digests depend on beside the program: numpy, its BLAS,
+    and the SIMD extensions numpy found on this CPU."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 only prints its build configuration
+        return {"numpy": np.__version__}
+    blas = config["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
+            "simd": config["SIMD Extensions"]["found"]}
+
+
+def record(workdir: str, n_docs: int = 200, max_epochs: int | None = None) -> dict:
+    """One run's digests with what they were made at and depend on."""
+    return {"n_docs": n_docs, "max_epochs": max_epochs, "environment": environment(),
+            "digests": digests(workdir, n_docs, max_epochs)}
+
+
 def compare(a: dict, b: dict) -> list:
     """Names whose digests differ or that one side lacks, sorted."""
     return sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
@@ -447,16 +485,21 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--out", help="write the digests to this JSON file (default: stdout)")
     p.add_argument("--compare", nargs=2, metavar=("A", "B"), help="list the digests that differ")
+    p.add_argument("--n-docs", type=int, default=200, help="planted documents every bundle is made from")
+    p.add_argument("--max-epochs", type=int, help="cap every fit, the eval grid's included")
     args = p.parse_args(argv)
     if args.compare:
         a, b = (json.loads(Path(f).read_text()) for f in args.compare)
-        diff = compare(a, b)
+        for key in ("n_docs", "max_epochs", "environment"):
+            if a[key] != b[key]:
+                print(f"note\t{key} differs: {a[key]} against {b[key]}")
+        diff = compare(a["digests"], b["digests"])
         for name in diff:
             print(f"differs\t{name}")
-        print(f"{len(diff)} of {len(a.keys() | b.keys())} digests differ")
+        print(f"{len(diff)} of {len(a['digests'].keys() | b['digests'].keys())} digests differ")
         return 1 if diff else 0
     with tempfile.TemporaryDirectory() as workdir:
-        text = json.dumps(digests(workdir), indent=1, sort_keys=True) + "\n"
+        text = json.dumps(record(workdir, args.n_docs, args.max_epochs), indent=1, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:
