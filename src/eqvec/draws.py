@@ -21,6 +21,11 @@ _LOW = 0xFFFFFFFF
 _NO_MAP: tuple[int, list[int], list[int]] = (0, [], [])
 
 
+def doubles(bits: np.random.PCG64, n: int) -> np.ndarray:
+    """``Generator(bits).random(n)``, read from ``bits.random_raw``."""
+    return (bits.random_raw(n) >> 11) * 2.0**-53
+
+
 class Draws:
     """A cursor over ``PCG64(seed)``'s raw words, read in blocks of
     ``BLOCK`` words, and the high half kept from the last word split."""

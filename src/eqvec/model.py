@@ -73,13 +73,16 @@ class ModelConfig:
 
 
 class EmbeddingTable:
-    """rho/alpha matrices for one class."""
+    """rho/alpha matrices for one class, drawn uniform on [-scale, scale)
+    from ``bits``, rho first: bitwise ``Generator(bits).uniform``'s values."""
 
-    def __init__(self, size: int, k: int, rng: np.random.Generator, scale: float):
+    def __init__(self, size: int, k: int, bits: np.random.PCG64, scale: float):
+        from .draws import doubles  # not on the query path, which loads tables
+
         self.size = size
         self.k = k
-        self.rho = rng.uniform(-scale, scale, size=(size, k))
-        self.alpha = rng.uniform(-scale, scale, size=(size, k))
+        self.rho = -scale + 2 * scale * doubles(bits, size * k).reshape(size, k)
+        self.alpha = -scale + 2 * scale * doubles(bits, size * k).reshape(size, k)
 
     @classmethod
     def from_arrays(cls, rho: np.ndarray, alpha: np.ndarray) -> "EmbeddingTable":
@@ -226,7 +229,7 @@ def _compensated_means(groups: UnitGroups, rows: np.ndarray) -> np.ndarray:
         return out
     starts = ptr[order]
     shape = (min(_MEAN_BLOCK, active[0]), rows.shape[1])
-    total, comp, r, t, e = (np.empty(shape) for _ in range(5))
+    total, comp, t, e = (np.empty(shape) for _ in range(4))
     for lo in range(0, active[0], _MEAN_BLOCK):
         total.fill(0.0)
         comp.fill(0.0)
@@ -234,10 +237,10 @@ def _compensated_means(groups: UnitGroups, rows: np.ndarray) -> np.ndarray:
             n = min(n - lo, _MEAN_BLOCK)
             if n <= 0:
                 break
-            tot, rn, tn, en = total[:n], r[:n], t[:n], e[:n]
-            rows.take(flat.take(starts[lo : lo + n] + j), axis=0, out=rn)
-            np.add(tot, rn, out=tn)
-            _rounding_error(tot, rn, tn, en)
+            tot, tn, en = total[:n], t[:n], e[:n]
+            r = rows.take(flat.take(starts[lo : lo + n] + j), axis=0)
+            np.add(tot, r, out=tn)
+            _rounding_error(tot, r, tn, en)
             comp[:n] += en
             tot[...] = tn
         ranked = order[lo : min(lo + _MEAN_BLOCK, active[0])]

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import evaluation, passes
 from .corpus import CorpusData
+from .draws import doubles
 from .model import LOG_EPS, MODES, EmbeddingTable, Model, ModelConfig
 from .passes import PASS_CLASSES, PassPlan, _ptr, _ranges, compile_pass
 
@@ -81,7 +82,7 @@ class NegativeSampler:
     is not id i.
     """
 
-    def __init__(self, rng: np.random.Generator, n: int, freqs=None):
+    def __init__(self, rng: np.random.PCG64, n: int, freqs=None):
         self.rng = rng
         self.n = n
         self.cum = None
@@ -142,8 +143,6 @@ def draw_negatives(samplers, which, exclude, size: int) -> np.ndarray:
         if s.cum is not None:
             streams.setdefault(id(s.rng), []).append(i)
     for members in streams.values():
-        if len(members) == len(samplers) and len(which):  # one generator feeds every sampler
-            return _draw_stream(samplers, which, exclude, size)
         sel = np.flatnonzero(np.isin(which, members))
         if sel.size:
             out[sel] = _draw_stream(
@@ -163,14 +162,15 @@ def _draw_stream(samplers, which, exclude, size):
     four of its square roots, at most ``_POOL``); rows run back to back
     from the start of a chunk, which carries over the last one's ids from
     the start of the row that ran out, and are copied out of it when the
-    next is drawn.  The generator ends just past the doubles used."""
+    next is drawn.  The generator is then rewound to just past the doubles
+    used: one raw word each, and ``advance`` wraps a negative delta."""
     offsets = _ptr([s.n for s in samplers])[which]
     need = _expected_draws(size, np.concatenate([s.accept for s in samplers])[offsets + exclude], exclude)
     rest = np.cumsum(need[::-1])[::-1].tolist()
-    rng = samplers[0].rng
+    bits = samplers[0].rng
     out = np.empty((len(which), size), dtype=np.int64)
     mapped, ids = [np.empty(0, dtype=np.int32) for _ in samplers], None
-    used, end, kept, first, state = 0, 0, 0, 0, None
+    used, end, first = 0, 0, 0
     longer = []  # (position, further ids taken) of the rows that drew their exclusion
 
     def flush(upto):  # rows first..upto-1 of the chunk, into out
@@ -179,22 +179,20 @@ def _draw_stream(samplers, which, exclude, size):
             at, extra = np.array(longer).T
             lens[at - first] += extra
         got = int(lens.sum())
-        vals = mapped[0][:got] if len(mapped) == 1 else np.choose(
-            np.repeat(which[first:upto], lens), [m[:got] for m in mapped])
+        vals = np.choose(np.repeat(which[first:upto], lens), [m[:got] for m in mapped])
         if longer:
             vals = vals[vals != np.repeat(exclude[first:upto], lens)]
             longer.clear()
         out[first:upto] = vals.reshape(-1, size)
 
     def more(i, start):  # the next chunk, from position i's row, which begins at ``start``
-        nonlocal mapped, ids, used, end, kept, first, state
+        nonlocal mapped, ids, used, end, first
         if i > first:
             flush(i)
-        state = rng.bit_generator.state
-        u = rng.random(min(int(rest[i] + 4 * rest[i] ** 0.5) + 1, _POOL))
+        u = doubles(bits, min(int(rest[i] + 4 * rest[i] ** 0.5) + 1, _POOL))
         mapped = [np.concatenate((m[start:], s.ids(u))) for s, m in zip(samplers, mapped)]
         ids = [m.tolist() for m in mapped]
-        kept, used, end, first = end - start, used - start, end - start + len(u), i
+        used, end, first = used - start, end - start + len(u), i
 
     for i, (w, x) in enumerate(zip(which.tolist(), exclude.tolist())):
         if used + size > end:
@@ -213,8 +211,7 @@ def _draw_stream(samplers, which, exclude, size):
                 used += 1
             longer.append((i, used - start - size))
     flush(len(which))
-    rng.bit_generator.state = state
-    rng.random(used - kept)
+    bits.advance(used - end)
     return out
 
 
@@ -424,7 +421,7 @@ def train_model(data: CorpusData, config: ModelConfig, mode: str, word=None):
     config.validate()
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    rngs = [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(config.seed).spawn(6)]
+    streams = [np.random.PCG64(s) for s in np.random.SeedSequence(config.seed).spawn(6)]
     if mode == "unit" and config.unit_joint:
         pass_names = ["joint"]
     else:
@@ -437,7 +434,7 @@ def train_model(data: CorpusData, config: ModelConfig, mode: str, word=None):
     sizes = passes.class_sizes(data)
     tables = {} if word is None else {"word": EmbeddingTable.from_arrays(word[0].word.rho, word[0].word.alpha)}
     # the word, equation and unit tables start from child seeds 0, 1 and 2
-    tables.update({c: EmbeddingTable(n, config.k, rngs[i], config.scale)
+    tables.update({c: EmbeddingTable(n, config.k, streams[i], config.scale)
                    for i, (c, n) in enumerate(sizes.items()) if c in used and c not in tables})
 
     def freqs(cls):
@@ -454,7 +451,7 @@ def train_model(data: CorpusData, config: ModelConfig, mode: str, word=None):
     for name in pass_names:
         spec = PASS_CLASSES[name]
         stacked = _stack([tables[c] for c in spec.classes], spec.trainable)
-        samplers = [NegativeSampler(rngs[s], sizes[c], freqs(c)) for c, s in zip(spec.classes, spec.seeds)]
+        samplers = [NegativeSampler(streams[s], sizes[c], freqs(c)) for c, s in zip(spec.classes, spec.seeds)]
         best = stacked[0].copy()  # the parameters of the last good epoch
         plans, trace = None, []
         for epoch in range(1, config.max_epochs + 1):

@@ -53,7 +53,7 @@ class Table:
 
     @classmethod
     def random(cls, size: int, k: int, rng: np.random.Generator, scale: float) -> "Table":
-        """Drawn as ``EmbeddingTable(size, k, rng, scale)`` draws its vectors."""
+        """Drawn as ``EmbeddingTable(size, k, rng.bit_generator, scale)`` draws its vectors."""
         rho = rng.uniform(-scale, scale, size=(size, k))
         return cls(rho, rng.uniform(-scale, scale, size=(size, k)))
 

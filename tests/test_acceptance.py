@@ -83,9 +83,9 @@ def test_criterion_1_gradient_suite():
         for mode in ("word", "equation", "unit"):
             k = int(rng.integers(2, 9))
             tables = Tables(
-                EmbeddingTable(10, k, rng, 0.4),
-                eq=EmbeddingTable(6, k, rng, 0.4),
-                unit=EmbeddingTable(9, k, rng, 0.4),
+                EmbeddingTable(10, k, rng.bit_generator, 0.4),
+                eq=EmbeddingTable(6, k, rng.bit_generator, 0.4),
+                unit=EmbeddingTable(9, k, rng.bit_generator, 0.4),
             )
             worst = max(worst, _finite_difference_check(_random_instance(rng, mode, tables), mode, tables))
             checked += 1
@@ -118,7 +118,7 @@ def test_criterion_2_frozen_word_table(planted, trained):
 
 def test_criterion_3_unit_mean_exactness():
     rng = np.random.default_rng(103)
-    table = EmbeddingTable(400, 16, rng, 0.5)
+    table = EmbeddingTable(400, 16, rng.bit_generator, 0.5)
     worst_ulp = 0.0
     for _ in range(1000):
         ids = rng.integers(0, 400, size=int(rng.integers(1, 40)))

@@ -311,10 +311,12 @@ def negative_streams(draw):
     return sampler_freqs, which, exclude, blocks, size, shared, seed
 
 
-def _samplers(sampler_freqs, shared, seed):
+def _samplers(sampler_freqs, shared, seed, bits=False):
+    """Samplers on fresh Generators, the sequential oracle's, or with
+    ``bits`` on their bit generators, as training gives its samplers."""
     rngs = [np.random.Generator(np.random.PCG64(seed))]
     rngs.append(rngs[0] if shared else np.random.Generator(np.random.PCG64(seed + 1)))
-    return [NegativeSampler(r, len(f), f) for r, f in zip(rngs, sampler_freqs)], rngs
+    return [NegativeSampler(r.bit_generator if bits else r, len(f), f) for r, f in zip(rngs, sampler_freqs)], rngs
 
 
 @settings(max_examples=200, deadline=None)
@@ -324,7 +326,7 @@ def test_block_draws_reproduce_sequential_stream(case):
     seq, seq_rngs = _samplers(sampler_freqs, shared, seed)
     want = [seq[w].draw(size, x) for w, x in zip(which, exclude)]
 
-    blk, blk_rngs = _samplers(sampler_freqs, shared, seed)
+    blk, blk_rngs = _samplers(sampler_freqs, shared, seed, bits=True)
     got, lo, b = [], 0, 0
     while lo < len(which):
         hi = min(len(which), lo + blocks[b % len(blocks)])
@@ -337,7 +339,8 @@ def test_block_draws_reproduce_sequential_stream(case):
     for a, b in zip(seq_rngs, blk_rngs):
         assert a.bit_generator.state == b.bit_generator.state
     # the next sequential draw continues the same stream
-    assert np.array_equal(seq[0].draw(size, exclude[0]), blk[0].draw(size, exclude[0]))
+    after = NegativeSampler(blk_rngs[0], len(sampler_freqs[0]), sampler_freqs[0])
+    assert np.array_equal(seq[0].draw(size, exclude[0]), after.draw(size, exclude[0]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -355,41 +358,47 @@ def test_table_maps_like_searchsorted(n, kind, seed, data):
     assert np.array_equal(sampler.ids(u), np.searchsorted(cum, u, side="right"))
 
 
-class _CountingRng:
-    """A generator that records the size of every ``random`` call."""
+class _CountingBits:
+    """A bit generator that records every ``random_raw`` call, as
+    ("raw", words), and every ``advance``, as ("advance", delta)."""
 
-    def __init__(self, seed):
-        self.rng = np.random.Generator(np.random.PCG64(seed))
-        self.bit_generator = self.rng.bit_generator
+    def __init__(self, bits):
+        self.bits = bits
         self.calls = []
 
-    def random(self, n):
-        self.calls.append(n)
-        return self.rng.random(n)
+    def random_raw(self, n):
+        self.calls.append(("raw", n))
+        return self.bits.random_raw(n)
+
+    def advance(self, delta):
+        self.calls.append(("advance", delta))
+        return self.bits.advance(delta)
 
 
 @pytest.mark.parametrize(
-    "n_pos, size, seed, scans",
+    "n_pos, size, seed, chunks",
     [
-        (3, 2, 0, lambda calls: len(calls) == 2),  # one chunk, then the advance
+        (3, 2, 0, lambda n: n == 1),  # one chunk
         # the positions consume more than the first chunk holds, so a second
         # chunk continues the stream where the first ended
-        (3, 2, 1, lambda calls: len(calls) == 3),
-        # 150,000 expected doubles come in chunks of at most _POOL
-        (300, 5, 5, lambda calls: len(calls) >= 4),
+        (3, 2, 1, lambda n: n == 2),
+        # 150,000 expected doubles come in chunks of at most _POOL: three or more
+        (300, 5, 5, lambda n: n >= 3),
     ],
     ids=["one_pool", "retried_pool", "pool_sized_groups"],
 )
-def test_block_draw_pools(n_pos, size, seed, scans):
+def test_block_draw_pools(n_pos, size, seed, chunks):
     # every position excludes the id holding 99% of the weight
-    seq = NegativeSampler(_CountingRng(seed), 2, [1, 99])
+    seq = NegativeSampler(np.random.Generator(np.random.PCG64(seed)), 2, [1, 99])
     want = [seq.draw(size, 1) for _ in range(n_pos)]
-    rng = _CountingRng(seed)
-    got = draw_negatives([NegativeSampler(rng, 2, [1, 99])], [0] * n_pos, [1] * n_pos, size)
-    assert scans(rng.calls)
-    assert max(rng.calls) <= _POOL
-    # every chunk but the last is used up, and the advance is the last one's used part
-    assert sum(rng.calls[:-2]) + rng.calls[-1] == sum(seq.rng.calls)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    bits = _CountingBits(rng.bit_generator)
+    got = draw_negatives([NegativeSampler(bits, 2, [1, 99])], [0] * n_pos, [1] * n_pos, size)
+    *raw, (last, delta) = bits.calls
+    assert {kind for kind, _ in raw} == {"raw"} and chunks(len(raw))
+    assert max(n for _, n in raw) <= _POOL
+    # one rewind, at the end, over doubles of the last chunk only
+    assert last == "advance" and -raw[-1][1] < delta <= 0
     assert np.array_equal(got, want)
     assert rng.bit_generator.state == seq.rng.bit_generator.state
 
@@ -408,6 +417,6 @@ def test_draw_excluding_all_the_weight_raises(freqs):
     with pytest.raises(ValueError, match="all the sampling weight"):
         sampler.draw(3, big)
     with pytest.raises(ValueError, match="all the sampling weight"):
-        draw_negatives([sampler], [0, 0], [other, big], 3)
+        draw_negatives([NegativeSampler(sampler.rng.bit_generator, len(freqs), freqs)], [0, 0], [other, big], 3)
     assert sampler.rng.bit_generator.state == state
     assert len(sampler.draw(3, other)) == 3  # excluding anything else still draws

@@ -1,12 +1,15 @@
 """Draws from the raw PCG64 stream against ``np.random.Generator``, value for
-value, on one stream whose calls interleave."""
+value, on one stream whose calls interleave; and the ``Generator`` behaviour
+training's draws rely on: ``doubles`` and ``uniform``, bitwise, and
+``PCG64.advance`` rewinding past doubles drawn and not used."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eqvec.draws import Draws
+from eqvec.draws import Draws, doubles
+from eqvec.model import EmbeddingTable
 
 # 3 * 2**30 rejects a quarter of its half draws, and 2**32 - 1 almost none;
 # 2**32 takes a half draw whole, and 1 draws nothing.
@@ -132,3 +135,51 @@ def test_draws_make_no_generator_call(monkeypatch):
     monkeypatch.setattr(np.random, "Generator", refuse)
     draws = Draws(3)
     draws.random(), draws.integers(7), draws.integers(7, 9), draws.choice(12000, 300), draws.choice(5, 2)
+
+
+# 0 and 1, and runs past two of ``Draws``' blocks of raw words
+_SIZES = st.one_of(st.sampled_from((0, 1, 2 * Draws.BLOCK + 1, 3 * Draws.BLOCK)), st.integers(0, 3 * Draws.BLOCK))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.lists(_SIZES, min_size=1, max_size=4))
+def test_doubles_are_generator_random(seed, sizes):
+    bits = np.random.PCG64(seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for n in sizes:
+        assert doubles(bits, n).tobytes() == rng.random(n).tobytes()
+    assert bits.state == rng.bit_generator.state
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1), st.integers(0, 40), st.integers(1, 30),
+    st.one_of(st.sampled_from((0.5 / 25, 0.02, 0.4, 0.5, 2.0)), st.floats(1e-6, 1e6)),
+)
+def test_embedding_table_is_generator_uniform(seed, size, k, scale):
+    table = EmbeddingTable(size, k, np.random.PCG64(seed), scale)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    assert table.rho.tobytes() == rng.uniform(-scale, scale, (size, k)).tobytes()
+    assert table.alpha.tobytes() == rng.uniform(-scale, scale, (size, k)).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1), st.integers(0, 9),
+    _SIZES.flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+)
+def test_advance_rewinds_past_unused_doubles(seed, n_integers, n_m):
+    """``doubles(bits, n)`` then ``bits.advance(-m)`` leaves the state of a
+    Generator that drew ``n - m`` doubles, after ``integers`` calls on the
+    same bit generator too, except that ``advance`` drops the half word
+    ``integers`` may keep.  Training's streams draw no integers, so never
+    keep one."""
+    n, m = n_m
+    rng = np.random.Generator(np.random.PCG64(seed))
+    want = np.random.Generator(np.random.PCG64(seed))
+    rng.integers(5, size=n_integers), want.integers(5, size=n_integers)
+    doubles(rng.bit_generator, n)
+    rng.bit_generator.advance(-m)
+    want.random(n - m)
+    assert rng.bit_generator.state == {**want.bit_generator.state, "has_uint32": 0, "uinteger": 0}
+    assert rng.random(3).tobytes() == want.random(3).tobytes()

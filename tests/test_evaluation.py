@@ -128,8 +128,8 @@ def test_scores_invariant_under_context_and_negative_permutation():
 
 def test_predictive_never_positive():
     rng = np.random.default_rng(0)
-    word = EmbeddingTable(20, 3, rng, 2.0)
-    eq = EmbeddingTable(2, 3, rng, 2.0)
+    word = EmbeddingTable(20, 3, rng.bit_generator, 2.0)
+    eq = EmbeddingTable(2, 3, rng.bit_generator, 2.0)
     model = Model("equation", ModelConfig(k=3), word, eq=eq)
     for _ in range(100):
         it = item(

@@ -587,13 +587,13 @@ def test_binary_readers_make_one_frombuffer_call_per_file(tmp_path, monkeypatch)
 
 def fitted_model(mode="equation", k=4, seed=0):
     rng = np.random.default_rng(seed)
-    word = EmbeddingTable(7, k, rng, 0.5)
+    word = EmbeddingTable(7, k, rng.bit_generator, 0.5)
     cfg = ModelConfig(k=k, seed=3)
     if mode == "word":
         return Model("word", cfg, word, n_equations=0)
     if mode == "equation":
-        return Model("equation", cfg, word, eq=EmbeddingTable(3, k, rng, 0.5))
-    unit = EmbeddingTable(5, k, rng, 0.5)
+        return Model("equation", cfg, word, eq=EmbeddingTable(3, k, rng.bit_generator, 0.5))
+    unit = EmbeddingTable(5, k, rng.bit_generator, 0.5)
     return Model("unit", cfg, word, unit=unit, eq_units=equation_units([[0, 2], [1], [3, 4, 1]]), n_equations=3)
 
 

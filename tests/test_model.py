@@ -386,7 +386,7 @@ def test_loss_monotone_in_b():
 
 def test_equation_vector_mean_examples():
     rng = np.random.default_rng(10)
-    t = EmbeddingTable(4, 2, rng, 0.5)
+    t = EmbeddingTable(4, 2, rng.bit_generator, 0.5)
     t.alpha[0] = (1.0, 0.0)
     t.alpha[1] = (0.0, 1.0)
     alpha, rho = equation_vector_from_units([0, 1], t)
@@ -398,7 +398,7 @@ def test_equation_vector_mean_examples():
 
 def test_equation_vector_order_invariant():
     rng = np.random.default_rng(11)
-    t = EmbeddingTable(10, 6, rng, 0.5)
+    t = EmbeddingTable(10, 6, rng.bit_generator, 0.5)
     ids = [3, 1, 7, 7, 2]
     a1, r1 = equation_vector_from_units(ids, t)
     a2, r2 = equation_vector_from_units(list(reversed(ids)), t)
@@ -407,7 +407,7 @@ def test_equation_vector_order_invariant():
 
 def test_equation_vector_empty_errors():
     rng = np.random.default_rng(11)
-    t = EmbeddingTable(3, 2, rng, 0.5)
+    t = EmbeddingTable(3, 2, rng.bit_generator, 0.5)
     with pytest.raises(ValueError, match="untokenizable"):
         equation_vector_from_units([], t)
     model = Model("unit", ModelConfig(k=2), t, unit=t, n_equations=2,
@@ -419,7 +419,7 @@ def test_equation_vector_empty_errors():
 
 def test_equation_vector_matches_fsum_oracle():
     rng = np.random.default_rng(12)
-    t = EmbeddingTable(50, 8, rng, 0.5)
+    t = EmbeddingTable(50, 8, rng.bit_generator, 0.5)
     for _ in range(200):
         ids = rng.integers(0, 50, size=rng.integers(1, 30))
         alpha, rho = equation_vector_from_units(ids, t)
@@ -492,7 +492,7 @@ def test_derived_equation_matrices_bitwise_equal_oracle(trained):
 
 def test_unit_model_derives_one_kind_on_first_use(monkeypatch):
     rng = np.random.default_rng(13)
-    t = EmbeddingTable(6, 3, rng, 0.5)
+    t = EmbeddingTable(6, 3, rng.bit_generator, 0.5)
     model = Model("unit", ModelConfig(k=3), t, unit=t, n_equations=3,
                   eq_units=equation_units([[0, 2], [-1, -1], [5, 1, -1, 1]]))
     derived = []
@@ -630,9 +630,9 @@ def _compiled_context(model, context):
 def test_model_context_vector_modes():
     rng = np.random.default_rng(13)
     k = 4
-    word = EmbeddingTable(5, k, rng, 0.5)
-    eq = EmbeddingTable(3, k, rng, 0.5)
-    unit = EmbeddingTable(6, k, rng, 0.5)
+    word = EmbeddingTable(5, k, rng.bit_generator, 0.5)
+    eq = EmbeddingTable(3, k, rng.bit_generator, 0.5)
+    unit = EmbeddingTable(6, k, rng.bit_generator, 0.5)
     eq_units = equation_units([[1, 2], [], [0]])
     cfg = ModelConfig(k=k)
 

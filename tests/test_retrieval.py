@@ -25,7 +25,7 @@ def planted_model(seed=0, n_eq=20, n_words=30, k=6, clusters=2):
     labels = np.arange(n_eq) % clusters
     eq_alpha = centers[labels] + rng.normal(size=(n_eq, k)) * 0.2
     eq_rho = centers[labels] + rng.normal(size=(n_eq, k)) * 0.2
-    word = EmbeddingTable(n_words, k, rng, 0.5)
+    word = EmbeddingTable(n_words, k, rng.bit_generator, 0.5)
     eq = EmbeddingTable.from_arrays(eq_rho, eq_alpha)
     return Model("equation", ModelConfig(k=k), word, eq=eq), labels
 
@@ -88,7 +88,7 @@ def test_planted_clusters_top5_purity():
 
 def test_tie_order_is_ascending_id():
     rng = np.random.default_rng(1)
-    word = EmbeddingTable(4, 3, rng, 0.5)
+    word = EmbeddingTable(4, 3, rng.bit_generator, 0.5)
     eq_alpha = np.zeros((6, 3))
     eq_alpha[1] = eq_alpha[4] = (1.0, 0.0, 0.0)  # exact ties
     eq_alpha[2] = eq_alpha[3] = eq_alpha[5] = (0.0, 2.0, 0.0)

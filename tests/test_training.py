@@ -11,6 +11,7 @@ from eqvec.bundle import save_bundle
 from eqvec.corpus import IngestParams, Vocabulary, ingest_corpus
 from eqvec.model import EmbeddingTable, ModelConfig
 from eqvec.modelfile import load_model
+from eqvec.synthetic import planted_corpus
 from eqvec.tex import RawDocument, normalize_equation
 from eqvec.training import TrainingDiverged, train_model
 
@@ -174,7 +175,7 @@ def test_untouched_equation_keeps_initialization():
     # stays at initialization; the interaction vector may still be drawn as
     # a subsampled zero for other equations' positions
     eq_seed = np.random.SeedSequence(CFG.seed).spawn(6)[1]  # the equation table's child seed
-    init = EmbeddingTable(data.n_equations, CFG.k, np.random.Generator(np.random.PCG64(eq_seed)), CFG.scale)
+    init = EmbeddingTable(data.n_equations, CFG.k, np.random.PCG64(eq_seed), CFG.scale)
     assert np.array_equal(model.eq.alpha[iso_id], init.alpha[iso_id])
     assert not np.array_equal(model.eq.alpha, init.alpha)
 
@@ -334,6 +335,31 @@ def test_unigram_sampler_tracks_frequencies():
     counts = np.bincount(draws, minlength=4)
     assert counts[0] > 3000  # mass follows the unigram distribution
     assert counts[3] == 0
+
+
+def test_pipeline_makes_no_generator_call(monkeypatch):
+    # ingest, fits in every mode and sampling, and a grid row read the raw
+    # PCG64 stream only, and give the tables an unpatched run gives
+    docs = planted_corpus(n_docs=40).documents
+    cfg = with_overrides(CFG, max_epochs=2)
+    fits = [("word", cfg), ("equation", cfg), ("unit", cfg), ("unit", with_overrides(cfg, unit_joint=False)),
+            ("equation", with_overrides(cfg, negative_sampling="uniform"))]
+
+    def run():
+        data = ingest_corpus(docs, IngestParams(seed=5))
+        models = [train_model(data, c, mode)[0] for mode, c in fits]
+        sums = [t.checksum() for m in models for t in (m.word, m.eq, m.unit) if t is not None]
+        rows = evaluation.grid_select(data, cfg, ["unit"], [cfg.k], [cfg.word_window], [cfg.eq_window])
+        return sums, [(r.valid_pseudo_ll, r.test_pseudo_ll, r.epochs_run, r.error) for r in rows]
+
+    want = run()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.random.Generator used")
+
+    monkeypatch.setattr(np.random, "Generator", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    assert run() == want
 
 
 def test_uniform_sampling_fits_and_repeats(tmp_path):
