@@ -10,7 +10,9 @@ Layout (every file opens with a one-line format/version header):
     streams.bin          the document ids, then lengths[n], then every
                          document's codes, back to back
     eq_units.bin         equation count n, lengths[n], then every equation's
-                         unit ids (int32, -1 marks gaps); equation g is row g
+                         unit ids (int32); equation g is row g.  Writers
+                         store no -1; the reader drops those older writers
+                         left for units below unit_min_count
     heldout.valid.bin    item count n, the columns stream[n], position[n] and
     heldout.test.bin     eq_id[n], then the context rows (lengths[n], then
                          codes as streams.bin encodes them), then the
@@ -223,8 +225,7 @@ def load_bundle(path: str) -> CorpusData:
     except (TypeError, ValueError) as exc:  # a key IngestParams does not have, or a bad value
         raise BundleFormatError(f"manifest of bundle {path}: {exc}") from None
     unit_vocab = _read_vocab(os.path.join(path, "units.bin"), _H_UNITS, "unit", manifest["stats"].get("units"))
-    units = query.eq_units.without_gaps()[1]
-    _check_ids(os.path.join(path, "eq_units.bin"), "unit", units, len(unit_vocab))
+    _check_ids(os.path.join(path, "eq_units.bin"), "unit", query.eq_units.ids, len(unit_vocab))
     sizes = (len(query.word_vocab), len(query.registry))
     streams = _read_streams(os.path.join(path, "streams.bin"), *sizes)
     return CorpusData(
@@ -374,7 +375,9 @@ def _read_streams(path: str, n_words: int, n_equations: int) -> TokenStreams:
 
 def _read_eq_units(path: str, n_equations: int) -> EquationUnits:
     """The equation -> units table, row g for equation g; it must have one
-    row per equation of ``equations.bin``."""
+    row per equation of ``equations.bin``.  Writers store only unit ids,
+    but a bundle ingested at ``unit_min_count`` above 1 by an older eqvec
+    holds a -1 for each unit the threshold dropped: those are dropped here."""
     raw = _read_binary(path, _H_EQUNITS)
     at = len(_H_EQUNITS) + 4  # the lengths
     n = int.from_bytes(raw[at - 4 : at], "little")
@@ -385,7 +388,8 @@ def _read_eq_units(path: str, n_equations: int) -> EquationUnits:
     ids = ids.view("<i4").astype(np.int64)
     if ids.min(initial=-1) < -1:
         raise BundleFormatError(f"{path}: unit id {ids[ids < -1][0]} out of range (gaps are -1)")
-    return EquationUnits(ptr, ids)
+    keep = ids >= 0
+    return EquationUnits(np.concatenate(([0], np.cumsum(keep)))[ptr], ids[keep])
 
 
 def _read_heldout(path: str, split: str, streams: TokenStreams, n_words: int, n_equations: int) -> HeldOut:

@@ -173,13 +173,15 @@ class TokenStreams(_Rows):
 
 
 class EquationUnits(Mapping):
-    """Every equation's unit ids, gaps (-1) included: equation g's are
-    ``ids[ptr[g]:ptr[g + 1]]``.  A read-only mapping from every equation id
-    0..n-1 to a view of ``ids``; any other key raises ``KeyError``."""
+    """Every equation's unit ids: equation g's are ``ids[ptr[g]:ptr[g + 1]]``.
+    A read-only mapping from every equation id 0..n-1 to a view of ``ids``;
+    any other key raises ``KeyError``.  A negative id raises ``ValueError``."""
 
     def __init__(self, ptr, ids):
         self.ptr = np.asarray(ptr, dtype=np.int64)
         self.ids = np.asarray(ids, dtype=np.int64)
+        if self.ids.min(initial=0) < 0:
+            raise ValueError(f"unit id {self.ids.min()} is negative")
 
     def __len__(self) -> int:
         return len(self.ptr) - 1
@@ -191,11 +193,6 @@ class EquationUnits(Mapping):
         if not isinstance(eq_id, (int, np.integer)) or not 0 <= eq_id < len(self):
             raise KeyError(eq_id)
         return self.ids[self.ptr[eq_id] : self.ptr[eq_id + 1]]
-
-    def without_gaps(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(ptr, ids)`` of the same rows with the gaps dropped."""
-        keep = self.ids >= 0
-        return np.concatenate(([0], np.cumsum(keep)))[self.ptr], self.ids[keep]
 
 
 class PreparedBatch(NamedTuple):

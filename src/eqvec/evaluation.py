@@ -59,7 +59,8 @@ def compile_heldout(held, model: Model) -> HeldOutLayout:
     ok = np.bincount(owner, ~known, minlength=len(held)) == 0
     ok[np.repeat(np.arange(len(held)), np.diff(cand_ptr))[(cand < 0) | (cand >= n_words)]] = False
     # one id space, words then equations, each id mapped to its alpha rows
-    eq_ptr, eq_rows = model.eq_units.without_gaps() if mode == "unit" else (np.arange(n_eqs + 1), np.arange(n_eqs))
+    eq_ptr, eq_rows = ((model.eq_units.ptr, model.eq_units.ids) if mode == "unit"
+                       else (np.arange(n_eqs + 1), np.arange(n_eqs)))
     objects = (np.concatenate((np.arange(n_words), n_words + eq_ptr)),
                np.concatenate((np.arange(n_words), n_words + eq_rows)))
     take = np.flatnonzero(ok[owner] & (~is_eq | (mode != "word")))

@@ -149,9 +149,9 @@ def _rounding_error(tot, r, t, e):
 
 
 class UnitGroups:
-    """A gap-free equation -> units layout ``(ptr, ids)``, such as
-    ``EquationUnits.without_gaps()`` gives, and what ``unit_means`` derives
-    from it alone, so that both kinds of a model's equation vectors share it."""
+    """An equation -> units layout ``(ptr, ids)``, such as an
+    ``EquationUnits``'s, and what ``unit_means`` derives from it alone, so
+    that both kinds of a model's equation vectors share it."""
 
     def __init__(self, ptr: np.ndarray, ids: np.ndarray):
         self.ptr, self.ids = ptr, ids
@@ -249,17 +249,14 @@ def _compensated_means(groups: UnitGroups, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def unit_means(groups, rows: np.ndarray) -> np.ndarray:
+def unit_means(groups: UnitGroups, rows: np.ndarray) -> np.ndarray:
     """Neumaier-compensated mean of ``rows[ids[ptr[g]:ptr[g + 1]]]`` for
-    every group g of ``groups``, a ``UnitGroups`` or its ``(ptr, ids)``.
-    A group without units gives a NaN row.
+    every group g of ``groups``.  A group without units gives a NaN row.
 
     Where ``_sums_exact`` holds for ``rows`` and the longest group, the
     compensation is zero, and the groups are summed without it; otherwise
     they take the compensated loop.  Either way each group's mean is
     bitwise the one it gets alone."""
-    if not isinstance(groups, UnitGroups):
-        groups = UnitGroups(*groups)
     rows = np.asarray(rows, dtype=np.float64)
     if _sums_exact(rows, groups.longest):
         return _exact_means(groups, rows)
@@ -268,23 +265,17 @@ def unit_means(groups, rows: np.ndarray) -> np.ndarray:
 
 def equation_vector_from_units(units, unit_table: EmbeddingTable):
     """Equation-level (alpha, rho) as the arithmetic mean of unit vectors:
-    bitwise the row ``unit_means`` gives the equation.
-
-    With one group, the running totals are one ``add.accumulate`` down the
-    units (it adds in order, as the steps of ``unit_means`` do), and so are
-    the compensations."""
+    ``unit_means`` over one group, the equation's rows gathered first, so
+    that its exactness check reads only those.  Its row is bitwise the one
+    ``unit_means`` gives the equation over the whole table."""
     ids = np.asarray(units, dtype=np.int64).ravel()
-    ids = ids[ids >= 0]
     if ids.size == 0:
         raise ValueError("untokenizable equation: no units")
-    k = unit_table.k
-    p = np.zeros((ids.size + 1, 2 * k))  # row 0 is the zero each total starts from
-    p[1:, :k], p[1:, k:] = unit_table.alpha[ids], unit_table.rho[ids]
-    totals = np.add.accumulate(p, axis=0)
-    errors = np.zeros_like(p)
-    _rounding_error(totals[:-1], p[1:], totals[1:], errors[1:])
-    mean = (totals[-1] + np.add.accumulate(errors, axis=0)[-1]) / ids.size
-    return mean[:k], mean[k:]
+    if ids.min() < 0:  # a gap (-1) of an old table, which would read the last unit row
+        raise ValueError(f"unit id {ids.min()} is negative")
+    rows = np.hstack((unit_table.alpha[ids], unit_table.rho[ids]))
+    mean = unit_means(UnitGroups(np.array([0, ids.size]), np.arange(ids.size)), rows)[0]
+    return mean[: unit_table.k], mean[unit_table.k :]
 
 
 # --- what a similarity scan reads of a matrix ---------------------------------
@@ -320,9 +311,9 @@ class Model:
     """A fitted embedding model: tables plus enough structure to score and query.
 
     For unit-trained models, per-equation vectors are derived by averaging
-    unit vectors over ``eq_units``, the corpus's ``EquationUnits`` table
-    (gaps are ignored), one kind (alpha or rho) at a time on first use;
-    without a table, every equation has no units.
+    unit vectors over ``eq_units``, the corpus's ``EquationUnits`` table,
+    one kind (alpha or rho) at a time on first use; without a table, every
+    equation has no units.
 
     A model's tables are not written again once it is returned, so what
     is derived from them is kept: a unit model's equation matrices, and the
@@ -352,8 +343,8 @@ class Model:
 
     @cached_property
     def _unit_groups(self) -> UnitGroups:
-        """The gap-free layout of ``eq_units`` that both kinds are derived over."""
-        return UnitGroups(*self.eq_units.without_gaps())
+        """The layout of ``eq_units`` that both kinds are derived over."""
+        return UnitGroups(self.eq_units.ptr, self.eq_units.ids)
 
     def _derive(self, which: str) -> np.ndarray:
         """A unit model's equation matrix of one kind, derived on first use."""
@@ -389,7 +380,7 @@ class Model:
             return self.eq.alpha[eq_id].copy(), self.eq.rho[eq_id].copy()
         if self.mode == "unit":
             ids = self.eq_units[eq_id]
-            if len(self._derived) == 2 and (ids >= 0).any():
+            if len(self._derived) == 2 and ids.size:
                 # both batched passes have run, and gave every equation bitwise its one-group mean
                 return self._derived["alpha"][eq_id].copy(), self._derived["rho"][eq_id].copy()
             return equation_vector_from_units(ids, self.unit)

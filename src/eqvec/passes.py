@@ -134,7 +134,7 @@ def _window(seq, pos, half):
 
 def expand_units(units, eq_ids, mean: bool):
     """The context entries ``eq_ids`` stand for under a (ptr, flat) map such
-    as ``EquationUnits.without_gaps()``: each id's units in order, weighted 1, or 1/n when
+    as an ``EquationUnits``'s ``ptr`` and ``ids``: each id's units in order, weighted 1, or 1/n when
     ``mean`` (``unit_context_mean``).  Returns (entries per id, unit ids,
     weights)."""
     ptr, flat = units
@@ -171,7 +171,7 @@ def compile_pass(data: CorpusData, config: ModelConfig, pass_name: str) -> list[
     """
     spec = PASS_CLASSES[pass_name]
     sizes = [class_sizes(data)[c] for c in spec.classes]
-    units = data.eq_units.without_gaps()
+    units = data.eq_units.ptr, data.eq_units.ids
     held, ptr = _exclusion_mask(data), data.streams.ptr
     plans, lo, ends = [], 0, ptr.tolist()
     for hi in range(1, len(ends)):

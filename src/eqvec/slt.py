@@ -15,8 +15,6 @@ import numpy as np
 
 RELATIONS = ("n", "a", "u", "o", "w")
 
-UNIT_GAP = -1  # sequence slot for a unit dropped by the frequency threshold
-
 # Nested chains and commands an equation may open.  Every recursion of the parser
 # passes one, so parsing and tuple emission stay far below the recursion limit.
 MAX_DEPTH = 100
@@ -436,8 +434,8 @@ def build_unit_vocabulary(sequences: list[list[SltTuple]], min_count: int = 1):
 
     ``sequences[g]`` is equation g's tuple list.  Returns ``(vocab,
     eq_units)``: the tuple lists re-emitted as vocabulary ids in one
-    ``EquationUnits`` table, with units below ``min_count`` replaced by
-    :data:`UNIT_GAP`; no equations give an empty vocabulary and table.
+    ``EquationUnits`` table, each keeping its units of at least
+    ``min_count`` in order; no equations give an empty vocabulary and table.
     Ids are dense, ordered by descending count then unit string.  Each
     distinct tuple is serialized once: ``unit_string`` is injective, so a
     tuple's count is its string's.
@@ -449,7 +447,9 @@ def build_unit_vocabulary(sequences: list[list[SltTuple]], min_count: int = 1):
     counts = np.bincount(prov, minlength=len(ids))
     forms, n = list(map(unit_string, ids)), counts.tolist()
     kept = sorted((u for u, c in enumerate(n) if c >= min_count), key=lambda u: (-n[u], forms[u]))
-    remap = np.full(len(forms), UNIT_GAP, dtype=np.int64)
+    remap = np.empty(len(forms), dtype=np.int64)
     remap[kept] = np.arange(len(kept))
+    keep = counts[prov] >= min_count
     ptr = np.concatenate(([0], np.cumsum([len(seq) for seq in sequences], dtype=np.int64)))
-    return Vocabulary("unit", [forms[u] for u in kept], counts[kept]), EquationUnits(ptr, remap[prov])
+    ptr = np.concatenate(([0], np.cumsum(keep)))[ptr]  # where each equation's kept units start
+    return Vocabulary("unit", [forms[u] for u in kept], counts[kept]), EquationUnits(ptr, remap[prov[keep]])

@@ -159,17 +159,18 @@ def _draw_stream(samplers, which, exclude, size):
     the rounds of the sequential draw do, and its row is the ids it took
     without the exclusion.  Doubles are drawn and mapped through every
     sampler a chunk at a time (the expected need of the positions left plus
-    four of its square roots, at most ``_POOL``); rows run back to back
-    from the start of a chunk, which carries over the last one's ids from
-    the start of the row that ran out, and are copied out of it when the
-    next is drawn.  The generator is then rewound to just past the doubles
-    used: one raw word each, and ``advance`` wraps a negative delta."""
+    four of its square roots, at most ``_POOL``), one row per sampler of a
+    2-D array; rows run back to back from the start of a chunk, which
+    carries over the last one's ids from the start of the row that ran
+    out, and are copied out of it by one ``take`` when the next is drawn.
+    The generator is then rewound to just past the doubles used: one raw
+    word each, and ``advance`` wraps a negative delta."""
     offsets = _ptr([s.n for s in samplers])[which]
     need = _expected_draws(size, np.concatenate([s.accept for s in samplers])[offsets + exclude], exclude)
     rest = np.cumsum(need[::-1])[::-1].tolist()
     bits = samplers[0].rng
     out = np.empty((len(which), size), dtype=np.int64)
-    mapped, ids = [np.empty(0, dtype=np.int32) for _ in samplers], None
+    mapped, ids = np.empty((len(samplers), 0), dtype=np.int32), None
     used, end, first = 0, 0, 0
     longer = []  # (position, further ids taken) of the rows that drew their exclusion
 
@@ -179,7 +180,7 @@ def _draw_stream(samplers, which, exclude, size):
             at, extra = np.array(longer).T
             lens[at - first] += extra
         got = int(lens.sum())
-        vals = np.choose(np.repeat(which[first:upto], lens), [m[:got] for m in mapped])
+        vals = mapped.take(np.repeat(which[first:upto], lens) * mapped.shape[1] + np.arange(got))
         if longer:
             vals = vals[vals != np.repeat(exclude[first:upto], lens)]
             longer.clear()
@@ -190,8 +191,8 @@ def _draw_stream(samplers, which, exclude, size):
         if i > first:
             flush(i)
         u = doubles(bits, min(int(rest[i] + 4 * rest[i] ** 0.5) + 1, _POOL))
-        mapped = [np.concatenate((m[start:], s.ids(u))) for s, m in zip(samplers, mapped)]
-        ids = [m.tolist() for m in mapped]
+        mapped = np.concatenate((mapped[:, start:], [s.ids(u) for s in samplers]), axis=1)
+        ids = mapped.tolist()
         used, end, first = used - start, end - start + len(u), i
 
     for i, (w, x) in enumerate(zip(which.tolist(), exclude.tolist())):

@@ -104,6 +104,17 @@ def drop_last_equation(path: str):
         f.write(raw[:at] + kept.astype("<u4").tobytes())
 
 
+def write_eq_units(path: str, rows):
+    """Write an ``eq_units.bin`` by hand, row g holding the int32 unit ids
+    ``rows[g]``, -1 included: bundles that older writers ingested at
+    ``unit_min_count`` above 1 hold a -1 for each unit the threshold dropped."""
+    with open(path, "rb") as f:
+        header = f.readline()
+    with open(path, "wb") as f:
+        f.write(header + np.array([len(rows), *map(len, rows)], dtype="<u4").tobytes())
+        f.write(np.array([u for r in rows for u in r], dtype="<i4").tobytes())
+
+
 def token_streams(rows) -> TokenStreams:
     """The streams table of ``(doc_id, codes)`` rows, such as ``TokenStream``s, in order."""
     rows = [(doc_id, np.asarray(codes, dtype=np.uint32)) for doc_id, codes in rows]

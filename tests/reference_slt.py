@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from eqvec.corpus import EquationUnits, Vocabulary
+from eqvec.corpus import Vocabulary
 from eqvec.slt import (
     DROP_ARG_COMMANDS,
     FRACTION_COMMANDS,
@@ -25,13 +25,15 @@ from eqvec.slt import (
     SKIP_COMMANDS,
     SYMBOL_COMMANDS,
     TRANSPARENT_COMMANDS,
-    UNIT_GAP,
     WRAPPER_COMMANDS,
     MathNode,
     MathParseError,
     SltTuple,
     unit_string,
 )
+
+
+UNIT_GAP = -1  # the slot of a unit below min_count in the vocabulary's rows
 
 
 class _Tok(NamedTuple):
@@ -283,9 +285,8 @@ def build_unit_vocabulary(sequences: dict[int, list[SltTuple]], min_count: int =
     """Frequency-filtered unit vocabulary over all tokenized equations.
 
     ``sequences`` maps every equation id 0..n-1 to its tuple list.  Returns
-    ``(vocab, eq_units)``: the tuple lists re-emitted as vocabulary ids in
-    one ``EquationUnits`` table, with units below ``min_count`` replaced by
-    :data:`UNIT_GAP`.
+    ``(vocab, rows)``: the tuple lists re-emitted as lists of vocabulary
+    ids, with units below ``min_count`` replaced by :data:`UNIT_GAP`.
     """
     if not sequences:
         raise ValueError("empty equation set")
@@ -300,5 +301,4 @@ def build_unit_vocabulary(sequences: dict[int, list[SltTuple]], min_count: int =
         forms=kept,
         freqs=np.array([counts[f] for f in kept], dtype=np.int64),
     )
-    ptr = np.concatenate(([0], np.cumsum([len(strs) for strs in rows])))
-    return vocab, EquationUnits(ptr, [vocab.index.get(s, UNIT_GAP) for strs in rows for s in strs])
+    return vocab, [[vocab.index.get(s, UNIT_GAP) for s in strs] for strs in rows]

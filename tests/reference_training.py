@@ -19,8 +19,8 @@ distinct row once and weights its error by its draw count, so the two
 agree to rounding.
 
 ``unit_lists`` is the equation -> units expansion as it stood while
-``eq_units`` was a dict of arrays: the oracle for
-``eqvec.corpus.EquationUnits.without_gaps``.
+``eq_units`` was a dict of arrays: the oracle for the rows
+``eqvec.bundle`` reads from an ``eq_units.bin`` with gaps (-1).
 """
 
 import time

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import eqvec
 from eqvec import cli, retrieval
-from eqvec.bundle import load_bundle
+from eqvec.bundle import load_bundle, load_query_files
 from eqvec.cli import RunConfig, build_config, main, make_parser
 from eqvec.corpus import EQ_TAG, IngestParams
 from eqvec.model import EmbeddingTable, Model, ModelConfig
@@ -29,7 +29,7 @@ from eqvec.modelfile import ModelFileError, load_model, save_model
 from eqvec.synthetic import planted_corpus, write_corpus
 
 from . import reference_bundle
-from .conftest import drop_last_equation
+from .conftest import drop_last_equation, write_eq_units
 
 
 @pytest.fixture(scope="module")
@@ -734,8 +734,9 @@ def _set_first_unit(value):
 @pytest.mark.parametrize(
     "damage, message",
     [(_set_first_unit(-5), "unit id -5 out of range"),
+     (_set_first_unit(-2), "unit id -2 out of range"),
      (drop_last_equation, "eq_units.bin holds 35 equations, equations.bin 36")],
-    ids=["unit_id_-5", "missing_record"],
+    ids=["unit_id_-5", "unit_id_-2", "missing_record"],
 )
 def test_bad_eq_units_record_exits_3(damage, message, family, planted_models, tmp_path, capsys):
     bundle, models, _ = planted_models
@@ -748,6 +749,30 @@ def test_bad_eq_units_record_exits_3(damage, message, family, planted_models, tm
         assert code == 3
         assert out == ""
         assert message in err and len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_eq_units_with_gaps_load_and_query_as_without(planted_models, tmp_path, capsys):
+    # a -1 in eq_units.bin, which older writers left for each unit below
+    # unit_min_count, is dropped on reading: the table and every answer are
+    # those of the same bundle without the gaps
+    bundle, models, _ = planted_models
+    table = load_bundle(bundle).eq_units
+    gapped = str(tmp_path / "gapped")
+    shutil.copytree(bundle, gapped)
+    # gaps before every row's units, after the first unit of every other row
+    # and after the last unit of every third
+    rows = [[-1, *ids[:1], *[-1] * (g % 2), *ids[1:], *[-1] * (g % 3 == 0)] for g, ids in table.items()]
+    write_eq_units(os.path.join(gapped, "eq_units.bin"), rows)
+    for load in (load_bundle, load_query_files):
+        got = load(gapped).eq_units
+        assert got.ptr.tolist() == table.ptr.tolist() and got.ids.tolist() == table.ids.tolist()
+    eq_id = str(next(g for g, ids in table.items() if ids.size))
+    for family, args in (("eq2eq", ["--id", eq_id]), ("eq2word", ["--id", eq_id]),
+                         ("word2eq", ["--words", "matrix,eigenvalue"])):
+        want, got = (run(["query", family, *args, "--model", models["unit"], "--bundle", b], capsys)
+                     for b in (bundle, gapped))
+        assert want[0] == 0 and len(want[1].splitlines()) > 1
+        assert got == want
 
 
 def _set_manifest(path, change):

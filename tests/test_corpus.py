@@ -13,6 +13,7 @@ from eqvec.corpus import (
     GAP,
     CorpusError,
     EquationRegistry,
+    EquationUnits,
     IngestParams,
     build_heldout,
     build_word_vocabulary,
@@ -493,9 +494,9 @@ def test_ingest_end_to_end_tiny():
 
 
 def test_equation_units_is_a_read_only_mapping_over_every_equation_id():
-    table = equation_units([[3, -1], [], [-1], [0, 1, 2]])
+    table = equation_units([[3, 5], [], [4], [0, 1, 2]])
     assert len(table) == 4 and list(table) == list(table.keys()) == [0, 1, 2, 3]
-    assert np.array_equal(table[0], [3, -1]) and np.array_equal(table[np.int64(3)], [0, 1, 2])
+    assert np.array_equal(table[0], [3, 5]) and np.array_equal(table[np.int64(3)], [0, 1, 2])
     for g, row in table.items():  # every row is a view of the one id array
         assert row.base is table.ids and row.dtype == np.int64
     for key in (-1, 4, 2**70, "0", 1.0, None):
@@ -507,8 +508,15 @@ def test_equation_units_is_a_read_only_mapping_over_every_equation_id():
     # ``keys()`` compares as a set of ids, as the bench's corpus comparison reads it
     assert table.keys() == equation_units([[]] * 4).keys() == {0, 1, 2, 3}
     assert table.keys() != equation_units([[]] * 3).keys()
-    ptr, ids = table.without_gaps()
-    assert ptr.tolist() == [0, 1, 1, 1, 4] and ids.tolist() == [3, 0, 1, 2]
+    assert table.ptr.tolist() == [0, 2, 2, 3, 6] and table.ids.tolist() == [3, 5, 4, 0, 1, 2]
+
+
+@pytest.mark.parametrize("ids", [[-1], [0, -2, 1]])
+def test_equation_units_refuses_a_negative_id(ids):
+    # a table in the gap convention (-1 for a unit below unit_min_count) would
+    # read the last unit row for each gap
+    with pytest.raises(ValueError, match=f"unit id {min(ids)} is negative"):
+        EquationUnits([0, len(ids)], ids)
 
 
 def test_ingest_parallel_merge_matches_serial():

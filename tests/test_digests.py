@@ -27,7 +27,8 @@ def runs(tmp_path_factory):
 def test_two_runs_agree_and_compare_lists_a_change(runs, tmp_path, capsys):
     a, b = (run["digests"] for run in runs)
     assert a == b
-    configs = [f"{c}/seed{s}" for c in digests.CONFIGS for s in digests.MODEL_SEEDS]
+    gapped = [f"gapped-{c}" for c in digests.GAPPED_CONFIGS]
+    configs = [f"{c}/seed{s}" for c in [*digests.CONFIGS, *gapped] for s in digests.MODEL_SEEDS]
     assert {f"model/{c}" for c in configs} <= a.keys()
     assert {f"trace/{c}" for c in configs} <= a.keys()
     assert {"eval/seed4", "eval/seed1"} <= a.keys() and any(k.startswith("query/") for k in a)
@@ -41,7 +42,7 @@ def test_two_runs_agree_and_compare_lists_a_change(runs, tmp_path, capsys):
     for table in ("streams.doc_ids", "streams.ptr", "streams.codes", "eq_units.ptr", "eq_units.ids",
                   "registry.latex", "word_vocab.forms", "unit_vocab.forms", "heldout_test.cand"):
         bundles = ("planted", "commented", "inline", "math", "equations", "equations3", "references", "escapes",
-                   "heldout", "sampled")
+                   "heldout", "sampled", "gapped")
         assert {f"table/{b}/{table}" for b in bundles} <= a.keys()
     assert a["table/planted/streams.codes"] != a["table/commented/streams.codes"]
     assert a["table/planted/streams.codes"] != a["table/inline/streams.codes"]
@@ -50,11 +51,14 @@ def test_two_runs_agree_and_compare_lists_a_change(runs, tmp_path, capsys):
     assert a["table/planted/streams.codes"] == a["table/heldout/streams.codes"]
     assert a["table/planted/heldout_test.cand"] != a["table/heldout/heldout_test.cand"]
     assert a["table/planted/unit_vocab.forms"] != a["table/math/unit_vocab.forms"]
+    assert a["table/planted/eq_units.ids"] != a["table/gapped/eq_units.ids"]
+    assert a["table/planted/streams.codes"] == a["table/gapped/streams.codes"]
     assert a["table/planted/unit_vocab.forms"] != a["table/equations/unit_vocab.forms"]
     assert a["table/equations/unit_vocab.forms"] != a["table/equations3/unit_vocab.forms"]
     assert a["table/equations/registry.latex"] == a["table/equations3/registry.latex"]
     assert len(set(a[f"model/{c}"] for c in configs)) == len(configs)
     units = [f"{c}/seed{s}" for c, (mode, _) in digests.CONFIGS.items() if mode == "unit" for s in digests.MODEL_SEEDS]
+    units += [f"{c}/seed{s}" for c in gapped for s in digests.MODEL_SEEDS]
     assert {k for k in a if k.startswith("derived/")} == {f"derived/{c}/{w}" for c in units for w in ("alpha", "rho")}
     assert a["derived/unit-joint/seed4/alpha"] != a["derived/unit-joint/seed4/rho"]
 

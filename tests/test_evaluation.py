@@ -197,7 +197,7 @@ def scoring_cases(draw):
     elif mode == "equation":
         model = Model("equation", cfg, table(n_words), eq=table(n_eqs))
     else:
-        units = st.lists(st.integers(-1, n_units - 1), max_size=5)  # -1 is a dropped unit
+        units = st.lists(st.integers(0, n_units - 1), max_size=5)
         # now and then an equation with no units at all
         eq_units = equation_units([draw(units) if draw(_ids(2)) != 2 else [] for _ in range(n_eqs)])
         model = Model("unit", cfg, table(n_words), unit=table(n_units), eq_units=eq_units, n_equations=n_eqs)

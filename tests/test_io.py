@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from eqvec import bundle as bundle_io
 from eqvec.bundle import BundleFormatError, load_bundle, save_bundle
 from eqvec.corpus import EQ_TAG, GAP, EquationRegistry, IngestParams, TokenStream, Vocabulary, ingest_corpus
-from eqvec.model import EmbeddingTable, Model, ModelConfig, unit_means
+from eqvec.model import EmbeddingTable, Model, ModelConfig, UnitGroups, unit_means
 from eqvec.modelfile import (
     ChecksumError,
     ModelFileError,
@@ -27,7 +27,7 @@ from eqvec.tex import RawDocument
 
 from . import reference_bundle
 from .conftest import (Item, corpus_from_streams, drop_last_equation, equation_units, heldout_items, heldout_set,
-                       token_streams)
+                       token_streams, write_eq_units)
 from .reference_model import _compensated_mean
 from .reference_training import unit_lists
 
@@ -317,8 +317,9 @@ def test_bundle_id_out_of_range_rejected(damage, at_save, tmp_path):
 
 def test_unit_id_below_the_gap_marker_rejected(tmp_path):
     data = tiny_corpus_data()
-    _append_to_first_row(data, -1, -5)
     path = save_bundle(data, str(tmp_path / "bundle"))
+    first, *rest = data.eq_units.values()
+    write_eq_units(os.path.join(path, "eq_units.bin"), [[*first, -1, -5], *rest])
     with pytest.raises(BundleFormatError, match="unit id -5 out of range"):
         load_bundle(path)
     with pytest.raises(BundleFormatError, match="unit id -5 out of range"):
@@ -360,8 +361,8 @@ _code = st.one_of(
 # doc ids as ingest admits them: no line break, encodable as UTF-8
 _doc_id = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"), min_size=1, max_size=5)
 _streams = st.lists(st.tuples(_doc_id, st.lists(_code, max_size=12)), max_size=6, unique_by=lambda s: s[0])
-# every equation's units: rows empty, all gaps, or with gaps anywhere
-_eq_units = st.lists(st.lists(st.integers(-1, _N_UNITS - 1), max_size=9), max_size=_N_EQS)
+# every equation's units, rows empty or not
+_eq_units = st.lists(st.lists(st.integers(0, _N_UNITS - 1), max_size=9), max_size=_N_EQS)
 
 
 def _binary_files(root, streams, eq_units) -> tuple[str, str]:
@@ -375,7 +376,7 @@ def _binary_files(root, streams, eq_units) -> tuple[str, str]:
 @settings(max_examples=150, deadline=None)
 @given(streams=_streams, eq_units=_eq_units)
 @example(streams=[], eq_units=[])
-@example(streams=[("d", []), ("é", [int(GAP), 0])], eq_units=[[], [-1, -1], [], [], [6, -1, 0]])
+@example(streams=[("d", []), ("é", [int(GAP), 0])], eq_units=[[], [3, 3], [], [], [6, 2, 0]])
 def test_binary_readers_match_record_at_a_time_reference(streams, eq_units):
     with tempfile.TemporaryDirectory() as root:
         streams_bin, eq_units_bin = _binary_files(root, streams, eq_units)
@@ -397,29 +398,44 @@ def test_binary_readers_match_record_at_a_time_reference(streams, eq_units):
 
 @settings(max_examples=150, deadline=None)
 @given(eq_units=_eq_units, seed=st.integers(0, 2**32 - 1))
-@example(eq_units=[[], [-1, -1], [3, -1, 0, -1], [-1], [6]], seed=1)
+@example(eq_units=[[], [1, 1], [3, 2, 0, 4], [5], [6]], seed=1)
 def test_equation_units_table_matches_oracles(eq_units, seed):
     # a saved and loaded table equals the record-at-a-time reader's dict,
-    # its gap-free rows the dict-walking ``unit_lists`` oracle, and the unit
-    # means over them the per-equation compensated loop, bit for bit
+    # its rows the dict-walking ``unit_lists`` oracle, and the unit means
+    # over them the per-equation compensated loop, bit for bit
     with tempfile.TemporaryDirectory() as root:
         _, eq_units_bin = _binary_files(root, [], eq_units)
         table = bundle_io._read_eq_units(eq_units_bin, len(eq_units))
         want = reference_bundle._read_eq_units(eq_units_bin, len(eq_units))
     assert list(table) == list(want) == list(range(len(eq_units)))
     assert all(np.array_equal(table[g], ids) for g, ids in want.items())
-    ptr, ids = table.without_gaps()
+    ptr, ids = table.ptr, table.ids
     want_ptr, want_ids = unit_lists(want, len(eq_units))
     assert ptr.dtype == want_ptr.dtype and np.array_equal(ptr, want_ptr)
     assert ids.dtype == want_ids.dtype and np.array_equal(ids, want_ids)
     rng = np.random.default_rng(seed)
     rows = rng.normal(size=(_N_UNITS, 4)) * 10.0 ** rng.integers(-8, 8, size=(_N_UNITS, 4))
-    means = unit_means((ptr, ids), rows)
+    means = unit_means(UnitGroups(ptr, ids), rows)
     assert means.shape == (len(eq_units), 4)
     for g, units in want.items():
-        units = units[units >= 0]
         expected = _compensated_mean(rows[units]) if units.size else np.full(4, np.nan)
         assert means[g].tobytes() == expected.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(eq_units=st.lists(st.lists(st.integers(-1, _N_UNITS - 1), max_size=9), max_size=_N_EQS))
+@example(eq_units=[[], [-1, -1], [3, -1, 0, -1], [-1], [6]])
+def test_eq_units_file_with_gaps_reads_as_its_rows_without_them(eq_units):
+    # a -1 (a gap), which older writers left for each unit below
+    # unit_min_count, is dropped on reading: the table is the dict-walking
+    # ``unit_lists`` of the record-at-a-time reader's rows
+    with tempfile.TemporaryDirectory() as root:
+        _, eq_units_bin = _binary_files(root, [], [[]] * len(eq_units))
+        write_eq_units(eq_units_bin, eq_units)
+        table = bundle_io._read_eq_units(eq_units_bin, len(eq_units))
+        want = reference_bundle._read_eq_units(eq_units_bin, len(eq_units))
+    want_ptr, want_ids = unit_lists(want, len(eq_units))
+    assert table.ptr.tolist() == want_ptr.tolist() and table.ids.tolist() == want_ids.tolist()
 
 
 @settings(max_examples=40, deadline=None)
@@ -571,7 +587,7 @@ def test_streams_and_registry_round_trip(streams, latex, counts):
 
 def test_binary_readers_make_one_frombuffer_call_per_file(tmp_path, monkeypatch):
     streams = [(f"doc{i}", [i % _N_WORDS, int(GAP)]) for i in range(500)]
-    big = [[g % _N_UNITS, -1][: g % 3] for g in range(5000)]
+    big = [[g % _N_UNITS, 0][: g % 3] for g in range(5000)]
     streams_bin, eq_units_bin = _binary_files(str(tmp_path), streams, [])
     _, big_bin = _binary_files(str(tmp_path / "big"), [], big)
     real, calls = np.frombuffer, []

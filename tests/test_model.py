@@ -17,6 +17,7 @@ from eqvec.model import (
     EmbeddingTable,
     Model,
     ModelConfig,
+    UnitGroups,
     equation_vector_from_units,
     sigmoid,
     unit_means,
@@ -410,8 +411,10 @@ def test_equation_vector_empty_errors():
     t = EmbeddingTable(3, 2, rng.bit_generator, 0.5)
     with pytest.raises(ValueError, match="untokenizable"):
         equation_vector_from_units([], t)
+    with pytest.raises(ValueError, match="unit id -1 is negative"):  # not the last unit row
+        equation_vector_from_units([0, -1], t)
     model = Model("unit", ModelConfig(k=2), t, unit=t, n_equations=2,
-                  eq_units=equation_units([[0, 2], [-1, -1]]))
+                  eq_units=equation_units([[0, 2], []]))
     assert np.isnan(model.equation_matrix("alpha")[1]).all()
     with pytest.raises(ValueError, match="untokenizable"):
         model.equation_vectors(1)  # after the derivation too
@@ -428,35 +431,40 @@ def test_equation_vector_matches_fsum_oracle():
             assert abs(alpha[d] - want) <= 2 * np.spacing(abs(want))
 
 
+def unit_groups(rows) -> UnitGroups:
+    """The ``UnitGroups`` of the table whose row g holds the unit ids ``rows[g]``."""
+    table = equation_units(rows)
+    return UnitGroups(table.ptr, table.ids)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    groups=st.lists(st.lists(st.integers(-1, 11), max_size=8), max_size=12),
+    groups=st.lists(st.lists(st.integers(0, 11), max_size=8), max_size=12),
     long_len=st.integers(0, 60),
     seed=st.integers(0, 2**32 - 1),
     block=st.sampled_from([1, 2, 3, 5, 256]),
 )
-@example(groups=[[-1, -1], [], [2, 2, 5], [0]], long_len=40, seed=1, block=256)
-@example(groups=[[-1, -1], [], [2, 2, 5], [0], [3]], long_len=40, seed=1, block=2)
+@example(groups=[[1, 1], [], [2, 2, 5], [0]], long_len=40, seed=1, block=256)
+@example(groups=[[1, 1], [], [2, 2, 5], [0], [3]], long_len=40, seed=1, block=2)
 def test_unit_means_bitwise_equal_per_equation_oracle(groups, long_len, seed, block):
-    # gaps (-1), all-gap and empty groups (NaN rows), duplicate ids, and one
-    # long group among short ones; magnitudes span 16 decades so the
-    # compensation terms matter; small blocks split the groups
+    # empty groups (NaN rows), duplicate ids, and one long group among short
+    # ones; magnitudes span 16 decades so the compensation terms matter;
+    # small blocks split the groups
     rng = np.random.default_rng(seed)
     rows = rng.normal(size=(12, 5)) * 10.0 ** rng.integers(-8, 8, size=(12, 5))
     groups = [np.array(g, dtype=np.int64) for g in groups]
-    groups.insert(int(rng.integers(len(groups) + 1)), rng.integers(-1, 12, size=long_len))
+    groups.insert(int(rng.integers(len(groups) + 1)), rng.integers(0, 12, size=long_len))
     with mock.patch.object(model_mod, "_MEAN_BLOCK", block):
-        got = unit_means(equation_units(groups).without_gaps(), rows)
+        got = unit_means(unit_groups(groups), rows)
     assert got.shape == (len(groups), 5)
-    for g, row in zip(groups, got):
-        ids = g[g >= 0]
+    for ids, row in zip(groups, got):
         want = _compensated_mean(rows[ids]) if ids.size else np.full(5, np.nan)
         assert row.tobytes() == want.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
-@given(ids=st.lists(st.integers(-1, 11), max_size=40), seed=st.integers(0, 2**32 - 1))
-@example(ids=[-1, 3, 3, -1, 0], seed=1)
+@given(ids=st.lists(st.integers(0, 11), max_size=40), seed=st.integers(0, 2**32 - 1))
+@example(ids=[3, 3, 0], seed=1)
 def test_one_equation_vector_bitwise_equal_unit_means(ids, seed):
     # the one-group path must give the row the batched pass gives, and the
     # per-equation Neumaier oracle's mean
@@ -464,13 +472,13 @@ def test_one_equation_vector_bitwise_equal_unit_means(ids, seed):
     rows = rng.normal(size=(12, 6)) * 10.0 ** rng.integers(-8, 8, size=(12, 6))
     table = EmbeddingTable.from_arrays(rho=rows[:, 3:], alpha=rows[:, :3])
     ids = np.array(ids, dtype=np.int64)
-    if not (ids >= 0).any():
+    if not ids.size:
         with pytest.raises(ValueError, match="no units"):
             equation_vector_from_units(ids, table)
         return
     alpha, rho = equation_vector_from_units(ids, table)
-    batched = unit_means(equation_units([[0, 1], ids]).without_gaps(), rows)[1]
-    want = _compensated_mean(rows[ids[ids >= 0]])
+    batched = unit_means(unit_groups([[0, 1], ids]), rows)[1]
+    want = _compensated_mean(rows[ids])
     assert np.hstack([alpha, rho]).tobytes() == batched.tobytes() == want.tobytes()
 
 
@@ -494,10 +502,16 @@ def test_unit_model_derives_one_kind_on_first_use(monkeypatch):
     rng = np.random.default_rng(13)
     t = EmbeddingTable(6, 3, rng.bit_generator, 0.5)
     model = Model("unit", ModelConfig(k=3), t, unit=t, n_equations=3,
-                  eq_units=equation_units([[0, 2], [-1, -1], [5, 1, -1, 1]]))
-    derived = []
-    real = model_mod.unit_means
-    monkeypatch.setattr(model_mod, "unit_means", lambda groups, rows: derived.append(rows) or real(groups, rows))
+                  eq_units=equation_units([[0, 2], [], [5, 1, 1]]))
+    derived = []  # the kinds ``Model._derive`` derived, in order
+    real = Model._derive
+
+    def derive(self, which):
+        if which not in self._derived:
+            derived.append(which)
+        return real(self, which)
+
+    monkeypatch.setattr(Model, "_derive", derive)
 
     def one_group_paths_agree():
         for eq_id in (0, 2):
@@ -507,11 +521,11 @@ def test_unit_model_derives_one_kind_on_first_use(monkeypatch):
 
     one_group_paths_agree()
     alpha = model.equation_matrix("alpha")
-    assert len(derived) == 1 and derived[0] is t.alpha  # rho is not derived with it
+    assert derived == ["alpha"]  # rho is not derived with it
     assert model.equation_matrix("alpha") is alpha and len(derived) == 1
     one_group_paths_agree()
     rho = model.equation_matrix("rho")
-    assert len(derived) == 2 and derived[1] is t.rho
+    assert derived == ["alpha", "rho"]
     assert alpha.flags.c_contiguous and rho.flags.c_contiguous
     one_group_paths_agree()
 
@@ -535,14 +549,14 @@ def _nan_canonical(x: np.ndarray) -> bytes:
 
 @settings(max_examples=300, deadline=None)
 @given(
-    groups=st.lists(st.lists(st.integers(-1, 7), max_size=12), max_size=10),
+    groups=st.lists(st.lists(st.integers(0, 7), max_size=12), max_size=10),
     base=st.integers(-170, 100),
     spread=st.integers(0, 45),
     specials=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 3), st.sampled_from(_SPECIALS)), max_size=3),
     widened=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(groups=[[0, 1, 2], [], [-1, -1], [3, 3]], base=-10, spread=3, specials=[(3, 0, -0.0)],
+@example(groups=[[0, 1, 2], [], [3, 3]], base=-10, spread=3, specials=[(3, 0, -0.0)],
          widened=False, seed=1)  # an all -0.0 column sums to +0.0
 @example(groups=[[0, 1], [2]], base=-150, spread=2, specials=[], widened=False, seed=2)  # subnormals
 @example(groups=[[0, 1, 2, 3, 4, 5, 6, 7]], base=-20, spread=30, specials=[], widened=False, seed=3)
@@ -564,18 +578,17 @@ def test_unit_means_exact_path_bitwise_equal_oracle(groups, base, spread, specia
     if widened:
         rows[0, 0] = 1.0 + 2.0**-40
     table = equation_units(groups)
-    ptr, ids = table.without_gaps()
-    exact = _sums_exact_oracle(rows, int(np.diff(ptr).max(initial=0)))
+    exact = _sums_exact_oracle(rows, int(np.diff(table.ptr).max(initial=0)))
 
     def not_this_path(*_):
         raise AssertionError("the other path ran")
 
     patched = "_rounding_error" if exact else "_exact_means"
     with mock.patch.object(model_mod, patched, not_this_path), np.errstate(invalid="ignore"):  # inf - inf
-        got = unit_means((ptr, ids), rows)
+        got = unit_means(UnitGroups(table.ptr, table.ids), rows)
         assert got.shape == (len(groups), 4)
         for g, row in zip(table, got):
-            units = table[g][table[g] >= 0]
+            units = table[g]
             want = _compensated_mean(rows[units]) if units.size else np.full(4, np.nan)
             assert _nan_canonical(row) == _nan_canonical(want)
 
@@ -585,12 +598,12 @@ def test_exact_path_runs_only_below_its_bound(hi, exact):
     # the smallest nonzero |x| is 1.0, whose np.frexp exponent is 1, and the
     # longest group holds 4 units: the sums are exact while max|x| * 4 < 2**30
     rows = np.array([[1.0, -0.0], [hi, 3.0], [-hi, 2.0], [7.0, hi]])
-    table = equation_units([[0, 1, 2, 3], [1], [], [3, -1, 0]])
+    table = equation_units([[0, 1, 2, 3], [1], [], [3, 0]])
     patched = "_rounding_error" if exact else "_exact_means"
     with mock.patch.object(model_mod, patched, side_effect=AssertionError("the other path ran")):
-        got = unit_means(table.without_gaps(), rows)
+        got = unit_means(UnitGroups(table.ptr, table.ids), rows)
     for g, row in zip(table, got):
-        units = table[g][table[g] >= 0]
+        units = table[g]
         want = _compensated_mean(rows[units]) if units.size else np.full(2, np.nan)
         assert row.tobytes() == want.tobytes()
 
@@ -607,12 +620,12 @@ def test_loaded_unit_model_sums_exactly_and_an_in_memory_fit_compensates(trained
     loaded = load_model(save_model(fitted, str(tmp_path / "unit.eqv")), eq_units=fitted.eq_units)
     alphas, rhos = reference_equation_matrices(loaded.eq_units, loaded.unit, loaded.n_equations)
     layouts = []
-    real = type(loaded.eq_units).without_gaps
-    monkeypatch.setattr(type(loaded.eq_units), "without_gaps", lambda self: layouts.append(self) or real(self))
+    real = model_mod.UnitGroups
+    monkeypatch.setattr(model_mod, "UnitGroups", lambda *layout: layouts.append(layout) or real(*layout))
     with mock.patch.object(model_mod, "_rounding_error", side_effect=AssertionError("compensated")):
         assert loaded.equation_matrix("alpha").tobytes() == alphas.tobytes()
         assert loaded.equation_matrix("rho").tobytes() == rhos.tobytes()
-    assert len(layouts) == 1  # both kinds share one gap-free layout
+    assert len(layouts) == 1  # both kinds share one layout
 
 
 # --- model container -------------------------------------------------------------------

@@ -315,7 +315,7 @@ def _saved_models(tmp_path):
     eq[0, 2] = eq[1, 5] = 0.0
     unit = rng.normal(size=(2, 7, k))
     unit[:, 3] = 0.0
-    units = [[3] if e == 1 else [-1, -1] if e == 4 else rng.choice([0, 1, 2, 4, 5, 6], 1 + e % 3).tolist()
+    units = [[3] if e == 1 else [] if e == 4 else rng.choice([0, 1, 2, 4, 5, 6], 1 + e % 3).tolist()
              for e in range(n_eq)]
     eq_units = EquationUnits(np.cumsum([0] + [len(u) for u in units]), [i for u in units for i in u])
     cfg = ModelConfig(k=k)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from eqvec import slt
 from eqvec.corpus import EquationUnits
+from eqvec.model import EmbeddingTable, Model, ModelConfig
 from eqvec.slt import (
     DROP_ARG_COMMANDS,
     FRACTION_COMMANDS,
@@ -271,7 +272,7 @@ def test_unit_vocabulary_min_count_gaps():
     seq_a = tokenize_equation("x^2 + y")
     seq_b = tokenize_equation("x^2 - y")
     vocab, ids = build_unit_vocabulary([seq_a, seq_b], min_count=2)
-    assert (ids[0] == slt.UNIT_GAP).any()
+    assert len(ids[0]) < len(seq_a) and (ids.ids >= 0).all()  # units below min_count are dropped
     for form in vocab.forms:
         assert vocab.freqs[vocab.index[form]] >= 2
 
@@ -401,13 +402,25 @@ def test_command_tables_are_disjoint():
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_latex, min_size=1, max_size=8), st.integers(1, 3), st.integers(1, 3))
+@example(["x^2 + y", "x^2 - y", "a_b", "z"], 1, 2)  # every unit of "a_b" is dropped, "z" has none
 def test_unit_vocabulary_matches_reference(latexes, window, min_count):
+    # each row is the oracle's with its gaps (units below min_count) removed;
+    # an equation whose every unit is dropped has an empty row, and no vector
     sequences = [tokenize_equation(latex, symbol_window=window) for latex in latexes]
     vocab, eq_units = build_unit_vocabulary(sequences, min_count=min_count)
-    want_vocab, want_units = reference_slt.build_unit_vocabulary(dict(enumerate(sequences)), min_count=min_count)
+    want_vocab, want_rows = reference_slt.build_unit_vocabulary(dict(enumerate(sequences)), min_count=min_count)
     assert vocab.forms == want_vocab.forms and vocab.index == want_vocab.index
     assert vocab.freqs.dtype == want_vocab.freqs.dtype and vocab.freqs.tolist() == want_vocab.freqs.tolist()
-    assert eq_units.ptr.tolist() == want_units.ptr.tolist() and eq_units.ids.tolist() == want_units.ids.tolist()
+    assert eq_units.ids.min(initial=0) >= 0 and len(eq_units) == len(want_rows)
+    gap = reference_slt.UNIT_GAP
+    assert [eq_units[g].tolist() for g in eq_units] == [[u for u in r if u != gap] for r in want_rows]
+    bits = np.random.PCG64(0)
+    model = Model("unit", ModelConfig(k=2), EmbeddingTable(1, 2, bits, 0.5),
+                  unit=EmbeddingTable(len(vocab), 2, bits, 0.5), eq_units=eq_units, n_equations=len(eq_units))
+    for g, row in enumerate(want_rows):
+        if set(row) == {gap}:
+            with pytest.raises(ValueError, match="untokenizable"):
+                model.equation_vectors(g)
 
 
 def _best_seconds(small: str, large: str, repeats: int = 5) -> tuple[float, float]:

@@ -39,10 +39,12 @@ Builds the planted corpus bundle and runs the CLI on it in-process:
   with ``\\label {x}``), which the planted corpus has none of; of the
   planted corpus ingested at the held-out settings ``HELDOUT`` (seed,
   items per equation, window and negatives all off their defaults), so
-  that held-out draws at other sizes and bounds are pinned; and of a
+  that held-out draws at other sizes and bounds are pinned; of a
   bundle that keeps only ``SINGLETON_SAMPLE`` of its singleton
-  equations, so that the registry is compacted and renumbered;
-* each of those ten bundles loaded back, table by table (``table/...``):
+  equations, so that the registry is compacted and renumbered; and of
+  one ingested at ``unit_min_count=UNIT_MIN_COUNT`` (``gapped``), whose
+  equations lose the units the threshold drops;
+* each of those eleven bundles loaded back, table by table (``table/...``):
   the streams' ``doc_ids``, ``ptr`` and ``codes``, the ``eq_units`` ``ptr``
   and ``ids``, the registry, both vocabularies and every held-out column.
   These digest content, not layout: a change to how a bundle file is laid
@@ -51,8 +53,9 @@ Builds the planted corpus bundle and runs the CLI on it in-process:
   two-pass, ``unit_context_mean``, equation at ``negative_sampling=uniform``,
   whose cumulative weights are about ``i/n``, and unit-joint at
   ``n_negatives=25``, whose slices hold fewer positions) at model seeds 4
-  and 1: the model file, and its ``.trace.jsonl`` with the two timing
-  fields masked;
+  and 1, and the ``GAPPED_CONFIGS`` on the gapped bundle (named
+  ``gapped-...``): the model file, and its ``.trace.jsonl`` with the two
+  timing fields masked;
 * ``eqvec eval`` with the default grid at seeds 4 and 1: the report TSV;
 * ``eqvec query`` on every model with equation vectors: eq2eq and eq2word
   at equation ids 0, 7 and 42 (those the bundle has), each under its
@@ -106,6 +109,7 @@ CORPUS_SEED, INGEST_SEED = 7, 11
 # (n_docs, n_classes, sentences_per_doc, seed) of each planted corpus whose text is digested
 PLANTED = ((200, 4, 8, CORPUS_SEED), (2000, 4, 8, 1), (37, 3, 5, 11))
 SINGLETON_SAMPLE = 8
+UNIT_MIN_COUNT = 2  # the gapped bundle's threshold: units seen once are dropped
 # held-out settings other than the defaults, so that draws at other sizes and bounds are pinned
 HELDOUT = {"seed": 12345, "heldout_per_equation": 3, "heldout_window": 6, "n_negatives": 5}
 MODEL_SEEDS = (4, 1)
@@ -122,6 +126,7 @@ CONFIGS = {
     "uniform": ("equation", {"negative_sampling": "uniform"}),
     "negatives-25": ("unit", {"n_negatives": 25}),
 }
+GAPPED_CONFIGS = ("unit-joint", "unit-two-pass")  # fitted on the gapped bundle as well
 FLOAT_GROUPS = ("model/", "trace/", "eval/", "query/", "warm/", "derived/")
 BYTE_GROUPS = ("corpus/", "bundle/", "table/")
 _SECONDS = re.compile(r'"(seconds|score_seconds)": [0-9.e+-]+')
@@ -386,12 +391,32 @@ def digests(workdir: str, n_docs: int = 200, max_epochs: int | None = None) -> d
     if sampled.n_equations == data.n_equations:
         raise RuntimeError("singleton sampling dropped no equation")
     out.update(_bundle_digests(sampled, os.path.join(workdir, "sampled"), "sampled"))
+    gapped = ingest_corpus(docs, IngestParams(seed=INGEST_SEED, unit_min_count=UNIT_MIN_COUNT))
+    if len(gapped.unit_vocab) == len(data.unit_vocab):
+        raise RuntimeError(f"unit_min_count={UNIT_MIN_COUNT} dropped no unit")
+    gapped_dir = os.path.join(workdir, "gapped")
+    out.update(_bundle_digests(gapped, gapped_dir, "gapped"))
     bundle_dir = os.path.join(workdir, "bundle")
     out.update(_bundle_digests(data, bundle_dir, "planted"))
     cap = {} if max_epochs is None else {"max_epochs": max_epochs}
+    out.update(_fit_digests(workdir, bundle_dir, data, CONFIGS, cap))
+    out.update(_fit_digests(workdir, gapped_dir, gapped, {f"gapped-{c}": CONFIGS[c] for c in GAPPED_CONFIGS}, cap))
+    for seed in EVAL_SEEDS:
+        report = os.path.join(workdir, f"eval-{seed}.tsv")
+        code, _ = _run(["eval", "--bundle", bundle_dir, "--report", report, "--seed", str(seed), *_sets(cap)])
+        if code:
+            raise RuntimeError(f"eval --seed {seed} exited {code}")
+        out[f"eval/seed{seed}"] = _sha(Path(report).read_bytes())
+    return out
+
+
+def _fit_digests(workdir: str, bundle_dir: str, data, configs: dict, cap: dict) -> dict:
+    """The model, trace, query, warm and derived digests of ``configs``
+    fitted at ``MODEL_SEEDS`` on the bundle ``data`` was saved to."""
+    out = {}
     ids = [i for i in QUERY_IDS if i < data.n_equations]
     words = ",".join(data.word_vocab.forms[:3])
-    for name, (mode, extra) in CONFIGS.items():
+    for name, (mode, extra) in configs.items():
         for seed in MODEL_SEEDS:
             key = f"{name}/seed{seed}"
             model = os.path.join(workdir, f"{name}-{seed}.eqv")
@@ -418,12 +443,6 @@ def digests(workdir: str, n_docs: int = 200, max_epochs: int | None = None) -> d
             out.update({f"warm/{key}/{q}": d for q, d in _warm_digests(model, bundle_dir, queries).items()})
             if mode == "unit":
                 out.update({f"derived/{key}/{w}": d for w, d in _derived_digests(model, bundle_dir).items()})
-    for seed in EVAL_SEEDS:
-        report = os.path.join(workdir, f"eval-{seed}.tsv")
-        code, _ = _run(["eval", "--bundle", bundle_dir, "--report", report, "--seed", str(seed), *_sets(cap)])
-        if code:
-            raise RuntimeError(f"eval --seed {seed} exited {code}")
-        out[f"eval/seed{seed}"] = _sha(Path(report).read_bytes())
     return out
 
 
