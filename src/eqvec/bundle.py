@@ -253,7 +253,7 @@ def _read_manifest(path: str) -> dict:
     if not os.path.isdir(path):
         raise FileNotFoundError(f"bundle not found: {path}")  # an OSError: the CLI exits 2
     try:
-        with open(os.path.join(path, "manifest.json"), "rb") as f:
+        with open(os.path.join(path, "manifest.json"), "rb", buffering=0) as f:
             manifest = json.load(f)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise BundleFormatError(f"corrupt manifest in bundle {path}: {exc}") from None
@@ -268,8 +268,9 @@ def _read_manifest(path: str) -> dict:
 
 
 def _read_table(path: str, header: bytes, count: int | None = None) -> tuple[list[str], np.ndarray]:
-    """A string table: its strings and its u64 counts column, read as
-    int64.  ``count``, when given, is the row count the manifest recorded."""
+    """A string table: its strings and its u64 counts column, as a
+    read-only int64 view of the file.  ``count``, when given, is the row
+    count the manifest recorded."""
     raw = _read_binary(path, header)
     strings, at = _read_strings(path, raw, len(header))
     n = len(strings)
@@ -278,11 +279,11 @@ def _read_table(path: str, header: bytes, count: int | None = None) -> tuple[lis
     _check_end(path, raw, at + 8 * n)
     if count is not None and n != count:
         raise BundleFormatError(f"{path} has {n} rows, the manifest records {count}")
-    counts = np.frombuffer(raw, dtype="<u8", count=n, offset=at)
-    if counts.max(initial=0) > np.iinfo(np.int64).max:
-        raise BundleFormatError(f"{path}: count {counts.max()} past int64")
-    counts = counts.astype(np.int64)
-    if counts.min(initial=1) < 1:
+    counts = np.frombuffer(raw, dtype="<i8", count=n, offset=at)
+    if counts.min(initial=1) < 1:  # a count past int64 reads as negative
+        wide = np.frombuffer(raw, dtype="<u8", count=n, offset=at)
+        if wide.max() > np.iinfo(np.int64).max:
+            raise BundleFormatError(f"{path}: count {wide.max()} past int64")
         raise BundleFormatError(f"{path}: count {counts.min()} below 1")
     return strings, counts
 
@@ -306,7 +307,7 @@ _CHECK_BLOCK = 1 << 16  # stream codes range-checked at a time
 
 
 def _read_binary(path: str, header: bytes) -> bytes:
-    with open(path, "rb") as f:
+    with open(path, "rb", buffering=0) as f:  # read whole: a buffer would only copy
         raw = f.read()
     if not raw.startswith(header):
         raise BundleFormatError(f"bad file header in bundle {path}: {raw[: len(header)]!r}")
@@ -385,9 +386,12 @@ def _read_eq_units(path: str, n_equations: int) -> EquationUnits:
     _check_end(path, raw, end)
     if n != n_equations:
         raise BundleFormatError(f"{path} holds {n} equations, equations.bin {n_equations}")
-    ids = ids.view("<i4").astype(np.int64)
-    if ids.min(initial=-1) < -1:
+    ids = ids.view("<i4")
+    low = ids.min(initial=0)
+    if low < -1:
         raise BundleFormatError(f"{path}: unit id {ids[ids < -1][0]} out of range (gaps are -1)")
+    if low == 0:  # no gap
+        return EquationUnits(ptr, ids)
     keep = ids >= 0
     return EquationUnits(np.concatenate(([0], np.cumsum(keep)))[ptr], ids[keep])
 

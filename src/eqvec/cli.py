@@ -103,12 +103,12 @@ _FLAG_KEYS = (
 
 
 def _split(value: str) -> list[str]:
-    return [v.strip() for v in value.split(",") if v.strip()]
+    return [v for v in map(str.strip, value.split(",")) if v]
 
 
 def _int_list(key: str, value: str) -> tuple[int, ...]:
     try:
-        return tuple(int(v) for v in _split(value))
+        return tuple(map(int, _split(value)))
     except ValueError:
         raise UsageError(f"{key}: expected comma-separated integers, got {value!r}") from None
 
@@ -130,9 +130,11 @@ def _coerce(key: str, value: str):
         raise UsageError(f"bad {t.__name__} for {key}: {value!r}") from None
 
 
+_NAMES = {cls: frozenset(f.name for f in fields(cls)) for cls in (RunConfig, ModelConfig, IngestParams)}
+
+
 def _pick(cls, values: dict) -> dict:
-    names = {f.name for f in fields(cls)}
-    return {k: v for k, v in values.items() if k in names}
+    return {k: v for k, v in values.items() if k in _NAMES[cls]}
 
 
 def parse_config_file(path: str) -> dict:

@@ -15,6 +15,7 @@ is selected from and the streams' codes array operations over the ids:
 every slot's code is one gather.
 """
 
+import functools
 import logging
 import operator
 from array import array
@@ -68,7 +69,9 @@ class Vocabulary:
         return form in self.index
 
 
+@functools.cache
 def load_stopwords() -> frozenset[str]:
+    """The package's fixed stopword list, read once per process."""
     data = resources.files("eqvec").joinpath("stopwords.txt").read_text(encoding="utf-8")
     return frozenset(w.strip() for w in data.splitlines() if w.strip() and not w.startswith("#"))
 
@@ -471,12 +474,15 @@ class IngestParams:
     workers: int = 1
 
     def validate(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            low = 1 if f.name in _AT_LEAST_ONE else 0
+        for name, low in _INGEST_BOUNDS:
+            v = getattr(self, name)
             if not isinstance(v, int) or v < low:
-                raise ValueError(f"{f.name} must be an integer >= {low}, got {v!r}")
+                raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
         return self
+
+
+# each IngestParams field and its least value, looked up once
+_INGEST_BOUNDS = tuple((f.name, 1 if f.name in _AT_LEAST_ONE else 0) for f in fields(IngestParams))
 
 
 @dataclass

@@ -11,7 +11,6 @@ the positive's context with label 0.
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -160,19 +159,20 @@ class UnitGroups:
 
     @cached_property
     def ranked(self) -> tuple[np.ndarray, list]:
-        """``ranked_steps`` of the group lengths, for the compensated loop."""
+        """``ranked_steps`` of the group lengths, for the compensated sum."""
         return ranked_steps(self.lengths)
 
     @cached_property
-    def chunks(self) -> tuple[np.ndarray, list]:
-        """The groups with units, and the exact sum's chunks of them: each
-        chunk's ``(lo, hi)`` among those groups, the unit ids of groups
-        ``lo:hi`` and where each group starts in them."""
-        filled = np.flatnonzero(self.lengths)
-        starts, ends = self.ptr[filled], self.ptr[filled + 1]
+    def chunks(self) -> tuple[np.ndarray | None, list]:
+        """The groups with units (``None`` when every group has some), and
+        the exact sum's chunks of them: each chunk's ``(lo, hi)`` among
+        those groups, the unit ids of groups ``lo:hi`` and where each group
+        starts in them."""
+        filled = None if self.lengths.all() else np.flatnonzero(self.lengths)
+        starts, ends = (self.ptr[:-1], self.ptr[1:]) if filled is None else (self.ptr[filled], self.ptr[filled + 1])
         chunks = []
-        for lo in range(0, len(filled), _EXACT_CHUNK):
-            hi = min(lo + _EXACT_CHUNK, len(filled))
+        for lo in range(0, len(starts), _EXACT_CHUNK):
+            hi = min(lo + _EXACT_CHUNK, len(starts))
             chunks.append((lo, hi, self.ids[starts[lo] : ends[hi - 1]], starts[lo:hi] - starts[lo]))
         return filled, chunks
 
@@ -190,8 +190,8 @@ def _sums_exact(rows: np.ndarray, longest: int) -> bool:
     hi = mags.max(initial=0.0)
     if not hi <= _FLOAT32_MAX or not (rows.astype(np.float32) == rows).all():  # a NaN fails the first
         return False
-    nonzero = mags[mags > 0]
-    return not nonzero.size or hi * longest < math.ldexp(1.0, math.frexp(nonzero.min())[1] + 29)
+    lo = np.min(mags, where=mags > 0, initial=np.inf)
+    return lo == np.inf or hi * longest < math.ldexp(1.0, math.frexp(lo)[1] + 29)
 
 
 def _exact_means(groups: UnitGroups, rows: np.ndarray) -> np.ndarray:
@@ -200,16 +200,34 @@ def _exact_means(groups: UnitGroups, rows: np.ndarray) -> np.ndarray:
     groups at a time, without compensation.  Adding +0.0 gives an all -0.0
     sum the sign a sum started at +0.0 has."""
     filled, chunks = groups.chunks
-    sums = np.empty((len(filled), rows.shape[1]))
+    lengths = groups.lengths if filled is None else groups.lengths[filled]
+    sums = np.empty((len(lengths), rows.shape[1]))
     for lo, hi, ids, offsets in chunks:
         np.add.reduceat(rows.take(ids, axis=0), offsets, axis=0, out=sums[lo:hi])
     sums += 0.0
-    sums /= groups.lengths[filled, None]
-    if len(filled) == len(groups.lengths):
+    sums /= lengths[:, None]
+    if filled is None:
         return sums
     out = np.full((len(groups.lengths), rows.shape[1]), np.nan)
     out[filled] = sums
     return out
+
+
+def _compensated_sum(rows: np.ndarray) -> np.ndarray:
+    """The Neumaier-compensated sum of ``rows`` down its first axis, total
+    plus compensation, with every step at once: one ``add.accumulate`` from
+    +0.0 gives the running totals, the TwoSum errors of those additions
+    follow together, and one more ``add.accumulate`` sums them.  These are
+    the element-wise operations, in order, of a loop that adds the rows one
+    at a time.  ``add.accumulate`` runs one inner loop per column, so this
+    suits one group's few columns; a block of many groups takes steps."""
+    p = np.empty((len(rows) + 1, *rows.shape[1:]))  # row 0 is the +0.0 the total starts from
+    p[0] = 0.0
+    p[1:] = rows
+    totals, errors = np.add.accumulate(p, axis=0), np.empty_like(p)
+    errors[0] = 0.0
+    _rounding_error(totals[:-1], p[1:], totals[1:], errors[1:])
+    return totals[-1] + np.add.accumulate(errors, axis=0)[-1]
 
 
 def _compensated_means(groups: UnitGroups, rows: np.ndarray) -> np.ndarray:
@@ -219,7 +237,8 @@ def _compensated_means(groups: UnitGroups, rows: np.ndarray) -> np.ndarray:
     j adds the j-th unit of every group of the block that still has one;
     those groups are a prefix of the block, so a step gathers only their
     rows: no group is padded, and beyond the unit ids the work arrays hold
-    ``_MEAN_BLOCK`` rows.  Each group adds its units in order with the same
+    ``_MEAN_BLOCK`` rows.  A block of one group is its ``_compensated_sum``
+    instead.  Either way each group adds its units in order with the same
     element-wise operations as a per-group loop, so its mean is bitwise
     the one it gets alone."""
     ptr, flat, lengths = groups.ptr, groups.ids, groups.lengths
@@ -231,6 +250,12 @@ def _compensated_means(groups: UnitGroups, rows: np.ndarray) -> np.ndarray:
     shape = (min(_MEAN_BLOCK, active[0]), rows.shape[1])
     total, comp, t, e = (np.empty(shape) for _ in range(4))
     for lo in range(0, active[0], _MEAN_BLOCK):
+        ranked = order[lo : min(lo + _MEAN_BLOCK, active[0])]
+        m = len(ranked)
+        if m == 1:
+            units = flat[starts[lo] : starts[lo] + lengths[ranked[0]]]
+            out[ranked] = _compensated_sum(rows.take(units, axis=0)) / lengths[ranked, None]
+            continue
         total.fill(0.0)
         comp.fill(0.0)
         for j, n in enumerate(active):
@@ -243,8 +268,6 @@ def _compensated_means(groups: UnitGroups, rows: np.ndarray) -> np.ndarray:
             _rounding_error(tot, r, tn, en)
             comp[:n] += en
             tot[...] = tn
-        ranked = order[lo : min(lo + _MEAN_BLOCK, active[0])]
-        m = len(ranked)
         out[ranked] = (total[:m] + comp[:m]) / lengths[ranked, None]
     return out
 
@@ -255,7 +278,7 @@ def unit_means(groups: UnitGroups, rows: np.ndarray) -> np.ndarray:
 
     Where ``_sums_exact`` holds for ``rows`` and the longest group, the
     compensation is zero, and the groups are summed without it; otherwise
-    they take the compensated loop.  Either way each group's mean is
+    they take the compensated sum.  Either way each group's mean is
     bitwise the one it gets alone."""
     rows = np.asarray(rows, dtype=np.float64)
     if _sums_exact(rows, groups.longest):
@@ -264,44 +287,71 @@ def unit_means(groups: UnitGroups, rows: np.ndarray) -> np.ndarray:
 
 
 def equation_vector_from_units(units, unit_table: EmbeddingTable):
-    """Equation-level (alpha, rho) as the arithmetic mean of unit vectors:
-    ``unit_means`` over one group, the equation's rows gathered first, so
-    that its exactness check reads only those.  Its row is bitwise the one
-    ``unit_means`` gives the equation over the whole table."""
+    """Equation-level (alpha, rho) as the arithmetic mean of unit vectors,
+    bitwise the row ``unit_means`` gives the equation over the whole table.
+
+    The equation's rows are gathered first, so that the exactness check
+    reads only those.  Where ``_sums_exact`` holds for them, they are
+    summed directly, which is exact in any order, and +0.0 is added before
+    the division as ``_exact_means`` does; otherwise they take the
+    ``_compensated_sum`` that a block of one group takes in
+    ``_compensated_means``."""
     ids = np.asarray(units, dtype=np.int64).ravel()
     if ids.size == 0:
         raise ValueError("untokenizable equation: no units")
     if ids.min() < 0:  # a gap (-1) of an old table, which would read the last unit row
         raise ValueError(f"unit id {ids.min()} is negative")
     rows = np.hstack((unit_table.alpha[ids], unit_table.rho[ids]))
-    mean = unit_means(UnitGroups(np.array([0, ids.size]), np.arange(ids.size)), rows)[0]
+    if _sums_exact(rows, ids.size):
+        mean = np.add.reduce(rows, axis=0)
+        mean += 0.0
+    else:
+        mean = _compensated_sum(rows)
+    mean /= ids.size
     return mean[: unit_table.k], mean[unit_table.k :]
 
 
 # --- what a similarity scan reads of a matrix ---------------------------------
 
 
-class RowStats(NamedTuple):
+class RowStats:
     """The values a similarity scan reads of a matrix, none of which
-    depends on the query."""
+    depends on the query, each computed on its first read: a Euclidean
+    scan reads only ``nonfinite``, so it computes no norms.
 
-    norms: np.ndarray  # each row's Euclidean norm
-    nonfinite: np.ndarray  # rows holding a NaN or ±inf entry
-    cosine_worst: np.ndarray  # rows that score worst under cosine: those, and zero-norm rows
+    Row-local, like the scans that read them: each finite row's norm is
+    bitwise the one it has in a copy with the other rows zero-filled."""
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """Each row's Euclidean norm."""
+        return np.sqrt((self.matrix**2).sum(axis=1))
+
+    @cached_property
+    def nonfinite(self) -> np.ndarray:
+        """The rows holding a NaN or ±inf entry.  Such a row has a NaN or
+        inf sum, so only the rows whose sum is not finite are searched for
+        one; a finite row whose sum overflows is among them and stays
+        finite."""
+        nonfinite = ~np.isfinite(np.add.reduce(self.matrix, axis=1))
+        odd = nonfinite.nonzero()[0]
+        if odd.size:
+            nonfinite[odd] = ~np.isfinite(self.matrix[odd]).all(axis=1)
+        return nonfinite
+
+    @cached_property
+    def cosine_worst(self) -> np.ndarray:
+        """The rows that score worst under cosine: the non-finite ones, and
+        zero-norm rows."""
+        return self.nonfinite | (self.norms == 0)
 
 
 def row_stats(matrix: np.ndarray) -> RowStats:
-    """Row-local, like the scans that read them: each finite row's norm
-    is bitwise the one it has in a copy with the other rows zero-filled.
-
-    A row with a non-finite entry has a NaN or inf norm, so only the rows
-    whose norm is not finite are searched for one; a finite row whose
-    squared norm overflows is among them and stays finite."""
-    norms = np.sqrt((matrix**2).sum(axis=1))
-    nonfinite = ~np.isfinite(norms)
-    odd = nonfinite.nonzero()[0]
-    nonfinite[odd] = ~np.isfinite(matrix[odd]).all(axis=1)
-    return RowStats(norms, nonfinite, nonfinite | (norms == 0))
+    """The ``RowStats`` of ``matrix``, each value computed when first read."""
+    return RowStats(matrix)
 
 
 # --- fitted model container ---------------------------------------------------

@@ -85,7 +85,7 @@ def save_model(model: Model, path: str) -> str:
 
 def read_header(path: str) -> dict:
     """Parse and return the JSON header after verifying the checksum."""
-    with open(path, "rb") as f:
+    with open(path, "rb", buffering=0) as f:
         raw = f.read()
     return _parse_and_verify(raw, path)[0]
 
@@ -93,7 +93,7 @@ def read_header(path: str) -> dict:
 def load_model(path: str, eq_units=None) -> Model:
     """Load a model; unit-trained models need ``eq_units`` from the corpus
     bundle to derive per-equation vectors."""
-    with open(path, "rb") as f:
+    with open(path, "rb", buffering=0) as f:
         raw = f.read()
     header, hlen, config = _parse_and_verify(raw, path)
     mode = header["mode"]
@@ -135,7 +135,7 @@ def _parse_and_verify(raw: bytes, path: str) -> tuple[dict, int, ModelConfig]:
     if start + hlen > len(raw) - 4:
         raise ModelFileError(f"truncated model file: {path}")
     (stored,) = struct.unpack("<I", raw[-4:])
-    if zlib.crc32(raw[:-4]) != stored:
+    if zlib.crc32(memoryview(raw)[:-4]) != stored:  # a view: no copy of the file
         raise ChecksumError(f"model file checksum mismatch: {path}")
     try:
         header = json.loads(raw[start : start + hlen].decode("utf-8"))

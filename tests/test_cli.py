@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import eqvec
 from eqvec import cli, retrieval
+from eqvec import model as model_mod
 from eqvec.bundle import load_bundle, load_query_files
 from eqvec.cli import RunConfig, build_config, main, make_parser
 from eqvec.corpus import EQ_TAG, IngestParams
@@ -428,6 +429,28 @@ def test_unit_model_query_prints_library_ranking(family, planted_models, capsys)
     assert out.splitlines() == want
 
 
+@pytest.mark.parametrize("family, derived", [("eq2eq", ["alpha"]), ("eq2word", []), ("word2eq", ["rho"])])
+def test_cold_unit_query_derives_only_what_it_scans(family, derived, planted_models, capsys, monkeypatch):
+    # eq2eq scans the equations' feature vectors, word2eq their interaction
+    # vectors (the model's default); eq2word reads one equation's vectors
+    # and derives no whole matrix
+    bundle, models, _ = planted_models
+    unit = load_model(models["unit"]).unit
+    kinds = []
+    real = model_mod.unit_means
+
+    def spy(groups, rows):
+        kinds.append(next(k for k in ("alpha", "rho") if np.array_equal(rows, getattr(unit, k))))
+        return real(groups, rows)
+
+    monkeypatch.setattr(model_mod, "unit_means", spy)
+    eq_id = int(np.flatnonzero(np.diff(load_query_files(bundle).eq_units.ptr))[0])
+    args = ["--words", "matrix,eigenvalue"] if family == "word2eq" else ["--id", str(eq_id)]
+    code, out, _ = run(["query", family, *args, "--model", models["unit"], "--bundle", bundle], capsys)
+    assert code == 0 and len(out.splitlines()) == 6
+    assert kinds == derived
+
+
 @pytest.mark.parametrize(
     "family, args, message",
     [
@@ -715,6 +738,48 @@ def test_truncated_query_file_exits_3(name, damage, planted_models, tmp_path, ca
     assert code == 3
     assert out == ""
     assert "Traceback" not in err
+
+
+_QUERY_FILES = ("manifest.json", "vocab.bin", "equations.bin", "eq_units.bin", "model")
+
+
+@settings(max_examples=240, deadline=None)
+@given(name=st.sampled_from(_QUERY_FILES), mode=st.sampled_from(["equation", "unit"]),
+       mutation=st.sampled_from(["flip", "rewrite", "truncate"]), draw=st.data())
+def test_damaged_query_file_exits_0_or_3(name, mode, mutation, draw, planted_models):
+    # one bit flipped, one byte rewritten, or the file cut short, in any of
+    # the five files a query reads: every query family either answers or
+    # exits 3 with a one-line error, never a traceback
+    bundle, models, _ = planted_models
+    with tempfile.TemporaryDirectory() as root:
+        copy = os.path.join(root, "bundle")
+        os.mkdir(copy)
+        for f in _QUERY_FILES[:-1]:
+            shutil.copy(os.path.join(bundle, f), copy)
+        model = shutil.copy(models[mode], os.path.join(root, "m.eqv"))
+        path = model if name == "model" else os.path.join(copy, name)
+        with open(path, "rb") as f:
+            raw = bytearray(f.read())
+        at = draw.draw(st.integers(0, len(raw) - 1), label="at")
+        if mutation == "flip":
+            raw[at] ^= 1 << draw.draw(st.integers(0, 7), label="bit")
+        elif mutation == "rewrite":
+            raw[at] = draw.draw(st.integers(0, 255).filter(lambda b: b != raw[at]), label="byte")
+        else:
+            del raw[at:]
+        with open(path, "wb") as f:
+            f.write(raw)
+        eq_id = str(np.flatnonzero(np.diff(load_query_files(bundle).eq_units.ptr))[0])  # one with units
+        for family, args in (("eq2eq", ["--id", eq_id]), ("eq2word", ["--id", eq_id]),
+                             ("word2eq", ["--words", "matrix,eigenvalue"])):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["query", family, *args, "--model", model, "--bundle", copy])
+            assert code in (0, 3), err.getvalue()
+            if code == 3:
+                assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+                assert len(err.getvalue().splitlines()) == 1
+            assert "Traceback" not in err.getvalue()
 
 
 def _set_first_unit(value):

@@ -87,6 +87,21 @@ def test_word_vocab_invariants_hold():
     assert sorted(vocab.index.values()) == list(range(len(vocab)))
 
 
+
+def test_stopwords_are_read_once_per_process(monkeypatch):
+    # every ingest uses the package's list; it is read and parsed on the
+    # first call only, and handed out as an immutable set
+    load_stopwords.cache_clear()
+    reads = []
+    real = corpus.resources.files
+    monkeypatch.setattr(corpus.resources, "files", lambda pkg: reads.append(pkg) or real(pkg))
+    first = load_stopwords()
+    docs = planted_corpus(n_docs=6, seed=1).documents
+    ingest_corpus(docs, IngestParams())
+    ingest_corpus(docs, IngestParams())
+    assert load_stopwords() is first and isinstance(first, frozenset) and "the" in first
+    assert reads == ["eqvec"]
+
 def test_empty_corpus_raises():
     with pytest.raises(CorpusError, match="empty corpus"):
         build_word_vocabulary(Counter(), STOPS, IngestParams())

@@ -628,6 +628,93 @@ def test_loaded_unit_model_sums_exactly_and_an_in_memory_fit_compensates(trained
     assert len(layouts) == 1  # both kinds share one layout
 
 
+
+def _spy_compensated(monkeypatch) -> list:
+    """The rows ``equation_vector_from_units`` hands the compensated sum."""
+    calls = []
+    real = model_mod._compensated_sum
+    monkeypatch.setattr(model_mod, "_compensated_sum", lambda rows: calls.append(rows) or real(rows))
+    return calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ids=st.lists(st.integers(0, 7), min_size=1, max_size=12),
+    base=st.integers(-170, 100),
+    spread=st.integers(0, 45),
+    specials=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 5), st.sampled_from(_SPECIALS)), max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(ids=[0, 1, 2], base=-10, spread=3, specials=[(0, 1, -0.0), (1, 1, -0.0), (2, 1, -0.0)],
+         seed=1)  # an all -0.0 column sums to +0.0
+@example(ids=[0, 1], base=-150, spread=2, specials=[], seed=2)  # subnormals
+@example(ids=[0, 1, 2, 3, 4, 5, 6, 7], base=-20, spread=40, specials=[], seed=3)  # too wide: compensated
+@example(ids=[3, 3], base=0, spread=0, specials=[(3, 2, np.inf), (3, 4, np.nan)], seed=4)
+def test_one_equation_vector_bitwise_equal_oracle_on_float32_rows(ids, base, spread, specials, seed):
+    # float32-valued unit rows (alpha | rho, three columns each) whose
+    # exponents span ``spread`` from ``base``, with ±0, subnormals, NaN and
+    # ±inf written in: the equation's mean is the per-equation Neumaier
+    # oracle's, bitwise (NaNs compared as NaN), and the compensated sum runs
+    # exactly where the stated exactness condition fails for its rows
+    rng = np.random.default_rng(seed)
+    mantissas = rng.integers(-(2**24) + 1, 2**24, size=(8, 6)).astype(np.float64)
+    with np.errstate(over="ignore"):
+        rows = np.ldexp(mantissas, base - 24 + rng.integers(0, spread + 1, size=(8, 6)))
+        rows = rows.astype(np.float32).astype(np.float64)
+    for i, j, v in specials:
+        rows[i, j] = v
+    table = EmbeddingTable.from_arrays(rho=rows[:, 3:], alpha=rows[:, :3])
+    with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):  # inf - inf
+        calls = _spy_compensated(mp)
+        alpha, rho = equation_vector_from_units(ids, table)
+        want = _compensated_mean(rows[ids])
+    assert _nan_canonical(np.hstack([alpha, rho])) == _nan_canonical(want)
+    assert len(calls) == (not _sums_exact_oracle(rows[ids], len(ids)))
+
+
+@pytest.mark.parametrize("rows, branch", [
+    (np.array([[1.0, 0.5], [0.25, -3.0], [7.0, 2.0**-20]]), "exact"),  # float32 values, as a loaded model's
+    (np.array([[1.0, 0.5], [0.1, -3.0], [7.0, 2.0**-20]]), "compensated"),  # 0.1 is no float32
+    (np.array([[1.0, 0.5], [2.0**40, -3.0], [7.0, 2.0**-20]]), "compensated"),  # exponents too far apart
+    (np.array([[1.0, 0.5], [np.inf, -3.0], [7.0, 2.0**-20]]), "compensated"),
+])
+def test_one_equation_vector_names_its_branch(rows, branch, monkeypatch):
+    # the one-group path sums directly where the exactness check holds for
+    # the equation's rows, and hands them, alpha then rho, to the
+    # compensated sum otherwise; either way the mean is the oracle's
+    calls = _spy_compensated(monkeypatch)
+    table = EmbeddingTable.from_arrays(rho=rows[:, 1:], alpha=rows[:, :1])
+    with np.errstate(invalid="ignore"):
+        got = np.hstack(equation_vector_from_units([0, 1, 2], table))
+        want = _compensated_mean(rows)
+    assert _nan_canonical(got) == _nan_canonical(want)
+    assert ("compensated" if calls else "exact") == branch
+    if calls:
+        assert calls[0].tobytes() == rows.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(groups=st.lists(st.lists(st.integers(0, 9), max_size=6), max_size=12), chunk=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_exact_sum_in_chunks_equals_one_chunk(groups, chunk, seed):
+    # the exact path gathers every group at once when they all have units
+    # and fit one chunk; split into chunks, and with empty groups among
+    # them, it gives the same bytes, and the oracle's
+    rows = np.random.default_rng(seed).normal(size=(10, 3)).astype(np.float32).astype(np.float64)
+    table = equation_units(groups)
+    layout = UnitGroups(table.ptr, table.ids)
+    one = unit_means(layout, rows)
+    with mock.patch.object(model_mod, "_EXACT_CHUNK", chunk), \
+            mock.patch.object(model_mod, "_rounding_error", side_effect=AssertionError("compensated")):
+        split = unit_means(UnitGroups(table.ptr, table.ids), rows)
+    assert one.tobytes() == split.tobytes()
+    assert (layout.chunks[0] is None) == all(groups)
+    for g, row in zip(table, one):
+        units = table[g]
+        want = _compensated_mean(rows[units]) if units.size else np.full(3, np.nan)
+        assert row.tobytes() == want.tobytes()
+
+
 # --- model container -------------------------------------------------------------------
 
 

@@ -277,6 +277,25 @@ def test_scores_bitwise_equal_zero_filled_oracle(kinds, k, query_kind, seed):
         assert got.tobytes() == want.tobytes(), metric
 
 
+
+def test_row_stats_computed_on_first_read_and_overflowing_rows_stay_finite(monkeypatch):
+    # a Euclidean scan reads only ``nonfinite``, so no norm is computed for
+    # it; a finite row whose sum (and squared norm) overflows is searched
+    # and stays finite, and every score is the zero-filled oracle's
+    big = np.finfo(np.float64).max / 2
+    matrix = np.array([[1.0, 2.0, 3.0], [big, big, big], [1.0, np.inf, 0.0], [np.nan, 0.0, 1.0], [0.0, 0.0, 0.0],
+                       [-big, -big, 1.0]])
+    stats = row_stats(matrix)
+    query = np.array([0.5, -1.0, 2.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        euclidean = _scores(matrix, query, "euclidean", stats)
+        assert "norms" not in vars(stats) and "cosine_worst" not in vars(stats)
+        cosine = _scores(matrix, query, "cosine", stats)
+        assert euclidean.tobytes() == reference_scores(matrix, query, "euclidean").tobytes()
+        assert cosine.tobytes() == reference_scores(matrix, query, "cosine").tobytes()
+    assert stats.nonfinite.tolist() == [False, False, True, True, False, False]
+    assert stats.cosine_worst.tolist() == [False, False, True, True, True, False]
+
 @settings(max_examples=100, deadline=None)
 @given(
     kinds=st.lists(st.sampled_from(["finite", "nan", "+inf", "zero", "huge"]), min_size=1, max_size=40),
