@@ -268,9 +268,8 @@ def _read_manifest(path: str) -> dict:
 
 
 def _read_table(path: str, header: bytes, count: int | None = None) -> tuple[list[str], np.ndarray]:
-    """A string table: its strings and its u64 counts column, as a
-    read-only int64 view of the file.  ``count``, when given, is the row
-    count the manifest recorded."""
+    """A string table: its strings and its u64 counts column, read as
+    int64.  ``count``, when given, is the row count the manifest recorded."""
     raw = _read_binary(path, header)
     strings, at = _read_strings(path, raw, len(header))
     n = len(strings)
@@ -285,7 +284,7 @@ def _read_table(path: str, header: bytes, count: int | None = None) -> tuple[lis
         if wide.max() > np.iinfo(np.int64).max:
             raise BundleFormatError(f"{path}: count {wide.max()} past int64")
         raise BundleFormatError(f"{path}: count {counts.min()} below 1")
-    return strings, counts
+    return strings, counts.copy()  # a copy: a view would keep the whole file alive
 
 
 def _read_vocab(path: str, header: bytes, kind: str, count: int | None = None) -> Vocabulary:

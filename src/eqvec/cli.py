@@ -103,12 +103,12 @@ _FLAG_KEYS = (
 
 
 def _split(value: str) -> list[str]:
-    return [v for v in map(str.strip, value.split(",")) if v]
+    return [v.strip() for v in value.split(",") if v.strip()]
 
 
 def _int_list(key: str, value: str) -> tuple[int, ...]:
     try:
-        return tuple(map(int, _split(value)))
+        return tuple(int(v) for v in _split(value))
     except ValueError:
         raise UsageError(f"{key}: expected comma-separated integers, got {value!r}") from None
 

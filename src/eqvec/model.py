@@ -159,7 +159,7 @@ class UnitGroups:
 
     @cached_property
     def ranked(self) -> tuple[np.ndarray, list]:
-        """``ranked_steps`` of the group lengths, for the compensated sum."""
+        """``ranked_steps`` of the group lengths, for the compensated loop."""
         return ranked_steps(self.lengths)
 
     @cached_property
@@ -219,8 +219,10 @@ def _compensated_sum(rows: np.ndarray) -> np.ndarray:
     +0.0 gives the running totals, the TwoSum errors of those additions
     follow together, and one more ``add.accumulate`` sums them.  These are
     the element-wise operations, in order, of a loop that adds the rows one
-    at a time.  ``add.accumulate`` runs one inner loop per column, so this
-    suits one group's few columns; a block of many groups takes steps."""
+    at a time, so the sum is bitwise the one ``_compensated_means`` gives
+    the rows as one group.  ``add.accumulate`` runs one inner loop per
+    column, so this suits one equation; a block of many groups takes
+    steps."""
     p = np.empty((len(rows) + 1, *rows.shape[1:]))  # row 0 is the +0.0 the total starts from
     p[0] = 0.0
     p[1:] = rows
@@ -237,8 +239,7 @@ def _compensated_means(groups: UnitGroups, rows: np.ndarray) -> np.ndarray:
     j adds the j-th unit of every group of the block that still has one;
     those groups are a prefix of the block, so a step gathers only their
     rows: no group is padded, and beyond the unit ids the work arrays hold
-    ``_MEAN_BLOCK`` rows.  A block of one group is its ``_compensated_sum``
-    instead.  Either way each group adds its units in order with the same
+    ``_MEAN_BLOCK`` rows.  Each group adds its units in order with the same
     element-wise operations as a per-group loop, so its mean is bitwise
     the one it gets alone."""
     ptr, flat, lengths = groups.ptr, groups.ids, groups.lengths
@@ -250,12 +251,6 @@ def _compensated_means(groups: UnitGroups, rows: np.ndarray) -> np.ndarray:
     shape = (min(_MEAN_BLOCK, active[0]), rows.shape[1])
     total, comp, t, e = (np.empty(shape) for _ in range(4))
     for lo in range(0, active[0], _MEAN_BLOCK):
-        ranked = order[lo : min(lo + _MEAN_BLOCK, active[0])]
-        m = len(ranked)
-        if m == 1:
-            units = flat[starts[lo] : starts[lo] + lengths[ranked[0]]]
-            out[ranked] = _compensated_sum(rows.take(units, axis=0)) / lengths[ranked, None]
-            continue
         total.fill(0.0)
         comp.fill(0.0)
         for j, n in enumerate(active):
@@ -268,6 +263,8 @@ def _compensated_means(groups: UnitGroups, rows: np.ndarray) -> np.ndarray:
             _rounding_error(tot, r, tn, en)
             comp[:n] += en
             tot[...] = tn
+        ranked = order[lo : min(lo + _MEAN_BLOCK, active[0])]
+        m = len(ranked)
         out[ranked] = (total[:m] + comp[:m]) / lengths[ranked, None]
     return out
 
@@ -278,7 +275,7 @@ def unit_means(groups: UnitGroups, rows: np.ndarray) -> np.ndarray:
 
     Where ``_sums_exact`` holds for ``rows`` and the longest group, the
     compensation is zero, and the groups are summed without it; otherwise
-    they take the compensated sum.  Either way each group's mean is
+    they take the compensated loop.  Either way each group's mean is
     bitwise the one it gets alone."""
     rows = np.asarray(rows, dtype=np.float64)
     if _sums_exact(rows, groups.longest):
@@ -293,9 +290,8 @@ def equation_vector_from_units(units, unit_table: EmbeddingTable):
     The equation's rows are gathered first, so that the exactness check
     reads only those.  Where ``_sums_exact`` holds for them, they are
     summed directly, which is exact in any order, and +0.0 is added before
-    the division as ``_exact_means`` does; otherwise they take the
-    ``_compensated_sum`` that a block of one group takes in
-    ``_compensated_means``."""
+    the division as ``_exact_means`` does; otherwise they take
+    ``_compensated_sum``."""
     ids = np.asarray(units, dtype=np.int64).ravel()
     if ids.size == 0:
         raise ValueError("untokenizable equation: no units")
@@ -333,10 +329,14 @@ class RowStats:
     @cached_property
     def nonfinite(self) -> np.ndarray:
         """The rows holding a NaN or ±inf entry.  Such a row has a NaN or
-        inf sum, so only the rows whose sum is not finite are searched for
-        one; a finite row whose sum overflows is among them and stays
-        finite."""
-        nonfinite = ~np.isfinite(np.add.reduce(self.matrix, axis=1))
+        inf sum and norm, so only the rows whose norm (when a cosine scan
+        has computed them) or sum is not finite are searched for one; a
+        finite row whose sum or squared norm overflows is among them and
+        stays finite."""
+        totals = self.__dict__.get("norms")
+        if totals is None:
+            totals = np.add.reduce(self.matrix, axis=1)
+        nonfinite = ~np.isfinite(totals)
         odd = nonfinite.nonzero()[0]
         if odd.size:
             nonfinite[odd] = ~np.isfinite(self.matrix[odd]).all(axis=1)
@@ -347,11 +347,6 @@ class RowStats:
         """The rows that score worst under cosine: the non-finite ones, and
         zero-norm rows."""
         return self.nonfinite | (self.norms == 0)
-
-
-def row_stats(matrix: np.ndarray) -> RowStats:
-    """The ``RowStats`` of ``matrix``, each value computed when first read."""
-    return RowStats(matrix)
 
 
 # --- fitted model container ---------------------------------------------------
@@ -419,7 +414,7 @@ class Model:
         its ``RowStats``, computed on its first scan."""
         matrix = self.word.alpha if kind == "word" else self.equation_matrix(kind)
         if kind not in self._scanned:
-            self._scanned[kind] = row_stats(matrix)
+            self._scanned[kind] = RowStats(matrix)
         return matrix, self._scanned[kind]
 
     def equation_vectors(self, eq_id: int) -> tuple[np.ndarray, np.ndarray]:

@@ -137,7 +137,7 @@ def equations_for_words(
         log.warning("query words not in vocabulary: %s", ", ".join(dropped))
     if not known:
         raise UnknownWords("no query word is in the vocabulary")
-    query = np.add.reduce(model.word.rho[np.array(known, dtype=np.int64)], axis=0) / len(known)  # np.mean, bitwise
+    query = model.word.rho[np.array(known, dtype=np.int64)].mean(axis=0)
     matrix, stats = model.scan(vectors or model.config.word2eq_vectors)
     scores = _scores(matrix, query, metric, stats)
     return Ranking(

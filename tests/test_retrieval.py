@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from eqvec import model as model_mod
 from eqvec import retrieval
 from eqvec.corpus import EquationUnits, Vocabulary
-from eqvec.model import EmbeddingTable, Model, ModelConfig, row_stats
+from eqvec.model import EmbeddingTable, Model, ModelConfig, RowStats
 from eqvec.modelfile import load_model, save_model
 from eqvec.retrieval import METRICS, _rank, _scores, equations_for_words, nearest_equations, nearest_words
 
@@ -272,20 +272,20 @@ def test_scores_bitwise_equal_zero_filled_oracle(kinds, k, query_kind, seed):
     }[query_kind]
     for metric in ("euclidean", "cosine"):
         with np.errstate(over="ignore", invalid="ignore"):  # inf - inf where a non-finite row meets one
-            got = _scores(matrix, query, metric, row_stats(matrix))
+            got = _scores(matrix, query, metric, RowStats(matrix))
             want = reference_scores(matrix, query, metric)
         assert got.tobytes() == want.tobytes(), metric
-
 
 
 def test_row_stats_computed_on_first_read_and_overflowing_rows_stay_finite(monkeypatch):
     # a Euclidean scan reads only ``nonfinite``, so no norm is computed for
     # it; a finite row whose sum (and squared norm) overflows is searched
-    # and stays finite, and every score is the zero-filled oracle's
+    # and stays finite, whichever scan comes first, and every score is the
+    # zero-filled oracle's
     big = np.finfo(np.float64).max / 2
     matrix = np.array([[1.0, 2.0, 3.0], [big, big, big], [1.0, np.inf, 0.0], [np.nan, 0.0, 1.0], [0.0, 0.0, 0.0],
                        [-big, -big, 1.0]])
-    stats = row_stats(matrix)
+    stats = RowStats(matrix)
     query = np.array([0.5, -1.0, 2.0])
     with np.errstate(over="ignore", invalid="ignore"):
         euclidean = _scores(matrix, query, "euclidean", stats)
@@ -295,6 +295,11 @@ def test_row_stats_computed_on_first_read_and_overflowing_rows_stay_finite(monke
         assert cosine.tobytes() == reference_scores(matrix, query, "cosine").tobytes()
     assert stats.nonfinite.tolist() == [False, False, True, True, False, False]
     assert stats.cosine_worst.tolist() == [False, False, True, True, True, False]
+    first_cosine = RowStats(matrix)  # its non-finite rows are searched among those of non-finite norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _scores(matrix, query, "cosine", first_cosine).tobytes() == cosine.tobytes()
+    assert first_cosine.nonfinite.tolist() == stats.nonfinite.tolist()
+
 
 @settings(max_examples=100, deadline=None)
 @given(
@@ -313,7 +318,7 @@ def test_euclidean_scan_in_row_blocks_equals_oracle(kinds, k, block, strided, se
     query = rng.normal(size=k)
     with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
         mp.setattr(retrieval, "_SCAN_BLOCK", block)
-        got = _scores(matrix, query, "euclidean", row_stats(matrix))
+        got = _scores(matrix, query, "euclidean", RowStats(matrix))
         want = reference_scores(matrix, query, "euclidean")
     assert got.tobytes() == want.tobytes()
 
@@ -369,8 +374,8 @@ def test_warm_queries_equal_cold_ones(mode, tmp_path, monkeypatch):
     queries += [("word2eq", (vectors, words), metric) for vectors in ("rho", "alpha")
                 for words in (["w0", "w4"], ["w4"], ["w7", "w2", "w3"]) for metric in METRICS]
     scanned = []
-    row_stats_of = model_mod.row_stats
-    monkeypatch.setattr(model_mod, "row_stats", lambda matrix: scanned.append(matrix) or row_stats_of(matrix))
+    stats_of = model_mod.RowStats
+    monkeypatch.setattr(model_mod, "RowStats", lambda matrix: scanned.append(matrix) or stats_of(matrix))
     cold_models = [load_model(paths[mode], eq_units=eq_units) for _ in queries]
     cold = [_answer(m, vocab, *q) for m, q in zip(cold_models, queries)]
     warm_model = load_model(paths[mode], eq_units=eq_units)
