@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import LOG_EPS, Model, ModelConfig, ranked_steps, sigmoid
+from .model import LOG_EPS, Model, ModelConfig, sigmoid
 from .passes import _ptr, expand_units
 
 log = logging.getLogger(__name__)
@@ -69,6 +69,13 @@ def compile_heldout(held, model: Model) -> HeldOutLayout:
     ptr = _ptr(np.bincount(owner[take], n_per, minlength=len(held)).astype(np.int64))
     alpha = np.concatenate([t.alpha for t in (model.word, model.unit if mode == "unit" else model.eq) if t])
     return HeldOutLayout(alpha, ptr, rows, None if (w == 1.0).all() else w, cand_ptr, cand, ok)
+
+
+def ranked_steps(lengths: np.ndarray):
+    """Groups ranked by length, longest first (stable), and for every step
+    j how many groups have a j-th entry: the first ones of that ranking."""
+    order = np.argsort(-lengths, kind="stable")
+    return order, np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)), side="left").tolist()
 
 
 def _score_blocks(held, model: Model):

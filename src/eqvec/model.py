@@ -118,17 +118,9 @@ def sigmoid(x):
     return float(out) if out.ndim == 0 else out
 
 
-def ranked_steps(lengths: np.ndarray):
-    """Groups ranked by length, longest first (stable), and for every step
-    j how many groups have a j-th entry: the first ones of that ranking."""
-    order = np.argsort(-lengths, kind="stable")
-    return order, np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)), side="left").tolist()
-
-
 # --- derived equation vectors (unit mode) -------------------------------------
 
-_MEAN_BLOCK = 256  # groups the compensated loop sums at a time, so that a step's arrays stay in cache
-_EXACT_CHUNK = 256  # groups the exact sum gathers at a time
+_BLOCK = 256  # groups summed at a time, so that a block's arrays stay in cache
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
@@ -149,8 +141,8 @@ def _rounding_error(tot, r, t, e):
 
 class UnitGroups:
     """An equation -> units layout ``(ptr, ids)``, such as an
-    ``EquationUnits``'s, and what ``unit_means`` derives from it alone, so
-    that both kinds of a model's equation vectors share it."""
+    ``EquationUnits``'s, and the blocks ``unit_means`` sums over, so that
+    both kinds of a model's equation vectors share them."""
 
     def __init__(self, ptr: np.ndarray, ids: np.ndarray):
         self.ptr, self.ids = ptr, ids
@@ -158,23 +150,18 @@ class UnitGroups:
         self.longest = int(self.lengths.max(initial=0))
 
     @cached_property
-    def ranked(self) -> tuple[np.ndarray, list]:
-        """``ranked_steps`` of the group lengths, for the compensated loop."""
-        return ranked_steps(self.lengths)
-
-    @cached_property
-    def chunks(self) -> tuple[np.ndarray | None, list]:
-        """The groups with units (``None`` when every group has some), and
-        the exact sum's chunks of them: each chunk's ``(lo, hi)`` among
-        those groups, the unit ids of groups ``lo:hi`` and where each group
-        starts in them."""
-        filled = None if self.lengths.all() else np.flatnonzero(self.lengths)
-        starts, ends = (self.ptr[:-1], self.ptr[1:]) if filled is None else (self.ptr[filled], self.ptr[filled + 1])
-        chunks = []
-        for lo in range(0, len(starts), _EXACT_CHUNK):
-            hi = min(lo + _EXACT_CHUNK, len(starts))
-            chunks.append((lo, hi, self.ids[starts[lo] : ends[hi - 1]], starts[lo:hi] - starts[lo]))
-        return filled, chunks
+    def blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The groups with units, ranked by length, longest first (stable),
+        ``_BLOCK`` at a time: each block's group ids and its int32 ``(longest
+        in block, groups)`` matrix of their unit ids, padded with -1."""
+        order = np.argsort(-self.lengths, kind="stable")[: np.count_nonzero(self.lengths)]
+        blocks = []
+        for lo in range(0, len(order), _BLOCK):
+            group_ids = order[lo : lo + _BLOCK]
+            lengths, steps = self.lengths[group_ids], np.arange(self.lengths[group_ids[0]])[:, None]
+            units = self.ids.take(self.ptr[group_ids] + steps, mode="clip")
+            blocks.append((group_ids, np.where(steps < lengths, units, -1).astype(np.int32)))
+        return blocks
 
 
 def _sums_exact(rows: np.ndarray, longest: int) -> bool:
@@ -194,115 +181,59 @@ def _sums_exact(rows: np.ndarray, longest: int) -> bool:
     return lo == np.inf or hi * longest < math.ldexp(1.0, math.frexp(lo)[1] + 29)
 
 
-def _exact_means(groups: UnitGroups, rows: np.ndarray) -> np.ndarray:
-    """``unit_means`` where ``_sums_exact`` holds: every partial sum is the
-    true one, so a group's rows are summed in any order, ``_EXACT_CHUNK``
-    groups at a time, without compensation.  Adding +0.0 gives an all -0.0
-    sum the sign a sum started at +0.0 has."""
-    filled, chunks = groups.chunks
-    lengths = groups.lengths if filled is None else groups.lengths[filled]
-    sums = np.empty((len(lengths), rows.shape[1]))
-    for lo, hi, ids, offsets in chunks:
-        np.add.reduceat(rows.take(ids, axis=0), offsets, axis=0, out=sums[lo:hi])
-    sums += 0.0
-    sums /= lengths[:, None]
-    if filled is None:
-        return sums
-    out = np.full((len(groups.lengths), rows.shape[1]), np.nan)
-    out[filled] = sums
-    return out
+def _sum_rows(rows: np.ndarray, exact: bool) -> np.ndarray:
+    """The sum of ``rows`` down its first axis, started at +0.0; overwrites
+    ``rows``.
 
-
-def _compensated_sum(rows: np.ndarray) -> np.ndarray:
-    """The Neumaier-compensated sum of ``rows`` down its first axis, total
-    plus compensation, with every step at once: one ``add.accumulate`` from
-    +0.0 gives the running totals, the TwoSum errors of those additions
-    follow together, and one more ``add.accumulate`` sums them.  These are
-    the element-wise operations, in order, of a loop that adds the rows one
-    at a time, so the sum is bitwise the one ``_compensated_means`` gives
-    the rows as one group.  ``add.accumulate`` runs one inner loop per
-    column, so this suits one equation; a block of many groups takes
-    steps."""
-    p = np.empty((len(rows) + 1, *rows.shape[1:]))  # row 0 is the +0.0 the total starts from
-    p[0] = 0.0
-    p[1:] = rows
-    totals, errors = np.add.accumulate(p, axis=0), np.empty_like(p)
-    errors[0] = 0.0
-    _rounding_error(totals[:-1], p[1:], totals[1:], errors[1:])
-    return totals[-1] + np.add.accumulate(errors, axis=0)[-1]
-
-
-def _compensated_means(groups: UnitGroups, rows: np.ndarray) -> np.ndarray:
-    """``unit_means`` by Neumaier-compensated sums.
-
-    Groups are ranked by length and summed ``_MEAN_BLOCK`` at a time.  Step
-    j adds the j-th unit of every group of the block that still has one;
-    those groups are a prefix of the block, so a step gathers only their
-    rows: no group is padded, and beyond the unit ids the work arrays hold
-    ``_MEAN_BLOCK`` rows.  Each group adds its units in order with the same
-    element-wise operations as a per-group loop, so its mean is bitwise
-    the one it gets alone."""
-    ptr, flat, lengths = groups.ptr, groups.ids, groups.lengths
-    out = np.full((len(lengths), rows.shape[1]), np.nan)
-    order, active = groups.ranked
-    if not active:
-        return out
-    starts = ptr[order]
-    shape = (min(_MEAN_BLOCK, active[0]), rows.shape[1])
-    total, comp, t, e = (np.empty(shape) for _ in range(4))
-    for lo in range(0, active[0], _MEAN_BLOCK):
-        total.fill(0.0)
-        comp.fill(0.0)
-        for j, n in enumerate(active):
-            n = min(n - lo, _MEAN_BLOCK)
-            if n <= 0:
-                break
-            tot, tn, en = total[:n], t[:n], e[:n]
-            r = rows.take(flat.take(starts[lo : lo + n] + j), axis=0)
-            np.add(tot, r, out=tn)
-            _rounding_error(tot, r, tn, en)
-            comp[:n] += en
-            tot[...] = tn
-        ranked = order[lo : min(lo + _MEAN_BLOCK, active[0])]
-        m = len(ranked)
-        out[ranked] = (total[:m] + comp[:m]) / lengths[ranked, None]
-    return out
+    Where ``exact`` (``_sums_exact`` holds for the rows), every partial sum
+    is the true one, so one ``np.add.reduce`` gives it in whatever order it
+    adds, and adding +0.0 gives an all -0.0 sum the sign a sum started at
+    +0.0 has.  Otherwise the rows are added one at a time with a Neumaier
+    compensation, and the sum is the total plus the compensation."""
+    if exact:
+        return np.add.reduce(rows, axis=0) + 0.0
+    total, comp, t, e = (np.zeros(rows.shape[1:]) for _ in range(4))
+    for r in rows:
+        np.add(total, r, out=t)
+        _rounding_error(total, r, t, e)
+        comp += e
+        total, t = t, total
+    return total + comp
 
 
 def unit_means(groups: UnitGroups, rows: np.ndarray) -> np.ndarray:
     """Neumaier-compensated mean of ``rows[ids[ptr[g]:ptr[g + 1]]]`` for
     every group g of ``groups``.  A group without units gives a NaN row.
 
-    Where ``_sums_exact`` holds for ``rows`` and the longest group, the
-    compensation is zero, and the groups are summed without it; otherwise
-    they take the compensated loop.  Either way each group's mean is
-    bitwise the one it gets alone."""
+    Each of ``groups.blocks`` is gathered whole, its -1 padding reading a
+    zero row appended to ``rows``, and summed by ``_sum_rows``, exactly
+    where ``_sums_exact`` holds for ``rows`` and the longest group.  A
+    padded group's mean is bitwise the one it gets alone: its running total
+    and compensation start at +0.0, so neither is ever -0.0, and adding
+    +0.0 changes neither (after an inf or NaN the compensation is NaN
+    already)."""
     rows = np.asarray(rows, dtype=np.float64)
-    if _sums_exact(rows, groups.longest):
-        return _exact_means(groups, rows)
-    return _compensated_means(groups, rows)
+    exact = _sums_exact(rows, groups.longest)
+    padded = np.concatenate((rows, np.zeros((1, rows.shape[1]))))
+    out = np.full((len(groups.lengths), rows.shape[1]), np.nan)
+    for group_ids, units in groups.blocks:
+        out[group_ids] = _sum_rows(padded.take(units, axis=0), exact) / groups.lengths[group_ids, None]
+    return out
 
 
 def equation_vector_from_units(units, unit_table: EmbeddingTable):
     """Equation-level (alpha, rho) as the arithmetic mean of unit vectors,
     bitwise the row ``unit_means`` gives the equation over the whole table.
 
-    The equation's rows are gathered first, so that the exactness check
-    reads only those.  Where ``_sums_exact`` holds for them, they are
-    summed directly, which is exact in any order, and +0.0 is added before
-    the division as ``_exact_means`` does; otherwise they take
-    ``_compensated_sum``."""
+    The equation's rows are gathered first, so that ``_sums_exact`` reads
+    only those, with the equation's length as the longest group."""
     ids = np.asarray(units, dtype=np.int64).ravel()
     if ids.size == 0:
         raise ValueError("untokenizable equation: no units")
     if ids.min() < 0:  # a gap (-1) of an old table, which would read the last unit row
         raise ValueError(f"unit id {ids.min()} is negative")
     rows = np.hstack((unit_table.alpha[ids], unit_table.rho[ids]))
-    if _sums_exact(rows, ids.size):
-        mean = np.add.reduce(rows, axis=0)
-        mean += 0.0
-    else:
-        mean = _compensated_sum(rows)
+    mean = _sum_rows(rows, _sums_exact(rows, ids.size))
     mean /= ids.size
     return mean[: unit_table.k], mean[unit_table.k :]
 

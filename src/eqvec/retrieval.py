@@ -126,9 +126,11 @@ def equations_for_words(
     The query vector is the mean of the words' interaction vectors; unknown
     words are reported and dropped, an all-unknown query is an error
     (``UnknownWords``).
-    ``vectors`` picks which equation matrix to scan (defaults to the model
-    config, interaction vectors unless overridden)."""
+    ``vectors``, ``"rho"`` or ``"alpha"``, picks the equation matrix to
+    scan (defaults to the model config's, interaction vectors unless set)."""
     _check_k(k)
+    if vectors not in (None, "rho", "alpha"):
+        raise ValueError(f"vectors must be 'rho' or 'alpha', got {vectors!r}")
     known, dropped = [], []
     for w in words:
         wid = vocab.index.get(w)

@@ -5,10 +5,11 @@
   ``pair_loss_and_grads`` and the Adagrad update, one observation at a
   time.  The gradient suite finite-differences it, and the compiled SGD
   step in ``eqvec.training`` must match it.
-* The per-equation compensated loop, the oracle for the batched
-  ``eqvec.model.unit_means``: each equation's units are summed alone, one
-  row at a time, with a Neumaier correction term, and the batched kernel
-  must give bitwise the same vectors.
+* The per-equation compensated loop, the oracle for
+  ``eqvec.model.unit_means`` and ``equation_vector_from_units``: each
+  equation's units are summed alone, one row at a time, with a Neumaier
+  correction term, and both must give bitwise the same vectors, whether
+  ``_sum_rows`` sums a padded block exactly or compensated.
 * The per-item scorer: each held-out item's context summed one entry at a
   time (a unit-mode equation contributes the sum or mean of its units),
   then its candidates scored; the oracle for the batched scorer in

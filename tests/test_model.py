@@ -431,6 +431,36 @@ def test_equation_vector_matches_fsum_oracle():
             assert abs(alpha[d] - want) <= 2 * np.spacing(abs(want))
 
 
+_SPECIALS = (0.0, -0.0, np.nan, np.inf, -np.inf, 2.0**-149, -(2.0**-130))  # the last two: float32 subnormals
+
+
+def _sums_exact_oracle(rows: np.ndarray, longest: int) -> bool:
+    """The exact path's condition, as stated: finite float32 values whose
+    largest magnitude times the longest group stays below 2**(e + 29), for
+    e the exponent of the smallest nonzero magnitude."""
+    if not np.isfinite(rows).all() or not (rows.astype(np.float32) == rows).all():
+        return False
+    mags = np.abs(rows[rows != 0])
+    return not mags.size or mags.max() * longest < 2.0 ** (int(np.frexp(mags.min())[1]) + 29)
+
+
+def _nan_canonical(x: np.ndarray) -> bytes:
+    return np.where(np.isnan(x), np.nan, x).tobytes()
+
+
+def _spy_sum_rows(monkeypatch) -> list:
+    """``(exact, rows)`` of each ``_sum_rows`` call, the rows as handed over."""
+    calls = []
+    real = model_mod._sum_rows
+
+    def spy(rows, exact):
+        calls.append((exact, rows.copy()))  # before the compensated loop overwrites them
+        return real(rows, exact)
+
+    monkeypatch.setattr(model_mod, "_sum_rows", spy)
+    return calls
+
+
 def unit_groups(rows) -> UnitGroups:
     """The ``UnitGroups`` of the table whose row g holds the unit ids ``rows[g]``."""
     table = equation_units(rows)
@@ -443,23 +473,46 @@ def unit_groups(rows) -> UnitGroups:
     long_len=st.integers(0, 60),
     seed=st.integers(0, 2**32 - 1),
     block=st.sampled_from([1, 2, 3, 5, 256]),
+    float32=st.booleans(),
+    specials=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 4), st.sampled_from(_SPECIALS)), max_size=3),
 )
-@example(groups=[[1, 1], [], [2, 2, 5], [0]], long_len=40, seed=1, block=256)
-@example(groups=[[1, 1], [], [2, 2, 5], [0], [3]], long_len=40, seed=1, block=2)
-def test_unit_means_bitwise_equal_per_equation_oracle(groups, long_len, seed, block):
+@example(groups=[[1, 1], [], [2, 2, 5], [0]], long_len=40, seed=1, block=256, float32=False, specials=[])
+@example(groups=[[1, 1], [], [2, 2, 5], [0], [3]], long_len=40, seed=1, block=2, float32=False, specials=[])
+@example(groups=[[1, 1], [], [2, 2, 5], [0], [3]], long_len=40, seed=1, block=3, float32=True, specials=[])
+@example(groups=[[1, 1], [], [2, 2, 5], [0], [3]], long_len=40, seed=1, block=256, float32=True,
+         specials=[(2, 0, np.inf), (5, 1, np.nan), (3, 2, -0.0)])  # short groups padded beside a long one
+@example(groups=[[1], [1, 1], [4]], long_len=9, seed=2, block=256, float32=True,
+         specials=[(1, 0, -0.0), (1, 1, 2.0**-149), (4, 3, -(2.0**-130))])
+def test_unit_means_bitwise_equal_per_equation_oracle(groups, long_len, seed, block, float32, specials):
     # empty groups (NaN rows), duplicate ids, and one long group among short
-    # ones; magnitudes span 16 decades so the compensation terms matter;
-    # small blocks split the groups
+    # ones, which pads them; magnitudes span 16 decades so the compensation
+    # terms matter, or the rows are float32-valued, as a loaded model's,
+    # and mostly summed exactly; ±0, NaN, ±inf and subnormals written in;
+    # small blocks split the groups, and give the bytes one block gives
     rng = np.random.default_rng(seed)
-    rows = rng.normal(size=(12, 5)) * 10.0 ** rng.integers(-8, 8, size=(12, 5))
+    rows = rng.normal(size=(12, 5))
+    if float32:
+        rows = rows.astype(np.float32).astype(np.float64)
+    else:
+        rows *= 10.0 ** rng.integers(-8, 8, size=(12, 5))
+    for i, j, v in specials:
+        rows[i, j] = v
     groups = [np.array(g, dtype=np.int64) for g in groups]
     groups.insert(int(rng.integers(len(groups) + 1)), rng.integers(0, 12, size=long_len))
-    with mock.patch.object(model_mod, "_MEAN_BLOCK", block):
+    exact = _sums_exact_oracle(rows, max(map(len, groups)))
+    with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):  # inf - inf
+        mp.setattr(model_mod, "_BLOCK", block)
+        calls = _spy_sum_rows(mp)
         got = unit_means(unit_groups(groups), rows)
+    with np.errstate(invalid="ignore"):
+        one_block = unit_means(unit_groups(groups), rows)
+        want = [_compensated_mean(rows[ids]) if ids.size else np.full(5, np.nan) for ids in groups]
     assert got.shape == (len(groups), 5)
-    for ids, row in zip(groups, got):
-        want = _compensated_mean(rows[ids]) if ids.size else np.full(5, np.nan)
-        assert row.tobytes() == want.tobytes()
+    assert got.tobytes() == one_block.tobytes()
+    assert [e for e, _ in calls] == [exact] * -(-sum(ids.size > 0 for ids in groups) // block)
+    for row, w in zip(got, want):
+        assert _nan_canonical(row) == _nan_canonical(w)
+        assert specials or row.tobytes() == w.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -530,23 +583,6 @@ def test_unit_model_derives_one_kind_on_first_use(monkeypatch):
     one_group_paths_agree()
 
 
-_SPECIALS = (0.0, -0.0, np.nan, np.inf, -np.inf, 2.0**-149, -(2.0**-130))  # the last two: float32 subnormals
-
-
-def _sums_exact_oracle(rows: np.ndarray, longest: int) -> bool:
-    """The exact path's condition, as stated: finite float32 values whose
-    largest magnitude times the longest group stays below 2**(e + 29), for
-    e the exponent of the smallest nonzero magnitude."""
-    if not np.isfinite(rows).all() or not (rows.astype(np.float32) == rows).all():
-        return False
-    mags = np.abs(rows[rows != 0])
-    return not mags.size or mags.max() * longest < 2.0 ** (int(np.frexp(mags.min())[1]) + 29)
-
-
-def _nan_canonical(x: np.ndarray) -> bytes:
-    return np.where(np.isnan(x), np.nan, x).tobytes()
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     groups=st.lists(st.lists(st.integers(0, 7), max_size=12), max_size=10),
@@ -566,7 +602,7 @@ def test_unit_means_exact_path_bitwise_equal_oracle(groups, base, spread, specia
     # with NaN, ±inf, ±0 and subnormals written in; ``widened`` makes one
     # entry a float64 value.  Where the stated condition holds the exact
     # path runs (the compensation would raise), elsewhere the compensated
-    # loop does; either way every group's mean is the oracle's, bitwise
+    # loop does (``_sum_rows`` is told which); either way every group's mean is the oracle's, bitwise
     # (NaNs compared as NaN)
     rng = np.random.default_rng(seed)
     mantissas = rng.integers(-(2**24) + 1, 2**24, size=(8, 4)).astype(np.float64)
@@ -579,13 +615,12 @@ def test_unit_means_exact_path_bitwise_equal_oracle(groups, base, spread, specia
         rows[0, 0] = 1.0 + 2.0**-40
     table = equation_units(groups)
     exact = _sums_exact_oracle(rows, int(np.diff(table.ptr).max(initial=0)))
-
-    def not_this_path(*_):
-        raise AssertionError("the other path ran")
-
-    patched = "_rounding_error" if exact else "_exact_means"
-    with mock.patch.object(model_mod, patched, not_this_path), np.errstate(invalid="ignore"):  # inf - inf
+    with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):  # inf - inf
+        if exact:
+            mp.setattr(model_mod, "_rounding_error", mock.Mock(side_effect=AssertionError("compensated")))
+        calls = _spy_sum_rows(mp)
         got = unit_means(UnitGroups(table.ptr, table.ids), rows)
+        assert [e for e, _ in calls] == [exact] * any(groups)
         assert got.shape == (len(groups), 4)
         for g, row in zip(table, got):
             units = table[g]
@@ -599,9 +634,10 @@ def test_exact_path_runs_only_below_its_bound(hi, exact):
     # longest group holds 4 units: the sums are exact while max|x| * 4 < 2**30
     rows = np.array([[1.0, -0.0], [hi, 3.0], [-hi, 2.0], [7.0, hi]])
     table = equation_units([[0, 1, 2, 3], [1], [], [3, 0]])
-    patched = "_rounding_error" if exact else "_exact_means"
-    with mock.patch.object(model_mod, patched, side_effect=AssertionError("the other path ran")):
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_sum_rows(mp)
         got = unit_means(UnitGroups(table.ptr, table.ids), rows)
+    assert [e for e, _ in calls] == [exact]
     for g, row in zip(table, got):
         units = table[g]
         want = _compensated_mean(rows[units]) if units.size else np.full(2, np.nan)
@@ -613,28 +649,24 @@ def test_loaded_unit_model_sums_exactly_and_an_in_memory_fit_compensates(trained
     alphas, rhos = reference_equation_matrices(fitted.eq_units, fitted.unit, fitted.n_equations)
     in_memory = Model("unit", fitted.config, fitted.word, unit=fitted.unit, eq_units=fitted.eq_units,
                       n_equations=fitted.n_equations)
-    with mock.patch.object(model_mod, "_exact_means", side_effect=AssertionError("float64 rows summed exactly")):
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_sum_rows(mp)
         assert in_memory.equation_matrix("alpha").tobytes() == alphas.tobytes()
         assert in_memory.equation_matrix("rho").tobytes() == rhos.tobytes()
+    assert calls and not any(e for e, _ in calls)  # float64 rows are never summed exactly
 
     loaded = load_model(save_model(fitted, str(tmp_path / "unit.eqv")), eq_units=fitted.eq_units)
     alphas, rhos = reference_equation_matrices(loaded.eq_units, loaded.unit, loaded.n_equations)
     layouts = []
     real = model_mod.UnitGroups
     monkeypatch.setattr(model_mod, "UnitGroups", lambda *layout: layouts.append(layout) or real(*layout))
+    calls = _spy_sum_rows(monkeypatch)
     with mock.patch.object(model_mod, "_rounding_error", side_effect=AssertionError("compensated")):
         assert loaded.equation_matrix("alpha").tobytes() == alphas.tobytes()
         assert loaded.equation_matrix("rho").tobytes() == rhos.tobytes()
+    assert calls and all(e for e, _ in calls)
     assert len(layouts) == 1  # both kinds share one layout
 
-
-
-def _spy_compensated(monkeypatch) -> list:
-    """The rows ``equation_vector_from_units`` hands the compensated sum."""
-    calls = []
-    real = model_mod._compensated_sum
-    monkeypatch.setattr(model_mod, "_compensated_sum", lambda rows: calls.append(rows) or real(rows))
-    return calls
 
 
 @settings(max_examples=300, deadline=None)
@@ -665,11 +697,11 @@ def test_one_equation_vector_bitwise_equal_oracle_on_float32_rows(ids, base, spr
         rows[i, j] = v
     table = EmbeddingTable.from_arrays(rho=rows[:, 3:], alpha=rows[:, :3])
     with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):  # inf - inf
-        calls = _spy_compensated(mp)
+        calls = _spy_sum_rows(mp)
         alpha, rho = equation_vector_from_units(ids, table)
         want = _compensated_mean(rows[ids])
     assert _nan_canonical(np.hstack([alpha, rho])) == _nan_canonical(want)
-    assert len(calls) == (not _sums_exact_oracle(rows[ids], len(ids)))
+    assert [e for e, _ in calls] == [_sums_exact_oracle(rows[ids], len(ids))]
 
 
 @pytest.mark.parametrize("rows, branch", [
@@ -679,40 +711,18 @@ def test_one_equation_vector_bitwise_equal_oracle_on_float32_rows(ids, base, spr
     (np.array([[1.0, 0.5], [np.inf, -3.0], [7.0, 2.0**-20]]), "compensated"),
 ])
 def test_one_equation_vector_names_its_branch(rows, branch, monkeypatch):
-    # the one-group path sums directly where the exactness check holds for
-    # the equation's rows, and hands them, alpha then rho, to the
-    # compensated sum otherwise; either way the mean is the oracle's
-    calls = _spy_compensated(monkeypatch)
+    # the one-group path hands the equation's rows, alpha then rho, to
+    # ``_sum_rows``, to be summed exactly where the exactness check holds
+    # for them and compensated otherwise; either way the mean is the oracle's
+    calls = _spy_sum_rows(monkeypatch)
     table = EmbeddingTable.from_arrays(rho=rows[:, 1:], alpha=rows[:, :1])
     with np.errstate(invalid="ignore"):
         got = np.hstack(equation_vector_from_units([0, 1, 2], table))
         want = _compensated_mean(rows)
     assert _nan_canonical(got) == _nan_canonical(want)
-    assert ("compensated" if calls else "exact") == branch
-    if calls:
-        assert calls[0].tobytes() == rows.tobytes()
-
-
-@settings(max_examples=100, deadline=None)
-@given(groups=st.lists(st.lists(st.integers(0, 9), max_size=6), max_size=12), chunk=st.integers(1, 4),
-       seed=st.integers(0, 2**32 - 1))
-def test_exact_sum_in_chunks_equals_one_chunk(groups, chunk, seed):
-    # the exact path gathers every group at once when they all have units
-    # and fit one chunk; split into chunks, and with empty groups among
-    # them, it gives the same bytes, and the oracle's
-    rows = np.random.default_rng(seed).normal(size=(10, 3)).astype(np.float32).astype(np.float64)
-    table = equation_units(groups)
-    layout = UnitGroups(table.ptr, table.ids)
-    one = unit_means(layout, rows)
-    with mock.patch.object(model_mod, "_EXACT_CHUNK", chunk), \
-            mock.patch.object(model_mod, "_rounding_error", side_effect=AssertionError("compensated")):
-        split = unit_means(UnitGroups(table.ptr, table.ids), rows)
-    assert one.tobytes() == split.tobytes()
-    assert (layout.chunks[0] is None) == all(groups)
-    for g, row in zip(table, one):
-        units = table[g]
-        want = _compensated_mean(rows[units]) if units.size else np.full(3, np.nan)
-        assert row.tobytes() == want.tobytes()
+    [(exact, handed)] = calls
+    assert ("exact" if exact else "compensated") == branch
+    assert handed.tobytes() == rows.tobytes()
 
 
 # --- model container -------------------------------------------------------------------

@@ -203,6 +203,22 @@ def test_vectors_flag_switches_matrix():
     assert via_rho.hits != via_alpha.hits
 
 
+@pytest.mark.parametrize("vectors", ["word", "", "beta", "RHO"])
+def test_word2eq_vectors_other_than_rho_or_alpha_are_an_error(vectors, monkeypatch):
+    # "word" would scan the word feature matrix and return word ids as
+    # equation hits; the check comes before any scan
+    model, _ = planted_model(seed=9, n_eq=20, n_words=30)
+    vocab = word_vocab(f"word{i:02d}" for i in range(30))
+    scans = []
+    real = Model.scan
+    monkeypatch.setattr(Model, "scan", lambda self, kind: scans.append(kind) or real(self, kind))
+    with pytest.raises(ValueError, match="vectors must be 'rho' or 'alpha'"):
+        equations_for_words(model, vocab, ["word01"], 5, vectors=vectors)
+    assert scans == []
+    assert equations_for_words(model, vocab, ["word01"], 5, vectors=None).hits == \
+        equations_for_words(model, vocab, ["word01"], 5, vectors="rho").hits
+
+
 def test_metric_override():
     model, _ = planted_model(seed=10)
     r = nearest_equations(model, 0, 5, metric="cosine")

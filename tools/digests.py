@@ -64,7 +64,11 @@ Builds the planted corpus bundle and runs the CLI on it in-process:
   twice, so that the second answers read what the first scans left on the
   model (``warm/...``): their ids and the ``float.hex`` of each score;
 * each loaded unit model's two equation matrices (``derived/.../alpha``
-  and ``rho``): their raw bytes.
+  and ``rho``): their raw bytes, which sum float32-valued unit rows;
+* the same two matrices of each unit fit made again in process with
+  ``training.train_model``, at the config and cap ``eqvec train`` parsed,
+  and never saved (``derived-in-memory/...``): their raw bytes, which
+  sum the fit's float64 unit rows.
 
 Fits use the acceptance configuration (k=25, windows 4/16/2, learning rate
 0.05).  Run it in two checkouts and compare the outputs::
@@ -100,7 +104,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from eqvec import bundle, cli, modelfile, retrieval  # noqa: E402
+from eqvec import bundle, cli, modelfile, retrieval, training  # noqa: E402
 from eqvec.corpus import IngestParams, ingest_corpus  # noqa: E402
 from eqvec.synthetic import planted_corpus  # noqa: E402
 from eqvec.tex import RawDocument  # noqa: E402
@@ -127,7 +131,7 @@ CONFIGS = {
     "negatives-25": ("unit", {"n_negatives": 25}),
 }
 GAPPED_CONFIGS = ("unit-joint", "unit-two-pass")  # fitted on the gapped bundle as well
-FLOAT_GROUPS = ("model/", "trace/", "eval/", "query/", "warm/", "derived/")
+FLOAT_GROUPS = ("model/", "trace/", "eval/", "query/", "warm/", "derived/", "derived-in-memory/")
 BYTE_GROUPS = ("corpus/", "bundle/", "table/")
 _SECONDS = re.compile(r'"(seconds|score_seconds)": [0-9.e+-]+')
 
@@ -412,7 +416,8 @@ def digests(workdir: str, n_docs: int = 200, max_epochs: int | None = None) -> d
 
 def _fit_digests(workdir: str, bundle_dir: str, data, configs: dict, cap: dict) -> dict:
     """The model, trace, query, warm and derived digests of ``configs``
-    fitted at ``MODEL_SEEDS`` on the bundle ``data`` was saved to."""
+    fitted at ``MODEL_SEEDS`` on the bundle ``data`` was saved to, and for
+    unit fits the derived digests of the fit in memory."""
     out = {}
     ids = [i for i in QUERY_IDS if i < data.n_equations]
     words = ",".join(data.word_vocab.forms[:3])
@@ -420,8 +425,9 @@ def _fit_digests(workdir: str, bundle_dir: str, data, configs: dict, cap: dict) 
         for seed in MODEL_SEEDS:
             key = f"{name}/seed{seed}"
             model = os.path.join(workdir, f"{name}-{seed}.eqv")
-            code, _ = _run(["train", "--bundle", bundle_dir, "--model", model, "--mode", mode,
-                            "--seed", str(seed), *_sets({**ACCEPTANCE, **extra, **cap})])
+            train = ["train", "--bundle", bundle_dir, "--model", model, "--mode", mode,
+                     "--seed", str(seed), *_sets({**ACCEPTANCE, **extra, **cap})]
+            code, _ = _run(train)
             if code:
                 raise RuntimeError(f"train {key} exited {code}")
             out[f"model/{key}"] = _sha(Path(model).read_bytes())
@@ -443,6 +449,8 @@ def _fit_digests(workdir: str, bundle_dir: str, data, configs: dict, cap: dict) 
             out.update({f"warm/{key}/{q}": d for q, d in _warm_digests(model, bundle_dir, queries).items()})
             if mode == "unit":
                 out.update({f"derived/{key}/{w}": d for w, d in _derived_digests(model, bundle_dir).items()})
+                fitted = _in_memory_digests(train, model)
+                out.update({f"derived-in-memory/{key}/{w}": d for w, d in fitted.items()})
     return out
 
 
@@ -474,6 +482,18 @@ def _warm_digests(model_path: str, bundle_dir: str, queries: dict) -> dict:
 def _derived_digests(model_path: str, bundle_dir: str) -> dict:
     """The digests of a loaded unit model's two equation matrices' raw bytes."""
     model = modelfile.load_model(model_path, eq_units=bundle.load_query_files(bundle_dir).eq_units)
+    return {which: _sha(model.equation_matrix(which).tobytes()) for which in ("alpha", "rho")}
+
+
+def _in_memory_digests(train_argv: list, model_path: str) -> dict:
+    """The digests of the two equation matrices' raw bytes of the fit
+    ``train_argv`` makes, fitted again in process and kept in memory; it
+    must save to the bytes ``eqvec train`` wrote to ``model_path``."""
+    cfg = cli.build_config(cli.make_parser().parse_args(train_argv))
+    model, _ = training.train_model(bundle.load_bundle(cfg.bundle_dir), cfg.model, cfg.mode)
+    saved = modelfile.save_model(model, model_path + ".in-memory")
+    if Path(saved).read_bytes() != Path(model_path).read_bytes():
+        raise RuntimeError(f"the in-process fit of {model_path} differs from eqvec train's")
     return {which: _sha(model.equation_matrix(which).tobytes()) for which in ("alpha", "rho")}
 
 
