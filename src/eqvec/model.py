@@ -10,7 +10,7 @@ the positive's context with label 0.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -121,22 +121,6 @@ def sigmoid(x):
 # --- derived equation vectors (unit mode) -------------------------------------
 
 _BLOCK = 256  # groups summed at a time, so that a block's arrays stay in cache
-_FLOAT32_MAX = float(np.finfo(np.float32).max)
-
-
-def _rounding_error(tot, r, t, e):
-    """Into ``e``, the exact rounding error of ``t = tot + r`` (Knuth's
-    TwoSum, without a branch); overwrites ``r``.
-
-    Neumaier's branch on the larger magnitude finds the same exact error,
-    so a compensated sum that adds these agrees with his bit for bit on
-    finite sums.  (Where the error vanishes the two may differ in the sign
-    of zero, which leaves a compensation started at +0.0 unchanged.)"""
-    np.subtract(t, tot, out=e)  # the part of r that reached t
-    r -= e  # its rounding error
-    np.subtract(t, e, out=e)  # the part of tot that reached t
-    np.subtract(tot, e, out=e)  # its rounding error
-    e += r
 
 
 class UnitGroups:
@@ -164,76 +148,90 @@ class UnitGroups:
         return blocks
 
 
-def _sums_exact(rows: np.ndarray, longest: int) -> bool:
-    """Whether every partial sum of at most ``longest`` entries of a column
-    of ``rows`` is exact in float64.
+def _split(rows: np.ndarray, longest: int) -> tuple[np.ndarray, bool]:
+    """``rows`` as parts side by side and padded with a zero row, whose column
+    sums over at most ``longest`` rows are exact and add up, in one rounding,
+    to the correctly rounded sum, and True; ``rows`` padded, and False, where
+    no such split is known.
 
-    It is when every entry is finite and float32-valued, as a loaded
-    model's are, and ``max|x| * longest < 2**(e + 29)`` for ``e`` the
-    ``frexp`` exponent of the smallest nonzero |x|: each entry is then a
-    multiple of ``2**(e - 24)``, and so is each partial sum, which stays
-    below ``2**(e - 24 + 53)``."""
+    For g the least power of two with ``longest * (max|x| + g/2) < 2**53 * g``
+    (finite x), ``hi = rint(x / g) * g`` and ``lo = x - hi`` are exact, and
+    hi's partial sums are multiples of g below ``2**53 * g``.  Where lo is
+    all zero, ``rows`` is the one part.  Each lo is a multiple of
+    ``2**(e - 53)``, e the ``frexp`` exponent of the least nonzero |x|, and
+    at most g/2: its sums are exact while ``longest * g / 2 < 2**e``.  A NaN
+    or ±inf gives a NaN lo, so its group's sum is NaN."""
     mags = np.abs(rows)
-    hi = mags.max(initial=0.0)
-    if not hi <= _FLOAT32_MAX or not (rows.astype(np.float32) == rows).all():  # a NaN fails the first
-        return False
-    lo = np.min(mags, where=mags > 0, initial=np.inf)
-    return lo == np.inf or hi * longest < math.ldexp(1.0, math.frexp(lo)[1] + 29)
+    most = mags.max(initial=0.0)
+    if not (finite := most < math.inf):  # a NaN or ±inf: the largest finite magnitude
+        most = np.max(mags, where=np.isfinite(mags), initial=0.0)
+    # for most = num / den the condition is a < b * g, and its least e is e or e + 1 below
+    num, den = float(most).as_integer_ratio()
+    a, b = 2 * longest * num, den * ((1 << 54) - longest)
+    e = a.bit_length() - b.bit_length()
+    e = max(e + (not (a < b << e if e >= 0 else a << -e < b)), -1074) if a else -1074
+    g = math.ldexp(1.0, e)
+    hi = np.multiply(rows, math.ldexp(1.0, -e), out=mags) if e > -1023 else np.divide(rows, g, out=mags)
+    np.rint(hi, out=hi)
+    hi *= g  # exact: an x / g that lost bits is below 2**-1022, and its hi is 0
+    k, padded = rows.shape[1], np.concatenate((rows, np.zeros((1, rows.shape[1]))))
+    if finite and (hi == rows).all():
+        return padded, True
+    least = np.fmin.reduce(np.abs(rows), axis=None, where=rows != 0, initial=math.inf)  # fmin skips NaN
+    if least < math.inf and longest.bit_length() > math.frexp(least)[1] - e + 1:
+        return padded, False
+    parts = np.zeros((len(rows) + 1, 2 * k))
+    parts[:-1, :k] = hi
+    with np.errstate(invalid="ignore"):  # inf - inf
+        np.subtract(rows, hi, out=parts[:-1, k:])
+    return parts, True
 
 
-def _sum_rows(rows: np.ndarray, exact: bool) -> np.ndarray:
-    """The sum of ``rows`` down its first axis, started at +0.0; overwrites
-    ``rows``.
+def _sum_parts(parts: np.ndarray, k: int) -> np.ndarray:
+    """The sum of ``_split``'s ``parts`` down their first axis: each part's
+    exact sum (``np.add.reduce``, in any order) added in turn to +0.0."""
+    sums = np.add.reduce(parts, axis=0)
+    return sum((sums[..., at : at + k] for at in range(0, sums.shape[-1], k)), 0.0)
 
-    Where ``exact`` (``_sums_exact`` holds for the rows), every partial sum
-    is the true one, so one ``np.add.reduce`` gives it in whatever order it
-    adds, and adding +0.0 gives an all -0.0 sum the sign a sum started at
-    +0.0 has.  Otherwise the rows are added one at a time with a Neumaier
-    compensation, and the sum is the total plus the compensation."""
-    if exact:
-        return np.add.reduce(rows, axis=0) + 0.0
-    total, comp, t, e = (np.zeros(rows.shape[1:]) for _ in range(4))
-    for r in rows:
-        np.add(total, r, out=t)
-        _rounding_error(total, r, t, e)
-        comp += e
-        total, t = t, total
-    return total + comp
+
+def _fsum_rows(rows: np.ndarray) -> np.ndarray:
+    """The sum of ``rows`` down its first axis by ``math.fsum`` for each
+    column; NaN where its float sum is not finite (it holds a NaN or ±inf)."""
+    sums = np.add.reduce(rows, axis=0)
+    for at in zip(*np.isfinite(sums).nonzero()):
+        sums[at] = math.fsum(rows[(slice(None), *at)])
+    return np.where(np.isfinite(sums), sums, np.nan)
 
 
 def unit_means(groups: UnitGroups, rows: np.ndarray) -> np.ndarray:
-    """Neumaier-compensated mean of ``rows[ids[ptr[g]:ptr[g + 1]]]`` for
-    every group g of ``groups``.  A group without units gives a NaN row.
+    """The mean of ``rows[ids[ptr[g]:ptr[g + 1]]]`` for every group g of
+    ``groups``: each column's ``math.fsum`` over the group's length, NaN
+    where the column holds a NaN or ±inf, and a NaN row for no units.
 
-    Each of ``groups.blocks`` is gathered whole, its -1 padding reading a
-    zero row appended to ``rows``, and summed by ``_sum_rows``, exactly
-    where ``_sums_exact`` holds for ``rows`` and the longest group.  A
-    padded group's mean is bitwise the one it gets alone: its running total
-    and compensation start at +0.0, so neither is ever -0.0, and adding
-    +0.0 changes neither (after an inf or NaN the compensation is NaN
-    already)."""
+    ``rows`` is split once; each of ``groups.blocks`` is gathered whole from
+    the parts, -1 reading their zero row (+0.0 changes no sum), and summed
+    by ``_sum_parts``, or by ``math.fsum`` where there is no split."""
     rows = np.asarray(rows, dtype=np.float64)
-    exact = _sums_exact(rows, groups.longest)
-    padded = np.concatenate((rows, np.zeros((1, rows.shape[1]))))
+    padded, exact = _split(rows, groups.longest) if groups.longest else (rows, True)  # no units: nothing to sum
     out = np.full((len(groups.lengths), rows.shape[1]), np.nan)
-    for group_ids, units in groups.blocks:
-        out[group_ids] = _sum_rows(padded.take(units, axis=0), exact) / groups.lengths[group_ids, None]
+    sum_rows = partial(_sum_parts, k=rows.shape[1]) if exact else _fsum_rows
+    for group_ids, units in groups.blocks:  # each block freed before the next is gathered, which reuses its memory
+        out[group_ids] = sum_rows(padded.take(units, axis=0)) / groups.lengths[group_ids, None]
     return out
 
 
 def equation_vector_from_units(units, unit_table: EmbeddingTable):
     """Equation-level (alpha, rho) as the arithmetic mean of unit vectors,
-    bitwise the row ``unit_means`` gives the equation over the whole table.
-
-    The equation's rows are gathered first, so that ``_sums_exact`` reads
-    only those, with the equation's length as the longest group."""
+    bitwise the row ``unit_means`` gives the equation over the whole table:
+    only the equation's rows, alpha then rho, are split."""
     ids = np.asarray(units, dtype=np.int64).ravel()
     if ids.size == 0:
         raise ValueError("untokenizable equation: no units")
     if ids.min() < 0:  # a gap (-1) of an old table, which would read the last unit row
         raise ValueError(f"unit id {ids.min()} is negative")
     rows = np.hstack((unit_table.alpha[ids], unit_table.rho[ids]))
-    mean = _sum_rows(rows, _sums_exact(rows, ids.size))
+    parts, exact = _split(rows, ids.size)
+    mean = _sum_parts(parts, rows.shape[1]) if exact else _fsum_rows(parts)
     mean /= ids.size
     return mean[: unit_table.k], mean[unit_table.k :]
 

@@ -33,8 +33,8 @@ ADAGRAD_FLOOR = 1e-8
 class TrainingDiverged(RuntimeError):
     """Raised when the validation score goes non-finite.
 
-    The trainer rolls tables back to the last good epoch before raising and
-    attaches that snapshot as ``model`` so callers can retain it."""
+    The trainer rolls tables back to the last good epoch, rounded as a pass
+    ends, and attaches that snapshot as ``model`` so callers can retain it."""
 
     def __init__(self, pass_name: str, epoch: int, model: Model, records: list):
         super().__init__(f"validation score became non-finite in {pass_name} pass, epoch {epoch}")
@@ -405,10 +405,10 @@ def train_model(data: CorpusData, config: ModelConfig, mode: str, word=None):
 
     Runs the word pass and then the mode's own pass, or only the joint pass
     of a ``unit_joint`` model.  Each pass stops at the first epoch whose
-    validation score fails to improve and keeps its predecessor.  Tables
-    and negative streams use independent child seeds of ``config.seed``, so
-    the fitted word table is bit-identical across modes on corpora where
-    the extra passes have nothing to train.
+    validation score fails to improve, keeps its predecessor and rounds it to
+    the float32 values ``save_model`` writes.  Tables and negative streams use
+    independent child seeds of ``config.seed``, so the fitted word table is
+    bit-identical across modes on corpora where the extra passes train nothing.
 
     ``word`` is ``(model, records)`` of an earlier fit with a word pass on
     the same data, at a config that differs from ``config`` at most in
@@ -469,11 +469,12 @@ def train_model(data: CorpusData, config: ModelConfig, mode: str, word=None):
             decision = evaluation.early_stopping_controller(trace, config.max_epochs)
             if diverged or (decision.stop and decision.best_epoch < epoch):
                 stacked[0][...] = best  # the pass ends here: its accumulators are not needed again
-            if diverged:
-                raise TrainingDiverged(name, epoch, view(spec.view), records)
-            if decision.stop:
+            if diverged or decision.stop:
                 break
             best[...] = stacked[0]
+        stacked[0][...] = stacked[0].astype(np.float32)  # the values a saved model holds
+        if diverged:
+            raise TrainingDiverged(name, epoch, view(spec.view), records)
     return view(mode), records
 
 

@@ -62,6 +62,29 @@ def equation_units(rows) -> EquationUnits:
     return EquationUnits(np.cumsum([0] + [len(r) for r in rows]), [u for r in rows for u in r])
 
 
+def float32_unit_table(n_units: int, n_groups: int, seed: int, longest: int = 60):
+    """A seeded unit table as a fit leaves one: float32-valued normal(0, 0.3)
+    rows, ``(n_units, 25)``, and ``n_groups`` equations of geometric length
+    (mean 10, at most ``longest``) over uniform unit ids; returns ``(rows,
+    ptr, ids)``."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(0.0, 0.3, size=(n_units, 25)).astype(np.float32).astype(np.float64)
+    lengths = np.minimum(rng.geometric(0.1, size=n_groups), longest)
+    ptr = np.concatenate(([0], np.cumsum(lengths)))
+    return rows, ptr, rng.integers(0, n_units, size=int(ptr[-1]))
+
+
+def within_float32_bound(rows: np.ndarray, longest: int) -> bool:
+    """The condition under which older versions summed a unit matrix with
+    one ``np.add.reduce``: finite float32 values whose largest magnitude
+    times the longest group stays below 2**(e + 29), for e the exponent of
+    the smallest nonzero magnitude."""
+    if not np.isfinite(rows).all() or not (rows.astype(np.float32) == rows).all():
+        return False
+    mags = np.abs(rows[rows != 0])
+    return not mags.size or bool(mags.max() * longest < 2.0 ** (int(np.frexp(mags.min())[1]) + 29))
+
+
 class Item(NamedTuple):
     """One held-out item as the per-item references read it."""
 

@@ -5,11 +5,12 @@
   ``pair_loss_and_grads`` and the Adagrad update, one observation at a
   time.  The gradient suite finite-differences it, and the compiled SGD
   step in ``eqvec.training`` must match it.
-* The per-equation compensated loop, the oracle for
+* The per-equation ``math.fsum`` mean, the oracle for
   ``eqvec.model.unit_means`` and ``equation_vector_from_units``: each
-  equation's units are summed alone, one row at a time, with a Neumaier
-  correction term, and both must give bitwise the same vectors, whether
-  ``_sum_rows`` sums a padded block exactly or compensated.
+  equation's units are summed alone, one ``math.fsum`` per column, and
+  divided by their count; a column holding a NaN or ±inf is NaN.  Both
+  must give bitwise the same vectors, on the one-part and two-part exact
+  sums of ``_split`` and on its ``math.fsum`` fallback.
 * The per-item scorer: each held-out item's context summed one entry at a
   time (a unit-mode equation contributes the sum or mean of its units),
   then its candidates scored; the oracle for the batched scorer in
@@ -276,16 +277,11 @@ def adagrad_step(tables: Tables, grads: SparseGrads, learning_rate: float):
 # --- unit means --------------------------------------------------------------
 
 
-def _compensated_mean(rows: np.ndarray) -> np.ndarray:
-    """Neumaier-compensated column means; exact enough to match fsum."""
-    total = np.zeros(rows.shape[1])
-    comp = np.zeros(rows.shape[1])
-    for r in rows:
-        t = total + r
-        big = np.abs(total) >= np.abs(r)
-        comp += np.where(big, (total - t) + r, (r - t) + total)
-        total = t
-    return (total + comp) / rows.shape[0]
+def fsum_mean(rows: np.ndarray) -> np.ndarray:
+    """Each column's ``math.fsum`` divided by the row count: its correctly
+    rounded sum (+0.0 for an all -0.0 column) over n; NaN for a column that
+    holds a NaN or ±inf."""
+    return np.array([math.fsum(c) / len(c) if np.isfinite(c).all() else math.nan for c in rows.T])
 
 
 def reference_equation_matrices(eq_units: dict, unit_table, n_equations: int):
@@ -296,8 +292,8 @@ def reference_equation_matrices(eq_units: dict, unit_table, n_equations: int):
     for eq_id, ids in eq_units.items():
         ids = ids[ids >= 0]
         if ids.size:
-            alphas[eq_id] = _compensated_mean(unit_table.alpha[ids])
-            rhos[eq_id] = _compensated_mean(unit_table.rho[ids])
+            alphas[eq_id] = fsum_mean(unit_table.alpha[ids])
+            rhos[eq_id] = fsum_mean(unit_table.rho[ids])
     return alphas, rhos
 
 

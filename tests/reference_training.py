@@ -275,7 +275,8 @@ def _stopping_loop(pass_name, epoch_fn, score_fn, trainables, max_epochs, record
 
 def reference_train_model(data, config, mode):
     """``train_model`` on the per-position loops above: same seeds, samplers,
-    passes and early stopping; returns (model, epoch records)."""
+    passes, early stopping and float32 rounding at each pass end; returns
+    (model, epoch records)."""
     config.validate()
     seeds = np.random.SeedSequence(config.seed).spawn(6)
     rngs = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
@@ -307,6 +308,8 @@ def reference_train_model(data, config, mode):
             config.max_epochs,
             records,
         )
+        for t in trainables:  # a pass ends with its tables rounded to the float32 values a saved model holds
+            t.rho[...], t.alpha[...] = t.rho.astype(np.float32), t.alpha.astype(np.float32)
 
     if mode == "unit" and config.unit_joint:
         word_sampler = NegativeSampler(rngs[3], n_words, word_freqs)

@@ -28,7 +28,7 @@ from eqvec.tex import RawDocument
 from . import reference_bundle
 from .conftest import (Item, corpus_from_streams, drop_last_equation, equation_units, heldout_items, heldout_set,
                        token_streams, write_eq_units)
-from .reference_model import _compensated_mean
+from .reference_model import fsum_mean
 from .reference_training import unit_lists
 
 
@@ -402,7 +402,7 @@ def test_binary_readers_match_record_at_a_time_reference(streams, eq_units):
 def test_equation_units_table_matches_oracles(eq_units, seed):
     # a saved and loaded table equals the record-at-a-time reader's dict,
     # its rows the dict-walking ``unit_lists`` oracle, and the unit means
-    # over them the per-equation compensated loop, bit for bit
+    # over them the per-equation fsum mean, bit for bit
     with tempfile.TemporaryDirectory() as root:
         _, eq_units_bin = _binary_files(root, [], eq_units)
         table = bundle_io._read_eq_units(eq_units_bin, len(eq_units))
@@ -418,7 +418,7 @@ def test_equation_units_table_matches_oracles(eq_units, seed):
     means = unit_means(UnitGroups(ptr, ids), rows)
     assert means.shape == (len(eq_units), 4)
     for g, units in want.items():
-        expected = _compensated_mean(rows[units]) if units.size else np.full(4, np.nan)
+        expected = fsum_mean(rows[units]) if units.size else np.full(4, np.nan)
         assert means[g].tobytes() == expected.tobytes()
 
 

@@ -3,7 +3,7 @@
 import ast
 import math
 import os
-from unittest import mock
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import eqvec
 from eqvec import model as model_mod
+from eqvec.corpus import EquationUnits
 from eqvec.evaluation import compile_heldout
 from eqvec.model import (
     EmbeddingTable,
@@ -25,19 +26,19 @@ from eqvec.model import (
 from eqvec.modelfile import load_model, save_model
 from eqvec.training import ADAGRAD_FLOOR
 
-from .conftest import RETRIEVAL_SEED, Item, equation_units, heldout_set
+from .conftest import RETRIEVAL_SEED, Item, equation_units, float32_unit_table, heldout_set, within_float32_bound
 from .reference_model import (
     FrozenTableError,
     Table,
     Tables,
     TrainingPair,
-    _compensated_mean,
     adagrad_rows,
     adagrad_step,
     bernoulli_param_equation,
     bernoulli_param_unit,
     bernoulli_param_word,
     bernoulli_param_word_units,
+    fsum_mean,
     pair_loss_and_grads,
     reference_equation_matrices,
     word_context_sum,
@@ -431,40 +432,63 @@ def test_equation_vector_matches_fsum_oracle():
             assert abs(alpha[d] - want) <= 2 * np.spacing(abs(want))
 
 
-_SPECIALS = (0.0, -0.0, np.nan, np.inf, -np.inf, 2.0**-149, -(2.0**-130))  # the last two: float32 subnormals
+_SPECIALS = (0.0, -0.0, np.nan, np.inf, -np.inf, 2.0**-149, -(2.0**-130),  # then float32 subnormals,
+             5e-324, -(2.0**-1060))  # and float64 ones
 
 
-def _sums_exact_oracle(rows: np.ndarray, longest: int) -> bool:
-    """The exact path's condition, as stated: finite float32 values whose
-    largest magnitude times the longest group stays below 2**(e + 29), for
-    e the exponent of the smallest nonzero magnitude."""
-    if not np.isfinite(rows).all() or not (rows.astype(np.float32) == rows).all():
-        return False
-    mags = np.abs(rows[rows != 0])
-    return not mags.size or mags.max() * longest < 2.0 ** (int(np.frexp(mags.min())[1]) + 29)
+def _parts_oracle(rows: np.ndarray, longest: int) -> int:
+    """The parts ``_split``'s stated conditions give ``rows``, 0 for none (the
+    ``math.fsum`` fallback), in exact rational arithmetic: g is the smallest
+    power of two with ``longest * (max + g/2) < 2**53 * g``; one part where
+    every entry is finite and a multiple of g; else none where ``longest * g
+    / 2 >= 2**e``, for e the exponent of the smallest finite nonzero |x|;
+    else two."""
+    finite = rows[np.isfinite(rows)]
+    most = Fraction(float(np.abs(finite).max(initial=0.0)))
+    e = -1074 if not most else max(-1074, math.frexp(float(most))[1] + longest.bit_length() - 56)
+    while not longest * (most + Fraction(2) ** e / 2) < 2**53 * Fraction(2) ** e:
+        e += 1
+    g = Fraction(2) ** e
+    if finite.size == rows.size and all((Fraction(float(x)) / g).denominator == 1 for x in rows.ravel()):
+        return 1
+    nonzero = np.abs(finite[finite != 0])
+    if nonzero.size and not longest * g / 2 < Fraction(2) ** math.frexp(float(nonzero.min()))[1]:
+        return 0
+    return 2
 
 
 def _nan_canonical(x: np.ndarray) -> bytes:
     return np.where(np.isnan(x), np.nan, x).tobytes()
 
 
-def _spy_sum_rows(monkeypatch) -> list:
-    """``(exact, rows)`` of each ``_sum_rows`` call, the rows as handed over."""
-    calls = []
-    real = model_mod._sum_rows
+def _spy_branches(monkeypatch) -> tuple[list, list]:
+    """The parts each ``_split`` call gave (0 for none), and the row shape
+    of each ``_fsum_rows`` call."""
+    splits, fsums = [], []
+    split, fsum = model_mod._split, model_mod._fsum_rows
 
-    def spy(rows, exact):
-        calls.append((exact, rows.copy()))  # before the compensated loop overwrites them
-        return real(rows, exact)
+    def split_spy(rows, longest):
+        parts, exact = split(rows, longest)
+        splits.append(parts.shape[1] // rows.shape[1] if exact else 0)
+        return parts, exact
 
-    monkeypatch.setattr(model_mod, "_sum_rows", spy)
-    return calls
+    def fsum_spy(rows):
+        fsums.append(rows.shape)
+        return fsum(rows)
+
+    monkeypatch.setattr(model_mod, "_split", split_spy)
+    monkeypatch.setattr(model_mod, "_fsum_rows", fsum_spy)
+    return splits, fsums
 
 
 def unit_groups(rows) -> UnitGroups:
     """The ``UnitGroups`` of the table whose row g holds the unit ids ``rows[g]``."""
     table = equation_units(rows)
     return UnitGroups(table.ptr, table.ids)
+
+
+def _want_means(rows: np.ndarray, groups) -> list:
+    return [fsum_mean(rows[ids]) if len(ids) else np.full(rows.shape[1], np.nan) for ids in groups]
 
 
 @settings(max_examples=300, deadline=None)
@@ -483,12 +507,15 @@ def unit_groups(rows) -> UnitGroups:
          specials=[(2, 0, np.inf), (5, 1, np.nan), (3, 2, -0.0)])  # short groups padded beside a long one
 @example(groups=[[1], [1, 1], [4]], long_len=9, seed=2, block=256, float32=True,
          specials=[(1, 0, -0.0), (1, 1, 2.0**-149), (4, 3, -(2.0**-130))])
+@example(groups=[[1], [1, 1], [4]], long_len=9, seed=2, block=2, float32=False,
+         specials=[(1, 0, 5e-324), (4, 3, -(2.0**-1060))])  # float64 subnormals: past the two-part bound
 def test_unit_means_bitwise_equal_per_equation_oracle(groups, long_len, seed, block, float32, specials):
     # empty groups (NaN rows), duplicate ids, and one long group among short
-    # ones, which pads them; magnitudes span 16 decades so the compensation
-    # terms matter, or the rows are float32-valued, as a loaded model's,
-    # and mostly summed exactly; ±0, NaN, ±inf and subnormals written in;
-    # small blocks split the groups, and give the bytes one block gives
+    # ones, which pads them; magnitudes span 16 decades, or the rows are
+    # float32-valued, as a fit's; ±0, NaN, ±inf and subnormals written in;
+    # small blocks split the groups, and give the bytes one block gives.
+    # The rows are split once, into the parts the stated conditions give,
+    # and only where there are none is each block summed by math.fsum
     rng = np.random.default_rng(seed)
     rows = rng.normal(size=(12, 5))
     if float32:
@@ -499,20 +526,20 @@ def test_unit_means_bitwise_equal_per_equation_oracle(groups, long_len, seed, bl
         rows[i, j] = v
     groups = [np.array(g, dtype=np.int64) for g in groups]
     groups.insert(int(rng.integers(len(groups) + 1)), rng.integers(0, 12, size=long_len))
-    exact = _sums_exact_oracle(rows, max(map(len, groups)))
+    parts = _parts_oracle(rows, max(map(len, groups)))
+    n_blocks = -(-sum(ids.size > 0 for ids in groups) // block)
     with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):  # inf - inf
         mp.setattr(model_mod, "_BLOCK", block)
-        calls = _spy_sum_rows(mp)
+        splits, fsums = _spy_branches(mp)
         got = unit_means(unit_groups(groups), rows)
     with np.errstate(invalid="ignore"):
         one_block = unit_means(unit_groups(groups), rows)
-        want = [_compensated_mean(rows[ids]) if ids.size else np.full(5, np.nan) for ids in groups]
     assert got.shape == (len(groups), 5)
     assert got.tobytes() == one_block.tobytes()
-    assert [e for e, _ in calls] == [exact] * -(-sum(ids.size > 0 for ids in groups) // block)
-    for row, w in zip(got, want):
+    assert splits == [parts] * (n_blocks > 0)
+    assert len(fsums) == (n_blocks if parts == 0 else 0)
+    for row, w in zip(got, _want_means(rows, groups)):
         assert _nan_canonical(row) == _nan_canonical(w)
-        assert specials or row.tobytes() == w.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -520,7 +547,7 @@ def test_unit_means_bitwise_equal_per_equation_oracle(groups, long_len, seed, bl
 @example(ids=[3, 3, 0], seed=1)
 def test_one_equation_vector_bitwise_equal_unit_means(ids, seed):
     # the one-group path must give the row the batched pass gives, and the
-    # per-equation Neumaier oracle's mean
+    # per-equation fsum oracle's mean
     rng = np.random.default_rng(seed)
     rows = rng.normal(size=(12, 6)) * 10.0 ** rng.integers(-8, 8, size=(12, 6))
     table = EmbeddingTable.from_arrays(rho=rows[:, 3:], alpha=rows[:, :3])
@@ -531,7 +558,7 @@ def test_one_equation_vector_bitwise_equal_unit_means(ids, seed):
         return
     alpha, rho = equation_vector_from_units(ids, table)
     batched = unit_means(unit_groups([[0, 1], ids]), rows)[1]
-    want = _compensated_mean(rows[ids])
+    want = fsum_mean(rows[ids])
     assert np.hstack([alpha, rho]).tobytes() == batched.tobytes() == want.tobytes()
 
 
@@ -583,11 +610,21 @@ def test_unit_model_derives_one_kind_on_first_use(monkeypatch):
     one_group_paths_agree()
 
 
+def _float32_rows(rng, shape, base: int, spread: int) -> np.ndarray:
+    """float32-valued rows whose binary exponents span ``spread`` from
+    ``base``, overflowing to inf or rounding to subnormals and zero at the
+    ends."""
+    mantissas = rng.integers(-(2**24) + 1, 2**24, size=shape).astype(np.float64)
+    with np.errstate(over="ignore"):
+        rows = np.ldexp(mantissas, base - 24 + rng.integers(0, spread + 1, size=shape))
+        return rows.astype(np.float32).astype(np.float64)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     groups=st.lists(st.lists(st.integers(0, 7), max_size=12), max_size=10),
     base=st.integers(-170, 100),
-    spread=st.integers(0, 45),
+    spread=st.integers(0, 70),
     specials=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 3), st.sampled_from(_SPECIALS)), max_size=3),
     widened=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
@@ -596,133 +633,160 @@ def test_unit_model_derives_one_kind_on_first_use(monkeypatch):
          widened=False, seed=1)  # an all -0.0 column sums to +0.0
 @example(groups=[[0, 1], [2]], base=-150, spread=2, specials=[], widened=False, seed=2)  # subnormals
 @example(groups=[[0, 1, 2, 3, 4, 5, 6, 7]], base=-20, spread=30, specials=[], widened=False, seed=3)
+@example(groups=[[0, 1, 2, 3, 4, 5, 6, 7]], base=-20, spread=70, specials=[], widened=False, seed=3)
 def test_unit_means_exact_path_bitwise_equal_oracle(groups, base, spread, specials, widened, seed):
-    # float32-valued rows whose exponents span ``spread`` from ``base``
-    # (overflowing to inf or rounding to subnormals and zero at the ends),
-    # with NaN, ±inf, ±0 and subnormals written in; ``widened`` makes one
-    # entry a float64 value.  Where the stated condition holds the exact
-    # path runs (the compensation would raise), elsewhere the compensated
-    # loop does (``_sum_rows`` is told which); either way every group's mean is the oracle's, bitwise
-    # (NaNs compared as NaN)
-    rng = np.random.default_rng(seed)
-    mantissas = rng.integers(-(2**24) + 1, 2**24, size=(8, 4)).astype(np.float64)
-    with np.errstate(over="ignore"):
-        rows = np.ldexp(mantissas, base - 24 + rng.integers(0, spread + 1, size=(8, 4)))
-        rows = rows.astype(np.float32).astype(np.float64)
+    # float32-valued rows, spreads past the one-part and the two-part bounds
+    # included, with NaN, ±inf, ±0 and subnormals written in; ``widened``
+    # makes one entry a float64 value.  The split takes the parts its stated
+    # conditions give, and every group's mean is the oracle's, bitwise (NaNs
+    # compared as NaN)
+    rows = _float32_rows(np.random.default_rng(seed), (8, 4), base, spread)
     for i, j, v in specials:
         rows[i, j] = v
     if widened:
         rows[0, 0] = 1.0 + 2.0**-40
     table = equation_units(groups)
-    exact = _sums_exact_oracle(rows, int(np.diff(table.ptr).max(initial=0)))
+    longest = int(np.diff(table.ptr).max(initial=0))
     with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):  # inf - inf
-        if exact:
-            mp.setattr(model_mod, "_rounding_error", mock.Mock(side_effect=AssertionError("compensated")))
-        calls = _spy_sum_rows(mp)
+        splits, fsums = _spy_branches(mp)
         got = unit_means(UnitGroups(table.ptr, table.ids), rows)
-        assert [e for e, _ in calls] == [exact] * any(groups)
-        assert got.shape == (len(groups), 4)
-        for g, row in zip(table, got):
-            units = table[g]
-            want = _compensated_mean(rows[units]) if units.size else np.full(4, np.nan)
-            assert _nan_canonical(row) == _nan_canonical(want)
+    assert splits == [_parts_oracle(rows, longest)] * (longest > 0)
+    assert bool(fsums) == (splits == [0])
+    assert got.shape == (len(groups), 4)
+    for row, want in zip(got, _want_means(rows, [table[g] for g in table])):
+        assert _nan_canonical(row) == _nan_canonical(want)
 
 
 @pytest.mark.parametrize("hi, exact", [(2.0**28 - 16, True), (2.0**28, False)])
 def test_exact_path_runs_only_below_its_bound(hi, exact):
-    # the smallest nonzero |x| is 1.0, whose np.frexp exponent is 1, and the
-    # longest group holds 4 units: the sums are exact while max|x| * 4 < 2**30
-    rows = np.array([[1.0, -0.0], [hi, 3.0], [-hi, 2.0], [7.0, hi]])
+    # the longest group holds 4 units: g is 2**-23 below max|x| = 2**28 and
+    # 2**-22 from it, where the entry 2**-23 is no multiple of g, and its lo
+    # sums could round (4 * g / 2 >= 2**-22), so the rows are not summed by
+    # one reduce but by math.fsum
+    rows = np.array([[1.0, -0.0], [hi, 3.0], [-hi, 2.0**-23], [7.0, hi]])
     table = equation_units([[0, 1, 2, 3], [1], [], [3, 0]])
     with pytest.MonkeyPatch.context() as mp:
-        calls = _spy_sum_rows(mp)
+        splits, fsums = _spy_branches(mp)
         got = unit_means(UnitGroups(table.ptr, table.ids), rows)
-    assert [e for e, _ in calls] == [exact]
-    for g, row in zip(table, got):
-        units = table[g]
-        want = _compensated_mean(rows[units]) if units.size else np.full(2, np.nan)
+    assert splits == [1 if exact else 0] == [_parts_oracle(rows, 4)] and bool(fsums) != exact
+    for row, want in zip(got, _want_means(rows, [table[g] for g in table])):
         assert row.tobytes() == want.tobytes()
 
 
-def test_loaded_unit_model_sums_exactly_and_an_in_memory_fit_compensates(trained, tmp_path, monkeypatch):
+@pytest.mark.parametrize("most, parts", [(2.0**28, 1), (2.0**49, 2), (2.0**51, 0)])
+def test_split_parts_change_at_their_bounds(most, parts):
+    # the longest group holds 4 units and the smallest nonzero |x| is 1.25,
+    # whose frexp exponent is 1: g is 2**-23 at max 2**28, where every entry
+    # is a multiple of it; 0.5 at 2**49, where lo sums are exact while
+    # 4 * g / 2 < 2; and 2 at 2**51, where they need not be
+    rows = np.array([[1.25, -0.0], [most, 3.0], [-most, 2.0], [7.0, most]])
+    table = equation_units([[0, 1, 2, 3], [1], [], [3, 0]])
+    assert _parts_oracle(rows, 4) == parts
+    with pytest.MonkeyPatch.context() as mp:
+        splits, fsums = _spy_branches(mp)
+        got = unit_means(UnitGroups(table.ptr, table.ids), rows)
+    assert splits == [parts] and bool(fsums) == (parts == 0)
+    for row, want in zip(got, _want_means(rows, [table[g] for g in table])):
+        assert row.tobytes() == want.tobytes()
+
+
+def test_fitted_unit_model_equals_its_loaded_copy(trained, tmp_path, monkeypatch):
+    # a fit is float32-valued, so its equation matrices are its loaded copy's,
+    # bitwise, with both kinds over one layout and no fsum fallback
     fitted = trained("unit", RETRIEVAL_SEED)
     alphas, rhos = reference_equation_matrices(fitted.eq_units, fitted.unit, fitted.n_equations)
     in_memory = Model("unit", fitted.config, fitted.word, unit=fitted.unit, eq_units=fitted.eq_units,
                       n_equations=fitted.n_equations)
-    with pytest.MonkeyPatch.context() as mp:
-        calls = _spy_sum_rows(mp)
-        assert in_memory.equation_matrix("alpha").tobytes() == alphas.tobytes()
-        assert in_memory.equation_matrix("rho").tobytes() == rhos.tobytes()
-    assert calls and not any(e for e, _ in calls)  # float64 rows are never summed exactly
-
     loaded = load_model(save_model(fitted, str(tmp_path / "unit.eqv")), eq_units=fitted.eq_units)
-    alphas, rhos = reference_equation_matrices(loaded.eq_units, loaded.unit, loaded.n_equations)
     layouts = []
     real = model_mod.UnitGroups
     monkeypatch.setattr(model_mod, "UnitGroups", lambda *layout: layouts.append(layout) or real(*layout))
-    calls = _spy_sum_rows(monkeypatch)
-    with mock.patch.object(model_mod, "_rounding_error", side_effect=AssertionError("compensated")):
-        assert loaded.equation_matrix("alpha").tobytes() == alphas.tobytes()
-        assert loaded.equation_matrix("rho").tobytes() == rhos.tobytes()
-    assert calls and all(e for e, _ in calls)
-    assert len(layouts) == 1  # both kinds share one layout
+    splits, fsums = _spy_branches(monkeypatch)
+    for model in (in_memory, loaded):
+        assert model.equation_matrix("alpha").tobytes() == alphas.tobytes()
+        assert model.equation_matrix("rho").tobytes() == rhos.tobytes()
+    assert splits == [1] * 4 and not fsums
+    assert len(layouts) == 2  # one per model, both kinds sharing it
 
+
+def test_float32_table_past_the_old_bound_sums_in_two_parts(monkeypatch):
+    # a seeded table as a fit leaves one, whose spread is past the bound of
+    # the older one-reduce path: every mean, of the whole table and of one
+    # equation alone, is the fsum oracle's, bitwise, without the fallback
+    rows, ptr, ids = float32_unit_table(5_000, 5_000, seed=10)
+    groups = UnitGroups(ptr, ids)
+    assert groups.longest == 60 and not within_float32_bound(rows, 60)
+    splits, fsums = _spy_branches(monkeypatch)
+    got = unit_means(groups, rows)
+    assert splits == [2] and not fsums
+    table = EquationUnits(ptr, ids)
+    assert all(got[g].tobytes() == fsum_mean(rows[table[g]]).tobytes() for g in table)
+    # one equation is past that bound alone with 59 copies of the unit that
+    # holds the largest |x| and the one that holds the smallest nonzero |x|
+    mags = np.abs(rows)
+    units = [int(np.argmax(mags)) // 25] * 59 + [int(np.argmin(np.where(mags == 0, np.inf, mags))) // 25]
+    assert not within_float32_bound(rows[units], 60)
+    splits.clear()
+    alpha, rho = equation_vector_from_units(units, EmbeddingTable.from_arrays(rho=-rows, alpha=rows))
+    assert splits == [2] and not fsums
+    assert alpha.tobytes() == fsum_mean(rows[units]).tobytes()
+    assert rho.tobytes() == fsum_mean(-rows[units]).tobytes()
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     ids=st.lists(st.integers(0, 7), min_size=1, max_size=12),
     base=st.integers(-170, 100),
-    spread=st.integers(0, 45),
+    spread=st.integers(0, 70),
     specials=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 5), st.sampled_from(_SPECIALS)), max_size=3),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(ids=[0, 1, 2], base=-10, spread=3, specials=[(0, 1, -0.0), (1, 1, -0.0), (2, 1, -0.0)],
          seed=1)  # an all -0.0 column sums to +0.0
 @example(ids=[0, 1], base=-150, spread=2, specials=[], seed=2)  # subnormals
-@example(ids=[0, 1, 2, 3, 4, 5, 6, 7], base=-20, spread=40, specials=[], seed=3)  # too wide: compensated
+@example(ids=[0, 1, 2, 3, 4, 5, 6, 7], base=-20, spread=40, specials=[], seed=3)  # two parts
+@example(ids=[0, 1, 2, 3, 4, 5, 6, 7], base=-20, spread=70, specials=[], seed=3)  # too wide: fsum
 @example(ids=[3, 3], base=0, spread=0, specials=[(3, 2, np.inf), (3, 4, np.nan)], seed=4)
 def test_one_equation_vector_bitwise_equal_oracle_on_float32_rows(ids, base, spread, specials, seed):
     # float32-valued unit rows (alpha | rho, three columns each) whose
     # exponents span ``spread`` from ``base``, with ±0, subnormals, NaN and
-    # ±inf written in: the equation's mean is the per-equation Neumaier
-    # oracle's, bitwise (NaNs compared as NaN), and the compensated sum runs
-    # exactly where the stated exactness condition fails for its rows
-    rng = np.random.default_rng(seed)
-    mantissas = rng.integers(-(2**24) + 1, 2**24, size=(8, 6)).astype(np.float64)
-    with np.errstate(over="ignore"):
-        rows = np.ldexp(mantissas, base - 24 + rng.integers(0, spread + 1, size=(8, 6)))
-        rows = rows.astype(np.float32).astype(np.float64)
+    # ±inf written in: the equation's mean is the per-equation fsum
+    # oracle's, bitwise (NaNs compared as NaN), through the parts the stated
+    # conditions give the equation's rows
+    rows = _float32_rows(np.random.default_rng(seed), (8, 6), base, spread)
     for i, j, v in specials:
         rows[i, j] = v
     table = EmbeddingTable.from_arrays(rho=rows[:, 3:], alpha=rows[:, :3])
     with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):  # inf - inf
-        calls = _spy_sum_rows(mp)
+        splits, fsums = _spy_branches(mp)
         alpha, rho = equation_vector_from_units(ids, table)
-        want = _compensated_mean(rows[ids])
-    assert _nan_canonical(np.hstack([alpha, rho])) == _nan_canonical(want)
-    assert [e for e, _ in calls] == [_sums_exact_oracle(rows[ids], len(ids))]
+    assert _nan_canonical(np.hstack([alpha, rho])) == _nan_canonical(fsum_mean(rows[ids]))
+    assert splits == [_parts_oracle(rows[ids], len(ids))]
+    assert bool(fsums) == (splits == [0])
+
+
+_PARTS = {"exact": 1, "two_parts": 2, "fsum": 0}  # the branches by the parts of the split
 
 
 @pytest.mark.parametrize("rows, branch", [
-    (np.array([[1.0, 0.5], [0.25, -3.0], [7.0, 2.0**-20]]), "exact"),  # float32 values, as a loaded model's
-    (np.array([[1.0, 0.5], [0.1, -3.0], [7.0, 2.0**-20]]), "compensated"),  # 0.1 is no float32
-    (np.array([[1.0, 0.5], [2.0**40, -3.0], [7.0, 2.0**-20]]), "compensated"),  # exponents too far apart
-    (np.array([[1.0, 0.5], [np.inf, -3.0], [7.0, 2.0**-20]]), "compensated"),
+    (np.array([[1.0, 0.5], [0.25, -3.0], [7.0, 2.0**-20]]), "exact"),  # multiples of g, as a fit's entries are
+    (np.array([[1.0, 0.5], [0.1, -3.0], [7.0, 2.0**-20]]), "two_parts"),  # 0.1 is not
+    (np.array([[1.0, 0.5], [2.0**40, -3.0], [7.0, 2.0**-20]]), "fsum"),  # exponents too far apart
+    (np.array([[1.0, 0.5], [np.inf, -3.0], [7.0, 2.0**-20]]), "two_parts"),  # a NaN lo
 ])
 def test_one_equation_vector_names_its_branch(rows, branch, monkeypatch):
-    # the one-group path hands the equation's rows, alpha then rho, to
-    # ``_sum_rows``, to be summed exactly where the exactness check holds
-    # for them and compensated otherwise; either way the mean is the oracle's
-    calls = _spy_sum_rows(monkeypatch)
+    # the one-group path splits the equation's rows, alpha then rho, as
+    # handed over, and sums the parts, or each column by math.fsum where
+    # there are none; either way the mean is the oracle's
+    handed = []
+    split = model_mod._split
+    monkeypatch.setattr(model_mod, "_split", lambda r, n: handed.append(r.copy()) or split(r, n))
+    splits, fsums = _spy_branches(monkeypatch)
     table = EmbeddingTable.from_arrays(rho=rows[:, 1:], alpha=rows[:, :1])
-    with np.errstate(invalid="ignore"):
-        got = np.hstack(equation_vector_from_units([0, 1, 2], table))
-        want = _compensated_mean(rows)
-    assert _nan_canonical(got) == _nan_canonical(want)
-    [(exact, handed)] = calls
-    assert ("exact" if exact else "compensated") == branch
-    assert handed.tobytes() == rows.tobytes()
+    got = np.hstack(equation_vector_from_units([0, 1, 2], table))
+    assert _nan_canonical(got) == _nan_canonical(fsum_mean(rows))
+    assert splits == [_PARTS[branch]] and bool(fsums) == (branch == "fsum")
+    assert [h.tobytes() for h in handed] == [rows.tobytes()]
 
 
 # --- model container -------------------------------------------------------------------

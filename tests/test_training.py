@@ -10,7 +10,7 @@ from eqvec import cli, evaluation
 from eqvec.bundle import save_bundle
 from eqvec.corpus import IngestParams, Vocabulary, ingest_corpus
 from eqvec.model import EmbeddingTable, ModelConfig
-from eqvec.modelfile import load_model
+from eqvec.modelfile import load_model, save_model
 from eqvec.synthetic import planted_corpus
 from eqvec.tex import RawDocument, normalize_equation
 from eqvec.training import TrainingDiverged, train_model
@@ -172,11 +172,12 @@ def test_untouched_equation_keeps_initialization():
     iso_id = data.registry.latex.index(normalize_equation("w_{9} + q_{9}"))
     model, _ = train_model(data, CFG, "equation")
     # the feature vector is only reachable through context membership, so it
-    # stays at initialization; the interaction vector may still be drawn as
-    # a subsampled zero for other equations' positions
+    # stays at initialization, rounded to float32 as the pass ends; the
+    # interaction vector may still be drawn as a subsampled zero for other
+    # equations' positions
     eq_seed = np.random.SeedSequence(CFG.seed).spawn(6)[1]  # the equation table's child seed
     init = EmbeddingTable(data.n_equations, CFG.k, np.random.PCG64(eq_seed), CFG.scale)
-    assert np.array_equal(model.eq.alpha[iso_id], init.alpha[iso_id])
+    assert model.eq.alpha[iso_id].tobytes() == init.alpha[iso_id].astype(np.float32).astype(np.float64).tobytes()
     assert not np.array_equal(model.eq.alpha, init.alpha)
 
 
@@ -193,6 +194,36 @@ def test_two_pass_unit_word_pass_identical_to_word_mode():
     a, _ = train_model(data, CFG, "word")
     b, _ = train_model(data, with_overrides(CFG, unit_joint=False), "unit")
     assert a.word.rho.tobytes() == b.word.rho.tobytes()
+
+
+def _tables(model) -> list:
+    return [getattr(t, m) for t in (model.word, model.eq, model.unit) if t is not None for m in ("rho", "alpha")]
+
+
+def _float32_valued(model) -> bool:
+    return all((m.astype(np.float32) == m).all() for m in _tables(model))
+
+
+@pytest.mark.parametrize("mode, extra", [("word", {}), ("equation", {}), ("unit", {}), ("unit", {"unit_joint": False})])
+def test_fit_is_float32_valued_and_equals_its_saved_copy(mode, extra, tmp_path):
+    # every pass ends float32-valued, so the model in memory is the one saved
+    data = make_corpus()
+    model, _ = train_model(data, with_overrides(CFG, **extra), mode)
+    assert _float32_valued(model)
+    loaded = load_model(save_model(model, str(tmp_path / "model.eqv")), eq_units=data.eq_units)
+    assert [m.tobytes() for m in _tables(loaded)] == [m.tobytes() for m in _tables(model)]
+    if mode != "word":
+        for which in ("alpha", "rho"):
+            assert loaded.equation_matrix(which).tobytes() == model.equation_matrix(which).tobytes()
+
+
+def test_grid_scores_float32_valued_fits(monkeypatch):
+    from eqvec import training
+
+    data, fit, fits = make_corpus(), training.train_model, []
+    monkeypatch.setattr(training, "train_model", lambda *a, **kw: fits.append(fit(*a, **kw)) or fits[-1])
+    evaluation.grid_select(data, CFG, ("equation", "word", "unit"), (CFG.k,), (4,), (8,))
+    assert len(fits) == 3 and all(_float32_valued(model) for model, _ in fits)
 
 
 def _records(records):
@@ -413,7 +444,7 @@ def test_divergence_aborts_with_last_good_snapshot(monkeypatch):
             train_model(data, with_overrides(CFG, max_epochs=6), mode)
         exc = info.value
         assert exc.model is not None
-        assert np.isfinite(exc.model.word.rho).all()
+        assert np.isfinite(exc.model.word.rho).all() and _float32_valued(exc.model)
         assert (exc.pass_name, exc.epoch) == (mode, 3)
         last = exc.records[-1]
         assert (last.pass_name, last.epoch) == (mode, 3) and np.isnan(last.validation_score)

@@ -68,7 +68,7 @@ Builds the planted corpus bundle and runs the CLI on it in-process:
 * the same two matrices of each unit fit made again in process with
   ``training.train_model``, at the config and cap ``eqvec train`` parsed,
   and never saved (``derived-in-memory/...``): their raw bytes, which
-  sum the fit's float64 unit rows.
+  equal the loaded model's, since a fit ends float32-valued.
 
 Fits use the acceptance configuration (k=25, windows 4/16/2, learning rate
 0.05).  Run it in two checkouts and compare the outputs::
