@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .records import EquationRecord, RawDocument
+from .records import SLOT, EquationRecord, RawDocument
 
 log = logging.getLogger(__name__)
 
@@ -202,9 +202,9 @@ class PreparedBatch(NamedTuple):
     """Prepared documents in doc_id order, their words numbered.
 
     Position j of the batch holds the word ``forms[ids[j]]``, or an
-    equation slot where ``ids[j]`` is 0 (``forms[0]`` is "", which no word
-    is); the slots' document-local equation ids are ``slots``, in position
-    order.  Document i is ``doc_ids[i]`` and spans ``ptr[i]:ptr[i + 1]``;
+    equation slot where ``ids[j]`` is 0 (``forms[0]`` is the slot token
+    ``SLOT``, which no word is); the slots' document-local equation ids
+    are ``slots``, in position order.  Document i is ``doc_ids[i]`` and spans ``ptr[i]:ptr[i + 1]``;
     its local equation e is row ``eq_ptr[i] + e`` of the equation columns,
     which document i holds ``eq_counts[row]`` times as ``eq_latex[row]``.
     A word form's id is the order of its first occurrence in the batch.
@@ -254,14 +254,14 @@ _INTERN_RUN = 4096
 def intern_prepared(prepared) -> PreparedBatch:
     """Number the words of prepared documents as they arrive.
 
-    ``prepared`` yields ``(doc_id, pieces, slots, records, skipped)`` in
-    doc_id order: the word lists of a document's prose pieces, the
-    document-local equation id of each slot between consecutive pieces,
-    its distinct equations (record e is local equation e) and its skipped
-    regions.  Only the distinct forms and the words of the last
+    ``prepared`` yields ``(doc_id, words, slots, records, skipped)`` in
+    doc_id order: a document's words with the slot token ``SLOT`` at
+    each equation slot, the document-local equation id of each slot, in
+    order, its distinct equations (record e is local equation e) and its
+    skipped regions.  Only the distinct forms and the words of the last
     ``_INTERN_RUN`` or so positions are held as strings.
     """
-    index = defaultdict(count(1).__next__, {"": 0})  # id 0 marks a slot
+    index = defaultdict(count(1).__next__, {SLOT: 0})  # id 0 marks a slot
     doc_ids, ptr, ids, words, slots, skipped = [], [0], [], [], [], 0
     eq_ptr, eq_latex, eq_counts = [0], [], []
 
@@ -269,14 +269,10 @@ def intern_prepared(prepared) -> PreparedBatch:
         ids.append(np.fromiter(map(index.__getitem__, words), dtype=np.int32, count=len(words)))
         words.clear()
 
-    for doc_id, pieces, doc_slots, doc_records, doc_skipped in prepared:
-        start = len(words)
-        words += pieces[0]
-        for _, piece in zip(doc_slots, pieces[1:], strict=True):
-            words.append("")
-            words += piece
+    for doc_id, doc_words, doc_slots, doc_records, doc_skipped in prepared:
+        words += doc_words
         doc_ids.append(doc_id)
-        ptr.append(ptr[-1] + len(words) - start)
+        ptr.append(ptr[-1] + len(doc_words))
         slots += doc_slots
         eq_latex += (r.latex for r in doc_records)
         eq_counts += (r.occurrence_count for r in doc_records)
@@ -294,7 +290,7 @@ def merge_batches(batches: list[PreparedBatch]) -> PreparedBatch:
     """One batch from consecutive batches, given in doc_id order: each
     batch's forms join one table in order of first occurrence, and its ids
     are remapped with one gather."""
-    index, ids = {"": 0}, []
+    index, ids = {SLOT: 0}, []
     for b in batches:
         remap = np.fromiter((index.setdefault(f, len(index)) for f in b.forms), dtype=np.int32, count=len(b.forms))
         ids.append(remap[b.ids])
@@ -509,12 +505,13 @@ class CorpusData:
 
 
 def _prepare_document(doc: RawDocument):
-    """``(doc_id, pieces, slots, records, skipped)``: the word list of each
-    prose piece and the local equation id of each slot between them."""
+    """``(doc_id, words, slots, records, skipped)``: the document's words,
+    a slot token at each display-math region, and the local equation id
+    of each slot."""
     from . import tex  # ingest only: keeps the LaTeX scanner off the query path
 
     pieces, records, skipped, slots = tex._extract(doc)
-    return doc.doc_id, [tex.tokenize_words(p) for p in pieces], slots, records, skipped
+    return doc.doc_id, tex.tokenize_words(*pieces), slots, records, skipped
 
 
 def _prepare_batch(docs: list[RawDocument]) -> PreparedBatch:

@@ -1,8 +1,14 @@
-"""Plain records: a source document, and an equation record (a document's
-distinct region as ``tex`` extracts it, or a row of the equation registry).
-They live apart from ``tex`` so that reading a bundle does not import it."""
+"""Plain records: a source document, an equation record (a document's
+distinct region as ``tex`` extracts it, or a row of the equation registry)
+and the slot token.  They live apart from ``tex`` so that reading a bundle
+does not import it."""
 
 from dataclasses import dataclass
+
+# The token that stands for a display-math region in a document's word
+# list (``tex.tokenize_words`` writes it, ``corpus.intern_prepared`` numbers
+# it 0).  No word is a NUL: a literal one in prose becomes a space.
+SLOT = "\0"
 
 
 def doc_id_problem(doc_id: str) -> str | None:

@@ -4,13 +4,18 @@ A document is reduced to the prose pieces between its display-math
 regions plus, for each region, a slot holding a document-local equation
 id; the corpus layer later maps those to global equation ids after
 deduplication.  Slots are carried beside the prose, never written into
-it, so no text a document contains can pose as an equation.
+it, so no text a document contains can pose as an equation.  A
+document's words are tokenized in one pass over its pieces joined by the
+slot character (``records.SLOT``, NUL), which becomes one slot token
+between the words of consecutive pieces.  Before the join each literal
+NUL in a piece becomes a space, and no later rule reads across the slot
+character, so it marks only the gap between two pieces.
 """
 
 import logging
 import re
 
-from .records import EquationRecord, RawDocument
+from .records import SLOT, EquationRecord, RawDocument
 
 log = logging.getLogger(__name__)
 
@@ -41,7 +46,6 @@ _BLANK = re.compile(r"[ \t]*(?:\n[ \t]*)?")
 # ``\[`` and ``\]`` are no marks, and ``\\`` is a row break), a brace or a
 # bracket.
 _BRACE_MARK = re.compile(r"\\label" + _BLANK.pattern + r"\{|\\.|[{}\[\]]", re.S)
-_WS_RUN = re.compile(r"\s+")
 
 
 def _escaped(text: str, i: int) -> bool:
@@ -78,7 +82,7 @@ def strip_comments(text: str) -> str:
 
 def normalize_equation(latex: str) -> str:
     """Canonical form used for deduplication: no labels, collapsed whitespace."""
-    return _WS_RUN.sub(" ", _drop_labels(latex)).strip()
+    return " ".join(_drop_labels(latex).split())
 
 
 def _brace_map(text: str) -> tuple[dict[int, int], list[int], list[int]]:
@@ -256,35 +260,46 @@ _REFERENCE = re.compile(
 # braces; stopping at a backslash keeps each match short of the next command.
 _FLAT_GROUP = re.compile(r"\[[^\[\]{}\\]*\]|\{[^{}\\]*\}")
 _BEGIN_END = re.compile(r"\\(?:begin|end)\{[^}]*\}")
-_COMMAND = re.compile(r"\\[a-zA-Z]+\*?|\\[^a-zA-Z]")
-_WORD = re.compile(r"[a-z]+(?:-[a-z]+)*")
-# Every byte but a-z and "-" becomes a space.  After ``.lower()`` and an
-# ASCII encode that writes "?" for each other code point, the words of
-# ``_WORD`` are the space-separated runs without "-".
-_SEPARATE = bytes(b if 97 <= b <= 122 or b == 45 else 32 for b in range(256))
+# The slot character is no command's escaped character.
+_COMMAND = re.compile(r"\\[a-zA-Z]+\*?|\\[^a-zA-Z\0]")
+# A word, or the slot token.
+_TOKEN = re.compile(r"[a-z]+(?:-[a-z]+)*|\0")
+# Every byte but a-z, "-" and the slot character becomes a space.  After
+# ``.lower()`` and an ASCII encode that writes "?" for each other code
+# point, the tokens of ``_TOKEN`` are the space-separated runs without "-".
+_SEPARATE = bytes(b if 97 <= b <= 122 or b == 45 or b == 0 else 32 for b in range(256))
+_JOIN = f" {SLOT} "
 
 
-def tokenize_words(prose_text: str) -> list[str]:
-    """Lowercase alphabetic tokens in document order.
+def tokenize_words(*pieces: str) -> list[str]:
+    """Lowercase alphabetic tokens in document order, with one slot token
+    (``records.SLOT``) between the words of consecutive ``pieces``.
 
     A word is a run of ASCII letters after lowercasing; every other
     character, accented letters included, separates words.  Hyphenated
     words stay whole ("p-value"); numerals and punctuation are dropped;
-    inline math and LaTeX commands are removed.  Time is linear in the
+    inline math and LaTeX commands are removed.  Inline math, reference
+    arguments and ``\\begin{..}``/``\\end{..}`` end within their piece;
+    the rest runs once over the joined pieces.  Time is linear in the
     length of the text, unclosed delimiters included.
     """
-    t = _drop_inline_math(prose_text)
-    t = _drop_references(t)
+    t = _JOIN.join(map(_drop_piece_markup, pieces))
+    t = _COMMAND.sub(" ", t)
+    t = t.lower().encode("ascii", "replace").translate(_SEPARATE).decode()
+    return t.split() if "-" not in t else _TOKEN.findall(t)
+
+
+def _drop_piece_markup(text: str) -> str:
+    """``text`` without its inline math, reference commands and
+    ``\\begin{..}``/``\\end{..}``, each literal slot character a space."""
+    t = _drop_references(_drop_inline_math(text))
     # A \begin{..} or \end{..} match ends at a "}", so none lies past the
     # last one, and before it every opener finds its "}": the regex never
     # rescans.
     cut = t.rfind("}") + 1
-    t = _BEGIN_END.sub(" ", t[:cut]) + t[cut:]
-    t = _COMMAND.sub(" ", t)
-    t = t.lower().encode("ascii", "replace").translate(_SEPARATE).decode()
-    if "-" not in t:
-        return t.split()
-    return [w for run in t.split() for w in (_WORD.findall(run) if "-" in run else (run,))]
+    if cut:
+        t = _BEGIN_END.sub(" ", t[:cut]) + t[cut:]
+    return t.replace(SLOT, " ")
 
 
 def _drop_inline_math(text: str) -> str:

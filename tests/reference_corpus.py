@@ -49,7 +49,7 @@ from eqvec.corpus import (
     TokenStreams,
     encode_equation,
 )
-from eqvec.records import EquationRecord
+from eqvec.records import SLOT, EquationRecord
 
 from .conftest import Item
 
@@ -244,7 +244,7 @@ def intern_words(doc_tokens, doc_maps) -> InternedWords:
     dropped by singleton sampling); a slot naming no equation of its
     document is an error.
     """
-    ids = defaultdict(count(1).__next__, {"": 0})  # id 0 marks a slot
+    ids = defaultdict(count(1).__next__, {SLOT: 0})  # id 0 marks a slot
     gap = int(GAP)
     words, slot_codes, doc_ids, ptr = [], [], [], [0]
     for doc_id, pieces, slots in doc_tokens:
@@ -255,7 +255,7 @@ def intern_words(doc_tokens, doc_maps) -> InternedWords:
                 raise CorpusError(f"{doc_id}: equation slot {local} names no equation of the document")
             gid = mapping[local]
             slot_codes.append(gap if gid is None else encode_equation(gid))
-            words.append("")
+            words.append(SLOT)
             words += piece
         doc_ids.append(doc_id)
         ptr.append(len(words))

@@ -6,8 +6,9 @@ After every match it re-runs three regex searches from the current
 position, so hostile input (runs of unclosed ``\\[``) costs quadratic
 time, and each region is written into the prose as a ``⟦eq:N⟧`` marker
 that word tokenization passes through.  On input without literal marker
-text, ``eqvec.tex._extract`` followed by per-piece tokenization must give
-the same records, skipped count and word/slot sequence, which the
+text, ``eqvec.tex._extract`` followed by the tokenization of its pieces
+as one document must give the same records, skipped count and word/slot
+sequence, which the
 differential tests check.  It takes a display opener after an odd run
 of backslashes for no opener, and a ``$$`` left in the prose after such
 a run for an escaped ``$`` and a ``$``, not an unbalanced delimiter.
@@ -33,9 +34,7 @@ import re
 
 from eqvec.tex import (
     _BEGIN_END,
-    _COMMAND,
     _ENV_BEGIN,
-    _WORD,
     MULTILINE_ENVS,
     EquationRecord,
     RawDocument,
@@ -48,6 +47,10 @@ log = logging.getLogger(__name__)
 # characters that never occur in real LaTeX prose.
 PLACEHOLDER_FMT = "\u27e6eq:{}\u27e7"
 PLACEHOLDER_RE = re.compile(r"\u27e6eq:(\d+)\u27e7")
+
+# A command, and a word after lowercasing.
+_COMMAND = re.compile(r"\\[a-zA-Z]+\*?|\\[^a-zA-Z]")
+_WORD = re.compile(r"[a-z]+(?:-[a-z]+)*")
 
 # An even run of backslashes, none before it: what follows is no escape.
 # Each pattern below keeps the run as group 1 and starts its opener after it.

@@ -74,3 +74,23 @@ def test_reloaded_bundle_has_no_corpus_differences(bench, planted, tmp_path):
     assert workloads._corpus_differences(data, loaded) == []
     assert (data.heldout_valid != loaded.heldout_valid) is False
     assert (data.heldout_test == loaded.heldout_test) is True
+
+
+def test_ingest_calls_the_traced_tex_names_once_per_document(monkeypatch, planted):
+    # the bench times extraction and tokenization by wrapping these module
+    # attributes; an ingest path that went round them would read 0 seconds
+    docs, params, data = planted
+    calls = {"_extract": [], "tokenize_words": []}
+
+    def spy(original, seen):
+        def call(*args):
+            seen.append(args)
+            return original(*args)
+        return call
+
+    for name, seen in calls.items():
+        monkeypatch.setattr(tex, name, spy(getattr(tex, name), seen))
+    again = ingest_corpus(docs, params)
+    assert [a[0].doc_id for a in calls["_extract"]] == sorted(d.doc_id for d in docs)
+    assert len(calls["tokenize_words"]) == len(docs)
+    assert again.streams.codes.tolist() == data.streams.codes.tolist()

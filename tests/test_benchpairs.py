@@ -71,3 +71,19 @@ def test_equal_sides_flag_nothing():
     w = benchpairs.aggregate(SPEC, {"query-p200": same})["query-p200"]
     assert w["flagged"] == [] and w["metrics"]["wall_s"]["median_change"] == 0.0
     assert w["metrics"]["wall_s"]["improved"] == 0 and w["metrics"]["wall_s"]["within_bound"]
+
+
+def test_uncommitted_changes_count_only_measured_paths(monkeypatch):
+    # ``git status --porcelain`` of a checkout, cut to the pathspecs asked for
+    status = {"ROADMAP.md": " M ROADMAP.md", "src": " M src/eqvec/tex.py", "bench": "?? bench/new.py"}
+
+    def git(*args):
+        assert args[:3] == ("status", "--porcelain", "--")
+        return "\n".join(status[p] for p in args[3:] if p in status)
+
+    monkeypatch.setattr(benchpairs, "_git", git)
+    assert benchpairs.uncommitted_changes()
+    del status["src"], status["bench"]
+    assert not benchpairs.uncommitted_changes()  # a documentation edit alone
+    status["BENCHMARK.json"] = " M BENCHMARK.json"
+    assert benchpairs.uncommitted_changes()

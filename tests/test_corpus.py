@@ -23,7 +23,7 @@ from eqvec.corpus import (
     load_stopwords,
     merge_batches,
 )
-from eqvec.records import EquationRecord
+from eqvec.records import SLOT, EquationRecord
 from eqvec.synthetic import planted_corpus
 from eqvec.tex import RawDocument
 
@@ -137,9 +137,11 @@ def test_vocabulary_filter_restriction_idempotent():
 def _batch(doc_records, doc_tokens, bounds=None):
     """``(doc_id, pieces, slots)`` documents with the equation records
     ``doc_records`` (``(doc_id, records)`` pairs), numbered in the batches
-    ``bounds`` cuts (one by default) and merged, as ingest does."""
+    ``bounds`` cuts (one by default) and merged, as ingest does: each
+    document's pieces as one word list, a slot token between pieces."""
     records = dict(doc_records)
-    prepared = [(doc_id, pieces, slots, records[doc_id], 0) for doc_id, pieces, slots in doc_tokens]
+    prepared = [(doc_id, [w for piece in pieces for w in (SLOT, *piece)][1:], slots, records[doc_id], 0)
+                for doc_id, pieces, slots in doc_tokens]
     bounds = bounds or [0, len(prepared)]
     return merge_batches([intern_prepared(prepared[a:b]) for a, b in zip(bounds, bounds[1:])])
 
@@ -578,9 +580,9 @@ def test_literal_placeholder_text_is_prose(marker):
         eq_codes = s.codes[(s.codes != GAP) & (s.codes >= corpus.EQ_TAG)]
         assert list(eq_codes) == list(c.codes[(c.codes != GAP) & (c.codes >= corpus.EQ_TAG)])
         assert len(s.codes) == len(c.codes) + 1  # the marker's "eq" is one word
-    _, pieces, slots, _, _ = corpus._prepare_document(docs[0])
+    _, words, slots, _, _ = corpus._prepare_document(docs[0])
     assert slots == [0]
-    assert pieces[1][:3] == ["found", "eq", "in"]
+    assert words[words.index(SLOT) + 1 :][:3] == ["found", "eq", "in"]
 
 
 def test_ingest_params_validation():

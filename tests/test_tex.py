@@ -1,6 +1,8 @@
 """Display-math extraction and word tokenization."""
 
 import gc
+import re
+import sys
 import time
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from eqvec import tex
 from eqvec.corpus import _prepare_document
+from eqvec.records import SLOT
 from eqvec.tex import (
     RawDocument,
     _extract,
@@ -137,6 +140,14 @@ def test_label_with_braces_dropped_whole(latex, normal):
     assert normalize_equation(latex) == normal
 
 
+def test_every_whitespace_character_collapses():
+    # the characters the regex class \s takes, which str.split splits on too
+    spaces = [chr(c) for c in range(sys.maxunicode + 1) if re.match(r"\s", chr(c))]
+    assert len(spaces) == 29
+    for c in spaces:
+        assert normalize_equation(f"{c}x{c}{c}+ y \\label{{a}}{c}") == "x + y"
+
+
 @settings(max_examples=1000, deadline=None)
 @given(st.lists(st.sampled_from(["\\label{", "\\label", "{", "}", "\\", "\\{", "\\}", "a", " ", "\n"]), max_size=24))
 def test_drop_labels_matches_per_label_scan(parts):
@@ -183,9 +194,9 @@ def test_round_trip_region_positions():
 def test_escaped_display_opener_stays_prose():
     # "\\[2pt]" is a row break with its skip, not the opener of "2pt] ... \[ y = 2"
     text = r"Results \begin{tabular}{cc} a & b \\[2pt] c & d \end{tabular} and then \[ y = 2 \] follows."
-    _, pieces, slots, records, skipped = _prepare_document(RawDocument("d", text))
+    _, words, slots, records, skipped = _prepare_document(RawDocument("d", text))
     assert ([r.latex for r in records], slots, skipped) == (["y = 2"], [0], 0)
-    assert pieces == [["results", "cc", "a", "b", "pt", "c", "d", "and", "then"], ["follows"]]
+    assert words == ["results", "cc", "a", "b", "pt", "c", "d", "and", "then", SLOT, "follows"]
     assert reference_sequence(RawDocument("d", text))[1:] == (records, skipped)
 
 
@@ -199,8 +210,8 @@ def test_escaped_display_opener_stays_prose():
     ],
 )
 def test_escaped_dollar_before_dollar_is_no_display_delimiter(text, words, skipped):
-    _, pieces, slots, _, got = _prepare_document(RawDocument("d", text))
-    assert (pieces, slots, got) == ([words], [], skipped)
+    _, got_words, slots, _, got = _prepare_document(RawDocument("d", text))
+    assert (got_words, slots, got) == (words, [], skipped)
     assert reference_sequence(RawDocument("d", text))[2] == skipped
 
 
@@ -236,7 +247,6 @@ def test_tokenize_hyphens_and_numerals():
 
 def test_tokenize_grammar_against_character_oracle():
     # every emitted token is maximal: alphabetic runs joined by single hyphens
-    import re
 
     rng = np.random.default_rng(5)
     alphabet = list("ab c-d1.")
@@ -251,8 +261,8 @@ def test_tokenize_grammar_against_character_oracle():
 def test_placeholders_pass_through():
     # the equation slot sits between the words around it, out of band
     doc = RawDocument("d", "alpha $$x$$ beta")
-    _, pieces, slots, _, _ = _prepare_document(doc)
-    assert pieces == [["alpha"], ["beta"]]
+    _, words, slots, _, _ = _prepare_document(doc)
+    assert words == ["alpha", SLOT, "beta"]
     assert slots == [0]
 
 
@@ -339,12 +349,12 @@ _PIECES = [
 ]
 
 
-def _sequence(pieces, slots):
-    """Words and equation slots of a prepared document, in document order."""
-    seq = [("w", w) for w in pieces[0]]
-    for local, words in zip(slots, pieces[1:], strict=True):
-        seq.append(("eq", local))
-        seq.extend(("w", w) for w in words)
+def _sequence(words, slots):
+    """Words and equation slots of a prepared document, in document order:
+    the i-th slot token is the i-th slot."""
+    local = iter(slots)
+    seq = [("eq", next(local)) if w == SLOT else ("w", w) for w in words]
+    assert next(local, None) is None
     return seq
 
 
@@ -353,10 +363,10 @@ def _sequence(pieces, slots):
 def test_extract_matches_rescanning_reference(parts):
     doc = RawDocument("d", "".join(parts))
     expected, ref_records, ref_skipped = reference_sequence(doc)
-    _, pieces, slots, records, skipped = _prepare_document(doc)
+    _, words, slots, records, skipped = _prepare_document(doc)
     assert records == ref_records  # latex, local ids and occurrence counts
     assert skipped == ref_skipped
-    assert _sequence(pieces, slots) == expected
+    assert _sequence(words, slots) == expected
 
 
 # Dead openers: a run of "\[" or a "$$" that finds no closer, then real
@@ -377,9 +387,9 @@ _DEAD_OPENERS = {
 def test_dead_openers_match_rescanning_reference(text, n_equations):
     doc = RawDocument("d", text)
     expected, ref_records, ref_skipped = reference_sequence(doc)
-    _, pieces, slots, records, skipped = _prepare_document(doc)
+    _, words, slots, records, skipped = _prepare_document(doc)
     assert records == ref_records and skipped == ref_skipped
-    assert _sequence(pieces, slots) == expected
+    assert _sequence(words, slots) == expected
     assert len(slots) == n_equations
 
 
@@ -478,6 +488,25 @@ def test_tokenize_words_matches_regex_reference(parts):
     assert tokenize_words(text) == reference_tokenize_words(text)
 
 
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.lists(st.sampled_from([*_PROSE, SLOT]), max_size=12), min_size=1, max_size=5))
+@example([["\\ref{", "a"], ["}", "bc"]])  # a group that closes only in the next piece
+@example([["$", "a"], ["bc", "$"]])  # so is a "$" span
+@example([["\\begin{", "a"], ["}", "bc"]])  # and a \begin{..}
+@example([["a", "\\"], ["bc"]])  # a backslash that ends a piece escapes nothing after it
+@example([["\\cite"], ["[", "a", "]{", "bc", "}"]])  # nor does a command name
+@example([["a-"], ["-b", SLOT, "bc"], [SLOT]])  # hyphens at the ends, literal slot characters
+@example([[], [], ["a"]])  # empty pieces: adjacent slot tokens
+def test_document_words_match_per_piece_words(pieces):
+    # a document's words: each piece's words on its own, one slot token
+    # between consecutive pieces; a literal slot character is prose
+    texts = ["".join(p) for p in pieces]
+    want = [w for text in texts for w in (SLOT, *tokenize_words(text))][1:]
+    assert tokenize_words(*texts) == want
+    assert want == [w for text in texts for w in (SLOT, *reference_tokenize_words(text))][1:]
+    assert tokenize_words(*texts).count(SLOT) == len(texts) - 1
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -507,6 +536,25 @@ def test_tokenize_time_is_linear(make):
     # at n = 2000, and 16 times that at n = 8000, on a 2-core machine
     n, ceiling = 2000, 0.25
     small, large = _best_seconds(tokenize_words, make(n), make(4 * n), ceiling)
+    assert small < ceiling
+    assert large < ceiling
+    assert large < 8 * small
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        # the first piece's only "}" lies after a later region
+        lambda n: " ".join(f"\\begin{{ x{i} word" for i in range(n)) + " $$ y $$ } tail",
+        lambda n: " ".join(f"\\( a{i} $ b{i} $$ x_{{{i}}} $$" for i in range(n)),
+    ],
+    ids=["begin_closed_after_a_region", "unclosed_inline_across_regions"],
+)
+def test_document_time_is_linear(make):
+    # a document's words are tokenized in one call over all its pieces;
+    # no opener may search past its own piece
+    n, ceiling = 2000, 0.25
+    small, large = _best_seconds(_prepare_document, RawDocument("d", make(n)), RawDocument("d", make(4 * n)), ceiling)
     assert small < ceiling
     assert large < ceiling
     assert large < 8 * small

@@ -14,7 +14,9 @@ read from its tree's ``bench/out/``.  The temporary directory is removed
 on exit, on failure too.
 
 Writes ``BENCH_<label>.json`` (``--out`` to put it elsewhere) holding both
-commits and the ``src/`` sha256 of each side, the environment, and per
+commits and the ``src/`` sha256 of each side, whether this checkout has
+uncommitted changes under ``src/``, ``bench/`` or ``BENCHMARK.json``, the
+environment, and per
 workload and end-to-end metric each side's median and IQR, the signed
 relative change of each pair (change over base, minus 1), the pairs that
 improved, the metric's bound from ``BENCHMARK.json`` and whether the change
@@ -37,6 +39,7 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("query-p200", "train-p200", "ingest-p2000")
 FENCE = 3.0  # a run is flagged outside quartile -/+ FENCE x IQR of its workload's host slowdowns
 IQR_FLOOR = 0.02  # of the median slowdown, so that identical runs do not flag every other one
+MEASURED = ("src", "bench", "BENCHMARK.json")  # what a run reads of this checkout
 
 
 def _quartiles(values: list) -> tuple:
@@ -133,6 +136,12 @@ def _git(*args) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, stdout=subprocess.PIPE, text=True).stdout.strip()
 
 
+def uncommitted_changes() -> bool:
+    """Whether this checkout differs from its commit under the paths a run
+    measures (``MEASURED``); an edit elsewhere changes no result."""
+    return bool(_git("status", "--porcelain", "--", *MEASURED))
+
+
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
@@ -181,7 +190,7 @@ def main(argv=None) -> int:
     report = {
         "label": args.label,
         "base": {"rev": args.base, "commit": base_commit, "src_sha256": src(0)},
-        "change": {"commit": _git("rev-parse", "HEAD"), "uncommitted_changes": bool(_git("status", "--porcelain")),
+        "change": {"commit": _git("rev-parse", "HEAD"), "uncommitted_changes": uncommitted_changes(),
                    "src_sha256": src(1)},
         "pairs": args.pairs, "seconds": args.seconds, "environment": env,
         "workloads": aggregate(spec, pairs),

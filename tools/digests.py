@@ -64,11 +64,11 @@ Builds the planted corpus bundle and runs the CLI on it in-process:
   twice, so that the second answers read what the first scans left on the
   model (``warm/...``): their ids and the ``float.hex`` of each score;
 * each loaded unit model's two equation matrices (``derived/.../alpha``
-  and ``rho``): their raw bytes, which sum float32-valued unit rows;
-* the same two matrices of each unit fit made again in process with
-  ``training.train_model``, at the config and cap ``eqvec train`` parsed,
-  and never saved (``derived-in-memory/...``): their raw bytes, which
-  equal the loaded model's, since a fit ends float32-valued.
+  and ``rho``): their raw bytes, which sum float32-valued unit rows.
+
+The first fit of each mode is made again in process with
+``training.train_model``, at the config and cap ``eqvec train`` parsed;
+the run stops unless it saves to the bytes ``eqvec train`` wrote.
 
 Fits use the acceptance configuration (k=25, windows 4/16/2, learning rate
 0.05).  Run it in two checkouts and compare the outputs::
@@ -131,7 +131,7 @@ CONFIGS = {
     "negatives-25": ("unit", {"n_negatives": 25}),
 }
 GAPPED_CONFIGS = ("unit-joint", "unit-two-pass")  # fitted on the gapped bundle as well
-FLOAT_GROUPS = ("model/", "trace/", "eval/", "query/", "warm/", "derived/", "derived-in-memory/")
+FLOAT_GROUPS = ("model/", "trace/", "eval/", "query/", "warm/", "derived/")
 BYTE_GROUPS = ("corpus/", "bundle/", "table/")
 _SECONDS = re.compile(r'"(seconds|score_seconds)": [0-9.e+-]+')
 
@@ -403,8 +403,10 @@ def digests(workdir: str, n_docs: int = 200, max_epochs: int | None = None) -> d
     bundle_dir = os.path.join(workdir, "bundle")
     out.update(_bundle_digests(data, bundle_dir, "planted"))
     cap = {} if max_epochs is None else {"max_epochs": max_epochs}
-    out.update(_fit_digests(workdir, bundle_dir, data, CONFIGS, cap))
-    out.update(_fit_digests(workdir, gapped_dir, gapped, {f"gapped-{c}": CONFIGS[c] for c in GAPPED_CONFIGS}, cap))
+    checked = set()
+    out.update(_fit_digests(workdir, bundle_dir, data, CONFIGS, cap, checked))
+    out.update(_fit_digests(workdir, gapped_dir, gapped, {f"gapped-{c}": CONFIGS[c] for c in GAPPED_CONFIGS}, cap,
+                            checked))
     for seed in EVAL_SEEDS:
         report = os.path.join(workdir, f"eval-{seed}.tsv")
         code, _ = _run(["eval", "--bundle", bundle_dir, "--report", report, "--seed", str(seed), *_sets(cap)])
@@ -414,10 +416,11 @@ def digests(workdir: str, n_docs: int = 200, max_epochs: int | None = None) -> d
     return out
 
 
-def _fit_digests(workdir: str, bundle_dir: str, data, configs: dict, cap: dict) -> dict:
+def _fit_digests(workdir: str, bundle_dir: str, data, configs: dict, cap: dict, checked: set) -> dict:
     """The model, trace, query, warm and derived digests of ``configs``
-    fitted at ``MODEL_SEEDS`` on the bundle ``data`` was saved to, and for
-    unit fits the derived digests of the fit in memory."""
+    fitted at ``MODEL_SEEDS`` on the bundle ``data`` was saved to.  The
+    first fit of each mode not in ``checked`` is checked in process
+    (``_check_in_process_fit``), and its mode added."""
     out = {}
     ids = [i for i in QUERY_IDS if i < data.n_equations]
     words = ",".join(data.word_vocab.forms[:3])
@@ -431,6 +434,9 @@ def _fit_digests(workdir: str, bundle_dir: str, data, configs: dict, cap: dict) 
             if code:
                 raise RuntimeError(f"train {key} exited {code}")
             out[f"model/{key}"] = _sha(Path(model).read_bytes())
+            if mode not in checked:
+                _check_in_process_fit(train, model)
+                checked.add(mode)
             trace = _SECONDS.sub(r'"\1": 0', Path(model + ".trace.jsonl").read_text())
             out[f"trace/{key}"] = _sha(trace.encode())
             if mode == "word":  # no equation vectors to query
@@ -449,8 +455,6 @@ def _fit_digests(workdir: str, bundle_dir: str, data, configs: dict, cap: dict) 
             out.update({f"warm/{key}/{q}": d for q, d in _warm_digests(model, bundle_dir, queries).items()})
             if mode == "unit":
                 out.update({f"derived/{key}/{w}": d for w, d in _derived_digests(model, bundle_dir).items()})
-                fitted = _in_memory_digests(train, model)
-                out.update({f"derived-in-memory/{key}/{w}": d for w, d in fitted.items()})
     return out
 
 
@@ -485,16 +489,14 @@ def _derived_digests(model_path: str, bundle_dir: str) -> dict:
     return {which: _sha(model.equation_matrix(which).tobytes()) for which in ("alpha", "rho")}
 
 
-def _in_memory_digests(train_argv: list, model_path: str) -> dict:
-    """The digests of the two equation matrices' raw bytes of the fit
-    ``train_argv`` makes, fitted again in process and kept in memory; it
-    must save to the bytes ``eqvec train`` wrote to ``model_path``."""
+def _check_in_process_fit(train_argv: list, model_path: str) -> None:
+    """Fit ``train_argv`` again in process and raise unless the fit saves
+    to the bytes ``eqvec train`` wrote to ``model_path``."""
     cfg = cli.build_config(cli.make_parser().parse_args(train_argv))
     model, _ = training.train_model(bundle.load_bundle(cfg.bundle_dir), cfg.model, cfg.mode)
-    saved = modelfile.save_model(model, model_path + ".in-memory")
+    saved = modelfile.save_model(model, model_path + ".in-process")
     if Path(saved).read_bytes() != Path(model_path).read_bytes():
         raise RuntimeError(f"the in-process fit of {model_path} differs from eqvec train's")
-    return {which: _sha(model.equation_matrix(which).tobytes()) for which in ("alpha", "rho")}
 
 
 def environment() -> dict:
