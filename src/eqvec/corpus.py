@@ -204,9 +204,10 @@ class PreparedBatch(NamedTuple):
     Position j of the batch holds the word ``forms[ids[j]]``, or an
     equation slot where ``ids[j]`` is 0 (``forms[0]`` is the slot token
     ``SLOT``, which no word is); the slots' document-local equation ids
-    are ``slots``, in position order.  Document i is ``doc_ids[i]`` and spans ``ptr[i]:ptr[i + 1]``;
-    its local equation e is row ``eq_ptr[i] + e`` of the equation columns,
-    which document i holds ``eq_counts[row]`` times as ``eq_latex[row]``.
+    are ``slots``, in position order.  Document i is ``doc_ids[i]`` and
+    spans ``ptr[i]:ptr[i + 1]``; its local equation e is row
+    ``eq_ptr[i] + e`` of the equation columns, which document i holds
+    ``eq_counts[row]`` times as ``eq_latex[row]``.
     A word form's id is the order of its first occurrence in the batch.
     ``skipped`` counts the regions extraction skipped.
     """

@@ -247,7 +247,6 @@ def test_tokenize_hyphens_and_numerals():
 
 def test_tokenize_grammar_against_character_oracle():
     # every emitted token is maximal: alphabetic runs joined by single hyphens
-
     rng = np.random.default_rng(5)
     alphabet = list("ab c-d1.")
     for _ in range(200):

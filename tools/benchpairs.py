@@ -16,14 +16,13 @@ on exit, on failure too.
 Writes ``BENCH_<label>.json`` (``--out`` to put it elsewhere) holding both
 commits and the ``src/`` sha256 of each side, whether this checkout has
 uncommitted changes under ``src/``, ``bench/`` or ``BENCHMARK.json``, the
-environment, and per
-workload and end-to-end metric each side's median and IQR, the signed
-relative change of each pair (change over base, minus 1), the pairs that
-improved, the metric's bound from ``BENCHMARK.json`` and whether the change
-of the medians passes it; ``correct`` and ``failed`` of every run; and the
-runs whose sampled host slowdown (``samples.host_slowdown.p50``) lies far
-outside the workload's runs, which are flagged, not dropped.  It prints the
-same as a table.
+environment, and per workload and end-to-end metric each side's median
+and IQR, the signed relative change of each pair (change over base, minus
+1), the pairs that improved, the metric's bound from ``BENCHMARK.json``
+and whether the change of the medians passes it; ``correct`` and
+``failed`` of every run; and the runs whose sampled host slowdown
+(``samples.host_slowdown.p50``) lies far outside the workload's runs,
+which are flagged, not dropped.  It prints the same as a table.
 """
 
 import argparse

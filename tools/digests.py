@@ -66,7 +66,7 @@ Builds the planted corpus bundle and runs the CLI on it in-process:
 * each loaded unit model's two equation matrices (``derived/.../alpha``
   and ``rho``): their raw bytes, which sum float32-valued unit rows.
 
-The first fit of each mode is made again in process with
+On each bundle, the first fit of each mode is made again in process with
 ``training.train_model``, at the config and cap ``eqvec train`` parsed;
 the run stops unless it saves to the bytes ``eqvec train`` wrote.
 
@@ -403,10 +403,8 @@ def digests(workdir: str, n_docs: int = 200, max_epochs: int | None = None) -> d
     bundle_dir = os.path.join(workdir, "bundle")
     out.update(_bundle_digests(data, bundle_dir, "planted"))
     cap = {} if max_epochs is None else {"max_epochs": max_epochs}
-    checked = set()
-    out.update(_fit_digests(workdir, bundle_dir, data, CONFIGS, cap, checked))
-    out.update(_fit_digests(workdir, gapped_dir, gapped, {f"gapped-{c}": CONFIGS[c] for c in GAPPED_CONFIGS}, cap,
-                            checked))
+    out.update(_fit_digests(workdir, bundle_dir, data, CONFIGS, cap))
+    out.update(_fit_digests(workdir, gapped_dir, gapped, {f"gapped-{c}": CONFIGS[c] for c in GAPPED_CONFIGS}, cap))
     for seed in EVAL_SEEDS:
         report = os.path.join(workdir, f"eval-{seed}.tsv")
         code, _ = _run(["eval", "--bundle", bundle_dir, "--report", report, "--seed", str(seed), *_sets(cap)])
@@ -416,12 +414,11 @@ def digests(workdir: str, n_docs: int = 200, max_epochs: int | None = None) -> d
     return out
 
 
-def _fit_digests(workdir: str, bundle_dir: str, data, configs: dict, cap: dict, checked: set) -> dict:
+def _fit_digests(workdir: str, bundle_dir: str, data, configs: dict, cap: dict) -> dict:
     """The model, trace, query, warm and derived digests of ``configs``
     fitted at ``MODEL_SEEDS`` on the bundle ``data`` was saved to.  The
-    first fit of each mode not in ``checked`` is checked in process
-    (``_check_in_process_fit``), and its mode added."""
-    out = {}
+    first fit of each mode is checked in process (``_check_in_process_fit``)."""
+    out, checked = {}, set()
     ids = [i for i in QUERY_IDS if i < data.n_equations]
     words = ",".join(data.word_vocab.forms[:3])
     for name, (mode, extra) in configs.items():
